@@ -4,8 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hs_bench::simbench::{clusters_topo, fill};
 use hs_model::fit::least_squares;
-use hs_simnet::fairshare::{compute_rates, FlowDemand};
-use hs_simnet::{FlowSpan, SimNet, SolverWorkspace};
+use hs_simnet::{FlowSpan, SimNet, SolveMode, SolverWorkspace};
 use hs_switch::{AggMode, FixPoint, InaDataplane, InaPacket, JobConfig, JobId, WorkerId};
 use hs_topology::builders::{testbed, xtracks, XTracksConfig};
 use hs_topology::routing::{k_shortest_paths, shortest_path};
@@ -36,30 +35,12 @@ fn bench_routing(c: &mut Criterion) {
 }
 
 fn bench_fairshare(c: &mut Criterion) {
-    // 200 links, 100 flows of 3 hops.
+    // 200 links, 100 flows of 3 hops, through the persistent workspace:
+    // zero steady-state allocation, flat span arena.
     let caps = vec![100e9; 200];
     let paths: Vec<Vec<usize>> = (0..100)
         .map(|i| vec![i % 200, (i * 7 + 3) % 200, (i * 13 + 11) % 200])
         .collect();
-    // Demand construction runs in the setup closure, not the timed one,
-    // so this measures water-filling itself rather than Vec churn.
-    c.bench_function("fairshare_100flows_200links", |b| {
-        b.iter_batched(
-            || {
-                paths
-                    .iter()
-                    .map(|p| FlowDemand {
-                        links: p,
-                        weight: 1.0,
-                    })
-                    .collect::<Vec<_>>()
-            },
-            |demands| compute_rates(&caps, &demands),
-            BatchSize::SmallInput,
-        )
-    });
-    // Same instance through the persistent workspace: zero steady-state
-    // allocation, flat span arena instead of per-flow Vecs.
     let mut flat = Vec::new();
     let mut spans = Vec::new();
     for p in &paths {
@@ -84,14 +65,14 @@ fn bench_simnet(c: &mut Criterion) {
     // re-solves one 5-flow component; the full-solve variant re-rates all
     // 1001 flows every time (ISSUE 5 target: ≥ 5× apart).
     let big = 1_000_000_000_000; // 1 TB: ~minutes of simulated drain time
-    for (label, full) in [
-        ("fairshare_incremental_churn", false),
-        ("fairshare_fullsolve_churn", true),
+    for (label, mode) in [
+        ("fairshare_incremental_churn", SolveMode::TwoTier),
+        ("fairshare_fullsolve_churn", SolveMode::FullResolve),
     ] {
         let (g, paths) = clusters_topo(250);
         c.bench_function(label, |b| {
             let mut net = SimNet::new(&g);
-            net.set_full_resolve(full);
+            net.set_solve_mode(mode);
             fill(&mut net, &paths, 4, big);
             net.next_event_time(); // warm: initial global solve
             b.iter(|| {

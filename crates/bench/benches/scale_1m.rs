@@ -2,28 +2,23 @@
 //!
 //! The ROADMAP north star: serve a 1M-request Poisson trace through the
 //! full engine — planner deployment, batching, collectives, KV
-//! transfers, monitor sampling — in minutes, with bit-identical output
-//! regardless of how the network layer is driven. One trace is generated
-//! once and served three times:
-//!
-//! * `sequential`  — sharded bulk path pinned off, nominal
-//!   `RAYON_NUM_THREADS=1`;
-//! * `sharded@2` / `sharded@8` — sharded path forced on
-//!   (threshold 64), nominal thread counts 2 and 8.
-//!
-//! Every run's report fingerprint (every scalar, every per-request
-//! metric, every memory sample, folded bit-for-bit) must be identical —
-//! the §12 merge contract surfacing at the top of the stack. Writes
+//! transfers, monitor sampling — in minutes, with bit-identical output.
+//! One trace is generated once and served twice; both runs' report
+//! fingerprints (every scalar, every per-request metric, every memory
+//! sample, folded bit-for-bit) must be identical. Each row also carries
+//! the network engine's aggregate-tier hit rate over the run. Writes
 //! `results/scale_1m.json`.
 //!
 //! `SCALE_REQUESTS` overrides the request count (default 1 000 000) for
 //! quick local runs.
 
 use hs_baselines::{BaselineKind, Deployment};
+use hs_bench::simbench::aggregate_hit_rate;
 use hs_bench::ExpTable;
 use hs_cluster::{ClusterSim, SimReport};
 use hs_des::{SeedSplitter, SimSpan, SimTime};
 use hs_model::ModelConfig;
+use hs_simnet::SolveStats;
 use hs_topology::builders::{xtracks, XTracksConfig};
 use hs_workload::{sharegpt_like, Poisson, Trace};
 use rustc_hash::FxHasher;
@@ -31,7 +26,7 @@ use serde_json::json;
 use std::hash::Hasher;
 
 /// Fold every observable report field — floats by bit pattern — into one
-/// 64-bit fingerprint. Equal fingerprints across runs is the §12
+/// 64-bit fingerprint. Equal fingerprints across runs is the
 /// bit-identity claim at ClusterSim granularity.
 fn fingerprint(r: &SimReport) -> u64 {
     let mut h = FxHasher::default();
@@ -85,7 +80,7 @@ fn fingerprint(r: &SimReport) -> u64 {
     h.finish()
 }
 
-fn serve(d: &Deployment, trace: &Trace, horizon: SimTime, threshold: usize) -> SimReport {
+fn serve(d: &Deployment, trace: &Trace, horizon: SimTime) -> (SimReport, SolveStats) {
     let margin = SimSpan::from_secs_f64((horizon.as_secs_f64() * 0.25).min(60.0));
     let mut sim = ClusterSim::new(
         &d.topology.graph,
@@ -94,8 +89,8 @@ fn serve(d: &Deployment, trace: &Trace, horizon: SimTime, threshold: usize) -> S
         trace,
         d.strategy(),
     );
-    sim.set_shard_threshold(threshold);
-    sim.run(horizon + margin)
+    let report = sim.run(horizon + margin);
+    (report, sim.net_solve_stats())
 }
 
 fn main() {
@@ -121,51 +116,49 @@ fn main() {
     let mut table = ExpTable::new(
         "scale_1m",
         &[
-            "mode",
+            "run",
             "requests",
             "completed",
             "wall_s",
             "req/sec (wall)",
+            "agg hit",
             "fingerprint",
         ],
     );
     let mut prints = Vec::new();
-    for (mode, threads, threshold) in [
-        ("sequential", "1", usize::MAX),
-        ("sharded@2", "2", 64),
-        ("sharded@8", "8", 64),
-    ] {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
+    for run in 1..=2 {
         let wall = std::time::Instant::now();
-        let rep = serve(&d, &trace, horizon, threshold);
+        let (rep, stats) = serve(&d, &trace, horizon);
         let wall_s = wall.elapsed().as_secs_f64();
         let fp = fingerprint(&rep);
         prints.push(fp);
+        let hit_rate = aggregate_hit_rate(&stats);
         table.push(
             vec![
-                mode.to_string(),
+                run.to_string(),
                 rep.arrived.to_string(),
                 rep.completed.to_string(),
                 format!("{wall_s:.1}"),
                 format!("{:.0}", rep.arrived as f64 / wall_s),
+                hit_rate.map_or_else(|| "-".to_string(), |h| format!("{h:.3}")),
                 format!("{fp:016x}"),
             ],
             json!({
-                "mode": mode,
-                "nominal_threads": threads,
-                "shard_threshold": if threshold == usize::MAX { json!(null) } else { json!(threshold) },
+                "run": run,
                 "requests": rep.arrived,
                 "completed": rep.completed,
                 "wall_s": wall_s,
                 "req_per_sec_wall": rep.arrived as f64 / wall_s,
+                "scoped_solves": stats.scoped_solves,
+                "aggregate_solves": stats.aggregate_solves,
+                "aggregate_hit_rate": hit_rate,
                 "fingerprint": format!("{fp:016x}"),
             }),
         );
     }
-    std::env::remove_var("RAYON_NUM_THREADS");
     assert!(
         prints.windows(2).all(|w| w[0] == w[1]),
-        "ClusterSim output diverged across drive modes: {prints:x?}"
+        "ClusterSim output diverged across repeated runs: {prints:x?}"
     );
     table.finish();
 }

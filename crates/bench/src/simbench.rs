@@ -3,15 +3,15 @@
 //! The workload is a field of isolated 2-link clusters (GPU → switch →
 //! GPU), four flows each. Isolation is the point: it is the topology
 //! where component-scoped re-solves (DESIGN.md §9) differ most from
-//! global ones, so driving the same workload with
-//! [`SimNet::set_full_resolve`] on and off brackets the win of the
-//! incremental engine, and bulk advances over many due completions
-//! exercise the sharded path (DESIGN.md §12). Used by the `micro`
+//! global ones, so driving the same workload in each [`SolveMode`]
+//! brackets the win of the incremental engine and of its aggregate tier
+//! (DESIGN.md §12). Every component is single-bottleneck, so the
+//! aggregate tier's hit rate here is its best case. Used by the `micro`
 //! criterion bench and the `bench_simnet` snapshot harness
 //! (`results/bench_simnet.json`).
 
 use hs_des::SimTime;
-use hs_simnet::{DirLink, SimNet};
+use hs_simnet::{DirLink, SimNet, SolveMode, SolveStats};
 use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
 use hs_topology::Graph;
 
@@ -58,19 +58,29 @@ pub struct ThroughputRun {
     pub raw_events_per_sec: f64,
     /// Whether every flow completed before the event cap.
     pub ran_to_completion: bool,
+    /// The engine's solver work counters at the end of the run.
+    pub stats: SolveStats,
 }
 
 impl ThroughputRun {
-    fn finish(events: u64, wall_s: f64, ran_to_completion: bool) -> ThroughputRun {
+    fn finish(net: &SimNet, events: u64, wall_s: f64) -> ThroughputRun {
         let raw = events as f64 / wall_s.max(1e-12);
+        let ran_to_completion = net.active_flow_count() == 0;
         ThroughputRun {
             events,
             wall_s,
             events_per_sec: ran_to_completion.then_some(raw),
             raw_events_per_sec: raw,
             ran_to_completion,
+            stats: net.solve_stats(),
         }
     }
+}
+
+/// Share of component-scoped solves the aggregate tier settled
+/// (`aggregate_solves / scoped_solves`); `None` when no scoped solve ran.
+pub fn aggregate_hit_rate(s: &SolveStats) -> Option<f64> {
+    (s.scoped_solves > 0).then(|| s.aggregate_solves as f64 / s.scoped_solves as f64)
 }
 
 /// Time the full `start → next_event_time → advance_to` lifecycle of
@@ -82,12 +92,12 @@ pub fn pull_loop_throughput(
     paths: &[Vec<DirLink>],
     per_cluster: usize,
     bytes: u64,
-    full_resolve: bool,
+    mode: SolveMode,
     max_events: u64,
 ) -> ThroughputRun {
     let start = std::time::Instant::now();
     let mut net = SimNet::new(g);
-    net.set_full_resolve(full_resolve);
+    net.set_solve_mode(mode);
     fill(&mut net, paths, per_cluster, bytes);
     let mut events = (paths.len() * per_cluster) as u64;
     while events < max_events {
@@ -99,34 +109,22 @@ pub fn pull_loop_throughput(
         }
         events += net.advance_to(t).len() as u64;
     }
-    ThroughputRun::finish(
-        events,
-        start.elapsed().as_secs_f64(),
-        net.active_flow_count() == 0,
-    )
+    ThroughputRun::finish(&net, events, start.elapsed().as_secs_f64())
 }
 
 /// Time a **bulk** advance: start every flow, then drain the whole field
-/// with a single far-future `advance_to`. With `shard_threshold` below
-/// the completion count this is the sharded component path (extraction,
-/// worker simulation, deterministic `(SimTime, FlowId)` merge);
-/// `usize::MAX` measures the sequential pop loop over the same batch.
+/// with a single far-future `advance_to` — the same pop loop as the pull
+/// loop, without the per-event `next_event_time` round trips.
 pub fn bulk_advance_throughput(
     g: &Graph,
     paths: &[Vec<DirLink>],
     per_cluster: usize,
     bytes: u64,
-    shard_threshold: usize,
 ) -> ThroughputRun {
     let start = std::time::Instant::now();
     let mut net = SimNet::new(g);
-    net.set_shard_threshold(shard_threshold);
     fill(&mut net, paths, per_cluster, bytes);
     let mut events = (paths.len() * per_cluster) as u64;
     events += net.advance_to(SimTime::from_secs(86_400)).len() as u64;
-    ThroughputRun::finish(
-        events,
-        start.elapsed().as_secs_f64(),
-        net.active_flow_count() == 0,
-    )
+    ThroughputRun::finish(&net, events, start.elapsed().as_secs_f64())
 }

@@ -21,7 +21,7 @@ use hs_model::{
     decode_latency_secs, prefill_latency_secs, BatchStats, CostCoefficients, MemoryModel,
     ModelConfig,
 };
-use hs_simnet::{Flow, FlowId, LinkMonitor, SimNet};
+use hs_simnet::{Flow, FlowId, LinkMonitor, SimNet, SolveStats};
 use hs_topology::{AllPairs, Graph, LinkId, LinkKind, NodeId};
 use hs_workload::{ArrivalProcess, FaultKind, FaultPlan, Mmpp, RequestId, Trace};
 use rand::rngs::SmallRng;
@@ -451,13 +451,10 @@ impl ClusterSim {
         self.apply_targets(targets);
     }
 
-    /// Override the network engine's bulk-advance shard threshold
-    /// (DESIGN.md §12). The default is parallelism-aware; this knob lets
-    /// scale harnesses force the sharded path (or pin the sequential
-    /// one) — output is bit-identical either way, so it is purely a
-    /// performance control.
-    pub fn set_shard_threshold(&mut self, threshold: usize) {
-        self.net.set_shard_threshold(threshold);
+    /// The network engine's solver work counters so far (DESIGN.md §12),
+    /// e.g. the aggregate tier's hit rate over a run.
+    pub fn net_solve_stats(&self) -> SolveStats {
+        self.net.solve_stats()
     }
 
     /// Run until `horizon` and produce the report.

@@ -11,111 +11,15 @@
 //! order; ties in bottleneck selection are broken by link index purely for
 //! determinism of intermediate state.
 //!
-//! Two entry points compute the same allocation:
-//!
-//! * [`compute_rates`] — the from-scratch reference: allocates its own
-//!   working state per call and scans every link. Retained as the
-//!   equivalence oracle for the incremental engine (`tests/equivalence.rs`).
-//! * [`SolverWorkspace::solve`] — the hot-path kernel: borrows persistent
-//!   buffers (zero allocation at steady state) and visits only the links
-//!   the given flows actually cross, which makes it usable both for full
-//!   solves and for *restricted subsets* (a connected component of the
-//!   flow/link incidence graph). Bit-identical to [`compute_rates`]: same
-//!   per-link accumulation order, same bottleneck tie-break, same clamps.
-
-/// A flow description for rate computation: the links it crosses (as dense
-/// indices) and its weight (relative share; 1.0 for ordinary flows).
-#[derive(Clone, Debug)]
-pub struct FlowDemand<'a> {
-    /// Dense link indices this flow traverses (deduplicated by caller if
-    /// the path revisits a link; paths from `hs-topology` are loopless).
-    pub links: &'a [usize],
-    /// Relative weight; must be > 0.
-    pub weight: f64,
-}
-
-/// Compute weighted max-min fair rates (bits/s) for `flows` over links with
-/// the given `capacities` (bits/s).
-///
-/// Returns one rate per flow, in input order. Flows with empty paths get
-/// `f64::INFINITY` (they are not constrained by the network — the caller
-/// treats them as instantaneous local copies).
-pub fn compute_rates(capacities: &[f64], flows: &[FlowDemand<'_>]) -> Vec<f64> {
-    let n_links = capacities.len();
-    let n_flows = flows.len();
-    let mut rates = vec![0.0f64; n_flows];
-    if n_flows == 0 {
-        return rates;
-    }
-
-    // Per-link: remaining capacity and total unfrozen weight.
-    let mut rem_cap = capacities.to_vec();
-    let mut link_weight = vec![0.0f64; n_links];
-    // Which flows cross each link (indices into `flows`).
-    let mut link_flows: Vec<Vec<u32>> = vec![Vec::new(); n_links];
-    let mut frozen = vec![false; n_flows];
-    let mut n_unfrozen = 0usize;
-
-    for (fi, f) in flows.iter().enumerate() {
-        debug_assert!(f.weight > 0.0, "flow weight must be positive");
-        if f.links.is_empty() {
-            rates[fi] = f64::INFINITY;
-            frozen[fi] = true;
-            continue;
-        }
-        n_unfrozen += 1;
-        for &l in f.links {
-            link_weight[l] += f.weight;
-            link_flows[l].push(fi as u32);
-        }
-    }
-
-    while n_unfrozen > 0 {
-        // Find the bottleneck link: minimum per-weight fair share among
-        // links that still carry unfrozen flows.
-        let mut best_link = usize::MAX;
-        let mut best_share = f64::INFINITY;
-        for l in 0..n_links {
-            if link_weight[l] > 0.0 {
-                let share = (rem_cap[l].max(0.0)) / link_weight[l];
-                if share < best_share {
-                    best_share = share;
-                    best_link = l;
-                }
-            }
-        }
-        if best_link == usize::MAX {
-            // Shouldn't happen: unfrozen flows always have links with
-            // positive weight. Guard against float pathology anyway.
-            break;
-        }
-        // Freeze every unfrozen flow crossing the bottleneck at
-        // weight * share, and deduct from all links it crosses.
-        // Drain this link's flow list; frozen entries elsewhere are skipped
-        // lazily via the `frozen` bitmap.
-        let flows_here = std::mem::take(&mut link_flows[best_link]);
-        for fi in flows_here {
-            let fi = fi as usize;
-            if frozen[fi] {
-                continue;
-            }
-            let f = &flows[fi];
-            let r = f.weight * best_share;
-            rates[fi] = r;
-            frozen[fi] = true;
-            n_unfrozen -= 1;
-            for &l in f.links {
-                rem_cap[l] -= r;
-                link_weight[l] -= f.weight;
-                if link_weight[l] < 1e-12 {
-                    link_weight[l] = 0.0;
-                }
-            }
-        }
-        link_weight[best_link] = 0.0;
-    }
-    rates
-}
+//! [`SolverWorkspace::solve`] is the one exact solver: it borrows
+//! persistent buffers (zero allocation at steady state) and visits only
+//! the links the given flows actually cross, which makes it usable both
+//! for full solves and for *restricted subsets* (a connected component of
+//! the flow/link incidence graph). [`OneRoundSolver`] is the aggregate
+//! tier in front of it. Both are checked bit for bit against a
+//! from-scratch reference solver that lives with the tests
+//! (`tests/support/reference.rs`): same per-link accumulation order, same
+//! bottleneck tie-break, same clamps.
 
 /// One flow's slice of the flat slot arena passed to
 /// [`SolverWorkspace::solve`], plus its fair-share weight.
@@ -152,7 +56,7 @@ pub struct SolverWorkspace {
     stamp: Vec<u64>,
     generation: u64,
     /// Links with at least one flow this solve, ascending (the bottleneck
-    /// scan order — ascending matches `compute_rates`' tie-break).
+    /// scan order, and therefore the tie-break).
     active: Vec<usize>,
     frozen: Vec<bool>,
     rates: Vec<f64>,
@@ -168,7 +72,7 @@ impl SolverWorkspace {
     /// `flat` (see [`FlowSpan`]), with link `capacities` in bits/s.
     ///
     /// Returns one rate per span, in span order; empty spans get
-    /// `f64::INFINITY`. The result is bit-identical to [`compute_rates`]
+    /// `f64::INFINITY`. The result is bit-identical to the reference solver
     /// over the same flows — callers may pass *any subset* of the network's
     /// flows, and as long as that subset is closed under link sharing (a
     /// union of connected components of the flow/link graph), the rates
@@ -212,8 +116,7 @@ impl SolverWorkspace {
                 self.link_flows[l].push(fi as u32);
             }
         }
-        // Bottleneck ties break by ascending link index, exactly as the
-        // reference solver's 0..n_links scan does.
+        // Bottleneck ties break by ascending link index.
         self.active.sort_unstable();
 
         while n_unfrozen > 0 {
@@ -272,8 +175,7 @@ impl SolverWorkspace {
 /// link would saturate.
 ///
 /// Bitwise contract: when `try_solve` returns `Some`, the rates are
-/// bit-identical to [`SolverWorkspace::solve`] (and therefore to
-/// [`compute_rates`]) on the same input. The kernel performs the same
+/// bit-identical to [`SolverWorkspace::solve`] on the same input. The kernel performs the same
 /// per-slot weight accumulation in the same (span, path) order, scans
 /// candidate bottlenecks in ascending slot order with the same strict
 /// `<` tie-break, and computes each rate with the identical single
@@ -377,89 +279,10 @@ impl OneRoundSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{compute_rates, FlowDemand};
 
-    fn demands<'a>(paths: &'a [Vec<usize>]) -> Vec<FlowDemand<'a>> {
-        paths
-            .iter()
-            .map(|p| FlowDemand {
-                links: p,
-                weight: 1.0,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn single_flow_gets_full_link() {
-        let paths = vec![vec![0]];
-        let r = compute_rates(&[100.0], &demands(&paths));
-        assert_eq!(r, vec![100.0]);
-    }
-
-    #[test]
-    fn equal_flows_split_evenly() {
-        let paths = vec![vec![0], vec![0], vec![0], vec![0]];
-        let r = compute_rates(&[100.0], &demands(&paths));
-        for &x in &r {
-            assert!((x - 25.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn classic_parking_lot() {
-        // Links: 0 and 1, both capacity 1. Flow A crosses both, B crosses
-        // 0 only, C crosses 1 only. Max-min fair: A=0.5, B=0.5, C=0.5.
-        let paths = vec![vec![0, 1], vec![0], vec![1]];
-        let r = compute_rates(&[1.0, 1.0], &demands(&paths));
-        assert!((r[0] - 0.5).abs() < 1e-9);
-        assert!((r[1] - 0.5).abs() < 1e-9);
-        assert!((r[2] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unequal_capacities_release_bandwidth() {
-        // Link 0 cap 1 shared by A,B; link 1 cap 10 carries B,C. B is
-        // bottlenecked at 0.5 on link 0, so C gets 9.5 on link 1.
-        let paths = vec![vec![0], vec![0, 1], vec![1]];
-        let r = compute_rates(&[1.0, 10.0], &demands(&paths));
-        assert!((r[0] - 0.5).abs() < 1e-9);
-        assert!((r[1] - 0.5).abs() < 1e-9);
-        assert!((r[2] - 9.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weights_bias_shares() {
-        let paths = [vec![0], vec![0]];
-        let flows = vec![
-            FlowDemand {
-                links: &paths[0],
-                weight: 3.0,
-            },
-            FlowDemand {
-                links: &paths[1],
-                weight: 1.0,
-            },
-        ];
-        let r = compute_rates(&[100.0], &flows);
-        assert!((r[0] - 75.0).abs() < 1e-9);
-        assert!((r[1] - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_path_is_unconstrained() {
-        let paths = vec![vec![], vec![0]];
-        let r = compute_rates(&[100.0], &demands(&paths));
-        assert!(r[0].is_infinite());
-        assert_eq!(r[1], 100.0);
-    }
-
-    #[test]
-    fn no_flows() {
-        let r = compute_rates(&[100.0], &[]);
-        assert!(r.is_empty());
-    }
-
-    /// Pack paths into the flat-arena shape the workspace consumes.
-    fn pack(paths: &[Vec<usize>], weights: &[f64]) -> (Vec<usize>, Vec<FlowSpan>) {
+    /// Pack paths into the flat-arena shape the solvers consume.
+    pub(super) fn pack(paths: &[Vec<usize>], weights: &[f64]) -> (Vec<usize>, Vec<FlowSpan>) {
         let mut flat = Vec::new();
         let mut spans = Vec::new();
         for (p, &w) in paths.iter().zip(weights) {
@@ -471,6 +294,70 @@ mod tests {
             flat.extend_from_slice(p);
         }
         (flat, spans)
+    }
+
+    /// Exact weighted max-min rates through a fresh workspace.
+    pub(super) fn solve(caps: &[f64], paths: &[Vec<usize>], weights: &[f64]) -> Vec<f64> {
+        let (flat, spans) = pack(paths, weights);
+        SolverWorkspace::new().solve(caps, &flat, &spans).to_vec()
+    }
+
+    fn solve_unit(caps: &[f64], paths: &[Vec<usize>]) -> Vec<f64> {
+        solve(caps, paths, &vec![1.0; paths.len()])
+    }
+
+    #[test]
+    fn single_flow_gets_full_link() {
+        assert_eq!(solve_unit(&[100.0], &[vec![0]]), vec![100.0]);
+    }
+
+    #[test]
+    fn equal_flows_split_evenly() {
+        let paths = vec![vec![0], vec![0], vec![0], vec![0]];
+        for &x in &solve_unit(&[100.0], &paths) {
+            assert!((x - 25.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn classic_parking_lot() {
+        // Links: 0 and 1, both capacity 1. Flow A crosses both, B crosses
+        // 0 only, C crosses 1 only. Max-min fair: A=0.5, B=0.5, C=0.5.
+        let paths = vec![vec![0, 1], vec![0], vec![1]];
+        let r = solve_unit(&[1.0, 1.0], &paths);
+        assert!((r[0] - 0.5).abs() < 1e-9);
+        assert!((r[1] - 0.5).abs() < 1e-9);
+        assert!((r[2] - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn unequal_capacities_release_bandwidth() {
+        // Link 0 cap 1 shared by A,B; link 1 cap 10 carries B,C. B is
+        // bottlenecked at 0.5 on link 0, so C gets 9.5 on link 1.
+        let paths = vec![vec![0], vec![0, 1], vec![1]];
+        let r = solve_unit(&[1.0, 10.0], &paths);
+        assert!((r[0] - 0.5).abs() < 1e-9);
+        assert!((r[1] - 0.5).abs() < 1e-9);
+        assert!((r[2] - 9.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn weights_bias_shares() {
+        let r = solve(&[100.0], &[vec![0], vec![0]], &[3.0, 1.0]);
+        assert!((r[0] - 75.0).abs() < 1e-9);
+        assert!((r[1] - 25.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_path_is_unconstrained() {
+        let r = solve_unit(&[100.0], &[vec![], vec![0]]);
+        assert!(r[0].is_infinite());
+        assert_eq!(r[1], 100.0);
+    }
+
+    #[test]
+    fn no_flows() {
+        assert!(solve_unit(&[100.0], &[]).is_empty());
     }
 
     #[test]
@@ -504,25 +391,17 @@ mod tests {
         // Solving only the second component must reproduce its global rate.
         let caps = vec![1.0, 1.0, 4.0];
         let paths = [vec![0, 1], vec![0], vec![2]];
-        let weights = [1.0; 3];
-        let flows: Vec<FlowDemand<'_>> = paths
-            .iter()
-            .map(|p| FlowDemand {
-                links: p,
-                weight: 1.0,
-            })
-            .collect();
-        let global = compute_rates(&caps, &flows);
-        let (flat, spans) = pack(&paths[2..], &weights[2..]);
-        let mut ws = SolverWorkspace::new();
-        let got = ws.solve(&caps, &flat, &spans);
+        let global = solve_unit(&caps, &paths);
+        let got = solve_unit(&caps, &paths[2..]);
         assert_eq!(got[0].to_bits(), global[2].to_bits());
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{pack, solve};
     use super::*;
+    use crate::reference::{compute_rates, FlowDemand};
     use proptest::prelude::*;
 
     fn arb_instance() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<usize>>)> {
@@ -546,11 +425,7 @@ mod proptests {
         /// rate can't be raised without lowering an equal-or-smaller one).
         #[test]
         fn feasible_and_maxmin((caps, paths) in arb_instance()) {
-            let flows: Vec<FlowDemand<'_>> = paths
-                .iter()
-                .map(|p| FlowDemand { links: p, weight: 1.0 })
-                .collect();
-            let rates = compute_rates(&caps, &flows);
+            let rates = solve(&caps, &paths, &vec![1.0; paths.len()]);
             // Feasibility.
             for (l, &cap) in caps.iter().enumerate() {
                 let used: f64 = paths
@@ -589,7 +464,8 @@ mod proptests {
 
         /// The workspace kernel reproduces the reference solver bit for
         /// bit on arbitrary instances (the property the incremental
-        /// engine's component-scoped solves lean on).
+        /// engine's component-scoped solves lean on), and whenever the
+        /// aggregate tier answers it agrees with both.
         #[test]
         fn workspace_bitwise_equals_reference((caps, paths) in arb_instance()) {
             let flows: Vec<FlowDemand<'_>> = paths
@@ -597,34 +473,26 @@ mod proptests {
                 .map(|p| FlowDemand { links: p, weight: 1.0 })
                 .collect();
             let expect = compute_rates(&caps, &flows);
-            let mut flat = Vec::new();
-            let mut spans = Vec::new();
-            for p in &paths {
-                spans.push(FlowSpan {
-                    start: flat.len() as u32,
-                    len: p.len() as u32,
-                    weight: 1.0,
-                });
-                flat.extend_from_slice(p);
-            }
+            let (flat, spans) = pack(&paths, &vec![1.0; paths.len()]);
             let mut ws = SolverWorkspace::new();
             let got = ws.solve(&caps, &flat, &spans);
             for (fi, (a, b)) in expect.iter().zip(got).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "flow {} diverged", fi);
+            }
+            if let Some(one_round) = OneRoundSolver::new().try_solve(&caps, &flat, &spans) {
+                for (fi, (a, b)) in expect.iter().zip(one_round).enumerate() {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "aggregate tier diverged on flow {}", fi);
+                }
             }
         }
 
         /// The allocation is invariant under flow permutation (uniqueness).
         #[test]
         fn order_independent((caps, paths) in arb_instance()) {
-            let flows: Vec<FlowDemand<'_>> = paths
-                .iter()
-                .map(|p| FlowDemand { links: p, weight: 1.0 })
-                .collect();
-            let base = compute_rates(&caps, &flows);
-            let mut rev = flows.clone();
+            let base = solve(&caps, &paths, &vec![1.0; paths.len()]);
+            let mut rev = paths.clone();
             rev.reverse();
-            let mut rates_rev = compute_rates(&caps, &rev);
+            let mut rates_rev = solve(&caps, &rev, &vec![1.0; rev.len()]);
             rates_rev.reverse();
             for (a, b) in base.iter().zip(&rates_rev) {
                 prop_assert!((a - b).abs() < 1e-6, "order-dependent rates: {a} vs {b}");

@@ -24,18 +24,17 @@
 //! ([`OneRoundSolver`]), re-solves only the connected component of
 //! links/flows a change touches (settling single-bottleneck components
 //! in O(n) and handing congested ones to the exact water-filling loop),
-//! and finds completions through a lazily-invalidated min-heap. Bulk
-//! advances shard independent components across rayon workers with a
-//! deterministic `(SimTime, FlowId)` event merge — see `net.rs`,
-//! `shard.rs`, and DESIGN.md §9/§12. The from-scratch solver
-//! ([`compute_rates`]) is retained as the reference oracle for the
-//! equivalence suite.
+//! and finds completions through a lazily-invalidated min-heap — see
+//! `net.rs` and DESIGN.md §9/§12. A from-scratch reference solver, kept
+//! with the tests, is the oracle for the equivalence suite.
 
 pub mod fairshare;
 pub mod monitor;
 pub mod net;
-mod shard;
+#[cfg(test)]
+#[path = "../tests/support/reference.rs"]
+mod reference;
 
-pub use fairshare::{compute_rates, FlowSpan, OneRoundSolver, SolverWorkspace};
+pub use fairshare::{FlowSpan, OneRoundSolver, SolverWorkspace};
 pub use monitor::LinkMonitor;
-pub use net::{DirLink, Flow, FlowId, SimNet, SolveStats};
+pub use net::{DirLink, Flow, FlowId, SimNet, SolveMode, SolveStats};

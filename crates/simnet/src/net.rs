@@ -29,29 +29,20 @@
 //! Flow progress is accrued **lazily at touch points**: a flow's
 //! `remaining_bytes` is materialized only when its rate *value* changes
 //! (or it is cancelled/aborted/completed) — points that are identical in
-//! scoped, full-resolve, and sharded modes, which is what keeps all modes
-//! bit-identical. Byte-counter queries ([`SimNet::cumulative_bytes_dir`],
+//! every [`SolveMode`], which is what keeps all modes bit-identical.
+//! Byte-counter queries ([`SimNet::cumulative_bytes_dir`],
 //! [`SimNet::flow_remaining`]) are pure: they add the pending in-flight
 //! contribution without mutating state. Completion lookup uses a
-//! lazily-invalidated min-heap of `(finish, flow, epoch)` entries — this
-//! doubles as the position heap of the aggregate tier — making
+//! lazily-invalidated min-heap of `(finish, flow, epoch)` entries, making
 //! [`SimNet::next_event_time`] and [`SimNet::advance_to`] `O(log n)` per
 //! event with *no* per-event scan over unrelated flows.
-//!
-//! Bulk advances over many due completions are **sharded**: independent
-//! connected components are extracted as owned tasks, simulated on rayon
-//! workers, and their completion lists merged deterministically by
-//! `(SimTime, FlowId)` (see `shard.rs` and DESIGN.md §12). Results are
-//! bit-identical to the sequential loop: `tests/equivalence.rs` drives
-//! arbitrary event sequences through every mode and a retained reference
-//! implementation and asserts identical rates, completions, and
-//! cumulative link bytes.
+//! `tests/equivalence.rs` drives arbitrary event sequences through every
+//! mode and an independent from-scratch reference and asserts identical
+//! rates, completions, and cumulative link bytes.
 
 use crate::fairshare::{FlowSpan, OneRoundSolver, SolverWorkspace};
-use crate::shard::{run_shard, ShardTask};
 use hs_des::{SimSpan, SimTime};
 use hs_topology::{Graph, LinkId};
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -61,7 +52,7 @@ pub type DirLink = (LinkId, bool);
 
 /// Dense slot index of a directed link.
 #[inline]
-pub(crate) fn slot(d: DirLink) -> usize {
+fn slot(d: DirLink) -> usize {
     d.0.idx() * 2 + d.1 as usize
 }
 
@@ -97,16 +88,15 @@ pub struct Flow {
     /// Canonical completion estimate: fixed at each rate assignment (or
     /// drain), never recomputed in between, so heap keys stay exact.
     /// `SimTime::MAX` while starved (rate 0).
-    pub(crate) finish_at: SimTime,
+    finish_at: SimTime,
     /// Progress is accrued up to this instant; the window
     /// `(touched, clock]` is pending at `rate_bps` (lazy accrual).
-    pub(crate) touched: SimTime,
+    touched: SimTime,
     /// Validity epoch of this flow's newest heap entry; entries carrying
     /// an older epoch are stale and discarded when they surface.
-    /// Per-flow (not global) so shard execution order cannot influence it.
-    pub(crate) epoch: u64,
+    epoch: u64,
     /// Visit stamp for the component BFS (scoped re-solves).
-    pub(crate) seen: u64,
+    seen: u64,
 }
 
 impl Flow {
@@ -119,24 +109,21 @@ impl Flow {
 
 /// Min-heap entry: `(finish estimate, flow, epoch)`. The epoch tiebreak
 /// keeps pop order fully deterministic even among stale duplicates.
-pub(crate) type HeapEntry = Reverse<(SimTime, FlowId, u64)>;
+type HeapEntry = Reverse<(SimTime, FlowId, u64)>;
 
 /// Accrue `f`'s progress over `(f.touched, clock]` at its current rate.
 ///
 /// This is THE materialization point of the lazy-accrual contract: it runs
 /// only when the flow's rate value is about to change, or the flow is
 /// cancelled/aborted/completed — events that occur at identical instants
-/// in scoped, full-resolve, and sharded modes (rates are bitwise equal
-/// across modes), so every mode performs the identical float operations.
-/// `to_slot` maps a directed hop to the index into `cum` (global slots
-/// for [`SimNet`], component-local slots for a shard).
-pub(crate) fn materialize<M: Fn(DirLink) -> usize>(
+/// in every [`SolveMode`] (rates are bitwise equal across modes), so every
+/// mode performs the identical float operations.
+fn materialize(
     f: &mut Flow,
     id: FlowId,
     clock: SimTime,
     cum: &mut [f64],
     heap: &mut BinaryHeap<HeapEntry>,
-    to_slot: M,
 ) {
     if clock <= f.touched {
         return;
@@ -159,7 +146,7 @@ pub(crate) fn materialize<M: Fn(DirLink) -> usize>(
             f.remaining_bytes = 0.0;
         }
         for &d in &f.path {
-            cum[to_slot(d)] += consumed;
+            cum[slot(d)] += consumed;
         }
         if f.remaining_bytes <= 0.0 && f.finish_at != f.earliest_finish {
             // Drain transition: the estimate is final now.
@@ -176,7 +163,7 @@ pub(crate) fn materialize<M: Fn(DirLink) -> usize>(
 /// Bytes `f` would consume if materialized at `clock` — the pure
 /// (non-mutating) mirror of [`materialize`]'s consumption arithmetic,
 /// used by the query accessors.
-pub(crate) fn pending_consumed(f: &Flow, clock: SimTime) -> f64 {
+fn pending_consumed(f: &Flow, clock: SimTime) -> f64 {
     if clock > f.touched && f.rate_bps > 0.0 && f.rate_bps.is_finite() && f.remaining_bytes > 0.0 {
         let dt = (clock - f.touched).as_secs_f64();
         (f.rate_bps / 8.0 * dt).min(f.remaining_bytes)
@@ -187,7 +174,7 @@ pub(crate) fn pending_consumed(f: &Flow, clock: SimTime) -> f64 {
 
 /// Completion estimate for a *serializing* flow at `clock` (callers
 /// handle the drained and starved cases).
-pub(crate) fn serial_estimate(clock: SimTime, f: &Flow) -> SimTime {
+fn serial_estimate(clock: SimTime, f: &Flow) -> SimTime {
     if f.rate_bps.is_infinite() {
         return f.earliest_finish;
     }
@@ -207,7 +194,7 @@ pub(crate) fn serial_estimate(clock: SimTime, f: &Flow) -> SimTime {
 /// drift — the property that makes incremental and from-scratch
 /// solving bit-identical. Callers must [`materialize`] first when the
 /// rate bits differ.
-pub(crate) fn assign_rate(
+fn assign_rate(
     f: &mut Flow,
     id: FlowId,
     rate: f64,
@@ -233,6 +220,24 @@ pub(crate) fn assign_rate(
     }
 }
 
+/// How [`SimNet`] re-solves rates after a change. Every mode yields
+/// bit-identical rates, completions and byte counters (asserted by
+/// `tests/equivalence.rs`); only the work per event differs. The default
+/// is the production engine; the other two let tests and benches
+/// bracket it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum SolveMode {
+    /// Component-scoped re-solves; a single-bottleneck component settles
+    /// in the one-round aggregate tier, any other in the exact solver.
+    #[default]
+    TwoTier,
+    /// Component-scoped re-solves, all through the exact solver.
+    ExactOnly,
+    /// One global exact re-solve per change (the pre-incremental
+    /// behaviour).
+    FullResolve,
+}
+
 /// Counters describing how much solving work the engine performed —
 /// the observable for scoping/aggregate-tier regression tests and for
 /// benchmark reporting. Monotone over the simulator's lifetime.
@@ -241,33 +246,28 @@ pub struct SolveStats {
     /// Component-scoped re-solves (each may settle via the aggregate
     /// tier or hand off to the exact solver).
     pub scoped_solves: u64,
-    /// Scoped solves settled entirely by the one-round aggregate tier.
+    /// Scoped solves settled entirely by the one-round aggregate tier;
+    /// `aggregate_solves / scoped_solves` is the tier's hit rate.
     pub aggregate_solves: u64,
-    /// Global re-solves (only in [`SimNet::set_full_resolve`] mode).
+    /// Global re-solves (only in [`SolveMode::FullResolve`]).
     pub full_solves: u64,
     /// Total flows rated across all solves (the work metric: a scoped
     /// solve of a k-flow component adds k).
     pub flows_rated: u64,
-    /// Re-solves performed inside shard workers during bulk advances.
-    pub shard_solves: u64,
-    /// Bulk advances that took the sharded path.
-    pub sharded_batches: u64,
-    /// Component shards executed across all sharded batches.
-    pub shards_run: u64,
 }
 
 /// Reusable buffers for building solver inputs and running the component
 /// BFS — allocation-free at steady state.
 #[derive(Default)]
 struct SolveScratch {
-    /// Flat directed-slot arena (all component paths back to back).
+    /// Flat directed-slot arena (all solved paths back to back).
     flat: Vec<usize>,
-    /// One span per component flow, in ascending [`FlowId`] order.
+    /// One span per solved flow, in ascending [`FlowId`] order.
     spans: Vec<FlowSpan>,
-    /// Component flow ids, parallel to `spans`.
+    /// Flow ids to solve, ascending, parallel to `spans`.
     ids: Vec<FlowId>,
-    /// Directed slots belonging to the component (incl. seed slots whose
-    /// last flow just left — their allocated rate must drop to zero).
+    /// Directed slots whose allocated rate the solve rebuilds (incl. seed
+    /// slots whose last flow just left — their rate must drop to zero).
     comp_links: Vec<usize>,
     /// BFS work stack of directed slots.
     queue: Vec<usize>,
@@ -314,9 +314,7 @@ pub struct SimNet {
     /// Directed slots touched by flow adds/removes (or a capacity change)
     /// since the last solve.
     seed_slots: Vec<usize>,
-    /// Lazy-invalidation completion heap; doubles as the aggregate tier's
-    /// position heap (a single-bottleneck component's next event is its
-    /// earliest heap entry).
+    /// Lazy-invalidation completion heap.
     heap: BinaryHeap<HeapEntry>,
     /// Generation counter for BFS visit stamps.
     visit_gen: u64,
@@ -324,14 +322,7 @@ pub struct SimNet {
     /// Aggregate tier: one-round single-bottleneck kernel.
     agg: OneRoundSolver,
     scratch: SolveScratch,
-    /// Validation/benchmark knob: when set, every re-solve is global and
-    /// bulk advances never shard (the pre-incremental reference
-    /// behaviour). Results are bit-identical either way — asserted by
-    /// `tests/equivalence.rs`.
-    full_resolve: bool,
-    /// A bulk advance with more than this many due completions takes the
-    /// sharded path; `usize::MAX` disables sharding.
-    shard_threshold: usize,
+    mode: SolveMode,
     stats: SolveStats,
     /// Flow/link event sink; no-op unless attached via
     /// [`SimNet::set_tracer`]. Never affects simulation state.
@@ -371,17 +362,7 @@ impl SimNet {
                 link_stamp: vec![0; 2 * n],
                 ..SolveScratch::default()
             },
-            full_resolve: false,
-            // Sharding only pays for itself when there are workers to
-            // hand shards to: extraction and merge-back are pure
-            // overhead on a single-thread pool, where the sequential
-            // loop over the same batch is strictly faster. Output is
-            // bit-identical either way.
-            shard_threshold: if rayon::current_num_threads() > 1 {
-                64
-            } else {
-                usize::MAX
-            },
+            mode: SolveMode::default(),
             stats: SolveStats::default(),
             tracer: hs_obs::Tracer::noop(),
         }
@@ -392,22 +373,10 @@ impl SimNet {
         self.tracer = tracer.clone();
     }
 
-    /// Force every re-solve to be global instead of component-scoped
-    /// (also disables the aggregate tier and sharded advances).
-    ///
-    /// A validation/benchmark knob: rates, completions, and byte counters
-    /// are bit-identical in both modes (the equivalence suite asserts so);
-    /// only the work per event differs.
-    pub fn set_full_resolve(&mut self, on: bool) {
-        self.full_resolve = on;
-    }
-
-    /// Bulk advances with more than `threshold` due completions are
-    /// sharded across components (`usize::MAX` disables sharding, `0`
-    /// shards every non-empty bulk advance). Output is bit-identical at
-    /// any threshold; this only tunes work distribution.
-    pub fn set_shard_threshold(&mut self, threshold: usize) {
-        self.shard_threshold = threshold;
+    /// Select the rate-maintenance path (see [`SolveMode`]). A
+    /// validation/benchmark knob: output is bit-identical in every mode.
+    pub fn set_solve_mode(&mut self, mode: SolveMode) {
+        self.mode = mode;
     }
 
     /// Solver work counters (see [`SolveStats`]).
@@ -503,7 +472,7 @@ impl SimNet {
             None => return None,
             Some(f) => {
                 // A cancel is a touch point: accrue before deciding.
-                materialize(f, id, clock, &mut self.cum_bytes, &mut self.heap, slot);
+                materialize(f, id, clock, &mut self.cum_bytes, &mut self.heap);
                 f.remaining_bytes <= 0.0 && !f.path.is_empty()
             }
         };
@@ -564,19 +533,11 @@ impl SimNet {
     /// Advance the clock to `now` and return the flows that completed
     /// (in completion-then-id order).
     ///
-    /// Small batches run the sequential loop: pop the earliest valid heap
-    /// entry, materialize and remove the flow, re-solve its component
-    /// (completions change rates, which changes later completions within
-    /// the same window), repeat. Batches above the shard threshold are
-    /// dispatched per connected component to rayon workers and merged
-    /// deterministically — bit-identical to the sequential loop.
+    /// Pop the earliest valid heap entry, materialize and remove the
+    /// flow, re-solve its component (completions change rates, which
+    /// changes later completions within the same window), repeat.
     pub fn advance_to(&mut self, now: SimTime) -> Vec<(FlowId, Flow)> {
         assert!(now >= self.clock, "SimNet clock must be monotone");
-        if !self.full_resolve && self.shard_threshold != usize::MAX {
-            if let Some(done) = self.advance_sharded(now) {
-                return done;
-            }
-        }
         let mut done = Vec::new();
         loop {
             self.solve_if_dirty();
@@ -593,7 +554,7 @@ impl SimNet {
             self.clock = self.clock.max(t);
             let clock = self.clock;
             let mut f = self.take_flow(id).expect("front flow is live");
-            materialize(&mut f, id, clock, &mut self.cum_bytes, &mut self.heap, slot);
+            materialize(&mut f, id, clock, &mut self.cum_bytes, &mut self.heap);
             self.unlink(id, &f.path);
             self.mark_dirty_path(&f.path);
             f.remaining_bytes = 0.0;
@@ -748,7 +709,7 @@ impl SimNet {
             .map(|id| {
                 let mut f = self.take_flow(id).expect("doomed flow present");
                 // An abort is a touch point: hand back accrued progress.
-                materialize(&mut f, id, clock, &mut self.cum_bytes, &mut self.heap, slot);
+                materialize(&mut f, id, clock, &mut self.cum_bytes, &mut self.heap);
                 self.unlink(id, &f.path);
                 self.mark_dirty_path(&f.path);
                 (id, f)
@@ -830,32 +791,99 @@ impl SimNet {
     }
 
     /// Re-solve whatever subset of the rate state is out of date.
+    ///
+    /// Component-scoped modes BFS the flow/link incidence graph from each
+    /// dirty seed slot and solve each reached component on its own. Flows
+    /// on disjoint links keep their rates — sound because the weighted
+    /// max-min allocation is unique and decomposes across connected
+    /// components (DESIGN.md §9), which also makes per-component solves
+    /// bitwise identical to solving their union. It keeps the exact
+    /// solver's cost proportional to the largest touched component:
+    /// water-filling freezes one bottleneck link per round, so a union of
+    /// k disjoint components costs ~k× the rounds of its parts.
     fn solve_if_dirty(&mut self) {
         if !self.dirty {
             return;
         }
-        if self.full_resolve {
-            self.solve_full();
-        } else {
-            self.solve_scoped();
-        }
         self.dirty = false;
+        if self.mode == SolveMode::FullResolve {
+            self.stats.full_solves += 1;
+            let scratch = &mut self.scratch;
+            scratch.ids.clear();
+            scratch.ids.extend(
+                (0..self.flows.len())
+                    .filter(|&i| self.flows[i].is_some())
+                    .map(|i| FlowId(i as u64)),
+            );
+            scratch.comp_links.clear();
+            scratch.comp_links.extend(0..self.link_rate.len());
+            self.solve_collected();
+        } else {
+            self.visit_gen += 1;
+            for si in 0..self.seed_slots.len() {
+                let seed = self.seed_slots[si];
+                if self.scratch.link_stamp[seed] == self.visit_gen {
+                    // Already covered by an earlier seed's component.
+                    continue;
+                }
+                self.stats.scoped_solves += 1;
+                self.collect_component(seed);
+                self.solve_collected();
+            }
+        }
         self.seed_slots.clear();
     }
 
-    /// Global re-solve: every flow, every carried link (reference mode).
-    fn solve_full(&mut self) {
-        self.stats.full_solves += 1;
+    /// BFS the connected component reachable from directed slot `seed`
+    /// into `scratch.ids` (ascending) and `scratch.comp_links`.
+    fn collect_component(&mut self, seed: usize) {
+        let gen = self.visit_gen;
+        let scratch = &mut self.scratch;
+        scratch.queue.clear();
+        scratch.comp_links.clear();
+        scratch.ids.clear();
+        scratch.link_stamp[seed] = gen;
+        scratch.queue.push(seed);
+        while let Some(s) = scratch.queue.pop() {
+            scratch.comp_links.push(s);
+            for &fid in &self.incidence[s] {
+                let f = self.flows[fid.0 as usize]
+                    .as_mut()
+                    .expect("incidence names a live flow");
+                if f.seen == gen {
+                    continue;
+                }
+                f.seen = gen;
+                scratch.ids.push(fid);
+                for &d in &f.path {
+                    let sl = slot(d);
+                    if scratch.link_stamp[sl] != gen {
+                        scratch.link_stamp[sl] = gen;
+                        scratch.queue.push(sl);
+                    }
+                }
+            }
+        }
+        // Ascending-id order so per-link weight sums accumulate in
+        // exactly the order a full solve would use (float addition order
+        // matters for bit-identity).
+        scratch.ids.sort_unstable();
+    }
+
+    /// Solve the flows in `scratch.ids` (ascending, closed under link
+    /// sharing), rebuild the allocated rate of every slot in
+    /// `scratch.comp_links`, and install each flow's new rate. In
+    /// [`SolveMode::TwoTier`] the aggregate tier answers first; a
+    /// component where a second link saturates hands off to the exact
+    /// water-filling solver.
+    fn solve_collected(&mut self) {
         let scratch = &mut self.scratch;
         scratch.flat.clear();
         scratch.spans.clear();
-        scratch.ids.clear();
-        // Slab iteration is ascending-id order, so per-link weight sums
-        // accumulate exactly as the scoped path (and the reference
-        // solver) would.
-        for (i, f) in self.flows.iter().enumerate() {
-            let Some(f) = f.as_ref() else { continue };
-            scratch.ids.push(FlowId(i as u64));
+        for &id in &scratch.ids {
+            let f = self.flows[id.0 as usize]
+                .as_ref()
+                .expect("solved flow is live");
             scratch.spans.push(FlowSpan {
                 start: scratch.flat.len() as u32,
                 len: f.path.len() as u32,
@@ -864,9 +892,21 @@ impl SimNet {
             scratch.flat.extend(f.path.iter().map(|&d| slot(d)));
         }
         self.stats.flows_rated += scratch.ids.len() as u64;
-        let rates = self.ws.solve(&self.dir_caps, &scratch.flat, &scratch.spans);
-        for r in self.link_rate.iter_mut() {
-            *r = 0.0;
+        let one_round = match self.mode {
+            SolveMode::TwoTier => self
+                .agg
+                .try_solve(&self.dir_caps, &scratch.flat, &scratch.spans),
+            SolveMode::ExactOnly | SolveMode::FullResolve => None,
+        };
+        let rates: &[f64] = match one_round {
+            Some(r) => {
+                self.stats.aggregate_solves += 1;
+                r
+            }
+            None => self.ws.solve(&self.dir_caps, &scratch.flat, &scratch.spans),
+        };
+        for &s in &scratch.comp_links {
+            self.link_rate[s] = 0.0;
         }
         let clock = self.clock;
         for (i, &id) in scratch.ids.iter().enumerate() {
@@ -880,110 +920,8 @@ impl SimNet {
                 }
             }
             if rate.to_bits() != f.rate_bps.to_bits() {
-                materialize(f, id, clock, &mut self.cum_bytes, &mut self.heap, slot);
+                materialize(f, id, clock, &mut self.cum_bytes, &mut self.heap);
                 assign_rate(f, id, rate, clock, &mut self.heap);
-            }
-        }
-    }
-
-    /// Component-scoped re-solve: BFS over the flow/link incidence graph
-    /// from the seed slots, then solve only the reached flows. Flows on
-    /// disjoint links keep their rates — sound because the weighted
-    /// max-min allocation is unique and decomposes across connected
-    /// components (DESIGN.md §9). The aggregate tier settles
-    /// single-bottleneck components in one round; only congested
-    /// components hand off to the exact water-filling solver.
-    fn solve_scoped(&mut self) {
-        self.visit_gen += 1;
-        let gen = self.visit_gen;
-        // Solve each connected component of the dirty region on its own.
-        // DESIGN.md §9's union-decomposition makes this bitwise identical
-        // to solving the union in one system — and it keeps the exact
-        // solver's cost proportional to the largest touched component:
-        // water-filling freezes one bottleneck link per round, so a union
-        // of k disjoint components costs ~k× the rounds of its parts.
-        // Per-component systems are also exactly what the one-round
-        // aggregate tier can settle.
-        for si in 0..self.seed_slots.len() {
-            let seed = self.seed_slots[si];
-            if self.scratch.link_stamp[seed] == gen {
-                // Already covered by an earlier seed's component.
-                continue;
-            }
-            self.stats.scoped_solves += 1;
-            let scratch = &mut self.scratch;
-            scratch.queue.clear();
-            scratch.comp_links.clear();
-            scratch.ids.clear();
-            scratch.link_stamp[seed] = gen;
-            scratch.queue.push(seed);
-            while let Some(s) = scratch.queue.pop() {
-                scratch.comp_links.push(s);
-                for &fid in &self.incidence[s] {
-                    let f = self.flows[fid.0 as usize]
-                        .as_mut()
-                        .expect("incidence names a live flow");
-                    if f.seen == gen {
-                        continue;
-                    }
-                    f.seen = gen;
-                    scratch.ids.push(fid);
-                    for &d in &f.path {
-                        let sl = slot(d);
-                        if scratch.link_stamp[sl] != gen {
-                            scratch.link_stamp[sl] = gen;
-                            scratch.queue.push(sl);
-                        }
-                    }
-                }
-            }
-            // Ascending-id order so per-link weight sums accumulate in
-            // exactly the order a full solve would use (float addition
-            // order matters for bit-identity).
-            scratch.ids.sort_unstable();
-            scratch.flat.clear();
-            scratch.spans.clear();
-            for &id in &scratch.ids {
-                let f = self.flows[id.0 as usize]
-                    .as_ref()
-                    .expect("scoped flow is live");
-                scratch.spans.push(FlowSpan {
-                    start: scratch.flat.len() as u32,
-                    len: f.path.len() as u32,
-                    weight: f.weight,
-                });
-                scratch.flat.extend(f.path.iter().map(|&d| slot(d)));
-            }
-            self.stats.flows_rated += scratch.ids.len() as u64;
-            let rates: &[f64] =
-                match self
-                    .agg
-                    .try_solve(&self.dir_caps, &scratch.flat, &scratch.spans)
-                {
-                    Some(r) => {
-                        self.stats.aggregate_solves += 1;
-                        r
-                    }
-                    None => self.ws.solve(&self.dir_caps, &scratch.flat, &scratch.spans),
-                };
-            for &s in &scratch.comp_links {
-                self.link_rate[s] = 0.0;
-            }
-            let clock = self.clock;
-            for (i, &id) in scratch.ids.iter().enumerate() {
-                let f = self.flows[id.0 as usize]
-                    .as_mut()
-                    .expect("solved flow is still present");
-                let rate = rates[i];
-                if rate.is_finite() {
-                    for &d in &f.path {
-                        self.link_rate[slot(d)] += rate;
-                    }
-                }
-                if rate.to_bits() != f.rate_bps.to_bits() {
-                    materialize(f, id, clock, &mut self.cum_bytes, &mut self.heap, slot);
-                    assign_rate(f, id, rate, clock, &mut self.heap);
-                }
             }
         }
     }
@@ -998,200 +936,6 @@ impl SimNet {
         // *at* the old clock before it moves.
         self.solve_if_dirty();
         self.clock = t;
-    }
-
-    // ------------------------------------------------------------------
-    // Sharded bulk advance (DESIGN.md §12)
-    // ------------------------------------------------------------------
-
-    /// Sharded bulk advance: returns `None` when the number of due
-    /// completions is at or below the shard threshold (caller falls back
-    /// to the sequential loop).
-    fn advance_sharded(&mut self, now: SimTime) -> Option<Vec<(FlowId, Flow)>> {
-        self.solve_if_dirty();
-        // Collect every valid completion entry due in (clock, now]. Each
-        // live flow has at most one valid entry, so `pending` has unique
-        // flow ids. The entries themselves are discarded after counting —
-        // flow state carries the truth, and shard-local heaps are rebuilt
-        // from it — but below the threshold they are simply re-pushed.
-        let mut pending: Vec<(SimTime, FlowId, u64)> = Vec::new();
-        while let Some(&Reverse((t, id, ep))) = self.heap.peek() {
-            match self.flow(id) {
-                Some(f) if f.epoch == ep => {
-                    if t > now {
-                        break;
-                    }
-                    self.heap.pop();
-                    pending.push((t, id, ep));
-                }
-                _ => {
-                    self.heap.pop();
-                }
-            }
-        }
-        if pending.len() <= self.shard_threshold {
-            for &(t, id, ep) in &pending {
-                self.heap.push(Reverse((t, id, ep)));
-            }
-            return None;
-        }
-        self.stats.sharded_batches += 1;
-
-        // Group due flows by connected component. Components only split
-        // (never merge) during an advance — no flow starts — so a shard
-        // extracted here stays closed under link sharing for the whole
-        // window.
-        self.visit_gen += 1;
-        let gen = self.visit_gen;
-        let mut locals: Vec<(SimTime, FlowId, Flow)> = Vec::new();
-        let mut tasks: Vec<ShardTask> = Vec::new();
-        let mut comp_flows: Vec<FlowId> = Vec::new();
-        let mut comp_slots: Vec<usize> = Vec::new();
-        for &(t, id, _ep) in &pending {
-            // Already swept into an earlier component's shard (extraction
-            // removes component flows from the map).
-            let Some(f) = self.flow(id) else { continue };
-            if f.path.is_empty() {
-                // Local copy: no links, no interactions — completes as a
-                // singleton merge participant.
-                let mut f = self.take_flow(id).expect("pending flow is live");
-                f.remaining_bytes = 0.0;
-                locals.push((t, id, f));
-                continue;
-            }
-            self.collect_component(id, gen, &mut comp_flows, &mut comp_slots);
-            tasks.push(self.extract_shard(&comp_flows, &comp_slots));
-        }
-        self.stats.shards_run += tasks.len() as u64;
-
-        let outcomes: Vec<_> = tasks.into_par_iter().map(|t| run_shard(t, now)).collect();
-
-        // Merge back: write slot state, re-insert survivors (re-keying
-        // only flows whose epoch moved in-shard), then emit completions
-        // via a deterministic k-way merge on each list's head
-        // `(SimTime, FlowId)` — exactly the order the sequential loop's
-        // global heap would pop, since a component's next pop key is
-        // always the head of its own trace.
-        let mut lists: Vec<Vec<(SimTime, FlowId, Flow)>> = Vec::with_capacity(outcomes.len() + 1);
-        for o in outcomes {
-            self.stats.shard_solves += o.solves;
-            self.stats.aggregate_solves += o.aggregate_solves;
-            let t = o.task;
-            for (k, &s) in t.slots.iter().enumerate() {
-                self.cum_bytes[s] = t.cum[k];
-                self.link_rate[s] = t.rate[k];
-            }
-            for (i, f) in t.flows.into_iter().enumerate() {
-                let id = t.ids[i];
-                if let Some(f) = f {
-                    if f.epoch != t.pre_epoch[i] && f.finish_at < SimTime::MAX {
-                        self.heap.push(Reverse((f.finish_at, id, f.epoch)));
-                    }
-                    self.put_flow(id, f);
-                }
-            }
-            lists.push(o.done);
-        }
-        locals.sort_unstable_by_key(|a| (a.0, a.1));
-        lists.push(locals);
-
-        let total: usize = lists.iter().map(Vec::len).sum();
-        let mut iters: Vec<std::vec::IntoIter<(SimTime, FlowId, Flow)>> =
-            lists.into_iter().map(Vec::into_iter).collect();
-        let mut heads: Vec<Option<(SimTime, FlowId, Flow)>> =
-            iters.iter_mut().map(Iterator::next).collect();
-        let mut merge: BinaryHeap<Reverse<(SimTime, FlowId, usize)>> = heads
-            .iter()
-            .enumerate()
-            .filter_map(|(li, h)| h.as_ref().map(|&(t, id, _)| Reverse((t, id, li))))
-            .collect();
-        let mut done = Vec::with_capacity(total);
-        while let Some(Reverse((_, _, li))) = merge.pop() {
-            let (_, id, f) = heads[li].take().expect("merge head present");
-            heads[li] = iters[li].next();
-            if let Some(&(t2, id2, _)) = heads[li].as_ref() {
-                merge.push(Reverse((t2, id2, li)));
-            }
-            self.unlink(id, &f.path);
-            done.push((id, f));
-        }
-        self.clock = now;
-        debug_assert!(!self.dirty, "shards leave rates clean");
-        Some(done)
-    }
-
-    /// BFS the connected component containing `root` into `comp_flows` /
-    /// `comp_slots` (both sorted ascending on return).
-    fn collect_component(
-        &mut self,
-        root: FlowId,
-        gen: u64,
-        comp_flows: &mut Vec<FlowId>,
-        comp_slots: &mut Vec<usize>,
-    ) {
-        comp_flows.clear();
-        comp_slots.clear();
-        let scratch = &mut self.scratch;
-        scratch.queue.clear();
-        {
-            let f = self.flows[root.0 as usize]
-                .as_mut()
-                .expect("pending flow is live");
-            f.seen = gen;
-            comp_flows.push(root);
-            for &d in &f.path {
-                let sl = slot(d);
-                if scratch.link_stamp[sl] != gen {
-                    scratch.link_stamp[sl] = gen;
-                    scratch.queue.push(sl);
-                }
-            }
-        }
-        while let Some(s) = scratch.queue.pop() {
-            comp_slots.push(s);
-            for &fid in &self.incidence[s] {
-                let f = self.flows[fid.0 as usize]
-                    .as_mut()
-                    .expect("incidence names a live flow");
-                if f.seen == gen {
-                    continue;
-                }
-                f.seen = gen;
-                comp_flows.push(fid);
-                for &d in &f.path {
-                    let sl = slot(d);
-                    if scratch.link_stamp[sl] != gen {
-                        scratch.link_stamp[sl] = gen;
-                        scratch.queue.push(sl);
-                    }
-                }
-            }
-        }
-        comp_flows.sort_unstable();
-        comp_slots.sort_unstable();
-    }
-
-    /// Move a component's flows and slot state out into an owned shard
-    /// task. Slot arrays are packed in ascending global-slot order so the
-    /// local index order preserves the solver's global tie-breaks.
-    fn extract_shard(&mut self, comp_flows: &[FlowId], comp_slots: &[usize]) -> ShardTask {
-        let mut flows = Vec::with_capacity(comp_flows.len());
-        let mut pre_epoch = Vec::with_capacity(comp_flows.len());
-        for &fid in comp_flows {
-            let f = self.take_flow(fid).expect("component flow is live");
-            pre_epoch.push(f.epoch);
-            flows.push(Some(f));
-        }
-        ShardTask {
-            clock: self.clock,
-            ids: comp_flows.to_vec(),
-            flows,
-            pre_epoch,
-            slots: comp_slots.to_vec(),
-            caps: comp_slots.iter().map(|&s| self.dir_caps[s]).collect(),
-            cum: comp_slots.iter().map(|&s| self.cum_bytes[s]).collect(),
-            rate: comp_slots.iter().map(|&s| self.link_rate[s]).collect(),
-        }
     }
 }
 
@@ -1454,16 +1198,16 @@ mod tests {
         );
     }
 
-    /// The incremental engine and a forced full re-solve must agree bit
-    /// for bit on a scenario that exercises scoped solves, the aggregate
-    /// tier, completions, cancels, and a fault (`tests/equivalence.rs`
-    /// covers arbitrary sequences; this is the in-crate smoke version).
+    /// Every solve mode must agree bit for bit on a scenario that
+    /// exercises scoped solves, the aggregate tier, completions, cancels,
+    /// and a fault (`tests/equivalence.rs` covers arbitrary sequences;
+    /// this is the in-crate smoke version).
     #[test]
     fn incremental_matches_full_resolve_bitwise() {
-        let run = |full: bool| {
+        let run = |mode: SolveMode| {
             let (g, _, links) = line();
             let mut net = SimNet::new(&g);
-            net.set_full_resolve(full);
+            net.set_solve_mode(mode);
             let mut log: Vec<(u64, u64)> = Vec::new();
             net.start_flow(SimTime::ZERO, &fwd(&links), 2_000_000, 1);
             let b = net.start_flow(SimTime::from_micros(30), &fwd(&links[..1]), 1_000_000, 2);
@@ -1481,7 +1225,9 @@ mod tests {
                 .collect();
             (log, bytes, net.active_flow_count())
         };
-        assert_eq!(run(false), run(true));
+        let two_tier = run(SolveMode::TwoTier);
+        assert_eq!(two_tier, run(SolveMode::ExactOnly));
+        assert_eq!(two_tier, run(SolveMode::FullResolve));
     }
 
     /// Satellite regression: `set_link_scale` must re-solve only the
@@ -1559,46 +1305,6 @@ mod tests {
             s.scoped_solves > s.aggregate_solves,
             "congested component must hand off to the exact solver: {s:?}"
         );
-    }
-
-    /// The sharded bulk advance must produce exactly the sequential
-    /// loop's completions, byte counters, and survivor state.
-    #[test]
-    fn sharded_advance_matches_sequential_bitwise() {
-        let run = |threshold: usize| {
-            let (g, links) = clusters(8);
-            let mut net = SimNet::new(&g);
-            net.set_shard_threshold(threshold);
-            // Staggered contending flows per cluster plus a local copy.
-            for (ci, pair) in links.iter().enumerate() {
-                for k in 0..4u64 {
-                    let path = if k % 2 == 0 {
-                        fwd(&pair[..])
-                    } else {
-                        fwd(&pair[..1])
-                    };
-                    net.start_flow(
-                        SimTime::from_nanos(100 * k),
-                        &path,
-                        500_000 + 37_000 * k + 11_000 * ci as u64,
-                        (ci as u64) << 8 | k,
-                    );
-                }
-            }
-            net.start_flow(SimTime::from_nanos(50), &[], 1_000, 9999);
-            let done = net.advance_to(SimTime::from_millis(10));
-            let order: Vec<(u64, u64)> = done.iter().map(|(id, f)| (id.0, f.tag)).collect();
-            let bytes: Vec<u64> = links
-                .iter()
-                .flat_map(|p| p.iter())
-                .map(|&l| net.cumulative_bytes(l).to_bits())
-                .collect();
-            (order, bytes, net.active_flow_count())
-        };
-        let sharded = run(0); // shard every bulk advance
-        let sequential = run(usize::MAX); // never shard
-        assert_eq!(sharded, sequential);
-        assert_eq!(sharded.0.len(), 33);
     }
 
     #[test]

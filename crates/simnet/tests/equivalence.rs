@@ -2,26 +2,24 @@
 //!
 //! `SimNet` maintains fair-share rates incrementally: component-scoped
 //! re-solves through a persistent workspace, a one-round aggregate tier
-//! for single-bottleneck components, a lazily-invalidated completion
-//! heap, and sharded bulk advances (DESIGN.md §9/§12). The claim that
-//! buys is strong — **bit-identical** behaviour to a from-scratch global
-//! solve at every externally observable point. This suite enforces the
-//! claim four ways:
+//! for single-bottleneck components, and a lazily-invalidated completion
+//! heap (DESIGN.md §9/§12). The claim that buys is strong —
+//! **bit-identical** behaviour to a from-scratch global solve at every
+//! externally observable point. This suite enforces the claim three
+//! ways:
 //!
 //! 1. `RefNet`, an independent reference simulator (global
-//!    [`compute_rates`] solve per change, linear scans for completions,
+//!    `compute_rates` solve per change, linear scans for completions,
 //!    no incidence/heap/workspace state), is driven through arbitrary
 //!    event sequences next to `SimNet`, asserting identical clocks,
 //!    rates (bitwise), remaining bytes (bitwise), completion estimates,
 //!    completion order, and cumulative per-direction link bytes after
 //!    every operation.
-//! 2. The same harness drives a `SimNet` with
-//!    [`SimNet::set_full_resolve`] enabled, pinning that the scoped and
-//!    global solve paths of the production engine agree with each other.
-//! 3. A third production engine runs with the shard threshold forced to
-//!    zero, so *every* bulk advance goes through component extraction,
-//!    rayon workers, and the `(SimTime, FlowId)` k-way merge.
-//! 4. A long fixed-seed pseudo-random run (2000 ops) covers depths the
+//! 2. The same harness drives one production `SimNet` per
+//!    [`SolveMode`]: the two-tier default, exact-only scoped solves, and
+//!    global re-solves, pinning that every solve path of the production
+//!    engine agrees with the others.
+//! 3. A long fixed-seed pseudo-random run (2000 ops) covers depths the
 //!    proptest case budget does not reach, and a dedicated congestion
 //!    -onset proptest pins the aggregate-tier → exact-solver handoff.
 //!
@@ -34,12 +32,15 @@
 //! (rates are bitwise equal), so the float operation sequences are
 //! identical — which is exactly what the bitwise assertions verify.
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use hs_des::{SimSpan, SimTime};
-use hs_simnet::fairshare::{compute_rates, FlowDemand};
-use hs_simnet::{DirLink, SimNet};
+use hs_simnet::{DirLink, SimNet, SolveMode};
 use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
 use hs_topology::{Graph, LinkId};
 use proptest::prelude::*;
+use reference::{compute_rates, FlowDemand};
 use std::collections::BTreeMap;
 
 const N_LINKS: usize = 8;
@@ -359,8 +360,7 @@ impl RefNet {
 }
 
 // ---------------------------------------------------------------------
-// Harness driving RefNet + SimNet (scoped) + SimNet (full) + SimNet
-// (force-sharded) in lock-step
+// Harness driving RefNet + one SimNet per SolveMode in lock-step
 // ---------------------------------------------------------------------
 
 /// One step of a scenario, decoded from an integer tuple (the vendored
@@ -408,16 +408,16 @@ struct Harness {
     refnet: RefNet,
     inc: SimNet,
     full: SimNet,
-    /// Production engine with shard threshold 0: every bulk advance goes
-    /// through shard extraction + the deterministic k-way merge.
-    sharded: SimNet,
+    /// Scoped solves with the aggregate tier off: every component goes
+    /// through the exact solver.
+    exact: SimNet,
     issued: Vec<u64>,
     now: SimTime,
     /// Completion log (id, tag) per net, appended in delivery order.
     done_ref: Vec<(u64, u64)>,
     done_inc: Vec<(u64, u64)>,
     done_full: Vec<(u64, u64)>,
-    done_sharded: Vec<(u64, u64)>,
+    done_exact: Vec<(u64, u64)>,
 }
 
 impl Harness {
@@ -426,21 +426,21 @@ impl Harness {
         let refnet = RefNet::new(&g);
         let inc = SimNet::new(&g);
         let mut full = SimNet::new(&g);
-        full.set_full_resolve(true);
-        let mut sharded = SimNet::new(&g);
-        sharded.set_shard_threshold(0);
+        full.set_solve_mode(SolveMode::FullResolve);
+        let mut exact = SimNet::new(&g);
+        exact.set_solve_mode(SolveMode::ExactOnly);
         Harness {
             links,
             refnet,
             inc,
             full,
-            sharded,
+            exact,
             issued: Vec::new(),
             now: SimTime::ZERO,
             done_ref: Vec::new(),
             done_inc: Vec::new(),
             done_full: Vec::new(),
-            done_sharded: Vec::new(),
+            done_exact: Vec::new(),
         }
     }
 
@@ -464,7 +464,7 @@ impl Harness {
                 let rid = self
                     .refnet
                     .start_weighted_flow(self.now, &path, bytes, w, bytes);
-                for net in [&mut self.inc, &mut self.full, &mut self.sharded] {
+                for net in [&mut self.inc, &mut self.full, &mut self.exact] {
                     let id = net.start_weighted_flow(self.now, &path, bytes, w, bytes);
                     assert_eq!(rid, id.0);
                 }
@@ -483,7 +483,7 @@ impl Harness {
                 for (label, net) in [
                     ("incremental", &mut self.inc),
                     ("full", &mut self.full),
-                    ("sharded", &mut self.sharded),
+                    ("exact", &mut self.exact),
                 ] {
                     let got = net.cancel_flow(self.now, hs_simnet::FlowId(id)).is_some();
                     assert_eq!(r, got, "cancel({id}) outcome diverged ({label})");
@@ -497,7 +497,7 @@ impl Harness {
                 for (label, net) in [
                     ("incremental", &mut self.inc),
                     ("full", &mut self.full),
-                    ("sharded", &mut self.sharded),
+                    ("exact", &mut self.exact),
                 ] {
                     let mut got: Vec<u64> = net
                         .set_link_scale(self.now, link, factor)
@@ -536,8 +536,8 @@ impl Harness {
                 .into_iter()
                 .map(|(id, f)| (id.0, f.tag)),
         );
-        self.done_sharded.extend(
-            self.sharded
+        self.done_exact.extend(
+            self.exact
                 .advance_to(t)
                 .into_iter()
                 .map(|(id, f)| (id.0, f.tag)),
@@ -548,15 +548,15 @@ impl Harness {
     fn check(&mut self) {
         assert_eq!(self.done_ref, self.done_inc, "completion log (incremental)");
         assert_eq!(self.done_ref, self.done_full, "completion log (full)");
-        assert_eq!(self.done_ref, self.done_sharded, "completion log (sharded)");
+        assert_eq!(self.done_ref, self.done_exact, "completion log (exact)");
         let nref = self.refnet.next_event_time();
         assert_eq!(nref, self.inc.next_event_time(), "next_event (incremental)");
         assert_eq!(nref, self.full.next_event_time(), "next_event (full)");
-        assert_eq!(nref, self.sharded.next_event_time(), "next_event (sharded)");
+        assert_eq!(nref, self.exact.next_event_time(), "next_event (exact)");
         for (label, net) in [
             ("incremental", &self.inc),
             ("full", &self.full),
-            ("sharded", &self.sharded),
+            ("exact", &self.exact),
         ] {
             assert_eq!(
                 self.refnet.flows.len(),
@@ -708,7 +708,7 @@ proptest! {
     /// ISSUE 5 acceptance property: arbitrary add/cancel/advance/scale
     /// sequences produce identical rates, completion order, and
     /// cumulative link bytes through the incremental engine, the
-    /// forced-full-resolve engine, the force-sharded engine, and the
+    /// forced-full-resolve engine, the exact-only engine, and the
     /// from-scratch reference.
     #[test]
     fn arbitrary_sequences_are_bit_identical(

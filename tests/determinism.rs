@@ -388,72 +388,6 @@ fn netkv_run_with_kv_retries_is_bit_identical() {
     assert_eq!(a.completed, a.arrived, "requests stuck after recovery");
 }
 
-/// The sharded bulk-advance contract (DESIGN.md §12): completions from
-/// independent component shards merge by `(SimTime, FlowId)` into exactly
-/// the sequential pop order, regardless of worker count. Drives a
-/// 32-cluster topology through a force-sharded `SimNet` under nominal
-/// rayon 1/2/8 and compares the full completion trace, the per-direction
-/// byte counters, and survivor state — against each other *and* against
-/// the never-sharded sequential engine.
-#[test]
-fn sharded_event_merge_identical_across_rayon_thread_counts() {
-    use hs_simnet::SimNet;
-    use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
-
-    let run = |threshold: usize| {
-        let mut b = GraphBuilder::new();
-        let mut links = Vec::new();
-        for i in 0..32u32 {
-            let g0 = b.add_gpu(ServerId(2 * i), 0, GpuSpec::a100_40g());
-            let g1 = b.add_gpu(ServerId(2 * i + 1), 0, GpuSpec::a100_40g());
-            let sw = b.add_access_switch(true, "s");
-            let l0 = b.add_link(g0, sw, LinkKind::Ethernet, bandwidth::ETH_100G, 1_000);
-            let l1 = b.add_link(g1, sw, LinkKind::Ethernet, bandwidth::ETH_100G, 1_000);
-            links.push([l0, l1]);
-        }
-        let graph = b.build();
-        let mut net = SimNet::new(&graph);
-        net.set_shard_threshold(threshold);
-        for (ci, pair) in links.iter().enumerate() {
-            for k in 0..5u64 {
-                let path: Vec<_> = if k % 2 == 0 {
-                    pair.iter().map(|&l| (l, true)).collect()
-                } else {
-                    vec![(pair[0], true)]
-                };
-                net.start_flow(
-                    SimTime::from_nanos(177 * k + 13 * ci as u64),
-                    &path,
-                    400_000 + 53_000 * k + 7_000 * ci as u64,
-                    (ci as u64) << 8 | k,
-                );
-            }
-        }
-        let done = net.advance_to(SimTime::from_millis(20));
-        let trace: Vec<(u64, u64)> = done.iter().map(|(id, f)| (id.0, f.tag)).collect();
-        let bytes: Vec<u64> = links
-            .iter()
-            .flat_map(|p| p.iter())
-            .map(|&l| net.cumulative_bytes(l).to_bits())
-            .collect();
-        (trace, bytes, net.active_flow_count())
-    };
-
-    let sequential = run(usize::MAX);
-    let mut sharded = Vec::new();
-    for n in ["1", "2", "8"] {
-        std::env::set_var("RAYON_NUM_THREADS", n);
-        sharded.push((n, run(0)));
-    }
-    std::env::remove_var("RAYON_NUM_THREADS");
-    for (n, s) in &sharded {
-        assert_eq!(
-            s, &sequential,
-            "sharded merge diverged from sequential under nominal thread count {n}"
-        );
-    }
-}
-
 /// Bit-exact fingerprint of a trace: integer arrival nanos + lengths.
 fn trace_fingerprint(t: &Trace) -> String {
     t.requests
