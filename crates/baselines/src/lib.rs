@@ -19,8 +19,9 @@
 //! `[DistServe, DsAtp, DsSwitchml, HeroServe]` uniformly.
 
 use heroserve::planner::{plan, PlannerError, PlannerOutput, SchemeSpace};
+use heroserve::scheduler::{HeroScheduler, SchedulerParams};
 use heroserve::spec::PlannerInput;
-use heroserve::system::{default_coefficients, expected_batch, HeroServe};
+use heroserve::system::{default_coefficients, expected_batch};
 use hs_cluster::batching::BatchPolicy;
 use hs_cluster::{BusyPolicy, ClusterConfig, ClusterSim, CommStrategy, SimReport, StaticStrategy};
 use hs_collective::Scheme;
@@ -94,8 +95,9 @@ pub struct Deployment {
     pub background: Option<(f64, u64)>,
     /// Scheduled fabric faults injected during serving.
     pub faults: FaultPlan,
-    /// HeroServe's full system object when `kind == HeroServe`.
-    hero: Option<HeroServe>,
+    /// Online-scheduler tunables (HeroServe only; the static baselines
+    /// have no online scheduler).
+    sched_params: SchedulerParams,
 }
 
 impl BaselineKind {
@@ -127,23 +129,17 @@ impl BaselineKind {
         input: &PlannerInput,
         workload: &WorkloadSpec,
     ) -> Result<Deployment, PlannerError> {
-        let (output, hero) = if self == BaselineKind::HeroServe {
-            let h = HeroServe::plan_with_input(topo, input, workload)?;
-            (h.output.clone(), Some(h))
-        } else {
-            (plan(input, self.scheme_space())?, None)
-        };
         Ok(Deployment {
             kind: self,
             topology: topo.clone(),
-            output,
+            output: plan(input, self.scheme_space())?,
             workload: workload.clone(),
             model: input.model.clone(),
             coef: input.coef,
             ina_capacity_per_switch: 8,
             background: None,
             faults: FaultPlan::none(),
-            hero,
+            sched_params: SchedulerParams::default(),
         })
     }
 }
@@ -159,10 +155,8 @@ impl Deployment {
     /// Override the online scheduler's tunables (e.g. the KV decode-
     /// selection policy for A/B sweeps). No-op for static baselines,
     /// which have no online scheduler.
-    pub fn with_scheduler_params(mut self, params: heroserve::scheduler::SchedulerParams) -> Self {
-        if let Some(h) = &mut self.hero {
-            h.sched_params = params;
-        }
+    pub fn with_scheduler_params(mut self, params: SchedulerParams) -> Self {
+        self.sched_params = params;
         self
     }
 
@@ -178,12 +172,11 @@ impl Deployment {
     /// The communication strategy this system runs online.
     pub fn strategy(&self) -> Box<dyn CommStrategy> {
         match self.kind {
-            BaselineKind::HeroServe => Box::new(
-                self.hero
-                    .as_ref()
-                    .expect("hero deployment")
-                    .online_scheduler(),
-            ),
+            BaselineKind::HeroServe => Box::new(HeroScheduler::new(
+                &self.topology.graph,
+                self.all_pairs(),
+                self.sched_params,
+            )),
             BaselineKind::DistServe => Box::new(StaticStrategy::uniform(
                 "DistServe",
                 Scheme::Ring,
@@ -226,13 +219,6 @@ impl Deployment {
 
     /// Cluster configuration induced by the plan.
     pub fn cluster_config(&self) -> ClusterConfig {
-        if let Some(h) = &self.hero {
-            let mut cfg = h.cluster_config();
-            cfg.ina_capacity_per_switch = self.ina_capacity_per_switch;
-            cfg.background = self.background;
-            cfg.faults = self.faults.clone();
-            return cfg;
-        }
         let gpu_memory_bytes = self
             .topology
             .all_gpus()
@@ -262,21 +248,6 @@ impl Deployment {
         let mut arr = Poisson::new(rate);
         let trace = Trace::generate(&self.workload, &mut arr, &mut rng, duration);
         self.serve(&trace, duration)
-    }
-
-    /// Serve a Poisson trace at `rate` with observability attached.
-    pub fn serve_trace_observed(
-        &self,
-        seed: u64,
-        rate: f64,
-        duration: SimTime,
-        tracer: &hs_obs::Tracer,
-        metrics: &hs_obs::MetricsRegistry,
-    ) -> SimReport {
-        let mut rng = SeedSplitter::new(seed).stream("trace");
-        let mut arr = Poisson::new(rate);
-        let trace = Trace::generate(&self.workload, &mut arr, &mut rng, duration);
-        self.serve_observed(&trace, duration, tracer, metrics)
     }
 
     /// Serve an explicit trace.

@@ -109,12 +109,13 @@ fn main() {
         );
         input.force_prefill_parallelism = Some((4, 1));
         input.force_decode_parallelism = Some((8, 1));
-        let mut hero =
-            heroserve::system::HeroServe::plan_with_input(&topo, &input, &workload).unwrap();
-        hero.sched_params = SchedulerParams {
-            gamma,
-            ..SchedulerParams::default()
-        };
+        let mut hero = BaselineKind::HeroServe
+            .deploy_with_input(&topo, &input, &workload)
+            .unwrap()
+            .with_scheduler_params(SchedulerParams {
+                gamma,
+                ..SchedulerParams::default()
+            });
         hero.background = Some((30.0, 256 << 20));
         let r = hero.serve_trace(23, 1.5, SimTime::from_secs(25));
         table.push(

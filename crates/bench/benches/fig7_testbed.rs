@@ -15,7 +15,7 @@
 //! Scalability = max per-GPU request rate with ≥ 90 % SLA attainment.
 
 use hs_baselines::BaselineKind;
-use hs_bench::{latency_at_rate, max_rate_under_sla, ExpTable};
+use hs_bench::{max_rate_under_sla, ExpTable};
 use hs_des::SimTime;
 use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
@@ -116,7 +116,7 @@ fn main() {
             _ => "-",
         };
         for (kind, d, sweep) in &results {
-            let lat = latency_at_rate(d, common_rate, 11, duration);
+            let lat = d.serve_trace(11, common_rate, duration);
             let ratio = if dist_rate > 0.0 {
                 sweep.max_rate / dist_rate
             } else {

@@ -19,4 +19,4 @@ pub mod simbench;
 pub mod sweep;
 
 pub use report::{emit, print_table, ExpTable};
-pub use sweep::{latency_at_rate, max_rate_under_sla, SweepOutcome};
+pub use sweep::{max_rate_under_sla, SweepOutcome};

@@ -94,39 +94,3 @@ pub fn max_rate_under_sla(
         samples,
     }
 }
-
-/// Serve at a fixed rate and return the report (latency comparisons at a
-/// common operating point, as Fig. 7(b)/(d) plot).
-pub fn latency_at_rate(
-    deployment: &Deployment,
-    rate: f64,
-    seed: u64,
-    duration: SimTime,
-) -> SimReport {
-    deployment.serve_trace(seed, rate, duration)
-}
-
-/// Like [`latency_at_rate`], but records a structured trace of the run
-/// and writes it as Chrome trace-event JSON (loadable in
-/// `chrome://tracing` / Perfetto) to `trace_path`, with the metrics dump
-/// next to it at `<trace_path>.metrics.json`. Tracing is
-/// observation-only: the returned report matches the untraced run.
-pub fn latency_at_rate_traced(
-    deployment: &Deployment,
-    rate: f64,
-    seed: u64,
-    duration: SimTime,
-    trace_path: &std::path::Path,
-) -> std::io::Result<SimReport> {
-    let tracer = hs_obs::Tracer::recording();
-    let metrics = hs_obs::MetricsRegistry::recording();
-    let report = deployment.serve_trace_observed(seed, rate, duration, &tracer, &metrics);
-    if let Some(dir) = trace_path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(trace_path, hs_obs::chrome_trace(&tracer.records()))?;
-    std::fs::write(trace_path.with_extension("metrics.json"), metrics.to_json())?;
-    Ok(report)
-}

@@ -19,10 +19,15 @@
 //! The controller itself (signal windows, hysteresis, planner re-solves)
 //! lives in `heroserve`; this module defines only the engine contract.
 
+use crate::engine::Shared;
+use crate::instance::{InstPhase, Instance, InstanceKind};
+use crate::kvship::KvShipper;
+use crate::metrics::SimReport;
 use hs_des::SimTime;
+use std::ops::Range;
 
 /// Elasticity state of one instance. Orthogonal to
-/// [`InstPhase`](crate::instance::InstPhase), which tracks the compute /
+/// [`InstPhase`], which tracks the compute /
 /// communicate cycle within an iteration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PoolState {
@@ -137,6 +142,227 @@ impl ScaleController for StaticController {
 
     fn name(&self) -> &str {
         "static"
+    }
+}
+
+fn pool_name(kind: InstanceKind) -> &'static str {
+    match kind {
+        InstanceKind::Prefill => "prefill",
+        InstanceKind::Decode => "decode",
+    }
+}
+
+/// The engine's pool bookkeeping: the controller, the snapshot counters
+/// and retargeting. Its `SimReport` fields: `scale_ups`, `scale_downs`,
+/// `gpu_seconds`, `mean_active_gpus`, `final_prefill_active` and
+/// `final_decode_active`.
+#[derive(Default)]
+pub(crate) struct Pools {
+    /// Prefill instances are `0..decode_offset`, decode instances the rest.
+    decode_offset: usize,
+    ctl: Option<Box<dyn ScaleController>>,
+    /// Cumulative arrivals, completions and completions meeting both SLAs
+    /// (snapshot counters).
+    pub(crate) arrived: u64,
+    pub(crate) done: u64,
+    pub(crate) done_ok: u64,
+    scale_ups: u64,
+    scale_downs: u64,
+}
+
+impl Pools {
+    pub(crate) fn new(decode_offset: usize) -> Self {
+        Pools {
+            decode_offset,
+            ..Pools::default()
+        }
+    }
+
+    fn range(&self, kind: InstanceKind, instances: usize) -> Range<usize> {
+        match kind {
+            InstanceKind::Prefill => 0..self.decode_offset,
+            InstanceKind::Decode => self.decode_offset..instances,
+        }
+    }
+
+    /// `(active, draining, parked)` counts for one pool.
+    fn counts(&self, instances: &[Instance], kind: InstanceKind) -> (usize, usize, usize) {
+        let mut counts = (0, 0, 0);
+        for inst in &instances[self.range(kind, instances.len())] {
+            match inst.state {
+                PoolState::Active => counts.0 += 1,
+                PoolState::Draining => counts.1 += 1,
+                PoolState::Parked => counts.2 += 1,
+            }
+        }
+        counts
+    }
+
+    /// Attach `ctl` to a fleet of `n` instances; returns its initial targets.
+    pub(crate) fn attach(&mut self, mut ctl: Box<dyn ScaleController>, n: usize) -> PoolTargets {
+        let targets = ctl.initial_targets(self.decode_offset, n - self.decode_offset);
+        self.ctl = Some(ctl);
+        targets
+    }
+
+    /// Show the controller this tick's snapshot. `None` without a
+    /// controller, else its decision.
+    pub(crate) fn tick(
+        &mut self,
+        now: SimTime,
+        instances: &[Instance],
+        kv: &KvShipper,
+        prefill_queue: usize,
+    ) -> Option<Option<PoolTargets>> {
+        self.ctl.as_ref()?;
+        let (pa, pd, pp) = self.counts(instances, InstanceKind::Prefill);
+        let (da, dd, dp) = self.counts(instances, InstanceKind::Decode);
+        // Admission pressure over the instances that can take new work;
+        // an empty Active set reads as full pressure.
+        let mut pressure = 0.0;
+        let mut n = 0usize;
+        for (m, inst) in kv.managers.iter().zip(&instances[self.decode_offset..]) {
+            if inst.state == PoolState::Active {
+                pressure += m.reserved_utilization();
+                n += 1;
+            }
+        }
+        let snap = PoolSnapshot {
+            now,
+            arrived: self.arrived,
+            done: self.done,
+            done_sla_ok: self.done_ok,
+            prefill_queue,
+            pending_admission: kv.pending.len(),
+            prefill_active: pa,
+            prefill_draining: pd,
+            prefill_parked: pp,
+            decode_active: da,
+            decode_draining: dd,
+            decode_parked: dp,
+            kv_pressure: if n == 0 { 1.0 } else { pressure / n as f64 },
+        };
+        self.ctl.as_mut().map(|c| c.on_tick(&snap))
+    }
+
+    /// Publish the Active counts to the gauges and the trace.
+    pub(crate) fn publish(&self, sh: &Shared, instances: &[Instance]) {
+        let (pa, ..) = self.counts(instances, InstanceKind::Prefill);
+        let (da, ..) = self.counts(instances, InstanceKind::Decode);
+        sh.metrics.set_gauge(sh.obs.prefill_active, pa as f64);
+        sh.metrics.set_gauge(sh.obs.decode_active, da as f64);
+        sh.tracer.autoscale_pools(sh.now, pa, da);
+    }
+
+    /// Move both pools toward `targets`, clamped to `[1, pool size]`:
+    /// growth cancels drains, then unparks in ascending index order;
+    /// shrink drains the highest-index Active instances.
+    pub(crate) fn retarget(
+        &mut self,
+        sh: &Shared,
+        instances: &mut [Instance],
+        kv: &KvShipper,
+        targets: PoolTargets,
+    ) {
+        for (kind, want) in [
+            (InstanceKind::Prefill, targets.prefill),
+            (InstanceKind::Decode, targets.decode),
+        ] {
+            let range = self.range(kind, instances.len());
+            if range.is_empty() {
+                continue;
+            }
+            let want = want.clamp(1, range.len());
+            let (active, ..) = self.counts(instances, kind);
+            if want > active {
+                let mut need = want - active;
+                // Cancel drains first: their state is intact and the
+                // GPU-hours clock never stopped, so reactivation is free.
+                for from in [PoolState::Draining, PoolState::Parked] {
+                    for inst in &mut instances[range.clone()] {
+                        if need > 0 && inst.state == from {
+                            inst.state = PoolState::Active;
+                            if from == PoolState::Parked {
+                                inst.occupied_since = Some(sh.now);
+                            }
+                            need -= 1;
+                            self.scale_ups += 1;
+                            sh.metrics.inc(sh.obs.scale_ups, 1);
+                        }
+                    }
+                }
+                let pool = pool_name(kind);
+                sh.tracer
+                    .autoscale_decision(sh.now, pool, active, want, "grow");
+            } else if want < active {
+                let mut excess = active - want;
+                for i in range.rev() {
+                    if excess > 0 && instances[i].state == PoolState::Active {
+                        instances[i].state = PoolState::Draining;
+                        excess -= 1;
+                        self.scale_downs += 1;
+                        sh.metrics.inc(sh.obs.scale_downs, 1);
+                        self.park_if_drained(sh, instances, kv, i);
+                    }
+                }
+                let pool = pool_name(kind);
+                sh.tracer
+                    .autoscale_decision(sh.now, pool, active, want, "shrink");
+            }
+        }
+    }
+
+    /// Park a Draining instance once it holds no work: a prefill instance
+    /// must be idle with no batch; a decode instance must hold no live or
+    /// joining requests *and* no KV reservation (a reservation covers
+    /// admissions whose KV transfer is still in the air, so an instance
+    /// can never park out from under an inbound shipment).
+    pub(crate) fn park_if_drained(
+        &self,
+        sh: &Shared,
+        instances: &mut [Instance],
+        kv: &KvShipper,
+        i: usize,
+    ) {
+        let inst = &mut instances[i];
+        if inst.state != PoolState::Draining {
+            return;
+        }
+        let empty = match inst.kind {
+            InstanceKind::Prefill => inst.phase == InstPhase::Idle && inst.batch.is_empty(),
+            InstanceKind::Decode => {
+                inst.active.is_empty()
+                    && inst.joining.is_empty()
+                    && kv.managers[i - self.decode_offset].reserved() == 0
+            }
+        };
+        if empty {
+            inst.flush_gpu_seconds(sh.now);
+            inst.state = PoolState::Parked;
+            sh.tracer
+                .autoscale_parked(sh.now, i as u64, pool_name(inst.kind));
+        }
+    }
+
+    /// Close every open occupancy interval at the horizon: a run with no
+    /// controller reports exactly `total_gpus × horizon` GPU-seconds.
+    pub(crate) fn report(&self, r: &mut SimReport, instances: &mut [Instance], horizon: SimTime) {
+        let mut gpu_seconds = 0.0;
+        for inst in instances.iter_mut() {
+            inst.flush_gpu_seconds(horizon);
+            gpu_seconds += inst.gpu_seconds;
+        }
+        let horizon_s = horizon.as_secs_f64();
+        r.scale_ups = self.scale_ups;
+        r.scale_downs = self.scale_downs;
+        r.gpu_seconds = gpu_seconds;
+        r.mean_active_gpus = if horizon_s > 0.0 {
+            gpu_seconds / horizon_s
+        } else {
+            0.0
+        };
+        r.final_prefill_active = self.counts(instances, InstanceKind::Prefill).0;
+        r.final_decode_active = self.counts(instances, InstanceKind::Decode).0;
     }
 }
 

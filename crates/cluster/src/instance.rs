@@ -99,8 +99,6 @@ pub struct Instance {
     /// Decode: requests admitted whose KV landed mid-iteration; joined at
     /// the next iteration boundary.
     pub joining: Vec<RequestId>,
-    /// Iterations completed (diagnostics).
-    pub iterations: u64,
     /// Elasticity state (autoscaling; see [`crate::autoscale`]).
     pub state: PoolState,
     /// When this instance last became occupied (GPU-hours clock).
@@ -123,7 +121,6 @@ impl Instance {
             batch: Vec::new(),
             active: Vec::new(),
             joining: Vec::new(),
-            iterations: 0,
             state: PoolState::Active,
             occupied_since: Some(SimTime::ZERO),
             gpu_seconds: 0.0,

@@ -25,10 +25,13 @@
 
 pub mod autoscale;
 pub mod batching;
+mod collectives;
 pub mod engine;
+mod faults;
 pub mod instance;
 pub mod kvcache;
 pub mod kvflow;
+mod kvship;
 pub mod metrics;
 pub mod request;
 pub mod strategy;

@@ -13,7 +13,6 @@
 //! * [`EventQueue`] — a stable priority queue of `(time, event)` pairs.
 //!   Events scheduled for the same instant pop in FIFO order, which removes
 //!   the usual source of nondeterminism in heap-based simulators.
-//! * [`Simulation`] — a minimal run loop over an [`EventHandler`].
 //! * [`rng`] — seed-splittable small RNGs so that independent model
 //!   components draw from independent, reproducible streams.
 //!
@@ -24,10 +23,8 @@
 
 pub mod queue;
 pub mod rng;
-pub mod sim;
 pub mod time;
 
 pub use queue::EventQueue;
 pub use rng::{stream_rng, SeedSplitter};
-pub use sim::{ClockError, EventHandler, Simulation};
 pub use time::{SimSpan, SimTime};

@@ -25,23 +25,35 @@
 //!   periodic synchronization against monitored link utilization (the
 //!   central controller's role).
 //!
-//! [`system`] wires both into the [`hs_cluster`] simulator: `HeroServe`
-//! plans a deployment, then serves a trace with the online scheduler
-//! driving every collective. The [`queueing`] module supplies the
-//! Pollaczek–Khinchine waiting-time estimate of §III-C1.
+//! [`system`] holds the planning inputs every deployment shares; plans
+//! are served through `hs_baselines::BaselineKind::HeroServe.deploy`,
+//! which runs the online scheduler in the [`hs_cluster`] simulator. The
+//! [`queueing`] module supplies the Pollaczek–Khinchine waiting-time
+//! estimate of §III-C1.
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use heroserve::prelude::*;
+//! use heroserve::system::{default_coefficients, expected_batch};
 //!
 //! // The paper's testbed: 4 GPU servers, 2 Tofino switches.
 //! let topo = hs_topology::builders::testbed();
 //! let workload = hs_workload::sharegpt_like();
-//! let system = HeroServe::plan(&topo, &hs_model::ModelConfig::opt_13b(), &workload, 4.0)
-//!     .expect("feasible deployment");
-//! let report = system.serve_trace(42, 4.0, hs_des::SimTime::from_secs(5));
-//! assert!(report.arrived > 0);
+//! let model = hs_model::ModelConfig::opt_13b();
+//! let input = PlannerInput::basic(
+//!     &topo.graph,
+//!     model.clone(),
+//!     default_coefficients(&model),
+//!     expected_batch(&workload, 8),
+//!     4.0,
+//!     workload.ttft_sla_s,
+//!     workload.tpot_sla_s,
+//! );
+//! let out = plan(&input, SchemeSpace::Hybrid).expect("feasible deployment");
+//! assert!(out.est_h_rps > 0.0);
+//! // To serve traces with this plan, deploy it with
+//! // `hs_baselines::BaselineKind::HeroServe.deploy(&topo, &model, &workload, 4.0)`.
 //! ```
 
 pub mod autoscaler;
@@ -58,12 +70,10 @@ pub use planner::{plan, PlannerError, PlannerOutput, SchemeSpace, SolveStats};
 pub use policy::KvSelectParams;
 pub use scheduler::{HeroScheduler, KvSelection, SchedulerParams};
 pub use spec::{ClusterPlan, GroupScheme, PlannerInput};
-pub use system::HeroServe;
 
 /// Convenient glob imports for examples and benches.
 pub mod prelude {
     pub use crate::planner::{plan, PlannerOutput, SchemeSpace};
     pub use crate::scheduler::{HeroScheduler, KvSelection, SchedulerParams};
     pub use crate::spec::PlannerInput;
-    pub use crate::system::HeroServe;
 }

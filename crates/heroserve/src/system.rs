@@ -1,42 +1,17 @@
-//! The HeroServe system facade: plan a deployment, then serve traces.
+//! Planning inputs shared by every deployment: the fitted compute
+//! coefficients and the expected batch the planner sizes against.
 //!
-//! Mirrors §IV's architecture — the central scheduler plans placement and
-//! communication offline, GPU agents run the load-aware online scheduler,
-//! switch agents enforce INA — wired into the `hs-cluster` simulator.
+//! Serving goes through one path for all four systems:
+//! `hs_baselines::BaselineKind::HeroServe.deploy` plans with [`plan`]
+//! over the hybrid scheme space and serves traces with the online
+//! [`HeroScheduler`] driving every collective in `hs-cluster`.
+//!
+//! [`plan`]: crate::planner::plan
+//! [`HeroScheduler`]: crate::scheduler::HeroScheduler
 
-use crate::planner::{plan, PlannerError, PlannerOutput, SchemeSpace};
-use crate::scheduler::{HeroScheduler, SchedulerParams};
-use crate::spec::PlannerInput;
-use hs_cluster::batching::BatchPolicy;
-use hs_cluster::{ClusterConfig, ClusterSim, SimReport};
-use hs_des::{SeedSplitter, SimSpan, SimTime};
 use hs_model::profile::{fit, ProfileGrid};
 use hs_model::{BatchStats, CostCoefficients, GpuModel, ModelConfig};
-use hs_topology::builders::BuiltTopology;
-use hs_topology::{AllPairs, LinkWeight, NodeId};
-use hs_workload::{FaultPlan, Poisson, Trace, WorkloadSpec};
-
-/// A planned HeroServe deployment, ready to serve traces.
-pub struct HeroServe {
-    /// The fabric.
-    pub topology: BuiltTopology,
-    /// The planner's decision.
-    pub output: PlannerOutput,
-    /// Model shape.
-    pub model: ModelConfig,
-    /// Fitted compute coefficients.
-    pub coef: CostCoefficients,
-    /// The workload (SLAs + length distributions).
-    pub workload: WorkloadSpec,
-    /// Online-scheduler tunables.
-    pub sched_params: SchedulerParams,
-    /// Per-switch concurrent INA-job capacity.
-    pub ina_capacity_per_switch: usize,
-    /// Bursty background cross traffic `(flows/s, bytes)`.
-    pub background: Option<(f64, u64)>,
-    /// Scheduled fabric faults injected during serving.
-    pub faults: FaultPlan,
-}
+use hs_workload::WorkloadSpec;
 
 /// Default profiling-based coefficient fit for a topology's dominant GPU.
 pub fn default_coefficients(model: &ModelConfig) -> CostCoefficients {
@@ -51,137 +26,11 @@ pub fn expected_batch(workload: &WorkloadSpec, q: u32) -> BatchStats {
     BatchStats::uniform(q, l_in, l_out)
 }
 
-impl HeroServe {
-    /// Plan a deployment of `model` on `topo` for `workload` at the
-    /// expected `rate` (req/s), using the hybrid scheme space.
-    pub fn plan(
-        topo: &BuiltTopology,
-        model: &ModelConfig,
-        workload: &WorkloadSpec,
-        rate: f64,
-    ) -> Result<Self, PlannerError> {
-        let coef = default_coefficients(model);
-        let input = PlannerInput::basic(
-            &topo.graph,
-            model.clone(),
-            coef,
-            expected_batch(workload, 8),
-            rate,
-            workload.ttft_sla_s,
-            workload.tpot_sla_s,
-        );
-        let output = plan(&input, SchemeSpace::Hybrid)?;
-        Ok(HeroServe {
-            topology: topo.clone(),
-            output,
-            model: model.clone(),
-            coef,
-            workload: workload.clone(),
-            sched_params: SchedulerParams::default(),
-            ina_capacity_per_switch: 8,
-            background: None,
-            faults: FaultPlan::none(),
-        })
-    }
-
-    /// Plan with a caller-supplied input (full control over memory,
-    /// bandwidth, GPU split).
-    pub fn plan_with_input(
-        topo: &BuiltTopology,
-        input: &PlannerInput,
-        workload: &WorkloadSpec,
-    ) -> Result<Self, PlannerError> {
-        let output = plan(input, SchemeSpace::Hybrid)?;
-        Ok(HeroServe {
-            topology: topo.clone(),
-            output,
-            model: input.model.clone(),
-            coef: input.coef,
-            workload: workload.clone(),
-            sched_params: SchedulerParams::default(),
-            ina_capacity_per_switch: 8,
-            background: None,
-            faults: FaultPlan::none(),
-        })
-    }
-
-    /// Inject a fault schedule into subsequent `serve` calls (builder
-    /// style, for the fault drills and benches).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// All-pairs structures covering the planned GPUs and INA switches.
-    pub fn all_pairs(&self) -> AllPairs {
-        let mut nodes: Vec<NodeId> = self.topology.all_gpus();
-        nodes.extend(self.topology.graph.ina_switches());
-        nodes.sort_unstable();
-        nodes.dedup();
-        AllPairs::compute(&self.topology.graph, &nodes, LinkWeight::Latency, None)
-    }
-
-    /// The cluster-simulator configuration this plan induces.
-    pub fn cluster_config(&self) -> ClusterConfig {
-        let gpu_memory_bytes = self
-            .topology
-            .all_gpus()
-            .iter()
-            .filter_map(|&g| self.topology.graph.gpu_spec(g).map(|s| s.memory_bytes))
-            .min()
-            .unwrap_or(40 * (1 << 30));
-        ClusterConfig {
-            model: self.model.clone(),
-            coef: self.coef,
-            ttft_sla_s: self.workload.ttft_sla_s,
-            tpot_sla_s: self.workload.tpot_sla_s,
-            prefill: self.output.prefill.instances.clone(),
-            decode: self.output.decode.instances.clone(),
-            batch: BatchPolicy::default(),
-            gpu_memory_bytes,
-            monitor_period: SimSpan::from_millis(50),
-            ina_capacity_per_switch: self.ina_capacity_per_switch,
-            background: self.background,
-            faults: self.faults.clone(),
-        }
-    }
-
-    /// The online scheduler instance for this deployment.
-    pub fn online_scheduler(&self) -> HeroScheduler {
-        HeroScheduler::new(&self.topology.graph, self.all_pairs(), self.sched_params)
-    }
-
-    /// Serve a Poisson trace of this system's workload at `rate` req/s
-    /// for `duration`, plus a drain margin; returns the report.
-    pub fn serve_trace(&self, seed: u64, rate: f64, duration: SimTime) -> SimReport {
-        let mut rng = SeedSplitter::new(seed).stream("trace");
-        let mut arr = Poisson::new(rate);
-        let trace = Trace::generate(&self.workload, &mut arr, &mut rng, duration);
-        self.serve(&trace, duration)
-    }
-
-    /// Serve an explicit trace; the simulation runs to `horizon` plus a
-    /// drain margin of 25 % (capped at 60 s) so in-flight requests can
-    /// finish.
-    pub fn serve(&self, trace: &Trace, horizon: SimTime) -> SimReport {
-        let margin = horizon
-            .saturating_since(SimTime::ZERO)
-            .mul_f64(0.25)
-            .min(SimSpan::from_secs(60));
-        let mut sim = ClusterSim::new(
-            &self.topology.graph,
-            self.all_pairs(),
-            self.cluster_config(),
-            trace,
-            Box::new(self.online_scheduler()),
-        );
-        sim.run(horizon + margin)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hs_baselines::BaselineKind;
+    use hs_des::SimTime;
     use hs_topology::builders::testbed;
 
     #[test]
@@ -190,8 +39,9 @@ mod tests {
         let workload = hs_workload::sharegpt_like();
         // OPT-66B genuinely needs multi-GPU tensor groups on 32-40 GB
         // GPUs, so the communication path is exercised for real.
-        let hs =
-            HeroServe::plan(&topo, &ModelConfig::opt_66b(), &workload, 0.5).expect("feasible plan");
+        let hs = BaselineKind::HeroServe
+            .deploy(&topo, &ModelConfig::opt_66b(), &workload, 0.5)
+            .expect("feasible plan");
         assert!(hs.output.est_h_rps > 0.0);
         assert!(hs.output.prefill.p_tens * hs.output.prefill.p_pipe >= 4);
         let report = hs.serve_trace(7, 0.5, SimTime::from_secs(10));
@@ -210,7 +60,9 @@ mod tests {
     fn cluster_config_reflects_plan() {
         let topo = testbed();
         let workload = hs_workload::sharegpt_like();
-        let hs = HeroServe::plan(&topo, &ModelConfig::opt_13b(), &workload, 1.0).unwrap();
+        let hs = BaselineKind::HeroServe
+            .deploy(&topo, &ModelConfig::opt_13b(), &workload, 1.0)
+            .unwrap();
         let cfg = hs.cluster_config();
         assert_eq!(cfg.prefill.len(), hs.output.prefill.instances.len());
         assert_eq!(cfg.decode.len(), hs.output.decode.instances.len());

@@ -17,22 +17,19 @@
 //!   window per job, lock-step rounds) and **ATP-style asynchronous**
 //!   best-effort (dynamic slot allocation, fallback to end-host
 //!   aggregation when the pool is exhausted).
-//! * [`control`] — the central scheduler's view: admit/release jobs,
-//!   poll hardware counters.
 //!
-//! The aggregation arithmetic is executed for real — integration tests
-//! all-reduce actual vectors through the model and check the sums — while
-//! the flow-level cluster simulation consumes only the *capacity* side
-//! (slot admission, fallback, counters).
+//! The aggregation arithmetic is executed for real: `hs-collective`'s
+//! `verify` module all-reduces actual vectors through the model and
+//! checks the sums. The flow-level cluster simulation does not use this
+//! crate; `hs-cluster` keeps its own per-switch ledger of concurrent INA
+//! sessions and makes a collective wait or fall back when it is full.
 
 pub mod aggregator;
-pub mod control;
 pub mod dataplane;
 pub mod fixpoint;
 pub mod table;
 
 pub use aggregator::{SlotPool, SlotPoolStats};
-pub use control::{SwitchControl, SwitchCounters};
 pub use dataplane::{
     AggMode, DataplaneAction, InaDataplane, InaPacket, JobConfig, JobId, WorkerId,
 };

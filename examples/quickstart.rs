@@ -8,7 +8,7 @@
 //! workload, serves a 20-second Poisson trace through the full simulated
 //! stack, and prints the serving report.
 
-use heroserve::prelude::*;
+use hs_baselines::BaselineKind;
 use hs_des::SimTime;
 use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
@@ -27,7 +27,8 @@ fn main() {
     // 2. Offline planning (Algorithm 1): parallelism, placement,
     //    per-group scheme (INA vs ring, heterogeneous variants).
     let workload = hs_workload::sharegpt_like();
-    let system = HeroServe::plan(&topo, &ModelConfig::opt_13b(), &workload, 4.0)
+    let system = BaselineKind::HeroServe
+        .deploy(&topo, &ModelConfig::opt_13b(), &workload, 4.0)
         .expect("planner found a feasible deployment");
     let out = &system.output;
     println!(

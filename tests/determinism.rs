@@ -295,10 +295,13 @@ fn cluster_sim_report_bit_identical_with_faults_and_background() {
 #[test]
 fn observability_does_not_perturb_the_simulation() {
     let d = hero_deploy(1.0);
-    let untraced = d.serve_trace(7, 1.0, SimTime::from_secs(8));
+    let horizon = SimTime::from_secs(8);
+    let untraced = d.serve_trace(7, 1.0, horizon);
+    let mut rng = SeedSplitter::new(7).stream("trace");
+    let trace = Trace::generate(&d.workload, &mut Poisson::new(1.0), &mut rng, horizon);
     let tracer = hs_obs::Tracer::recording();
     let metrics = hs_obs::MetricsRegistry::recording();
-    let traced = d.serve_trace_observed(7, 1.0, SimTime::from_secs(8), &tracer, &metrics);
+    let traced = d.serve_observed(&trace, horizon, &tracer, &metrics);
     assert_eq!(
         report_json(&untraced),
         report_json(&traced),
