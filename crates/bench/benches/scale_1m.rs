@@ -6,8 +6,9 @@
 //! One trace is generated once and served twice; both runs' report
 //! fingerprints (every scalar, every per-request metric, every memory
 //! sample, folded bit-for-bit) must be identical. Each row also carries
-//! the network engine's aggregate-tier hit rate over the run. Writes
-//! `results/scale_1m.json`.
+//! the network engine's aggregate-tier hit rate over the run and the
+//! process's peak resident set so far (VmHWM from `/proc/self/status`;
+//! null where that file does not exist). Writes `results/scale_1m.json`.
 //!
 //! `SCALE_REQUESTS` overrides the request count (default 1 000 000) for
 //! quick local runs.
@@ -80,6 +81,14 @@ fn fingerprint(r: &SimReport) -> u64 {
     h.finish()
 }
 
+/// Peak resident set of this process, MiB (Linux only).
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 fn serve(d: &Deployment, trace: &Trace, horizon: SimTime) -> (SimReport, SolveStats) {
     let margin = SimSpan::from_secs_f64((horizon.as_secs_f64() * 0.25).min(60.0));
     let mut sim = ClusterSim::new(
@@ -122,6 +131,7 @@ fn main() {
             "wall_s",
             "req/sec (wall)",
             "agg hit",
+            "peak RSS MiB",
             "fingerprint",
         ],
     );
@@ -133,6 +143,7 @@ fn main() {
         let fp = fingerprint(&rep);
         prints.push(fp);
         let hit_rate = aggregate_hit_rate(&stats);
+        let rss = peak_rss_mib();
         table.push(
             vec![
                 run.to_string(),
@@ -141,6 +152,7 @@ fn main() {
                 format!("{wall_s:.1}"),
                 format!("{:.0}", rep.arrived as f64 / wall_s),
                 hit_rate.map_or_else(|| "-".to_string(), |h| format!("{h:.3}")),
+                rss.map_or_else(|| "-".to_string(), |m| format!("{m:.1}")),
                 format!("{fp:016x}"),
             ],
             json!({
@@ -152,6 +164,7 @@ fn main() {
                 "scoped_solves": stats.scoped_solves,
                 "aggregate_solves": stats.aggregate_solves,
                 "aggregate_hit_rate": hit_rate,
+                "peak_rss_mib": rss,
                 "fingerprint": format!("{fp:016x}"),
             }),
         );

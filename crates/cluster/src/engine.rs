@@ -219,7 +219,9 @@ impl ClusterSim {
 
         let mem_spec = cfg.decode.first().or(cfg.prefill.first());
         let mem_spec = mem_spec.expect("at least one instance");
-        let mut events = EventQueue::with_capacity(trace.len() * 4 + 16);
+        // The queue is longest right here, with every arrival and fault
+        // queued; the margin covers the few events in flight beside them.
+        let mut events = EventQueue::with_capacity(trace.len() + cfg.faults.events().len() + 16);
         let mut reqs = Vec::with_capacity(trace.len());
         for (i, r) in trace.requests.iter().enumerate() {
             // Request state is indexed by RequestId throughout the engine,

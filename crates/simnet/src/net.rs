@@ -39,12 +39,23 @@
 //! `tests/equivalence.rs` drives arbitrary event sequences through every
 //! mode and an independent from-scratch reference and asserts identical
 //! rates, completions, and cumulative link bytes.
+//!
+//! Memory and solver work follow the *live* flows. Flows sit in a window
+//! that starts at the oldest live flow, and a flow started across a dead
+//! link is **parked**: it stays out of the incidence table (so no solve
+//! visits it) until [`SimNet::set_link_scale`] brings its whole path back.
 
 use crate::fairshare::{FlowSpan, OneRoundSolver, SolverWorkspace};
 use hs_des::{SimSpan, SimTime};
 use hs_topology::{Graph, LinkId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::num::NonZeroU32;
+
+/// The flow window drops its empty prefix once the prefix is at least
+/// this many slots and at least half the window, so each drained slot is
+/// moved at most once on average.
+const WINDOW_DRAIN_MIN: usize = 1024;
 
 /// One directed hop: the link and whether it is traversed `a -> b`
 /// (links are full duplex; each direction is its own capacity pool).
@@ -75,7 +86,7 @@ pub struct Flow {
     /// Current allocated rate, bits/s (∞ for empty paths).
     pub rate_bps: f64,
     /// Relative fair-share weight.
-    pub weight: f64,
+    pub weight: NonZeroU32,
     /// Start time.
     pub started: SimTime,
     /// Total propagation delay along the path.
@@ -97,6 +108,9 @@ pub struct Flow {
     epoch: u64,
     /// Visit stamp for the component BFS (scoped re-solves).
     seen: u64,
+    /// Started across a dead link: out of the incidence table, rate 0,
+    /// `finish_at = MAX`, until its whole path is alive again.
+    parked: bool,
 }
 
 impl Flow {
@@ -287,15 +301,19 @@ pub struct SimNet {
     /// kept in sync with `capacities`.
     dir_caps: Vec<f64>,
     link_latency_ns: Vec<u64>,
-    /// Active flows, stored as a slab indexed by `FlowId` — ids are
-    /// issued monotonically and never reused, so a flow's id *is* its
-    /// slot. Per-event validity checks dominate the hot path and a direct
-    /// index beats any hash; slab order is ascending-id order, which is
-    /// exactly what every order-sensitive traversal needs. A completed
-    /// flow leaves a `None` slot behind: retained memory is proportional
-    /// to flows ever started (~a pointer-sized header plus the `Flow`
-    /// footprint per slot), the price of hash-free lookups.
+    /// Active flows in a sliding window over ids: slot `i` holds flow
+    /// `base + i`. Ids are issued monotonically and never reused, so a
+    /// lookup is one subtraction and one index (per-event validity checks
+    /// dominate the hot path), and slot order is ascending-id order, which
+    /// is what every order-sensitive traversal needs. A removed flow
+    /// leaves a `None`; slots before `head` are all `None` and are
+    /// drained in bulk (see [`WINDOW_DRAIN_MIN`]), so memory follows the
+    /// span from the oldest live flow to the newest.
     flows: Vec<Option<Flow>>,
+    /// Id of `flows[0]`.
+    base: u64,
+    /// Length of the all-`None` prefix of `flows`.
+    head: usize,
     /// Number of `Some` entries in `flows`.
     n_live: usize,
     next_id: u64,
@@ -307,8 +325,9 @@ pub struct SimNet {
     cum_bytes: Vec<f64>,
     /// Allocated rate per directed link (sum of flow rates), bits/s.
     link_rate: Vec<f64>,
-    /// Which flows cross each directed slot, ascending by id (ids are
-    /// monotone, so insertion is an append and order is free).
+    /// Which unparked flows cross each directed slot, ascending by id
+    /// (ids are monotone, so a start is an append; an unparked flow is
+    /// inserted in place).
     incidence: Vec<Vec<FlowId>>,
     dirty: bool,
     /// Directed slots touched by flow adds/removes (or a capacity change)
@@ -346,6 +365,8 @@ impl SimNet {
             dir_caps,
             link_latency_ns,
             flows: Vec::new(),
+            base: 0,
+            head: 0,
             n_live: 0,
             next_id: 0,
             clock: SimTime::ZERO,
@@ -397,20 +418,27 @@ impl SimNet {
     /// Start a unit-weight flow of `bytes` over the directed `path` at
     /// time `now`.
     pub fn start_flow(&mut self, now: SimTime, path: &[DirLink], bytes: u64, tag: u64) -> FlowId {
-        self.start_weighted_flow(now, path, bytes, 1.0, tag)
+        self.start_weighted_flow(now, path, bytes, NonZeroU32::MIN, tag)
     }
 
     /// Start a flow with an explicit fair-share weight (used to model a
     /// collective step that opens several parallel streams).
+    ///
+    /// Weights are integers so that per-link weight sums are exact: a
+    /// parked flow's weight, added and then removed by a solve that
+    /// included it, would leave those sums bit-for-bit where they were,
+    /// which is why leaving it out of the solve changes no rate.
+    ///
+    /// A flow with bytes to send whose path crosses a dead link is parked
+    /// (see [`SimNet::set_link_scale`]).
     pub fn start_weighted_flow(
         &mut self,
         now: SimTime,
         path: &[DirLink],
         bytes: u64,
-        weight: f64,
+        weight: NonZeroU32,
         tag: u64,
     ) -> FlowId {
-        assert!(weight > 0.0, "flow weight must be positive");
         self.progress_to(now);
         let id = FlowId(self.next_id);
         self.next_id += 1;
@@ -433,6 +461,7 @@ impl SimNet {
             touched: self.clock,
             epoch: 0,
             seen: 0,
+            parked: bytes > 0 && !self.path_alive(path),
         };
         if path.is_empty() {
             // Local copy: unconstrained, delivered after propagation only.
@@ -445,13 +474,15 @@ impl SimNet {
             f.epoch += 1;
             self.heap.push(Reverse((f.finish_at, id, f.epoch)));
         }
-        if !path.is_empty() {
+        if !f.parked {
             for &d in path {
                 self.incidence[slot(d)].push(id);
             }
             self.mark_dirty_path(path);
         }
-        self.put_flow(id, f);
+        debug_assert_eq!(id.0, self.base + self.flows.len() as u64);
+        self.flows.push(Some(f));
+        self.n_live += 1;
         self.tracer.flow_start(now, id.0, tag, bytes, path.len());
         id
     }
@@ -468,7 +499,7 @@ impl SimNet {
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<Flow> {
         self.progress_to(now);
         let clock = self.clock;
-        let drained = match self.flows.get_mut(id.0 as usize).and_then(Option::as_mut) {
+        let drained = match self.window_index(id).and_then(|i| self.flows[i].as_mut()) {
             None => return None,
             Some(f) => {
                 // A cancel is a touch point: accrue before deciding.
@@ -480,8 +511,6 @@ impl SimNet {
             return None;
         }
         let f = self.take_flow(id).expect("flow looked up just above");
-        self.unlink(id, &f.path);
-        self.mark_dirty_path(&f.path);
         self.tracer.flow_abort(now, id.0, "cancelled");
         Some(f)
     }
@@ -490,7 +519,7 @@ impl SimNet {
     /// the flow's last materialization — use [`SimNet::flow_remaining`]
     /// for the value at the current clock.
     pub fn flow(&self, id: FlowId) -> Option<&Flow> {
-        self.flows.get(id.0 as usize).and_then(Option::as_ref)
+        self.flows[self.window_index(id)?].as_ref()
     }
 
     /// Bytes a live flow still has to serialize at the current clock
@@ -555,8 +584,6 @@ impl SimNet {
             let clock = self.clock;
             let mut f = self.take_flow(id).expect("front flow is live");
             materialize(&mut f, id, clock, &mut self.cum_bytes, &mut self.heap);
-            self.unlink(id, &f.path);
-            self.mark_dirty_path(&f.path);
             f.remaining_bytes = 0.0;
             done.push((id, f));
         }
@@ -651,18 +678,29 @@ impl SimNet {
     /// scaled one (the max-min allocation decomposes across connected
     /// components, DESIGN.md §9), so untouched components keep their
     /// rates, estimates, and epochs bit-for-bit.
+    ///
     /// When `factor` is zero the link is dead: every flow crossing it
-    /// (either direction) is aborted and returned, with its progress
-    /// accrued up to `now`, so the caller can retry over another route.
-    /// Flows *started* across a dead link later are not rejected — they
-    /// simply stall at rate 0 until the link recovers, which is how a
-    /// fault-oblivious baseline behaves.
+    /// (either direction, parked or not) is aborted and returned in id
+    /// order, with its progress accrued up to `now`, so the caller can
+    /// retry over another route.
+    ///
+    /// Flows *started* across a dead link later are not rejected: they
+    /// stall at rate 0 until the link recovers, which is how a
+    /// fault-oblivious baseline behaves. One with bytes to send is
+    /// *parked* — kept out of the incidence table, so no solve visits it.
+    /// A solve that included it would freeze it at share 0 in its first
+    /// round and leave every other rate bit-for-bit unchanged (DESIGN.md
+    /// §9). When this call raises a link from zero, each parked flow whose
+    /// whole path is now alive joins the incidence table, in id order,
+    /// and is rated at the next query. Parked flows still count in
+    /// [`SimNet::active_flow_count`] and can be cancelled.
     pub fn set_link_scale(&mut self, now: SimTime, l: LinkId, factor: f64) -> Vec<(FlowId, Flow)> {
         assert!(
             factor.is_finite() && (0.0..=1.0).contains(&factor),
             "link scale must be in [0, 1], got {factor}"
         );
         self.progress_to(now);
+        let was_dead = self.capacities[l.idx()] <= 0.0;
         let cap = self.base_capacities[l.idx()] * factor;
         self.capacities[l.idx()] = cap;
         self.dir_caps[l.idx() * 2] = cap;
@@ -672,29 +710,24 @@ impl SimNet {
         self.dirty = true;
         self.seed_slots.push(l.idx() * 2);
         self.seed_slots.push(l.idx() * 2 + 1);
-        let crossing = || {
-            self.flows
-                .iter()
-                .flatten()
-                .filter(|f| f.path.iter().any(|&(fl, _)| fl == l))
-                .count()
-        };
+        let crossing = |f: &Flow| f.path.iter().any(|&(fl, _)| fl == l);
         if factor > 0.0 {
+            if was_dead && cap > 0.0 {
+                self.unpark();
+            }
             if self.tracer.is_enabled() {
+                let rerated = self.live().filter(|(_, f)| crossing(f)).count();
                 self.tracer
-                    .link_scale(now, l.idx() as u64, factor, crossing(), 0);
+                    .link_scale(now, l.idx() as u64, factor, rerated, 0);
             }
             return Vec::new();
         }
-        // Slab order is ascending-id order, which is what the abort list
-        // and cum-byte accrual order (both observable) must follow.
+        // Window order is ascending-id order, which is what the abort
+        // list and cum-byte accrual order (both observable) must follow.
         let doomed: Vec<FlowId> = self
-            .flows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| f.as_ref().map(|f| (i, f)))
-            .filter(|(_, f)| f.path.iter().any(|&(fl, _)| fl == l))
-            .map(|(i, _)| FlowId(i as u64))
+            .live()
+            .filter(|(_, f)| crossing(f))
+            .map(|(id, _)| id)
             .collect();
         if self.tracer.is_enabled() {
             self.tracer
@@ -710,8 +743,6 @@ impl SimNet {
                 let mut f = self.take_flow(id).expect("doomed flow present");
                 // An abort is a touch point: hand back accrued progress.
                 materialize(&mut f, id, clock, &mut self.cum_bytes, &mut self.heap);
-                self.unlink(id, &f.path);
-                self.mark_dirty_path(&f.path);
                 (id, f)
             })
             .collect()
@@ -725,31 +756,74 @@ impl SimNet {
     /// e.g. membership in an incidence list — guarantees liveness).
     #[inline]
     fn flow_ref(&self, id: FlowId) -> &Flow {
-        self.flows[id.0 as usize]
+        self.flows[(id.0 - self.base) as usize]
             .as_ref()
             .expect("id names a live flow")
     }
 
-    /// Remove and return a live flow, freeing its slot.
+    /// Window slot of `id`, if the id falls inside the window.
     #[inline]
-    fn take_flow(&mut self, id: FlowId) -> Option<Flow> {
-        let f = self.flows.get_mut(id.0 as usize).and_then(Option::take);
-        if f.is_some() {
-            self.n_live -= 1;
-        }
-        f
+    fn window_index(&self, id: FlowId) -> Option<usize> {
+        let i = id.0.checked_sub(self.base)? as usize;
+        (i < self.flows.len()).then_some(i)
     }
 
-    /// (Re-)install a flow in its id slot.
-    #[inline]
-    fn put_flow(&mut self, id: FlowId, f: Flow) {
-        let s = id.0 as usize;
-        if s >= self.flows.len() {
-            self.flows.resize_with(s + 1, || None);
+    /// Live flows in ascending id order.
+    fn live(&self) -> impl Iterator<Item = (FlowId, &Flow)> {
+        let first = self.base + self.head as u64;
+        self.flows[self.head..]
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, f)| Some((FlowId(first + i as u64), f.as_ref()?)))
+    }
+
+    /// Remove and return a live flow: free its window slot and, unless it
+    /// is parked, drop it from the incidence table and seed its slots.
+    fn take_flow(&mut self, id: FlowId) -> Option<Flow> {
+        let i = self.window_index(id)?;
+        let f = self.flows[i].take()?;
+        self.n_live -= 1;
+        if i == self.head {
+            while self.head < self.flows.len() && self.flows[self.head].is_none() {
+                self.head += 1;
+            }
+            if self.head >= WINDOW_DRAIN_MIN && 2 * self.head >= self.flows.len() {
+                self.flows.drain(..self.head);
+                self.base += self.head as u64;
+                self.head = 0;
+            }
         }
-        debug_assert!(self.flows[s].is_none(), "flow slot double-filled");
-        self.flows[s] = Some(f);
-        self.n_live += 1;
+        if !f.parked {
+            self.unlink(id, &f.path);
+            self.mark_dirty_path(&f.path);
+        }
+        Some(f)
+    }
+
+    /// Whether every link of `path` has capacity.
+    fn path_alive(&self, path: &[DirLink]) -> bool {
+        path.iter().all(|&(l, _)| self.capacities[l.idx()] > 0.0)
+    }
+
+    /// Move each parked flow whose whole path is alive into the incidence
+    /// table, in id order, and seed its slots.
+    fn unpark(&mut self) {
+        let ready: Vec<FlowId> = self
+            .live()
+            .filter(|(_, f)| f.parked && self.path_alive(&f.path))
+            .map(|(id, _)| id)
+            .collect();
+        for id in ready {
+            let i = (id.0 - self.base) as usize;
+            let f = self.flows[i].as_mut().expect("ready flow is live");
+            f.parked = false;
+            for &d in &f.path {
+                let v = &mut self.incidence[slot(d)];
+                let at = v.partition_point(|&x| x < id);
+                v.insert(at, id);
+                self.seed_slots.push(slot(d));
+            }
+        }
     }
 
     /// Record that a flow over `path` was added or removed: its directed
@@ -808,13 +882,11 @@ impl SimNet {
         self.dirty = false;
         if self.mode == SolveMode::FullResolve {
             self.stats.full_solves += 1;
+            let mut ids = std::mem::take(&mut self.scratch.ids);
+            ids.clear();
+            ids.extend(self.live().filter(|(_, f)| !f.parked).map(|(id, _)| id));
+            self.scratch.ids = ids;
             let scratch = &mut self.scratch;
-            scratch.ids.clear();
-            scratch.ids.extend(
-                (0..self.flows.len())
-                    .filter(|&i| self.flows[i].is_some())
-                    .map(|i| FlowId(i as u64)),
-            );
             scratch.comp_links.clear();
             scratch.comp_links.extend(0..self.link_rate.len());
             self.solve_collected();
@@ -838,6 +910,7 @@ impl SimNet {
     /// into `scratch.ids` (ascending) and `scratch.comp_links`.
     fn collect_component(&mut self, seed: usize) {
         let gen = self.visit_gen;
+        let base = self.base;
         let scratch = &mut self.scratch;
         scratch.queue.clear();
         scratch.comp_links.clear();
@@ -847,7 +920,7 @@ impl SimNet {
         while let Some(s) = scratch.queue.pop() {
             scratch.comp_links.push(s);
             for &fid in &self.incidence[s] {
-                let f = self.flows[fid.0 as usize]
+                let f = self.flows[(fid.0 - base) as usize]
                     .as_mut()
                     .expect("incidence names a live flow");
                 if f.seen == gen {
@@ -877,17 +950,18 @@ impl SimNet {
     /// component where a second link saturates hands off to the exact
     /// water-filling solver.
     fn solve_collected(&mut self) {
+        let base = self.base;
         let scratch = &mut self.scratch;
         scratch.flat.clear();
         scratch.spans.clear();
         for &id in &scratch.ids {
-            let f = self.flows[id.0 as usize]
+            let f = self.flows[(id.0 - base) as usize]
                 .as_ref()
                 .expect("solved flow is live");
             scratch.spans.push(FlowSpan {
                 start: scratch.flat.len() as u32,
                 len: f.path.len() as u32,
-                weight: f.weight,
+                weight: f64::from(f.weight.get()),
             });
             scratch.flat.extend(f.path.iter().map(|&d| slot(d)));
         }
@@ -910,7 +984,7 @@ impl SimNet {
         }
         let clock = self.clock;
         for (i, &id) in scratch.ids.iter().enumerate() {
-            let f = self.flows[id.0 as usize]
+            let f = self.flows[(id.0 - base) as usize]
                 .as_mut()
                 .expect("solved flow is still present");
             let rate = rates[i];
@@ -1123,7 +1197,8 @@ mod tests {
     fn weighted_flow_gets_larger_share() {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
-        let heavy = net.start_weighted_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 3.0, 0);
+        let three = NonZeroU32::new(3).unwrap();
+        let heavy = net.start_weighted_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, three, 0);
         let light = net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 1);
         net.next_event_time();
         let rh = net.flow(heavy).unwrap().rate_bps;
@@ -1353,5 +1428,130 @@ mod tests {
             )
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// Start a flow and run the net until it completes; returns its id.
+    fn run_one(net: &mut SimNet, path: &[DirLink], bytes: u64) -> FlowId {
+        let id = net.start_flow(net.now(), path, bytes, 0);
+        let t = net.next_event_time().unwrap();
+        let done = net.advance_to(t);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].0, id);
+        id
+    }
+
+    /// The flow window follows live flows: a long run of short flows keeps
+    /// it small, a long-lived flow pins it, and that flow's completion
+    /// releases it. Ids keep counting up throughout.
+    #[test]
+    fn flow_window_follows_live_flows() {
+        let (g, _, links) = line();
+        let mut net = SimNet::new(&g);
+        let short = fwd(&links[..1]);
+        for i in 0..100_000u64 {
+            assert_eq!(run_one(&mut net, &short, 1_000), FlowId(i));
+            assert!(
+                net.flows.len() <= 2 * WINDOW_DRAIN_MIN,
+                "window {}",
+                net.flows.len()
+            );
+        }
+        // A long flow on the other link pins the window while 5000 short
+        // flows come and go beside it.
+        let long = net.start_flow(net.now(), &fwd(&links[1..]), 1 << 40, 0);
+        assert_eq!(long, FlowId(100_000));
+        for _ in 0..5_000 {
+            run_one(&mut net, &short, 1_000);
+        }
+        assert!(net.flows.len() > 5_000, "pinned by the long flow");
+        assert_eq!(net.active_flow_count(), 1);
+        assert_eq!(net.flow(long).unwrap().size_bytes, 1 << 40);
+        let f = net.cancel_flow(net.now(), long).unwrap();
+        assert_eq!(f.size_bytes, 1 << 40);
+        assert!(net.flows.is_empty(), "window {}", net.flows.len());
+        assert!(net.flow(long).is_none());
+        assert_eq!(run_one(&mut net, &short, 1_000), FlowId(105_001));
+    }
+
+    /// Flows started across a dead link are parked: neither their start
+    /// nor churn on their other links rates them.
+    #[test]
+    fn parked_flows_cost_no_solver_work() {
+        let (g, _, links) = line();
+        let mut net = SimNet::new(&g);
+        net.set_link_scale(SimTime::ZERO, links[0], 0.0);
+        net.next_event_time();
+        let rated = net.solve_stats().flows_rated;
+        for _ in 0..50 {
+            net.start_flow(SimTime::ZERO, &fwd(&links), 1_000_000, 0);
+        }
+        assert_eq!(net.next_event_time(), Some(SimTime::MAX));
+        assert_eq!(net.solve_stats().flows_rated, rated);
+        // Ten short flows on links[1] alone: each start and each
+        // completion re-rates only the short flow itself.
+        for _ in 0..10 {
+            run_one(&mut net, &fwd(&links[1..]), 1_000);
+        }
+        assert_eq!(net.solve_stats().flows_rated, rated + 10);
+        assert_eq!(net.active_flow_count(), 50);
+        assert!(net.incidence.iter().all(Vec::is_empty));
+    }
+
+    /// Zero-byte flows are never parked: across a dead link one still
+    /// completes after propagation alone.
+    #[test]
+    fn zero_byte_flow_across_dead_link_completes() {
+        let (g, _, links) = line();
+        let mut net = SimNet::new(&g);
+        net.set_link_scale(SimTime::ZERO, links[0], 0.0);
+        let start = SimTime::from_micros(5);
+        let id = net.start_flow(start, &fwd(&links), 0, 3);
+        assert_eq!(net.next_event_time(), Some(start + SimSpan::from_micros(2)));
+        let done = net.advance_to(SimTime::from_micros(10));
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].0, id);
+    }
+
+    /// A parked flow is aborted with live flows, in id order, when another
+    /// link on its path dies; a cancelled parked flow hands back all of
+    /// its bytes.
+    #[test]
+    fn parked_flows_abort_and_cancel_like_live_ones() {
+        let (g, _, links) = line();
+        let mut net = SimNet::new(&g);
+        let a = net.start_flow(SimTime::ZERO, &fwd(&links[1..]), 1_000_000, 0);
+        net.set_link_scale(SimTime::from_micros(1), links[0], 0.0);
+        let parked = net.start_flow(SimTime::from_micros(2), &fwd(&links), 1_000_000, 1);
+        let cancelled = net.start_flow(SimTime::from_micros(2), &fwd(&links), 700_000, 2);
+        let b = net.start_flow(SimTime::from_micros(3), &fwd(&links[1..]), 1_000_000, 3);
+        assert!(net.flow(parked).unwrap().parked);
+        let f = net.cancel_flow(SimTime::from_micros(4), cancelled).unwrap();
+        assert_eq!(f.remaining_bytes, 700_000.0);
+        assert_eq!(net.active_flow_count(), 3);
+        let dead = net.set_link_scale(SimTime::from_micros(5), links[1], 0.0);
+        let ids: Vec<FlowId> = dead.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, vec![a, parked, b]);
+        assert_eq!(dead[1].1.remaining_bytes, 1_000_000.0);
+        assert_eq!(net.active_flow_count(), 0);
+        assert_eq!(net.next_event_time(), None);
+    }
+
+    /// A parked flow stays parked while any link on its path is dead and
+    /// joins the solve once the last one recovers.
+    #[test]
+    fn parked_flow_resumes_when_its_whole_path_recovers() {
+        let (g, _, links) = line();
+        let mut net = SimNet::new(&g);
+        net.set_link_scale(SimTime::ZERO, links[0], 0.0);
+        net.set_link_scale(SimTime::ZERO, links[1], 0.0);
+        let id = net.start_flow(SimTime::ZERO, &fwd(&links), 1_000_000, 0);
+        net.set_link_scale(SimTime::from_micros(10), links[0], 1.0);
+        assert_eq!(net.next_event_time(), Some(SimTime::MAX));
+        assert!(net.flow(id).unwrap().parked);
+        net.set_link_scale(SimTime::from_micros(20), links[1], 1.0);
+        assert!(!net.flow(id).unwrap().parked);
+        // 80 us of serialization plus 2 us of propagation from 20 us.
+        let t = net.next_event_time().unwrap().as_micros_f64();
+        assert!((t - 102.0).abs() < 0.5, "finish at {t} us");
     }
 }

@@ -42,6 +42,7 @@ use hs_topology::{Graph, LinkId};
 use proptest::prelude::*;
 use reference::{compute_rates, FlowDemand};
 use std::collections::BTreeMap;
+use std::num::NonZeroU32;
 
 const N_LINKS: usize = 8;
 
@@ -460,10 +461,10 @@ impl Harness {
                 weight_q,
             } => {
                 let path = self.path(link_mask, dir_mask);
-                let w = 1.0 + (weight_q % 4) as f64;
-                let rid = self
-                    .refnet
-                    .start_weighted_flow(self.now, &path, bytes, w, bytes);
+                let w = NonZeroU32::new(1 + u32::from(weight_q % 4)).expect("1..=4");
+                let rid =
+                    self.refnet
+                        .start_weighted_flow(self.now, &path, bytes, w.get().into(), bytes);
                 for net in [&mut self.inc, &mut self.full, &mut self.exact] {
                     let id = net.start_weighted_flow(self.now, &path, bytes, w, bytes);
                     assert_eq!(rid, id.0);
@@ -679,6 +680,76 @@ fn aggregate_handoff_fixed_scenario() {
         h.apply(Op::AdvanceToNext);
     }
     h.apply(Op::Advance { dt_us: 299 });
+}
+
+/// Fixed outage scenario: a shared link dies, 240 flows start across it
+/// (parked in the production engines) while live flows churn on their
+/// other links and a brownout moves those links' rates, some parked flows
+/// are cancelled, a few zero-byte ones complete and a second link dies
+/// and recovers; then the shared link recovers and everything drains —
+/// equal to the reference throughout.
+#[test]
+fn outage_fixed_scenario() {
+    let mut h = Harness::new();
+    // Live flows on the shared link 0 when it dies are aborted.
+    for i in 0..4u8 {
+        h.apply(Op::Start {
+            link_mask: 0b0000_0001 | (2 << i),
+            dir_mask: 0xff,
+            bytes: 3_000_000,
+            weight_q: i,
+        });
+    }
+    h.apply(Op::Advance { dt_us: 20 });
+    h.apply(Op::Scale { l: 0, q: 0 });
+    for i in 0..240u64 {
+        let other = 1 + (i % 7) as u8;
+        if i % 10 == 3 {
+            // Cancel a parked flow started a few iterations ago.
+            h.apply(Op::Cancel {
+                k: h.issued.len() - 2,
+            });
+        }
+        h.apply(Op::Start {
+            link_mask: 0b0000_0001 | (1 << other) | if i % 4 == 0 { 1 << (8 - other) } else { 0 },
+            dir_mask: (i * 37) as u8,
+            bytes: if i % 25 == 0 { 0 } else { 20_000 + 7_919 * i },
+            weight_q: (i % 4) as u8,
+        });
+        if i % 3 == 0 {
+            // Live churn on the parked flows' other links.
+            h.apply(Op::Start {
+                link_mask: 1 << other,
+                dir_mask: 0xff,
+                bytes: 50_000 + 1_000 * i,
+                weight_q: (i % 3) as u8,
+            });
+        }
+        match i % 5 {
+            0 => h.apply(Op::AdvanceToNext),
+            2 => h.apply(Op::Advance { dt_us: 5 + i % 40 }),
+            _ => {}
+        }
+        match i {
+            120 => h.apply(Op::Scale { l: 3, q: 1 }),
+            // A second link dies and recovers mid-outage: it aborts the
+            // parked flows crossing it, and flows started meanwhile wait
+            // on both links.
+            180 => h.apply(Op::Scale { l: 5, q: 0 }),
+            200 => h.apply(Op::Scale { l: 5, q: 3 }),
+            _ => {}
+        }
+    }
+    assert!(h.refnet.flows.len() > 150, "flows wait out the outage");
+    h.apply(Op::Scale { l: 3, q: 3 });
+    h.apply(Op::Scale { l: 0, q: 3 });
+    for _ in 0..1_000 {
+        if h.refnet.flows.is_empty() {
+            break;
+        }
+        h.apply(Op::AdvanceToNext);
+    }
+    assert!(h.refnet.flows.is_empty(), "outage scenario drains");
 }
 
 /// Long fixed-seed pseudo-random run (xorshift, no OS entropy): depth the
