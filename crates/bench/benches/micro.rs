@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hs_bench::simbench::{clusters_topo, fill};
 use hs_model::fit::least_squares;
-use hs_simnet::{FlowSpan, SimNet, SolveMode, SolverWorkspace};
+use hs_simnet::{FlowSpan, SimNet, SolverWorkspace};
 use hs_switch::{AggMode, FixPoint, InaDataplane, InaPacket, JobConfig, JobId, WorkerId};
 use hs_topology::builders::{testbed, xtracks, XTracksConfig};
 use hs_topology::routing::{k_shortest_paths, shortest_path};
@@ -61,29 +61,22 @@ fn bench_simnet(c: &mut Criterion) {
     // Steady-state churn at 1k live flows: per iteration, start one flow,
     // query the next event, cancel it, query again — the per-collective
     // pattern the cluster engine drives. Background flows are large
-    // enough never to complete inside the bench. The incremental engine
-    // re-solves one 5-flow component; the full-solve variant re-rates all
-    // 1001 flows every time (ISSUE 5 target: ≥ 5× apart).
+    // enough never to complete inside the bench, and each start or cancel
+    // re-solves one 5-flow component.
     let big = 1_000_000_000_000; // 1 TB: ~minutes of simulated drain time
-    for (label, mode) in [
-        ("fairshare_incremental_churn", SolveMode::TwoTier),
-        ("fairshare_fullsolve_churn", SolveMode::FullResolve),
-    ] {
-        let (g, paths) = clusters_topo(250);
-        c.bench_function(label, |b| {
-            let mut net = SimNet::new(&g);
-            net.set_solve_mode(mode);
-            fill(&mut net, &paths, 4, big);
-            net.next_event_time(); // warm: initial global solve
-            b.iter(|| {
-                let now = net.now();
-                let id = net.start_flow(now, &paths[0], 1_000_000, 0);
-                net.next_event_time();
-                net.cancel_flow(now, id);
-                net.next_event_time()
-            })
-        });
-    }
+    let (g, paths) = clusters_topo(250);
+    c.bench_function("fairshare_incremental_churn", |b| {
+        let mut net = SimNet::new(&g);
+        fill(&mut net, &paths, 4, big);
+        net.next_event_time(); // warm: initial solve
+        b.iter(|| {
+            let now = net.now();
+            let id = net.start_flow(now, &paths[0], 1_000_000, 0);
+            net.next_event_time();
+            net.cancel_flow(now, id);
+            net.next_event_time()
+        })
+    });
     // Full lifecycle: drive n flows from start to completion through the
     // next_event_time / advance_to pull loop. The 8-flow case guards the
     // small-simulation regime against regression from the heap machinery.

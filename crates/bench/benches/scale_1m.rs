@@ -6,7 +6,7 @@
 //! One trace is generated once and served twice; both runs' report
 //! fingerprints (every scalar, every per-request metric, every memory
 //! sample, folded bit-for-bit) must be identical. Each row also carries
-//! the network engine's aggregate-tier hit rate over the run and the
+//! the network engine's solver work counters over the run and the
 //! process's peak resident set so far (VmHWM from `/proc/self/status`;
 //! null where that file does not exist). Writes `results/scale_1m.json`.
 //!
@@ -14,7 +14,6 @@
 //! quick local runs.
 
 use hs_baselines::{BaselineKind, Deployment};
-use hs_bench::simbench::aggregate_hit_rate;
 use hs_bench::ExpTable;
 use hs_cluster::{ClusterSim, SimReport};
 use hs_des::{SeedSplitter, SimSpan, SimTime};
@@ -130,7 +129,8 @@ fn main() {
             "completed",
             "wall_s",
             "req/sec (wall)",
-            "agg hit",
+            "scoped solves",
+            "flows rated",
             "peak RSS MiB",
             "fingerprint",
         ],
@@ -142,7 +142,6 @@ fn main() {
         let wall_s = wall.elapsed().as_secs_f64();
         let fp = fingerprint(&rep);
         prints.push(fp);
-        let hit_rate = aggregate_hit_rate(&stats);
         let rss = peak_rss_mib();
         table.push(
             vec![
@@ -151,7 +150,8 @@ fn main() {
                 rep.completed.to_string(),
                 format!("{wall_s:.1}"),
                 format!("{:.0}", rep.arrived as f64 / wall_s),
-                hit_rate.map_or_else(|| "-".to_string(), |h| format!("{h:.3}")),
+                stats.scoped_solves.to_string(),
+                stats.flows_rated.to_string(),
                 rss.map_or_else(|| "-".to_string(), |m| format!("{m:.1}")),
                 format!("{fp:016x}"),
             ],
@@ -162,8 +162,7 @@ fn main() {
                 "wall_s": wall_s,
                 "req_per_sec_wall": rep.arrived as f64 / wall_s,
                 "scoped_solves": stats.scoped_solves,
-                "aggregate_solves": stats.aggregate_solves,
-                "aggregate_hit_rate": hit_rate,
+                "flows_rated": stats.flows_rated,
                 "peak_rss_mib": rss,
                 "fingerprint": format!("{fp:016x}"),
             }),

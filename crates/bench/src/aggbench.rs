@@ -14,7 +14,7 @@ use heroserve::scheduler::{HeroScheduler, SchedulerParams};
 use hs_cluster::{CommCtx, CommStrategy};
 use hs_collective::{CollectiveExec, CollectivePlan, Progress, Scheme};
 use hs_des::{EventQueue, SeedSplitter, SimTime};
-use hs_simnet::{LinkMonitor, SimNet};
+use hs_simnet::{FlowId, LinkMonitor, SimNet};
 use hs_topology::{AllPairs, Graph, NodeId};
 use hs_workload::{ArrivalProcess, Mmpp};
 use rand::seq::SliceRandom;
@@ -316,30 +316,41 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
         now = t;
         let done = net.advance_to(t);
         let mut finished_groups: Vec<usize> = Vec::new();
-        for (fid, flow) in done {
-            let Some((exec, gi, _)) = colls.get_mut(&flow.tag) else {
-                continue; // background flow
-            };
-            let gi = *gi;
-            match exec.on_flow_complete(&mut net, now, fid) {
-                Progress::InFlight => {}
-                Progress::StartTimer(d) => events.push(now + d, Ev::CollTimer(flow.tag)),
-                Progress::Done => {
-                    let (_, _, held) = colls.remove(&flow.tag).expect("coll");
-                    if let Some(sw) = held {
-                        let c = ina_active.entry(sw).or_insert(1);
-                        *c = c.saturating_sub(1);
-                        if let Some(q) = ina_waiting.get_mut(&sw) {
-                            if let Some(wgi) = q.pop_front() {
-                                groups[wgi].waiting = false;
-                                finished_groups.push(wgi);
+        // Advance collective `id` on a flow completion (`Some`) or on its
+        // timer (`None`). A finished op frees its INA slot, wakes one
+        // waiter and queues its group for relaunch.
+        let mut step =
+            |net: &mut SimNet, events: &mut EventQueue<Ev>, id: u64, flow: Option<FlowId>| {
+                let Some((exec, gi, _)) = colls.get_mut(&id) else {
+                    return; // a background flow, or no longer in flight
+                };
+                let gi = *gi;
+                let progress = match flow {
+                    Some(fid) => exec.on_flow_complete(net, now, fid),
+                    None => exec.on_timer(net, now),
+                };
+                match progress {
+                    Progress::InFlight => {}
+                    Progress::StartTimer(d) => events.push(now + d, Ev::CollTimer(id)),
+                    Progress::Done => {
+                        let (_, _, held) = colls.remove(&id).expect("coll");
+                        if let Some(sw) = held {
+                            let c = ina_active.entry(sw).or_insert(1);
+                            *c = c.saturating_sub(1);
+                            if let Some(q) = ina_waiting.get_mut(&sw) {
+                                if let Some(wgi) = q.pop_front() {
+                                    groups[wgi].waiting = false;
+                                    finished_groups.push(wgi);
+                                }
                             }
                         }
+                        result.ops += 1;
+                        finished_groups.push(gi);
                     }
-                    result.ops += 1;
-                    finished_groups.push(gi);
                 }
-            }
+            };
+        for (fid, flow) in done {
+            step(&mut net, &mut events, flow.tag, Some(fid));
         }
         if events.peek_time() == Some(t) {
             let (_, ev) = events.pop().expect("peeked");
@@ -357,27 +368,8 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
                         // Degenerate-plan relaunch marker.
                         let gi = (u64::MAX - id) as usize;
                         finished_groups.push(gi);
-                    } else if let Some((exec, gi, _)) = colls.get_mut(&id) {
-                        let gi = *gi;
-                        match exec.on_timer(&mut net, now) {
-                            Progress::InFlight => {}
-                            Progress::StartTimer(d) => events.push(now + d, Ev::CollTimer(id)),
-                            Progress::Done => {
-                                let (_, _, held) = colls.remove(&id).expect("coll");
-                                if let Some(sw) = held {
-                                    let c = ina_active.entry(sw).or_insert(1);
-                                    *c = c.saturating_sub(1);
-                                    if let Some(q) = ina_waiting.get_mut(&sw) {
-                                        if let Some(wgi) = q.pop_front() {
-                                            groups[wgi].waiting = false;
-                                            finished_groups.push(wgi);
-                                        }
-                                    }
-                                }
-                                result.ops += 1;
-                                finished_groups.push(gi);
-                            }
-                        }
+                    } else {
+                        step(&mut net, &mut events, id, None);
                     }
                 }
                 Ev::Monitor => {

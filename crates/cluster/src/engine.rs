@@ -99,8 +99,9 @@ pub(crate) enum Ev {
     RetryKv(u64),
 }
 
-// The event queue is pre-sized to 4× the trace length, so every byte of
-// `Ev` shows up in peak memory on million-request runs.
+// The event queue is pre-sized to hold every arrival and fault at once
+// (`ClusterSim::new`), so every byte of `Ev` shows up in peak memory on
+// million-request runs.
 const _: () = assert!(std::mem::size_of::<Ev>() == 16);
 
 /// Metric ids registered against the attached registry. The ids handed
@@ -292,8 +293,8 @@ impl ClusterSim {
         self.apply_targets(targets);
     }
 
-    /// The network engine's solver work counters so far (DESIGN.md §12),
-    /// e.g. the aggregate tier's hit rate over a run.
+    /// The network engine's solver work counters so far (DESIGN.md §12):
+    /// scoped solves and flows rated over a run.
     pub fn net_solve_stats(&self) -> SolveStats {
         self.sh.net.solve_stats()
     }

@@ -11,12 +11,11 @@
 //! order; ties in bottleneck selection are broken by link index purely for
 //! determinism of intermediate state.
 //!
-//! [`SolverWorkspace::solve`] is the one exact solver: it borrows
-//! persistent buffers (zero allocation at steady state) and visits only
-//! the links the given flows actually cross, which makes it usable both
-//! for full solves and for *restricted subsets* (a connected component of
-//! the flow/link incidence graph). [`OneRoundSolver`] is the aggregate
-//! tier in front of it. Both are checked bit for bit against a
+//! [`SolverWorkspace::solve`] is the one solver: it borrows persistent
+//! buffers (zero allocation at steady state) and visits only the links
+//! the given flows actually cross, which makes it usable both for full
+//! solves and for *restricted subsets* (a connected component of the
+//! flow/link incidence graph). It is checked bit for bit against a
 //! from-scratch reference solver that lives with the tests
 //! (`tests/support/reference.rs`): same per-link accumulation order, same
 //! bottleneck tie-break, same clamps.
@@ -163,125 +162,12 @@ impl SolverWorkspace {
     }
 }
 
-/// Aggregate-tier kernel: the single-bottleneck fast path (DESIGN.md §12).
-///
-/// A component is *uncongested beyond one bottleneck* when a single slot
-/// constrains every flow: progressive filling then freezes the whole
-/// component in its first round, and each flow's rate is simply
-/// `weight × share` of that slot. [`OneRoundSolver::try_solve`] detects
-/// the condition and produces those rates directly — no remaining-capacity
-/// deductions, no frozen bitmap, no multi-round loop — or returns `None`
-/// to hand off to the exact [`SolverWorkspace::solve`] when any second
-/// link would saturate.
-///
-/// Bitwise contract: when `try_solve` returns `Some`, the rates are
-/// bit-identical to [`SolverWorkspace::solve`] on the same input. The kernel performs the same
-/// per-slot weight accumulation in the same (span, path) order, scans
-/// candidate bottlenecks in ascending slot order with the same strict
-/// `<` tie-break, and computes each rate with the identical single
-/// multiplication `weight * share`.
-#[derive(Default)]
-pub struct OneRoundSolver {
-    /// Total weight per slot (valid where `stamp == generation`).
-    weight: Vec<f64>,
-    /// Flow count per slot (valid where `stamp == generation`).
-    count: Vec<u32>,
-    /// Lazy-init generation stamp per slot.
-    stamp: Vec<u64>,
-    generation: u64,
-    /// Slots carrying at least one flow, ascending after the sort.
-    active: Vec<usize>,
-    rates: Vec<f64>,
-}
-
-impl OneRoundSolver {
-    /// Empty solver; buffers grow on first use.
-    pub fn new() -> Self {
-        OneRoundSolver::default()
-    }
-
-    /// Single-bottleneck rates for the flows described by `spans` over
-    /// `flat` (see [`FlowSpan`]), or `None` when more than one round of
-    /// progressive filling would be needed (some second link saturates).
-    pub fn try_solve(
-        &mut self,
-        capacities: &[f64],
-        flat: &[usize],
-        spans: &[FlowSpan],
-    ) -> Option<&[f64]> {
-        let n_links = capacities.len();
-        let n_flows = spans.len();
-        if self.stamp.len() < n_links {
-            self.weight.resize(n_links, 0.0);
-            self.count.resize(n_links, 0);
-            self.stamp.resize(n_links, 0);
-        }
-        self.active.clear();
-        self.generation += 1;
-        let generation = self.generation;
-
-        let mut n_constrained = 0usize;
-        for s in spans {
-            debug_assert!(s.weight > 0.0, "flow weight must be positive");
-            let links = &flat[s.start as usize..(s.start + s.len) as usize];
-            if links.is_empty() {
-                continue;
-            }
-            n_constrained += 1;
-            for &l in links {
-                if self.stamp[l] != generation {
-                    self.stamp[l] = generation;
-                    self.weight[l] = 0.0;
-                    self.count[l] = 0;
-                    self.active.push(l);
-                }
-                self.weight[l] += s.weight;
-                self.count[l] += 1;
-            }
-        }
-        if n_constrained == 0 {
-            // Only unconstrained flows: trivially one round.
-            self.rates.clear();
-            self.rates.resize(n_flows, f64::INFINITY);
-            return Some(&self.rates[..n_flows]);
-        }
-        // Identical bottleneck selection to the exact solver's round one:
-        // ascending slot order, strict `<` keeps the first minimal slot.
-        self.active.sort_unstable();
-        let mut best_link = usize::MAX;
-        let mut best_share = f64::INFINITY;
-        for &l in &self.active {
-            if self.weight[l] > 0.0 {
-                let share = (capacities[l].max(0.0)) / self.weight[l];
-                if share < best_share {
-                    best_share = share;
-                    best_link = l;
-                }
-            }
-        }
-        if best_link == usize::MAX || (self.count[best_link] as usize) != n_constrained {
-            // Some flow misses the bottleneck: a second link saturates in
-            // a later round — hand off to the exact solver.
-            return None;
-        }
-        self.rates.clear();
-        for s in spans {
-            if s.len == 0 {
-                self.rates.push(f64::INFINITY);
-            } else {
-                self.rates.push(s.weight * best_share);
-            }
-        }
-        Some(&self.rates[..n_flows])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::{compute_rates, FlowDemand};
 
-    /// Pack paths into the flat-arena shape the solvers consume.
+    /// Pack paths into the flat-arena shape the solver consumes.
     pub(super) fn pack(paths: &[Vec<usize>], weights: &[f64]) -> (Vec<usize>, Vec<FlowSpan>) {
         let mut flat = Vec::new();
         let mut spans = Vec::new();
@@ -464,8 +350,7 @@ mod proptests {
 
         /// The workspace kernel reproduces the reference solver bit for
         /// bit on arbitrary instances (the property the incremental
-        /// engine's component-scoped solves lean on), and whenever the
-        /// aggregate tier answers it agrees with both.
+        /// engine's component-scoped solves lean on).
         #[test]
         fn workspace_bitwise_equals_reference((caps, paths) in arb_instance()) {
             let flows: Vec<FlowDemand<'_>> = paths
@@ -478,11 +363,6 @@ mod proptests {
             let got = ws.solve(&caps, &flat, &spans);
             for (fi, (a, b)) in expect.iter().zip(got).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "flow {} diverged", fi);
-            }
-            if let Some(one_round) = OneRoundSolver::new().try_solve(&caps, &flat, &spans) {
-                for (fi, (a, b)) in expect.iter().zip(one_round).enumerate() {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "aggregate tier diverged on flow {}", fi);
-                }
             }
         }
 

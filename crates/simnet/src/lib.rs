@@ -19,14 +19,12 @@
 //!   the role of the switch hardware counters and DCGM NVLink counters the
 //!   paper's agents poll (§IV).
 //!
-//! Rate maintenance is incremental and two-tier: [`SimNet`] owns a
-//! persistent [`SolverWorkspace`] plus a one-round aggregate solver
-//! ([`OneRoundSolver`]), re-solves only the connected component of
-//! links/flows a change touches (settling single-bottleneck components
-//! in O(n) and handing congested ones to the exact water-filling loop),
-//! and finds completions through a lazily-invalidated min-heap — see
-//! `net.rs` and DESIGN.md §9/§12. A from-scratch reference solver, kept
-//! with the tests, is the oracle for the equivalence suite.
+//! Rate maintenance is incremental: [`SimNet`] owns one persistent
+//! water-filling [`SolverWorkspace`], re-solves only the connected
+//! component of links/flows a change touches, and finds completions
+//! through a lazily-invalidated min-heap — see `net.rs` and DESIGN.md
+//! §9/§12. A from-scratch reference solver, kept with the tests, is the
+//! oracle for the equivalence suite.
 
 pub mod fairshare;
 pub mod monitor;
@@ -35,6 +33,6 @@ pub mod net;
 #[path = "../tests/support/reference.rs"]
 mod reference;
 
-pub use fairshare::{FlowSpan, OneRoundSolver, SolverWorkspace};
+pub use fairshare::{FlowSpan, SolverWorkspace};
 pub use monitor::LinkMonitor;
-pub use net::{DirLink, Flow, FlowId, SimNet, SolveMode, SolveStats};
+pub use net::{DirLink, Flow, FlowId, SimNet, SolveStats};

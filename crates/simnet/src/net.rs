@@ -10,7 +10,7 @@
 //! path propagation delay)`; serialization progress accrues at the flow's
 //! current fair-share rate, which changes whenever flows start or finish.
 //!
-//! # Incremental two-tier fair-share engine
+//! # Incremental fair-share engine
 //!
 //! Rate maintenance is *incremental* (see DESIGN.md §9 and §12). The
 //! simulator owns a persistent [`SolverWorkspace`] plus a link→flow
@@ -20,32 +20,29 @@
 //! components of the flow/link graph, so untouched components keep their
 //! exact rates). [`SimNet::set_link_scale`] is scoped the same way — a
 //! capacity change can only move bottlenecks within the scaled link's
-//! component. Each scoped solve first tries the **aggregate tier**
-//! ([`OneRoundSolver`]): a component constrained by a single bottleneck
-//! link is settled in one round, bitwise-identical to the exact solver,
-//! and only a component where a second link saturates hands off to the
-//! full water-filling loop.
+//! component.
 //!
 //! Flow progress is accrued **lazily at touch points**: a flow's
 //! `remaining_bytes` is materialized only when its rate *value* changes
-//! (or it is cancelled/aborted/completed) — points that are identical in
-//! every [`SolveMode`], which is what keeps all modes bit-identical.
-//! Byte-counter queries ([`SimNet::cumulative_bytes_dir`],
-//! [`SimNet::flow_remaining`]) are pure: they add the pending in-flight
-//! contribution without mutating state. Completion lookup uses a
-//! lazily-invalidated min-heap of `(finish, flow, epoch)` entries, making
-//! [`SimNet::next_event_time`] and [`SimNet::advance_to`] `O(log n)` per
-//! event with *no* per-event scan over unrelated flows.
-//! `tests/equivalence.rs` drives arbitrary event sequences through every
-//! mode and an independent from-scratch reference and asserts identical
-//! rates, completions, and cumulative link bytes.
+//! (or it is cancelled/aborted/completed) — points at which a
+//! from-scratch global solve would touch it too, which is what keeps the
+//! engine bit-identical to one. Byte-counter queries
+//! ([`SimNet::cumulative_bytes_dir`], [`SimNet::flow_remaining`]) are
+//! pure: they add the pending in-flight contribution without mutating
+//! state. Completion lookup uses a lazily-invalidated min-heap of
+//! `(finish, flow, epoch)` entries, making [`SimNet::next_event_time`]
+//! and [`SimNet::advance_to`] `O(log n)` per event with *no* per-event
+//! scan over unrelated flows. `tests/equivalence.rs` drives arbitrary
+//! event sequences through the engine and an independent from-scratch
+//! reference and asserts identical rates, completions, and cumulative
+//! link bytes.
 //!
 //! Memory and solver work follow the *live* flows. Flows sit in a window
 //! that starts at the oldest live flow, and a flow started across a dead
 //! link is **parked**: it stays out of the incidence table (so no solve
 //! visits it) until [`SimNet::set_link_scale`] brings its whole path back.
 
-use crate::fairshare::{FlowSpan, OneRoundSolver, SolverWorkspace};
+use crate::fairshare::{FlowSpan, SolverWorkspace};
 use hs_des::{SimSpan, SimTime};
 use hs_topology::{Graph, LinkId};
 use std::cmp::Reverse;
@@ -130,8 +127,8 @@ type HeapEntry = Reverse<(SimTime, FlowId, u64)>;
 /// This is THE materialization point of the lazy-accrual contract: it runs
 /// only when the flow's rate value is about to change, or the flow is
 /// cancelled/aborted/completed — events that occur at identical instants
-/// in every [`SolveMode`] (rates are bitwise equal across modes), so every
-/// mode performs the identical float operations.
+/// under a scoped and a global solve (their rates are bitwise equal), so
+/// both perform the identical float operations.
 fn materialize(
     f: &mut Flow,
     id: FlowId,
@@ -234,37 +231,13 @@ fn assign_rate(
     }
 }
 
-/// How [`SimNet`] re-solves rates after a change. Every mode yields
-/// bit-identical rates, completions and byte counters (asserted by
-/// `tests/equivalence.rs`); only the work per event differs. The default
-/// is the production engine; the other two let tests and benches
-/// bracket it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SolveMode {
-    /// Component-scoped re-solves; a single-bottleneck component settles
-    /// in the one-round aggregate tier, any other in the exact solver.
-    #[default]
-    TwoTier,
-    /// Component-scoped re-solves, all through the exact solver.
-    ExactOnly,
-    /// One global exact re-solve per change (the pre-incremental
-    /// behaviour).
-    FullResolve,
-}
-
 /// Counters describing how much solving work the engine performed —
-/// the observable for scoping/aggregate-tier regression tests and for
-/// benchmark reporting. Monotone over the simulator's lifetime.
+/// the observable for scoping regression tests and for benchmark
+/// reporting. Monotone over the simulator's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Component-scoped re-solves (each may settle via the aggregate
-    /// tier or hand off to the exact solver).
+    /// Component-scoped re-solves.
     pub scoped_solves: u64,
-    /// Scoped solves settled entirely by the one-round aggregate tier;
-    /// `aggregate_solves / scoped_solves` is the tier's hit rate.
-    pub aggregate_solves: u64,
-    /// Global re-solves (only in [`SolveMode::FullResolve`]).
-    pub full_solves: u64,
     /// Total flows rated across all solves (the work metric: a scoped
     /// solve of a k-flow component adds k).
     pub flows_rated: u64,
@@ -338,10 +311,7 @@ pub struct SimNet {
     /// Generation counter for BFS visit stamps.
     visit_gen: u64,
     ws: SolverWorkspace,
-    /// Aggregate tier: one-round single-bottleneck kernel.
-    agg: OneRoundSolver,
     scratch: SolveScratch,
-    mode: SolveMode,
     stats: SolveStats,
     /// Flow/link event sink; no-op unless attached via
     /// [`SimNet::set_tracer`]. Never affects simulation state.
@@ -378,12 +348,10 @@ impl SimNet {
             heap: BinaryHeap::new(),
             visit_gen: 0,
             ws: SolverWorkspace::new(),
-            agg: OneRoundSolver::new(),
             scratch: SolveScratch {
                 link_stamp: vec![0; 2 * n],
                 ..SolveScratch::default()
             },
-            mode: SolveMode::default(),
             stats: SolveStats::default(),
             tracer: hs_obs::Tracer::noop(),
         }
@@ -392,12 +360,6 @@ impl SimNet {
     /// Attach a tracer for flow start/abort and link-scale events.
     pub fn set_tracer(&mut self, tracer: &hs_obs::Tracer) {
         self.tracer = tracer.clone();
-    }
-
-    /// Select the rate-maintenance path (see [`SolveMode`]). A
-    /// validation/benchmark knob: output is bit-identical in every mode.
-    pub fn set_solve_mode(&mut self, mode: SolveMode) {
-        self.mode = mode;
     }
 
     /// Solver work counters (see [`SolveStats`]).
@@ -866,42 +828,30 @@ impl SimNet {
 
     /// Re-solve whatever subset of the rate state is out of date.
     ///
-    /// Component-scoped modes BFS the flow/link incidence graph from each
-    /// dirty seed slot and solve each reached component on its own. Flows
-    /// on disjoint links keep their rates — sound because the weighted
-    /// max-min allocation is unique and decomposes across connected
-    /// components (DESIGN.md §9), which also makes per-component solves
-    /// bitwise identical to solving their union. It keeps the exact
-    /// solver's cost proportional to the largest touched component:
-    /// water-filling freezes one bottleneck link per round, so a union of
-    /// k disjoint components costs ~k× the rounds of its parts.
+    /// BFS the flow/link incidence graph from each dirty seed slot and
+    /// solve each reached component on its own. Flows on disjoint links
+    /// keep their rates — sound because the weighted max-min allocation
+    /// is unique and decomposes across connected components (DESIGN.md
+    /// §9), which also makes per-component solves bitwise identical to
+    /// solving their union. It keeps the solver's cost proportional to
+    /// the largest touched component: water-filling freezes one
+    /// bottleneck link per round, so a union of k disjoint components
+    /// costs ~k× the rounds of its parts.
     fn solve_if_dirty(&mut self) {
         if !self.dirty {
             return;
         }
         self.dirty = false;
-        if self.mode == SolveMode::FullResolve {
-            self.stats.full_solves += 1;
-            let mut ids = std::mem::take(&mut self.scratch.ids);
-            ids.clear();
-            ids.extend(self.live().filter(|(_, f)| !f.parked).map(|(id, _)| id));
-            self.scratch.ids = ids;
-            let scratch = &mut self.scratch;
-            scratch.comp_links.clear();
-            scratch.comp_links.extend(0..self.link_rate.len());
-            self.solve_collected();
-        } else {
-            self.visit_gen += 1;
-            for si in 0..self.seed_slots.len() {
-                let seed = self.seed_slots[si];
-                if self.scratch.link_stamp[seed] == self.visit_gen {
-                    // Already covered by an earlier seed's component.
-                    continue;
-                }
-                self.stats.scoped_solves += 1;
-                self.collect_component(seed);
-                self.solve_collected();
+        self.visit_gen += 1;
+        for si in 0..self.seed_slots.len() {
+            let seed = self.seed_slots[si];
+            if self.scratch.link_stamp[seed] == self.visit_gen {
+                // Already covered by an earlier seed's component.
+                continue;
             }
+            self.stats.scoped_solves += 1;
+            self.collect_component(seed);
+            self.solve_collected();
         }
         self.seed_slots.clear();
     }
@@ -945,10 +895,7 @@ impl SimNet {
 
     /// Solve the flows in `scratch.ids` (ascending, closed under link
     /// sharing), rebuild the allocated rate of every slot in
-    /// `scratch.comp_links`, and install each flow's new rate. In
-    /// [`SolveMode::TwoTier`] the aggregate tier answers first; a
-    /// component where a second link saturates hands off to the exact
-    /// water-filling solver.
+    /// `scratch.comp_links`, and install each flow's new rate.
     fn solve_collected(&mut self) {
         let base = self.base;
         let scratch = &mut self.scratch;
@@ -966,19 +913,7 @@ impl SimNet {
             scratch.flat.extend(f.path.iter().map(|&d| slot(d)));
         }
         self.stats.flows_rated += scratch.ids.len() as u64;
-        let one_round = match self.mode {
-            SolveMode::TwoTier => self
-                .agg
-                .try_solve(&self.dir_caps, &scratch.flat, &scratch.spans),
-            SolveMode::ExactOnly | SolveMode::FullResolve => None,
-        };
-        let rates: &[f64] = match one_round {
-            Some(r) => {
-                self.stats.aggregate_solves += 1;
-                r
-            }
-            None => self.ws.solve(&self.dir_caps, &scratch.flat, &scratch.spans),
-        };
+        let rates = self.ws.solve(&self.dir_caps, &scratch.flat, &scratch.spans);
         for &s in &scratch.comp_links {
             self.link_rate[s] = 0.0;
         }
@@ -1273,38 +1208,6 @@ mod tests {
         );
     }
 
-    /// Every solve mode must agree bit for bit on a scenario that
-    /// exercises scoped solves, the aggregate tier, completions, cancels,
-    /// and a fault (`tests/equivalence.rs` covers arbitrary sequences;
-    /// this is the in-crate smoke version).
-    #[test]
-    fn incremental_matches_full_resolve_bitwise() {
-        let run = |mode: SolveMode| {
-            let (g, _, links) = line();
-            let mut net = SimNet::new(&g);
-            net.set_solve_mode(mode);
-            let mut log: Vec<(u64, u64)> = Vec::new();
-            net.start_flow(SimTime::ZERO, &fwd(&links), 2_000_000, 1);
-            let b = net.start_flow(SimTime::from_micros(30), &fwd(&links[..1]), 1_000_000, 2);
-            net.start_flow(SimTime::from_micros(40), &fwd(&links[1..]), 500_000, 3);
-            net.set_link_scale(SimTime::from_micros(60), links[0], 0.5);
-            for (id, f) in net.advance_to(SimTime::from_micros(120)) {
-                log.push((id.0, f.tag));
-            }
-            net.cancel_flow(SimTime::from_micros(130), b);
-            for (id, f) in net.advance_to(SimTime::from_millis(4)) {
-                log.push((id.0, f.tag));
-            }
-            let bytes: Vec<u64> = (0..2)
-                .map(|i| net.cumulative_bytes(links[i]).to_bits())
-                .collect();
-            (log, bytes, net.active_flow_count())
-        };
-        let two_tier = run(SolveMode::TwoTier);
-        assert_eq!(two_tier, run(SolveMode::ExactOnly));
-        assert_eq!(two_tier, run(SolveMode::FullResolve));
-    }
-
     /// Satellite regression: `set_link_scale` must re-solve only the
     /// scaled link's component. The survivor cluster keeps its rate and
     /// epoch untouched, and the work counter proves no other flows were
@@ -1347,38 +1250,6 @@ mod tests {
             net.solve_stats().flows_rated - rated_before,
             2,
             "only cluster 0's two flows may be re-rated"
-        );
-    }
-
-    /// Single-bottleneck components settle in the aggregate tier; a
-    /// component where a second link saturates hands off to the exact
-    /// solver. Both paths agree with full-resolve bitwise (asserted by
-    /// `incremental_matches_full_resolve_bitwise` and the equivalence
-    /// suite); this pins that the fast path actually engages.
-    #[test]
-    fn aggregate_tier_engages_and_hands_off() {
-        let (g, _, links) = line();
-        let mut net = SimNet::new(&g);
-        // Two flows on one link: single bottleneck -> aggregate tier.
-        net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 0);
-        net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 2_000_000, 1);
-        net.next_event_time();
-        let s = net.solve_stats();
-        assert_eq!(
-            s.scoped_solves, s.aggregate_solves,
-            "uncongested: one round"
-        );
-        assert!(s.aggregate_solves > 0);
-        // Degrade l1 and pile flows on it so the two-link path saturates
-        // both links at different shares -> exact-solver handoff.
-        net.set_link_scale(SimTime::from_micros(1), links[1], 0.3);
-        net.start_flow(SimTime::from_micros(1), &fwd(&links), 4_000_000, 2);
-        net.start_flow(SimTime::from_micros(1), &fwd(&links[1..]), 4_000_000, 3);
-        net.next_event_time();
-        let s = net.solve_stats();
-        assert!(
-            s.scoped_solves > s.aggregate_solves,
-            "congested component must hand off to the exact solver: {s:?}"
         );
     }
 

@@ -1,12 +1,11 @@
 //! Incremental-engine equivalence suite.
 //!
 //! `SimNet` maintains fair-share rates incrementally: component-scoped
-//! re-solves through a persistent workspace, a one-round aggregate tier
-//! for single-bottleneck components, and a lazily-invalidated completion
-//! heap (DESIGN.md §9/§12). The claim that buys is strong —
-//! **bit-identical** behaviour to a from-scratch global solve at every
-//! externally observable point. This suite enforces the claim three
-//! ways:
+//! re-solves through a persistent workspace, parked flows and a
+//! lazily-invalidated completion heap (DESIGN.md §9/§12). The claim that
+//! buys is strong — **bit-identical** behaviour to a from-scratch global
+//! solve at every externally observable point. This suite enforces the
+//! claim three ways:
 //!
 //! 1. `RefNet`, an independent reference simulator (global
 //!    `compute_rates` solve per change, linear scans for completions,
@@ -15,28 +14,28 @@
 //!    rates (bitwise), remaining bytes (bitwise), completion estimates,
 //!    completion order, and cumulative per-direction link bytes after
 //!    every operation.
-//! 2. The same harness drives one production `SimNet` per
-//!    [`SolveMode`]: the two-tier default, exact-only scoped solves, and
-//!    global re-solves, pinning that every solve path of the production
-//!    engine agrees with the others.
+//! 2. After every operation the rates `SimNet` installed are feasible:
+//!    no directed link carries more than its current capacity, and every
+//!    flow crossing a dead link has rate 0.
 //! 3. A long fixed-seed pseudo-random run (2000 ops) covers depths the
-//!    proptest case budget does not reach, and a dedicated congestion
-//!    -onset proptest pins the aggregate-tier → exact-solver handoff.
+//!    proptest case budget does not reach, and congestion-onset
+//!    scenarios (fixed and proptest) move a component from one
+//!    bottleneck to two and back.
 //!
-//! All simulators share one canonical contract: the completion estimate
+//! Both simulators share one canonical contract: the completion estimate
 //! is fixed when a flow's rate changes (or it drains) and never
 //! recomputed in between, and progress accrues **lazily** — a flow's
 //! stored bytes are materialized only at rate-change / cancel / abort /
 //! completion touch points, with queries adding the pending in-flight
-//! window purely. Touch points land at identical instants in every mode
-//! (rates are bitwise equal), so the float operation sequences are
-//! identical — which is exactly what the bitwise assertions verify.
+//! window purely. Touch points land at identical instants in both (rates
+//! are bitwise equal), so the float operation sequences are identical —
+//! which is exactly what the bitwise assertions verify.
 
 #[path = "support/reference.rs"]
 mod reference;
 
 use hs_des::{SimSpan, SimTime};
-use hs_simnet::{DirLink, SimNet, SolveMode};
+use hs_simnet::{DirLink, FlowId, SimNet};
 use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
 use hs_topology::{Graph, LinkId};
 use proptest::prelude::*;
@@ -361,7 +360,7 @@ impl RefNet {
 }
 
 // ---------------------------------------------------------------------
-// Harness driving RefNet + one SimNet per SolveMode in lock-step
+// Harness driving RefNet and SimNet in lock-step
 // ---------------------------------------------------------------------
 
 /// One step of a scenario, decoded from an integer tuple (the vendored
@@ -407,41 +406,25 @@ fn decode(raw: (u8, u64, u64, u64)) -> Op {
 struct Harness {
     links: Vec<LinkId>,
     refnet: RefNet,
-    inc: SimNet,
-    full: SimNet,
-    /// Scoped solves with the aggregate tier off: every component goes
-    /// through the exact solver.
-    exact: SimNet,
+    net: SimNet,
     issued: Vec<u64>,
     now: SimTime,
-    /// Completion log (id, tag) per net, appended in delivery order.
+    /// Completion log (id, tag) per simulator, appended in delivery order.
     done_ref: Vec<(u64, u64)>,
-    done_inc: Vec<(u64, u64)>,
-    done_full: Vec<(u64, u64)>,
-    done_exact: Vec<(u64, u64)>,
+    done_net: Vec<(u64, u64)>,
 }
 
 impl Harness {
     fn new() -> Self {
         let (g, links) = star();
-        let refnet = RefNet::new(&g);
-        let inc = SimNet::new(&g);
-        let mut full = SimNet::new(&g);
-        full.set_solve_mode(SolveMode::FullResolve);
-        let mut exact = SimNet::new(&g);
-        exact.set_solve_mode(SolveMode::ExactOnly);
         Harness {
             links,
-            refnet,
-            inc,
-            full,
-            exact,
+            refnet: RefNet::new(&g),
+            net: SimNet::new(&g),
             issued: Vec::new(),
             now: SimTime::ZERO,
             done_ref: Vec::new(),
-            done_inc: Vec::new(),
-            done_full: Vec::new(),
-            done_exact: Vec::new(),
+            done_net: Vec::new(),
         }
     }
 
@@ -465,10 +448,10 @@ impl Harness {
                 let rid =
                     self.refnet
                         .start_weighted_flow(self.now, &path, bytes, w.get().into(), bytes);
-                for net in [&mut self.inc, &mut self.full, &mut self.exact] {
-                    let id = net.start_weighted_flow(self.now, &path, bytes, w, bytes);
-                    assert_eq!(rid, id.0);
-                }
+                let id = self
+                    .net
+                    .start_weighted_flow(self.now, &path, bytes, w, bytes);
+                assert_eq!(rid, id.0);
                 self.issued.push(rid);
             }
             Op::Advance { dt_us } => {
@@ -481,33 +464,22 @@ impl Harness {
                 }
                 let id = self.issued[k % self.issued.len()];
                 let r = self.refnet.cancel_flow(self.now, id);
-                for (label, net) in [
-                    ("incremental", &mut self.inc),
-                    ("full", &mut self.full),
-                    ("exact", &mut self.exact),
-                ] {
-                    let got = net.cancel_flow(self.now, hs_simnet::FlowId(id)).is_some();
-                    assert_eq!(r, got, "cancel({id}) outcome diverged ({label})");
-                }
+                let got = self.net.cancel_flow(self.now, FlowId(id)).is_some();
+                assert_eq!(r, got, "cancel({id}) outcome diverged");
             }
             Op::Scale { l, q } => {
                 let link = self.links[l % N_LINKS];
                 let factor = [0.0, 0.25, 0.5, 1.0][q % 4];
                 let mut r = self.refnet.set_link_scale(self.now, link, factor);
                 r.sort_unstable();
-                for (label, net) in [
-                    ("incremental", &mut self.inc),
-                    ("full", &mut self.full),
-                    ("exact", &mut self.exact),
-                ] {
-                    let mut got: Vec<u64> = net
-                        .set_link_scale(self.now, link, factor)
-                        .into_iter()
-                        .map(|(id, _)| id.0)
-                        .collect();
-                    got.sort_unstable();
-                    assert_eq!(r, got, "aborted set diverged ({label})");
-                }
+                let mut got: Vec<u64> = self
+                    .net
+                    .set_link_scale(self.now, link, factor)
+                    .into_iter()
+                    .map(|(id, _)| id.0)
+                    .collect();
+                got.sort_unstable();
+                assert_eq!(r, got, "aborted set diverged");
             }
             Op::AdvanceToNext => {
                 let next = self.refnet.next_event_time();
@@ -525,73 +497,61 @@ impl Harness {
 
     fn advance_all(&mut self, t: SimTime) {
         self.done_ref.extend(self.refnet.advance_to(t));
-        self.done_inc.extend(
-            self.inc
-                .advance_to(t)
-                .into_iter()
-                .map(|(id, f)| (id.0, f.tag)),
-        );
-        self.done_full.extend(
-            self.full
-                .advance_to(t)
-                .into_iter()
-                .map(|(id, f)| (id.0, f.tag)),
-        );
-        self.done_exact.extend(
-            self.exact
+        self.done_net.extend(
+            self.net
                 .advance_to(t)
                 .into_iter()
                 .map(|(id, f)| (id.0, f.tag)),
         );
     }
 
-    /// Full bitwise state comparison across the four simulators.
+    /// Full bitwise state comparison against the reference, plus
+    /// feasibility of the installed rates.
     fn check(&mut self) {
-        assert_eq!(self.done_ref, self.done_inc, "completion log (incremental)");
-        assert_eq!(self.done_ref, self.done_full, "completion log (full)");
-        assert_eq!(self.done_ref, self.done_exact, "completion log (exact)");
+        assert_eq!(self.done_ref, self.done_net, "completion log");
         let nref = self.refnet.next_event_time();
-        assert_eq!(nref, self.inc.next_event_time(), "next_event (incremental)");
-        assert_eq!(nref, self.full.next_event_time(), "next_event (full)");
-        assert_eq!(nref, self.exact.next_event_time(), "next_event (exact)");
-        for (label, net) in [
-            ("incremental", &self.inc),
-            ("full", &self.full),
-            ("exact", &self.exact),
-        ] {
-            assert_eq!(
-                self.refnet.flows.len(),
-                net.active_flow_count(),
-                "flow count ({label})"
-            );
-            for &id in &self.issued {
-                let r = self.refnet.flows.get(&id);
-                let s = net.flow(hs_simnet::FlowId(id));
-                assert_eq!(r.is_some(), s.is_some(), "liveness of flow {id} ({label})");
-                let (Some(r), Some(s)) = (r, s) else { continue };
-                assert_eq!(
-                    r.rate.to_bits(),
-                    s.rate_bps.to_bits(),
-                    "rate of flow {id} ({label})"
-                );
-                let r_rem = self.refnet.flow_remaining(id).expect("live");
-                let s_rem = net.flow_remaining(hs_simnet::FlowId(id)).expect("live");
-                assert_eq!(
-                    r_rem.to_bits(),
-                    s_rem.to_bits(),
-                    "remaining of flow {id} ({label})"
-                );
-                assert_eq!(r.finish_at, s.finish_at(), "finish of flow {id} ({label})");
-            }
-            for (li, &l) in self.links.iter().enumerate() {
-                for fwd in [false, true] {
-                    let r = self.refnet.cumulative_bytes_dir(l, fwd);
-                    assert_eq!(
-                        r.to_bits(),
-                        net.cumulative_bytes_dir(l, fwd).to_bits(),
-                        "cum bytes link {li} fwd={fwd} ({label})"
-                    );
+        assert_eq!(nref, self.net.next_event_time(), "next_event");
+        let net = &self.net;
+        assert_eq!(
+            self.refnet.flows.len(),
+            net.active_flow_count(),
+            "flow count"
+        );
+        let caps = net.capacities();
+        // Allocated rate per directed slot, summed over live flows.
+        let mut load = vec![0.0f64; 2 * caps.len()];
+        for &id in &self.issued {
+            let r = self.refnet.flows.get(&id);
+            let s = net.flow(FlowId(id));
+            assert_eq!(r.is_some(), s.is_some(), "liveness of flow {id}");
+            let (Some(r), Some(s)) = (r, s) else { continue };
+            assert_eq!(r.rate.to_bits(), s.rate_bps.to_bits(), "rate of flow {id}");
+            let r_rem = self.refnet.flow_remaining(id).expect("live");
+            let s_rem = net.flow_remaining(FlowId(id)).expect("live");
+            assert_eq!(r_rem.to_bits(), s_rem.to_bits(), "remaining of flow {id}");
+            assert_eq!(r.finish_at, s.finish_at(), "finish of flow {id}");
+            for &d in &s.path {
+                load[rslot(d)] += s.rate_bps;
+                if caps[d.0.idx()] <= 0.0 {
+                    assert_eq!(s.rate_bps, 0.0, "flow {id} moves across dead link {d:?}");
                 }
+            }
+        }
+        for (s, &used) in load.iter().enumerate() {
+            let cap = caps[s / 2];
+            assert!(
+                used <= cap * (1.0 + 1e-9),
+                "slot {s} oversubscribed: {used} > {cap}"
+            );
+        }
+        for (li, &l) in self.links.iter().enumerate() {
+            for fwd in [false, true] {
+                let r = self.refnet.cumulative_bytes_dir(l, fwd);
+                assert_eq!(
+                    r.to_bits(),
+                    net.cumulative_bytes_dir(l, fwd).to_bits(),
+                    "cum bytes link {li} fwd={fwd}"
+                );
             }
         }
     }
@@ -633,12 +593,11 @@ fn fixed_scenario_equivalence() {
     h.apply(decode((1, 0, 299, 0)));
 }
 
-/// Fixed aggregate→exact handoff scenario: a single-bottleneck phase
-/// (settled by the one-round aggregate tier), then a congestion onset
-/// where a degraded second link saturates (exact-solver handoff), then
-/// recovery back to the fast path — equal to the reference throughout.
+/// Fixed congestion-onset scenario: a single-bottleneck phase, then a
+/// degraded second link saturates, then recovery back to one bottleneck
+/// — equal to the reference throughout.
 #[test]
-fn aggregate_handoff_fixed_scenario() {
+fn congestion_onset_fixed_scenario() {
     let mut h = Harness::new();
     // Phase 1: three flows share link 0 only — one bottleneck.
     for bytes in [2_000_000u64, 3_000_000, 4_000_000] {
@@ -650,10 +609,8 @@ fn aggregate_handoff_fixed_scenario() {
         });
     }
     h.apply(Op::Advance { dt_us: 50 });
-    let before = h.inc.solve_stats();
-    assert!(before.aggregate_solves > 0, "fast path engaged: {before:?}");
     // Phase 2: degrade link 1 to 25% and route flows across links 0+1 —
-    // both links saturate at different shares, forcing handoff.
+    // both links saturate at different shares.
     h.apply(Op::Scale { l: 1, q: 1 });
     h.apply(Op::Start {
         link_mask: 0b0000_0011,
@@ -668,11 +625,6 @@ fn aggregate_handoff_fixed_scenario() {
         weight_q: 0,
     });
     h.apply(Op::Advance { dt_us: 80 });
-    let mid = h.inc.solve_stats();
-    assert!(
-        mid.scoped_solves - mid.aggregate_solves > before.scoped_solves - before.aggregate_solves,
-        "congestion onset must hand off to the exact solver: {mid:?}"
-    );
     // Phase 3: recovery and drain — equivalence holds at every step (the
     // harness checks after each op).
     h.apply(Op::Scale { l: 1, q: 3 });
@@ -683,7 +635,7 @@ fn aggregate_handoff_fixed_scenario() {
 }
 
 /// Fixed outage scenario: a shared link dies, 240 flows start across it
-/// (parked in the production engines) while live flows churn on their
+/// (parked in the production engine) while live flows churn on their
 /// other links and a brownout moves those links' rates, some parked flows
 /// are cancelled, a few zero-byte ones complete and a second link dies
 /// and recovers; then the shared link recovers and everything drains —
@@ -776,11 +728,9 @@ fn long_random_run_equivalence() {
 }
 
 proptest! {
-    /// ISSUE 5 acceptance property: arbitrary add/cancel/advance/scale
-    /// sequences produce identical rates, completion order, and
-    /// cumulative link bytes through the incremental engine, the
-    /// forced-full-resolve engine, the exact-only engine, and the
-    /// from-scratch reference.
+    /// Arbitrary add/cancel/advance/scale sequences produce identical
+    /// rates, completion order, and cumulative link bytes through the
+    /// incremental engine and the from-scratch reference.
     #[test]
     fn arbitrary_sequences_are_bit_identical(
         raw_ops in proptest::collection::vec(
@@ -799,14 +749,12 @@ proptest! {
         }
     }
 
-    /// ISSUE 7 acceptance property: the aggregate-tier → exact-solver
-    /// handoff is bit-transparent at *random congestion onsets*. An
-    /// uncongested single-bottleneck phase runs on the fast path, then a
-    /// randomly timed and sized degradation of a second shared link
-    /// forces (for low factors) the exact solver — state must match the
-    /// reference before, across, and after the onset.
+    /// Random congestion onsets: an uncongested single-bottleneck phase,
+    /// then a randomly timed and sized degradation of a second shared
+    /// link that (for low factors) saturates it too — state must match
+    /// the reference before, across, and after the onset.
     #[test]
-    fn aggregate_handoff_at_random_congestion_onset(
+    fn congestion_onset_at_random_time(
         onset_us in 1u64..200,
         factor_q in 0usize..3,
         n_flows in 2usize..6,
@@ -814,9 +762,9 @@ proptest! {
         extra_us in 1u64..250,
     ) {
         let mut h = Harness::new();
-        // Uncongested: n flows share link 0 only (single bottleneck,
-        // aggregate tier) plus one crossing links 0+1 (link 1 at full
-        // capacity stays unsaturated: 40G vs the 100G bottleneck share).
+        // Uncongested: n flows share link 0 only (single bottleneck)
+        // plus one crossing links 0+1 (link 1 at full capacity stays
+        // unsaturated: 40G vs the 100G bottleneck share).
         for k in 0..n_flows {
             h.apply(Op::Start {
                 link_mask: 0b0000_0001,
@@ -832,10 +780,9 @@ proptest! {
             weight_q: 0,
         });
         h.apply(Op::Advance { dt_us: onset_us });
-        prop_assert!(h.inc.solve_stats().aggregate_solves > 0);
         // Congestion onset: link 1 drops to 0/25/50 % — for any factor
         // low enough the two-link flow's share pins link 1 as a second
-        // bottleneck and the scoped solve hands off to the exact path.
+        // bottleneck.
         h.apply(Op::Scale { l: 1, q: factor_q });
         h.apply(Op::Advance { dt_us: extra_us });
         // Recovery and drain.
