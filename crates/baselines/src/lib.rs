@@ -74,6 +74,17 @@ impl BaselineKind {
             BaselineKind::HeroServe => SchemeSpace::Hybrid,
         }
     }
+
+    /// What a static baseline's collective does when its INA switch is
+    /// full: SwitchML's synchronous INA waits for a slot, ATP falls back
+    /// to an end-host ring, and DistServe never holds a switch. HeroServe's
+    /// online scheduler declares its own policy.
+    pub fn static_busy_policy(&self) -> BusyPolicy {
+        match self {
+            BaselineKind::DsSwitchml => BusyPolicy::Wait,
+            _ => BusyPolicy::FallbackRing,
+        }
+    }
 }
 
 /// A deployed system: plan + cluster config + strategy factory.
@@ -178,9 +189,9 @@ impl Deployment {
                 self.sched_params,
             )),
             BaselineKind::DistServe => Box::new(StaticStrategy::uniform(
-                "DistServe",
+                self.kind.name(),
                 Scheme::Ring,
-                BusyPolicy::FallbackRing,
+                self.kind.static_busy_policy(),
             )),
             BaselineKind::DsAtp | BaselineKind::DsSwitchml => {
                 // Static per-group INA assignment from the planner (the
@@ -198,20 +209,14 @@ impl Deployment {
                     key.sort_unstable();
                     assignment.insert(key, gs.scheme);
                 }
-                let busy = if self.kind == BaselineKind::DsSwitchml {
-                    BusyPolicy::Wait
-                } else {
-                    BusyPolicy::FallbackRing
-                };
-                let name = self.kind.name();
                 Box::new(StaticStrategy::per_group(
-                    name,
+                    self.kind.name(),
                     move |_, group| {
                         let mut key = group.to_vec();
                         key.sort_unstable();
                         assignment.get(&key).copied().unwrap_or(Scheme::Ring)
                     },
-                    busy,
+                    self.kind.static_busy_policy(),
                 ))
             }
         }
@@ -321,9 +326,7 @@ mod tests {
         let tracer = hs_obs::Tracer::recording();
         let metrics = hs_obs::MetricsRegistry::recording();
         let observed = d.serve_observed(&trace, SimTime::from_secs(6), &tracer, &metrics);
-        assert_eq!(plain.completed, observed.completed);
-        assert_eq!(plain.mean_ttft_s, observed.mean_ttft_s);
-        assert_eq!(plain.eth_bytes, observed.eth_bytes);
+        assert_eq!(plain, observed);
         assert!(!tracer.is_empty(), "observed run recorded no events");
         assert_eq!(
             metrics.counter_value("requests_arrived"),

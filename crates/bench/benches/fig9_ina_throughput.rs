@@ -10,7 +10,8 @@
 //! is algorithm bandwidth (payload bytes reduced per second), summed over
 //! groups.
 
-use hs_bench::aggbench::{cross_server_groups, run_agg_bench, AggBenchConfig, AggSystem};
+use hs_baselines::BaselineKind;
+use hs_bench::aggbench::{cross_server_groups, run_agg_bench, AggBenchConfig};
 use hs_bench::ExpTable;
 use hs_des::SimTime;
 use hs_topology::builders::{xtracks, XTracksConfig};
@@ -42,12 +43,7 @@ fn main() {
 
     for &mb in &[4u64, 16, 64] {
         let mut rows = Vec::new();
-        for system in [
-            AggSystem::Ring,
-            AggSystem::InaFallback,
-            AggSystem::InaWait,
-            AggSystem::Hero,
-        ] {
+        for system in BaselineKind::all() {
             let cfg = AggBenchConfig {
                 msg_bytes: mb << 20,
                 groups: groups.clone(),
@@ -63,11 +59,11 @@ fn main() {
         }
         let dist = rows
             .iter()
-            .find(|(s, _)| *s == AggSystem::Ring)
+            .find(|(s, _)| *s == BaselineKind::DistServe)
             .map(|(_, r)| r.goodput_bps)
             .unwrap_or(1.0);
         for (system, r) in &rows {
-            let paper = if *system == AggSystem::Hero {
+            let paper = if *system == BaselineKind::HeroServe {
                 "+71.7%/+26%/+20.1% (2tracks)"
             } else {
                 "-"

@@ -5,13 +5,14 @@
 //! while bursty background flows (MMPP-timed bulk transfers between
 //! random GPU pairs) congest the fabric. Aggregation throughput is the
 //! classic *algorithm bandwidth*: payload bytes all-reduced per second
-//! per group. Switch aggregation capacity is limited, with per-system
-//! busy semantics: SwitchML waits, ATP falls back to Ethernet ring,
-//! HeroServe's online scheduler re-routes (other switch / NVLink-first
-//! ring).
+//! per group. Switch aggregation capacity is limited, and each system's
+//! strategy declares what a busy switch means: SwitchML waits, ATP falls
+//! back to Ethernet ring, HeroServe's online scheduler re-routes (other
+//! switch / NVLink-first ring).
 
 use heroserve::scheduler::{HeroScheduler, SchedulerParams};
-use hs_cluster::{CommCtx, CommStrategy};
+use hs_baselines::BaselineKind;
+use hs_cluster::{BusyPolicy, CommCtx, CommStrategy, StaticStrategy};
 use hs_collective::{CollectiveExec, CollectivePlan, Progress, Scheme};
 use hs_des::{EventQueue, SeedSplitter, SimTime};
 use hs_simnet::{FlowId, LinkMonitor, SimNet};
@@ -22,31 +23,6 @@ use rand::Rng;
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 
-/// Which system's aggregation discipline to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggSystem {
-    /// DistServe: Ethernet ring.
-    Ring,
-    /// DS-SwitchML: INA at the nearest switch, wait when busy.
-    InaWait,
-    /// DS-ATP: INA at the nearest switch, fall back to ring when busy.
-    InaFallback,
-    /// HeroServe: online scheduler over the hybrid policy space.
-    Hero,
-}
-
-impl AggSystem {
-    /// Paper display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AggSystem::Ring => "DistServe",
-            AggSystem::InaWait => "DS-SwitchML",
-            AggSystem::InaFallback => "DS-ATP",
-            AggSystem::Hero => "HeroServe",
-        }
-    }
-}
-
 /// Configuration of one aggregation-throughput run.
 pub struct AggBenchConfig {
     /// Payload bytes per all-reduce.
@@ -54,7 +30,7 @@ pub struct AggBenchConfig {
     /// The collective groups (typically one per model replica).
     pub groups: Vec<Vec<NodeId>>,
     /// System under test.
-    pub system: AggSystem,
+    pub system: BaselineKind,
     /// Concurrent INA jobs a switch can aggregate.
     pub ina_capacity_per_switch: usize,
     /// Measurement window.
@@ -107,7 +83,6 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
     net.set_tracer(&tracer);
     let mut monitor = LinkMonitor::new(graph.link_count(), 0.5);
     let mut events: EventQueue<Ev> = EventQueue::new();
-    let ina_switches = graph.ina_switches();
     let gpus = graph.gpus();
 
     // Background traffic schedule.
@@ -130,9 +105,8 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
     }
     events.push(SimTime::from_millis(10), Ev::Monitor);
 
-    // Scheduler for the Hero system.
-    let mut hero = HeroScheduler::new(graph, ap.clone(), SchedulerParams::default());
-    hero.attach_tracer(&tracer);
+    let mut strategy = system_strategy(cfg.system, graph, ap, &cfg.groups);
+    strategy.attach_tracer(&tracer);
     let mut util = vec![0.0f64; graph.link_count()];
 
     // Group + collective state.
@@ -156,25 +130,6 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
         fallbacks: 0,
     };
 
-    // Nearest switch per group (by hop distance on the matrix).
-    let nearest_switch: Vec<Option<NodeId>> = cfg
-        .groups
-        .iter()
-        .map(|g| {
-            ina_switches
-                .iter()
-                .filter(|&&s| ap.covers(s))
-                .min_by(|&&a, &&b| {
-                    let da = g.iter().map(|&k| ap.dist(k, a)).fold(0.0f64, f64::max);
-                    let db = g.iter().map(|&k| ap.dist(k, b)).fold(0.0f64, f64::max);
-                    da.partial_cmp(&db)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.cmp(&b))
-                })
-                .copied()
-        })
-        .collect();
-
     // Launch helper: returns the collective id if it went in flight.
     #[allow(clippy::too_many_arguments)]
     fn start_group(
@@ -190,25 +145,17 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
         next_coll: &mut u64,
         ina_active: &mut FxHashMap<NodeId, usize>,
         ina_waiting: &mut FxHashMap<NodeId, VecDeque<usize>>,
-        hero: &mut HeroScheduler,
+        strategy: &mut dyn CommStrategy,
         util: &[f64],
-        nearest: Option<NodeId>,
         result: &mut AggResult,
     ) {
-        let scheme = match cfg.system {
-            AggSystem::Ring => Scheme::Ring,
-            AggSystem::InaWait | AggSystem::InaFallback => match nearest {
-                Some(sw) => Scheme::Ina { switch: sw },
-                None => Scheme::Ring,
-            },
-            AggSystem::Hero => hero.choose(&CommCtx {
-                group_id: gi as u64,
-                group: &groups[gi].members,
-                bytes: cfg.msg_bytes,
-                now,
-                link_util: util,
-            }),
-        };
+        let scheme = strategy.choose(&CommCtx {
+            group_id: gi as u64,
+            group: &groups[gi].members,
+            bytes: cfg.msg_bytes,
+            now,
+            link_util: util,
+        });
         // Switch admission.
         let aggregates = match scheme {
             Scheme::Ina { .. } => groups[gi].members.len() >= 2,
@@ -221,23 +168,17 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
             Scheme::Ina { switch } | Scheme::HierIna { switch } if aggregates => {
                 let active = ina_active.get(&switch).copied().unwrap_or(0);
                 if active >= cfg.ina_capacity_per_switch {
-                    match cfg.system {
-                        AggSystem::InaWait => {
-                            groups[gi].waiting = true;
-                            ina_waiting.entry(switch).or_default().push_back(gi);
-                            return;
-                        }
-                        AggSystem::InaFallback => {
-                            result.fallbacks += 1;
-                            result.ring_ops += 1;
-                            (Scheme::Ring, None)
-                        }
-                        AggSystem::Hero => {
-                            result.fallbacks += 1;
-                            result.ring_ops += 1;
-                            (Scheme::HierRing, None)
-                        }
-                        AggSystem::Ring => unreachable!(),
+                    let policy = strategy.busy_policy();
+                    if policy == BusyPolicy::Wait {
+                        groups[gi].waiting = true;
+                        ina_waiting.entry(switch).or_default().push_back(gi);
+                        return;
+                    }
+                    result.fallbacks += 1;
+                    result.ring_ops += 1;
+                    match policy {
+                        BusyPolicy::FallbackHierRing => (Scheme::HierRing, None),
+                        BusyPolicy::FallbackRing | BusyPolicy::Wait => (Scheme::Ring, None),
                     }
                 } else {
                     *ina_active.entry(switch).or_insert(0) += 1;
@@ -277,9 +218,7 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
 
     // Kick every group at t = 0.
     let mut now = SimTime::ZERO;
-    #[allow(clippy::needless_range_loop)] // gi indexes several parallel tables
     for gi in 0..groups.len() {
-        let nearest = nearest_switch[gi];
         start_group(
             gi,
             now,
@@ -293,9 +232,8 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
             &mut next_coll,
             &mut ina_active,
             &mut ina_waiting,
-            &mut hero,
+            strategy.as_mut(),
             &util,
-            nearest,
             &mut result,
         );
     }
@@ -375,7 +313,7 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
                 Ev::Monitor => {
                     monitor.poll(&net, now);
                     util.copy_from_slice(monitor.snapshot());
-                    hero.on_monitor(&util, now);
+                    strategy.on_monitor(&util, now);
                     events.push(now + hs_des::SimSpan::from_millis(10), Ev::Monitor);
                 }
             }
@@ -385,7 +323,6 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
         finished_groups.dedup();
         for gi in finished_groups {
             if !groups[gi].waiting {
-                let nearest = nearest_switch[gi];
                 start_group(
                     gi,
                     now,
@@ -399,9 +336,8 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
                     &mut next_coll,
                     &mut ina_active,
                     &mut ina_waiting,
-                    &mut hero,
+                    strategy.as_mut(),
                     &util,
-                    nearest,
                     &mut result,
                 );
             }
@@ -421,6 +357,54 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
         }
     }
     result
+}
+
+/// The communication strategy `system` runs over `groups` (group id =
+/// index): DistServe's ring, DS-ATP's and DS-SwitchML's INA at each
+/// group's nearest switch (by worst-member distance on `ap`), or
+/// HeroServe's online scheduler.
+fn system_strategy(
+    system: BaselineKind,
+    graph: &Graph,
+    ap: &AllPairs,
+    groups: &[Vec<NodeId>],
+) -> Box<dyn CommStrategy> {
+    match system {
+        BaselineKind::HeroServe => Box::new(HeroScheduler::new(
+            graph,
+            ap.clone(),
+            SchedulerParams::default(),
+        )),
+        BaselineKind::DistServe => Box::new(StaticStrategy::uniform(
+            system.name(),
+            Scheme::Ring,
+            system.static_busy_policy(),
+        )),
+        BaselineKind::DsAtp | BaselineKind::DsSwitchml => {
+            let ina_switches = graph.ina_switches();
+            let nearest: Vec<Scheme> = groups
+                .iter()
+                .map(|g| {
+                    ina_switches
+                        .iter()
+                        .filter(|&&s| ap.covers(s))
+                        .min_by(|&&a, &&b| {
+                            let da = g.iter().map(|&k| ap.dist(k, a)).fold(0.0f64, f64::max);
+                            let db = g.iter().map(|&k| ap.dist(k, b)).fold(0.0f64, f64::max);
+                            da.partial_cmp(&db)
+                                .unwrap_or(std::cmp::Ordering::Equal)
+                                .then_with(|| a.cmp(&b))
+                        })
+                        .map_or(Scheme::Ring, |&switch| Scheme::Ina { switch })
+                })
+                .collect();
+            Box::new(StaticStrategy::per_group(
+                system.name(),
+                move |gi, _| nearest[gi as usize],
+                system.static_busy_policy(),
+            ))
+        }
+    }
 }
 
 /// Pick `n` cross-server groups of `size` GPUs each from a topology's

@@ -485,6 +485,6 @@ mod tests {
             rep.flow_retries,
             rep.kv_retries
         );
-        assert_eq!(format!("{rep:?}"), format!("{:?}", run()), "runs differ");
+        assert_eq!(rep, run(), "runs differ");
     }
 }

@@ -7,9 +7,10 @@
 //! NIC's worth. This module computes the stripe plan — which GPU pair
 //! carries which share of the bytes — and the engine launches one simnet
 //! flow per stripe; the transfer completes when the *slowest* stripe
-//! drains.
+//! drains. [`kv_transfer_estimate`] prices a shipment the same way.
 
-use hs_topology::NodeId;
+use hs_collective::latency::path_transfer_secs;
+use hs_topology::{AllPairs, Graph, NodeId};
 
 /// One rank-pair's share of a KV-cache shipment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,6 +63,27 @@ pub fn stripe_plan(src_gpus: &[NodeId], dst_gpus: &[NodeId], bytes: u64) -> Vec<
         })
         .filter(|s| s.bytes > 0)
         .collect()
+}
+
+/// Estimated completion time, seconds, of a striped KV-cache shipment
+/// from `src_gpus` to `dst_gpus`: the [`stripe_plan`] stripes run in
+/// parallel, so the shipment finishes with its slowest stripe. `avail` is
+/// the per-link residual bandwidth (bits/s) to price each path with;
+/// `None` prices the idle fabric at link capacity. Stripes whose
+/// endpoints `ap` does not cover are skipped.
+pub fn kv_transfer_estimate(
+    g: &Graph,
+    ap: &AllPairs,
+    src_gpus: &[NodeId],
+    dst_gpus: &[NodeId],
+    bytes: u64,
+    avail: Option<&[f64]>,
+) -> f64 {
+    stripe_plan(src_gpus, dst_gpus, bytes)
+        .iter()
+        .filter(|s| ap.covers(s.src) && ap.covers(s.dst))
+        .map(|s| path_transfer_secs(g, ap.path(s.src, s.dst), s.bytes, avail))
+        .fold(0.0f64, f64::max)
 }
 
 #[cfg(test)]
@@ -141,6 +163,47 @@ mod tests {
         assert_eq!(plan.len(), 3);
         assert_eq!(plan.iter().map(|s| s.bytes).sum::<u64>(), 1_000);
         assert_eq!(plan[2].bytes, 333 + 1, "remainder rides the last stripe");
+    }
+
+    #[test]
+    fn kv_estimate_tracks_congestion_and_locality() {
+        use hs_topology::builders::testbed;
+        use hs_topology::LinkWeight;
+
+        let t = testbed();
+        let mut all = t.all_gpus();
+        all.extend(&t.access_switches);
+        let ap = AllPairs::compute(&t.graph, &all, LinkWeight::Latency, None);
+        let src: Vec<NodeId> = t.gpus_by_server[0][..2].to_vec();
+        let local: Vec<NodeId> = t.gpus_by_server[0][2..].to_vec();
+        let remote: Vec<NodeId> = t.gpus_by_server[1][..2].to_vec();
+        let bytes = 64 << 20;
+        let est = |dst: &[NodeId], avail: Option<&[f64]>| {
+            kv_transfer_estimate(&t.graph, &ap, &src, dst, bytes, avail)
+        };
+        let est_local = est(&local, None);
+        let est_remote = est(&remote, None);
+        assert!(est_local > 0.0);
+        assert!(
+            est_local < est_remote,
+            "NVLink-local shipment must beat Ethernet: {est_local} vs {est_remote}"
+        );
+        // Idle residual bandwidth is link capacity.
+        let caps = t.graph.capacities();
+        assert_eq!(est(&remote, Some(&caps)), est_remote);
+        // Congesting the remote server's links inflates only that path.
+        let mut hot = caps.clone();
+        for (lid, link) in t.graph.links() {
+            if t.gpus_by_server[1].contains(&link.a) || t.gpus_by_server[1].contains(&link.b) {
+                hot[lid.idx()] *= 0.1;
+            }
+        }
+        let est_remote_hot = est(&remote, Some(&hot));
+        let est_local_hot = est(&local, Some(&hot));
+        assert!(est_remote_hot > est_remote * 2.0);
+        assert!((est_local_hot - est_local).abs() < 1e-12);
+        // Degenerate shipment: nothing to move, zero estimate.
+        assert_eq!(est(&src, None), 0.0);
     }
 }
 

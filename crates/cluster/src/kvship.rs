@@ -8,15 +8,13 @@ use crate::engine::{ClusterConfig, Ev, Shared, TAG_KV};
 use crate::faults::FaultRecovery;
 use crate::instance::Instance;
 use crate::kvcache::KvManager;
-use crate::kvflow::{stripe_plan, KvStripe};
+use crate::kvflow::{kv_transfer_estimate, stripe_plan, KvStripe};
 use crate::metrics::{MemSample, SimReport};
 use crate::request::{ReqPhase, ReqState};
 use crate::strategy::{KvCandidate, KvCtx};
-use hs_collective::latency::path_transfer_secs;
 use hs_des::SimTime;
 use hs_model::MemoryModel;
 use hs_simnet::FlowId;
-use hs_topology::NodeId;
 use hs_workload::RequestId;
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
@@ -147,7 +145,10 @@ impl KvShipper {
                 .copied()
                 .min_by_key(|&d| decode[d].decode_load())
                 .expect("eligible is non-empty");
-            let est = idle_estimate(sh, &src_gpus, &decode[d].spec.all_gpus(), bytes);
+            // Priced over the idle fabric: only network-aware strategies
+            // see link utilization.
+            let dst_gpus = decode[d].spec.all_gpus();
+            let est = kv_transfer_estimate(&sh.g, &sh.ap, &src_gpus, &dst_gpus, bytes, None);
             (d, est)
         });
         // Selection and reservation are decoupled, so re-validate instead
@@ -333,16 +334,4 @@ impl KvShipper {
         r.mean_kv_est_err_s = hs_workload::mean(&self.est_err_secs);
         r.mem_series = std::mem::take(&mut self.mem_series);
     }
-}
-
-/// Idle-fabric transfer-time estimate for the least-loaded pick: the
-/// slowest Eq. 15 stripe over uncontended links. Network-aware
-/// strategies supply their own utilization-adjusted estimate through
-/// [`KvChoice`](crate::strategy::KvChoice).
-fn idle_estimate(sh: &Shared, src_gpus: &[NodeId], dst_gpus: &[NodeId], bytes: u64) -> f64 {
-    stripe_plan(src_gpus, dst_gpus, bytes)
-        .iter()
-        .filter(|st| sh.ap.covers(st.src) && sh.ap.covers(st.dst))
-        .map(|st| path_transfer_secs(&sh.g, sh.ap.path(st.src, st.dst), st.bytes, None))
-        .fold(0.0, f64::max)
 }

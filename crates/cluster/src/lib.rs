@@ -40,7 +40,7 @@ pub use autoscale::{PoolSnapshot, PoolState, PoolTargets, ScaleController, Stati
 pub use engine::{ClusterConfig, ClusterSim};
 pub use instance::{InstanceKind, InstanceSpec};
 pub use kvcache::KvManager;
-pub use kvflow::{stripe_plan, KvStripe};
+pub use kvflow::{kv_transfer_estimate, stripe_plan, KvStripe};
 pub use metrics::{ReqMetrics, SimReport};
 pub use request::{ReqPhase, ReqState};
 pub use strategy::{

@@ -5,7 +5,7 @@ use hs_des::SimTime;
 use hs_workload::stats::{fraction_where, mean, percentile};
 
 /// Final metrics for one request.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReqMetrics {
     /// Request id.
     pub id: u64,
@@ -23,7 +23,7 @@ pub struct ReqMetrics {
 }
 
 /// One sample of the Fig. 10 memory time series.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MemSample {
     /// Sample time.
     pub t: SimTime,
@@ -34,7 +34,7 @@ pub struct MemSample {
 }
 
 /// The full report of one cluster simulation.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimReport {
     /// Strategy name.
     pub strategy: String,

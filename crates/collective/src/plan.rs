@@ -190,15 +190,6 @@ impl CollectivePlan {
         }
         CollectivePlan { phases }
     }
-
-    /// Total bytes injected into the network by this plan (a load metric;
-    /// the heterogeneous plans move much of it onto NVLink).
-    pub fn total_network_bytes(&self) -> u64 {
-        self.phases
-            .iter()
-            .flat_map(|p| p.transfers.iter().map(|(_, b)| *b))
-            .sum()
-    }
 }
 
 /// Execution progress of a collective.
@@ -265,11 +256,6 @@ impl CollectiveExec {
         }
         self.phase += 1;
         self.enter_phase(net, now)
-    }
-
-    /// Whether `id` is one of this collective's in-flight flows.
-    pub fn owns_flow(&self, id: FlowId) -> bool {
-        self.outstanding.contains(&id)
     }
 
     /// Abort the collective: cancel every still-outstanding flow (a fault

@@ -44,7 +44,6 @@ impl<E> Ord for Scheduled<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -59,7 +58,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            popped: 0,
         }
     }
 
@@ -68,7 +66,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
-            popped: 0,
         }
     }
 
@@ -81,10 +78,7 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest event, with its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| {
-            self.popped += 1;
-            (s.time, s.event)
-        })
+        self.heap.pop().map(|s| (s.time, s.event))
     }
 
     /// The firing time of the earliest pending event, if any.
@@ -100,12 +94,6 @@ impl<E> EventQueue<E> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events that have been popped so far (a cheap
-    /// progress/diagnostics counter).
-    pub fn popped_count(&self) -> u64 {
-        self.popped
     }
 
     /// Drop all pending events.
@@ -165,7 +153,7 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
         q.pop();
-        assert_eq!(q.popped_count(), 1);
+        assert_eq!(q.len(), 1);
         q.clear();
         assert!(q.is_empty());
     }

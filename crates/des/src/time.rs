@@ -103,12 +103,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimSpan {
         SimSpan(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference; `None` if `earlier` is after `self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimSpan> {
-        self.0.checked_sub(earlier.0).map(SimSpan)
-    }
 }
 
 impl SimSpan {
@@ -318,26 +312,6 @@ impl fmt::Display for SimSpan {
     }
 }
 
-/// Compute the time to serialize `bytes` onto a link of `bits_per_sec`
-/// bandwidth, rounded up to the next nanosecond so a transfer never
-/// completes "for free".
-#[inline]
-pub fn transfer_span(bytes: u64, bits_per_sec: f64) -> SimSpan {
-    if bytes == 0 {
-        return SimSpan::ZERO;
-    }
-    if bits_per_sec.is_nan() || bits_per_sec <= 0.0 {
-        return SimSpan::MAX;
-    }
-    let secs = (bytes as f64 * 8.0) / bits_per_sec;
-    let ns = (secs * 1e9).ceil();
-    if ns >= u64::MAX as f64 {
-        SimSpan::MAX
-    } else {
-        SimSpan::from_nanos(ns.max(1.0) as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,18 +385,6 @@ mod tests {
         let b = SimTime::from_secs(2);
         assert_eq!(b.saturating_since(a), SimSpan::from_secs(1));
         assert_eq!(a.saturating_since(b), SimSpan::ZERO);
-        assert_eq!(a.checked_since(b), None);
-    }
-
-    #[test]
-    fn transfer_span_basics() {
-        // 1 MB over 100 Gbps = 8e6 / 1e11 = 80 us.
-        let d = transfer_span(1_000_000, 100e9);
-        assert_eq!(d, SimSpan::from_micros(80));
-        assert_eq!(transfer_span(0, 100e9), SimSpan::ZERO);
-        assert_eq!(transfer_span(1, 0.0), SimSpan::MAX);
-        // Rounds up: a single byte over 100 Gbps is sub-nanosecond but not free.
-        assert!(transfer_span(1, 100e9) >= SimSpan::from_nanos(1));
     }
 
     #[test]

@@ -206,11 +206,6 @@ impl Autoscaler {
         self.lat_evals
     }
 
-    /// Current per-replica unit rates `(prefill, decode)`, req/s.
-    pub fn unit_rates(&self) -> (f64, f64) {
-        (self.prefill_unit_rps, self.decode_unit_rps)
-    }
-
     /// Rate-based pool sizing: instances needed to sustain `rate` with
     /// the configured headroom, before clamping to the budget.
     fn size_for(&self, rate: f64) -> (usize, usize) {

@@ -415,28 +415,6 @@ pub fn available_bandwidth(g: &Graph, link_util: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Estimated completion time of a striped KV-cache shipment from
-/// `src_gpus` to `dst_gpus` over the current residual bandwidth: the
-/// stripes (Eq. 15 rank pairs) run in parallel, so the shipment finishes
-/// with its slowest stripe. This is the network term of the NetKV-style
-/// decode-selection score — unlike a pure queue-length heuristic it sees
-/// that an NVLink-local copy is ~100× cheaper than a congested Ethernet
-/// hop.
-pub fn kv_transfer_estimate(
-    g: &Graph,
-    ap: &AllPairs,
-    src_gpus: &[NodeId],
-    dst_gpus: &[NodeId],
-    bytes: u64,
-    avail: &[f64],
-) -> f64 {
-    hs_cluster::stripe_plan(src_gpus, dst_gpus, bytes)
-        .iter()
-        .filter(|s| ap.covers(s.src) && ap.covers(s.dst))
-        .map(|s| path_transfer_secs(g, ap.path(s.src, s.dst), s.bytes, Some(avail)))
-        .fold(0.0f64, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -625,40 +603,6 @@ mod tests {
         );
         assert!((avail[1] - caps[1] * 0.5).abs() < 1e-6);
         assert_eq!(avail[2], caps[2]);
-    }
-
-    #[test]
-    fn kv_estimate_tracks_congestion_and_locality() {
-        let (t, ap) = setup();
-        let src: Vec<NodeId> = t.gpus_by_server[0][..2].to_vec();
-        let local: Vec<NodeId> = t.gpus_by_server[0][2..].to_vec();
-        let remote: Vec<NodeId> = t.gpus_by_server[1][..2].to_vec();
-        let bytes = 64 << 20;
-        let idle = available_bandwidth(&t.graph, &vec![0.0; t.graph.link_count()]);
-        let est_local = kv_transfer_estimate(&t.graph, &ap, &src, &local, bytes, &idle);
-        let est_remote = kv_transfer_estimate(&t.graph, &ap, &src, &remote, bytes, &idle);
-        assert!(est_local > 0.0);
-        assert!(
-            est_local < est_remote,
-            "NVLink-local shipment must beat Ethernet: {est_local} vs {est_remote}"
-        );
-        // Congesting the remote server's uplinks inflates only that path.
-        let mut util = vec![0.0; t.graph.link_count()];
-        for (lid, link) in t.graph.links() {
-            if t.gpus_by_server[1].contains(&link.a) || t.gpus_by_server[1].contains(&link.b) {
-                util[lid.idx()] = 0.9;
-            }
-        }
-        let hot = available_bandwidth(&t.graph, &util);
-        let est_remote_hot = kv_transfer_estimate(&t.graph, &ap, &src, &remote, bytes, &hot);
-        let est_local_hot = kv_transfer_estimate(&t.graph, &ap, &src, &local, bytes, &hot);
-        assert!(est_remote_hot > est_remote * 2.0);
-        assert!((est_local_hot - est_local).abs() < 1e-12);
-        // Degenerate shipment: nothing to move, zero estimate.
-        assert_eq!(
-            kv_transfer_estimate(&t.graph, &ap, &src, &src, bytes, &idle),
-            0.0
-        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!    `R_frac`, enumerate `(P_tens, P_pipe)` combinations (up to
 //!    `max_candi`; the paper finds 20 near-optimal).
 //! 2. **Estimate overheads** — prefill and decode clusters are evaluated
-//!    concurrently (the paper's two threads; here a rayon join plus
-//!    parallel candidate evaluation): each candidate is memory-filtered
+//!    (the paper runs them in two threads; here they run one after the
+//!    other, prefill first): each candidate is memory-filtered
 //!    (`m_req = R/(P_tens·P_pipe·R_frac)`), grouped and priced by
 //!    Algorithm 2 ([`crate::netest`]), and costed with Eqs. 12–13.
 //! 3. **Select the optimal configuration** — the feasible combination
@@ -29,7 +29,6 @@ use hs_collective::latency::path_transfer_secs;
 use hs_des::SeedSplitter;
 use hs_model::{decode_latency_secs, prefill_latency_secs, MemoryModel};
 use hs_topology::{AllPairs, LinkWeight, NodeId};
-use rayon::prelude::*;
 
 /// Planner failure modes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -146,8 +145,9 @@ fn gen_tp_pp_candidates(
     out
 }
 
-/// Evaluate every candidate for one cluster (prefill or decode) in
-/// parallel (Algorithm 1's per-cluster thread).
+/// Evaluate every candidate for one cluster (prefill or decode), in
+/// candidate order — the work of one of Algorithm 1's two per-cluster
+/// threads.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_cluster(
     input: &PlannerInput,
@@ -166,7 +166,7 @@ fn evaluate_cluster(
     let candidates = gen_tp_pp_candidates(input, gpus, force);
     let examined = candidates.len();
     let evaluated: Vec<Candidate> = candidates
-        .into_par_iter()
+        .into_iter()
         .enumerate()
         .map(|(ci, (p_tens, p_pipe, eligible))| {
             let per_replica = (p_tens * p_pipe) as usize;
@@ -273,7 +273,7 @@ pub fn plan(input: &PlannerInput, space: SchemeSpace) -> Result<PlannerOutput, P
 
     // Offline matrices (Algorithm 2 lines 1-3), computed once over GPUs +
     // INA switches; "scheduled asynchronously" in the paper — here simply
-    // first, then shared by every parallel candidate evaluation.
+    // first, then shared by every candidate evaluation.
     let ina_switches = input.graph.ina_switches();
     let mut nodes: Vec<NodeId> = input
         .prefill_gpus
@@ -286,30 +286,24 @@ pub fn plan(input: &PlannerInput, space: SchemeSpace) -> Result<PlannerOutput, P
     nodes.dedup();
     let ap = AllPairs::compute(&input.graph, &nodes, LinkWeight::Latency, None);
 
-    // The paper's two cluster threads.
-    let ((pre_cands, pre_examined), (dec_cands, dec_examined)) = rayon::join(
-        || {
-            evaluate_cluster(
-                input,
-                &ap,
-                &input.prefill_gpus,
-                &ina_switches,
-                space,
-                true,
-                &seeds,
-            )
-        },
-        || {
-            evaluate_cluster(
-                input,
-                &ap,
-                &input.decode_gpus,
-                &ina_switches,
-                space,
-                false,
-                &seeds,
-            )
-        },
+    // The paper's two cluster threads, run one after the other.
+    let (pre_cands, pre_examined) = evaluate_cluster(
+        input,
+        &ap,
+        &input.prefill_gpus,
+        &ina_switches,
+        space,
+        true,
+        &seeds,
+    );
+    let (dec_cands, dec_examined) = evaluate_cluster(
+        input,
+        &ap,
+        &input.decode_gpus,
+        &ina_switches,
+        space,
+        false,
+        &seeds,
     );
     if pre_cands.is_empty() || dec_cands.is_empty() {
         return Err(PlannerError::NotEnoughGpus);

@@ -17,9 +17,11 @@
 //!    links — the role of the central controller's synchronization, which
 //!    in this single-process simulation is exact.
 
-use crate::netest::{available_bandwidth, kv_transfer_estimate};
+use crate::netest::available_bandwidth;
 use crate::policy::{build_policies, netkv_score, KvSelectParams, Policy};
-use hs_cluster::{BusyPolicy, CommCtx, CommStrategy, KvCandidate, KvChoice, KvCtx};
+use hs_cluster::{
+    kv_transfer_estimate, BusyPolicy, CommCtx, CommStrategy, KvCandidate, KvChoice, KvCtx,
+};
 use hs_collective::Scheme;
 use hs_des::SimTime;
 use hs_topology::routing::k_shortest_paths_avoiding;
@@ -482,7 +484,7 @@ impl CommStrategy for HeroScheduler {
                 ctx.src_gpus,
                 &c.dst_gpus,
                 ctx.bytes,
-                &avail,
+                Some(&avail),
             );
             let reserved_frac = if c.capacity_tokens == 0 {
                 1.0

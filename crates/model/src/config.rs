@@ -169,17 +169,6 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
-    /// Stats from explicit request lengths.
-    pub fn from_lengths(inputs: &[u64], outputs: &[u64]) -> Self {
-        assert_eq!(inputs.len(), outputs.len());
-        BatchStats {
-            q: inputs.len() as u32,
-            k_in: inputs.iter().sum(),
-            k_out: outputs.iter().sum(),
-            k_in2: inputs.iter().map(|&l| l * l).sum(),
-        }
-    }
-
     /// A uniform batch: `q` requests of `l_in` input / `l_out` output
     /// tokens each.
     pub fn uniform(q: u32, l_in: u64, l_out: u64) -> Self {
@@ -240,7 +229,9 @@ mod tests {
 
     #[test]
     fn batch_stats_from_lengths() {
-        let s = BatchStats::from_lengths(&[10, 20], &[5, 7]);
+        let mut s = BatchStats::default();
+        s.push(10, 5);
+        s.push(20, 7);
         assert_eq!(s.q, 2);
         assert_eq!(s.k_in, 30);
         assert_eq!(s.k_out, 12);

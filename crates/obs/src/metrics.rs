@@ -202,12 +202,6 @@ impl MetricsRegistry {
         s.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        let store = self.store.as_ref()?;
-        let s = crate::lock(store);
-        s.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
     pub fn histogram_view(&self, name: &str) -> Option<HistogramView> {
         let store = self.store.as_ref()?;
         let s = crate::lock(store);
@@ -347,10 +341,6 @@ mod tests {
         m.inc(a, 2);
         m.inc(a2, 3);
         assert_eq!(m.counter_value("arrivals"), Some(5));
-
-        let g = m.gauge("inflight");
-        m.set_gauge(g, 7.5);
-        assert_eq!(m.gauge_value("inflight"), Some(7.5));
     }
 
     #[test]

@@ -5,7 +5,6 @@
 use std::collections::BTreeMap;
 
 use hs_des::{SimSpan, SimTime};
-use rayon::prelude::*;
 
 /// units-mixing: an explicit conversion call bridges nanoseconds into
 /// seconds — the `*_secs` name declares the result dimension.
@@ -27,13 +26,6 @@ pub fn transfer_secs(chunk_bytes: u64, link_bps: f64) -> f64 {
 /// only enters once, through a span constructor — no round-trip.
 pub fn deadline(now: SimTime, dt_s: f64) -> SimTime {
     now + SimSpan::from_secs_f64(dt_s)
-}
-
-/// nondet-reduce: parallel map into an ordered `Vec`, then a sequential
-/// reduction — same work, deterministic addition order.
-pub fn mean(samples: &[f64]) -> f64 {
-    let doubled: Vec<f64> = samples.par_iter().map(|s| s * 2.0).collect();
-    doubled.iter().sum::<f64>() / doubled.len() as f64
 }
 
 /// unordered-iter: ordered containers iterate deterministically.

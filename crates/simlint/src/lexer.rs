@@ -5,8 +5,9 @@
 //! exactly where determinism bugs hide: multi-line method chains, raw
 //! strings containing code-like text, nested block comments, and numeric
 //! suffixes. v2 lexes every file into a real token stream with per-token
-//! line numbers, so rules can match token *sequences* (e.g. `par_iter` …
-//! `sum :: < f64 >`) across line breaks and never inside literals.
+//! line numbers, so rules can match token *sequences* (e.g.
+//! `SimTime :: from_secs_f64 (` … `as_secs_f64`) across line breaks and
+//! never inside literals.
 //!
 //! The lexer handles the constructs that matter for correctness of the
 //! analysis — raw strings (`r#"…"#`, any hash depth), byte and raw-byte

@@ -17,10 +17,9 @@
 //! | `unwrap`          | `.unwrap()` / `.expect("")` in non-test library code         |
 //! | `units-mixing`    | cross-dimension arithmetic (`_bps` vs `_bytes` vs `_s` …)    |
 //! | `sim-time-arith`  | sim timestamps round-tripped through raw f64 math            |
-//! | `nondet-reduce`   | order-sensitive parallel float reductions over `par_iter`    |
 //! | `lock-in-sim`     | `Mutex`/`RwLock`/atomics where shard-local state is the law  |
 //!
-//! The last four are new in v2 and need the token stream: `units-mixing`
+//! The last three are new in v2 and need the token stream: `units-mixing`
 //! infers a dimension for each operand of a binary expression from
 //! identifier suffixes (`_bps`, `_bytes`, `_tokens`, `_s`, `_ns`, …),
 //! declared `SimTime`/`SimSpan` types, and known conversion calls
@@ -76,9 +75,6 @@ pub enum Rule {
     /// Simulation timestamps reconstructed from raw f64 seconds math
     /// outside `hs-des` (the integer-nanosecond clock's home crate).
     SimTimeArith,
-    /// Order-sensitive parallel float reduction (`par_iter()` feeding
-    /// `sum::<f64>()` / `fold` / `reduce` / hash-ordered `collect`).
-    NondetReduce,
     /// Shared-state synchronization (`Mutex`/`RwLock`/atomics) in
     /// event-loop code where shard-local state is the sanctioned pattern.
     LockInSim,
@@ -95,7 +91,6 @@ impl Rule {
         Rule::Unwrap,
         Rule::UnitsMixing,
         Rule::SimTimeArith,
-        Rule::NondetReduce,
         Rule::LockInSim,
     ];
 
@@ -110,7 +105,6 @@ impl Rule {
             Rule::Unwrap => "unwrap",
             Rule::UnitsMixing => "units-mixing",
             Rule::SimTimeArith => "sim-time-arith",
-            Rule::NondetReduce => "nondet-reduce",
             Rule::LockInSim => "lock-in-sim",
         }
     }
@@ -149,10 +143,6 @@ impl Rule {
                 "timestamps round-tripped through f64 seconds lose nanosecond \
                  bits; stay in integer SimTime/SimSpan outside hs-des"
             }
-            Rule::NondetReduce => {
-                "parallel float reduction order varies with thread count; \
-                 collect to an ordered Vec and reduce sequentially"
-            }
             Rule::LockInSim => {
                 "locks and atomics in event-loop code hide cross-thread \
                  ordering; sim state must be shard-local and merged \
@@ -177,9 +167,6 @@ pub struct CrateProfile {
     pub rules: &'static [Rule],
 }
 
-/// Every rule (alias for profile tables).
-const ALL10: &[Rule] = Rule::ALL;
-
 /// Per-crate rule profiles — the whole workspace is covered, with
 /// exemptions that are themselves documented policy:
 ///
@@ -189,8 +176,8 @@ const ALL10: &[Rule] = Rule::ALL;
 ///   seconds; it gets `os-rng`/`wall-clock` but not `unordered-iter`
 ///   (its containers are slices and BTreeMaps by construction).
 /// * `obs` aggregates across real threads by design, so `lock-in-sim`
-///   and `nondet-reduce` do not apply; it still must not read clocks or
-///   unseeded RNG, and its unwraps must be reasoned.
+///   does not apply; it still must not read clocks or unseeded RNG, and
+///   its unwraps must be reasoned.
 /// * `bench` keeps its wall-clock exemption (measurement is its job).
 pub const PROFILES: &[CrateProfile] = &[
     CrateProfile {
@@ -203,29 +190,28 @@ pub const PROFILES: &[CrateProfile] = &[
             Rule::NanosNarrowing,
             Rule::Unwrap,
             Rule::UnitsMixing,
-            Rule::NondetReduce,
             Rule::LockInSim,
         ],
     },
     CrateProfile {
         krate: "simnet",
-        rules: ALL10,
+        rules: Rule::ALL,
     },
     CrateProfile {
         krate: "cluster",
-        rules: ALL10,
+        rules: Rule::ALL,
     },
     CrateProfile {
         krate: "switch",
-        rules: ALL10,
+        rules: Rule::ALL,
     },
     CrateProfile {
         krate: "collective",
-        rules: ALL10,
+        rules: Rule::ALL,
     },
     CrateProfile {
         krate: "heroserve",
-        rules: ALL10,
+        rules: Rule::ALL,
     },
     CrateProfile {
         krate: "workload",
@@ -236,7 +222,6 @@ pub const PROFILES: &[CrateProfile] = &[
             Rule::Unwrap,
             Rule::UnitsMixing,
             Rule::SimTimeArith,
-            Rule::NondetReduce,
         ],
     },
     CrateProfile {
@@ -284,19 +269,14 @@ pub const PROFILES: &[CrateProfile] = &[
     },
     CrateProfile {
         krate: "bench",
-        rules: &[Rule::OsRng, Rule::UnitsMixing, Rule::NondetReduce],
+        rules: &[Rule::OsRng, Rule::UnitsMixing],
     },
     // simlint's own source necessarily names `OsRng` as an identifier
     // (the `Rule::OsRng` variant), so the os-rng rule cannot apply to it;
     // the other determinism rules do.
     CrateProfile {
         krate: "simlint",
-        rules: &[
-            Rule::WallClock,
-            Rule::Unwrap,
-            Rule::NondetReduce,
-            Rule::LockInSim,
-        ],
+        rules: &[Rule::WallClock, Rule::Unwrap, Rule::LockInSim],
     },
 ];
 
@@ -465,16 +445,6 @@ const ITER_METHODS: &[&str] = &[
     "into_iter",
     "into_keys",
     "into_values",
-];
-
-const PAR_SOURCES: &[&str] = &[
-    "par_iter",
-    "into_par_iter",
-    "par_iter_mut",
-    "par_bridge",
-    "par_chunks",
-    "par_windows",
-    "par_drain",
 ];
 
 const SYNC_PRIMITIVES: &[&str] = &[
@@ -1191,91 +1161,6 @@ fn scan_rules(ctx: &FileCtx<'_>, rules: &[Rule], out: &mut Vec<RawFinding>) {
             }
         }
 
-        // nondet-reduce ---------------------------------------------------
-        if has(Rule::NondetReduce)
-            && t.kind == TokKind::Ident
-            && PAR_SOURCES.contains(&t.text.as_str())
-            && i + 1 < tokens.len()
-            && tokens[i + 1].is_op("(")
-        {
-            let mut j = skip_balanced(tokens, i + 1);
-            // Walk the method chain, skipping argument lists whole (a
-            // sequential `.sum()` inside a closure argument is fine).
-            while j + 1 < tokens.len() && tokens[j].is_op(".") {
-                let m = &tokens[j + 1];
-                if m.kind != TokKind::Ident {
-                    break;
-                }
-                let mut k = j + 2;
-                // Turbofish `::<…>` — collect the type idents.
-                let mut tf: Vec<String> = Vec::new();
-                if k + 1 < tokens.len() && tokens[k].is_op("::") && tokens[k + 1].is_op("<") {
-                    let mut depth = 1i64;
-                    let mut a = k + 2;
-                    while a < tokens.len() && depth > 0 {
-                        match tokens[a].text.as_str() {
-                            "<" => depth += 1,
-                            ">" => depth -= 1,
-                            ">>" => depth -= 2,
-                            _ => {
-                                if tokens[a].kind == TokKind::Ident {
-                                    tf.push(tokens[a].text.clone());
-                                }
-                            }
-                        }
-                        a += 1;
-                    }
-                    k = a;
-                }
-                let called = k < tokens.len() && tokens[k].is_op("(");
-                let args_end = if called { skip_balanced(tokens, k) } else { k };
-                match m.text.as_str() {
-                    "sum" | "product" if called => {
-                        let float_tf = tf.iter().any(|x| x == "f64" || x == "f32");
-                        if float_tf || tf.is_empty() {
-                            out.push((
-                                Rule::NondetReduce,
-                                m.line,
-                                format!(
-                                    "parallel `{}` reduction downstream of `{}` — float \
-                                     addition order varies with thread count; collect to \
-                                     an ordered Vec and reduce sequentially",
-                                    m.text, t.text
-                                ),
-                            ));
-                        }
-                    }
-                    "fold" | "reduce" | "fold_with" | "reduce_with" if called => {
-                        out.push((
-                            Rule::NondetReduce,
-                            m.line,
-                            format!(
-                                "parallel `{}` downstream of `{}` merges per-thread \
-                                 accumulators in nondeterministic order",
-                                m.text, t.text
-                            ),
-                        ));
-                    }
-                    "collect" if called && tf.iter().any(|x| HASH_TYPES.contains(&x.as_str())) => {
-                        out.push((
-                            Rule::NondetReduce,
-                            m.line,
-                            format!(
-                                "parallel `collect` into a hash-ordered container \
-                                 downstream of `{}`",
-                                t.text
-                            ),
-                        ));
-                    }
-                    _ => {}
-                }
-                if !called {
-                    break;
-                }
-                j = args_end;
-            }
-        }
-
         // lock-in-sim -----------------------------------------------------
         if has(Rule::LockInSim)
             && t.kind == TokKind::Ident
@@ -1781,7 +1666,6 @@ mod tests {
             ("unwrap.rs", Rule::Unwrap),
             ("units_mixing.rs", Rule::UnitsMixing),
             ("sim_time_arith.rs", Rule::SimTimeArith),
-            ("nondet_reduce.rs", Rule::NondetReduce),
             ("lock_in_sim.rs", Rule::LockInSim),
         ];
         for (name, rule) in cases {
@@ -1849,7 +1733,7 @@ mod tests {
     fn strings_and_comments_do_not_trigger() {
         let src = "fn f() -> &'static str {\n    // Instant::now() would be bad; so would x.unwrap().\n    \"Instant::now thread_rng .unwrap()\"\n}\n";
         assert!(findings(src).is_empty());
-        let raw = "fn f() -> &'static str {\n    r#\"Mutex par_iter sum::<f64> SystemTime\"#\n}\n";
+        let raw = "fn f() -> &'static str {\n    r#\"Mutex thread_rng SystemTime\"#\n}\n";
         assert!(findings(raw).is_empty());
     }
 
@@ -1983,36 +1867,6 @@ mod tests {
     fn as_secs_for_reporting_is_fine() {
         let src = "use hs_des::SimTime;\nfn f(now: SimTime, started: SimTime) -> f64 {\n    now.saturating_since(started).as_secs_f64()\n}\n";
         assert!(findings(src).is_empty());
-    }
-
-    #[test]
-    fn par_sum_f64_is_flagged() {
-        let src = "use rayon::prelude::*;\nfn f(xs: &[f64]) -> f64 {\n    xs.par_iter().map(|x| x * 2.0).sum::<f64>()\n}\n";
-        let fs = findings(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].rule, Rule::NondetReduce);
-    }
-
-    #[test]
-    fn par_ordered_collect_is_fine() {
-        let src = "use rayon::prelude::*;\nfn f(xs: &[f64]) -> f64 {\n    let v: Vec<f64> = xs.par_iter().map(|x| x * 2.0).collect();\n    v.iter().sum::<f64>()\n}\n";
-        assert!(findings(src).is_empty());
-    }
-
-    #[test]
-    fn sequential_sum_inside_par_closure_is_fine() {
-        let src = "use rayon::prelude::*;\nfn f(xs: &[Vec<f64>]) -> Vec<f64> {\n    xs.par_iter().map(|v| v.iter().sum::<f64>()).collect()\n}\n";
-        assert!(findings(src).is_empty());
-    }
-
-    #[test]
-    fn par_fold_is_flagged() {
-        let src = "use rayon::prelude::*;\nfn f(xs: &[u64]) -> u64 {\n    xs.par_iter().fold(|| 0u64, |a, b| a + b).sum()\n}\n";
-        let fs = findings(src);
-        assert!(
-            fs.iter().any(|f| f.rule == Rule::NondetReduce),
-            "fold not flagged: {fs:?}"
-        );
     }
 
     #[test]

@@ -85,16 +85,6 @@ impl GpuSpec {
         }
     }
 
-    /// NVIDIA L40 48 GB: 181 TFLOPS FP16, 864 GB/s GDDR6.
-    pub fn l40_48g() -> Self {
-        GpuSpec {
-            model: "L40-48G".into(),
-            memory_bytes: 48 * (1 << 30),
-            flops: 181e12,
-            hbm_bytes_per_sec: 864e9,
-        }
-    }
-
     /// NVIDIA A100 80 GB (SXM): as A100-40G with doubled memory and
     /// 2039 GB/s HBM2e — used for the large-scale OPT-175B simulations.
     pub fn a100_80g() -> Self {

@@ -90,15 +90,6 @@ impl Path {
         out
     }
 
-    /// The minimum capacity along the path (bottleneck), in bps.
-    /// `f64::INFINITY` for the empty (self) path.
-    pub fn bottleneck_bps(&self, g: &Graph) -> f64 {
-        self.links
-            .iter()
-            .map(|&l| g.link(l).capacity_bps)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// The traversal as `(link, forward)` pairs, where `forward` means
     /// the hop goes from the link's `a` endpoint to `b`. Links are full
     /// duplex, so the two directions are independent capacity pools in
@@ -623,13 +614,6 @@ mod tests {
         assert!(
             shortest_path_avoiding(&g, gpus[0], gpus[1], LinkWeight::Hops, None, &avoid).is_none()
         );
-    }
-
-    #[test]
-    fn bottleneck_bandwidth() {
-        let (g, gpus, _) = sample();
-        let p = shortest_path(&g, gpus[0], gpus[2], LinkWeight::Hops, None).unwrap();
-        assert_eq!(p.bottleneck_bps(&g), bandwidth::ETH_100G);
     }
 }
 

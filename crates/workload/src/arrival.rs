@@ -11,8 +11,7 @@
 //! thinning) and [`Mmpp::flash_crowd`] (rare, severe rate spikes).
 //!
 //! Every generator draws only from the caller-supplied seeded stream, so
-//! arrival sequences are bit-identical across repeats and thread counts
-//! (DESIGN.md §8/§13).
+//! arrival sequences are bit-identical across repeats (DESIGN.md §8/§13).
 
 use hs_des::{SimSpan, SimTime};
 use rand::rngs::SmallRng;

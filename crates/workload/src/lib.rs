@@ -26,8 +26,8 @@
 //!   alongside a trace to exercise graceful degradation.
 //!
 //! Every generator draws exclusively from a caller-supplied seeded
-//! `SmallRng` stream, so traces are bit-identical across repeats and
-//! rayon thread counts (`tests/determinism.rs` pins this).
+//! `SmallRng` stream, so traces are bit-identical across repeats
+//! (`tests/determinism.rs` pins this).
 #![warn(missing_docs)]
 
 pub mod arrival;

@@ -4,8 +4,8 @@
 //! log-normal ([`LengthSpec`], the paper's chatbot/summarization fits)
 //! or a clamped Pareto ([`ParetoSpec`]) for heavy-tailed prompt
 //! populations where a small fraction of requests dominates the token
-//! budget. Both expose `sample` and `analytic_mean` so load estimation
-//! ([`WorkloadSpec::mean_tokens`]) works identically for either shape.
+//! budget. Both expose `sample` and `analytic_mean`, so load estimation
+//! works identically for either shape.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -192,11 +192,6 @@ impl WorkloadSpec {
         self.ttft_sla_s = ttft_s;
         self.tpot_sla_s = tpot_s;
         self
-    }
-
-    /// Mean tokens per request (input + output), for load estimation.
-    pub fn mean_tokens(&self) -> f64 {
-        self.input.analytic_mean() + self.output.analytic_mean()
     }
 }
 

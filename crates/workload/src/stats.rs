@@ -28,16 +28,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     v[lo] * (1.0 - frac) + v[hi] * frac
 }
 
-/// Sample standard deviation; 0.0 for fewer than two samples.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
-}
-
 /// Fraction of samples satisfying `pred` (e.g. SLA attainment).
 pub fn fraction_where(xs: &[f64], pred: impl Fn(f64) -> bool) -> f64 {
     if xs.is_empty() {
@@ -54,8 +44,6 @@ mod tests {
     fn mean_and_std() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(std_dev(&[5.0]), 0.0);
-        assert!((std_dev(&[2.0, 4.0]) - std::f64::consts::SQRT_2).abs() < 1e-12);
     }
 
     #[test]

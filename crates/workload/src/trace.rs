@@ -84,14 +84,6 @@ impl Trace {
         }
     }
 
-    /// Total tokens (input + output) across the trace.
-    pub fn total_tokens(&self) -> u64 {
-        self.requests
-            .iter()
-            .map(|r| r.input_tokens as u64 + r.output_tokens as u64)
-            .sum()
-    }
-
     /// Serialize to CSV with header `arrival_ns,input_tokens,output_tokens`.
     ///
     /// Arrival instants are written as integer nanoseconds so
@@ -296,7 +288,6 @@ mod tests {
             assert_eq!(r.input_tokens, 128);
             assert_eq!(r.output_tokens, 32);
         }
-        assert_eq!(t.total_tokens(), t.len() as u64 * 160);
     }
 
     #[test]
@@ -351,7 +342,6 @@ mod tests {
         let t = Trace::default();
         assert!(t.is_empty());
         assert_eq!(t.empirical_rate(), 0.0);
-        assert_eq!(t.total_tokens(), 0);
     }
 
     fn sample_trace() -> Trace {

@@ -4,25 +4,21 @@
 //! `(seed, workload, topology)` produces a bit-identical `SimReport`.
 //! These tests pin that property end to end:
 //!
-//! * the planner's output is bit-identical across repeated runs and
-//!   across nominal rayon thread counts (1/2/8);
-//! * per-candidate RNG streams are order-independent — the property that
-//!   makes the rayon-parallel estimation path race-free (each candidate
-//!   draws from its own `indexed_stream`, so evaluation order, and hence
-//!   thread interleaving, cannot change any candidate's result);
+//! * the planner's output is bit-identical across repeated runs;
+//! * per-candidate RNG streams are order-independent: each candidate
+//!   draws from its own `indexed_stream`, so the order in which
+//!   candidates are evaluated cannot change any candidate's result;
 //! * the event queue breaks same-timestamp ties by insertion order, not
 //!   heap or hash order, under permuted insertion;
 //! * a full `ClusterSim` run — with background traffic and injected
 //!   faults — yields a bit-identical report when repeated, and attaching
 //!   observability does not perturb the simulation;
-//! * a proptest property: identical `SimReport` JSON across two runs for
+//! * a proptest property: equal `SimReport`s across two runs for
 //!   arbitrary seeds, rates, and horizons.
 //!
-//! Note on thread counts: the vendored `rayon` stand-in executes
-//! sequentially, so thread-count variation is nominal here. The harness
-//! still pins the contract a real rayon substitution must satisfy; the
-//! stream-independence test is the one that proves the parallel path has
-//! no shared mutable RNG state to race on.
+//! Reports are compared with `SimReport`'s derived `PartialEq`, which
+//! covers every field (per-request and memory series included) by
+//! construction.
 
 use std::sync::OnceLock;
 
@@ -31,7 +27,6 @@ use heroserve::planner::{plan, PlannerOutput, SchemeSpace};
 use heroserve::spec::PlannerInput;
 use heroserve::system::{default_coefficients, expected_batch};
 use hs_baselines::{BaselineKind, Deployment};
-use hs_cluster::SimReport;
 use hs_des::{EventQueue, SeedSplitter, SimTime};
 use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
@@ -40,7 +35,6 @@ use hs_workload::{
     heavy_tail_like, sharegpt_like, Diurnal, FaultPlan, Mmpp, ParetoSpec, Poisson, Trace,
 };
 use proptest::prelude::*;
-use serde_json::json;
 
 fn planner_input() -> PlannerInput {
     let topo = testbed();
@@ -84,71 +78,6 @@ fn hero_deploy(rate: f64) -> Deployment {
         .expect("feasible plan")
 }
 
-/// Serialize a full report as JSON — every field, including the
-/// per-request and memory time series, so equality means bit-identity.
-fn report_json(r: &SimReport) -> String {
-    let per_request: Vec<serde_json::Value> = r
-        .per_request
-        .iter()
-        .map(|m| {
-            json!({
-                "id": m.id,
-                "ttft_s": m.ttft_s,
-                "ttft_e2e_s": m.ttft_e2e_s,
-                "tpot_s": m.tpot_s,
-                "completed": m.completed,
-                "sla_ok": m.sla_ok,
-            })
-        })
-        .collect();
-    let mem_series: Vec<serde_json::Value> = r
-        .mem_series
-        .iter()
-        .map(|s| json!({"t_ns": s.t.as_nanos(), "mean": s.mean_util, "max": s.max_util}))
-        .collect();
-    let v = json!({
-        "strategy": r.strategy.clone(),
-        "offered_rate": r.offered_rate,
-        "arrived": r.arrived,
-        "completed": r.completed,
-        "per_request": per_request,
-        "sla_attainment": r.sla_attainment,
-        "mean_ttft_s": r.mean_ttft_s,
-        "p90_ttft_s": r.p90_ttft_s,
-        "mean_tpot_s": r.mean_tpot_s,
-        "p90_tpot_s": r.p90_tpot_s,
-        "mem_series": mem_series,
-        "ina_ops": r.ina_ops,
-        "ring_ops": r.ring_ops,
-        "ina_fallbacks": r.ina_fallbacks,
-        "eth_bytes": r.eth_bytes,
-        "nvlink_bytes": r.nvlink_bytes,
-        "goodput_rps": r.goodput_rps,
-        "ina_failovers": r.ina_failovers,
-        "aborted_flows": r.aborted_flows,
-        "flow_retries": r.flow_retries,
-        "mean_reroute_s": r.mean_reroute_s,
-        "fault_window_attainment": r.fault_window_attainment,
-        "kv_transfers": r.kv_transfers,
-        "kv_stripes": r.kv_stripes,
-        "kv_retries": r.kv_retries,
-        "kv_deferrals": r.kv_deferrals,
-        "kv_bytes": r.kv_bytes,
-        "mean_kv_transfer_s": r.mean_kv_transfer_s,
-        "p90_kv_transfer_s": r.p90_kv_transfer_s,
-        "mean_kv_est_err_s": r.mean_kv_est_err_s,
-        "mean_ttft_e2e_s": r.mean_ttft_e2e_s,
-        "p90_ttft_e2e_s": r.p90_ttft_e2e_s,
-        "scale_ups": r.scale_ups,
-        "scale_downs": r.scale_downs,
-        "gpu_seconds": r.gpu_seconds,
-        "mean_active_gpus": r.mean_active_gpus,
-        "final_prefill_active": r.final_prefill_active,
-        "final_decode_active": r.final_decode_active,
-    });
-    serde_json::to_string_pretty(&v).expect("report serializes")
-}
-
 #[test]
 fn planner_output_bit_identical_across_runs() {
     let inp = planner_input();
@@ -157,28 +86,9 @@ fn planner_output_bit_identical_across_runs() {
     assert_eq!(a, b, "same input + seed must reproduce the full plan");
 }
 
-#[test]
-fn planner_output_identical_across_rayon_thread_counts() {
-    // RAYON_NUM_THREADS sizes the global pool at first use in real rayon
-    // (and is ignored by the vendored sequential shim); a fresh nominal
-    // setting per run pins the contract either way.
-    let mut prints = Vec::new();
-    for n in ["1", "2", "8"] {
-        std::env::set_var("RAYON_NUM_THREADS", n);
-        let out = plan(&planner_input(), SchemeSpace::Hybrid).expect("feasible");
-        prints.push((n, plan_fingerprint(out)));
-    }
-    std::env::remove_var("RAYON_NUM_THREADS");
-    let (_, base) = &prints[0];
-    for (n, p) in &prints[1..] {
-        assert_eq!(p, base, "plan differs under nominal thread count {n}");
-    }
-}
-
-/// The race-freedom argument for the parallel estimation path: every
-/// candidate draws from its own `indexed_stream`, so its result is a pure
-/// function of the candidate index — independent of the order (or
-/// interleaving) in which candidates are evaluated.
+/// Every candidate draws from its own `indexed_stream`, so its result is
+/// a pure function of the candidate index — independent of the order in
+/// which the planner evaluates candidates.
 #[test]
 fn candidate_rng_streams_are_order_independent() {
     let topo = testbed();
@@ -281,8 +191,7 @@ fn cluster_sim_report_bit_identical_with_faults_and_background() {
     let a = mk().serve_trace(11, 1.2, SimTime::from_secs(10));
     let b = mk().serve_trace(11, 1.2, SimTime::from_secs(10));
     assert_eq!(
-        report_json(&a),
-        report_json(&b),
+        a, b,
         "fault + background run must be bit-identical across repeats"
     );
     assert!(a.arrived > 0, "trace too thin to be meaningful");
@@ -303,8 +212,7 @@ fn observability_does_not_perturb_the_simulation() {
     let metrics = hs_obs::MetricsRegistry::recording();
     let traced = d.serve_observed(&trace, horizon, &tracer, &metrics);
     assert_eq!(
-        report_json(&untraced),
-        report_json(&traced),
+        untraced, traced,
         "attaching tracer/metrics must not change simulation outcomes"
     );
     assert!(!tracer.records().is_empty(), "tracer actually recorded");
@@ -382,11 +290,7 @@ fn netkv_run_with_kv_retries_is_bit_identical() {
     };
     let a = run();
     let b = run();
-    assert_eq!(
-        report_json(&a),
-        report_json(&b),
-        "NetKV + KV-retry run must replay bit-identically"
-    );
+    assert_eq!(a, b, "NetKV + KV-retry run must replay bit-identically");
     assert!(a.kv_retries > 0, "no fault-induced KV retry was exercised");
     assert_eq!(a.completed, a.arrived, "requests stuck after recovery");
 }
@@ -408,11 +312,9 @@ fn trace_fingerprint(t: &Trace) -> String {
 }
 
 /// The traffic engine's determinism contract: every generator produces a
-/// bit-identical trace across repeats and across nominal rayon thread
-/// counts (generation is single-threaded by construction; the env loop
-/// pins that a real rayon substitution cannot leak into it).
+/// bit-identical trace across repeats.
 #[test]
-fn traffic_generators_bit_identical_across_repeats_and_thread_counts() {
+fn traffic_generators_bit_identical_across_repeats() {
     let horizon = SimTime::from_secs(20);
     let generate = |name: &str| -> String {
         let mut rng = SeedSplitter::new(99).stream(name);
@@ -440,12 +342,6 @@ fn traffic_generators_bit_identical_across_repeats_and_thread_counts() {
         let base = generate(name);
         assert!(!base.is_empty(), "{name} produced an empty trace");
         assert_eq!(base, generate(name), "{name} differs across repeats");
-        for n in ["1", "2", "8"] {
-            std::env::set_var("RAYON_NUM_THREADS", n);
-            let under = generate(name);
-            std::env::remove_var("RAYON_NUM_THREADS");
-            assert_eq!(base, under, "{name} differs under nominal thread count {n}");
-        }
     }
 }
 
@@ -517,7 +413,7 @@ fn trace_round_trips_through_csv_and_jsonl_bit_exactly() {
 
 /// An elastic run — planner-seeded [`heroserve::Autoscaler`], parking /
 /// unparking instances mid-run, online re-solves included — replays
-/// bit-identically, across repeats and nominal rayon thread counts.
+/// bit-identically across repeats.
 #[test]
 fn elastic_autoscaler_run_is_bit_identical() {
     use heroserve::{AutoscaleConfig, Autoscaler};
@@ -591,25 +487,11 @@ fn elastic_autoscaler_run_is_bit_identical() {
         sim.run(SimTime::from_secs(40))
     };
     let a = run();
-    let base = report_json(&a);
     assert!(
         a.scale_ups + a.scale_downs > 0,
         "autoscaler never acted — the test exercises nothing"
     );
-    assert_eq!(
-        base,
-        report_json(&run()),
-        "elastic run differs across repeats"
-    );
-    for n in ["1", "2", "8"] {
-        std::env::set_var("RAYON_NUM_THREADS", n);
-        let under = report_json(&run());
-        std::env::remove_var("RAYON_NUM_THREADS");
-        assert_eq!(
-            base, under,
-            "elastic run differs under nominal thread count {n}"
-        );
-    }
+    assert_eq!(a, run(), "elastic run differs across repeats");
 }
 
 static SHARED_DEPLOY: OnceLock<Deployment> = OnceLock::new();
@@ -620,7 +502,7 @@ fn shared_deploy() -> &'static Deployment {
 
 proptest! {
     /// The determinism property the whole evaluation rests on: any
-    /// `(seed, rate, horizon)` produces identical SimReport JSON across
+    /// `(seed, rate, horizon)` produces an identical SimReport across
     /// two runs of the same deployment.
     #[test]
     fn same_seed_yields_identical_report_json(
@@ -632,6 +514,6 @@ proptest! {
         let rate = rate_x10 as f64 / 10.0;
         let a = d.serve_trace(seed, rate, SimTime::from_secs(dur_s));
         let b = d.serve_trace(seed, rate, SimTime::from_secs(dur_s));
-        prop_assert_eq!(report_json(&a), report_json(&b));
+        prop_assert_eq!(a, b);
     }
 }
