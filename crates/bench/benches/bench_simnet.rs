@@ -12,7 +12,7 @@
 //!
 //! Each row is the median of several runs by event rate, next to the
 //! engine's deterministic work counters (`scoped_solves`,
-//! `flows_rated`), which are identical in every run.
+//! `resumed_solves`, `flows_rated`), which are identical in every run.
 //!
 //! Writes `results/bench_simnet.json`.
 
@@ -31,6 +31,7 @@ fn push_row(table: &mut ExpTable, n_flows: usize, mode: &str, runs: usize, run: 
             format!("{:.2}", run.wall_s * 1e3),
             format!("{:.0}", run.events_per_sec),
             run.stats.scoped_solves.to_string(),
+            run.stats.resumed_solves.to_string(),
             run.stats.flows_rated.to_string(),
         ],
         json!({
@@ -41,6 +42,7 @@ fn push_row(table: &mut ExpTable, n_flows: usize, mode: &str, runs: usize, run: 
             "wall_s": run.wall_s,
             "events_per_sec": run.events_per_sec,
             "scoped_solves": run.stats.scoped_solves,
+            "resumed_solves": run.stats.resumed_solves,
             "flows_rated": run.stats.flows_rated,
         }),
     );
@@ -63,6 +65,7 @@ fn main() {
             "wall_ms",
             "events/sec",
             "scoped solves",
+            "resumed solves",
             "flows rated",
         ],
     );

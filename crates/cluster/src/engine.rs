@@ -294,7 +294,7 @@ impl ClusterSim {
     }
 
     /// The network engine's solver work counters so far (DESIGN.md §12):
-    /// scoped solves and flows rated over a run.
+    /// scoped solves, resumed solves and flows rated over a run.
     pub fn net_solve_stats(&self) -> SolveStats {
         self.sh.net.solve_stats()
     }

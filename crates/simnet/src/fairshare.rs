@@ -19,6 +19,11 @@
 //! from-scratch reference solver that lives with the tests
 //! (`tests/support/reference.rs`): same per-link accumulation order, same
 //! bottleneck tie-break, same clamps.
+//!
+//! After flows leave, [`SolverWorkspace::resume`] re-solves the rest by
+//! restarting the same water-filling loop at the earliest round a
+//! departed flow froze in, from the link state recorded at that round's
+//! start; a full solve is that loop started at round 0.
 
 /// One flow's slice of the flat slot arena passed to
 /// [`SolverWorkspace::solve`], plus its fair-share weight.
@@ -43,6 +48,11 @@ pub struct FlowSpan {
 /// re-initialized *lazily* (a generation stamp per link), so a solve touches
 /// only the links its flows cross — `O(Σ path_len + rounds × active_links)`
 /// regardless of topology size — and performs no allocation once warm.
+///
+/// The workspace also keeps what the last solve did: the round each flow
+/// froze in and every link's state at the start of every round. That is
+/// what lets [`SolverWorkspace::resume`] redo only the rounds a departure
+/// can change (DESIGN.md §9, "Resumable re-solves").
 #[derive(Default)]
 pub struct SolverWorkspace {
     /// Remaining capacity per link (valid where `stamp == generation`).
@@ -53,12 +63,32 @@ pub struct SolverWorkspace {
     link_flows: Vec<Vec<u32>>,
     /// Lazy-init generation stamp per link.
     stamp: Vec<u64>,
+    /// Index of each link in `active` (valid where `stamp == generation`).
+    pos: Vec<u32>,
     generation: u64,
     /// Links with at least one flow this solve, ascending (the bottleneck
     /// scan order, and therefore the tie-break).
     active: Vec<usize>,
     frozen: Vec<bool>,
     rates: Vec<f64>,
+    /// Round each flow froze in (`u32::MAX` for empty paths).
+    round: Vec<u32>,
+    /// Flows that left since the last full solve.
+    gone: Vec<bool>,
+    /// Flows in freeze order; round `r` froze
+    /// `order[round_start[r]..round_start[r + 1]]`.
+    order: Vec<u32>,
+    round_start: Vec<u32>,
+    /// `rem_cap` and `link_weight` of every active link at the start of
+    /// each round: round `r`, link `active[j]` is entry
+    /// `r * active.len() + j`.
+    snap_rem: Vec<f64>,
+    snap_weight: Vec<f64>,
+    /// Earliest round a departure since the last solve froze in
+    /// (`u32::MAX`: none).
+    resume_from: u32,
+    /// Flows the last solve (re)rated, ascending.
+    rerated: Vec<u32>,
 }
 
 impl SolverWorkspace {
@@ -84,11 +114,16 @@ impl SolverWorkspace {
             self.link_weight.resize(n_links, 0.0);
             self.link_flows.resize_with(n_links, Vec::new);
             self.stamp.resize(n_links, 0);
+            self.pos.resize(n_links, 0);
         }
         self.frozen.clear();
         self.frozen.resize(n_flows, false);
         self.rates.clear();
         self.rates.resize(n_flows, 0.0);
+        self.round.clear();
+        self.round.resize(n_flows, u32::MAX);
+        self.gone.clear();
+        self.gone.resize(n_flows, false);
         self.active.clear();
         self.generation += 1;
         let generation = self.generation;
@@ -117,7 +152,95 @@ impl SolverWorkspace {
         }
         // Bottleneck ties break by ascending link index.
         self.active.sort_unstable();
+        for (j, &l) in self.active.iter().enumerate() {
+            self.pos[l] = j as u32;
+        }
+        self.order.clear();
+        self.round_start.clear();
+        self.round_start.push(0);
+        self.snap_rem.clear();
+        self.snap_weight.clear();
+        self.resume_from = u32::MAX;
+        self.fill(0, n_unfrozen, flat, spans);
+        self.rerated.clear();
+        self.rerated.extend(0..n_flows as u32);
+        &self.rates[..n_flows]
+    }
 
+    /// Record that flow `fi` of the last solve has left.
+    ///
+    /// The flow froze in round `r_f`, so no earlier round's bottleneck lies
+    /// on its path, and dropping its weight only raises the shares of its
+    /// own links. Rounds before `r_f` therefore freeze the same flows at
+    /// the same rates, and their snapshots need only its weight taken off
+    /// its links. Weights must be integers, so that subtraction is exact.
+    pub fn depart(&mut self, flat: &[usize], spans: &[FlowSpan], fi: usize) {
+        debug_assert!(!self.gone[fi], "flow {fi} already left");
+        self.gone[fi] = true;
+        let r = self.round[fi];
+        if r == u32::MAX {
+            return;
+        }
+        let s = &spans[fi];
+        debug_assert_eq!(
+            s.weight.fract(),
+            0.0,
+            "resumable solves need integer weights"
+        );
+        let n_active = self.active.len();
+        for &l in &flat[s.start as usize..(s.start + s.len) as usize] {
+            let j = self.pos[l] as usize;
+            for rr in 0..=r as usize {
+                self.snap_weight[rr * n_active + j] -= s.weight;
+            }
+        }
+        self.resume_from = self.resume_from.min(r);
+    }
+
+    /// Whether a flow has left since the last solve.
+    pub fn has_departures(&self) -> bool {
+        self.resume_from != u32::MAX
+    }
+
+    /// Re-solve the last solve's flows, less those that left (see
+    /// [`SolverWorkspace::depart`]), by redoing only the rounds from the
+    /// earliest one a departed flow froze in. `flat` and `spans` must be
+    /// those of the last full solve; capacities come from its snapshots.
+    /// The new rates equal a full solve of the remaining flows bit for
+    /// bit; [`SolverWorkspace::rerated`] lists the flows whose rates were
+    /// recomputed.
+    pub fn resume(&mut self, flat: &[usize], spans: &[FlowSpan]) {
+        debug_assert!(self.has_departures(), "resume needs a departure");
+        let r0 = self.resume_from as usize;
+        self.resume_from = u32::MAX;
+        let n_active = self.active.len();
+        for (j, &l) in self.active.iter().enumerate() {
+            self.rem_cap[l] = self.snap_rem[r0 * n_active + j];
+            self.link_weight[l] = self.snap_weight[r0 * n_active + j];
+        }
+        self.snap_rem.truncate(r0 * n_active);
+        self.snap_weight.truncate(r0 * n_active);
+        let from = self.round_start[r0] as usize;
+        self.round_start.truncate(r0 + 1);
+        self.rerated.clear();
+        let mut n_unfrozen = 0;
+        for &fi in &self.order[from..] {
+            let fi = fi as usize;
+            self.frozen[fi] = self.gone[fi];
+            self.rates[fi] = 0.0;
+            if !self.gone[fi] {
+                n_unfrozen += 1;
+                self.rerated.push(fi as u32);
+            }
+        }
+        self.order.truncate(from);
+        self.rerated.sort_unstable();
+        self.fill(r0, n_unfrozen, flat, spans);
+    }
+
+    /// Progressive filling from round `r`, with `n_unfrozen` flows left:
+    /// the one water-filling loop, shared by full and resumed solves.
+    fn fill(&mut self, mut r: usize, mut n_unfrozen: usize, flat: &[usize], spans: &[FlowSpan]) {
         while n_unfrozen > 0 {
             let mut best_link = usize::MAX;
             let mut best_share = f64::INFINITY;
@@ -130,26 +253,41 @@ impl SolverWorkspace {
                     }
                 }
             }
+            for &l in &self.active {
+                self.snap_rem.push(self.rem_cap[l]);
+                self.snap_weight.push(self.link_weight[l]);
+            }
             if best_link == usize::MAX {
                 // Shouldn't happen: unfrozen flows always have links with
-                // positive weight. Guard against float pathology anyway.
+                // positive weight. Guard against float pathology anyway:
+                // the rest keep rate 0, as one last round.
+                for fi in 0..spans.len() {
+                    if !self.frozen[fi] {
+                        self.frozen[fi] = true;
+                        self.round[fi] = r as u32;
+                        self.order.push(fi as u32);
+                    }
+                }
+                self.round_start.push(self.order.len() as u32);
                 break;
             }
             // Freeze every unfrozen flow crossing the bottleneck. The flow
             // list is iterated in place (no `mem::take`: the buffer must
-            // survive for reuse); stale frozen entries are skipped lazily.
+            // survive for reuse); frozen and departed entries are skipped.
             for i in 0..self.link_flows[best_link].len() {
                 let fi = self.link_flows[best_link][i] as usize;
                 if self.frozen[fi] {
                     continue;
                 }
                 let s = &spans[fi];
-                let r = s.weight * best_share;
-                self.rates[fi] = r;
+                let rate = s.weight * best_share;
+                self.rates[fi] = rate;
                 self.frozen[fi] = true;
+                self.round[fi] = r as u32;
+                self.order.push(fi as u32);
                 n_unfrozen -= 1;
                 for &l in &flat[s.start as usize..(s.start + s.len) as usize] {
-                    self.rem_cap[l] -= r;
+                    self.rem_cap[l] -= rate;
                     self.link_weight[l] -= s.weight;
                     if self.link_weight[l] < 1e-12 {
                         self.link_weight[l] = 0.0;
@@ -157,8 +295,29 @@ impl SolverWorkspace {
                 }
             }
             self.link_weight[best_link] = 0.0;
+            self.round_start.push(self.order.len() as u32);
+            r += 1;
         }
-        &self.rates[..n_flows]
+    }
+
+    /// Rates of the last solve, one per span (departed flows' are stale).
+    pub fn rates(&self) -> &[f64] {
+        &self.rates
+    }
+
+    /// Flows whose rates the last solve or resume computed, ascending.
+    pub fn rerated(&self) -> &[u32] {
+        &self.rerated
+    }
+
+    /// Links the last full solve's flows cross, ascending.
+    pub fn links(&self) -> &[usize] {
+        &self.active
+    }
+
+    /// Whether link `l` is crossed by a flow of the last full solve.
+    pub fn covers(&self, l: usize) -> bool {
+        self.stamp.get(l) == Some(&self.generation)
     }
 }
 
@@ -363,6 +522,42 @@ mod proptests {
             let got = ws.solve(&caps, &flat, &spans);
             for (fi, (a, b)) in expect.iter().zip(got).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "flow {} diverged", fi);
+            }
+        }
+
+        /// Resuming after departures, in two batches, gives the remaining
+        /// flows the rates of a fresh solve over them, bit for bit
+        /// (integer weights, as `SimNet` uses).
+        #[test]
+        fn resume_equals_fresh_solve(
+            (caps, paths) in arb_instance(),
+            first in 0u32..4096,
+            second in 0u32..4096,
+        ) {
+            let weights: Vec<f64> = (0..paths.len()).map(|i| (1 + i % 4) as f64).collect();
+            let (flat, spans) = pack(&paths, &weights);
+            let mut ws = SolverWorkspace::new();
+            ws.solve(&caps, &flat, &spans);
+            let mut left = vec![false; paths.len()];
+            for mask in [first, second] {
+                for (fi, gone) in left.iter_mut().enumerate() {
+                    if !*gone && mask & (1 << fi) != 0 {
+                        *gone = true;
+                        ws.depart(&flat, &spans, fi);
+                    }
+                }
+                if !ws.has_departures() {
+                    continue;
+                }
+                ws.resume(&flat, &spans);
+                let keep: Vec<usize> = (0..paths.len()).filter(|&fi| !left[fi]).collect();
+                let kept_paths: Vec<Vec<usize>> = keep.iter().map(|&fi| paths[fi].clone()).collect();
+                let kept_weights: Vec<f64> = keep.iter().map(|&fi| weights[fi]).collect();
+                let fresh = solve(&caps, &kept_paths, &kept_weights);
+                for (k, &fi) in keep.iter().enumerate() {
+                    prop_assert_eq!(ws.rates()[fi].to_bits(), fresh[k].to_bits(), "flow {} diverged", fi);
+                }
+                prop_assert!(ws.rerated().iter().all(|&fi| !left[fi as usize]));
             }
         }
 

@@ -19,9 +19,10 @@
 //!   the role of the switch hardware counters and DCGM NVLink counters the
 //!   paper's agents poll (§IV).
 //!
-//! Rate maintenance is incremental: [`SimNet`] owns one persistent
-//! water-filling [`SolverWorkspace`], re-solves only the connected
-//! component of links/flows a change touches, and finds completions
+//! Rate maintenance is incremental: [`SimNet`] re-solves only the
+//! connected component of links/flows a change touches, through one
+//! persistent water-filling [`SolverWorkspace`], resumes the last
+//! component solve after a departure instead of redoing it, and finds completions
 //! through a lazily-invalidated min-heap — see `net.rs` and DESIGN.md
 //! §9/§12. A from-scratch reference solver, kept with the tests, is the
 //! oracle for the equivalence suite.

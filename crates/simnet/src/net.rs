@@ -13,7 +13,7 @@
 //! # Incremental fair-share engine
 //!
 //! Rate maintenance is *incremental* (see DESIGN.md §9 and §12). The
-//! simulator owns a persistent [`SolverWorkspace`] plus a link→flow
+//! simulator owns persistent [`SolverWorkspace`]s plus a link→flow
 //! incidence table, so a flow add/remove triggers a **component-scoped**
 //! re-solve: only the flows transitively sharing a link with the changed
 //! flow are re-rated (max-min allocations decompose across connected
@@ -37,22 +37,42 @@
 //! reference and asserts identical rates, completions, and cumulative
 //! link bytes.
 //!
-//! Memory and solver work follow the *live* flows. Flows sit in a window
-//! that starts at the oldest live flow, and a flow started across a dead
-//! link is **parked**: it stays out of the incidence table (so no solve
-//! visits it) until [`SimNet::set_link_scale`] brings its whole path back.
+//! After a departure (a completion or a cancel) the component's solve
+//! is **resumed**, not redone: for the last fully solved component the
+//! engine keeps each flow's freeze round and every link's state at
+//! the start of every round, and redoes only the rounds from the one the
+//! departed flow froze in, which gives the same bits.
+//! Any other change (a start, an unpark, a capacity change) takes the
+//! full scoped solve. Per-link allocated rates are not stored: the rate
+//! queries ([`SimNet::link_utilization`], [`SimNet::utilization_snapshot`],
+//! [`SimNet::residual_bandwidth`]) sum them over the link's flows.
+//!
+//! Memory and solver work follow the *live* flows. Unparked flows sit in
+//! a window that starts at the oldest of them. A flow started across a
+//! dead link is **parked**: it stays out of the incidence table (so no
+//! solve visits it) until [`SimNet::set_link_scale`] brings its whole
+//! path back, and it lives in a side table until it ends; its empty
+//! window slot does not pin the window. The completion heap drops its
+//! stale entries once it holds more than twice as many entries as there
+//! are live flows.
 
 use crate::fairshare::{FlowSpan, SolverWorkspace};
 use hs_des::{SimSpan, SimTime};
 use hs_topology::{Graph, LinkId};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::num::NonZeroU32;
 
 /// The flow window drops its empty prefix once the prefix is at least
 /// this many slots and at least half the window, so each drained slot is
 /// moved at most once on average.
 const WINDOW_DRAIN_MIN: usize = 1024;
+
+/// The completion heap drops its stale entries once it holds more than
+/// twice the live flows plus this many. A compaction leaves at most one
+/// entry per live flow, so its cost is spread over the pushes before the
+/// next one; the slack keeps small nets from compacting often.
+const HEAP_COMPACT_SLACK: usize = 4096;
 
 /// One directed hop: the link and whether it is traversed `a -> b`
 /// (links are full duplex; each direction is its own capacity pool).
@@ -106,7 +126,8 @@ pub struct Flow {
     /// Visit stamp for the component BFS (scoped re-solves).
     seen: u64,
     /// Started across a dead link: out of the incidence table, rate 0,
-    /// `finish_at = MAX`, until its whole path is alive again.
+    /// `finish_at = MAX`, until its whole path is alive again. A flow
+    /// started parked stays in the side table until it ends.
     parked: bool,
 }
 
@@ -169,6 +190,11 @@ fn materialize(
         // Empty-path flow: delivered instantly, no link bytes.
         f.remaining_bytes = 0.0;
     }
+}
+
+/// Whether every link of `path` has capacity.
+fn path_alive(capacities: &[f64], path: &[DirLink]) -> bool {
+    path.iter().all(|&(l, _)| capacities[l.idx()] > 0.0)
 }
 
 /// Bytes `f` would consume if materialized at `clock` — the pure
@@ -236,30 +262,151 @@ fn assign_rate(
 /// reporting. Monotone over the simulator's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Component-scoped re-solves.
+    /// Component-scoped re-solves, full or resumed.
     pub scoped_solves: u64,
-    /// Total flows rated across all solves (the work metric: a scoped
-    /// solve of a k-flow component adds k).
+    /// Of those, re-solves that resumed after departures and redid only
+    /// the rounds the departures can change.
+    pub resumed_solves: u64,
+    /// Total flows rated across all solves (the work metric: a full
+    /// solve of a k-flow component adds k, a resumed one the flows it
+    /// re-rated).
     pub flows_rated: u64,
 }
 
-/// Reusable buffers for building solver inputs and running the component
-/// BFS — allocation-free at steady state.
+/// Reusable buffers for the component BFS — allocation-free at steady
+/// state.
 #[derive(Default)]
-struct SolveScratch {
-    /// Flat directed-slot arena (all solved paths back to back).
-    flat: Vec<usize>,
-    /// One span per solved flow, in ascending [`FlowId`] order.
-    spans: Vec<FlowSpan>,
-    /// Flow ids to solve, ascending, parallel to `spans`.
-    ids: Vec<FlowId>,
-    /// Directed slots whose allocated rate the solve rebuilds (incl. seed
-    /// slots whose last flow just left — their rate must drop to zero).
-    comp_links: Vec<usize>,
+struct BfsScratch {
     /// BFS work stack of directed slots.
     queue: Vec<usize>,
     /// Visit stamp per directed slot (lazy reset via generation counter).
     link_stamp: Vec<u64>,
+}
+
+/// One solved flow set: the solver inputs and the workspace that solved
+/// them (which keeps the rounds a resumed solve starts from).
+#[derive(Default)]
+struct Solved {
+    /// Flat directed-slot arena (all solved paths back to back).
+    flat: Vec<usize>,
+    /// One span per solved flow, in ascending [`FlowId`] order.
+    spans: Vec<FlowSpan>,
+    /// Flow ids solved, ascending, parallel to `spans`.
+    ids: Vec<FlowId>,
+    ws: SolverWorkspace,
+}
+
+/// The live flows: a sliding window over ids for unparked ones, and a
+/// side table for flows started parked.
+///
+/// Window slot `i` holds flow `base + i`. Ids are issued monotonically
+/// and never reused, so a lookup is one subtraction and one index
+/// (per-event validity checks dominate the hot path), and slot order is
+/// ascending-id order, which is what every order-sensitive traversal
+/// needs. A removed flow leaves a `None`; slots before `head` are all
+/// `None` and are drained in bulk (see [`WINDOW_DRAIN_MIN`]), so memory
+/// follows the span from the oldest live window flow to the newest.
+///
+/// A flow started across a dead link is kept in `side` until it ends,
+/// even after it is unparked; its window slot is `None` from the start.
+/// That empty slot never pins the window, so parked flows alone hold no
+/// window memory, but while an older unparked flow pins the window each
+/// one still takes a slot's space. `side` is empty in steady state.
+#[derive(Default)]
+struct FlowTable {
+    window: Vec<Option<Flow>>,
+    /// Id of `window[0]`.
+    base: u64,
+    /// Length of the all-`None` prefix of `window`.
+    head: usize,
+    /// Flows started parked, by id.
+    side: BTreeMap<u64, Flow>,
+    /// Number of live flows, window and side table together.
+    n_live: usize,
+}
+
+impl FlowTable {
+    /// Add flow `id`, the next id after every flow added so far.
+    fn insert(&mut self, id: FlowId, f: Flow) {
+        debug_assert_eq!(id.0, self.base + self.window.len() as u64);
+        self.n_live += 1;
+        if f.parked {
+            self.window.push(None);
+            self.side.insert(id.0, f);
+            self.advance_head();
+        } else {
+            self.window.push(Some(f));
+        }
+    }
+
+    /// Window slot of `id`, if the id falls inside the window.
+    #[inline]
+    fn index(&self, id: FlowId) -> Option<usize> {
+        let i = id.0.checked_sub(self.base)? as usize;
+        (i < self.window.len()).then_some(i)
+    }
+
+    #[inline]
+    fn get(&self, id: FlowId) -> Option<&Flow> {
+        match self.index(id).and_then(|i| self.window[i].as_ref()) {
+            Some(f) => Some(f),
+            None => self.side.get(&id.0),
+        }
+    }
+
+    #[inline]
+    fn get_mut(&mut self, id: FlowId) -> Option<&mut Flow> {
+        match self.index(id) {
+            Some(i) if self.window[i].is_some() => self.window[i].as_mut(),
+            _ => self.side.get_mut(&id.0),
+        }
+    }
+
+    /// Remove and return a live flow.
+    fn take(&mut self, id: FlowId) -> Option<Flow> {
+        let f = match self.index(id) {
+            Some(i) if self.window[i].is_some() => {
+                let f = self.window[i].take();
+                if i == self.head {
+                    self.advance_head();
+                }
+                f
+            }
+            _ => self.side.remove(&id.0),
+        }?;
+        self.n_live -= 1;
+        Some(f)
+    }
+
+    /// Step `head` past leading empty slots; drain the empty prefix once
+    /// it is long enough.
+    fn advance_head(&mut self) {
+        while self.head < self.window.len() && self.window[self.head].is_none() {
+            self.head += 1;
+        }
+        if self.head >= WINDOW_DRAIN_MIN && 2 * self.head >= self.window.len() {
+            self.window.drain(..self.head);
+            self.base += self.head as u64;
+            self.head = 0;
+        }
+    }
+
+    /// Live flows in ascending id order: the window and the side table,
+    /// merged.
+    fn live(&self) -> impl Iterator<Item = (FlowId, &Flow)> {
+        let first = self.base + self.head as u64;
+        let mut window = self.window[self.head..]
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, f)| Some((FlowId(first + i as u64), f.as_ref()?)))
+            .peekable();
+        let mut side = self.side.iter().map(|(&id, f)| (FlowId(id), f)).peekable();
+        std::iter::from_fn(move || match (window.peek(), side.peek()) {
+            (Some(w), Some(s)) if s.0 < w.0 => side.next(),
+            (Some(_), _) => window.next(),
+            (None, _) => side.next(),
+        })
+    }
 }
 
 /// Flow-level network state over a fixed topology.
@@ -274,21 +421,7 @@ pub struct SimNet {
     /// kept in sync with `capacities`.
     dir_caps: Vec<f64>,
     link_latency_ns: Vec<u64>,
-    /// Active flows in a sliding window over ids: slot `i` holds flow
-    /// `base + i`. Ids are issued monotonically and never reused, so a
-    /// lookup is one subtraction and one index (per-event validity checks
-    /// dominate the hot path), and slot order is ascending-id order, which
-    /// is what every order-sensitive traversal needs. A removed flow
-    /// leaves a `None`; slots before `head` are all `None` and are
-    /// drained in bulk (see [`WINDOW_DRAIN_MIN`]), so memory follows the
-    /// span from the oldest live flow to the newest.
-    flows: Vec<Option<Flow>>,
-    /// Id of `flows[0]`.
-    base: u64,
-    /// Length of the all-`None` prefix of `flows`.
-    head: usize,
-    /// Number of `Some` entries in `flows`.
-    n_live: usize,
+    flows: FlowTable,
     next_id: u64,
     clock: SimTime,
     /// Cumulative bytes delivered per directed link as of each flow's last
@@ -296,8 +429,6 @@ pub struct SimNet {
     /// pending in-flight window on top — see
     /// [`SimNet::cumulative_bytes_dir`].
     cum_bytes: Vec<f64>,
-    /// Allocated rate per directed link (sum of flow rates), bits/s.
-    link_rate: Vec<f64>,
     /// Which unparked flows cross each directed slot, ascending by id
     /// (ids are monotone, so a start is an append; an unparked flow is
     /// inserted in place).
@@ -310,8 +441,14 @@ pub struct SimNet {
     heap: BinaryHeap<HeapEntry>,
     /// Generation counter for BFS visit stamps.
     visit_gen: u64,
-    ws: SolverWorkspace,
-    scratch: SolveScratch,
+    scratch: BfsScratch,
+    /// The last fully solved component, kept so that departures from it
+    /// resume its solve instead of redoing it (DESIGN.md §9).
+    cache: Solved,
+    /// `cache` holds the current rates of its flows, and the only changes
+    /// to its links since its last solve are departures of its own flows
+    /// (each recorded with [`SolverWorkspace::depart`]).
+    cache_valid: bool,
     stats: SolveStats,
     /// Flow/link event sink; no-op unless attached via
     /// [`SimNet::set_tracer`]. Never affects simulation state.
@@ -334,24 +471,21 @@ impl SimNet {
             capacities,
             dir_caps,
             link_latency_ns,
-            flows: Vec::new(),
-            base: 0,
-            head: 0,
-            n_live: 0,
+            flows: FlowTable::default(),
             next_id: 0,
             clock: SimTime::ZERO,
             cum_bytes: vec![0.0; 2 * n],
-            link_rate: vec![0.0; 2 * n],
             incidence: vec![Vec::new(); 2 * n],
             dirty: false,
             seed_slots: Vec::new(),
             heap: BinaryHeap::new(),
             visit_gen: 0,
-            ws: SolverWorkspace::new(),
-            scratch: SolveScratch {
+            scratch: BfsScratch {
                 link_stamp: vec![0; 2 * n],
-                ..SolveScratch::default()
+                ..BfsScratch::default()
             },
+            cache: Solved::default(),
+            cache_valid: false,
             stats: SolveStats::default(),
             tracer: hs_obs::Tracer::noop(),
         }
@@ -374,7 +508,7 @@ impl SimNet {
 
     /// Number of in-flight flows.
     pub fn active_flow_count(&self) -> usize {
-        self.n_live
+        self.flows.n_live
     }
 
     /// Start a unit-weight flow of `bytes` over the directed `path` at
@@ -423,7 +557,7 @@ impl SimNet {
             touched: self.clock,
             epoch: 0,
             seen: 0,
-            parked: bytes > 0 && !self.path_alive(path),
+            parked: bytes > 0 && !path_alive(&self.capacities, path),
         };
         if path.is_empty() {
             // Local copy: unconstrained, delivered after propagation only.
@@ -440,11 +574,9 @@ impl SimNet {
             for &d in path {
                 self.incidence[slot(d)].push(id);
             }
-            self.mark_dirty_path(path);
+            self.mark_changed(path);
         }
-        debug_assert_eq!(id.0, self.base + self.flows.len() as u64);
-        self.flows.push(Some(f));
-        self.n_live += 1;
+        self.flows.insert(id, f);
         self.tracer.flow_start(now, id.0, tag, bytes, path.len());
         id
     }
@@ -461,7 +593,7 @@ impl SimNet {
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<Flow> {
         self.progress_to(now);
         let clock = self.clock;
-        let drained = match self.window_index(id).and_then(|i| self.flows[i].as_mut()) {
+        let drained = match self.flows.get_mut(id) {
             None => return None,
             Some(f) => {
                 // A cancel is a touch point: accrue before deciding.
@@ -481,7 +613,7 @@ impl SimNet {
     /// the flow's last materialization — use [`SimNet::flow_remaining`]
     /// for the value at the current clock.
     pub fn flow(&self, id: FlowId) -> Option<&Flow> {
-        self.flows[self.window_index(id)?].as_ref()
+        self.flows.get(id)
     }
 
     /// Bytes a live flow still has to serialize at the current clock
@@ -513,7 +645,7 @@ impl SimNet {
                 }
             }
         }
-        if self.n_live == 0 {
+        if self.flows.n_live == 0 {
             None
         } else {
             // Every remaining flow is starved (rate 0 on a dead link).
@@ -559,22 +691,29 @@ impl SimNet {
     /// tables consume.
     pub fn link_utilization(&mut self, l: LinkId) -> f64 {
         self.solve_if_dirty();
-        let fwd = self.link_rate[l.idx() * 2];
-        let rev = self.link_rate[l.idx() * 2 + 1];
-        Self::util(fwd.max(rev), self.capacities[l.idx()])
+        Self::util(self.busier_rate(l.idx()), self.capacities[l.idx()])
     }
 
     /// Snapshot of all link utilizations (busier direction per link).
     pub fn utilization_snapshot(&mut self) -> Vec<f64> {
         self.solve_if_dirty();
         (0..self.capacities.len())
-            .map(|i| {
-                Self::util(
-                    self.link_rate[i * 2].max(self.link_rate[i * 2 + 1]),
-                    self.capacities[i],
-                )
-            })
+            .map(|i| Self::util(self.busier_rate(i), self.capacities[i]))
             .collect()
+    }
+
+    /// Allocated rate of link `i`'s busier direction, bits/s: each
+    /// direction sums its flows' rates in ascending id order. Computed on
+    /// query; nothing in the serving path reads it (the monitor reads byte
+    /// counters).
+    fn busier_rate(&self, i: usize) -> f64 {
+        let dir = |s: usize| -> f64 {
+            self.incidence[s]
+                .iter()
+                .map(|&id| self.flow_ref(id).rate_bps)
+                .fold(0.0, |acc, r| acc + r)
+        };
+        dir(2 * i).max(dir(2 * i + 1))
     }
 
     /// Rate-over-capacity in `[0, 1]`; a dead link reads as fully busy so
@@ -593,9 +732,7 @@ impl SimNet {
     pub fn residual_bandwidth(&mut self) -> Vec<f64> {
         self.solve_if_dirty();
         (0..self.capacities.len())
-            .map(|i| {
-                (self.capacities[i] - self.link_rate[i * 2].max(self.link_rate[i * 2 + 1])).max(0.0)
-            })
+            .map(|i| (self.capacities[i] - self.busier_rate(i)).max(0.0))
             .collect()
     }
 
@@ -669,16 +806,14 @@ impl SimNet {
         self.dir_caps[l.idx() * 2 + 1] = cap;
         // Seed both directions: the scoped BFS pulls in exactly the
         // component(s) whose allocation the new capacity can affect.
-        self.dirty = true;
-        self.seed_slots.push(l.idx() * 2);
-        self.seed_slots.push(l.idx() * 2 + 1);
+        self.mark_changed(&[(l, false), (l, true)]);
         let crossing = |f: &Flow| f.path.iter().any(|&(fl, _)| fl == l);
         if factor > 0.0 {
             if was_dead && cap > 0.0 {
                 self.unpark();
             }
             if self.tracer.is_enabled() {
-                let rerated = self.live().filter(|(_, f)| crossing(f)).count();
+                let rerated = self.flows.live().filter(|(_, f)| crossing(f)).count();
                 self.tracer
                     .link_scale(now, l.idx() as u64, factor, rerated, 0);
             }
@@ -687,6 +822,7 @@ impl SimNet {
         // Window order is ascending-id order, which is what the abort
         // list and cum-byte accrual order (both observable) must follow.
         let doomed: Vec<FlowId> = self
+            .flows
             .live()
             .filter(|(_, f)| crossing(f))
             .map(|(id, _)| id)
@@ -718,79 +854,64 @@ impl SimNet {
     /// e.g. membership in an incidence list — guarantees liveness).
     #[inline]
     fn flow_ref(&self, id: FlowId) -> &Flow {
-        self.flows[(id.0 - self.base) as usize]
-            .as_ref()
-            .expect("id names a live flow")
+        self.flows.get(id).expect("id names a live flow")
     }
 
-    /// Window slot of `id`, if the id falls inside the window.
-    #[inline]
-    fn window_index(&self, id: FlowId) -> Option<usize> {
-        let i = id.0.checked_sub(self.base)? as usize;
-        (i < self.flows.len()).then_some(i)
-    }
-
-    /// Live flows in ascending id order.
-    fn live(&self) -> impl Iterator<Item = (FlowId, &Flow)> {
-        let first = self.base + self.head as u64;
-        self.flows[self.head..]
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, f)| Some((FlowId(first + i as u64), f.as_ref()?)))
-    }
-
-    /// Remove and return a live flow: free its window slot and, unless it
-    /// is parked, drop it from the incidence table and seed its slots.
+    /// Remove and return a live flow and, unless it is parked, drop it
+    /// from the incidence table and seed its slots.
     fn take_flow(&mut self, id: FlowId) -> Option<Flow> {
-        let i = self.window_index(id)?;
-        let f = self.flows[i].take()?;
-        self.n_live -= 1;
-        if i == self.head {
-            while self.head < self.flows.len() && self.flows[self.head].is_none() {
-                self.head += 1;
-            }
-            if self.head >= WINDOW_DRAIN_MIN && 2 * self.head >= self.flows.len() {
-                self.flows.drain(..self.head);
-                self.base += self.head as u64;
-                self.head = 0;
-            }
-        }
+        let f = self.flows.take(id)?;
         if !f.parked {
             self.unlink(id, &f.path);
-            self.mark_dirty_path(&f.path);
+            self.seed_path(&f.path);
+            if self.cache_valid {
+                match self.cache.ids.binary_search(&id) {
+                    Ok(fi) => {
+                        let c = &mut self.cache;
+                        c.ws.depart(&c.flat, &c.spans, fi);
+                    }
+                    // Only the cache's own flows cross its links: any
+                    // other flow there invalidated it when it started or
+                    // was unparked.
+                    Err(_) => debug_assert!(!f.path.iter().any(|&d| self.cache.ws.covers(slot(d)))),
+                }
+            }
         }
         Some(f)
     }
 
-    /// Whether every link of `path` has capacity.
-    fn path_alive(&self, path: &[DirLink]) -> bool {
-        path.iter().all(|&(l, _)| self.capacities[l.idx()] > 0.0)
-    }
-
     /// Move each parked flow whose whole path is alive into the incidence
-    /// table, in id order, and seed its slots.
+    /// table, in id order, and seed its slots. Only the side table can
+    /// hold parked flows.
     fn unpark(&mut self) {
-        let ready: Vec<FlowId> = self
-            .live()
-            .filter(|(_, f)| f.parked && self.path_alive(&f.path))
-            .map(|(id, _)| id)
-            .collect();
-        for id in ready {
-            let i = (id.0 - self.base) as usize;
-            let f = self.flows[i].as_mut().expect("ready flow is live");
+        let mut woken = Vec::new();
+        for (&id, f) in self.flows.side.iter_mut() {
+            if !f.parked || !path_alive(&self.capacities, &f.path) {
+                continue;
+            }
             f.parked = false;
             for &d in &f.path {
                 let v = &mut self.incidence[slot(d)];
-                let at = v.partition_point(|&x| x < id);
-                v.insert(at, id);
-                self.seed_slots.push(slot(d));
+                let at = v.partition_point(|&x| x.0 < id);
+                v.insert(at, FlowId(id));
+                woken.push(d);
             }
+        }
+        self.mark_changed(&woken);
+    }
+
+    /// Record a change on `path` other than a departure of a cached flow:
+    /// its directed slots seed the next component-scoped re-solve, and a
+    /// cache covering any of them can no longer be resumed.
+    fn mark_changed(&mut self, path: &[DirLink]) {
+        self.seed_path(path);
+        if self.cache_valid && path.iter().any(|&d| self.cache.ws.covers(slot(d))) {
+            self.cache_valid = false;
         }
     }
 
-    /// Record that a flow over `path` was added or removed: its directed
-    /// slots seed the next component-scoped re-solve.
-    fn mark_dirty_path(&mut self, path: &[DirLink]) {
+    /// Seed the next component-scoped re-solve with `path`'s slots.
+    fn seed_path(&mut self, path: &[DirLink]) {
         if path.is_empty() {
             // Empty paths never contend for bandwidth.
             return;
@@ -816,7 +937,7 @@ impl SimNet {
     /// Earliest valid heap entry, discarding stale ones on the way.
     fn peek_valid(&mut self) -> Option<(SimTime, FlowId)> {
         while let Some(&Reverse((t, id, ep))) = self.heap.peek() {
-            match self.flow(id) {
+            match self.flows.get(id) {
                 Some(f) if f.epoch == ep => return Some((t, id)),
                 _ => {
                     self.heap.pop();
@@ -828,21 +949,35 @@ impl SimNet {
 
     /// Re-solve whatever subset of the rate state is out of date.
     ///
-    /// BFS the flow/link incidence graph from each dirty seed slot and
-    /// solve each reached component on its own. Flows on disjoint links
-    /// keep their rates — sound because the weighted max-min allocation
-    /// is unique and decomposes across connected components (DESIGN.md
-    /// §9), which also makes per-component solves bitwise identical to
-    /// solving their union. It keeps the solver's cost proportional to
-    /// the largest touched component: water-filling freezes one
-    /// bottleneck link per round, so a union of k disjoint components
-    /// costs ~k× the rounds of its parts.
+    /// If the last solved component has only lost flows since its solve,
+    /// resume that solve from the earliest round a departed flow froze in
+    /// (DESIGN.md §9). Then BFS the flow/link incidence graph from each
+    /// remaining dirty seed and solve each reached component on its own.
+    /// Flows on disjoint links keep their rates — sound because the
+    /// weighted max-min allocation is unique and decomposes across
+    /// connected components (DESIGN.md §9), which also makes
+    /// per-component solves bitwise identical to solving their union. It
+    /// keeps the solver's cost proportional to the largest touched
+    /// component: water-filling freezes one bottleneck link per round, so
+    /// a union of k disjoint components costs ~k× the rounds of its parts.
     fn solve_if_dirty(&mut self) {
         if !self.dirty {
             return;
         }
         self.dirty = false;
         self.visit_gen += 1;
+        if self.cache_valid && self.cache.ws.has_departures() {
+            // The departures seeded the cache's links; the resume covers
+            // them.
+            for &s in self.cache.ws.links() {
+                self.scratch.link_stamp[s] = self.visit_gen;
+            }
+            self.stats.scoped_solves += 1;
+            self.stats.resumed_solves += 1;
+            let c = &mut self.cache;
+            c.ws.resume(&c.flat, &c.spans);
+            self.install_solved();
+        }
         for si in 0..self.seed_slots.len() {
             let seed = self.seed_slots[si];
             if self.scratch.link_stamp[seed] == self.visit_gen {
@@ -854,30 +989,36 @@ impl SimNet {
             self.solve_collected();
         }
         self.seed_slots.clear();
+        if self.heap.len() > 2 * self.flows.n_live + HEAP_COMPACT_SLACK {
+            // Stale entries are skipped when they surface anyway, and the
+            // valid ones keep their keys, so pop order is unchanged.
+            let flows = &self.flows;
+            self.heap
+                .retain(|&Reverse((_, id, ep))| flows.get(id).is_some_and(|f| f.epoch == ep));
+        }
     }
 
     /// BFS the connected component reachable from directed slot `seed`
-    /// into `scratch.ids` (ascending) and `scratch.comp_links`.
+    /// into `cache.ids` (ascending).
     fn collect_component(&mut self, seed: usize) {
         let gen = self.visit_gen;
-        let base = self.base;
         let scratch = &mut self.scratch;
+        let ids = &mut self.cache.ids;
         scratch.queue.clear();
-        scratch.comp_links.clear();
-        scratch.ids.clear();
+        ids.clear();
         scratch.link_stamp[seed] = gen;
         scratch.queue.push(seed);
         while let Some(s) = scratch.queue.pop() {
-            scratch.comp_links.push(s);
             for &fid in &self.incidence[s] {
-                let f = self.flows[(fid.0 - base) as usize]
-                    .as_mut()
+                let f = self
+                    .flows
+                    .get_mut(fid)
                     .expect("incidence names a live flow");
                 if f.seen == gen {
                     continue;
                 }
                 f.seen = gen;
-                scratch.ids.push(fid);
+                ids.push(fid);
                 for &d in &f.path {
                     let sl = slot(d);
                     if scratch.link_stamp[sl] != gen {
@@ -890,49 +1031,46 @@ impl SimNet {
         // Ascending-id order so per-link weight sums accumulate in
         // exactly the order a full solve would use (float addition order
         // matters for bit-identity).
-        scratch.ids.sort_unstable();
+        ids.sort_unstable();
     }
 
-    /// Solve the flows in `scratch.ids` (ascending, closed under link
-    /// sharing), rebuild the allocated rate of every slot in
-    /// `scratch.comp_links`, and install each flow's new rate.
+    /// Solve the flows in `cache.ids` (ascending, closed under link
+    /// sharing), install each flow's new rate and keep the solve for
+    /// resuming.
     fn solve_collected(&mut self) {
-        let base = self.base;
-        let scratch = &mut self.scratch;
-        scratch.flat.clear();
-        scratch.spans.clear();
-        for &id in &scratch.ids {
-            let f = self.flows[(id.0 - base) as usize]
-                .as_ref()
-                .expect("solved flow is live");
-            scratch.spans.push(FlowSpan {
-                start: scratch.flat.len() as u32,
+        let c = &mut self.cache;
+        c.flat.clear();
+        c.spans.clear();
+        for &id in &c.ids {
+            let f = self.flows.get(id).expect("solved flow is live");
+            c.spans.push(FlowSpan {
+                start: c.flat.len() as u32,
                 len: f.path.len() as u32,
                 weight: f64::from(f.weight.get()),
             });
-            scratch.flat.extend(f.path.iter().map(|&d| slot(d)));
+            c.flat.extend(f.path.iter().map(|&d| slot(d)));
         }
-        self.stats.flows_rated += scratch.ids.len() as u64;
-        let rates = self.ws.solve(&self.dir_caps, &scratch.flat, &scratch.spans);
-        for &s in &scratch.comp_links {
-            self.link_rate[s] = 0.0;
-        }
-        let clock = self.clock;
-        for (i, &id) in scratch.ids.iter().enumerate() {
-            let f = self.flows[(id.0 - base) as usize]
-                .as_mut()
-                .expect("solved flow is still present");
-            let rate = rates[i];
-            if rate.is_finite() {
-                for &d in &f.path {
-                    self.link_rate[slot(d)] += rate;
-                }
-            }
+        c.ws.solve(&self.dir_caps, &c.flat, &c.spans);
+        self.cache_valid = true;
+        self.install_solved();
+    }
+
+    /// Install the rates the cache's last solve or resume computed, in
+    /// ascending id order (the order a full solve materializes in). Only
+    /// a changed rate is a touch point.
+    fn install_solved(&mut self) {
+        let c = &self.cache;
+        let rates = c.ws.rates();
+        for &fi in c.ws.rerated() {
+            let id = c.ids[fi as usize];
+            let f = self.flows.get_mut(id).expect("solved flow is live");
+            let rate = rates[fi as usize];
             if rate.to_bits() != f.rate_bps.to_bits() {
-                materialize(f, id, clock, &mut self.cum_bytes, &mut self.heap);
-                assign_rate(f, id, rate, clock, &mut self.heap);
+                materialize(f, id, self.clock, &mut self.cum_bytes, &mut self.heap);
+                assign_rate(f, id, rate, self.clock, &mut self.heap);
             }
         }
+        self.stats.flows_rated += c.ws.rerated().len() as u64;
     }
 
     /// Advance the clock to `t`. Under lazy accrual no per-flow work is
@@ -1322,9 +1460,9 @@ mod tests {
         for i in 0..100_000u64 {
             assert_eq!(run_one(&mut net, &short, 1_000), FlowId(i));
             assert!(
-                net.flows.len() <= 2 * WINDOW_DRAIN_MIN,
+                net.flows.window.len() <= 2 * WINDOW_DRAIN_MIN,
                 "window {}",
-                net.flows.len()
+                net.flows.window.len()
             );
         }
         // A long flow on the other link pins the window while 5000 short
@@ -1334,14 +1472,98 @@ mod tests {
         for _ in 0..5_000 {
             run_one(&mut net, &short, 1_000);
         }
-        assert!(net.flows.len() > 5_000, "pinned by the long flow");
+        assert!(net.flows.window.len() > 5_000, "pinned by the long flow");
         assert_eq!(net.active_flow_count(), 1);
         assert_eq!(net.flow(long).unwrap().size_bytes, 1 << 40);
         let f = net.cancel_flow(net.now(), long).unwrap();
         assert_eq!(f.size_bytes, 1 << 40);
-        assert!(net.flows.is_empty(), "window {}", net.flows.len());
+        assert!(
+            net.flows.window.is_empty(),
+            "window {}",
+            net.flows.window.len()
+        );
         assert!(net.flow(long).is_none());
         assert_eq!(run_one(&mut net, &short, 1_000), FlowId(105_001));
+    }
+
+    /// A departure resumes the last solve at the round the departed flow
+    /// froze in: leaving from the last round re-rates only that round's
+    /// other flows, leaving from the first re-rates every flow left.
+    #[test]
+    fn departure_resumes_from_its_freeze_round() {
+        let (g, _, links) = line();
+        let mut net = SimNet::new(&g);
+        let t0 = SimTime::ZERO;
+        let big = 1 << 30;
+        let a = net.start_flow(t0, &fwd(&links[..1]), big, 0);
+        let b = net.start_flow(t0, &fwd(&links[..1]), big, 1);
+        net.start_flow(t0, &fwd(&links), big, 2);
+        let d = net.start_flow(t0, &fwd(&links[1..]), big, 3);
+        net.start_flow(t0, &fwd(&links[1..]), big, 4);
+        net.start_flow(t0, &fwd(&links[1..]), big, 5);
+        net.next_event_time();
+        // Round 0 freezes the four flows on links[1] at 25 G; round 1 the
+        // two on links[0] alone at 37.5 G.
+        assert_eq!(net.flow(b).unwrap().rate_bps, 37.5e9);
+        let s0 = net.solve_stats();
+        net.cancel_flow(SimTime::from_micros(1), a);
+        net.next_event_time();
+        let s1 = net.solve_stats();
+        assert_eq!(s1.scoped_solves - s0.scoped_solves, 1);
+        assert_eq!(s1.resumed_solves - s0.resumed_solves, 1);
+        assert_eq!(s1.flows_rated - s0.flows_rated, 1, "only b is re-rated");
+        assert_eq!(net.flow(b).unwrap().rate_bps, 75e9);
+        net.cancel_flow(SimTime::from_micros(2), d);
+        net.next_event_time();
+        let s2 = net.solve_stats();
+        assert_eq!(s2.resumed_solves - s1.resumed_solves, 1);
+        assert_eq!(
+            s2.flows_rated - s1.flows_rated,
+            4,
+            "round 0 left: all four re-rated"
+        );
+        assert_eq!(net.flow(b).unwrap().rate_bps, 100e9 - 100e9 / 3.0);
+    }
+
+    /// Parked flows never pin the window: 3,000 of them wait out an
+    /// outage beside 3,000 short flows, and the window stays as small as
+    /// the short flows keep it. After recovery they drain from the side
+    /// table.
+    #[test]
+    fn parked_flows_stay_out_of_the_window() {
+        let (g, _, links) = line();
+        let mut net = SimNet::new(&g);
+        net.set_link_scale(SimTime::ZERO, links[0], 0.0);
+        for _ in 0..3_000 {
+            net.start_flow(net.now(), &fwd(&links), 1_000, 0);
+            run_one(&mut net, &fwd(&links[1..]), 1_000);
+            assert!(net.flows.window.len() <= 2 * WINDOW_DRAIN_MIN);
+        }
+        assert_eq!(net.flows.side.len(), 3_000);
+        assert_eq!(net.active_flow_count(), 3_000);
+        net.set_link_scale(net.now(), links[0], 1.0);
+        let done = net.advance_to(net.now() + SimSpan::from_secs(1));
+        assert_eq!(done.len(), 3_000);
+        assert!(net.flows.side.is_empty());
+        assert_eq!(net.active_flow_count(), 0);
+    }
+
+    /// Rate churn pushes a heap entry per change of a long flow's rate;
+    /// compaction keeps the heap within twice the live flows plus
+    /// [`HEAP_COMPACT_SLACK`].
+    #[test]
+    fn completion_heap_stays_bounded_under_rate_churn() {
+        let (g, _, links) = line();
+        let mut net = SimNet::new(&g);
+        let short = fwd(&links[1..]);
+        net.start_flow(SimTime::ZERO, &short, 1 << 40, 0);
+        for _ in 0..10_000 {
+            let id = net.start_flow(net.now(), &short, 1_000, 0);
+            let t = net.next_event_time().unwrap();
+            let done = net.advance_to(t);
+            assert_eq!(done[0].0, id);
+            assert!(net.heap.len() <= 2 * net.active_flow_count() + HEAP_COMPACT_SLACK);
+        }
     }
 
     /// Flows started across a dead link are parked: neither their start

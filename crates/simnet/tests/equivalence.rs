@@ -13,14 +13,19 @@
 //!    event sequences next to `SimNet`, asserting identical clocks,
 //!    rates (bitwise), remaining bytes (bitwise), completion estimates,
 //!    completion order, and cumulative per-direction link bytes after
-//!    every operation.
+//!    every operation, and that `SimNet`'s rate queries (residual
+//!    bandwidth, utilization) equal the per-link sums of those rates
+//!    bitwise. Batched variants of the random tests skip the comparison
+//!    after a random subset of ops, so those ops' changes reach one
+//!    solve together with the next op's.
 //! 2. After every operation the rates `SimNet` installed are feasible:
 //!    no directed link carries more than its current capacity, and every
 //!    flow crossing a dead link has rate 0.
 //! 3. A long fixed-seed pseudo-random run (2000 ops) covers depths the
-//!    proptest case budget does not reach, and congestion-onset
-//!    scenarios (fixed and proptest) move a component from one
-//!    bottleneck to two and back.
+//!    proptest case budget does not reach, congestion-onset scenarios
+//!    (fixed and proptest) move a component from one bottleneck to two
+//!    and back, and outage scenarios park flows behind a dead link and
+//!    drain them after recovery, which exercises resumed re-solves.
 //!
 //! Both simulators share one canonical contract: the completion estimate
 //! is fixed when a flow's rate changes (or it drains) and never
@@ -435,7 +440,15 @@ impl Harness {
             .collect()
     }
 
+    /// Apply `op` to both simulators, then compare them.
     fn apply(&mut self, op: Op) {
+        self.step(op);
+        self.check();
+    }
+
+    /// Apply `op` to both simulators without querying them, so the next
+    /// query solves its changes together with the ones that follow.
+    fn step(&mut self, op: Op) {
         match op {
             Op::Start {
                 link_mask,
@@ -492,7 +505,6 @@ impl Harness {
                 self.advance_all(self.now);
             }
         }
-        self.check();
     }
 
     fn advance_all(&mut self, t: SimTime) {
@@ -553,6 +565,36 @@ impl Harness {
                     "cum bytes link {li} fwd={fwd}"
                 );
             }
+        }
+        // The rate queries add the same per-slot sums in the same
+        // ascending-id order, so they must agree bit for bit.
+        let residual = self.net.residual_bandwidth();
+        let util = self.net.utilization_snapshot();
+        for &l in &self.links {
+            let i = l.idx();
+            let cap = self.net.capacities()[i];
+            let busier = load[2 * i].max(load[2 * i + 1]);
+            let want_res = (cap - busier).max(0.0);
+            assert_eq!(
+                want_res.to_bits(),
+                residual[i].to_bits(),
+                "residual of link {i}"
+            );
+            let want_util = if cap <= 0.0 {
+                1.0
+            } else {
+                (busier / cap).clamp(0.0, 1.0)
+            };
+            assert_eq!(
+                want_util.to_bits(),
+                util[i].to_bits(),
+                "utilization of link {i}"
+            );
+            assert_eq!(
+                want_util.to_bits(),
+                self.net.link_utilization(l).to_bits(),
+                "link_utilization of link {i}"
+            );
         }
     }
 }
@@ -704,11 +746,89 @@ fn outage_fixed_scenario() {
     assert!(h.refnet.flows.is_empty(), "outage scenario drains");
 }
 
-/// Long fixed-seed pseudo-random run (xorshift, no OS entropy): depth the
-/// proptest case budget cannot reach, still fully deterministic.
+/// Long-outage scenario: 1,200 flows park behind dead link 0, each over
+/// link 0 and one to three of the other seven links with weight 1–4, so
+/// the component that returns at recovery freezes in several rounds.
+/// It drains one completion at a time — the resumed re-solves after each
+/// departure. Mid-drain come a start, a cancel, a cancel and a start
+/// between two queries, and a brownout; all but the lone cancel force a
+/// full solve. Equal to the reference throughout.
 #[test]
-fn long_random_run_equivalence() {
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+fn long_outage_drain_scenario() {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut h = Harness::new();
+    h.apply(Op::Scale { l: 0, q: 0 });
+    for i in 0..1_200u64 {
+        let r = next();
+        let mut mask = 1u8;
+        for k in 0..1 + r % 3 {
+            mask |= 2 << ((r >> (8 + 3 * k)) % 7);
+        }
+        h.apply(Op::Start {
+            link_mask: mask,
+            dir_mask: (r >> 20) as u8,
+            bytes: 20_000 + (r >> 32) % 400_000,
+            weight_q: (i % 4) as u8,
+        });
+        if i % 200 == 0 {
+            h.apply(Op::Advance { dt_us: 7 });
+        }
+    }
+    assert_eq!(
+        h.refnet.flows.len(),
+        1_200,
+        "every flow waits out the outage"
+    );
+    h.apply(Op::Scale { l: 0, q: 3 });
+    for step in 0..5_000 {
+        if h.refnet.flows.is_empty() {
+            break;
+        }
+        let start = Op::Start {
+            link_mask: 0b0001_0101,
+            dir_mask: 0b0000_0100,
+            bytes: 300_000,
+            weight_q: 2,
+        };
+        match step {
+            100 => h.apply(start),
+            200 | 250 => {
+                let k = h
+                    .issued
+                    .iter()
+                    .rposition(|id| h.refnet.flows.contains_key(id))
+                    .expect("flows still draining");
+                h.step(Op::Cancel { k });
+                if step == 250 {
+                    // A departure and a start between two queries.
+                    h.step(start);
+                }
+                h.check();
+            }
+            300 => h.apply(Op::Scale { l: 3, q: 1 }),
+            _ => {}
+        }
+        h.apply(Op::AdvanceToNext);
+    }
+    assert!(h.refnet.flows.is_empty(), "long outage drains");
+    let stats = h.net.solve_stats();
+    assert!(stats.resumed_solves > 1_000, "departures resume: {stats:?}");
+}
+
+/// 2000 fixed-seed pseudo-random ops (xorshift, no OS entropy): depth
+/// the proptest case budget cannot reach, still fully deterministic. With
+/// `batched`, a separate draw, independent of the op's kind, makes about a
+/// quarter of the ops skip the comparison, so their changes reach one
+/// solve together with the next op's (e.g. a departure and a start
+/// between two queries, which must not resume a stale solve).
+fn long_random_run(seed: u64, batched: bool) {
+    let mut state = seed;
     let mut next = || {
         state ^= state << 13;
         state ^= state >> 7;
@@ -723,8 +843,23 @@ fn long_random_run_equivalence() {
             next() & 0xffff,
             next() % 5_000_000,
         );
-        h.apply(decode(raw));
+        if batched && next() % 4 == 0 {
+            h.step(decode(raw));
+        } else {
+            h.apply(decode(raw));
+        }
     }
+    h.check();
+}
+
+#[test]
+fn long_random_run_equivalence() {
+    long_random_run(0x9e37_79b9_7f4a_7c15, false);
+}
+
+#[test]
+fn long_random_run_batched_equivalence() {
+    long_random_run(0x6a09_e667_f3bc_c909, true);
 }
 
 proptest! {
@@ -743,6 +878,31 @@ proptest! {
             h.apply(decode(raw));
         }
         // Settle: everything still live must complete identically too.
+        for _ in 0..4 {
+            h.apply(Op::AdvanceToNext);
+            h.apply(Op::Advance { dt_us: 299 });
+        }
+    }
+
+    /// As above, but an op whose `batch` draw is 0 (a quarter of them,
+    /// whatever their kind) skips the comparison, so its changes are
+    /// solved together with the next op's.
+    #[test]
+    fn batched_sequences_are_bit_identical(
+        raw_ops in proptest::collection::vec(
+            ((0u8..16, 0u64..65_536, 0u64..65_536, 0u64..6_000_000), 0u8..4),
+            1..60,
+        )
+    ) {
+        let mut h = Harness::new();
+        for (raw, batch) in raw_ops {
+            if batch == 0 {
+                h.step(decode(raw));
+            } else {
+                h.apply(decode(raw));
+            }
+        }
+        h.check();
         for _ in 0..4 {
             h.apply(Op::AdvanceToNext);
             h.apply(Op::Advance { dt_us: 299 });
