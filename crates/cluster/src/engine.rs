@@ -6,10 +6,11 @@
 //! writes: `KvShipper` (admission and KV transfers), `Collectives`
 //! (all-reduces, pipeline hops and INA slots), `Pools` (elastic pool
 //! states) and `FaultRecovery` (fault state, abort demux, reroutes). The
-//! loop interleaves three event sources deterministically: the discrete
-//! event queue (arrivals, compute completions, timers, monitor ticks),
-//! network flow completions, and the per-iteration communication state
-//! machines of [`hs_collective`].
+//! loop interleaves four event sources deterministically: arrivals,
+//! streamed from the sorted trace, the discrete event queue of in-flight
+//! events (compute completions, timers, monitor ticks), network flow
+//! completions, and the per-iteration communication state machines of
+//! [`hs_collective`].
 
 use crate::autoscale::{PoolState, PoolTargets, Pools, ScaleController};
 use crate::batching::{form_prefill_batch, BatchPolicy};
@@ -83,8 +84,6 @@ impl ClusterConfig {
 }
 
 pub(crate) enum Ev {
-    /// Request arrival (index into the trace).
-    Arrival(u32),
     /// An instance's iteration finished computing.
     ComputeDone(usize),
     /// A collective's phase timer expired.
@@ -98,11 +97,6 @@ pub(crate) enum Ev {
     /// Backed-off relaunch of an aborted KV transfer (request id).
     RetryKv(u64),
 }
-
-// The event queue is pre-sized to hold every arrival and fault at once
-// (`ClusterSim::new`), so every byte of `Ev` shows up in peak memory on
-// million-request runs.
-const _: () = assert!(std::mem::size_of::<Ev>() == 16);
 
 /// Metric ids registered against the attached registry. The ids handed
 /// out by a disabled registry are inert, so the default is free.
@@ -182,6 +176,8 @@ pub struct ClusterSim {
     monitor: LinkMonitor,
     cfg: ClusterConfig,
     reqs: Vec<ReqState>,
+    /// Index into `reqs` of the next request to arrive.
+    next_arrival: usize,
     prefill_queue: VecDeque<RequestId>,
     instances: Vec<Instance>,
     /// Per-GPU memory view of the first decode spec (instances are
@@ -200,7 +196,8 @@ impl ClusterSim {
     /// strategy.
     ///
     /// # Panics
-    /// Panics on invalid instance specs.
+    /// Panics on invalid instance specs, and on a trace whose ids are not
+    /// positional or whose requests are not sorted by arrival.
     pub fn new(
         graph: &Graph,
         ap: AllPairs,
@@ -220,17 +217,24 @@ impl ClusterSim {
 
         let mem_spec = cfg.decode.first().or(cfg.prefill.first());
         let mem_spec = mem_spec.expect("at least one instance");
-        // The queue is longest right here, with every arrival and fault
-        // queued; the margin covers the few events in flight beside them.
-        let mut events = EventQueue::with_capacity(trace.len() + cfg.faults.events().len() + 16);
+        // Arrivals stream from the trace (`run`), so the queue holds only
+        // the scheduled faults and the events in flight: about one per
+        // instance, plus the monitor tick, the next background flow,
+        // collective timers and retries. It grows if more are pending.
+        let in_flight = instances.len() + 16;
+        let mut events = EventQueue::with_capacity(cfg.faults.events().len() + in_flight);
         let mut reqs = Vec::with_capacity(trace.len());
         for (i, r) in trace.requests.iter().enumerate() {
             // Request state is indexed by RequestId throughout the engine,
             // so ids must be positional (as `Trace::generate` makes them).
             assert_eq!(r.id.0, i as u64, "trace RequestIds must be positional");
             reqs.push(ReqState::new(*r));
-            events.push(r.arrival, Ev::Arrival(i as u32));
         }
+        // Every `Trace` constructor sorts, but `requests` is a pub field.
+        assert!(
+            trace.requests.is_sorted_by_key(|r| r.arrival),
+            "trace requests must be sorted by arrival"
+        );
         events.push(SimTime::ZERO + cfg.monitor_period, Ev::MonitorTick);
         for (i, f) in cfg.faults.events().iter().enumerate() {
             events.push(f.at, Ev::Fault(i as u32));
@@ -258,6 +262,7 @@ impl ClusterSim {
             },
             monitor: LinkMonitor::new(graph.link_count(), 0.5),
             reqs,
+            next_arrival: 0,
             prefill_queue: VecDeque::new(),
             instances,
             mem: MemoryModel::new(&cfg.model, mem_spec.p_tens(), mem_spec.p_pipe()),
@@ -308,28 +313,35 @@ impl ClusterSim {
     /// cancelled-but-drained flow is *not* returned by `cancel_flow`;
     /// its completion still arrives here and is demuxed to an already
     /// dissolved collective or shipment, which ignores it by design.
+    ///
+    /// Arrivals come from the sorted trace through a cursor, merged ahead
+    /// of the queue: at an instant, network completions go first, then
+    /// the arrivals due, in trace order, then the queued events, FIFO.
     pub fn run(&mut self, horizon: SimTime) -> SimReport {
         loop {
+            let ta = self.reqs.get(self.next_arrival).map(|r| r.req.arrival);
             let tq = self.sh.events.peek_time();
             let tn = self.sh.net.next_event_time();
-            let t = match (tq, tn) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
+            let Some(t) = [ta, tq, tn].into_iter().flatten().min() else {
+                break;
             };
             if t > horizon {
                 break;
             }
             self.sh.now = t;
-            // Network completions first (deterministic: completion order,
-            // then queue FIFO at equal times).
+            // Network completions first (deterministic: completion order).
             let done = self.sh.net.advance_to(t);
             for (id, flow) in done {
                 self.on_flow_done(id, flow.tag);
                 self.close_collectives();
             }
-            if self.sh.events.peek_time() == Some(t) {
+            if ta == Some(t) {
+                self.arrive(self.next_arrival);
+                self.next_arrival += 1;
+                self.close_collectives();
+            } else if self.sh.events.peek_time() == Some(t) {
+                // Re-peeked: a completion handler may have queued an event
+                // for this instant.
                 let (_, ev) = self.sh.events.pop().expect("peeked event");
                 self.handle(ev);
                 self.close_collectives();
@@ -340,19 +352,21 @@ impl ClusterSim {
         self.build_report(horizon)
     }
 
-    fn handle(&mut self, ev: Ev) {
+    /// Request `idx` of the trace arrives and queues for prefill.
+    fn arrive(&mut self, idx: usize) {
         let now = self.sh.now;
+        let req = self.reqs[idx].req;
+        let tracer = &self.sh.tracer;
+        tracer.request_arrived(now, req.id.0, req.input_tokens, req.output_tokens);
+        tracer.request_phase_begin(now, req.id.0, "queued");
+        self.sh.metrics.inc(self.sh.obs.arrived, 1);
+        self.pools.arrived += 1;
+        self.prefill_queue.push_back(req.id);
+        self.kick_prefill();
+    }
+
+    fn handle(&mut self, ev: Ev) {
         match ev {
-            Ev::Arrival(idx) => {
-                let req = self.reqs[idx as usize].req;
-                let tracer = &self.sh.tracer;
-                tracer.request_arrived(now, req.id.0, req.input_tokens, req.output_tokens);
-                tracer.request_phase_begin(now, req.id.0, "queued");
-                self.sh.metrics.inc(self.sh.obs.arrived, 1);
-                self.pools.arrived += 1;
-                self.prefill_queue.push_back(req.id);
-                self.kick_prefill();
-            }
             Ev::ComputeDone(inst) => self.start_comm(inst),
             Ev::CollTimer(coll) => self.colls.step(&mut self.sh, coll, None),
             Ev::Background => {
@@ -595,19 +609,15 @@ impl ClusterSim {
                     .park_if_drained(&self.sh, &mut self.instances, &self.kv, inst);
             }
             InstanceKind::Decode => {
-                let active = self.instances[inst].active.clone();
-                let mut finished_reqs = Vec::new();
-                let mut live_growth = 0u64;
                 let (ttft_sla, tpot_sla) = (self.cfg.ttft_sla_s, self.cfg.tpot_sla_s);
                 let (tracer, metrics, obs) = (&self.sh.tracer, &self.sh.metrics, &self.sh.obs);
-                for id in &active {
+                let active = &self.instances[inst].active;
+                for id in active {
                     let r = &mut self.reqs[id.0 as usize];
                     r.tokens_generated += 1;
-                    live_growth += 1;
                     if r.tokens_generated >= r.req.output_tokens {
                         r.phase = ReqPhase::Done;
                         r.finished = Some(now);
-                        finished_reqs.push(*id);
                         let ttft = r.ttft_secs().unwrap_or(0.0);
                         let latency = now.saturating_since(r.req.arrival).as_secs_f64();
                         let tpot = r.tpot_secs();
@@ -625,18 +635,23 @@ impl ClusterSim {
                     }
                 }
                 let kv = &mut self.kv.managers[inst - self.cfg.prefill.len()];
-                kv.materialize(live_growth);
-                if !finished_reqs.is_empty() {
-                    for id in &finished_reqs {
-                        let r = &self.reqs[id.0 as usize];
-                        kv.release(
-                            r.reserved_kv_tokens(),
-                            r.req.input_tokens as u64 + r.tokens_generated as u64,
-                        );
+                // Every live request grew by one token.
+                kv.materialize(active.len() as u64);
+                // The requests that just finished leave the batch and
+                // release their KV, in batch order.
+                let reqs = &self.reqs;
+                let mut finished = false;
+                self.instances[inst].active.retain(|id| {
+                    let r = &reqs[id.0 as usize];
+                    let done = r.phase == ReqPhase::Done;
+                    if done {
+                        let live = r.req.input_tokens as u64 + r.tokens_generated as u64;
+                        kv.release(r.reserved_kv_tokens(), live);
+                        finished = true;
                     }
-                    self.instances[inst]
-                        .active
-                        .retain(|id| !finished_reqs.contains(id));
+                    !done
+                });
+                if finished {
                     self.retry_admissions();
                 }
                 self.start_decode_iteration(inst);
@@ -1172,6 +1187,76 @@ pub(crate) mod tests {
         assert_eq!(a.eth_bytes, b.eth_bytes);
     }
 
+    /// Arrivals stream from the trace but keep the order they had as the
+    /// first events queued: at an instant they precede every queued event
+    /// (monitor ticks, faults), and same-instant arrivals go in id order.
+    #[test]
+    fn arrivals_precede_queued_events_at_their_instant() {
+        /// Marks each monitor tick in the trace.
+        struct TickMarker(hs_obs::Tracer);
+        impl CommStrategy for TickMarker {
+            fn choose(&mut self, _ctx: &CommCtx<'_>) -> Scheme {
+                Scheme::Ring
+            }
+            fn on_monitor(&mut self, _link_util: &[f64], now: SimTime) {
+                self.0.warning(now, "tick".into());
+            }
+            fn attach_tracer(&mut self, tracer: &hs_obs::Tracer) {
+                self.0 = tracer.clone();
+            }
+            fn name(&self) -> &str {
+                "tick-marker"
+            }
+        }
+        let t = testbed();
+        // The monitor ticks every 100 ms; a GPU stall starts at 200 ms and
+        // ends at 300 ms, where three requests arrive at once.
+        let ms = [50, 100, 200, 300, 300, 300];
+        let trace = trace_of(&ms.map(|at| (at, 256, 4)));
+        let gpu = t.gpus_by_server[0][0];
+        let mut faults = FaultPlan::none();
+        let stall = FaultKind::GpuStall { gpu, slowdown: 2.0 };
+        faults.push(SimTime::from_millis(200), stall);
+        faults.push(SimTime::from_millis(300), FaultKind::GpuRecover { gpu });
+        let strategy = Box::new(TickMarker(hs_obs::Tracer::noop()));
+        let (prefill, decode) = (tp4(&t, &[0]), tp4(&t, &[1]));
+        let mut sim = testbed_sim(&t, prefill, decode, faults, &trace, strategy);
+        let tracer = hs_obs::Tracer::recording();
+        sim.set_obs(&tracer, &hs_obs::MetricsRegistry::disabled());
+        let rep = sim.run(SimTime::from_secs(30));
+        assert_eq!(rep.completed, ms.len());
+        let recs = tracer.records();
+        for (at, ids) in [(100, vec![1]), (200, vec![2]), (300, vec![3, 4, 5])] {
+            let at_t = SimTime::from_millis(at);
+            let here: Vec<_> = recs.iter().filter(|r| r.t == at_t).collect();
+            let arrivals: Vec<usize> = (0..here.len())
+                .filter(|&i| here[i].name == "arrival")
+                .collect();
+            let queued: Vec<usize> = (0..here.len())
+                .filter(|&i| matches!(here[i].name, "warning" | "inject" | "recover"))
+                .collect();
+            let arrived: Vec<u64> = arrivals.iter().map(|&i| here[i].tid).collect();
+            assert_eq!(arrived, ids, "arrivals at {at} ms out of id order");
+            assert_eq!(arrivals[0], 0, "a record preceded the arrivals at {at} ms");
+            assert!(!queued.is_empty(), "no queued event at {at} ms");
+            assert!(
+                arrivals.last() < queued.first(),
+                "a queued event preceded an arrival at {at} ms"
+            );
+        }
+    }
+
+    /// The arrival cursor relies on a trace sorted by arrival.
+    #[test]
+    #[should_panic(expected = "sorted by arrival")]
+    fn unsorted_trace_is_rejected() {
+        let t = testbed();
+        let trace = trace_of(&[(200, 256, 4), (100, 256, 4)]);
+        let (prefill, decode) = (tp4(&t, &[0]), tp4(&t, &[1]));
+        let strategy = fixed_scheme(Scheme::Ring);
+        testbed_sim(&t, prefill, decode, FaultPlan::none(), &trace, strategy);
+    }
+
     /// Regression for the wrong-source retransfer bug: a request whose
     /// admission was deferred (decode memory full) must, once retried,
     /// ship its KV cache from the prefill instance that actually ran it —
@@ -1315,7 +1400,7 @@ pub(crate) mod tests {
             fn choose_decode(
                 &mut self,
                 _ctx: &KvCtx<'_>,
-                _candidates: &[KvCandidate],
+                _candidates: &[KvCandidate<'_>],
             ) -> Option<KvChoice> {
                 Some(KvChoice {
                     instance: usize::MAX,

@@ -88,6 +88,9 @@ pub enum InstPhase {
 pub struct Instance {
     /// Placement.
     pub spec: InstanceSpec,
+    /// `spec`'s GPUs, stage-major: the KV stripe endpoints, flattened
+    /// once.
+    gpus: Vec<NodeId>,
     /// Role.
     pub kind: InstanceKind,
     /// Current phase.
@@ -115,6 +118,7 @@ impl Instance {
     pub fn new(spec: InstanceSpec, kind: InstanceKind) -> Self {
         debug_assert!(spec.validate().is_ok());
         Instance {
+            gpus: spec.all_gpus(),
             spec,
             kind,
             phase: InstPhase::Idle,
@@ -125,6 +129,11 @@ impl Instance {
             occupied_since: Some(SimTime::ZERO),
             gpu_seconds: 0.0,
         }
+    }
+
+    /// All GPUs, stage-major (`spec.all_gpus()`, without the allocation).
+    pub(crate) fn gpus(&self) -> &[NodeId] {
+        &self.gpus
     }
 
     /// Decode load in live requests (for least-loaded dispatch).

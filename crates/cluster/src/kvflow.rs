@@ -40,29 +40,37 @@ pub struct KvStripe {
 /// would carry zero bytes (payload smaller than the stripe count) are
 /// dropped from the front, never from the byte total.
 pub fn stripe_plan(src_gpus: &[NodeId], dst_gpus: &[NodeId], bytes: u64) -> Vec<KvStripe> {
-    if src_gpus.is_empty() || dst_gpus.is_empty() || bytes == 0 {
-        return Vec::new();
-    }
-    let n = src_gpus.len().max(dst_gpus.len());
-    let pairs: Vec<(NodeId, NodeId)> = (0..n)
-        .map(|i| (src_gpus[i % src_gpus.len()], dst_gpus[i % dst_gpus.len()]))
-        .filter(|(src, dst)| src != dst)
-        .collect();
-    let Some(k) = u64::try_from(pairs.len()).ok().filter(|&k| k > 0) else {
-        return Vec::new();
+    stripes(src_gpus, dst_gpus, bytes).collect()
+}
+
+/// The Eq. 15 stripe rule behind [`stripe_plan`], without collecting:
+/// one pass counts the fabric-crossing pairs, a second yields their
+/// stripes.
+fn stripes<'a>(
+    src_gpus: &'a [NodeId],
+    dst_gpus: &'a [NodeId],
+    bytes: u64,
+) -> impl Iterator<Item = KvStripe> + 'a {
+    let n = if src_gpus.is_empty() || dst_gpus.is_empty() || bytes == 0 {
+        0
+    } else {
+        src_gpus.len().max(dst_gpus.len())
     };
-    let base = bytes / k;
-    let rem = bytes % k;
-    pairs
-        .into_iter()
+    let pairs = move || {
+        (0..n)
+            .map(move |i| (src_gpus[i % src_gpus.len()], dst_gpus[i % dst_gpus.len()]))
+            .filter(|(src, dst)| src != dst)
+    };
+    // With no pair left, the second pass yields nothing and never divides.
+    let k = pairs().count() as u64;
+    pairs()
         .enumerate()
-        .map(|(i, (src, dst))| KvStripe {
+        .map(move |(i, (src, dst))| KvStripe {
             src,
             dst,
-            bytes: base + if i as u64 == k - 1 { rem } else { 0 },
+            bytes: bytes / k + if i as u64 == k - 1 { bytes % k } else { 0 },
         })
         .filter(|s| s.bytes > 0)
-        .collect()
 }
 
 /// Estimated completion time, seconds, of a striped KV-cache shipment
@@ -70,7 +78,7 @@ pub fn stripe_plan(src_gpus: &[NodeId], dst_gpus: &[NodeId], bytes: u64) -> Vec<
 /// parallel, so the shipment finishes with its slowest stripe. `avail` is
 /// the per-link residual bandwidth (bits/s) to price each path with;
 /// `None` prices the idle fabric at link capacity. Stripes whose
-/// endpoints `ap` does not cover are skipped.
+/// endpoints `ap` does not cover are skipped. Nothing is allocated.
 pub fn kv_transfer_estimate(
     g: &Graph,
     ap: &AllPairs,
@@ -79,8 +87,7 @@ pub fn kv_transfer_estimate(
     bytes: u64,
     avail: Option<&[f64]>,
 ) -> f64 {
-    stripe_plan(src_gpus, dst_gpus, bytes)
-        .iter()
+    stripes(src_gpus, dst_gpus, bytes)
         .filter(|s| ap.covers(s.src) && ap.covers(s.dst))
         .map(|s| path_transfer_secs(g, ap.path(s.src, s.dst), s.bytes, avail))
         .fold(0.0f64, f64::max)
@@ -233,6 +240,38 @@ mod proptests {
                 prop_assert_eq!(plan.iter().map(|s| s.bytes).sum::<u64>(), bytes);
                 prop_assert!(plan.iter().all(|s| s.bytes > 0 && s.src != s.dst));
             }
+        }
+
+        /// The estimate folds the stripe rule without collecting it; it
+        /// must equal, bit for bit, the max over the collected plan of
+        /// each stripe's path time, for any residual bandwidths and any
+        /// rank sets, overlapping and self-paired ones included.
+        #[test]
+        fn estimate_is_the_max_over_the_stripe_plan(
+            src in proptest::collection::vec(0usize..16, 1..9),
+            dst in proptest::collection::vec(0usize..16, 1..9),
+            bytes in 0u64..1 << 33,
+            scale in proptest::collection::vec(0.0f64..1.5, 64),
+            priced in 0u32..2,
+        ) {
+            use hs_topology::LinkWeight;
+            let t = hs_topology::builders::testbed();
+            let mut nodes = t.all_gpus();
+            nodes.extend(&t.access_switches);
+            let ap = AllPairs::compute(&t.graph, &nodes, LinkWeight::Latency, None);
+            let gpus = t.all_gpus();
+            let src: Vec<NodeId> = src.into_iter().map(|i| gpus[i]).collect();
+            let dst: Vec<NodeId> = dst.into_iter().map(|i| gpus[i]).collect();
+            let caps = t.graph.capacities();
+            let avail: Vec<f64> = (0..caps.len()).map(|l| caps[l] * scale[l % 64]).collect();
+            let avail = (priced == 1).then_some(avail.as_slice());
+            let want = stripe_plan(&src, &dst, bytes)
+                .iter()
+                .filter(|s| ap.covers(s.src) && ap.covers(s.dst))
+                .map(|s| path_transfer_secs(&t.graph, ap.path(s.src, s.dst), s.bytes, avail))
+                .fold(0.0f64, f64::max);
+            let got = kv_transfer_estimate(&t.graph, &ap, &src, &dst, bytes, avail);
+            prop_assert_eq!(got.to_bits(), want.to_bits());
         }
     }
 }

@@ -96,60 +96,57 @@ impl KvShipper {
         id: RequestId,
     ) -> Option<bool> {
         let need = reqs[id.0 as usize].reserved_kv_tokens();
-        let decode = &instances[self.decode_offset..];
-        // Candidates in ascending decode-pool order (deterministic).
+        let (decode, managers) = (&instances[self.decode_offset..], &self.managers);
         // Draining/Parked instances are not admission targets.
-        let eligible: Vec<usize> = (0..self.managers.len())
-            .filter(|&d| decode[d].state == PoolState::Active && self.managers[d].can_admit(need))
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
+        let eligible = |d: usize| {
+            d < managers.len()
+                && decode[d].state == PoolState::Active
+                && managers[d].can_admit(need)
+        };
+        // Candidates in ascending decode-pool order (deterministic); the
+        // first of the least loaded is the fallback pick.
+        let least_loaded = (0..managers.len())
+            .filter(|&d| eligible(d))
+            .min_by_key(|&d| decode[d].decode_load())?;
         let prefill_inst = reqs[id.0 as usize]
             .prefill_instance
             .expect("admission before prefill completion");
         let input_tokens = reqs[id.0 as usize].req.input_tokens as u64;
         let bytes = input_tokens * self.bytes_per_token;
-        let src_gpus = instances[prefill_inst].spec.all_gpus();
+        let src_gpus = instances[prefill_inst].gpus();
         // Network-aware strategies score the candidates (NetKV-style); a
         // choice outside the candidate set falls through to least-loaded,
         // so the strategy can never over-admit.
         let mut choice = None;
         if sh.strategy.network_aware_admission() {
-            let candidates: Vec<KvCandidate> = eligible
-                .iter()
-                .map(|&d| KvCandidate {
+            let candidates: Vec<KvCandidate> = (0..managers.len())
+                .filter(|&d| eligible(d))
+                .map(|d| KvCandidate {
                     instance: d,
                     load: decode[d].decode_load(),
-                    headroom_tokens: self.managers[d].headroom(),
-                    capacity_tokens: self.managers[d].capacity(),
-                    dst_gpus: decode[d].spec.all_gpus(),
+                    headroom_tokens: managers[d].headroom(),
+                    capacity_tokens: managers[d].capacity(),
+                    dst_gpus: decode[d].gpus(),
                 })
                 .collect();
             let ctx = KvCtx {
                 req: id.0,
                 bytes,
-                src_gpus: &src_gpus,
-                link_util: &sh.util,
+                src_gpus,
                 now: sh.now,
             };
             choice = sh
                 .strategy
                 .choose_decode(&ctx, &candidates)
-                .filter(|c| eligible.contains(&c.instance))
+                .filter(|c| eligible(c.instance))
                 .map(|c| (c.instance, c.est_transfer_s));
         }
         let (d, est_s) = choice.unwrap_or_else(|| {
-            let d = eligible
-                .iter()
-                .copied()
-                .min_by_key(|&d| decode[d].decode_load())
-                .expect("eligible is non-empty");
             // Priced over the idle fabric: only network-aware strategies
             // see link utilization.
-            let dst_gpus = decode[d].spec.all_gpus();
-            let est = kv_transfer_estimate(&sh.g, &sh.ap, &src_gpus, &dst_gpus, bytes, None);
-            (d, est)
+            let dst_gpus = decode[least_loaded].gpus();
+            let est = kv_transfer_estimate(&sh.g, &sh.ap, src_gpus, dst_gpus, bytes, None);
+            (least_loaded, est)
         });
         // Selection and reservation are decoupled, so re-validate instead
         // of asserting: a refused reservation defers the request rather
@@ -166,7 +163,7 @@ impl KvShipper {
         self.managers[d].materialize(input_tokens);
         // Stripe the shipment across the Eq. 15 parallel TP pairs: one
         // flow per src/dst GPU pair, done when the slowest stripe drains.
-        let stripes = stripe_plan(&src_gpus, &decode[d].spec.all_gpus(), bytes);
+        let stripes = stripe_plan(src_gpus, decode[d].gpus(), bytes);
         let (live, _) = self.launch(sh, &stripes, id.0);
         self.transfers += 1;
         self.bytes += bytes;

@@ -49,7 +49,7 @@ pub struct CommCtx<'a> {
 /// deterministic order — never hash order) and are pre-filtered to
 /// instances whose KV manager can admit the request.
 #[derive(Clone, Debug)]
-pub struct KvCandidate {
+pub struct KvCandidate<'a> {
     /// Index into the decode pool (engine-local, dense from 0).
     pub instance: usize,
     /// Current decode load: active + joining requests.
@@ -59,10 +59,13 @@ pub struct KvCandidate {
     /// Total KV token capacity of this instance.
     pub capacity_tokens: u64,
     /// The instance's GPUs — the stripe destinations if chosen.
-    pub dst_gpus: Vec<NodeId>,
+    pub dst_gpus: &'a [NodeId],
 }
 
-/// Decision context for one decode-instance selection.
+/// Decision context for one decode-instance selection. It carries no
+/// link utilization: a strategy that prices the fabric keeps what it
+/// needs from [`CommStrategy::on_monitor`], the only place the engine
+/// changes the utilization it monitors.
 #[derive(Clone, Copy, Debug)]
 pub struct KvCtx<'a> {
     /// Request id being admitted.
@@ -71,9 +74,6 @@ pub struct KvCtx<'a> {
     pub bytes: u64,
     /// The originating prefill instance's GPUs — the stripe sources.
     pub src_gpus: &'a [NodeId],
-    /// Latest monitored per-link utilization (EWMA, `[0,1]`), indexed by
-    /// dense `LinkId`.
-    pub link_util: &'a [f64],
     /// Simulation time.
     pub now: SimTime,
 }
@@ -123,16 +123,27 @@ pub trait CommStrategy {
     }
 
     /// Choose the decode instance for an admitted request — the NetKV-style
-    /// hook: score candidates by estimated KV transfer time over current
-    /// link utilization, KV headroom, and decode load. Returning `None`, or
-    /// an instance that is not among the candidates, falls back to the
-    /// engine's least-loaded pick; the engine re-validates capacity either
-    /// way, so a stale choice can never over-admit.
-    fn choose_decode(&mut self, _ctx: &KvCtx<'_>, _candidates: &[KvCandidate]) -> Option<KvChoice> {
+    /// hook: score candidates by estimated KV transfer time, KV headroom,
+    /// and decode load. Link utilization comes through
+    /// [`on_monitor`](Self::on_monitor): the engine changes the
+    /// utilization it monitors only at a monitor tick and passes it on
+    /// right then, so a strategy that prices links there, starting from
+    /// an idle fabric, sees at every admission what the engine sees.
+    /// Returning `None`, or an instance that is not among the candidates,
+    /// falls back to the engine's least-loaded pick; the engine
+    /// re-validates capacity either way, so a stale choice can never
+    /// over-admit.
+    fn choose_decode(
+        &mut self,
+        _ctx: &KvCtx<'_>,
+        _candidates: &[KvCandidate<'_>],
+    ) -> Option<KvChoice> {
         None
     }
 
-    /// Periodic monitoring callback (the paper's control-plane poll loop).
+    /// Periodic monitoring callback (the paper's control-plane poll loop):
+    /// the latest monitored per-link utilization (EWMA, `[0,1]`), indexed
+    /// by dense `LinkId`. Before the first call every link is idle.
     fn on_monitor(&mut self, _link_util: &[f64], _now: SimTime) {}
 
     /// Fabric-health change notification, delivered when a scheduled

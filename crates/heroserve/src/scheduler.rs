@@ -277,7 +277,10 @@ pub struct HeroScheduler {
     /// Keyed in group-id order: `on_monitor` walks every table and its
     /// visit order reaches the trace stream.
     tables: BTreeMap<u64, PolicyTable>,
-    link_util: Vec<f64>,
+    /// Residual bandwidth `B(e)` per link under the latest monitored
+    /// utilization (the idle fabric before the first `on_monitor`),
+    /// priced once per tick for every NetKV admission until the next.
+    avail: Vec<f64>,
     /// Cached alternative routes per endpoint pair (Yen's k-shortest),
     /// for the point-to-point path policies of Fig. 5. Ordered so fault
     /// invalidation sweeps are deterministic.
@@ -294,14 +297,14 @@ impl HeroScheduler {
     /// INA switches (reuse the planner's all-pairs structures).
     pub fn new(graph: &Graph, ap: AllPairs, params: SchedulerParams) -> Self {
         let ina_switches = graph.ina_switches();
-        let link_util = vec![0.0; graph.link_count()];
+        let avail = available_bandwidth(graph, &vec![0.0; graph.link_count()]);
         HeroScheduler {
             graph: graph.clone(),
             ap,
             ina_switches,
             params,
             tables: BTreeMap::new(),
-            link_util,
+            avail,
             route_cache: BTreeMap::new(),
             dead_links: FxHashSet::default(),
             tracer: hs_obs::Tracer::noop(),
@@ -467,24 +470,28 @@ impl CommStrategy for HeroScheduler {
     }
 
     /// NetKV-style decode selection: among the admissible candidates,
-    /// minimize estimated striped transfer time over residual bandwidth
-    /// plus load/pressure penalties. Ties (exactly equal scores) keep the
+    /// minimize estimated striped transfer time over the residual
+    /// bandwidth of the last `on_monitor` plus load/pressure penalties.
+    /// Scoring allocates nothing. Ties (exactly equal scores) keep the
     /// lowest instance index — candidates arrive in ascending order, so
     /// strict `<` comparison is the deterministic tiebreak.
-    fn choose_decode(&mut self, ctx: &KvCtx<'_>, candidates: &[KvCandidate]) -> Option<KvChoice> {
+    fn choose_decode(
+        &mut self,
+        ctx: &KvCtx<'_>,
+        candidates: &[KvCandidate<'_>],
+    ) -> Option<KvChoice> {
         if self.params.kv_select != KvSelection::NetKv {
             return None;
         }
-        let avail = available_bandwidth(&self.graph, ctx.link_util);
         let mut best: Option<(f64, KvChoice)> = None;
         for c in candidates {
             let est = kv_transfer_estimate(
                 &self.graph,
                 &self.ap,
                 ctx.src_gpus,
-                &c.dst_gpus,
+                c.dst_gpus,
                 ctx.bytes,
-                Some(&avail),
+                Some(&self.avail),
             );
             let reserved_frac = if c.capacity_tokens == 0 {
                 1.0
@@ -512,8 +519,7 @@ impl CommStrategy for HeroScheduler {
     }
 
     fn on_monitor(&mut self, link_util: &[f64], now: SimTime) {
-        self.link_util.clear();
-        self.link_util.extend_from_slice(link_util);
+        self.avail = available_bandwidth(&self.graph, link_util);
         for (&gid, table) in self.tables.iter_mut() {
             // Refresh syncs b to measured utilization, superseding any
             // pending select-time decay.
@@ -861,10 +867,10 @@ mod tests {
 
     fn kv_candidate(
         instance: usize,
-        dst_gpus: Vec<NodeId>,
+        dst_gpus: &[NodeId],
         load: usize,
         headroom: u64,
-    ) -> KvCandidate {
+    ) -> KvCandidate<'_> {
         KvCandidate {
             instance,
             load,
@@ -874,27 +880,28 @@ mod tests {
         }
     }
 
+    fn kv_ctx(src_gpus: &[NodeId], bytes: u64) -> KvCtx<'_> {
+        KvCtx {
+            req: 0,
+            bytes,
+            src_gpus,
+            now: SimTime::ZERO,
+        }
+    }
+
     #[test]
     fn netkv_prefers_nvlink_local_decode() {
         let (mut s, _, t) = scheduler();
         assert!(s.network_aware_admission());
-        let src = t.gpus_by_server[0][..2].to_vec();
-        let util = vec![0.0; t.graph.link_count()];
-        let ctx = KvCtx {
-            req: 0,
-            bytes: 64 << 20,
-            src_gpus: &src,
-            link_util: &util,
-            now: SimTime::ZERO,
-        };
+        let src = &t.gpus_by_server[0][..2];
         // Equal load and headroom: the NVLink-local candidate's transfer
         // estimate dominates and it wins despite the higher index.
         let c = s
             .choose_decode(
-                &ctx,
+                &kv_ctx(src, 64 << 20),
                 &[
-                    kv_candidate(0, t.gpus_by_server[1][..2].to_vec(), 1, 5_000),
-                    kv_candidate(1, t.gpus_by_server[0][2..].to_vec(), 1, 5_000),
+                    kv_candidate(0, &t.gpus_by_server[1][..2], 1, 5_000),
+                    kv_candidate(1, &t.gpus_by_server[0][2..], 1, 5_000),
                 ],
             )
             .expect("a choice among nonempty candidates");
@@ -902,23 +909,32 @@ mod tests {
         assert!(c.est_transfer_s > 0.0);
     }
 
+    /// Before any monitor tick the scheduler prices the idle fabric, as
+    /// the engine's zeroed utilization does: the estimate is the
+    /// idle-capacity one, bit for bit.
+    #[test]
+    fn choose_decode_before_any_monitor_prices_the_idle_fabric() {
+        let (mut s, _, t) = scheduler();
+        let src = &t.gpus_by_server[0];
+        let dst = &t.gpus_by_server[1];
+        let bytes = 256 << 20;
+        let c = s
+            .choose_decode(&kv_ctx(src, bytes), &[kv_candidate(0, dst, 1, 5_000)])
+            .expect("choice");
+        let idle = kv_transfer_estimate(&t.graph, &s.ap, src, dst, bytes, None);
+        assert_eq!(c.est_transfer_s.to_bits(), idle.to_bits());
+    }
+
     #[test]
     fn netkv_routes_around_congested_uplinks() {
         let (mut s, _, t) = scheduler();
-        let src = t.gpus_by_server[0].clone();
+        let src = &t.gpus_by_server[0];
         let candidates = [
-            kv_candidate(0, t.gpus_by_server[1].clone(), 1, 5_000),
-            kv_candidate(1, t.gpus_by_server[3].clone(), 1, 5_000),
+            kv_candidate(0, &t.gpus_by_server[1], 1, 5_000),
+            kv_candidate(1, &t.gpus_by_server[3], 1, 5_000),
         ];
         // Idle fabric: symmetric estimates, lowest index wins the tie.
-        let idle = vec![0.0; t.graph.link_count()];
-        let ctx = KvCtx {
-            req: 0,
-            bytes: 256 << 20,
-            src_gpus: &src,
-            link_util: &idle,
-            now: SimTime::ZERO,
-        };
+        let ctx = kv_ctx(src, 256 << 20);
         let c = s.choose_decode(&ctx, &candidates).expect("choice");
         assert_eq!(c.instance, 0);
         // Saturate server 1's uplinks: the estimate through them inflates
@@ -929,13 +945,7 @@ mod tests {
                 util[lid.idx()] = 0.95;
             }
         }
-        let ctx = KvCtx {
-            req: 0,
-            bytes: 256 << 20,
-            src_gpus: &src,
-            link_util: &util,
-            now: SimTime::ZERO,
-        };
+        s.on_monitor(&util, SimTime::ZERO);
         let hot = s.choose_decode(&ctx, &candidates).expect("choice");
         assert_eq!(hot.instance, 1, "selection must route around congestion");
         assert!(hot.est_transfer_s < c.est_transfer_s * 10.0);
@@ -944,22 +954,14 @@ mod tests {
     #[test]
     fn netkv_penalizes_kv_pressure() {
         let (mut s, _, t) = scheduler();
-        let src = t.gpus_by_server[0].clone();
-        let util = vec![0.0; t.graph.link_count()];
-        let ctx = KvCtx {
-            req: 0,
-            bytes: 64 << 20,
-            src_gpus: &src,
-            link_util: &util,
-            now: SimTime::ZERO,
-        };
+        let src = &t.gpus_by_server[0];
         // Symmetric network estimates; the nearly-full instance loses.
         let c = s
             .choose_decode(
-                &ctx,
+                &kv_ctx(src, 64 << 20),
                 &[
-                    kv_candidate(0, t.gpus_by_server[1].clone(), 1, 100),
-                    kv_candidate(1, t.gpus_by_server[3].clone(), 1, 9_000),
+                    kv_candidate(0, &t.gpus_by_server[1], 1, 100),
+                    kv_candidate(1, &t.gpus_by_server[3], 1, 9_000),
                 ],
             )
             .expect("choice");
@@ -978,21 +980,10 @@ mod tests {
         };
         let mut s = HeroScheduler::new(&t.graph, ap, params);
         assert!(!s.network_aware_admission());
-        let src = t.gpus_by_server[0].clone();
-        let util = vec![0.0; t.graph.link_count()];
-        let ctx = KvCtx {
-            req: 0,
-            bytes: 64 << 20,
-            src_gpus: &src,
-            link_util: &util,
-            now: SimTime::ZERO,
-        };
+        let ctx = kv_ctx(&t.gpus_by_server[0], 64 << 20);
         assert!(
-            s.choose_decode(
-                &ctx,
-                &[kv_candidate(0, t.gpus_by_server[1].clone(), 0, 9_000)]
-            )
-            .is_none(),
+            s.choose_decode(&ctx, &[kv_candidate(0, &t.gpus_by_server[1], 0, 9_000)])
+                .is_none(),
             "least-loaded mode must defer to the engine"
         );
     }

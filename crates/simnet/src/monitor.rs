@@ -40,17 +40,16 @@ impl LinkMonitor {
     }
 
     /// Poll the network's counters at time `now` and fold the window's
-    /// average utilization into the EWMA. Returns the raw window samples.
+    /// average utilization into the EWMA.
     ///
     /// Polling with a zero-length window leaves the estimate unchanged.
-    pub fn poll(&mut self, net: &SimNet, now: SimTime) -> Vec<f64> {
+    pub fn poll(&mut self, net: &SimNet, now: SimTime) {
         let dt = now.saturating_since(self.last_poll).as_secs_f64();
         let caps = net.capacities();
-        let mut samples = vec![0.0; self.ewma.len()];
         if dt <= 0.0 {
-            return samples;
+            return;
         }
-        for (i, sample) in samples.iter_mut().enumerate() {
+        for (i, ewma) in self.ewma.iter_mut().enumerate() {
             let mut util = 0.0f64;
             for dir in [false, true] {
                 let bytes = net.cumulative_bytes_dir(LinkId(i as u32), dir);
@@ -59,11 +58,9 @@ impl LinkMonitor {
                 util = util.max(((delta * 8.0 / dt) / caps[i]).clamp(0.0, 1.0));
                 self.last_bytes[idx] = bytes;
             }
-            *sample = util;
-            self.ewma[i] = (1.0 - self.alpha) * self.ewma[i] + self.alpha * util;
+            *ewma = (1.0 - self.alpha) * *ewma + self.alpha * util;
         }
         self.last_poll = now;
-        samples
     }
 
     /// Smoothed utilization estimate for one link.
@@ -112,9 +109,10 @@ mod tests {
         // Saturate the link for 1 ms: 100 Gbps = 12.5 MB per ms.
         net.start_flow(SimTime::ZERO, &[(l, true)], 12_500_000, 0);
         net.advance_to(SimTime::from_millis(1));
-        let s = mon.poll(&net, SimTime::from_millis(1));
-        assert!((s[l.idx()] - 1.0).abs() < 0.01, "sample {}", s[l.idx()]);
-        assert!((mon.utilization(l) - 1.0).abs() < 0.01);
+        mon.poll(&net, SimTime::from_millis(1));
+        // alpha = 1.0: the estimate is the window's raw sample.
+        let u = mon.utilization(l);
+        assert!((u - 1.0).abs() < 0.01, "sample {u}");
     }
 
     #[test]

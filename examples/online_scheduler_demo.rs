@@ -71,21 +71,21 @@ fn main() {
     // prefill→decode KV shipments: score = estimated striped transfer
     // time over residual bandwidth + load/pressure penalties.
     println!("\n--- NetKV decode selection (KV shipment from server 0) ---");
-    let src = topo.gpus_by_server[0][..2].to_vec();
+    let src = &topo.gpus_by_server[0][..2];
     let candidates = [
         KvCandidate {
             instance: 0,
             load: 2,
             headroom_tokens: 40_000,
             capacity_tokens: 60_000,
-            dst_gpus: topo.gpus_by_server[0][2..].to_vec(), // NVLink-local
+            dst_gpus: &topo.gpus_by_server[0][2..], // NVLink-local
         },
         KvCandidate {
             instance: 1,
             load: 0,
             headroom_tokens: 60_000,
             capacity_tokens: 60_000,
-            dst_gpus: topo.gpus_by_server[1][..2].to_vec(), // across Ethernet
+            dst_gpus: &topo.gpus_by_server[1][..2], // across Ethernet
         },
     ];
     for (name, hot) in [("idle fabric", false), ("server-1 uplinks at 95 %", true)] {
@@ -99,12 +99,14 @@ fn main() {
                 }
             }
         }
+        // Utilization reaches decode selection through the monitor loop,
+        // as in the engine.
+        sched.on_monitor(&util, SimTime::ZERO);
         let choice = sched.choose_decode(
             &KvCtx {
                 req: 0,
                 bytes: 512 << 20,
-                src_gpus: &src,
-                link_util: &util,
+                src_gpus: src,
                 now: SimTime::ZERO,
             },
             &candidates,
