@@ -12,7 +12,8 @@
 //!
 //! Each row is the median of several runs by event rate, next to the
 //! engine's deterministic work counters (`scoped_solves`,
-//! `resumed_solves`, `flows_rated`), which are identical in every run.
+//! `resumed_solves`, `flows_rated`, `solo_rated`), which are identical in
+//! every run.
 //!
 //! Writes `results/bench_simnet.json`.
 
@@ -33,6 +34,7 @@ fn push_row(table: &mut ExpTable, n_flows: usize, mode: &str, runs: usize, run: 
             run.stats.scoped_solves.to_string(),
             run.stats.resumed_solves.to_string(),
             run.stats.flows_rated.to_string(),
+            run.stats.solo_rated.to_string(),
         ],
         json!({
             "flows": n_flows,
@@ -44,6 +46,7 @@ fn push_row(table: &mut ExpTable, n_flows: usize, mode: &str, runs: usize, run: 
             "scoped_solves": run.stats.scoped_solves,
             "resumed_solves": run.stats.resumed_solves,
             "flows_rated": run.stats.flows_rated,
+            "solo_rated": run.stats.solo_rated,
         }),
     );
 }
@@ -67,6 +70,7 @@ fn main() {
             "scoped solves",
             "resumed solves",
             "flows rated",
+            "solo rated",
         ],
     );
     for &n_flows in &[100usize, 1_000, 10_000, 100_000, 1_000_000] {

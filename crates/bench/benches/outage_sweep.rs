@@ -57,6 +57,7 @@ fn main() {
             "scoped solves",
             "resumed solves",
             "flows rated",
+            "solo rated",
             "fingerprint",
         ],
     );
@@ -134,6 +135,7 @@ fn main() {
                 stats.scoped_solves.to_string(),
                 stats.resumed_solves.to_string(),
                 stats.flows_rated.to_string(),
+                stats.solo_rated.to_string(),
                 fp.clone(),
             ],
             json!({
@@ -145,6 +147,7 @@ fn main() {
                 "scoped_solves": stats.scoped_solves,
                 "resumed_solves": stats.resumed_solves,
                 "flows_rated": stats.flows_rated,
+                "solo_rated": stats.solo_rated,
                 "fingerprint": fp,
             }),
         );

@@ -68,6 +68,7 @@ fn main() {
             "scoped solves",
             "resumed solves",
             "flows rated",
+            "solo rated",
             "peak RSS MiB",
             "fingerprint",
         ],
@@ -90,6 +91,7 @@ fn main() {
                 stats.scoped_solves.to_string(),
                 stats.resumed_solves.to_string(),
                 stats.flows_rated.to_string(),
+                stats.solo_rated.to_string(),
                 rss.map_or_else(|| "-".to_string(), |m| format!("{m:.1}")),
                 format!("{fp:016x}"),
             ],
@@ -102,6 +104,7 @@ fn main() {
                 "scoped_solves": stats.scoped_solves,
                 "resumed_solves": stats.resumed_solves,
                 "flows_rated": stats.flows_rated,
+                "solo_rated": stats.solo_rated,
                 "peak_rss_mib": rss,
                 "fingerprint": format!("{fp:016x}"),
             }),

@@ -188,7 +188,15 @@ pub struct ClusterSim {
     pools: Pools,
     faults: FaultRecovery,
     offered_rate: f64,
-    bg: Option<(Mmpp, SmallRng)>,
+    bg: Option<Background>,
+}
+
+/// Bursty cross traffic between random GPU pairs.
+struct Background {
+    mmpp: Mmpp,
+    rng: SmallRng,
+    /// The fabric's GPUs, in id order: the endpoints drawn from.
+    gpus: Vec<NodeId>,
 }
 
 impl ClusterSim {
@@ -244,7 +252,11 @@ impl ClusterSim {
             let mut mmpp = Mmpp::bursty(rate, 5.0);
             let first = SimTime::ZERO + mmpp.next_gap(&mut rng);
             events.push(first, Ev::Background);
-            (mmpp, rng)
+            Background {
+                mmpp,
+                rng,
+                gpus: graph.gpus(),
+            }
         });
         let metrics = hs_obs::MetricsRegistry::disabled();
         ClusterSim {
@@ -446,10 +458,9 @@ impl ClusterSim {
     /// next one.
     fn background_flow(&mut self) -> Option<()> {
         let (_, bytes) = self.cfg.background?;
-        let (mmpp, rng) = self.bg.as_mut()?;
+        let Background { mmpp, rng, gpus } = self.bg.as_mut()?;
         let sh = &mut self.sh;
         sh.events.push(sh.now + mmpp.next_gap(rng), Ev::Background);
-        let gpus = sh.g.gpus();
         let a = *gpus.choose(rng)?;
         let mut b = *gpus.choose(rng)?;
         let mut guard = 0;

@@ -12,7 +12,6 @@ use crate::latency::{by_server, AGG_DELAY};
 use hs_des::{SimSpan, SimTime};
 use hs_simnet::{DirLink, FlowId, SimNet};
 use hs_topology::{AllPairs, Graph, NodeId};
-use rustc_hash::FxHashSet;
 
 /// Which all-reduce scheme to compile (the planner's `α`/`β` selection
 /// plus HeroServe's heterogeneous variants).
@@ -208,7 +207,9 @@ pub enum Progress {
 pub struct CollectiveExec {
     plan: CollectivePlan,
     phase: usize,
-    outstanding: FxHashSet<FlowId>,
+    /// In-flight flows of the current phase (at most two per group
+    /// member), unordered.
+    outstanding: Vec<FlowId>,
     tag: u64,
 }
 
@@ -219,7 +220,7 @@ impl CollectiveExec {
         CollectiveExec {
             plan,
             phase: 0,
-            outstanding: FxHashSet::default(),
+            outstanding: Vec::new(),
             tag,
         }
     }
@@ -241,11 +242,10 @@ impl CollectiveExec {
     /// Panics if `id` is not one of this collective's outstanding flows —
     /// the engine's demux must be exact.
     pub fn on_flow_complete(&mut self, net: &mut SimNet, now: SimTime, id: FlowId) -> Progress {
-        assert!(
-            self.outstanding.remove(&id),
-            "flow {id:?} does not belong to collective {}",
-            self.tag
-        );
+        let Some(i) = self.outstanding.iter().position(|&x| x == id) else {
+            panic!("flow {id:?} does not belong to collective {}", self.tag);
+        };
+        self.outstanding.swap_remove(i);
         if !self.outstanding.is_empty() {
             return Progress::InFlight;
         }
@@ -264,9 +264,9 @@ impl CollectiveExec {
     /// recompile and retry over surviving links. Returns how many flows
     /// were cancelled here.
     pub fn abort(&mut self, net: &mut SimNet, now: SimTime, already_gone: &[FlowId]) -> usize {
-        // Cancel in ascending flow-id order: the in-flight set is
-        // hash-ordered, and cancellation order reaches the tracer stream.
-        let mut ids: Vec<FlowId> = std::mem::take(&mut self.outstanding).into_iter().collect();
+        // Cancel in ascending flow-id order: completions reorder the
+        // in-flight list, and cancellation order reaches the tracer stream.
+        let mut ids = std::mem::take(&mut self.outstanding);
         ids.sort_unstable();
         let mut cancelled = 0;
         for id in ids {
@@ -298,7 +298,7 @@ impl CollectiveExec {
             }
             for (path, bytes) in &phase.transfers {
                 let id = net.start_flow(now, path, *bytes, self.tag);
-                self.outstanding.insert(id);
+                self.outstanding.push(id);
             }
             return Progress::InFlight;
         }
@@ -547,5 +547,29 @@ mod tests {
             contended.as_secs_f64() > 1.3 * alone.as_secs_f64(),
             "contended {contended} vs alone {alone}"
         );
+    }
+
+    /// A completion the collective does not own is a demux bug and
+    /// panics; an abort cancels the rest in ascending id order.
+    #[test]
+    #[should_panic(expected = "does not belong to collective 9")]
+    fn foreign_completion_panics() {
+        let (m, ap) = setup();
+        let mut net = SimNet::new(&m.graph);
+        let plan = CollectivePlan::compile(&m.graph, &ap, &m.gpus, Scheme::Ring, 1 << 20);
+        let mut exec = CollectiveExec::new(plan, 9);
+        assert_eq!(exec.start(&mut net, SimTime::ZERO), Progress::InFlight);
+        let first = exec.outstanding[0];
+        let last = *exec.outstanding.last().unwrap();
+        exec.on_flow_complete(&mut net, SimTime::ZERO, first);
+        assert_eq!(exec.outstanding[0], last, "swap-removed");
+        let n = exec.outstanding.len();
+        assert_eq!(exec.abort(&mut net, SimTime::ZERO, &[]), n);
+        assert_eq!(
+            net.active_flow_count(),
+            1,
+            "only the flow reported done is left"
+        );
+        exec.on_flow_complete(&mut net, SimTime::ZERO, first);
     }
 }

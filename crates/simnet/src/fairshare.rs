@@ -23,7 +23,27 @@
 //! After flows leave, [`SolverWorkspace::resume`] re-solves the rest by
 //! restarting the same water-filling loop at the earliest round a
 //! departed flow froze in, from the link state recorded at that round's
-//! start; a full solve is that loop started at round 0.
+//! start; a full solve is that loop started at round 0. A flow alone on
+//! its links needs no loop: [`solo_rate`] is its single round in closed
+//! form.
+
+/// Rate of a flow with weight `weight` over the distinct `links` when no
+/// other flow crosses any of them: [`SolverWorkspace::solve`]'s single
+/// round in closed form, with its arithmetic. Each link's weight sum is
+/// `0.0 + weight == weight`, the bottleneck is the first strict minimum
+/// of `rem_cap.max(0.0) / weight` from +∞, and the rate is `weight ×
+/// share`, so the result equals a one-flow solve bit for bit (finite
+/// capacities; an empty path gets +∞, as it does there).
+pub fn solo_rate(capacities: &[f64], links: impl IntoIterator<Item = usize>, weight: f64) -> f64 {
+    let mut share = f64::INFINITY;
+    for l in links {
+        let s = capacities[l].max(0.0) / weight;
+        if s < share {
+            share = s;
+        }
+    }
+    weight * share
+}
 
 /// One flow's slice of the flat slot arena passed to
 /// [`SolverWorkspace::solve`], plus its fair-share weight.
@@ -559,6 +579,34 @@ mod proptests {
                 }
                 prop_assert!(ws.rerated().iter().all(|&fi| !left[fi as usize]));
             }
+        }
+
+        /// The closed form for a flow alone on its links equals a one-flow
+        /// solve bit for bit: weights 1–4, healthy and browned-out links,
+        /// dead ones (capacity 0, which a zero-byte flow may cross) and
+        /// negative entries, which the solver's clamp reads as 0.
+        #[test]
+        fn solo_rate_equals_one_flow_solve(
+            (caps, paths) in arb_instance(),
+            kind in proptest::collection::vec(0u8..8, 8),
+            scale in 0.01f64..1.0,
+            w in 1u32..5,
+        ) {
+            let caps: Vec<f64> = caps
+                .iter()
+                .zip(&kind)
+                .map(|(&c, &k)| match k {
+                    0 => 0.0,
+                    1 => -c,
+                    2 | 3 => c * scale,
+                    _ => c,
+                })
+                .collect();
+            let weight = f64::from(w);
+            let path = &paths[0];
+            let want = solve(&caps, std::slice::from_ref(path), &[weight])[0];
+            let got = solo_rate(&caps, path.iter().copied(), weight);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "path {:?} over {:?}", path, caps);
         }
 
         /// The allocation is invariant under flow permutation (uniqueness).

@@ -21,8 +21,9 @@
 //!
 //! Rate maintenance is incremental: [`SimNet`] re-solves only the
 //! connected component of links/flows a change touches, through one
-//! persistent water-filling [`SolverWorkspace`], resumes the last
-//! component solve after a departure instead of redoing it, and finds completions
+//! persistent water-filling [`SolverWorkspace`], rates a flow alone on its
+//! links in closed form without a solve, resumes the last component solve
+//! after a departure instead of redoing it, and finds completions
 //! through a lazily-invalidated min-heap — see `net.rs` and DESIGN.md
 //! §9/§12. A from-scratch reference solver, kept with the tests, is the
 //! oracle for the equivalence suite.

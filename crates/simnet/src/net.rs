@@ -43,7 +43,12 @@
 //! the start of every round, and redoes only the rounds from the one the
 //! departed flow froze in, which gives the same bits.
 //! Any other change (a start, an unpark, a capacity change) takes the
-//! full scoped solve. Per-link allocated rates are not stored: the rate
+//! full scoped solve, except for a flow alone on its links: it is its
+//! own component, so it is rated at its start in closed form
+//! ([`solo_rate`], the water-filling's single round, same bits) with no
+//! solve, and when it leaves alone (outside the cache) it seeds nothing,
+//! since no other rate can change. A removed flow pushes no heap entry.
+//! Per-link allocated rates are not stored: the rate
 //! queries ([`SimNet::link_utilization`], [`SimNet::utilization_snapshot`],
 //! [`SimNet::residual_bandwidth`]) sum them over the link's flows.
 //!
@@ -56,7 +61,7 @@
 //! stale entries once it holds more than twice as many entries as there
 //! are live flows.
 
-use crate::fairshare::{FlowSpan, SolverWorkspace};
+use crate::fairshare::{solo_rate, FlowSpan, SolverWorkspace};
 use hs_des::{SimSpan, SimTime};
 use hs_topology::{Graph, LinkId};
 use std::cmp::Reverse;
@@ -144,21 +149,18 @@ impl Flow {
 type HeapEntry = Reverse<(SimTime, FlowId, u64)>;
 
 /// Accrue `f`'s progress over `(f.touched, clock]` at its current rate.
+/// Returns whether the flow drained in that window, which fixes its
+/// completion estimate (a new epoch) that a kept flow must push.
 ///
 /// This is THE materialization point of the lazy-accrual contract: it runs
 /// only when the flow's rate value is about to change, or the flow is
 /// cancelled/aborted/completed — events that occur at identical instants
 /// under a scoped and a global solve (their rates are bitwise equal), so
-/// both perform the identical float operations.
-fn materialize(
-    f: &mut Flow,
-    id: FlowId,
-    clock: SimTime,
-    cum: &mut [f64],
-    heap: &mut BinaryHeap<HeapEntry>,
-) {
+/// both perform the identical float operations. A flow being removed
+/// needs only the accrual; a kept one goes through [`materialize`].
+fn accrue(f: &mut Flow, clock: SimTime, cum: &mut [f64]) -> bool {
     if clock <= f.touched {
-        return;
+        return false;
     }
     let base = f.touched;
     f.touched = clock;
@@ -184,11 +186,26 @@ fn materialize(
             // Drain transition: the estimate is final now.
             f.finish_at = f.earliest_finish;
             f.epoch += 1;
-            heap.push(Reverse((f.finish_at, id, f.epoch)));
+            return true;
         }
     } else if f.rate_bps.is_infinite() {
         // Empty-path flow: delivered instantly, no link bytes.
         f.remaining_bytes = 0.0;
+    }
+    false
+}
+
+/// [`accrue`] a flow that stays live, pushing the heap entry of a drain
+/// transition.
+fn materialize(
+    f: &mut Flow,
+    id: FlowId,
+    clock: SimTime,
+    cum: &mut [f64],
+    heap: &mut BinaryHeap<HeapEntry>,
+) {
+    if accrue(f, clock, cum) {
+        heap.push(Reverse((f.finish_at, id, f.epoch)));
     }
 }
 
@@ -271,6 +288,9 @@ pub struct SolveStats {
     /// solve of a k-flow component adds k, a resumed one the flows it
     /// re-rated).
     pub flows_rated: u64,
+    /// Flows rated in closed form at their start because no other flow
+    /// crossed any of their links (no solve; not in `flows_rated`).
+    pub solo_rated: u64,
 }
 
 /// Reusable buffers for the component BFS — allocation-free at steady
@@ -526,7 +546,8 @@ impl SimNet {
     /// which is why leaving it out of the solve changes no rate.
     ///
     /// A flow with bytes to send whose path crosses a dead link is parked
-    /// (see [`SimNet::set_link_scale`]).
+    /// (see [`SimNet::set_link_scale`]). One whose links carry no other
+    /// flow is rated here, in closed form, instead of by a solve.
     pub fn start_weighted_flow(
         &mut self,
         now: SimTime,
@@ -571,10 +592,26 @@ impl SimNet {
             self.heap.push(Reverse((f.finish_at, id, f.epoch)));
         }
         if !f.parked {
+            debug_assert!(
+                path.iter()
+                    .enumerate()
+                    .all(|(i, &d)| !path[..i].contains(&d)),
+                "a path crosses each directed link once"
+            );
+            let solo = !path.is_empty() && path.iter().all(|&d| self.incidence[slot(d)].is_empty());
             for &d in path {
                 self.incidence[slot(d)].push(id);
             }
-            self.mark_changed(path);
+            if solo {
+                // Its own max-min component: rate it now, no solve.
+                let w = f64::from(weight.get());
+                let rate = solo_rate(&self.dir_caps, path.iter().map(|&d| slot(d)), w);
+                assign_rate(&mut f, id, rate, self.clock, &mut self.heap);
+                self.stats.solo_rated += 1;
+                self.invalidate_cache(path);
+            } else {
+                self.mark_changed(path);
+            }
         }
         self.flows.insert(id, f);
         self.tracer.flow_start(now, id.0, tag, bytes, path.len());
@@ -677,7 +714,7 @@ impl SimNet {
             self.clock = self.clock.max(t);
             let clock = self.clock;
             let mut f = self.take_flow(id).expect("front flow is live");
-            materialize(&mut f, id, clock, &mut self.cum_bytes, &mut self.heap);
+            accrue(&mut f, clock, &mut self.cum_bytes);
             f.remaining_bytes = 0.0;
             done.push((id, f));
         }
@@ -840,7 +877,7 @@ impl SimNet {
             .map(|id| {
                 let mut f = self.take_flow(id).expect("doomed flow present");
                 // An abort is a touch point: hand back accrued progress.
-                materialize(&mut f, id, clock, &mut self.cum_bytes, &mut self.heap);
+                accrue(&mut f, clock, &mut self.cum_bytes);
                 (id, f)
             })
             .collect()
@@ -858,23 +895,31 @@ impl SimNet {
     }
 
     /// Remove and return a live flow and, unless it is parked, drop it
-    /// from the incidence table and seed its slots.
+    /// from the incidence table and seed its slots. A flow that shared no
+    /// link and is not in the cache seeds nothing: its leaving changes no
+    /// other rate.
     fn take_flow(&mut self, id: FlowId) -> Option<Flow> {
         let f = self.flows.take(id)?;
         if !f.parked {
             self.unlink(id, &f.path);
-            self.seed_path(&f.path);
+            let mut cached = false;
             if self.cache_valid {
                 match self.cache.ids.binary_search(&id) {
                     Ok(fi) => {
                         let c = &mut self.cache;
                         c.ws.depart(&c.flat, &c.spans, fi);
+                        cached = true;
                     }
                     // Only the cache's own flows cross its links: any
                     // other flow there invalidated it when it started or
                     // was unparked.
                     Err(_) => debug_assert!(!f.path.iter().any(|&d| self.cache.ws.covers(slot(d)))),
                 }
+            }
+            // A cached departure seeds even when alone, so the resume it
+            // recorded runs at this instant.
+            if cached || f.path.iter().any(|&d| !self.incidence[slot(d)].is_empty()) {
+                self.seed_path(&f.path);
             }
         }
         Some(f)
@@ -905,6 +950,12 @@ impl SimNet {
     /// cache covering any of them can no longer be resumed.
     fn mark_changed(&mut self, path: &[DirLink]) {
         self.seed_path(path);
+        self.invalidate_cache(path);
+    }
+
+    /// Drop the cache if it covers any of `path`'s slots: a flow other
+    /// than its own now crosses its links (or their capacity moved).
+    fn invalidate_cache(&mut self, path: &[DirLink]) {
         if self.cache_valid && path.iter().any(|&d| self.cache.ws.covers(slot(d))) {
             self.cache_valid = false;
         }
@@ -961,6 +1012,15 @@ impl SimNet {
     /// component: water-filling freezes one bottleneck link per round, so
     /// a union of k disjoint components costs ~k× the rounds of its parts.
     fn solve_if_dirty(&mut self) {
+        if self.heap.len() > 2 * self.flows.n_live + HEAP_COMPACT_SLACK {
+            // Stale entries are skipped when they surface anyway, and the
+            // valid ones keep their keys, so pop order is unchanged. Checked
+            // at every query, not only after a solve: a cancelled lone flow
+            // leaves a stale entry and seeds nothing.
+            let flows = &self.flows;
+            self.heap
+                .retain(|&Reverse((_, id, ep))| flows.get(id).is_some_and(|f| f.epoch == ep));
+        }
         if !self.dirty {
             return;
         }
@@ -989,13 +1049,6 @@ impl SimNet {
             self.solve_collected();
         }
         self.seed_slots.clear();
-        if self.heap.len() > 2 * self.flows.n_live + HEAP_COMPACT_SLACK {
-            // Stale entries are skipped when they surface anyway, and the
-            // valid ones keep their keys, so pop order is unchanged.
-            let flows = &self.flows;
-            self.heap
-                .retain(|&Reverse((_, id, ep))| flows.get(id).is_some_and(|f| f.epoch == ep));
-        }
     }
 
     /// BFS the connected component reachable from directed slot `seed`
@@ -1548,21 +1601,32 @@ mod tests {
         assert_eq!(net.active_flow_count(), 0);
     }
 
-    /// Rate churn pushes a heap entry per change of a long flow's rate;
+    /// Rate churn pushes a heap entry per change of a long flow's rate,
+    /// and a cancelled lone flow leaves its entry behind without a solve;
     /// compaction keeps the heap within twice the live flows plus
-    /// [`HEAP_COMPACT_SLACK`].
+    /// [`HEAP_COMPACT_SLACK`] either way.
     #[test]
     fn completion_heap_stays_bounded_under_rate_churn() {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
         let short = fwd(&links[1..]);
-        net.start_flow(SimTime::ZERO, &short, 1 << 40, 0);
+        let long = net.start_flow(SimTime::ZERO, &short, 1 << 40, 0);
         for _ in 0..10_000 {
             let id = net.start_flow(net.now(), &short, 1_000, 0);
             let t = net.next_event_time().unwrap();
             let done = net.advance_to(t);
             assert_eq!(done[0].0, id);
             assert!(net.heap.len() <= 2 * net.active_flow_count() + HEAP_COMPACT_SLACK);
+        }
+        net.cancel_flow(net.now(), long);
+        // A lone flow on links[1] finishes first; larger lone flows on
+        // links[0] come and go behind it, their entries never surfacing.
+        net.start_flow(net.now(), &short, 1 << 30, 0);
+        for _ in 0..10_000 {
+            let id = net.start_flow(net.now(), &fwd(&links[..1]), 1 << 40, 0);
+            net.next_event_time();
+            assert!(net.heap.len() <= 2 * net.active_flow_count() + HEAP_COMPACT_SLACK);
+            assert!(net.cancel_flow(net.now(), id).is_some());
         }
     }
 
@@ -1580,12 +1644,14 @@ mod tests {
         }
         assert_eq!(net.next_event_time(), Some(SimTime::MAX));
         assert_eq!(net.solve_stats().flows_rated, rated);
-        // Ten short flows on links[1] alone: each start and each
-        // completion re-rates only the short flow itself.
+        // Ten short flows on links[1] alone: each is rated in closed form
+        // at its start, and its completion seeds nothing.
+        let solo = net.solve_stats().solo_rated;
         for _ in 0..10 {
             run_one(&mut net, &fwd(&links[1..]), 1_000);
         }
-        assert_eq!(net.solve_stats().flows_rated, rated + 10);
+        assert_eq!(net.solve_stats().flows_rated, rated);
+        assert_eq!(net.solve_stats().solo_rated, solo + 10);
         assert_eq!(net.active_flow_count(), 50);
         assert!(net.incidence.iter().all(Vec::is_empty));
     }
@@ -1646,5 +1712,97 @@ mod tests {
         // 80 us of serialization plus 2 us of propagation from 20 us.
         let t = net.next_event_time().unwrap().as_micros_f64();
         assert!((t - 102.0).abs() < 0.5, "finish at {t} us");
+    }
+
+    /// A flow whose links carry no other flow is rated at its start in
+    /// closed form, bit for bit the one-flow solve; a second flow on one
+    /// of its links goes through the solver.
+    #[test]
+    fn solo_flow_skips_the_solver() {
+        let (g, _, links) = line();
+        let mut net = SimNet::new(&g);
+        net.set_link_scale(SimTime::ZERO, links[1], 0.25);
+        net.next_event_time();
+        let s0 = net.solve_stats();
+        let three = NonZeroU32::new(3).unwrap();
+        let path = fwd(&links);
+        let a = net.start_weighted_flow(SimTime::ZERO, &path, 1_000_000, three, 0);
+        assert!(!net.dirty && net.seed_slots.is_empty(), "no seeds");
+        let s1 = net.solve_stats();
+        assert_eq!(s1.solo_rated - s0.solo_rated, 1);
+        assert_eq!(
+            (s1.scoped_solves, s1.flows_rated),
+            (s0.scoped_solves, s0.flows_rated)
+        );
+        let flat: Vec<usize> = path.iter().map(|&d| slot(d)).collect();
+        let spans = [FlowSpan {
+            start: 0,
+            len: 2,
+            weight: 3.0,
+        }];
+        let want = SolverWorkspace::new().solve(&net.dir_caps, &flat, &spans)[0];
+        assert_eq!(net.flow(a).unwrap().rate_bps.to_bits(), want.to_bits());
+        assert_eq!(want, 25e9);
+        // 8e6 bits at 25 Gbps plus 2 us of propagation.
+        let t = net.next_event_time().unwrap().as_micros_f64();
+        assert!((t - 322.0).abs() < 0.5, "finish at {t} us");
+        net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 1);
+        net.next_event_time();
+        let s2 = net.solve_stats();
+        assert_eq!(s2.solo_rated, s1.solo_rated);
+        assert_eq!(s2.scoped_solves - s1.scoped_solves, 1);
+        assert_eq!(s2.flows_rated - s1.flows_rated, 2);
+    }
+
+    /// A lone flow that completes or is cancelled seeds nothing, and a
+    /// completion leaves no heap entry behind.
+    #[test]
+    fn lone_departure_seeds_nothing() {
+        let (g, _, links) = line();
+        let mut net = SimNet::new(&g);
+        let s0 = net.solve_stats();
+        run_one(&mut net, &fwd(&links), 1_000_000);
+        assert!(!net.dirty && net.seed_slots.is_empty());
+        assert!(net.heap.is_empty(), "{} stale entries", net.heap.len());
+        let id = net.start_flow(net.now(), &fwd(&links[..1]), 1_000_000, 0);
+        assert!(net
+            .cancel_flow(net.now() + SimSpan::from_micros(10), id)
+            .is_some());
+        assert!(!net.dirty && net.seed_slots.is_empty());
+        assert_eq!(net.next_event_time(), None);
+        let s1 = net.solve_stats();
+        assert_eq!(s1.solo_rated - s0.solo_rated, 2);
+        assert_eq!(
+            (s1.scoped_solves, s1.flows_rated),
+            (s0.scoped_solves, s0.flows_rated)
+        );
+    }
+
+    /// The last flow of the cached component leaving alone still seeds,
+    /// so its resume runs at that instant; a solo start on the cache's
+    /// links then drops the cache.
+    #[test]
+    fn lone_departure_from_the_cache_still_resumes() {
+        let (g, _, links) = line();
+        let mut net = SimNet::new(&g);
+        let a = net.start_flow(SimTime::ZERO, &fwd(&links), 1 << 30, 0);
+        let b = net.start_flow(SimTime::ZERO, &fwd(&links[1..]), 1 << 30, 1);
+        net.next_event_time();
+        assert_eq!(net.cache.ids, vec![a, b]);
+        net.cancel_flow(SimTime::from_micros(1), b);
+        net.next_event_time();
+        assert_eq!(net.flow(a).unwrap().rate_bps, 100e9);
+        let s0 = net.solve_stats();
+        net.cancel_flow(SimTime::from_micros(2), a);
+        assert!(net.dirty, "a cached departure seeds even when alone");
+        net.next_event_time();
+        let s1 = net.solve_stats();
+        assert_eq!(s1.resumed_solves - s0.resumed_solves, 1);
+        assert!(net.cache_valid);
+        net.start_flow(SimTime::from_micros(2), &fwd(&links[..1]), 1_000, 2);
+        assert!(
+            !net.cache_valid,
+            "a solo start on a cached link drops the cache"
+        );
     }
 }

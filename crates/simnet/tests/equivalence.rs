@@ -26,6 +26,8 @@
 //!    (fixed and proptest) move a component from one bottleneck to two
 //!    and back, and outage scenarios park flows behind a dead link and
 //!    drain them after recovery, which exercises resumed re-solves.
+//!    Lone-flow mixes start and end flows alone on their links (rated in
+//!    closed form, with no solve) beside a cached contended component.
 //!
 //! Both simulators share one canonical contract: the completion estimate
 //! is fixed when a flow's rate changes (or it drains) and never
@@ -826,8 +828,11 @@ fn long_outage_drain_scenario() {
 /// `batched`, a separate draw, independent of the op's kind, makes about a
 /// quarter of the ops skip the comparison, so their changes reach one
 /// solve together with the next op's (e.g. a departure and a start
-/// between two queries, which must not resume a stale solve).
-fn long_random_run(seed: u64, batched: bool) {
+/// between two queries, which must not resume a stale solve). With
+/// `lone`, the ops mix contended flows on links 0–2 with flows alone on
+/// one of links 3–7, cancels of recent flows, completions, brownouts and
+/// outages, so lone starts and departures meet a cached component.
+fn long_random_run(seed: u64, batched: bool, lone: bool) {
     let mut state = seed;
     let mut next = || {
         state ^= state << 13;
@@ -837,29 +842,167 @@ fn long_random_run(seed: u64, batched: bool) {
     };
     let mut h = Harness::new();
     for _ in 0..2000 {
-        let raw = (
-            (next() & 0xff) as u8,
-            next() & 0xffff,
-            next() & 0xffff,
-            next() % 5_000_000,
-        );
-        if batched && next() % 4 == 0 {
-            h.step(decode(raw));
+        let op = if lone {
+            lone_mix_op(next(), h.issued.len())
         } else {
-            h.apply(decode(raw));
+            decode((
+                (next() & 0xff) as u8,
+                next() & 0xffff,
+                next() & 0xffff,
+                next() % 5_000_000,
+            ))
+        };
+        if batched && next() % 4 == 0 {
+            h.step(op);
+        } else {
+            h.apply(op);
         }
     }
     h.check();
+    if lone {
+        assert!(h.net.solve_stats().solo_rated > 100);
+    }
+}
+
+/// One op of the lone-flow mix (see [`long_random_run`]) from one draw.
+fn lone_mix_op(r: u64, issued: usize) -> Op {
+    let bytes = if (r >> 40).is_multiple_of(10) {
+        0
+    } else {
+        (r >> 16) % 2_000_000
+    };
+    match r % 10 {
+        0..=2 => Op::Start {
+            link_mask: 0b1 | ((r >> 8) & 0b110) as u8,
+            dir_mask: (r >> 24) as u8,
+            bytes,
+            weight_q: (r >> 32) as u8,
+        },
+        3..=5 => Op::Start {
+            link_mask: 1 << (3 + (r >> 8) % 5),
+            dir_mask: (r >> 24) as u8,
+            bytes,
+            weight_q: (r >> 32) as u8,
+        },
+        6 => Op::Cancel {
+            k: issued.saturating_sub(1 + ((r >> 8) % 8) as usize),
+        },
+        7 => Op::AdvanceToNext,
+        8 => Op::Advance {
+            dt_us: (r >> 8) % 60,
+        },
+        _ => Op::Scale {
+            l: (r >> 8) as usize,
+            q: (r >> 12) as usize,
+        },
+    }
 }
 
 #[test]
 fn long_random_run_equivalence() {
-    long_random_run(0x9e37_79b9_7f4a_7c15, false);
+    long_random_run(0x9e37_79b9_7f4a_7c15, false, false);
 }
 
 #[test]
 fn long_random_run_batched_equivalence() {
-    long_random_run(0x6a09_e667_f3bc_c909, true);
+    long_random_run(0x6a09_e667_f3bc_c909, true, false);
+}
+
+#[test]
+fn lone_mix_random_run_equivalence() {
+    long_random_run(0x510b_ad5e_ed00_0001, false, true);
+}
+
+#[test]
+fn lone_mix_random_run_batched_equivalence() {
+    long_random_run(0xbb67_ae85_84ca_a73b, true, true);
+}
+
+/// Lone flows (alone on their links, rated in closed form) start and end
+/// on links 4–7 beside a contended component on links 0–3 that the
+/// engine keeps cached. Then one of the component's flows leaves link 3,
+/// where it was alone, and at the same instant a lone flow starts there,
+/// once with a query between the two and once without. Equal to the
+/// reference throughout.
+#[test]
+fn lone_flows_beside_a_cached_component() {
+    let mut h = Harness::new();
+    // Flow k crosses link 0 and link 1 or 2; flow 3 also crosses link 3,
+    // alone there.
+    let component = |h: &mut Harness| {
+        for k in 0..4u8 {
+            h.apply(Op::Start {
+                link_mask: 0b1 | (2 << (k % 2)) | if k == 3 { 0b1000 } else { 0 },
+                dir_mask: 0xff,
+                bytes: 20_000_000 + 500_000 * u64::from(k),
+                weight_q: k,
+            });
+        }
+    };
+    component(&mut h);
+    for i in 0..60u64 {
+        h.apply(Op::Start {
+            link_mask: 1 << (4 + i % 4),
+            dir_mask: (i * 13) as u8,
+            bytes: if i % 9 == 0 { 0 } else { 100_000 + 37_000 * i },
+            weight_q: (i % 4) as u8,
+        });
+        match i % 5 {
+            0 | 3 => h.apply(Op::AdvanceToNext),
+            1 => h.apply(Op::Cancel {
+                k: h.issued.len() - 1,
+            }),
+            2 => h.apply(Op::Advance { dt_us: 3 + i % 11 }),
+            _ => {}
+        }
+        match i {
+            // A component flow leaves: its solve resumes.
+            10 => h.apply(Op::Cancel { k: 1 }),
+            20 => h.apply(Op::Scale { l: 5, q: 1 }),
+            30 => h.apply(Op::Scale { l: 6, q: 0 }),
+            40 => h.apply(Op::Scale { l: 6, q: 3 }),
+            _ => {}
+        }
+    }
+    for batched in [false, true] {
+        // A fresh component alone in the net, solved last, so it is the
+        // cached one.
+        for k in 0..h.issued.len() {
+            if h.refnet.flows.contains_key(&h.issued[k]) {
+                h.apply(Op::Cancel { k });
+            }
+        }
+        component(&mut h);
+        let k = h.issued.len() - 1;
+        h.step(Op::Cancel { k });
+        let lone = Op::Start {
+            link_mask: 0b1000,
+            dir_mask: 0xff,
+            bytes: 400_000,
+            weight_q: 1,
+        };
+        if batched {
+            h.step(lone);
+            h.check();
+        } else {
+            h.check();
+            h.apply(lone);
+        }
+        h.apply(Op::Cancel { k: k - 2 });
+        h.apply(Op::AdvanceToNext);
+    }
+    for _ in 0..1_000 {
+        if h.refnet.flows.is_empty() {
+            break;
+        }
+        h.apply(Op::AdvanceToNext);
+    }
+    assert!(h.refnet.flows.is_empty(), "lone-flow scenario drains");
+    let stats = h.net.solve_stats();
+    assert!(
+        stats.solo_rated > 20,
+        "lone flows skip the solver: {stats:?}"
+    );
 }
 
 proptest! {
