@@ -278,7 +278,7 @@ impl ClusterSim {
             prefill_queue: VecDeque::new(),
             instances,
             mem: MemoryModel::new(&cfg.model, mem_spec.p_tens(), mem_spec.p_pipe()),
-            kv: KvShipper::new(&cfg),
+            kv: KvShipper::new(&cfg, trace.len()),
             colls: Collectives::new(cfg.ina_capacity_per_switch),
             pools: Pools::new(cfg.prefill.len()),
             faults: FaultRecovery::default(),
@@ -605,11 +605,10 @@ impl ClusterSim {
                 let batch = std::mem::take(&mut self.instances[inst].batch);
                 for id in batch {
                     let r = &mut self.reqs[id.0 as usize];
-                    r.prefill_done = Some(now);
-                    r.phase = ReqPhase::AwaitingAdmission;
                     // The KV cache lives on this instance's GPUs from now
                     // on — every (re)transfer must ship from here.
-                    r.prefill_instance = Some(inst);
+                    r.set_prefill_done(now, inst);
+                    r.phase = ReqPhase::AwaitingAdmission;
                     self.sh.tracer.request_phase_end(now, id.0, "prefill");
                     if !self.admit(id) {
                         self.kv.defer(&self.sh, id);
@@ -628,7 +627,7 @@ impl ClusterSim {
                     r.tokens_generated += 1;
                     if r.tokens_generated >= r.req.output_tokens {
                         r.phase = ReqPhase::Done;
-                        r.finished = Some(now);
+                        r.set_finished(now);
                         let ttft = r.ttft_secs().unwrap_or(0.0);
                         let latency = now.saturating_since(r.req.arrival).as_secs_f64();
                         let tpot = r.tpot_secs();
@@ -719,10 +718,10 @@ impl ClusterSim {
         let now = self.sh.now;
         let r = &mut self.reqs[id.0 as usize];
         r.phase = ReqPhase::Decoding;
-        r.decode_start = Some(now);
+        r.set_decode_start(now);
         self.sh.tracer.request_phase_end(now, id.0, "kv_transfer");
         self.sh.tracer.request_phase_begin(now, id.0, "decode");
-        let inst = r.decode_instance.expect("admitted request has instance");
+        let inst = r.decode_instance().expect("admitted request has instance");
         self.instances[inst].joining.push(id);
         if self.instances[inst].phase == InstPhase::Idle {
             self.start_decode_iteration(inst);
@@ -1298,8 +1297,8 @@ pub(crate) mod tests {
         let rep = sim.run(SimTime::from_secs(60));
         assert_eq!(rep.completed, 2, "both requests must finish");
         assert!(rep.kv_deferrals >= 1, "request 1 was never deferred");
-        assert_eq!(sim.requests()[0].prefill_instance, Some(0));
-        assert_eq!(sim.requests()[1].prefill_instance, Some(1));
+        assert_eq!(sim.requests()[0].prefill_instance(), Some(0));
+        assert_eq!(sim.requests()[1].prefill_instance(), Some(1));
         // The trace records the shipment source per request.
         let recs = tracer.records();
         let src_of = |req: u64| -> u64 {
@@ -1359,8 +1358,7 @@ pub(crate) mod tests {
             sim.kv.managers[0] = KvManager::new(140);
             for i in 0..shape.len() {
                 sim.reqs[i].phase = ReqPhase::AwaitingAdmission;
-                sim.reqs[i].prefill_done = Some(SimTime::ZERO);
-                sim.reqs[i].prefill_instance = Some(0);
+                sim.reqs[i].set_prefill_done(SimTime::ZERO, 0);
                 sim.kv.pending.push_back(RequestId(i as u64));
             }
             sim

@@ -65,7 +65,11 @@ pub(crate) struct KvShipper {
 }
 
 impl KvShipper {
-    pub(crate) fn new(cfg: &ClusterConfig) -> Self {
+    /// KV state for a run over a trace of `requests` requests: the
+    /// per-shipment samples are reserved at that length, since each
+    /// request ships at most once and untouched capacity is never
+    /// resident.
+    pub(crate) fn new(cfg: &ClusterConfig, requests: usize) -> Self {
         // Decode KV capacity: per-instance, derived from its sharding and
         // per-GPU memory.
         let managers = cfg
@@ -80,6 +84,8 @@ impl KvShipper {
             managers,
             decode_offset: cfg.prefill.len(),
             bytes_per_token: cfg.model.kv_bytes_per_token(),
+            transfer_secs: Vec::with_capacity(requests),
+            est_err_secs: Vec::with_capacity(requests),
             ..KvShipper::default()
         }
     }
@@ -109,7 +115,7 @@ impl KvShipper {
             .filter(|&d| eligible(d))
             .min_by_key(|&d| decode[d].decode_load())?;
         let prefill_inst = reqs[id.0 as usize]
-            .prefill_instance
+            .prefill_instance()
             .expect("admission before prefill completion");
         let input_tokens = reqs[id.0 as usize].req.input_tokens as u64;
         let bytes = input_tokens * self.bytes_per_token;
@@ -157,7 +163,7 @@ impl KvShipper {
             return None;
         }
         let r = &mut reqs[id.0 as usize];
-        r.decode_instance = Some(self.decode_offset + d);
+        r.set_decode_instance(self.decode_offset + d);
         r.phase = ReqPhase::TransferringKv;
         sh.tracer.request_phase_begin(sh.now, id.0, "kv_transfer");
         self.managers[d].materialize(input_tokens);
@@ -306,13 +312,12 @@ impl KvShipper {
         if self.managers.is_empty() {
             return;
         }
-        let utils: Vec<f64> = self
+        let utils = self
             .managers
             .iter()
-            .map(|m| mem.utilization(gpu_bytes, m.live()))
-            .collect();
-        let mean = utils.iter().sum::<f64>() / utils.len() as f64;
-        let max = utils.iter().fold(0.0f64, |a, &b| a.max(b));
+            .map(|m| mem.utilization(gpu_bytes, m.live()));
+        let mean = utils.clone().sum::<f64>() / self.managers.len() as f64;
+        let max = utils.fold(0.0f64, f64::max);
         self.mem_series.push(MemSample {
             t: now,
             mean_util: mean,
@@ -326,8 +331,9 @@ impl KvShipper {
         r.kv_retries = self.retries;
         r.kv_deferrals = self.deferrals;
         r.kv_bytes = self.bytes as f64;
-        r.mean_kv_transfer_s = hs_workload::mean(&self.transfer_secs);
-        r.p90_kv_transfer_s = hs_workload::stats::percentile(&self.transfer_secs, 90.0);
+        let mut transfer_secs = std::mem::take(&mut self.transfer_secs);
+        r.mean_kv_transfer_s = hs_workload::mean(&transfer_secs);
+        r.p90_kv_transfer_s = hs_workload::stats::percentile_in_place(&mut transfer_secs, 90.0);
         r.mean_kv_est_err_s = hs_workload::mean(&self.est_err_secs);
         r.mem_series = std::mem::take(&mut self.mem_series);
     }

@@ -2,7 +2,7 @@
 
 use crate::request::{ReqPhase, ReqState};
 use hs_des::SimTime;
-use hs_workload::stats::{fraction_where, mean, percentile};
+use hs_workload::stats::{mean, percentile_in_place};
 
 /// Final metrics for one request.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -144,13 +144,13 @@ fn sla_verdict(r: &ReqState, ttft_sla: f64, tpot_sla: f64, horizon: SimTime) -> 
     // Unfinished: fail if the TTFT deadline has already passed without a
     // first token, or if decoding has been running long enough that TPOT
     // can no longer be met.
-    let overdue_prefill = r.prefill_done.is_none()
+    let overdue_prefill = r.prefill_done().is_none()
         && horizon.saturating_since(r.req.arrival).as_secs_f64() > ttft_sla;
     let overdue_ttft = ttft.map(|t| t > ttft_sla).unwrap_or(false);
     // Best-case final TPOT: even if every remaining token materialized at
     // `horizon`, the mean inter-token time would already exceed the SLA.
     let overdue_tpot = r.req.output_tokens > 0
-        && r.prefill_done.or(r.decode_start).is_some_and(|start| {
+        && r.prefill_done().or(r.decode_start()).is_some_and(|start| {
             horizon.saturating_since(start).as_secs_f64() / r.req.output_tokens as f64 > tpot_sla
         });
     if overdue_prefill || overdue_ttft || overdue_tpot {
@@ -168,52 +168,42 @@ impl SimReport {
     /// already passed at `horizon` fails; unfinished requests still
     /// within deadline are excluded from attainment (standard open-loop
     /// accounting).
+    ///
+    /// Memory: `per_request` is reserved at its final length, and the
+    /// TTFT, end-to-end TTFT and TPOT samples of completed requests are
+    /// gathered from it one metric at a time into one buffer, which the
+    /// p90 then sorts in place.
     pub fn summarize(&mut self, reqs: &[ReqState], ttft_sla: f64, tpot_sla: f64, horizon: SimTime) {
-        let mut evaluable = Vec::new();
-        let mut ttfts = Vec::new();
-        let mut ttfts_e2e = Vec::new();
-        let mut tpots = Vec::new();
         self.per_request.clear();
+        self.per_request.reserve_exact(reqs.len());
         self.arrived = reqs.len();
         self.completed = 0;
+        let mut verdicts = Verdicts::default();
         for r in reqs {
             let completed = r.phase == ReqPhase::Done;
-            let ttft = r.ttft_secs();
-            let ttft_e2e = r.ttft_e2e_secs();
-            let tpot = r.tpot_secs();
             let verdict = sla_verdict(r, ttft_sla, tpot_sla, horizon);
-            if let Some(ok) = verdict {
-                evaluable.push(if ok { 1.0 } else { 0.0 });
-            }
-            let sla_ok = verdict.unwrap_or(false);
-            if completed {
-                self.completed += 1;
-                if let Some(t) = ttft {
-                    ttfts.push(t);
-                }
-                if let Some(t) = ttft_e2e {
-                    ttfts_e2e.push(t);
-                }
-                if let Some(t) = tpot {
-                    tpots.push(t);
-                }
-            }
+            verdicts.count(verdict);
+            self.completed += usize::from(completed);
             self.per_request.push(ReqMetrics {
                 id: r.req.id.0,
-                ttft_s: ttft,
-                ttft_e2e_s: ttft_e2e,
-                tpot_s: tpot,
+                ttft_s: r.ttft_secs(),
+                ttft_e2e_s: r.ttft_e2e_secs(),
+                tpot_s: r.tpot_secs(),
                 completed,
-                sla_ok,
+                sla_ok: verdict.unwrap_or(false),
             });
         }
-        self.sla_attainment = fraction_where(&evaluable, |x| x > 0.5);
-        self.mean_ttft_s = mean(&ttfts);
-        self.p90_ttft_s = percentile(&ttfts, 90.0);
-        self.mean_ttft_e2e_s = mean(&ttfts_e2e);
-        self.p90_ttft_e2e_s = percentile(&ttfts_e2e, 90.0);
-        self.mean_tpot_s = mean(&tpots);
-        self.p90_tpot_s = percentile(&tpots, 90.0);
+        self.sla_attainment = verdicts.attainment().unwrap_or(0.0);
+        let mut samples = Vec::with_capacity(self.completed);
+        let mut mean_p90 = |metric: fn(&ReqMetrics) -> Option<f64>| {
+            samples.clear();
+            let done = self.per_request.iter().filter(|m| m.completed);
+            samples.extend(done.filter_map(metric));
+            (mean(&samples), percentile_in_place(&mut samples, 90.0))
+        };
+        (self.mean_ttft_s, self.p90_ttft_s) = mean_p90(|m| m.ttft_s);
+        (self.mean_ttft_e2e_s, self.p90_ttft_e2e_s) = mean_p90(|m| m.ttft_e2e_s);
+        (self.mean_tpot_s, self.p90_tpot_s) = mean_p90(|m| m.tpot_s);
         let secs = horizon.as_secs_f64();
         self.goodput_rps = if secs > 0.0 {
             self.completed as f64 / secs
@@ -233,20 +223,35 @@ impl SimReport {
         horizon: SimTime,
         window: (SimTime, SimTime),
     ) -> Option<f64> {
-        let mut evaluable = Vec::new();
+        let mut verdicts = Verdicts::default();
         for r in reqs {
             if r.req.arrival < window.0 || r.req.arrival > window.1 {
                 continue;
             }
-            if let Some(ok) = sla_verdict(r, ttft_sla, tpot_sla, horizon) {
-                evaluable.push(if ok { 1.0 } else { 0.0 });
-            }
+            verdicts.count(sla_verdict(r, ttft_sla, tpot_sla, horizon));
         }
-        if evaluable.is_empty() {
-            None
-        } else {
-            Some(fraction_where(&evaluable, |x| x > 0.5))
+        verdicts.attainment()
+    }
+}
+
+/// Tally of SLA verdicts: evaluable requests and those that passed.
+#[derive(Default)]
+struct Verdicts {
+    evaluable: usize,
+    passed: usize,
+}
+
+impl Verdicts {
+    fn count(&mut self, verdict: Option<bool>) {
+        if let Some(ok) = verdict {
+            self.evaluable += 1;
+            self.passed += usize::from(ok);
         }
+    }
+
+    /// Passed over evaluable; `None` when nothing was evaluable.
+    fn attainment(&self) -> Option<f64> {
+        (self.evaluable > 0).then(|| self.passed as f64 / self.evaluable as f64)
     }
 }
 
@@ -263,9 +268,9 @@ mod tests {
             output_tokens: out,
         });
         r.phase = ReqPhase::Done;
-        r.prefill_done = Some(SimTime::from_secs(arrival_s + ttft_s));
-        r.decode_start = Some(SimTime::from_secs(arrival_s + ttft_s));
-        r.finished = Some(
+        r.set_prefill_done(SimTime::from_secs(arrival_s + ttft_s), 0);
+        r.set_decode_start(SimTime::from_secs(arrival_s + ttft_s));
+        r.set_finished(
             SimTime::from_secs(arrival_s + ttft_s)
                 + hs_des::SimSpan::from_millis(tpot_ms * out as u64),
         );
@@ -336,8 +341,8 @@ mod tests {
         // transfer is stuck on a dead link). By t=100 the best possible
         // final TPOT is 99/10 = 9.9 s/token >> 0.15.
         stuck.phase = ReqPhase::Decoding;
-        stuck.prefill_done = Some(SimTime::from_secs(1));
-        stuck.decode_start = Some(SimTime::from_secs(1));
+        stuck.set_prefill_done(SimTime::from_secs(1), 0);
+        stuck.set_decode_start(SimTime::from_secs(1));
         stuck.tokens_generated = 1;
         let ok = finished(1, 0, 1, 100, 10);
         let mut rep = SimReport::default();
@@ -383,5 +388,206 @@ mod tests {
         rep.summarize(&[], 1.0, 1.0, SimTime::from_secs(10));
         assert_eq!(rep.sla_attainment, 0.0);
         assert_eq!(rep.completed, 0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use hs_workload::stats::percentile;
+    use hs_workload::{Request, RequestId};
+    use proptest::prelude::*;
+
+    /// The helper the old `summarize` computed attainment with.
+    fn fraction_where(xs: &[f64], pred: impl Fn(f64) -> bool) -> f64 {
+        if xs.is_empty() {
+            return 0.0;
+        }
+        xs.iter().filter(|&&x| pred(x)).count() as f64 / xs.len() as f64
+    }
+
+    /// The `Vec`-based `summarize` this module used to run: one growing
+    /// sample list per metric plus a list of `1.0`/`0.0` verdicts, with
+    /// cloning percentiles. Kept as the oracle for the counting version.
+    fn oracle(reqs: &[ReqState], ttft_sla: f64, tpot_sla: f64, horizon: SimTime) -> SimReport {
+        let mut rep = SimReport::default();
+        let mut evaluable = Vec::new();
+        let mut ttfts = Vec::new();
+        let mut ttfts_e2e = Vec::new();
+        let mut tpots = Vec::new();
+        rep.arrived = reqs.len();
+        for r in reqs {
+            let completed = r.phase == ReqPhase::Done;
+            let ttft = r.ttft_secs();
+            let ttft_e2e = r.ttft_e2e_secs();
+            let tpot = r.tpot_secs();
+            let verdict = sla_verdict(r, ttft_sla, tpot_sla, horizon);
+            if let Some(ok) = verdict {
+                evaluable.push(if ok { 1.0 } else { 0.0 });
+            }
+            if completed {
+                rep.completed += 1;
+                ttfts.extend(ttft);
+                ttfts_e2e.extend(ttft_e2e);
+                tpots.extend(tpot);
+            }
+            rep.per_request.push(ReqMetrics {
+                id: r.req.id.0,
+                ttft_s: ttft,
+                ttft_e2e_s: ttft_e2e,
+                tpot_s: tpot,
+                completed,
+                sla_ok: verdict.unwrap_or(false),
+            });
+        }
+        rep.sla_attainment = fraction_where(&evaluable, |x| x > 0.5);
+        rep.mean_ttft_s = mean(&ttfts);
+        rep.p90_ttft_s = percentile(&ttfts, 90.0);
+        rep.mean_ttft_e2e_s = mean(&ttfts_e2e);
+        rep.p90_ttft_e2e_s = percentile(&ttfts_e2e, 90.0);
+        rep.mean_tpot_s = mean(&tpots);
+        rep.p90_tpot_s = percentile(&tpots, 90.0);
+        let secs = horizon.as_secs_f64();
+        rep.goodput_rps = if secs > 0.0 {
+            rep.completed as f64 / secs
+        } else {
+            0.0
+        };
+        rep
+    }
+
+    /// The oracle's attainment over one arrival window.
+    fn oracle_window(
+        reqs: &[ReqState],
+        ttft_sla: f64,
+        tpot_sla: f64,
+        horizon: SimTime,
+        window: (SimTime, SimTime),
+    ) -> Option<f64> {
+        let evaluable: Vec<f64> = reqs
+            .iter()
+            .filter(|r| r.req.arrival >= window.0 && r.req.arrival <= window.1)
+            .filter_map(|r| sla_verdict(r, ttft_sla, tpot_sla, horizon))
+            .map(|ok| if ok { 1.0 } else { 0.0 })
+            .collect();
+        if evaluable.is_empty() {
+            None
+        } else {
+            Some(fraction_where(&evaluable, |x| x > 0.5))
+        }
+    }
+
+    /// One request: arrival and output length, then how far it got —
+    /// queued, prefilled, decoding or done — with millisecond gaps that
+    /// span the SLAs below, so on-time, overdue-TTFT and overdue-TPOT
+    /// requests all occur, plus zero-output ones.
+    fn req_state() -> impl Strategy<Value = ReqState> {
+        (
+            (0u64..60_000, 0u32..50),
+            0u8..6,
+            (0u64..8_000, 0u64..8_000, 0u64..20_000),
+            0u32..40,
+        )
+            .prop_map(|((arrival_ms, out), stage, (p, d, f), tokens)| {
+                // One request in five asks for no output tokens.
+                let out = out.saturating_sub(10);
+                let arrival = SimTime::from_millis(arrival_ms);
+                let mut r = ReqState::new(Request {
+                    id: RequestId(0),
+                    arrival,
+                    input_tokens: 64,
+                    output_tokens: out,
+                });
+                let prefill = arrival + hs_des::SimSpan::from_millis(p);
+                let decode = prefill + hs_des::SimSpan::from_millis(d);
+                let finish = decode + hs_des::SimSpan::from_millis(f);
+                match stage {
+                    0 => {}
+                    1 => {
+                        r.phase = ReqPhase::AwaitingAdmission;
+                        r.set_prefill_done(prefill, 0);
+                    }
+                    2 => {
+                        r.phase = ReqPhase::Decoding;
+                        r.set_prefill_done(prefill, 0);
+                        r.set_decode_start(decode);
+                        r.tokens_generated = tokens.min(out);
+                    }
+                    3 => {
+                        // Decode start without a recorded prefill instant:
+                        // TPOT falls back to the decode start.
+                        r.phase = ReqPhase::Decoding;
+                        r.set_decode_start(decode);
+                    }
+                    _ => {
+                        r.phase = ReqPhase::Done;
+                        r.set_prefill_done(prefill, 0);
+                        r.set_decode_start(decode);
+                        r.set_finished(finish);
+                        r.tokens_generated = out;
+                    }
+                }
+                r
+            })
+    }
+
+    /// Request sets: empty one time in eight, all unfinished one time in
+    /// eight, otherwise a mix.
+    fn req_set() -> impl Strategy<Value = Vec<ReqState>> {
+        (0u8..8, proptest::collection::vec(req_state(), 1..60)).prop_map(|(kind, mut v)| {
+            match kind {
+                0 => v.clear(),
+                1 => v
+                    .iter_mut()
+                    .filter(|r| r.phase == ReqPhase::Done)
+                    .for_each(|r| r.phase = ReqPhase::Decoding),
+                _ => {}
+            }
+            for (i, r) in v.iter_mut().enumerate() {
+                r.req.id = RequestId(i as u64);
+            }
+            v
+        })
+    }
+
+    proptest! {
+        /// Counting verdicts and reusing one sample buffer gives the
+        /// oracle's report: every summary field bit for bit and every
+        /// `per_request` row.
+        #[test]
+        fn summarize_matches_vec_oracle(
+            reqs in req_set(),
+            ttft_sla in 0.5f64..5.0,
+            tpot_sla in 0.05f64..1.0,
+            horizon_ms in 0u64..90_000,
+            window_ms in (0u64..60_000, 0u64..60_000),
+        ) {
+            let horizon = SimTime::from_millis(horizon_ms);
+            let want = oracle(&reqs, ttft_sla, tpot_sla, horizon);
+            let mut got = SimReport::default();
+            got.summarize(&reqs, ttft_sla, tpot_sla, horizon);
+            prop_assert_eq!(got.arrived, want.arrived);
+            prop_assert_eq!(got.completed, want.completed);
+            prop_assert_eq!(&got.per_request, &want.per_request);
+            let bits = |r: &SimReport| {
+                [
+                    r.sla_attainment,
+                    r.mean_ttft_s,
+                    r.p90_ttft_s,
+                    r.mean_ttft_e2e_s,
+                    r.p90_ttft_e2e_s,
+                    r.mean_tpot_s,
+                    r.p90_tpot_s,
+                    r.goodput_rps,
+                ]
+                .map(f64::to_bits)
+            };
+            prop_assert_eq!(bits(&got), bits(&want));
+            let (a, b) = window_ms;
+            let window = (SimTime::from_millis(a.min(b)), SimTime::from_millis(a.max(b)));
+            let got = SimReport::attainment_in_window(&reqs, ttft_sla, tpot_sla, horizon, window);
+            let want = oracle_window(&reqs, ttft_sla, tpot_sla, horizon, window);
+            prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+        }
     }
 }

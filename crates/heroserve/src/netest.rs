@@ -399,20 +399,23 @@ pub fn estimate_network_latency(input: &NetestInput<'_>, rng: &mut SmallRng) -> 
     }
 }
 
-/// Residual per-link bandwidth `B(e)` under a utilization snapshot:
-/// `capacity × (1 − util)`, floored at 1 % of capacity so a saturated
-/// link yields a large-but-finite transfer estimate instead of a
-/// division blow-up (the flow would still trickle through under
-/// max-min sharing).
-pub fn available_bandwidth(g: &Graph, link_util: &[f64]) -> Vec<f64> {
-    g.capacities()
-        .iter()
-        .enumerate()
-        .map(|(i, &cap)| {
-            let u = link_util.get(i).copied().unwrap_or(0.0).clamp(0.0, 1.0);
-            (cap * (1.0 - u)).max(cap * 0.01)
-        })
-        .collect()
+/// Residual per-link bandwidth `B(e)` under a utilization snapshot,
+/// written over `avail` (indexed by `LinkId`; a missing utilization reads
+/// as 0): `capacity × (1 − util)`, floored at 1 % of capacity so a
+/// saturated link yields a large-but-finite transfer estimate instead of
+/// a division blow-up (the flow would still trickle through under
+/// max-min sharing). Reuses `avail`'s allocation.
+pub fn available_bandwidth(g: &Graph, link_util: &[f64], avail: &mut Vec<f64>) {
+    avail.clear();
+    avail.extend(g.links().map(|(l, link)| {
+        let cap = link.capacity_bps;
+        let u = link_util
+            .get(l.idx())
+            .copied()
+            .unwrap_or(0.0)
+            .clamp(0.0, 1.0);
+        (cap * (1.0 - u)).max(cap * 0.01)
+    }));
 }
 
 #[cfg(test)]
@@ -595,7 +598,8 @@ mod tests {
         util[0] = 1.0;
         util[1] = 0.5;
         let caps = t.graph.capacities();
-        let avail = available_bandwidth(&t.graph, &util);
+        let mut avail = vec![7.0; 3];
+        available_bandwidth(&t.graph, &util, &mut avail);
         assert_eq!(avail.len(), n);
         assert!(
             (avail[0] - caps[0] * 0.01).abs() < 1e-6,

@@ -297,7 +297,8 @@ impl HeroScheduler {
     /// INA switches (reuse the planner's all-pairs structures).
     pub fn new(graph: &Graph, ap: AllPairs, params: SchedulerParams) -> Self {
         let ina_switches = graph.ina_switches();
-        let avail = available_bandwidth(graph, &vec![0.0; graph.link_count()]);
+        let mut avail = Vec::with_capacity(graph.link_count());
+        available_bandwidth(graph, &[], &mut avail);
         HeroScheduler {
             graph: graph.clone(),
             ap,
@@ -519,7 +520,7 @@ impl CommStrategy for HeroScheduler {
     }
 
     fn on_monitor(&mut self, link_util: &[f64], now: SimTime) {
-        self.avail = available_bandwidth(&self.graph, link_util);
+        available_bandwidth(&self.graph, link_util, &mut self.avail);
         for (&gid, table) in self.tables.iter_mut() {
             // Refresh syncs b to measured utilization, superseding any
             // pending select-time decay.

@@ -48,9 +48,8 @@
 //! ([`solo_rate`], the water-filling's single round, same bits) with no
 //! solve, and when it leaves alone (outside the cache) it seeds nothing,
 //! since no other rate can change. A removed flow pushes no heap entry.
-//! Per-link allocated rates are not stored: the rate
-//! queries ([`SimNet::link_utilization`], [`SimNet::utilization_snapshot`],
-//! [`SimNet::residual_bandwidth`]) sum them over the link's flows.
+//! Per-link allocated rates are neither stored nor queried: the monitor
+//! reads the per-direction byte counters ([`SimNet::cumulative_bytes_dir`]).
 //!
 //! Memory and solver work follow the *live* flows. Unparked flows sit in
 //! a window that starts at the oldest of them. A flow started across a
@@ -722,57 +721,6 @@ impl SimNet {
         done
     }
 
-    /// Fair-share utilization of a link in `[0, 1]`: the busier
-    /// direction's allocated rate over capacity. This is the
-    /// instantaneous `B(e)`-complement the online scheduler's cost
-    /// tables consume.
-    pub fn link_utilization(&mut self, l: LinkId) -> f64 {
-        self.solve_if_dirty();
-        Self::util(self.busier_rate(l.idx()), self.capacities[l.idx()])
-    }
-
-    /// Snapshot of all link utilizations (busier direction per link).
-    pub fn utilization_snapshot(&mut self) -> Vec<f64> {
-        self.solve_if_dirty();
-        (0..self.capacities.len())
-            .map(|i| Self::util(self.busier_rate(i), self.capacities[i]))
-            .collect()
-    }
-
-    /// Allocated rate of link `i`'s busier direction, bits/s: each
-    /// direction sums its flows' rates in ascending id order. Computed on
-    /// query; nothing in the serving path reads it (the monitor reads byte
-    /// counters).
-    fn busier_rate(&self, i: usize) -> f64 {
-        let dir = |s: usize| -> f64 {
-            self.incidence[s]
-                .iter()
-                .map(|&id| self.flow_ref(id).rate_bps)
-                .fold(0.0, |acc, r| acc + r)
-        };
-        dir(2 * i).max(dir(2 * i + 1))
-    }
-
-    /// Rate-over-capacity in `[0, 1]`; a dead link reads as fully busy so
-    /// utilization-driven schedulers steer away from it.
-    #[inline]
-    fn util(rate: f64, capacity: f64) -> f64 {
-        if capacity <= 0.0 {
-            1.0
-        } else {
-            (rate / capacity).clamp(0.0, 1.0)
-        }
-    }
-
-    /// Residual bandwidth `B(e) = C(e) - allocated` per link, bits/s
-    /// (busier direction) — the planner's Table I input.
-    pub fn residual_bandwidth(&mut self) -> Vec<f64> {
-        self.solve_if_dirty();
-        (0..self.capacities.len())
-            .map(|i| (self.capacities[i] - self.busier_rate(i)).max(0.0))
-            .collect()
-    }
-
     /// Cumulative bytes delivered over a link since simulation start,
     /// both directions (monotone; models a switch hardware counter).
     pub fn cumulative_bytes(&self, l: LinkId) -> f64 {
@@ -1238,12 +1186,10 @@ mod tests {
     fn utilization_and_residual() {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
-        net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 100_000_000, 0);
-        assert!((net.link_utilization(links[0]) - 1.0).abs() < 1e-9);
-        assert_eq!(net.link_utilization(links[1]), 0.0);
-        let res = net.residual_bandwidth();
-        assert!(res[links[0].idx()] < 1.0);
-        assert!((res[links[1].idx()] - bandwidth::ETH_100G).abs() < 1.0);
+        let f = net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 100_000_000, 0);
+        net.next_event_time();
+        // A lone flow fills its link: utilization 1, residual 0.
+        assert_eq!(net.flow(f).unwrap().rate_bps, bandwidth::ETH_100G);
     }
 
     #[test]
@@ -1251,13 +1197,13 @@ mod tests {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
         let a = net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 0);
-        let _b = net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 1);
+        let b = net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 1);
         let cancelled = net.cancel_flow(SimTime::from_micros(10), a).unwrap();
         // 10 us at 50 Gbps = 62.5 kB transferred before cancellation.
         assert!((cancelled.remaining_bytes - (1_000_000.0 - 62_500.0)).abs() < 100.0);
-        // Remaining flow now gets full rate.
-        assert!((net.link_utilization(links[0]) - 1.0).abs() < 1e-9);
         let t = net.next_event_time().unwrap();
+        // Remaining flow now gets full rate.
+        assert_eq!(net.flow(b).unwrap().rate_bps, bandwidth::ETH_100G);
         // b transferred 62.5 kB too; 937.5 kB left at 100 Gbps = 75 us.
         assert!((t.as_micros_f64() - 10.0 - 76.0).abs() < 1.0, "{t}");
     }
@@ -1337,13 +1283,14 @@ mod tests {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
         // 1 MB at 100 Gbps would finish at ~82 us.
-        net.start_flow(SimTime::ZERO, &fwd(&links), 1_000_000, 0);
+        let f = net.start_flow(SimTime::ZERO, &fwd(&links), 1_000_000, 0);
         // At 40 us (≈ 0.5 MB in), the first link browns out to 25%.
         let aborted = net.set_link_scale(SimTime::from_micros(40), links[0], 0.25);
         assert!(aborted.is_empty(), "degrade must not abort flows");
-        assert!((net.link_utilization(links[0]) - 1.0).abs() < 1e-9);
         // Remaining ~0.5 MB at 25 Gbps = ~160 us more.
         let t = net.next_event_time().unwrap().as_micros_f64();
+        // The flow fills the browned-out link.
+        assert_eq!(net.flow(f).unwrap().rate_bps, bandwidth::ETH_100G * 0.25);
         assert!((t - 202.0).abs() < 2.0, "finish at {t} us");
         // Recovery at 100 us: 2.5e6 bits remain (60 us at 25 Gbps drained
         // 1.5e6), so line rate finishes them 25 us later.
@@ -1365,9 +1312,9 @@ mod tests {
         // Progress was accrued up to the fault before the abort.
         assert!(aborted[0].1.remaining_bytes < 1_000_000.0);
         assert!(net.flow(survivor).is_some());
-        // Dead link reads as fully busy with zero residual.
-        assert!((net.link_utilization(links[0]) - 1.0).abs() < 1e-9);
-        assert_eq!(net.residual_bandwidth()[links[0].idx()], 0.0);
+        net.next_event_time();
+        // The survivor takes the whole of the link it shared.
+        assert_eq!(net.flow(survivor).unwrap().rate_bps, bandwidth::ETH_100G);
         assert!((net.link_scale(links[0]) - 0.0).abs() < 1e-12);
         // A flow started across the dead link stalls rather than finishing.
         net.start_flow(SimTime::from_micros(20), &fwd(&links[..1]), 1_000, 9);

@@ -36,6 +36,9 @@ fn ten_thousand_flows_on_xtracks() {
     // Deterministic src/dst index arithmetic: co-prime strides walk every
     // GPU pair class, mixing intra-server, intra-pod, and cross-pod paths.
     let mut delivered_per_slot = vec![0.0f64; 2 * n_links];
+    let caps = g.capacities();
+    let mut load = vec![0.0f64; 2 * n_links];
+    let mut live = Vec::new();
     let mut launched = 0u64;
     let mut completed = 0u64;
     let mut paths: Vec<Vec<(hs_topology::LinkId, bool)>> = Vec::new();
@@ -65,27 +68,37 @@ fn ten_thousand_flows_on_xtracks() {
         };
         while launched < N_FLOWS && next_arrival <= horizon {
             let bytes = 64_000 + (arrival_iter % 16) * 60_000;
-            net.start_flow(next_arrival, &paths[launched as usize], bytes, launched);
+            live.push(net.start_flow(next_arrival, &paths[launched as usize], bytes, launched));
             launched += 1;
             arrival_iter += 1;
             next_arrival += SimSpan::from_micros(2);
-        }
-        // Feasibility at this instant: allocated ≤ capacity on each link.
-        let caps = g.capacities();
-        for (i, u) in net.utilization_snapshot().iter().enumerate() {
-            assert!(
-                *u <= 1.0 + 1e-9,
-                "link {i} oversubscribed: utilization {u}, cap {}",
-                caps[i]
-            );
         }
         let target = match net.next_event_time() {
             Some(t) if t < SimTime::MAX => t,
             _ if launched < N_FLOWS => next_arrival,
             _ => panic!("flows outstanding but no next event"),
         };
+        // Feasibility at this instant (rates solved by the query above):
+        // the live flows' rates sum to at most capacity on each directed
+        // link.
+        load.iter_mut().for_each(|x| *x = 0.0);
+        for &id in &live {
+            let f = net.flow(id).expect("live flow");
+            for &(l, fwd) in &f.path {
+                load[l.idx() * 2 + fwd as usize] += f.rate_bps;
+            }
+        }
+        for (slot, &used) in load.iter().enumerate() {
+            let cap = caps[slot / 2];
+            assert!(
+                used <= cap * (1.0 + 1e-9),
+                "slot {slot} oversubscribed: {used} > {cap}"
+            );
+        }
         now = now.max(target);
-        for (id, f) in net.advance_to(now) {
+        let done = net.advance_to(now);
+        live.retain(|id| done.iter().all(|(d, _)| d != id));
+        for (id, f) in done {
             completed += 1;
             assert_eq!(f.remaining_bytes, 0.0, "flow {id:?} returned undrained");
             for &(l, fwd) in &f.path {

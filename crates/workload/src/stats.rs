@@ -10,30 +10,27 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// The `p`-th percentile (0–100) by linear interpolation between order
-/// statistics; 0.0 for empty input.
+/// statistics; 0.0 for empty input. Sorts a copy of `xs`.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
+    percentile_in_place(&mut xs.to_vec(), p)
+}
+
+/// [`percentile`] without the copy: sorts `xs` in place, then reads the
+/// order statistics.
+pub fn percentile_in_place(xs: &mut [f64], p: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
     assert!((0.0..=100.0).contains(&p), "percentile out of range");
-    let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    if v.len() == 1 {
-        return v[0];
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    if xs.len() == 1 {
+        return xs[0];
     }
-    let rank = p / 100.0 * (v.len() - 1) as f64;
+    let rank = p / 100.0 * (xs.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
-    v[lo] * (1.0 - frac) + v[hi] * frac
-}
-
-/// Fraction of samples satisfying `pred` (e.g. SLA attainment).
-pub fn fraction_where(xs: &[f64], pred: impl Fn(f64) -> bool) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().filter(|&&x| pred(x)).count() as f64 / xs.len() as f64
+    xs[lo] * (1.0 - frac) + xs[hi] * frac
 }
 
 #[cfg(test)]
@@ -58,13 +55,6 @@ mod tests {
         assert_eq!(percentile(&[7.0], 90.0), 7.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
     }
-
-    #[test]
-    fn attainment() {
-        let xs = [0.1, 0.2, 0.3, 0.4];
-        assert_eq!(fraction_where(&xs, |x| x <= 0.25), 0.5);
-        assert_eq!(fraction_where(&[], |_| true), 0.0);
-    }
 }
 
 #[cfg(test)]
@@ -83,6 +73,21 @@ mod proptests {
                 prop_assert!(v >= last - 1e-9);
                 prop_assert!(v >= xs[0] - 1e-9 && v <= xs[xs.len() - 1] + 1e-9);
                 last = v;
+            }
+        }
+
+        /// Sorting in place reads the same bits as sorting a copy, and
+        /// leaves the input sorted.
+        #[test]
+        fn in_place_matches_copy(
+            xs in proptest::collection::vec(-1e6f64..1e6, 0..100),
+            p in 0.0f64..100.0,
+        ) {
+            for p in [p, 90.0, 100.0] {
+                let want = percentile(&xs, p);
+                let mut v = xs.clone();
+                prop_assert_eq!(percentile_in_place(&mut v, p).to_bits(), want.to_bits());
+                prop_assert!(v.is_sorted());
             }
         }
     }
