@@ -8,14 +8,12 @@
 
 use heroserve::netest::{constrained_kmeans, estimate_network_latency, NetestInput, SchemeSpace};
 use heroserve::scheduler::SchedulerParams;
-use heroserve::spec::PlannerInput;
-use heroserve::system::{default_coefficients, expected_batch};
 use hs_baselines::BaselineKind;
+use hs_bench::scenario::planner_input;
 use hs_bench::ExpTable;
 use hs_des::{SeedSplitter, SimTime};
 use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
-use hs_topology::{AllPairs, LinkWeight};
 use serde_json::json;
 
 fn main() {
@@ -30,17 +28,7 @@ fn main() {
         SchemeSpace::InaOnly,
         SchemeSpace::Hybrid,
     ] {
-        let mut input = PlannerInput::interleaved(
-            &topo.graph,
-            model.clone(),
-            default_coefficients(&model),
-            expected_batch(&workload, 8),
-            1.0,
-            workload.ttft_sla_s,
-            workload.tpot_sla_s,
-        );
-        input.force_prefill_parallelism = Some((4, 1));
-        input.force_decode_parallelism = Some((8, 1));
+        let input = planner_input(&topo.graph, &model, &workload, 1.0, Some(4), Some(8));
         let h = heroserve::planner::plan(&input, space)
             .map(|o| o.est_ttft_s)
             .unwrap_or(f64::NAN);
@@ -58,17 +46,7 @@ fn main() {
     // ---- 2. Online scheduler vs static assignment under burst. ----
     {
         let mk = |online: bool| {
-            let mut input = PlannerInput::interleaved(
-                &topo.graph,
-                model.clone(),
-                default_coefficients(&model),
-                expected_batch(&workload, 8),
-                1.0,
-                workload.ttft_sla_s,
-                workload.tpot_sla_s,
-            );
-            input.force_prefill_parallelism = Some((4, 1));
-            input.force_decode_parallelism = Some((8, 1));
+            let input = planner_input(&topo.graph, &model, &workload, 1.0, Some(4), Some(8));
             let kind = if online {
                 BaselineKind::HeroServe
             } else {
@@ -98,17 +76,7 @@ fn main() {
 
     // ---- 3. Gamma sweep (Eq. 18 smoothing). ----
     for gamma in [0.0f64, 0.3, 0.9] {
-        let mut input = PlannerInput::interleaved(
-            &topo.graph,
-            model.clone(),
-            default_coefficients(&model),
-            expected_batch(&workload, 8),
-            1.0,
-            workload.ttft_sla_s,
-            workload.tpot_sla_s,
-        );
-        input.force_prefill_parallelism = Some((4, 1));
-        input.force_decode_parallelism = Some((8, 1));
+        let input = planner_input(&topo.graph, &model, &workload, 1.0, Some(4), Some(8));
         let mut hero = BaselineKind::HeroServe
             .deploy_with_input(&topo, &input, &workload)
             .unwrap()
@@ -132,9 +100,7 @@ fn main() {
 
     // ---- 4 & 5. Grouping + perturbation (Alg. 2 internals). ----
     {
-        let mut nodes = topo.all_gpus();
-        nodes.extend(&topo.access_switches);
-        let ap = AllPairs::compute(&topo.graph, &nodes, LinkWeight::Latency, None);
+        let ap = topo.gpu_switch_pairs();
         let gpus = topo.all_gpus();
         let avail = topo.graph.capacities();
         let run = |groups_from_kmeans: bool, perturb: usize| -> f64 {

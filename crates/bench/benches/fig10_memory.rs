@@ -8,6 +8,7 @@
 //! concurrent requests sit in memory.
 
 use hs_baselines::BaselineKind;
+use hs_bench::scenario::planner_input;
 use hs_bench::ExpTable;
 use hs_des::SimTime;
 use hs_model::ModelConfig;
@@ -40,17 +41,7 @@ fn main() {
     ] {
         let topo = xtracks(&cfg);
         for kind in BaselineKind::all() {
-            let mut input = heroserve::spec::PlannerInput::interleaved(
-                &topo.graph,
-                model.clone(),
-                heroserve::system::default_coefficients(&model),
-                heroserve::system::expected_batch(&workload, 8),
-                rate,
-                workload.ttft_sla_s,
-                workload.tpot_sla_s,
-            );
-            input.force_prefill_parallelism = Some((8, 1));
-            input.force_decode_parallelism = Some((8, 1));
+            let input = planner_input(&topo.graph, &model, &workload, rate, Some(8), Some(8));
             let Ok(mut d) = kind.deploy_with_input(&topo, &input, &workload) else {
                 eprintln!("{fabric}: {} failed to plan", kind.name());
                 continue;

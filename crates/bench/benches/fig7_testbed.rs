@@ -15,6 +15,7 @@
 //! Scalability = max per-GPU request rate with ≥ 90 % SLA attainment.
 
 use hs_baselines::BaselineKind;
+use hs_bench::scenario::planner_input;
 use hs_bench::{max_rate_under_sla, ExpTable};
 use hs_des::SimTime;
 use hs_model::ModelConfig;
@@ -54,17 +55,7 @@ fn main() {
             // tensor groups span servers and all systems pay for
             // cross-server synchronization; only the communication
             // scheduling differs — the variable under test.
-            let mut input = heroserve::spec::PlannerInput::interleaved(
-                &topo.graph,
-                model.clone(),
-                heroserve::system::default_coefficients(&model),
-                heroserve::system::expected_batch(&workload, 8),
-                1.0,
-                workload.ttft_sla_s,
-                workload.tpot_sla_s,
-            );
-            input.force_prefill_parallelism = Some((4, 1));
-            input.force_decode_parallelism = Some((8, 1));
+            let input = planner_input(&topo.graph, &model, &workload, 1.0, Some(4), Some(8));
             let d = kind
                 .deploy_with_input(&topo, &input, &workload)
                 .unwrap_or_else(|e| panic!("{} failed to plan: {e}", kind.name()));

@@ -13,6 +13,7 @@
 //! flavour, preserving the per-access-switch load contrast.
 
 use hs_baselines::BaselineKind;
+use hs_bench::scenario::planner_input;
 use hs_bench::{max_rate_under_sla, ExpTable};
 use hs_des::SimTime;
 use hs_model::ModelConfig;
@@ -47,19 +48,9 @@ fn main() {
         let topo = xtracks(&cfg);
         let mut results = Vec::new();
         for kind in BaselineKind::all() {
-            let mut input = heroserve::spec::PlannerInput::interleaved(
-                &topo.graph,
-                model.clone(),
-                heroserve::system::default_coefficients(&model),
-                heroserve::system::expected_batch(&workload, 8),
-                1.0,
-                workload.ttft_sla_s,
-                workload.tpot_sla_s,
-            );
             // OPT-175B across 8-GPU A100-80G servers with interleaved
             // halves: TP-8 tensor groups span two servers.
-            input.force_prefill_parallelism = Some((8, 1));
-            input.force_decode_parallelism = Some((8, 1));
+            let input = planner_input(&topo.graph, &model, &workload, 1.0, Some(8), Some(8));
             match kind.deploy_with_input(&topo, &input, &workload) {
                 Ok(mut d) => {
                     d.ina_capacity_per_switch = 2;

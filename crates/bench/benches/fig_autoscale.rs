@@ -3,7 +3,8 @@
 //! Not a paper figure: the paper deploys fixed prefill/decode clusters;
 //! this bench pins down what the elastic control loop (DESIGN.md §13)
 //! buys on *time-varying* traffic. The testbed's 16 GPUs are carved into
-//! 4 prefill + 4 decode TP=2 slots; the [`heroserve::Autoscaler`] —
+//! 4 prefill + 4 decode TP=2 slots ([`hs_bench::scenario::elastic_slots`]);
+//! the [`heroserve::Autoscaler`] ([`hs_bench::scenario::seeded_autoscaler`]) —
 //! seeded from a real planner solve, re-solving online as the windowed
 //! rate drifts — parks slots in troughs and re-activates them under
 //! load. GPU-seconds are metered per instance (parked slots bill
@@ -24,53 +25,19 @@
 //! arrivals, Pareto prompt lengths) — each swept over base-rate
 //! intensities ×{0.6, 1.0, 1.4}.
 
-use heroserve::{plan, AutoscaleConfig, Autoscaler, SchemeSpace};
+use hs_bench::scenario::{elastic_slots, seeded_autoscaler};
 use hs_bench::ExpTable;
-use hs_cluster::batching::BatchPolicy;
-use hs_cluster::{ClusterConfig, ClusterSim, InstanceSpec, ScaleController, StaticController};
-use hs_des::{SeedSplitter, SimSpan, SimTime};
-use hs_model::profile::{fit, ProfileGrid};
-use hs_model::{BatchStats, GpuModel, ModelConfig};
+use hs_cluster::{ClusterSim, ScaleController, StaticController};
+use hs_des::{SeedSplitter, SimTime};
 use hs_topology::builders::{testbed, BuiltTopology};
-use hs_topology::{AllPairs, LinkWeight};
+use hs_topology::AllPairs;
 use hs_workload::spec::fixed;
-use hs_workload::{heavy_tail_like, Diurnal, FaultPlan, Mmpp, Poisson, Trace, WorkloadSpec};
+use hs_workload::{heavy_tail_like, Diurnal, Mmpp, Poisson, Trace, WorkloadSpec};
 use serde_json::json;
 
 const HORIZON_S: u64 = 60;
 const DRAIN_S: u64 = 30;
 const GPUS_PER_SLOT: usize = 2;
-
-fn make_cfg(topo: &BuiltTopology) -> ClusterConfig {
-    let model = ModelConfig::opt_13b();
-    let fitted = fit(&GpuModel::a100(), &model, &ProfileGrid::default());
-    // TP=2 slots: prefill on servers 0 and 2, decode on servers 1 and 3.
-    let slots = |server: usize| {
-        let g = &topo.gpus_by_server[server];
-        vec![
-            InstanceSpec::tensor_parallel(g[..2].to_vec()),
-            InstanceSpec::tensor_parallel(g[2..].to_vec()),
-        ]
-    };
-    let mut prefill = slots(0);
-    prefill.extend(slots(2));
-    let mut decode = slots(1);
-    decode.extend(slots(3));
-    ClusterConfig {
-        model,
-        coef: fitted.coefficients,
-        ttft_sla_s: 2.5,
-        tpot_sla_s: 0.15,
-        prefill,
-        decode,
-        batch: BatchPolicy::default(),
-        gpu_memory_bytes: 40 * (1 << 30),
-        monitor_period: SimSpan::from_millis(100),
-        ina_capacity_per_switch: 8,
-        background: None,
-        faults: FaultPlan::none(),
-    }
-}
 
 /// Generate the scenario trace at a base-rate intensity multiplier.
 fn make_trace(scenario: &str, intensity: f64) -> (Trace, WorkloadSpec) {
@@ -113,10 +80,11 @@ struct RunOutcome {
 fn run_once(
     topo: &BuiltTopology,
     ap: &AllPairs,
+    spec: &WorkloadSpec,
     trace: &Trace,
     controller: Option<Box<dyn ScaleController>>,
 ) -> RunOutcome {
-    let cfg = make_cfg(topo);
+    let cfg = elastic_slots(topo, spec);
     let strategy = hs_cluster::StaticStrategy::uniform(
         "ring",
         hs_collective::Scheme::Ring,
@@ -148,37 +116,13 @@ fn run_once(
     }
 }
 
-/// The elastic controller: planner-seeded unit rates, online re-solves.
-fn elastic_controller(topo: &BuiltTopology, spec: &WorkloadSpec, base_rate: f64) -> Autoscaler {
-    let model = ModelConfig::opt_13b();
-    let fitted = fit(&GpuModel::a100(), &model, &ProfileGrid::default());
-    let batch = BatchStats::uniform(
-        8,
-        spec.input.analytic_mean().round().max(1.0) as u64,
-        spec.output.analytic_mean().round().max(1.0) as u64,
-    );
-    let mut input = heroserve::PlannerInput::interleaved(
-        &topo.graph,
-        model,
-        fitted.coefficients,
-        batch,
-        base_rate,
-        2.5,
-        0.15,
-    );
-    // Match the deployment's TP=2 slots so the re-solve is
-    // component-scoped from the start.
-    input.force_prefill_parallelism = Some((2, 1));
-    input.force_decode_parallelism = Some((2, 1));
-    let out = plan(&input, SchemeSpace::Hybrid).expect("planner solve for autoscaler seed");
-    Autoscaler::from_plan(AutoscaleConfig::default(), &input, &out).with_expected_rate(base_rate)
-}
-
 fn main() {
     let topo = testbed();
-    let mut nodes = topo.all_gpus();
-    nodes.extend(&topo.access_switches);
-    let ap = AllPairs::compute(&topo.graph, &nodes, LinkWeight::Latency, None);
+    let ap = topo.gpu_switch_pairs();
+    // The elastic controller: planner-seeded unit rates, online re-solves.
+    let elastic = |spec: &WorkloadSpec, base_rate: f64| -> Option<Box<dyn ScaleController>> {
+        Some(Box::new(seeded_autoscaler(&topo, spec, base_rate).0))
+    };
 
     let scenarios = ["diurnal", "burst", "heavytail"];
     let intensities = [0.6, 1.0, 1.4];
@@ -207,18 +151,8 @@ fn main() {
             let base_rate = trace.len() as f64 / HORIZON_S as f64;
 
             // Elastic, twice: must be bit-identical.
-            let e1 = run_once(
-                &topo,
-                &ap,
-                &trace,
-                Some(Box::new(elastic_controller(&topo, &spec, base_rate))),
-            );
-            let e2 = run_once(
-                &topo,
-                &ap,
-                &trace,
-                Some(Box::new(elastic_controller(&topo, &spec, base_rate))),
-            );
+            let e1 = run_once(&topo, &ap, &spec, &trace, elastic(&spec, base_rate));
+            let e2 = run_once(&topo, &ap, &spec, &trace, elastic(&spec, base_rate));
             assert_eq!(
                 e1.fingerprint, e2.fingerprint,
                 "elastic run not bit-identical ({scenario} x{intensity})"
@@ -243,6 +177,7 @@ fn main() {
                     let r = run_once(
                         &topo,
                         &ap,
+                        &spec,
                         &trace,
                         Some(Box::new(StaticController {
                             prefill: p,
@@ -260,7 +195,7 @@ fn main() {
             }
             let (bp, bd, bs) = best_static.expect("at least one static split");
             // All-on reference (the unconstrained upper envelope).
-            let full = run_once(&topo, &ap, &trace, None);
+            let full = run_once(&topo, &ap, &spec, &trace, None);
 
             let mut push = |config: &str, r: &RunOutcome| {
                 table.push(

@@ -5,8 +5,8 @@
 //! first-class fabric tenant. This bench pins the A/B the new machinery
 //! enables: the same trace served with the engine's **least-loaded**
 //! decode selection vs the **NetKV**-style network-aware selection, on a
-//! placement where the choice matters — prefill on one GPU pair of
-//! server 0, one decode instance co-located on the same server (KV ships
+//! placement where the choice matters ([`hs_bench::scenario::kv_placement`])
+//! — prefill on one GPU pair of server 0, one decode instance co-located on the same server (KV ships
 //! over NVLink) and one remote on server 1 (KV crosses the Ethernet
 //! uplinks).
 //!
@@ -22,54 +22,27 @@
 //!   included) at equal GPU count.
 
 use heroserve::{HeroScheduler, KvSelection, SchedulerParams};
+use hs_bench::scenario::{kv_placement, kv_remote_brownout, kv_workload};
 use hs_bench::ExpTable;
-use hs_cluster::batching::BatchPolicy;
-use hs_cluster::{ClusterConfig, ClusterSim, InstanceSpec};
+use hs_cluster::ClusterSim;
 use hs_des::{SeedSplitter, SimSpan, SimTime};
-use hs_model::profile::{fit, ProfileGrid};
-use hs_model::{GpuModel, ModelConfig};
 use hs_topology::builders::testbed;
-use hs_topology::{AllPairs, LinkWeight};
-use hs_workload::spec::fixed;
-use hs_workload::{FaultKind, FaultPlan, Poisson, Trace};
+use hs_workload::{FaultPlan, Poisson, Trace};
 use serde_json::json;
 
 fn main() {
     let topo = testbed();
-    let model = ModelConfig::opt_13b();
-    let fitted = fit(&GpuModel::a100(), &model, &ProfileGrid::default());
     let horizon = SimTime::from_secs(30);
     let rate = 6.0;
+    let ap = topo.gpu_switch_pairs();
 
-    let mut nodes = topo.all_gpus();
-    nodes.extend(&topo.access_switches);
-    let ap = AllPairs::compute(&topo.graph, &nodes, LinkWeight::Latency, None);
-
-    // KV-heavy workload: 1024-token prompts ship ~840 MB of KV each
-    // (opt-13b ≈ 819 KB/token), short decodes keep the figure about the
-    // transfer, not generation.
-    let workload = fixed(1024, 24);
     let mut rng = SeedSplitter::new(23).stream("trace");
     let mut arr = Poisson::new(rate);
-    let trace = Trace::generate(&workload, &mut arr, &mut rng, horizon);
+    let trace = Trace::generate(&kv_workload(), &mut arr, &mut rng, horizon);
 
     // Brownout of the remote decode instance's uplinks for the middle
     // two thirds of the run.
-    let mut congested_faults = FaultPlan::none();
-    for &gpu in &topo.gpus_by_server[1][..2] {
-        for &(nb, l) in topo.graph.neighbors(gpu) {
-            if topo.access_switches.contains(&nb) {
-                congested_faults.push(
-                    SimTime::from_secs(5),
-                    FaultKind::LinkDegrade {
-                        link: l,
-                        factor: 0.15,
-                    },
-                );
-                congested_faults.push(SimTime::from_secs(25), FaultKind::LinkUp { link: l });
-            }
-        }
-    }
+    let congested_faults = kv_remote_brownout(&topo, SimTime::from_secs(5), SimTime::from_secs(25));
 
     type Scenario<'a> = (&'a str, Option<(f64, u64)>, FaultPlan);
     let scenarios: [Scenario; 2] = [
@@ -99,25 +72,7 @@ fn main() {
     let mut p90_e2e = std::collections::BTreeMap::new();
     for (scenario, background, faults) in &scenarios {
         for (policy, kv_select) in policies {
-            let cfg = ClusterConfig {
-                model: model.clone(),
-                coef: fitted.coefficients,
-                ttft_sla_s: 2.5,
-                tpot_sla_s: 0.15,
-                prefill: vec![InstanceSpec::tensor_parallel(
-                    topo.gpus_by_server[0][..2].to_vec(),
-                )],
-                decode: vec![
-                    InstanceSpec::tensor_parallel(topo.gpus_by_server[0][2..].to_vec()),
-                    InstanceSpec::tensor_parallel(topo.gpus_by_server[1][..2].to_vec()),
-                ],
-                batch: BatchPolicy::default(),
-                gpu_memory_bytes: 40 * (1 << 30),
-                monitor_period: SimSpan::from_millis(50),
-                ina_capacity_per_switch: 8,
-                background: *background,
-                faults: faults.clone(),
-            };
+            let cfg = kv_placement(&topo, *background, faults.clone());
             let params = SchedulerParams {
                 kv_select,
                 ..SchedulerParams::default()

@@ -3,10 +3,11 @@
 //! The ROADMAP north star: serve a 1M-request Poisson trace through the
 //! full engine — planner deployment, batching, collectives, KV
 //! transfers, monitor sampling — in minutes, with bit-identical output.
-//! One trace is generated once and served twice; both runs' report
-//! fingerprints ([`hs_bench::fingerprint`]: every per-request metric,
-//! every memory sample and 25 of the scalars, folded bit-for-bit) must be
-//! identical. Each row also carries the network engine's solver work
+//! [`hs_bench::scenario::xtracks_steady`] is built twice from the same
+//! trace stream and served; both runs' report fingerprints
+//! ([`hs_bench::fingerprint`]: 27 of the report's 39 fields, every
+//! per-request metric and memory sample among them, folded bit-for-bit)
+//! must be identical. Each row also carries the network engine's solver work
 //! counters over the run and the process's peak resident set so far
 //! (VmHWM from `/proc/self/status`; null where that file does not
 //! exist). Writes `results/scale_1m.json`.
@@ -14,48 +15,16 @@
 //! `SCALE_REQUESTS` overrides the request count (default 1 000 000) for
 //! quick local runs.
 
-use hs_baselines::{BaselineKind, Deployment};
+use hs_bench::scenario::xtracks_steady;
 use hs_bench::{fingerprint, peak_rss_mib, ExpTable};
-use hs_cluster::{ClusterSim, SimReport};
-use hs_des::{SeedSplitter, SimSpan, SimTime};
-use hs_model::ModelConfig;
-use hs_simnet::SolveStats;
-use hs_topology::builders::{xtracks, XTracksConfig};
-use hs_workload::{sharegpt_like, Poisson, Trace};
+use hs_des::SeedSplitter;
 use serde_json::json;
-
-fn serve(d: &Deployment, trace: &Trace, horizon: SimTime) -> (SimReport, SolveStats) {
-    let margin = SimSpan::from_secs_f64((horizon.as_secs_f64() * 0.25).min(60.0));
-    let mut sim = ClusterSim::new(
-        &d.topology.graph,
-        d.all_pairs(),
-        d.cluster_config(),
-        trace,
-        d.strategy(),
-    );
-    let report = sim.run(horizon + margin);
-    (report, sim.net_solve_stats())
-}
 
 fn main() {
     let n_requests: u64 = std::env::var("SCALE_REQUESTS")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(1_000_000);
-
-    let topo = xtracks(&XTracksConfig::two_tracks(2));
-    let model = ModelConfig::opt_13b();
-    let workload = sharegpt_like();
-    let d = BaselineKind::HeroServe
-        .deploy(&topo, &model, &workload, 2.0)
-        .expect("feasible plan");
-    // Offer 80% of planned capacity so the queue stays stable and the
-    // trace actually drains end to end.
-    let rate = 0.8 * d.output.est_h_rps;
-    let horizon = SimTime::from_secs_f64(n_requests as f64 / rate);
-    let mut rng = SeedSplitter::new(42).stream("trace");
-    let mut arr = Poisson::new(rate);
-    let trace = Trace::generate(&workload, &mut arr, &mut rng, horizon);
 
     let mut table = ExpTable::new(
         "scale_1m",
@@ -75,8 +44,9 @@ fn main() {
     );
     let mut prints = Vec::new();
     for run in 1..=2 {
+        let scenario = xtracks_steady(&mut SeedSplitter::new(42).stream("trace"), n_requests);
         let wall = std::time::Instant::now();
-        let (rep, stats) = serve(&d, &trace, horizon);
+        let (rep, stats) = scenario.run();
         let wall_s = wall.elapsed().as_secs_f64();
         let fp = fingerprint(&rep);
         prints.push(fp);

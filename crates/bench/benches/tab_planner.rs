@@ -10,8 +10,7 @@
 //! counts.
 
 use heroserve::planner::{plan, SchemeSpace};
-use heroserve::spec::PlannerInput;
-use heroserve::system::{default_coefficients, expected_batch};
+use hs_bench::scenario::planner_input;
 use hs_bench::ExpTable;
 use hs_model::ModelConfig;
 use hs_topology::builders::{testbed, xtracks, XTracksConfig};
@@ -50,15 +49,7 @@ fn main() {
     for (name, topo, model) in &topos {
         for space in [SchemeSpace::RingOnly, SchemeSpace::Hybrid] {
             for max_candi in [1usize, 5, 20] {
-                let mut input = PlannerInput::interleaved(
-                    &topo.graph,
-                    model.clone(),
-                    default_coefficients(model),
-                    expected_batch(&workload, 8),
-                    1.0,
-                    workload.ttft_sla_s,
-                    workload.tpot_sla_s,
-                );
+                let mut input = planner_input(&topo.graph, model, &workload, 1.0, None, None);
                 input.max_candi = max_candi;
                 let row = match plan(&input, space) {
                     Ok(o) => (

@@ -16,6 +16,7 @@
 pub mod aggbench;
 pub mod fingerprint;
 pub mod report;
+pub mod scenario;
 pub mod simbench;
 pub mod sweep;
 

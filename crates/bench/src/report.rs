@@ -2,7 +2,7 @@
 
 use serde_json::Value;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A simple experiment table: named columns, stringly rows.
 pub struct ExpTable {
@@ -81,21 +81,36 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Write `rows` to `results/<name>.json`.
+///
+/// Panics if the file cannot be written: a bench that exits 0 without
+/// its result would let the stale committed file pass for a regenerated
+/// one.
 pub fn emit(name: &str, rows: &[Value]) {
-    let dir = results_dir();
-    if fs::create_dir_all(&dir).is_err() {
-        eprintln!("warning: cannot create {}", dir.display());
-        return;
+    write_rows(&results_dir(), name, rows);
+}
+
+fn write_rows(dir: &Path, name: &str, rows: &[Value]) {
+    if let Err(e) = fs::create_dir_all(dir) {
+        panic!("cannot create {}: {e}", dir.display());
     }
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(rows) {
-        Ok(s) => {
-            if let Err(e) = fs::write(&path, s) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                println!("[results written to {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
+    let json = serde_json::to_string_pretty(rows)
+        .unwrap_or_else(|e| panic!("cannot serialize {name}: {e}"));
+    if let Err(e) = fs::write(&path, json) {
+        panic!("cannot write {}: {e}", path.display());
+    }
+    println!("[results written to {}]", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "cannot create")]
+    fn unwritable_results_dir_panics() {
+        // A directory inside a regular file can never be created.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml/results");
+        write_rows(&dir, "unwritable", &[]);
     }
 }

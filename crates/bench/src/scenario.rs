@@ -1,0 +1,362 @@
+//! The scenario catalogue: every serving setup that more than one bench,
+//! test or example runs, built in one place.
+//!
+//! The setups are the paper's interleaved planner input (Fig. 4) with
+//! pinned tensor parallelism, two hand placements on the testbed (the
+//! NetKV placement of `fig_kv` and the elastic TP=2 slots of
+//! `fig_autoscale`), the autoscaler seeded for those slots, and two
+//! whole runs, [`kv_fabric_faults`] and [`xtracks_steady`], which the
+//! benchmark ledger also serves. Each build step (topology, planner
+//! input, all-pairs, trace, config, strategy, controller) is a function
+//! of its own, so a harness that times setup per layer can stamp each
+//! step; the whole-run builders only chain them. The only randomness is
+//! the seed or RNG a builder takes.
+
+use heroserve::system::{default_coefficients, expected_batch};
+use heroserve::{
+    plan, AutoscaleConfig, Autoscaler, HeroScheduler, KvSelection, PlannerInput, SchedulerParams,
+    SchemeSpace, SolveStats,
+};
+use hs_baselines::{BaselineKind, Deployment};
+use hs_cluster::batching::BatchPolicy;
+use hs_cluster::{ClusterConfig, ClusterSim, CommStrategy, InstanceSpec, SimReport};
+use hs_des::{SeedSplitter, SimSpan, SimTime};
+use hs_model::ModelConfig;
+use hs_topology::builders::{testbed, xtracks, BuiltTopology, XTracksConfig};
+use hs_topology::{AllPairs, Graph};
+use hs_workload::spec::fixed;
+use hs_workload::{sharegpt_like, FaultPlan, Poisson, Trace, WorkloadSpec};
+use rand::rngs::SmallRng;
+
+/// The end of a run whose arrivals stop at `window`: a drain margin of a
+/// quarter of the window, at most 60 s, as `Deployment::serve` drains.
+pub fn horizon(window: SimTime) -> SimTime {
+    let margin = window.saturating_since(SimTime::ZERO).mul_f64(0.25);
+    window + margin.min(SimSpan::from_secs(60))
+}
+
+/// Planner input for `model` serving `workload` at `rate` req/s over the
+/// paper's interleaved allocation (Fig. 4): the default coefficient fit,
+/// the expected batch of 8 and the workload's SLAs. `prefill_tp` and
+/// `decode_tp` pin each cluster's tensor-parallel degree at pipeline
+/// depth 1; `None` leaves the degree to the planner.
+pub fn planner_input(
+    graph: &Graph,
+    model: &ModelConfig,
+    workload: &WorkloadSpec,
+    rate: f64,
+    prefill_tp: Option<u32>,
+    decode_tp: Option<u32>,
+) -> PlannerInput {
+    let mut input = PlannerInput::interleaved(
+        graph,
+        model.clone(),
+        default_coefficients(model),
+        expected_batch(workload, 8),
+        rate,
+        workload.ttft_sla_s,
+        workload.tpot_sla_s,
+    );
+    input.force_prefill_parallelism = prefill_tp.map(|tp| (tp, 1));
+    input.force_decode_parallelism = decode_tp.map(|tp| (tp, 1));
+    input
+}
+
+/// The KV-heavy workload of the NetKV placement: 1024-token prompts ship
+/// about 840 MB of OPT-13B KV each, and 24-token decodes keep the runs
+/// about the transfer rather than generation.
+pub fn kv_workload() -> WorkloadSpec {
+    fixed(1024, 24)
+}
+
+/// The NetKV placement on the testbed, OPT-13B: prefill on server 0's
+/// first GPU pair, one decode instance beside it on server 0's second
+/// pair (KV ships over NVLink) and one on server 1's first pair (KV
+/// crosses the Ethernet uplinks). 50 ms monitor, 8 INA slots per switch,
+/// [`kv_workload`]'s SLAs.
+pub fn kv_placement(
+    topo: &BuiltTopology,
+    background: Option<(f64, u64)>,
+    faults: FaultPlan,
+) -> ClusterConfig {
+    let model = ModelConfig::opt_13b();
+    let spec = kv_workload();
+    let servers = &topo.gpus_by_server;
+    ClusterConfig {
+        coef: default_coefficients(&model),
+        model,
+        ttft_sla_s: spec.ttft_sla_s,
+        tpot_sla_s: spec.tpot_sla_s,
+        prefill: vec![InstanceSpec::tensor_parallel(servers[0][..2].to_vec())],
+        decode: vec![
+            InstanceSpec::tensor_parallel(servers[0][2..].to_vec()),
+            InstanceSpec::tensor_parallel(servers[1][..2].to_vec()),
+        ],
+        batch: BatchPolicy::default(),
+        gpu_memory_bytes: 40 << 30,
+        monitor_period: SimSpan::from_millis(50),
+        ina_capacity_per_switch: 8,
+        background,
+        faults,
+    }
+}
+
+/// The uplinks of [`kv_placement`]'s remote decode instance run at 15 %
+/// of capacity from `from` to `to`.
+pub fn kv_remote_brownout(topo: &BuiltTopology, from: SimTime, to: SimTime) -> FaultPlan {
+    let mut faults = FaultPlan::none();
+    for &gpu in &topo.gpus_by_server[1][..2] {
+        for &(nb, link) in topo.graph.neighbors(gpu) {
+            if topo.access_switches.contains(&nb) {
+                faults = faults.merged(FaultPlan::link_brownout(link, 0.15, from, to));
+            }
+        }
+    }
+    faults
+}
+
+const KV_RATE: f64 = 6.0;
+const KV_WINDOW_S: u64 = 3600;
+const KV_OUTAGE_AT_S: u64 = 1800;
+
+/// The faults of [`kv_fabric_faults`]: a [`kv_remote_brownout`] for
+/// minutes 2–8 of every ten, and access switch 0 down from t = 1800 s
+/// for `outage`, if any.
+pub fn kv_faults(topo: &BuiltTopology, outage: Option<SimSpan>) -> FaultPlan {
+    let mut faults = match outage {
+        Some(len) => {
+            let at = SimTime::from_secs(KV_OUTAGE_AT_S);
+            FaultPlan::switch_outage(topo.access_switches[0], at, at + len)
+        }
+        None => FaultPlan::none(),
+    };
+    for cycle in 0..KV_WINDOW_S / 600 {
+        let start = SimTime::from_secs(cycle * 600 + 120);
+        let end = SimTime::from_secs(cycle * 600 + 480);
+        faults = faults.merged(kv_remote_brownout(topo, start, end));
+    }
+    faults
+}
+
+/// The elastic placement on the testbed, OPT-13B: four prefill TP=2
+/// slots on servers 0 and 2 and four decode slots on servers 1 and 3.
+/// 100 ms monitor, 8 INA slots per switch, `workload`'s SLAs.
+pub fn elastic_slots(topo: &BuiltTopology, workload: &WorkloadSpec) -> ClusterConfig {
+    let model = ModelConfig::opt_13b();
+    let slots = |servers: [usize; 2]| -> Vec<InstanceSpec> {
+        servers
+            .iter()
+            .flat_map(|&s| {
+                let g = &topo.gpus_by_server[s];
+                [g[..2].to_vec(), g[2..].to_vec()]
+            })
+            .map(InstanceSpec::tensor_parallel)
+            .collect()
+    };
+    ClusterConfig {
+        coef: default_coefficients(&model),
+        model,
+        ttft_sla_s: workload.ttft_sla_s,
+        tpot_sla_s: workload.tpot_sla_s,
+        prefill: slots([0, 2]),
+        decode: slots([1, 3]),
+        batch: BatchPolicy::default(),
+        gpu_memory_bytes: 40 << 30,
+        monitor_period: SimSpan::from_millis(100),
+        ina_capacity_per_switch: 8,
+        background: None,
+        faults: FaultPlan::none(),
+    }
+}
+
+/// The controller for [`elastic_slots`]: an [`Autoscaler`] seeded from
+/// the hybrid plan of OPT-13B serving `workload` at `rate` with TP pinned
+/// to the slots' 2, so its online re-solves stay component-scoped, and
+/// expecting `rate`. Also returns the seed plan's work counters.
+pub fn seeded_autoscaler(
+    topo: &BuiltTopology,
+    workload: &WorkloadSpec,
+    rate: f64,
+) -> (Autoscaler, SolveStats) {
+    let model = ModelConfig::opt_13b();
+    let input = planner_input(&topo.graph, &model, workload, rate, Some(2), Some(2));
+    let out = plan(&input, SchemeSpace::Hybrid).expect("the autoscaler seed plans");
+    let scaler =
+        Autoscaler::from_plan(AutoscaleConfig::default(), &input, &out).with_expected_rate(rate);
+    (scaler, out.stats)
+}
+
+/// One run, built: what `ClusterSim::new` takes, plus when arrivals stop.
+pub struct Scenario {
+    /// The fabric.
+    pub topo: BuiltTopology,
+    /// Routes the run uses.
+    pub ap: AllPairs,
+    /// Placement, SLAs, background traffic and faults.
+    pub cfg: ClusterConfig,
+    /// The arrivals.
+    pub trace: Trace,
+    /// Offered rate of the trace's arrival process, req/s.
+    pub rate: f64,
+    /// When arrivals stop; the run drains to [`horizon`] of it.
+    pub window: SimTime,
+    /// The online communication strategy.
+    pub strategy: Box<dyn CommStrategy>,
+}
+
+impl Scenario {
+    /// Serve the trace to the end of its drain margin. Returns the report
+    /// and the network engine's work counters.
+    pub fn run(self) -> (SimReport, hs_simnet::SolveStats) {
+        let mut sim = ClusterSim::new(
+            &self.topo.graph,
+            self.ap,
+            self.cfg,
+            &self.trace,
+            self.strategy,
+        );
+        let report = sim.run(horizon(self.window));
+        (report, sim.net_solve_stats())
+    }
+}
+
+/// NetKV decode selection on [`kv_placement`] for an hour: Poisson
+/// arrivals of [`kv_workload`] at 6 req/s drawn from
+/// `SeedSplitter::new(seed).stream("kv_fabric_faults")`, background
+/// traffic of 150 bulk 8 MiB flows/s and [`kv_faults`] with `outage`.
+/// The benchmark ledger's workload of this name has a 30 s outage.
+pub fn kv_fabric_faults(seed: u64, outage: Option<SimSpan>) -> Scenario {
+    let topo = testbed();
+    let window = SimTime::from_secs(KV_WINDOW_S);
+    let mut rng = SeedSplitter::new(seed).stream("kv_fabric_faults");
+    let trace = Trace::generate(&kv_workload(), &mut Poisson::new(KV_RATE), &mut rng, window);
+    let ap = topo.gpu_switch_pairs();
+    let cfg = kv_placement(&topo, Some((150.0, 8 << 20)), kv_faults(&topo, outage));
+    let params = SchedulerParams {
+        kv_select: KvSelection::NetKv,
+        ..SchedulerParams::default()
+    };
+    let strategy = Box::new(HeroScheduler::new(&topo.graph, ap.clone(), params));
+    Scenario {
+        topo,
+        ap,
+        cfg,
+        trace,
+        rate: KV_RATE,
+        window,
+        strategy,
+    }
+}
+
+/// The 96-GPU two-track fabric [`xtracks_steady`] serves on.
+pub fn xtracks_topology() -> BuiltTopology {
+    xtracks(&XTracksConfig::two_tracks(2))
+}
+
+/// HeroServe planned for OPT-13B and ShareGPT-like traffic on `topo`.
+pub fn xtracks_deployment(topo: &BuiltTopology) -> Deployment {
+    BaselineKind::HeroServe
+        .deploy(topo, &ModelConfig::opt_13b(), &sharegpt_like(), 2.0)
+        .expect("the xtracks deployment plans")
+}
+
+/// The rate [`xtracks_steady`] offers: 80 % of the planner's sustainable
+/// rate, so the queue stays stable and the trace drains end to end.
+pub fn steady_rate(d: &Deployment) -> f64 {
+    0.8 * d.output.est_h_rps
+}
+
+/// [`xtracks_deployment`] on [`xtracks_topology`], serving `requests`
+/// Poisson arrivals at [`steady_rate`] drawn from `trace_rng`.
+pub fn xtracks_steady(trace_rng: &mut SmallRng, requests: u64) -> Scenario {
+    let topo = xtracks_topology();
+    let d = xtracks_deployment(&topo);
+    let rate = steady_rate(&d);
+    let window = SimTime::from_secs_f64(requests as f64 / rate);
+    let trace = Trace::generate(&d.workload, &mut Poisson::new(rate), trace_rng, window);
+    Scenario {
+        ap: d.all_pairs(),
+        cfg: d.cluster_config(),
+        strategy: d.strategy(),
+        topo,
+        trace,
+        rate,
+        window,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hs_cluster::{BusyPolicy, StaticStrategy};
+    use hs_collective::Scheme;
+    use std::collections::BTreeSet;
+
+    /// The testbed servers of each prefill and each decode instance, in
+    /// order. Panics if an instance is not TP=2 or two instances share a
+    /// GPU.
+    fn servers(topo: &BuiltTopology, cfg: &ClusterConfig) -> [Vec<Vec<usize>>; 2] {
+        let mut placed = BTreeSet::new();
+        let mut of = |specs: &[InstanceSpec]| -> Vec<Vec<usize>> {
+            specs
+                .iter()
+                .map(|spec| {
+                    let gpus = spec.all_gpus();
+                    assert_eq!(gpus.len(), 2, "not a TP=2 instance: {gpus:?}");
+                    let mut on: Vec<usize> = gpus
+                        .iter()
+                        .map(|g| {
+                            assert!(placed.insert(*g), "GPU {g:?} placed twice");
+                            topo.gpus_by_server
+                                .iter()
+                                .position(|s| s.contains(g))
+                                .expect("instances hold GPUs")
+                        })
+                        .collect();
+                    on.dedup();
+                    on
+                })
+                .collect()
+        };
+        [of(&cfg.prefill), of(&cfg.decode)]
+    }
+
+    fn sim_accepts(topo: &BuiltTopology, cfg: ClusterConfig) {
+        let trace = Trace {
+            requests: Vec::new(),
+        };
+        let strategy = StaticStrategy::uniform("ring", Scheme::Ring, BusyPolicy::FallbackRing);
+        ClusterSim::new(
+            &topo.graph,
+            topo.gpu_switch_pairs(),
+            cfg,
+            &trace,
+            Box::new(strategy),
+        );
+    }
+
+    #[test]
+    fn kv_placement_is_server_0_local_and_server_1_remote() {
+        let topo = testbed();
+        let cfg = kv_placement(&topo, None, FaultPlan::none());
+        assert_eq!(
+            servers(&topo, &cfg),
+            [vec![vec![0]], vec![vec![0], vec![1]]]
+        );
+        sim_accepts(&topo, cfg);
+    }
+
+    #[test]
+    fn elastic_slots_split_servers_between_pools() {
+        let topo = testbed();
+        let cfg = elastic_slots(&topo, &fixed(256, 16));
+        assert_eq!(
+            servers(&topo, &cfg),
+            [
+                vec![vec![0], vec![0], vec![2], vec![2]],
+                vec![vec![1], vec![1], vec![3], vec![3]],
+            ]
+        );
+        sim_accepts(&topo, cfg);
+    }
+}

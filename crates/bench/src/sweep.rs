@@ -35,14 +35,14 @@ pub fn max_rate_under_sla(
     assert!(!grid.is_empty());
     let mut samples = Vec::new();
     let mut best: Option<(f64, SimReport)> = None;
-    let mut first_bad: Option<f64> = None;
+    let mut first_bad: Option<(f64, SimReport)> = None;
     for &rate in grid {
         let report = deployment.serve_trace(seed, rate, duration);
         samples.push((rate, report.sla_attainment));
         if report.sla_attainment >= threshold && report.completed > 0 {
             best = Some((rate, report));
         } else {
-            first_bad = Some(rate);
+            first_bad = Some((rate, report));
             break;
         }
     }
@@ -58,24 +58,21 @@ pub fn max_rate_under_sla(
             if report.sla_attainment >= threshold && report.completed > 0 {
                 best = Some((rate, report));
             } else {
-                first_bad = Some(rate);
+                first_bad = Some((rate, report));
                 break;
             }
         }
     }
-    let (mut lo, mut lo_report) = match best {
-        Some((r, rep)) => (r, rep),
-        None => {
-            // Even the lowest rate fails; report it with zero capacity.
-            let report = deployment.serve_trace(seed, grid[0], duration);
-            return SweepOutcome {
-                max_rate: 0.0,
-                report,
-                samples,
-            };
-        }
+    let Some((mut lo, mut lo_report)) = best else {
+        // Even the lowest rate fails: report it, with zero capacity.
+        let (_, report) = first_bad.expect("a grid rate that does not pass fails");
+        return SweepOutcome {
+            max_rate: 0.0,
+            report,
+            samples,
+        };
     };
-    if let Some(mut hi) = first_bad {
+    if let Some((mut hi, _)) = first_bad {
         for _ in 0..refine {
             let mid = 0.5 * (lo + hi);
             let report = deployment.serve_trace(seed, mid, duration);

@@ -811,7 +811,6 @@ pub(crate) mod tests {
     use hs_model::profile::{fit, ProfileGrid};
     use hs_model::GpuModel;
     use hs_topology::builders::{testbed, BuiltTopology};
-    use hs_topology::LinkWeight;
     use hs_workload::spec::fixed;
     use hs_workload::{Poisson, Request};
 
@@ -827,9 +826,7 @@ pub(crate) mod tests {
     ) -> ClusterSim {
         let model = ModelConfig::opt_13b();
         let coef = fit(&GpuModel::a100(), &model, &ProfileGrid::default()).coefficients;
-        let mut nodes = t.all_gpus();
-        nodes.extend(&t.access_switches);
-        let ap = AllPairs::compute(&t.graph, &nodes, LinkWeight::Latency, None);
+        let ap = t.gpu_switch_pairs();
         let cfg = ClusterConfig {
             model,
             coef,

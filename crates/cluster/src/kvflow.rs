@@ -175,12 +175,9 @@ mod tests {
     #[test]
     fn kv_estimate_tracks_congestion_and_locality() {
         use hs_topology::builders::testbed;
-        use hs_topology::LinkWeight;
 
         let t = testbed();
-        let mut all = t.all_gpus();
-        all.extend(&t.access_switches);
-        let ap = AllPairs::compute(&t.graph, &all, LinkWeight::Latency, None);
+        let ap = t.gpu_switch_pairs();
         let src: Vec<NodeId> = t.gpus_by_server[0][..2].to_vec();
         let local: Vec<NodeId> = t.gpus_by_server[0][2..].to_vec();
         let remote: Vec<NodeId> = t.gpus_by_server[1][..2].to_vec();
@@ -254,11 +251,8 @@ mod proptests {
             scale in proptest::collection::vec(0.0f64..1.5, 64),
             priced in 0u32..2,
         ) {
-            use hs_topology::LinkWeight;
             let t = hs_topology::builders::testbed();
-            let mut nodes = t.all_gpus();
-            nodes.extend(&t.access_switches);
-            let ap = AllPairs::compute(&t.graph, &nodes, LinkWeight::Latency, None);
+            let ap = t.gpu_switch_pairs();
             let gpus = t.all_gpus();
             let src: Vec<NodeId> = src.into_iter().map(|i| gpus[i]).collect();
             let dst: Vec<NodeId> = dst.into_iter().map(|i| gpus[i]).collect();

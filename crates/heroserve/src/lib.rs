@@ -67,7 +67,6 @@ pub mod system;
 
 pub use autoscaler::{AutoscaleConfig, Autoscaler};
 pub use planner::{plan, PlannerError, PlannerOutput, SchemeSpace, SolveStats};
-pub use policy::KvSelectParams;
 pub use scheduler::{HeroScheduler, KvSelection, SchedulerParams};
 pub use spec::{ClusterPlan, GroupScheme, PlannerInput};
 

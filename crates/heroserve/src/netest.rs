@@ -423,13 +423,10 @@ mod tests {
     use super::*;
     use hs_des::SeedSplitter;
     use hs_topology::builders::testbed;
-    use hs_topology::LinkWeight;
 
     fn setup() -> (hs_topology::builders::BuiltTopology, AllPairs) {
         let t = testbed();
-        let mut nodes = t.all_gpus();
-        nodes.extend(&t.access_switches);
-        let ap = AllPairs::compute(&t.graph, &nodes, LinkWeight::Latency, None);
+        let ap = t.gpu_switch_pairs();
         (t, ap)
     }
 

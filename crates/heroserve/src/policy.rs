@@ -129,56 +129,34 @@ pub fn build_policies(
     policies
 }
 
-/// Weights of the NetKV-style decode-selection score: how many seconds of
-/// estimated transfer time one unit of decode load / full KV-reservation
-/// pressure is worth. The defaults make the network term dominate until a
-/// candidate is several requests deeper or nearly out of KV headroom —
-/// i.e. the policy degrades to least-loaded on a homogeneous idle fabric
-/// and to nearest-instance under congestion.
-#[derive(Clone, Copy, Debug)]
-pub struct KvSelectParams {
-    /// Seconds added per request already decoding on the candidate
-    /// (a coarse queueing-delay proxy).
-    pub load_weight_s: f64,
-    /// Seconds added at 100 % KV reservation pressure (an almost-full
-    /// instance is about to start deferring admissions).
-    pub pressure_weight_s: f64,
-}
+/// NetKV score weight: seconds added per request already decoding on the
+/// candidate (a coarse queueing-delay proxy).
+pub const KV_LOAD_WEIGHT_S: f64 = 0.010;
 
-impl Default for KvSelectParams {
-    fn default() -> Self {
-        KvSelectParams {
-            load_weight_s: 0.010,
-            pressure_weight_s: 0.050,
-        }
-    }
-}
+/// NetKV score weight: seconds added at 100 % KV reservation pressure (an
+/// almost-full instance is about to start deferring admissions).
+pub const KV_PRESSURE_WEIGHT_S: f64 = 0.050;
 
 /// The NetKV decode-selection score (lower is better): estimated striped
 /// KV transfer time over residual bandwidth, plus load and KV-pressure
-/// penalties in transfer-time units.
-pub fn netkv_score(
-    est_transfer_s: f64,
-    load: usize,
-    reserved_frac: f64,
-    p: &KvSelectParams,
-) -> f64 {
+/// penalties in transfer-time units. The weights make the network term
+/// dominate until a candidate is several requests deeper or nearly out
+/// of KV headroom, i.e. the policy degrades to least-loaded on a
+/// homogeneous idle fabric and to nearest-instance under congestion.
+pub fn netkv_score(est_transfer_s: f64, load: usize, reserved_frac: f64) -> f64 {
     est_transfer_s
-        + load as f64 * p.load_weight_s
-        + reserved_frac.clamp(0.0, 1.0) * p.pressure_weight_s
+        + load as f64 * KV_LOAD_WEIGHT_S
+        + reserved_frac.clamp(0.0, 1.0) * KV_PRESSURE_WEIGHT_S
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hs_topology::builders::testbed;
-    use hs_topology::LinkWeight;
 
     fn setup() -> (hs_topology::builders::BuiltTopology, AllPairs) {
         let t = testbed();
-        let mut nodes = t.all_gpus();
-        nodes.extend(&t.access_switches);
-        let ap = AllPairs::compute(&t.graph, &nodes, LinkWeight::Latency, None);
+        let ap = t.gpu_switch_pairs();
         (t, ap)
     }
 

@@ -18,7 +18,7 @@
 //!    in this single-process simulation is exact.
 
 use crate::netest::available_bandwidth;
-use crate::policy::{build_policies, netkv_score, KvSelectParams, Policy};
+use crate::policy::{build_policies, netkv_score, Policy};
 use hs_cluster::{
     kv_transfer_estimate, BusyPolicy, CommCtx, CommStrategy, KvCandidate, KvChoice, KvCtx,
 };
@@ -30,24 +30,24 @@ use hs_workload::FaultKind;
 use rustc_hash::FxHashSet;
 use std::collections::BTreeMap;
 
-/// Tunables of the online scheduler.
+/// Estimation window `T_u`, seconds: how long a transfer's load is
+/// assumed to occupy its links.
+pub const T_U_S: f64 = 0.05;
+
+/// Measurement-synchronization factor: how strongly monitored utilization
+/// pulls `b_c` back to reality each control-plane poll.
+pub const KAPPA: f64 = 0.5;
+
+/// How many nearest INA switches get candidate policies.
+pub const K_SWITCHES: usize = 2;
+
+/// Tunables of the online scheduler that experiments vary.
 #[derive(Clone, Copy, Debug)]
 pub struct SchedulerParams {
-    /// Estimation window `T_u`, seconds (how long a transfer's load is
-    /// assumed to occupy its links).
-    pub t_u_s: f64,
     /// Penalty smoothing factor `γ` of Eq. 18.
     pub gamma: f64,
-    /// Measurement-synchronization factor: how strongly monitored
-    /// utilization pulls `b_c` back to reality each control-plane poll.
-    pub kappa: f64,
-    /// How many nearest INA switches get candidate policies.
-    pub k_switches: usize,
     /// How the decode instance for a prefill→decode KV shipment is chosen.
     pub kv_select: KvSelection,
-    /// Weights of the NetKV score (only read when `kv_select` is
-    /// [`KvSelection::NetKv`]).
-    pub kv_score: KvSelectParams,
 }
 
 /// Decode-instance selection policy for KV-cache shipments.
@@ -65,12 +65,8 @@ pub enum KvSelection {
 impl Default for SchedulerParams {
     fn default() -> Self {
         SchedulerParams {
-            t_u_s: 0.05,
             gamma: 0.3,
-            kappa: 0.5,
-            k_switches: 2,
             kv_select: KvSelection::NetKv,
-            kv_score: KvSelectParams::default(),
         }
     }
 }
@@ -132,13 +128,13 @@ impl PolicyTable {
     /// control-plane `refresh()` lets `b` grow without bound and the
     /// `(j / QUANTUM)` bucket in `select()` saturates, degenerating the
     /// argmin into pure latency tie-breaking.
-    fn decay_to(&mut self, now: SimTime, t_u: f64) {
+    fn decay_to(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last_decay).as_secs_f64();
         if dt <= 0.0 {
             return;
         }
         self.last_decay = now;
-        let k = (-dt / t_u.max(1e-9)).exp();
+        let k = (-dt / T_U_S).exp();
         for b in &mut self.b {
             *b *= k;
         }
@@ -151,7 +147,7 @@ impl PolicyTable {
     /// scheme" when nothing is loaded).
     /// Policies crossing a dead link are infinite-cost — skipped outright
     /// so Eq. 16 routes around faults. `None` iff every candidate is dead.
-    fn select(&self, bytes: u64, t_u: f64, dead: &FxHashSet<LinkId>) -> Option<Selection> {
+    fn select(&self, bytes: u64, dead: &FxHashSet<LinkId>) -> Option<Selection> {
         const QUANTUM: f64 = 0.10;
         let mut best: Option<Selection> = None;
         let mut best_key = (usize::MAX, f64::INFINITY);
@@ -161,7 +157,7 @@ impl PolicyTable {
                 dead_skipped += 1;
                 continue;
             }
-            let d = delta(p, bytes, t_u);
+            let d = delta(p, bytes);
             let j = self.b[i] + d;
             let key = ((j / QUANTUM) as usize, p.base_latency_s);
             if best.is_none() || key.0 < best_key.0 || (key.0 == best_key.0 && key.1 < best_key.1) {
@@ -182,8 +178,8 @@ impl PolicyTable {
 
     /// Eq. 17: charge the chosen policy and penalize the sharers.
     /// Returns the δ charged to the winner.
-    fn charge(&mut self, chosen: usize, bytes: u64, t_u: f64) -> f64 {
-        let d = delta(&self.policies[chosen], bytes, t_u);
+    fn charge(&mut self, chosen: usize, bytes: u64) -> f64 {
+        let d = delta(&self.policies[chosen], bytes);
         for i in 0..self.b.len() {
             if i == chosen {
                 self.b[i] += d;
@@ -201,7 +197,7 @@ impl PolicyTable {
     }
 
     /// Eq. 18 + measurement sync.
-    fn refresh(&mut self, link_util: &[f64], gamma: f64, kappa: f64) {
+    fn refresh(&mut self, link_util: &[f64], gamma: f64) {
         let n = self.policies.len();
         for i in 0..n {
             for j in 0..n {
@@ -224,15 +220,15 @@ impl PolicyTable {
                 .iter()
                 .map(|l| link_util.get(l.idx()).copied().unwrap_or(0.0))
                 .fold(0.0f64, f64::max);
-            self.b[i] = (1.0 - kappa) * self.b[i] + kappa * measured;
+            self.b[i] = (1.0 - KAPPA) * self.b[i] + KAPPA * measured;
         }
     }
 }
 
 /// Added *maximum* link-utilization ratio of transferring `bytes` over
 /// the policy within the estimation window (Eq. 16's δ).
-fn delta(p: &Policy, bytes: u64, t_u: f64) -> f64 {
-    bytes as f64 * p.max_link_secs_per_byte / t_u
+fn delta(p: &Policy, bytes: u64) -> f64 {
+    bytes as f64 * p.max_link_secs_per_byte / T_U_S
 }
 
 /// `W_{(c*,c)}`: how much of `c`'s route the chosen policy `c*` loads.
@@ -343,13 +339,7 @@ impl HeroScheduler {
 
     fn table_for(&mut self, group_id: u64, group: &[NodeId]) -> Option<&mut PolicyTable> {
         if !self.tables.contains_key(&group_id) {
-            let pols = build_policies(
-                &self.graph,
-                &self.ap,
-                group,
-                &self.ina_switches,
-                self.params.k_switches,
-            );
+            let pols = build_policies(&self.graph, &self.ap, group, &self.ina_switches, K_SWITCHES);
             if pols.is_empty() {
                 return None;
             }
@@ -362,7 +352,6 @@ impl HeroScheduler {
 
 impl CommStrategy for HeroScheduler {
     fn choose(&mut self, ctx: &CommCtx<'_>) -> Scheme {
-        let t_u = self.params.t_u_s;
         if self.table_for(ctx.group_id, ctx.group).is_none() {
             return Scheme::Ring; // degenerate group
         }
@@ -371,9 +360,9 @@ impl CommStrategy for HeroScheduler {
         let Some(table) = self.tables.get_mut(&ctx.group_id) else {
             return Scheme::Ring;
         };
-        table.decay_to(ctx.now, t_u);
+        table.decay_to(ctx.now);
         let n_candidates = table.policies.len();
-        let Some(sel) = table.select(ctx.bytes, t_u, &self.dead_links) else {
+        let Some(sel) = table.select(ctx.bytes, &self.dead_links) else {
             // Every candidate crosses a dead link: degrade to the plain
             // host-side ring and let retries ride out the fault.
             self.tracer.policy_selected(
@@ -399,7 +388,7 @@ impl CommStrategy for HeroScheduler {
             sel.dead_skipped,
             ctx.bytes,
         );
-        let d = table.charge(sel.idx, ctx.bytes, t_u);
+        let d = table.charge(sel.idx, ctx.bytes);
         self.tracer
             .policy_charged(ctx.now, ctx.group_id, sel.idx, d, table.max_b());
         scheme
@@ -499,7 +488,7 @@ impl CommStrategy for HeroScheduler {
             } else {
                 1.0 - c.headroom_tokens as f64 / c.capacity_tokens as f64
             };
-            let score = netkv_score(est, c.load, reserved_frac, &self.params.kv_score);
+            let score = netkv_score(est, c.load, reserved_frac);
             let better = match &best {
                 None => true,
                 Some((b, _)) => score
@@ -525,7 +514,7 @@ impl CommStrategy for HeroScheduler {
             // Refresh syncs b to measured utilization, superseding any
             // pending select-time decay.
             table.last_decay = now;
-            table.refresh(link_util, self.params.gamma, self.params.kappa);
+            table.refresh(link_util, self.params.gamma);
             self.tracer.table_refreshed(now, gid, table.max_b());
         }
     }
@@ -586,7 +575,6 @@ impl CommStrategy for HeroScheduler {
 mod tests {
     use super::*;
     use hs_topology::builders::testbed;
-    use hs_topology::LinkWeight;
 
     pub(super) fn scheduler() -> (
         HeroScheduler,
@@ -594,9 +582,7 @@ mod tests {
         hs_topology::builders::BuiltTopology,
     ) {
         let t = testbed();
-        let mut nodes = t.all_gpus();
-        nodes.extend(&t.access_switches);
-        let ap = AllPairs::compute(&t.graph, &nodes, LinkWeight::Latency, None);
+        let ap = t.gpu_switch_pairs();
         let group: Vec<NodeId> = t.gpus_by_server.iter().map(|s| s[0]).collect();
         (
             HeroScheduler::new(&t.graph, ap, SchedulerParams::default()),
@@ -836,7 +822,7 @@ mod tests {
         let before = s.tables.get(&1).unwrap().b.clone();
         // Same now: decay_to must not touch b before select.
         let table = s.tables.get_mut(&1).unwrap();
-        table.decay_to(SimTime::ZERO, 0.05);
+        table.decay_to(SimTime::ZERO);
         assert_eq!(s.tables.get(&1).unwrap().b, before);
     }
 
@@ -972,9 +958,7 @@ mod tests {
     #[test]
     fn least_loaded_mode_disables_network_awareness() {
         let t = testbed();
-        let mut nodes = t.all_gpus();
-        nodes.extend(&t.access_switches);
-        let ap = AllPairs::compute(&t.graph, &nodes, LinkWeight::Latency, None);
+        let ap = t.gpu_switch_pairs();
         let params = SchedulerParams {
             kv_select: KvSelection::LeastLoaded,
             ..SchedulerParams::default()
@@ -1038,7 +1022,7 @@ mod proptests {
                 .filter(|(i, _)| mask & (1u64 << (i % 64)) != 0)
                 .map(|(_, &l)| l)
                 .collect();
-            if let Some(sel) = table.select(bytes, 0.05, &dead) {
+            if let Some(sel) = table.select(bytes, &dead) {
                 let p = &table.policies[sel.idx];
                 prop_assert!(
                     p.links.iter().all(|l| !dead.contains(l)),
@@ -1058,10 +1042,9 @@ mod proptests {
             s.choose(&ctx(&group, &[], 1024));
             let table = s.tables.get_mut(&1).unwrap();
             let dead = FxHashSet::default();
-            let t_u = SchedulerParams::default().t_u_s;
             for &bytes in &byte_sizes {
-                if let Some(sel) = table.select(bytes, t_u, &dead) {
-                    table.charge(sel.idx, bytes, t_u);
+                if let Some(sel) = table.select(bytes, &dead) {
+                    table.charge(sel.idx, bytes);
                 }
                 for &b in &table.b {
                     prop_assert!(

@@ -14,6 +14,7 @@
 //!   (≈160 µs vs ≈90 µs for 1 MB).
 
 use crate::graph::{bandwidth, latency, GpuSpec, Graph, GraphBuilder, LinkKind, NodeId, ServerId};
+use crate::routing::{AllPairs, LinkWeight};
 
 /// Handles into a built topology, for tests and experiment harnesses.
 #[derive(Clone, Debug)]
@@ -32,6 +33,15 @@ impl BuiltTopology {
     /// All GPU ids, flattened server-major.
     pub fn all_gpus(&self) -> Vec<NodeId> {
         self.gpus_by_server.iter().flatten().copied().collect()
+    }
+
+    /// Minimum-latency all-pairs over every GPU, then every access
+    /// switch, in that order: the node set hand-placed deployments and
+    /// the online scheduler route over.
+    pub fn gpu_switch_pairs(&self) -> AllPairs {
+        let mut nodes = self.all_gpus();
+        nodes.extend(&self.access_switches);
+        AllPairs::compute(&self.graph, &nodes, LinkWeight::Latency, None)
     }
 }
 
@@ -319,7 +329,7 @@ pub fn fig2_micro() -> Fig2Micro {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::{shortest_path, LinkWeight};
+    use crate::routing::shortest_path;
 
     #[test]
     fn testbed_shape() {

@@ -17,54 +17,22 @@
 //! attainment during spikes. The decision log printed below comes from
 //! the `autoscale` trace track (`hs_obs::Tracer`).
 
-use heroserve::{plan, AutoscaleConfig, Autoscaler, SchemeSpace};
-use hs_cluster::batching::BatchPolicy;
-use hs_cluster::{ClusterConfig, ClusterSim, InstanceSpec, ScaleController, StaticController};
-use hs_des::{SeedSplitter, SimSpan, SimTime};
-use hs_model::profile::{fit, ProfileGrid};
-use hs_model::{BatchStats, GpuModel, ModelConfig};
+use hs_bench::scenario::{elastic_slots, seeded_autoscaler};
+use hs_cluster::{ClusterSim, ScaleController, StaticController};
+use hs_des::{SeedSplitter, SimTime};
 use hs_obs::{MetricsRegistry, Tracer};
 use hs_topology::builders::{testbed, BuiltTopology};
-use hs_topology::{AllPairs, LinkWeight};
+use hs_topology::AllPairs;
 use hs_workload::spec::fixed;
-use hs_workload::{FaultPlan, Mmpp, Trace};
+use hs_workload::{Mmpp, Trace, WorkloadSpec};
 
 const HORIZON_S: u64 = 60;
 const DRAIN_S: u64 = 30;
 
-fn cluster_config(topo: &BuiltTopology) -> ClusterConfig {
-    let model = ModelConfig::opt_13b();
-    let fitted = fit(&GpuModel::a100(), &model, &ProfileGrid::default());
-    let slots = |server: usize| {
-        let g = &topo.gpus_by_server[server];
-        vec![
-            InstanceSpec::tensor_parallel(g[..2].to_vec()),
-            InstanceSpec::tensor_parallel(g[2..].to_vec()),
-        ]
-    };
-    let mut prefill = slots(0);
-    prefill.extend(slots(2));
-    let mut decode = slots(1);
-    decode.extend(slots(3));
-    ClusterConfig {
-        model,
-        coef: fitted.coefficients,
-        ttft_sla_s: 2.5,
-        tpot_sla_s: 0.15,
-        prefill,
-        decode,
-        batch: BatchPolicy::default(),
-        gpu_memory_bytes: 40 * (1 << 30),
-        monitor_period: SimSpan::from_millis(100),
-        ina_capacity_per_switch: 8,
-        background: None,
-        faults: FaultPlan::none(),
-    }
-}
-
 fn serve(
     topo: &BuiltTopology,
     ap: &AllPairs,
+    spec: &WorkloadSpec,
     trace: &Trace,
     controller: Option<Box<dyn ScaleController>>,
     tracer: Option<&Tracer>,
@@ -77,7 +45,7 @@ fn serve(
     let mut sim = ClusterSim::new(
         &topo.graph,
         ap.clone(),
-        cluster_config(topo),
+        elastic_slots(topo, spec),
         trace,
         Box::new(strategy),
     );
@@ -93,19 +61,13 @@ fn serve(
 
 fn main() {
     let topo = testbed();
-    let mut nodes = topo.all_gpus();
-    nodes.extend(&topo.access_switches);
-    let ap = AllPairs::compute(&topo.graph, &nodes, LinkWeight::Latency, None);
+    let ap = topo.gpu_switch_pairs();
+    let spec = fixed(256, 16);
 
     // Flash-crowd arrivals: calm 42 req/s, 6x spikes.
     let mut rng = SeedSplitter::new(4242).stream("autoscale-drill");
     let mut arr = Mmpp::flash_crowd(42.0, 6.0);
-    let trace = Trace::generate(
-        &fixed(256, 16),
-        &mut arr,
-        &mut rng,
-        SimTime::from_secs(HORIZON_S),
-    );
+    let trace = Trace::generate(&spec, &mut arr, &mut rng, SimTime::from_secs(HORIZON_S));
     println!(
         "flash crowd: {} requests over {HORIZON_S}s (mean {:.0} req/s, spikes to {:.0})\n",
         trace.len(),
@@ -114,24 +76,16 @@ fn main() {
     );
 
     // Elastic: planner-seeded controller, decisions traced.
-    let model = ModelConfig::opt_13b();
-    let fitted = fit(&GpuModel::a100(), &model, &ProfileGrid::default());
-    let mut input = heroserve::PlannerInput::interleaved(
-        &topo.graph,
-        model,
-        fitted.coefficients,
-        BatchStats::uniform(8, 256, 16),
-        42.0,
-        2.5,
-        0.15,
-    );
-    input.force_prefill_parallelism = Some((2, 1));
-    input.force_decode_parallelism = Some((2, 1));
-    let out = plan(&input, SchemeSpace::Hybrid).expect("planner solve");
-    let ctl =
-        Autoscaler::from_plan(AutoscaleConfig::default(), &input, &out).with_expected_rate(42.0);
+    let (ctl, _) = seeded_autoscaler(&topo, &spec, 42.0);
     let tracer = Tracer::recording();
-    let elastic = serve(&topo, &ap, &trace, Some(Box::new(ctl)), Some(&tracer));
+    let elastic = serve(
+        &topo,
+        &ap,
+        &spec,
+        &trace,
+        Some(Box::new(ctl)),
+        Some(&tracer),
+    );
 
     println!("autoscaler decision log (first 12):");
     let decisions: Vec<_> = tracer
@@ -163,6 +117,7 @@ fn main() {
     let half = serve(
         &topo,
         &ap,
+        &spec,
         &trace,
         Some(Box::new(StaticController {
             prefill: 2,
@@ -170,7 +125,7 @@ fn main() {
         })),
         None,
     );
-    let full = serve(&topo, &ap, &trace, None, None);
+    let full = serve(&topo, &ap, &spec, &trace, None, None);
 
     println!(
         "{:<16} {:>10} {:>10} {:>12} {:>14}",

@@ -13,6 +13,7 @@
 //! the hole — then returns to in-network aggregation after recovery.
 
 use hs_baselines::BaselineKind;
+use hs_bench::scenario::planner_input;
 use hs_des::{SeedSplitter, SimTime};
 use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
@@ -48,17 +49,7 @@ fn main() {
     for kind in BaselineKind::all() {
         // The paper's testbed deployment: interleaved ports, TP groups
         // spanning servers, so collectives genuinely cross the switches.
-        let mut input = heroserve::spec::PlannerInput::interleaved(
-            &topo.graph,
-            model.clone(),
-            heroserve::system::default_coefficients(&model),
-            heroserve::system::expected_batch(&workload, 8),
-            rate,
-            workload.ttft_sla_s,
-            workload.tpot_sla_s,
-        );
-        input.force_prefill_parallelism = Some((4, 1));
-        input.force_decode_parallelism = Some((8, 1));
+        let input = planner_input(&topo.graph, &model, &workload, rate, Some(4), Some(8));
         let d = kind
             .deploy_with_input(&topo, &input, &workload)
             .unwrap_or_else(|e| panic!("{} failed to plan: {e}", kind.name()))

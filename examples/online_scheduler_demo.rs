@@ -14,13 +14,11 @@ use heroserve::scheduler::{HeroScheduler, SchedulerParams};
 use hs_cluster::{CommCtx, CommStrategy, KvCandidate, KvCtx};
 use hs_des::SimTime;
 use hs_topology::builders::testbed;
-use hs_topology::{AllPairs, LinkWeight, NodeId};
+use hs_topology::NodeId;
 
 fn main() {
     let topo = testbed();
-    let mut nodes = topo.all_gpus();
-    nodes.extend(&topo.access_switches);
-    let ap = AllPairs::compute(&topo.graph, &nodes, LinkWeight::Latency, None);
+    let ap = topo.gpu_switch_pairs();
     let mut sched = HeroScheduler::new(&topo.graph, ap, SchedulerParams::default());
 
     // One GPU from each server: a 4-wide cross-server tensor group.

@@ -14,7 +14,6 @@ use heroserve::spec::PlannerInput;
 use heroserve::system::{default_coefficients, expected_batch};
 use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
-use hs_topology::{AllPairs, LinkWeight};
 
 fn main() {
     let topo = testbed();
@@ -22,9 +21,7 @@ fn main() {
     let workload = hs_workload::sharegpt_like();
 
     // --- Algorithm 2, step 0: the offline matrices D(i,j), P(k,a). ---
-    let mut nodes = topo.all_gpus();
-    nodes.extend(&topo.access_switches);
-    let ap = AllPairs::compute(&topo.graph, &nodes, LinkWeight::Latency, None);
+    let ap = topo.gpu_switch_pairs();
     let gpus = topo.all_gpus();
     println!("offline matrices: {} nodes covered", ap.nodes().len());
     println!(

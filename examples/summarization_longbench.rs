@@ -10,6 +10,7 @@
 //! communication scheduling decides TTFT.
 
 use hs_baselines::BaselineKind;
+use hs_bench::scenario::planner_input;
 use hs_des::SimTime;
 use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
@@ -35,17 +36,7 @@ fn main() {
     for rate in [0.5f64, 1.5] {
         println!("\n--- offered rate {rate} req/s ---");
         for kind in BaselineKind::all() {
-            let mut input = heroserve::spec::PlannerInput::interleaved(
-                &topo.graph,
-                model.clone(),
-                heroserve::system::default_coefficients(&model),
-                heroserve::system::expected_batch(&workload, 8),
-                rate,
-                workload.ttft_sla_s,
-                workload.tpot_sla_s,
-            );
-            input.force_prefill_parallelism = Some((4, 1));
-            input.force_decode_parallelism = Some((8, 1));
+            let input = planner_input(&topo.graph, &model, &workload, rate, Some(4), Some(8));
             let mut d = kind
                 .deploy_with_input(&topo, &input, &workload)
                 .expect("feasible plan");

@@ -20,6 +20,7 @@
 //! reroute. CI runs this example as a trace-format regression test.
 
 use hs_baselines::BaselineKind;
+use hs_bench::scenario::planner_input;
 use hs_des::{SeedSplitter, SimTime};
 use hs_model::ModelConfig;
 use hs_obs::{chrome_trace, jsonl, MetricsRegistry, Tracer};
@@ -55,17 +56,7 @@ fn main() {
 
     // The paper's testbed deployment: TP groups spanning servers so
     // collectives genuinely cross the (failing) switches.
-    let mut input = heroserve::spec::PlannerInput::interleaved(
-        &topo.graph,
-        model.clone(),
-        heroserve::system::default_coefficients(&model),
-        heroserve::system::expected_batch(&workload, 8),
-        rate,
-        workload.ttft_sla_s,
-        workload.tpot_sla_s,
-    );
-    input.force_prefill_parallelism = Some((4, 1));
-    input.force_decode_parallelism = Some((8, 1));
+    let input = planner_input(&topo.graph, &model, &workload, rate, Some(4), Some(8));
     let d = BaselineKind::HeroServe
         .deploy_with_input(&topo, &input, &workload)
         .expect("HeroServe deployment plans")

@@ -27,10 +27,10 @@ use heroserve::planner::{plan, PlannerOutput, SchemeSpace};
 use heroserve::spec::PlannerInput;
 use heroserve::system::{default_coefficients, expected_batch};
 use hs_baselines::{BaselineKind, Deployment};
+use hs_bench::scenario;
 use hs_des::{EventQueue, SeedSplitter, SimTime};
 use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
-use hs_topology::{AllPairs, LinkWeight, NodeId};
 use hs_workload::{
     heavy_tail_like, sharegpt_like, Diurnal, FaultPlan, Mmpp, ParetoSpec, Poisson, Trace,
 };
@@ -62,17 +62,7 @@ fn hero_deploy(rate: f64) -> Deployment {
     let topo = testbed();
     let model = ModelConfig::opt_66b();
     let workload = sharegpt_like();
-    let mut input = PlannerInput::interleaved(
-        &topo.graph,
-        model.clone(),
-        default_coefficients(&model),
-        expected_batch(&workload, 8),
-        rate,
-        workload.ttft_sla_s,
-        workload.tpot_sla_s,
-    );
-    input.force_prefill_parallelism = Some((4, 1));
-    input.force_decode_parallelism = Some((8, 1));
+    let input = scenario::planner_input(&topo.graph, &model, &workload, rate, Some(4), Some(8));
     BaselineKind::HeroServe
         .deploy_with_input(&topo, &input, &workload)
         .expect("feasible plan")
@@ -92,9 +82,7 @@ fn planner_output_bit_identical_across_runs() {
 #[test]
 fn candidate_rng_streams_are_order_independent() {
     let topo = testbed();
-    let mut nodes: Vec<NodeId> = topo.all_gpus();
-    nodes.extend(&topo.access_switches);
-    let ap = AllPairs::compute(&topo.graph, &nodes, LinkWeight::Latency, None);
+    let ap = topo.gpu_switch_pairs();
     let avail = topo.graph.capacities();
     let gpus = topo.all_gpus();
     let eval = |ci: u64| -> String {
@@ -250,9 +238,7 @@ fn netkv_run_with_kv_retries_is_bit_identical() {
         }
         let model = ModelConfig::opt_13b();
         let fitted = fit(&GpuModel::a100(), &model, &ProfileGrid::default());
-        let mut nodes = t.all_gpus();
-        nodes.extend(&t.access_switches);
-        let ap = AllPairs::compute(&t.graph, &nodes, LinkWeight::Latency, None);
+        let ap = t.gpu_switch_pairs();
         let cfg = ClusterConfig {
             model,
             coef: fitted.coefficients,
@@ -416,67 +402,18 @@ fn trace_round_trips_through_csv_and_jsonl_bit_exactly() {
 /// bit-identically across repeats.
 #[test]
 fn elastic_autoscaler_run_is_bit_identical() {
-    use heroserve::{AutoscaleConfig, Autoscaler};
-    use hs_cluster::batching::BatchPolicy;
-    use hs_cluster::{ClusterConfig, ClusterSim, InstanceSpec};
-    use hs_des::SimSpan;
-    use hs_model::profile::{fit, ProfileGrid};
-    use hs_model::{BatchStats, GpuModel};
+    use hs_cluster::ClusterSim;
+    use hs_workload::spec::fixed;
 
     let run = || {
         let t = testbed();
-        let model = ModelConfig::opt_13b();
-        let fitted = fit(&GpuModel::a100(), &model, &ProfileGrid::default());
-        let mut nodes = t.all_gpus();
-        nodes.extend(&t.access_switches);
-        let ap = AllPairs::compute(&t.graph, &nodes, LinkWeight::Latency, None);
-        let slots = |server: usize| {
-            let g = &t.gpus_by_server[server];
-            vec![
-                InstanceSpec::tensor_parallel(g[..2].to_vec()),
-                InstanceSpec::tensor_parallel(g[2..].to_vec()),
-            ]
-        };
-        let mut prefill = slots(0);
-        prefill.extend(slots(2));
-        let mut decode = slots(1);
-        decode.extend(slots(3));
-        let cfg = ClusterConfig {
-            model: model.clone(),
-            coef: fitted.coefficients,
-            ttft_sla_s: 2.5,
-            tpot_sla_s: 0.15,
-            prefill,
-            decode,
-            batch: BatchPolicy::default(),
-            gpu_memory_bytes: 40 * (1 << 30),
-            monitor_period: SimSpan::from_millis(100),
-            ina_capacity_per_switch: 8,
-            background: None,
-            faults: FaultPlan::none(),
-        };
+        let spec = fixed(256, 16);
+        let ap = t.gpu_switch_pairs();
+        let cfg = scenario::elastic_slots(&t, &spec);
         let mut rng = SeedSplitter::new(31).stream("elastic");
         let mut arr = Mmpp::flash_crowd(30.0, 6.0);
-        let trace = Trace::generate(
-            &hs_workload::spec::fixed(256, 16),
-            &mut arr,
-            &mut rng,
-            SimTime::from_secs(10),
-        );
-        let mut input = PlannerInput::interleaved(
-            &t.graph,
-            model.clone(),
-            default_coefficients(&model),
-            BatchStats::uniform(8, 256, 16),
-            30.0,
-            2.5,
-            0.15,
-        );
-        input.force_prefill_parallelism = Some((2, 1));
-        input.force_decode_parallelism = Some((2, 1));
-        let out = plan(&input, SchemeSpace::Hybrid).expect("feasible seed plan");
-        let ctl = Autoscaler::from_plan(AutoscaleConfig::default(), &input, &out)
-            .with_expected_rate(30.0);
+        let trace = Trace::generate(&spec, &mut arr, &mut rng, SimTime::from_secs(10));
+        let (ctl, _) = scenario::seeded_autoscaler(&t, &spec, 30.0);
         let strategy = hs_cluster::StaticStrategy::uniform(
             "ring",
             hs_collective::Scheme::Ring,

@@ -1,6 +1,7 @@
 //! End-to-end integration: plan → serve → report, across systems.
 
 use hs_baselines::BaselineKind;
+use hs_bench::scenario::planner_input;
 use hs_des::SimTime;
 use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
@@ -10,17 +11,7 @@ fn testbed_deploy(kind: BaselineKind, rate: f64) -> hs_baselines::Deployment {
     let topo = testbed();
     let model = ModelConfig::opt_66b();
     let workload = sharegpt_like();
-    let mut input = heroserve::spec::PlannerInput::interleaved(
-        &topo.graph,
-        model.clone(),
-        heroserve::system::default_coefficients(&model),
-        heroserve::system::expected_batch(&workload, 8),
-        rate,
-        workload.ttft_sla_s,
-        workload.tpot_sla_s,
-    );
-    input.force_prefill_parallelism = Some((4, 1));
-    input.force_decode_parallelism = Some((8, 1));
+    let input = planner_input(&topo.graph, &model, &workload, rate, Some(4), Some(8));
     kind.deploy_with_input(&topo, &input, &workload)
         .expect("feasible plan")
 }

@@ -8,6 +8,7 @@
 //! after recovery its policy table returns to in-network aggregation.
 
 use hs_baselines::{BaselineKind, Deployment};
+use hs_bench::scenario::planner_input;
 use hs_collective::Scheme;
 use hs_des::{SeedSplitter, SimTime};
 use hs_model::ModelConfig;
@@ -30,17 +31,7 @@ fn outage_plan(switch: NodeId) -> FaultPlan {
 fn deploy(kind: BaselineKind, topo: &hs_topology::builders::BuiltTopology) -> Deployment {
     let workload = hs_workload::sharegpt_like();
     let model = ModelConfig::opt_66b();
-    let mut input = heroserve::spec::PlannerInput::interleaved(
-        &topo.graph,
-        model.clone(),
-        heroserve::system::default_coefficients(&model),
-        heroserve::system::expected_batch(&workload, 8),
-        2.0,
-        workload.ttft_sla_s,
-        workload.tpot_sla_s,
-    );
-    input.force_prefill_parallelism = Some((4, 1));
-    input.force_decode_parallelism = Some((8, 1));
+    let input = planner_input(&topo.graph, &model, &workload, 2.0, Some(4), Some(8));
     kind.deploy_with_input(topo, &input, &workload)
         .expect("feasible plan")
 }

@@ -3,6 +3,7 @@
 use heroserve::planner::{plan, SchemeSpace};
 use heroserve::spec::PlannerInput;
 use heroserve::system::{default_coefficients, expected_batch};
+use hs_bench::scenario::planner_input;
 use hs_collective::Scheme;
 use hs_model::ModelConfig;
 use hs_topology::builders::{testbed, xtracks, XTracksConfig};
@@ -42,16 +43,7 @@ fn interleaved_allocation_forces_cross_server_groups() {
     let topo = testbed();
     let model = ModelConfig::opt_66b();
     let w = sharegpt_like();
-    let mut input = PlannerInput::interleaved(
-        &topo.graph,
-        model.clone(),
-        default_coefficients(&model),
-        expected_batch(&w, 8),
-        1.0,
-        w.ttft_sla_s,
-        w.tpot_sla_s,
-    );
-    input.force_prefill_parallelism = Some((4, 1));
+    let input = planner_input(&topo.graph, &model, &w, 1.0, Some(4), None);
     let out = plan(&input, SchemeSpace::Hybrid).expect("feasible");
     // Prefill groups must span servers (only 2 eligible GPUs per server).
     for inst in &out.prefill.instances {
@@ -77,17 +69,7 @@ fn scheme_spaces_order_estimated_ttft() {
     let topo = testbed();
     let model = ModelConfig::opt_66b();
     let w = sharegpt_like();
-    let mut input = PlannerInput::interleaved(
-        &topo.graph,
-        model.clone(),
-        default_coefficients(&model),
-        expected_batch(&w, 8),
-        1.0,
-        w.ttft_sla_s,
-        w.tpot_sla_s,
-    );
-    input.force_prefill_parallelism = Some((4, 1));
-    input.force_decode_parallelism = Some((8, 1));
+    let input = planner_input(&topo.graph, &model, &w, 1.0, Some(4), Some(8));
     let ttft = |space| plan(&input, space).expect("feasible").est_ttft_s;
     let ring = ttft(SchemeSpace::RingOnly);
     let ina = ttft(SchemeSpace::InaOnly);

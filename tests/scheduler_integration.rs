@@ -4,7 +4,7 @@ use heroserve::scheduler::{HeroScheduler, SchedulerParams};
 use hs_cluster::{CommCtx, CommStrategy};
 use hs_des::SimTime;
 use hs_topology::builders::testbed;
-use hs_topology::{AllPairs, LinkWeight, NodeId};
+use hs_topology::NodeId;
 
 fn scheduler_with(
     params: SchedulerParams,
@@ -14,9 +14,7 @@ fn scheduler_with(
     hs_topology::builders::BuiltTopology,
 ) {
     let topo = testbed();
-    let mut nodes = topo.all_gpus();
-    nodes.extend(&topo.access_switches);
-    let ap = AllPairs::compute(&topo.graph, &nodes, LinkWeight::Latency, None);
+    let ap = topo.gpu_switch_pairs();
     let group: Vec<NodeId> = topo.gpus_by_server.iter().map(|s| s[0]).collect();
     (HeroScheduler::new(&topo.graph, ap, params), group, topo)
 }
