@@ -28,9 +28,16 @@ use hs_collective::Scheme;
 use hs_des::{SeedSplitter, SimSpan, SimTime};
 use hs_model::ModelConfig;
 use hs_topology::builders::BuiltTopology;
-use hs_topology::{AllPairs, LinkWeight, NodeId};
+use hs_topology::{AllPairs, NodeId};
 use hs_workload::{FaultPlan, Poisson, Trace, WorkloadSpec};
 use rustc_hash::FxHashMap;
+
+/// The end of a run whose arrivals stop at `window`: a drain margin of a
+/// quarter of the window, at most 60 s.
+pub fn horizon(window: SimTime) -> SimTime {
+    let margin = window.saturating_since(SimTime::ZERO).mul_f64(0.25);
+    window + margin.min(SimSpan::from_secs(60))
+}
 
 /// Which system to deploy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -173,11 +180,7 @@ impl Deployment {
 
     /// All-pairs structures over GPUs + INA switches.
     pub fn all_pairs(&self) -> AllPairs {
-        let mut nodes: Vec<NodeId> = self.topology.all_gpus();
-        nodes.extend(self.topology.graph.ina_switches());
-        nodes.sort_unstable();
-        nodes.dedup();
-        AllPairs::compute(&self.topology.graph, &nodes, LinkWeight::Latency, None)
+        self.topology.gpu_ina_pairs()
     }
 
     /// The communication strategy this system runs online.
@@ -255,11 +258,11 @@ impl Deployment {
         self.serve(&trace, duration)
     }
 
-    /// Serve an explicit trace.
-    pub fn serve(&self, trace: &Trace, horizon: SimTime) -> SimReport {
+    /// Serve an explicit trace whose arrivals stop at `window`.
+    pub fn serve(&self, trace: &Trace, window: SimTime) -> SimReport {
         self.serve_observed(
             trace,
-            horizon,
+            window,
             &hs_obs::Tracer::noop(),
             &hs_obs::MetricsRegistry::disabled(),
         )
@@ -271,14 +274,10 @@ impl Deployment {
     pub fn serve_observed(
         &self,
         trace: &Trace,
-        horizon: SimTime,
+        window: SimTime,
         tracer: &hs_obs::Tracer,
         metrics: &hs_obs::MetricsRegistry,
     ) -> SimReport {
-        let margin = horizon
-            .saturating_since(SimTime::ZERO)
-            .mul_f64(0.25)
-            .min(SimSpan::from_secs(60));
         let mut sim = ClusterSim::new(
             &self.topology.graph,
             self.all_pairs(),
@@ -287,7 +286,7 @@ impl Deployment {
             self.strategy(),
         );
         sim.set_obs(tracer, metrics);
-        sim.run(horizon + margin)
+        sim.run(horizon(window))
     }
 }
 

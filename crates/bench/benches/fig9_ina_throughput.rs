@@ -15,16 +15,11 @@ use hs_bench::aggbench::{cross_server_groups, run_agg_bench, AggBenchConfig};
 use hs_bench::ExpTable;
 use hs_des::SimTime;
 use hs_topology::builders::{xtracks, XTracksConfig};
-use hs_topology::{AllPairs, LinkWeight};
 use serde_json::json;
 
 fn main() {
     let topo = xtracks(&XTracksConfig::two_tracks(2));
-    let mut nodes = topo.all_gpus();
-    nodes.extend(topo.graph.ina_switches());
-    nodes.sort_unstable();
-    nodes.dedup();
-    let ap = AllPairs::compute(&topo.graph, &nodes, LinkWeight::Latency, None);
+    let ap = topo.gpu_ina_pairs();
     // 6 groups of 8 GPUs, each spanning servers (paper: concurrent
     // tensor-parallel replicas sharing the fabric's two switch tracks).
     let groups = cross_server_groups(&topo.gpus_by_server, 4, 8, 99);
@@ -52,7 +47,6 @@ fn main() {
                 duration: SimTime::from_secs(5),
                 background_rate: 20.0,
                 background_bytes: 256 << 20,
-                trace_path: None,
             };
             let r = run_agg_bench(&topo.graph, &ap, &cfg, 4242);
             rows.push((system, r));

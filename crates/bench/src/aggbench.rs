@@ -39,9 +39,6 @@ pub struct AggBenchConfig {
     pub background_rate: f64,
     /// Background flow size, bytes.
     pub background_bytes: u64,
-    /// When set, record the run (flow events, link scaling, HeroServe's
-    /// policy-selection audit) and write Chrome trace-event JSON here.
-    pub trace_path: Option<std::path::PathBuf>,
 }
 
 /// Result: aggregate algorithm bandwidth and diagnostics.
@@ -71,16 +68,124 @@ struct GroupState {
     waiting: bool,
 }
 
+/// One run's mutable state: the network, the strategy, the groups, the
+/// in-flight collectives and the INA slot ledger.
+struct Run<'a> {
+    cfg: &'a AggBenchConfig,
+    graph: &'a Graph,
+    ap: &'a AllPairs,
+    net: SimNet,
+    events: EventQueue<Ev>,
+    strategy: Box<dyn CommStrategy>,
+    util: Vec<f64>,
+    groups: Vec<GroupState>,
+    /// In-flight collectives: executor, group index, held INA switch.
+    colls: FxHashMap<u64, (CollectiveExec, usize, Option<NodeId>)>,
+    next_coll: u64,
+    ina_active: FxHashMap<NodeId, usize>,
+    ina_waiting: FxHashMap<NodeId, VecDeque<usize>>,
+    result: AggResult,
+}
+
+impl Run<'_> {
+    /// Launch group `gi`'s next all-reduce: the strategy's scheme if its
+    /// switch has a free slot, else wait or fall back per the busy policy.
+    fn start_group(&mut self, gi: usize, now: SimTime) {
+        let members = &self.groups[gi].members;
+        let scheme = self.strategy.choose(&CommCtx {
+            group_id: gi as u64,
+            group: members,
+            bytes: self.cfg.msg_bytes,
+            now,
+            link_util: &self.util,
+        });
+        let (scheme, held) = match scheme.aggregating_switch(self.graph, members) {
+            Some(switch) => {
+                let active = self.ina_active.get(&switch).copied().unwrap_or(0);
+                if active >= self.cfg.ina_capacity_per_switch {
+                    let policy = self.strategy.busy_policy();
+                    if policy == BusyPolicy::Wait {
+                        self.groups[gi].waiting = true;
+                        self.ina_waiting.entry(switch).or_default().push_back(gi);
+                        return;
+                    }
+                    self.result.fallbacks += 1;
+                    self.result.ring_ops += 1;
+                    (policy.fallback(), None)
+                } else {
+                    *self.ina_active.entry(switch).or_insert(0) += 1;
+                    self.result.ina_ops += 1;
+                    (scheme, Some(switch))
+                }
+            }
+            None => {
+                self.result.ring_ops += 1;
+                (scheme, None)
+            }
+        };
+        let bytes = self.cfg.msg_bytes;
+        let plan = CollectivePlan::compile(self.graph, self.ap, members, scheme, bytes);
+        let id = self.next_coll;
+        self.next_coll += 1;
+        let mut exec = CollectiveExec::new(plan, id);
+        match exec.start(&mut self.net, now) {
+            Progress::Done => {
+                // Degenerate (single-server NVLink-only with zero-hop
+                // members) — count it and immediately relaunch via timer
+                // to avoid infinite recursion at one instant.
+                self.result.ops += 1;
+                self.events.push(
+                    now + hs_des::SimSpan::from_micros(1),
+                    Ev::CollTimer(u64::MAX - gi as u64),
+                );
+            }
+            Progress::InFlight => {
+                self.colls.insert(id, (exec, gi, held));
+            }
+            Progress::StartTimer(d) => {
+                self.colls.insert(id, (exec, gi, held));
+                self.events.push(now + d, Ev::CollTimer(id));
+            }
+        }
+    }
+
+    /// Advance collective `id` on a flow completion (`Some`) or on its
+    /// timer (`None`). A finished op frees its INA slot, wakes one waiter
+    /// and queues its group for relaunch in `finished`.
+    fn step(&mut self, now: SimTime, id: u64, flow: Option<FlowId>, finished: &mut Vec<usize>) {
+        let Some((exec, gi, _)) = self.colls.get_mut(&id) else {
+            return; // a background flow, or no longer in flight
+        };
+        let gi = *gi;
+        let progress = match flow {
+            Some(fid) => exec.on_flow_complete(&mut self.net, now, fid),
+            None => exec.on_timer(&mut self.net, now),
+        };
+        match progress {
+            Progress::InFlight => {}
+            Progress::StartTimer(d) => self.events.push(now + d, Ev::CollTimer(id)),
+            Progress::Done => {
+                let (_, _, held) = self.colls.remove(&id).expect("coll");
+                if let Some(sw) = held {
+                    let c = self.ina_active.entry(sw).or_insert(1);
+                    *c = c.saturating_sub(1);
+                    if let Some(q) = self.ina_waiting.get_mut(&sw) {
+                        if let Some(wgi) = q.pop_front() {
+                            self.groups[wgi].waiting = false;
+                            finished.push(wgi);
+                        }
+                    }
+                }
+                self.result.ops += 1;
+                finished.push(gi);
+            }
+        }
+    }
+}
+
 /// Run one configuration; deterministic in `seed`.
 pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u64) -> AggResult {
     let seeds = SeedSplitter::new(seed);
-    let tracer = if cfg.trace_path.is_some() {
-        hs_obs::Tracer::recording()
-    } else {
-        hs_obs::Tracer::noop()
-    };
-    let mut net = SimNet::new(graph);
-    net.set_tracer(&tracer);
     let mut monitor = LinkMonitor::new(graph.link_count(), 0.5);
     let mut events: EventQueue<Ev> = EventQueue::new();
     let gpus = graph.gpus();
@@ -105,143 +210,44 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
     }
     events.push(SimTime::from_millis(10), Ev::Monitor);
 
-    let mut strategy = system_strategy(cfg.system, graph, ap, &cfg.groups);
-    strategy.attach_tracer(&tracer);
-    let mut util = vec![0.0f64; graph.link_count()];
-
-    // Group + collective state.
-    let mut groups: Vec<GroupState> = cfg
-        .groups
-        .iter()
-        .map(|g| GroupState {
-            members: g.clone(),
-            waiting: false,
-        })
-        .collect();
-    let mut colls: FxHashMap<u64, (CollectiveExec, usize, Option<NodeId>)> = FxHashMap::default();
-    let mut next_coll: u64 = 0;
-    let mut ina_active: FxHashMap<NodeId, usize> = FxHashMap::default();
-    let mut ina_waiting: FxHashMap<NodeId, VecDeque<usize>> = FxHashMap::default();
-    let mut result = AggResult {
-        ops: 0,
-        goodput_bps: 0.0,
-        ina_ops: 0,
-        ring_ops: 0,
-        fallbacks: 0,
+    let mut run = Run {
+        cfg,
+        graph,
+        ap,
+        net: SimNet::new(graph),
+        events,
+        strategy: system_strategy(cfg.system, graph, ap, &cfg.groups),
+        util: vec![0.0f64; graph.link_count()],
+        groups: cfg
+            .groups
+            .iter()
+            .map(|g| GroupState {
+                members: g.clone(),
+                waiting: false,
+            })
+            .collect(),
+        colls: FxHashMap::default(),
+        next_coll: 0,
+        ina_active: FxHashMap::default(),
+        ina_waiting: FxHashMap::default(),
+        result: AggResult {
+            ops: 0,
+            goodput_bps: 0.0,
+            ina_ops: 0,
+            ring_ops: 0,
+            fallbacks: 0,
+        },
     };
 
-    // Launch helper: returns the collective id if it went in flight.
-    #[allow(clippy::too_many_arguments)]
-    fn start_group(
-        gi: usize,
-        now: SimTime,
-        cfg: &AggBenchConfig,
-        graph: &Graph,
-        ap: &AllPairs,
-        net: &mut SimNet,
-        events: &mut EventQueue<Ev>,
-        groups: &mut [GroupState],
-        colls: &mut FxHashMap<u64, (CollectiveExec, usize, Option<NodeId>)>,
-        next_coll: &mut u64,
-        ina_active: &mut FxHashMap<NodeId, usize>,
-        ina_waiting: &mut FxHashMap<NodeId, VecDeque<usize>>,
-        strategy: &mut dyn CommStrategy,
-        util: &[f64],
-        result: &mut AggResult,
-    ) {
-        let scheme = strategy.choose(&CommCtx {
-            group_id: gi as u64,
-            group: &groups[gi].members,
-            bytes: cfg.msg_bytes,
-            now,
-            link_util: util,
-        });
-        // Switch admission.
-        let aggregates = match scheme {
-            Scheme::Ina { .. } => groups[gi].members.len() >= 2,
-            Scheme::HierIna { .. } => {
-                hs_collective::latency::leaders(graph, &groups[gi].members).len() >= 2
-            }
-            _ => false,
-        };
-        let (scheme, held) = match scheme {
-            Scheme::Ina { switch } | Scheme::HierIna { switch } if aggregates => {
-                let active = ina_active.get(&switch).copied().unwrap_or(0);
-                if active >= cfg.ina_capacity_per_switch {
-                    let policy = strategy.busy_policy();
-                    if policy == BusyPolicy::Wait {
-                        groups[gi].waiting = true;
-                        ina_waiting.entry(switch).or_default().push_back(gi);
-                        return;
-                    }
-                    result.fallbacks += 1;
-                    result.ring_ops += 1;
-                    match policy {
-                        BusyPolicy::FallbackHierRing => (Scheme::HierRing, None),
-                        BusyPolicy::FallbackRing | BusyPolicy::Wait => (Scheme::Ring, None),
-                    }
-                } else {
-                    *ina_active.entry(switch).or_insert(0) += 1;
-                    result.ina_ops += 1;
-                    (scheme, Some(switch))
-                }
-            }
-            s => {
-                result.ring_ops += 1;
-                (s, None)
-            }
-        };
-        let plan = CollectivePlan::compile(graph, ap, &groups[gi].members, scheme, cfg.msg_bytes);
-        let id = *next_coll;
-        *next_coll += 1;
-        let mut exec = CollectiveExec::new(plan, id);
-        match exec.start(net, now) {
-            Progress::Done => {
-                // Degenerate (single-server NVLink-only with zero-hop
-                // members) — count it and immediately relaunch via timer
-                // to avoid infinite recursion at one instant.
-                result.ops += 1;
-                events.push(
-                    now + hs_des::SimSpan::from_micros(1),
-                    Ev::CollTimer(u64::MAX - gi as u64),
-                );
-            }
-            Progress::InFlight => {
-                colls.insert(id, (exec, gi, held));
-            }
-            Progress::StartTimer(d) => {
-                colls.insert(id, (exec, gi, held));
-                events.push(now + d, Ev::CollTimer(id));
-            }
-        }
-    }
-
     // Kick every group at t = 0.
-    let mut now = SimTime::ZERO;
-    for gi in 0..groups.len() {
-        start_group(
-            gi,
-            now,
-            cfg,
-            graph,
-            ap,
-            &mut net,
-            &mut events,
-            &mut groups,
-            &mut colls,
-            &mut next_coll,
-            &mut ina_active,
-            &mut ina_waiting,
-            strategy.as_mut(),
-            &util,
-            &mut result,
-        );
+    for gi in 0..run.groups.len() {
+        run.start_group(gi, SimTime::ZERO);
     }
 
     // Event loop.
     loop {
-        let tq = events.peek_time();
-        let tn = net.next_event_time();
+        let tq = run.events.peek_time();
+        let tn = run.net.next_event_time();
         let t = match (tq, tn) {
             (Some(a), Some(b)) => a.min(b),
             (Some(a), None) => a,
@@ -251,54 +257,22 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
         if t > cfg.duration {
             break;
         }
-        now = t;
-        let done = net.advance_to(t);
+        let now = t;
+        let done = run.net.advance_to(t);
         let mut finished_groups: Vec<usize> = Vec::new();
-        // Advance collective `id` on a flow completion (`Some`) or on its
-        // timer (`None`). A finished op frees its INA slot, wakes one
-        // waiter and queues its group for relaunch.
-        let mut step =
-            |net: &mut SimNet, events: &mut EventQueue<Ev>, id: u64, flow: Option<FlowId>| {
-                let Some((exec, gi, _)) = colls.get_mut(&id) else {
-                    return; // a background flow, or no longer in flight
-                };
-                let gi = *gi;
-                let progress = match flow {
-                    Some(fid) => exec.on_flow_complete(net, now, fid),
-                    None => exec.on_timer(net, now),
-                };
-                match progress {
-                    Progress::InFlight => {}
-                    Progress::StartTimer(d) => events.push(now + d, Ev::CollTimer(id)),
-                    Progress::Done => {
-                        let (_, _, held) = colls.remove(&id).expect("coll");
-                        if let Some(sw) = held {
-                            let c = ina_active.entry(sw).or_insert(1);
-                            *c = c.saturating_sub(1);
-                            if let Some(q) = ina_waiting.get_mut(&sw) {
-                                if let Some(wgi) = q.pop_front() {
-                                    groups[wgi].waiting = false;
-                                    finished_groups.push(wgi);
-                                }
-                            }
-                        }
-                        result.ops += 1;
-                        finished_groups.push(gi);
-                    }
-                }
-            };
         for (fid, flow) in done {
-            step(&mut net, &mut events, flow.tag, Some(fid));
+            run.step(now, flow.tag, Some(fid), &mut finished_groups);
         }
-        if events.peek_time() == Some(t) {
-            let (_, ev) = events.pop().expect("peeked");
+        if run.events.peek_time() == Some(t) {
+            let (_, ev) = run.events.pop().expect("peeked");
             match ev {
                 Ev::LaunchBackground(i) => {
                     let (a, b) = bg_pairs[i];
                     let path = ap.path(a, b);
                     if !path.links.is_empty() {
                         let links = path.directed_links(graph);
-                        net.start_flow(now, &links, cfg.background_bytes, u64::MAX);
+                        run.net
+                            .start_flow(now, &links, cfg.background_bytes, u64::MAX);
                     }
                 }
                 Ev::CollTimer(id) => {
@@ -307,14 +281,15 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
                         let gi = (u64::MAX - id) as usize;
                         finished_groups.push(gi);
                     } else {
-                        step(&mut net, &mut events, id, None);
+                        run.step(now, id, None, &mut finished_groups);
                     }
                 }
                 Ev::Monitor => {
-                    monitor.poll(&net, now);
-                    util.copy_from_slice(monitor.snapshot());
-                    strategy.on_monitor(&util, now);
-                    events.push(now + hs_des::SimSpan::from_millis(10), Ev::Monitor);
+                    monitor.poll(&run.net, now);
+                    run.util.copy_from_slice(monitor.snapshot());
+                    run.strategy.on_monitor(&run.util, now);
+                    run.events
+                        .push(now + hs_des::SimSpan::from_millis(10), Ev::Monitor);
                 }
             }
         }
@@ -322,40 +297,15 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
         finished_groups.sort_unstable();
         finished_groups.dedup();
         for gi in finished_groups {
-            if !groups[gi].waiting {
-                start_group(
-                    gi,
-                    now,
-                    cfg,
-                    graph,
-                    ap,
-                    &mut net,
-                    &mut events,
-                    &mut groups,
-                    &mut colls,
-                    &mut next_coll,
-                    &mut ina_active,
-                    &mut ina_waiting,
-                    strategy.as_mut(),
-                    &util,
-                    &mut result,
-                );
+            if !run.groups[gi].waiting {
+                run.start_group(gi, now);
             }
         }
     }
 
+    let mut result = run.result;
     result.goodput_bps =
         result.ops as f64 * cfg.msg_bytes as f64 * 8.0 / cfg.duration.as_secs_f64();
-    if let Some(path) = &cfg.trace_path {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-        }
-        if let Err(e) = std::fs::write(path, hs_obs::chrome_trace(&tracer.records())) {
-            eprintln!("aggbench: failed to write trace to {}: {e}", path.display());
-        }
-    }
     result
 }
 

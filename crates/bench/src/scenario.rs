@@ -28,12 +28,7 @@ use hs_workload::spec::fixed;
 use hs_workload::{sharegpt_like, FaultPlan, Poisson, Trace, WorkloadSpec};
 use rand::rngs::SmallRng;
 
-/// The end of a run whose arrivals stop at `window`: a drain margin of a
-/// quarter of the window, at most 60 s, as `Deployment::serve` drains.
-pub fn horizon(window: SimTime) -> SimTime {
-    let margin = window.saturating_since(SimTime::ZERO).mul_f64(0.25);
-    window + margin.min(SimSpan::from_secs(60))
-}
+pub use hs_baselines::horizon;
 
 /// Planner input for `model` serving `workload` at `rate` req/s over the
 /// paper's interleaved allocation (Fig. 4): the default coefficient fit,

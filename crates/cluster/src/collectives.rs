@@ -6,7 +6,7 @@ use crate::engine::{Ev, Shared, TAG_COLL};
 use crate::faults::FaultRecovery;
 use crate::metrics::SimReport;
 use crate::strategy::{BusyPolicy, CommCtx};
-use hs_collective::{CollectiveExec, CollectivePlan, Phase, Progress, Scheme};
+use hs_collective::{CollectiveExec, CollectivePlan, Phase, Progress};
 use hs_des::{SimSpan, SimTime};
 use hs_simnet::FlowId;
 use hs_topology::NodeId;
@@ -128,19 +128,9 @@ impl Collectives {
                     link_util: &sh.util,
                 };
                 let scheme = sh.strategy.choose(&ctx);
-                // A hierarchical-INA scheme whose group fits in one server
-                // never reaches the switch — it degenerates to NVLink
-                // reduce/broadcast and must not consume switch capacity.
-                let in_network = match scheme {
-                    Scheme::Ina { .. } => group.len() >= 2,
-                    Scheme::HierIna { .. } => {
-                        hs_collective::latency::leaders(&sh.g, group).len() >= 2
-                    }
-                    _ => false,
-                };
-                let (scheme, ina_switch) = match scheme {
-                    Scheme::Ina { switch } | Scheme::HierIna { switch } if in_network => {
-                        let failed = faults.failed_switches.contains(&switch);
+                let (scheme, ina_switch) = match scheme.aggregating_switch(&sh.g, group) {
+                    Some(switch) => {
+                        let failed = sh.health.switch_failed(switch);
                         let held = self.ina_active.get(&switch).copied().unwrap_or(0);
                         if !failed && held < self.capacity {
                             *self.ina_active.entry(switch).or_insert(0) += 1;
@@ -173,15 +163,12 @@ impl Collectives {
                             }
                             self.ring_ops += 1;
                             sh.tracer.ina_fallback(sh.now, switch.0 as u64, group_id);
-                            match policy {
-                                BusyPolicy::FallbackHierRing => (Scheme::HierRing, None),
-                                BusyPolicy::FallbackRing | BusyPolicy::Wait => (Scheme::Ring, None),
-                            }
+                            (policy.fallback(), None)
                         }
                     }
-                    other => {
+                    None => {
                         self.ring_ops += 1;
-                        (other, None)
+                        (scheme, None)
                     }
                 };
                 let plan = CollectivePlan::compile(&sh.g, &sh.ap, group, scheme, bytes);
@@ -206,13 +193,8 @@ impl Collectives {
             }
         };
         if let Some(aborted_at) = aborted_at {
-            let alive =
-                |path: &[hs_simnet::DirLink]| path.iter().all(|&(l, _)| sh.net.link_scale(l) > 0.0);
-            if plan
-                .phases
-                .iter()
-                .all(|ph| ph.transfers.iter().all(|(path, _)| alive(path)))
-            {
+            let mut paths = plan.phases.iter().flat_map(|ph| &ph.transfers);
+            if paths.all(|(path, _)| path.iter().all(|&(l, _)| !sh.health.is_dead(l))) {
                 faults.record_reroute(sh, self.next_id, aborted_at);
             }
         }

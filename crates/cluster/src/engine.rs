@@ -5,17 +5,17 @@
 //! of the state, each with its counters and the `SimReport` fields it
 //! writes: `KvShipper` (admission and KV transfers), `Collectives`
 //! (all-reduces, pipeline hops and INA slots), `Pools` (elastic pool
-//! states) and `FaultRecovery` (fault state, abort demux, reroutes). The
-//! loop interleaves four event sources deterministically: arrivals,
-//! streamed from the sorted trace, the discrete event queue of in-flight
-//! events (compute completions, timers, monitor ticks), network flow
-//! completions, and the per-iteration communication state machines of
-//! [`hs_collective`].
+//! states) and `FaultRecovery` (abort demux, reroutes); the fault state
+//! itself is a `FabricHealth`. The loop interleaves four event sources
+//! deterministically: arrivals, streamed from the sorted trace, the
+//! discrete event queue of in-flight events (compute completions, timers,
+//! monitor ticks), network flow completions, and the per-iteration
+//! communication state machines of [`hs_collective`].
 
 use crate::autoscale::{PoolState, PoolTargets, Pools, ScaleController};
 use crate::batching::{form_prefill_batch, BatchPolicy};
 use crate::collectives::{CollOrigin, Collectives, Job};
-use crate::faults::FaultRecovery;
+use crate::faults::{FabricHealth, FaultRecovery};
 use crate::instance::{InstPhase, Instance, InstanceKind, InstanceSpec};
 use crate::kvcache::KvManager;
 use crate::kvship::KvShipper;
@@ -149,6 +149,8 @@ pub(crate) struct Shared {
     pub(crate) g: Graph,
     pub(crate) ap: AllPairs,
     pub(crate) net: SimNet,
+    /// Link, switch and GPU fault state; `net`'s link scales follow it.
+    pub(crate) health: FabricHealth,
     pub(crate) strategy: Box<dyn CommStrategy>,
     pub(crate) events: EventQueue<Ev>,
     pub(crate) now: SimTime,
@@ -264,6 +266,7 @@ impl ClusterSim {
                 g: graph.clone(),
                 ap,
                 net: SimNet::new(graph),
+                health: FabricHealth::new(graph),
                 strategy,
                 events,
                 now: SimTime::ZERO,
@@ -427,7 +430,13 @@ impl ClusterSim {
     }
 
     fn apply_fault(&mut self, kind: FaultKind) {
-        for (link, factor) in self.faults.apply(&self.sh, kind) {
+        let sh = &mut self.sh;
+        if sh.tracer.is_enabled() {
+            sh.tracer
+                .fault(sh.now, format!("{kind:?}"), kind.is_recovery());
+        }
+        sh.metrics.inc(sh.obs.faults, 1);
+        for (link, factor) in sh.health.apply(&sh.g, kind) {
             self.set_link(link, factor);
         }
         if let FaultKind::SwitchFail { switch } = kind {
@@ -519,7 +528,7 @@ impl ClusterSim {
         }
         let spec = &self.instances[inst].spec;
         let t_c = prefill_latency_secs(&self.cfg.coef, &self.cfg.model, &stats, spec.p_tens())
-            * self.faults.slowdown(spec);
+            * self.sh.health.slowdown(spec);
         self.instances[inst].batch = batch;
         self.instances[inst].phase = InstPhase::Computing;
         let done = now + SimSpan::from_secs_f64(t_c);
@@ -750,7 +759,7 @@ impl ClusterSim {
             &stats,
             spec.p_tens(),
             spec.p_pipe(),
-        ) * self.faults.slowdown(spec);
+        ) * self.sh.health.slowdown(spec);
         self.instances[inst].phase = InstPhase::Computing;
         let done = self.sh.now + SimSpan::from_secs_f64(t_c);
         self.sh.events.push(done, Ev::ComputeDone(inst));
@@ -1026,6 +1035,29 @@ pub(crate) mod tests {
         assert_eq!(healthy.aborted_flows, 0);
         assert_eq!(healthy.flow_retries, 0);
         assert_eq!(healthy.fault_window_attainment, None);
+    }
+
+    #[test]
+    fn brownout_inside_a_switch_outage_composes() {
+        let t = testbed();
+        let sw = t.access_switches[0];
+        let port = t.graph.neighbors(sw)[0].1;
+        // The switch is down 1–3 s; its port browns out 2–5 s. The
+        // brownout must not revive the dead port, and the switch's
+        // recovery must not end the brownout.
+        let faults =
+            FaultPlan::switch_outage(sw, SimTime::from_secs(1), SimTime::from_secs(3)).merged(
+                FaultPlan::link_brownout(port, 0.15, SimTime::from_secs(2), SimTime::from_secs(5)),
+            );
+        let (mut sim, _) = build_sim(1.0, 6, Scheme::Ring, faults);
+        let mut scales = Vec::new();
+        for ms in [1500, 2500, 4000, 6000] {
+            sim.run(SimTime::from_millis(ms));
+            scales.push(sim.sh.net.link_scale(port));
+        }
+        let want = [0.0, 0.0, 0.15, 1.0];
+        let close = scales.iter().zip(want).all(|(s, w)| (s - w).abs() < 1e-12);
+        assert!(close, "port scales {scales:?}, want {want:?}");
     }
 
     #[test]

@@ -201,7 +201,7 @@ impl KvShipper {
             if links.is_empty() {
                 continue;
             }
-            all_alive &= links.iter().all(|&(l, _)| sh.net.link_scale(l) > 0.0);
+            all_alive &= links.iter().all(|&(l, _)| !sh.health.is_dead(l));
             live.push(sh.net.start_flow(sh.now, &links, st.bytes, TAG_KV | req));
         }
         self.stripes += live.len() as u64;

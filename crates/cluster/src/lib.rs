@@ -38,6 +38,7 @@ pub mod strategy;
 
 pub use autoscale::{PoolSnapshot, PoolState, PoolTargets, ScaleController, StaticController};
 pub use engine::{ClusterConfig, ClusterSim};
+pub use faults::FabricHealth;
 pub use instance::{InstanceKind, InstanceSpec};
 pub use kvcache::KvManager;
 pub use kvflow::{kv_transfer_estimate, stripe_plan, KvStripe};

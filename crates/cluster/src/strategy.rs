@@ -28,6 +28,17 @@ pub enum BusyPolicy {
     FallbackHierRing,
 }
 
+impl BusyPolicy {
+    /// The host-side scheme a collective degrades to when it does not
+    /// aggregate at its switch.
+    pub fn fallback(self) -> Scheme {
+        match self {
+            BusyPolicy::FallbackHierRing => Scheme::HierRing,
+            BusyPolicy::FallbackRing | BusyPolicy::Wait => Scheme::Ring,
+        }
+    }
+}
+
 /// Per-collective decision context handed to the strategy.
 #[derive(Clone, Copy, Debug)]
 pub struct CommCtx<'a> {

@@ -45,6 +45,18 @@ impl Scheme {
             Scheme::HierIna { .. } => "HierIna",
         }
     }
+
+    /// The switch this scheme aggregates `group` at, if any: `Ina` with at
+    /// least two members, or `HierIna` with at least two per-server
+    /// leaders. A hierarchical-INA group that fits in one server
+    /// degenerates to NVLink reduce/broadcast and never reaches the switch.
+    pub fn aggregating_switch(&self, g: &Graph, group: &[NodeId]) -> Option<NodeId> {
+        match *self {
+            Scheme::Ina { switch } if group.len() >= 2 => Some(switch),
+            Scheme::HierIna { switch } if by_server(g, group).len() >= 2 => Some(switch),
+            _ => None,
+        }
+    }
 }
 
 /// One phase: transfers that run concurrently, then an optional fixed

@@ -20,7 +20,8 @@
 use crate::netest::available_bandwidth;
 use crate::policy::{build_policies, netkv_score, Policy};
 use hs_cluster::{
-    kv_transfer_estimate, BusyPolicy, CommCtx, CommStrategy, KvCandidate, KvChoice, KvCtx,
+    kv_transfer_estimate, BusyPolicy, CommCtx, CommStrategy, FabricHealth, KvCandidate, KvChoice,
+    KvCtx,
 };
 use hs_collective::Scheme;
 use hs_des::SimTime;
@@ -147,13 +148,13 @@ impl PolicyTable {
     /// scheme" when nothing is loaded).
     /// Policies crossing a dead link are infinite-cost — skipped outright
     /// so Eq. 16 routes around faults. `None` iff every candidate is dead.
-    fn select(&self, bytes: u64, dead: &FxHashSet<LinkId>) -> Option<Selection> {
+    fn select(&self, bytes: u64, health: &FabricHealth) -> Option<Selection> {
         const QUANTUM: f64 = 0.10;
         let mut best: Option<Selection> = None;
         let mut best_key = (usize::MAX, f64::INFINITY);
         let mut dead_skipped = 0;
         for (i, p) in self.policies.iter().enumerate() {
-            if !dead.is_empty() && p.links.iter().any(|l| dead.contains(l)) {
+            if health.any_dead() && p.links.iter().any(|&l| health.is_dead(l)) {
                 dead_skipped += 1;
                 continue;
             }
@@ -281,9 +282,9 @@ pub struct HeroScheduler {
     /// for the point-to-point path policies of Fig. 5. Ordered so fault
     /// invalidation sweeps are deterministic.
     route_cache: BTreeMap<(NodeId, NodeId), Vec<Vec<hs_simnet::DirLink>>>,
-    /// Links currently out of service (fault notifications). Policies and
-    /// routes crossing them are treated as infinite-cost.
-    dead_links: FxHashSet<LinkId>,
+    /// The fabric's fault state, fed by `on_fault`. Policies and routes
+    /// crossing a dead link are treated as infinite-cost.
+    health: FabricHealth,
     /// Decision-audit sink; no-op unless attached via `attach_tracer`.
     tracer: hs_obs::Tracer,
 }
@@ -303,26 +304,9 @@ impl HeroScheduler {
             tables: BTreeMap::new(),
             avail,
             route_cache: BTreeMap::new(),
-            dead_links: FxHashSet::default(),
+            health: FabricHealth::new(graph),
             tracer: hs_obs::Tracer::noop(),
         }
-    }
-
-    /// Drop every cached point-to-point route (forces recomputation under
-    /// the current dead-link set).
-    pub fn invalidate_routes(&mut self) {
-        self.route_cache.clear();
-    }
-
-    /// Drop cached routes that traverse any of `links` (targeted
-    /// invalidation when a fault takes specific links down). Entries
-    /// left with no surviving alternative are removed entirely so the
-    /// next lookup recomputes them avoiding the dead set.
-    pub fn invalidate_routes_touching(&mut self, links: &[LinkId]) {
-        self.route_cache.retain(|_, routes| {
-            routes.retain(|r| !r.iter().any(|(l, _)| links.contains(l)));
-            !routes.is_empty()
-        });
     }
 
     /// How many times each policy of `group_id` has been selected
@@ -362,7 +346,7 @@ impl CommStrategy for HeroScheduler {
         };
         table.decay_to(ctx.now);
         let n_candidates = table.policies.len();
-        let Some(sel) = table.select(ctx.bytes, &self.dead_links) else {
+        let Some(sel) = table.select(ctx.bytes, &self.health) else {
             // Every candidate crosses a dead link: degrade to the plain
             // host-side ring and let retries ride out the fault.
             self.tracer.policy_selected(
@@ -414,9 +398,14 @@ impl CommStrategy for HeroScheduler {
             return None;
         }
         let graph = &self.graph;
-        let dead = &self.dead_links;
+        let health = &self.health;
         let routes = self.route_cache.entry((src, dst)).or_insert_with(|| {
-            k_shortest_paths_avoiding(graph, src, dst, 3, LinkWeight::Latency, None, dead)
+            let dead: FxHashSet<LinkId> = graph
+                .links()
+                .map(|(l, _)| l)
+                .filter(|&l| health.is_dead(l))
+                .collect();
+            k_shortest_paths_avoiding(graph, src, dst, 3, LinkWeight::Latency, None, &dead)
                 .into_iter()
                 // Alternatives more than ~2 hops longer than the best are
                 // never worth the detour for bulk transfers.
@@ -430,8 +419,8 @@ impl CommStrategy for HeroScheduler {
         });
         // Cached entries are invalidated on faults, but filter defensively
         // in case a route slipped through between notifications.
-        if !dead.is_empty() {
-            routes.retain(|r| !r.iter().any(|(l, _)| dead.contains(l)));
+        if health.any_dead() {
+            routes.retain(|r| !r.iter().any(|&(l, _)| health.is_dead(l)));
         }
         if routes.is_empty() {
             return None;
@@ -519,46 +508,24 @@ impl CommStrategy for HeroScheduler {
         }
     }
 
-    /// React to fabric faults: track the dead-link set (Eq. 16 treats
-    /// policies crossing it as infinite-cost) and invalidate the affected
-    /// route-cache entries so point-to-point traffic re-routes.
+    /// React to fabric faults: record them in the fabric state (Eq. 16
+    /// treats policies crossing a dead link as infinite-cost) and drop the
+    /// cached routes through links that died, so point-to-point traffic
+    /// re-routes.
     fn on_fault(&mut self, kind: &FaultKind, _now: SimTime) {
-        match *kind {
-            FaultKind::LinkDown { link } => {
-                self.dead_links.insert(link);
-                self.invalidate_routes_touching(&[link]);
-            }
-            FaultKind::LinkDegrade { link, factor } if factor <= 0.0 => {
-                self.dead_links.insert(link);
-                self.invalidate_routes_touching(&[link]);
-            }
-            FaultKind::LinkUp { link } => {
-                self.dead_links.remove(&link);
-                // Restored capacity may beat the detours chosen during the
-                // outage; recompute everything.
-                self.invalidate_routes();
-            }
-            FaultKind::SwitchFail { switch } => {
-                let adjacent: Vec<LinkId> = self
-                    .graph
-                    .neighbors(switch)
-                    .iter()
-                    .map(|&(_, l)| l)
-                    .collect();
-                self.dead_links.extend(adjacent.iter().copied());
-                self.invalidate_routes_touching(&adjacent);
-            }
-            FaultKind::SwitchRecover { switch } => {
-                for &(_, l) in self.graph.neighbors(switch) {
-                    self.dead_links.remove(&l);
-                }
-                self.invalidate_routes();
-            }
-            // Degrades short of outage and compute faults don't change
-            // reachability; the monitor loop absorbs them via link_util.
-            FaultKind::LinkDegrade { .. }
-            | FaultKind::GpuStall { .. }
-            | FaultKind::GpuRecover { .. } => {}
+        let rescaled = self.health.apply(&self.graph, *kind);
+        if kind.is_recovery() && !rescaled.is_empty() {
+            // A link or switch came back: restored capacity may beat the
+            // detours chosen during the outage; recompute everything.
+            self.route_cache.clear();
+        } else if rescaled.iter().any(|&(_, s)| s <= 0.0) {
+            // Entries left with no surviving alternative go entirely, so
+            // the next lookup recomputes them avoiding the dead links.
+            let health = &self.health;
+            self.route_cache.retain(|_, routes| {
+                routes.retain(|r| !r.iter().any(|&(l, _)| health.is_dead(l)));
+                !routes.is_empty()
+            });
         }
     }
 
@@ -691,7 +658,7 @@ mod tests {
         assert!(s.choose_path(src, dst, 1 << 20, &idle).is_some());
 
         s.on_fault(&FaultKind::SwitchFail { switch }, SimTime::ZERO);
-        assert!(!s.dead_links.is_empty());
+        assert!(s.health.any_dead());
 
         for _ in 0..20 {
             let scheme = s.choose(&ctx(&group, &idle, 1 << 20));
@@ -707,14 +674,14 @@ mod tests {
             .expect("testbed is cross-connected; an alternative route exists");
         for (l, _) in &route {
             assert!(
-                !s.dead_links.contains(l),
+                !s.health.is_dead(*l),
                 "route crosses a dead link adjacent to the failed switch"
             );
         }
 
         // Recovery clears the dead set and the INA policies come back.
         s.on_fault(&FaultKind::SwitchRecover { switch }, SimTime::ZERO);
-        assert!(s.dead_links.is_empty());
+        assert!(!s.health.any_dead());
         let back = s.choose(&ctx(&group, &idle, 1 << 20));
         assert!(
             matches!(
@@ -723,6 +690,38 @@ mod tests {
             ),
             "post-recovery pick should leave plain ring behind, got {back:?}"
         );
+    }
+
+    #[test]
+    fn link_up_on_a_failed_switch_port_keeps_it_dead() {
+        let (mut s, group, t) = scheduler();
+        let idle = vec![0.0; t.graph.link_count()];
+        let Scheme::HierIna { switch } = s.choose(&ctx(&group, &idle, 1 << 20)) else {
+            panic!("expected HierIna first")
+        };
+        // A port flap that ends inside the switch's outage: the ports'
+        // own state is back, but the switch still pins them to 0.
+        s.on_fault(&FaultKind::SwitchFail { switch }, SimTime::ZERO);
+        let ports: Vec<LinkId> = t.graph.neighbors(switch).iter().map(|&(_, l)| l).collect();
+        for &link in &ports {
+            s.on_fault(&FaultKind::LinkUp { link }, SimTime::ZERO);
+            assert!(s.health.is_dead(link), "port of a failed switch came back");
+        }
+        let table = s.tables.get(&1).expect("table built by the first choose");
+        let sel = table
+            .select(1 << 20, &s.health)
+            .expect("a policy avoids the switch");
+        let links = &table.policies[sel.idx].links;
+        assert!(
+            links.iter().all(|l| !ports.contains(l)),
+            "selected a policy through a port of the failed switch"
+        );
+        for _ in 0..20 {
+            let scheme = s.choose(&ctx(&group, &idle, 1 << 20));
+            if let Scheme::Ina { switch: sw } | Scheme::HierIna { switch: sw } = scheme {
+                assert_ne!(sw, switch, "picked the failed switch: {scheme:?}");
+            }
+        }
     }
 
     /// A policy over the given links with neutral cost constants.
@@ -1006,7 +1005,7 @@ mod proptests {
             mask in 0u64..(1 << 16),
             bytes in 0u64..(1 << 40),
         ) {
-            let (mut s, group, _) = scheduler();
+            let (mut s, group, t) = scheduler();
             s.choose(&ctx(&group, &[], 1024)); // force table build
             let table = s.tables.get(&1).unwrap();
             let mut links: Vec<LinkId> = table
@@ -1016,16 +1015,16 @@ mod proptests {
                 .collect();
             links.sort_unstable();
             links.dedup();
-            let dead: FxHashSet<LinkId> = links
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1u64 << (i % 64)) != 0)
-                .map(|(_, &l)| l)
-                .collect();
-            if let Some(sel) = table.select(bytes, &dead) {
+            let mut health = FabricHealth::new(&t.graph);
+            for (i, &link) in links.iter().enumerate() {
+                if mask & (1u64 << (i % 64)) != 0 {
+                    health.apply(&t.graph, FaultKind::LinkDown { link });
+                }
+            }
+            if let Some(sel) = table.select(bytes, &health) {
                 let p = &table.policies[sel.idx];
                 prop_assert!(
-                    p.links.iter().all(|l| !dead.contains(l)),
+                    p.links.iter().all(|&l| !health.is_dead(l)),
                     "selected policy crosses a dead link"
                 );
                 prop_assert!(sel.j.is_finite());
@@ -1038,12 +1037,12 @@ mod proptests {
         fn charge_keeps_costs_finite(
             byte_sizes in proptest::collection::vec(0u64..u64::MAX, 1..64),
         ) {
-            let (mut s, group, _) = scheduler();
+            let (mut s, group, t) = scheduler();
             s.choose(&ctx(&group, &[], 1024));
             let table = s.tables.get_mut(&1).unwrap();
-            let dead = FxHashSet::default();
+            let health = FabricHealth::new(&t.graph);
             for &bytes in &byte_sizes {
-                if let Some(sel) = table.select(bytes, &dead) {
+                if let Some(sel) = table.select(bytes, &health) {
                     table.charge(sel.idx, bytes);
                 }
                 for &b in &table.b {

@@ -23,7 +23,8 @@ pub enum FaultKind {
         /// The affected link.
         link: LinkId,
     },
-    /// The link returns to its nominal capacity.
+    /// The link returns to its nominal capacity (it still carries
+    /// nothing while an endpoint switch is failed).
     LinkUp {
         /// The recovered link.
         link: LinkId,
@@ -36,13 +37,16 @@ pub enum FaultKind {
         /// Fraction of nominal capacity retained, in `[0, 1)`.
         factor: f64,
     },
-    /// The switch fails: every link adjacent to it goes down, and its
-    /// in-network aggregation engine (if any) becomes unusable.
+    /// The switch fails: every link adjacent to it carries nothing while
+    /// the failure lasts, and its in-network aggregation engine (if any)
+    /// becomes unusable. The ports keep their own link state underneath.
     SwitchFail {
         /// The failed switch node.
         switch: NodeId,
     },
-    /// The switch comes back; adjacent links return to nominal capacity.
+    /// The switch comes back; each adjacent link returns to its own state
+    /// (the last `LinkDown`/`LinkDegrade`/`LinkUp` on it, else nominal
+    /// capacity), unless its other endpoint is a failed switch.
     SwitchRecover {
         /// The recovered switch node.
         switch: NodeId,
@@ -60,6 +64,19 @@ pub enum FaultKind {
         /// The recovered GPU node.
         gpu: NodeId,
     },
+}
+
+impl FaultKind {
+    /// Whether the event ends a fault (`LinkUp`, `SwitchRecover`,
+    /// `GpuRecover`) rather than starting one.
+    pub fn is_recovery(&self) -> bool {
+        matches!(
+            self,
+            FaultKind::LinkUp { .. }
+                | FaultKind::SwitchRecover { .. }
+                | FaultKind::GpuRecover { .. }
+        )
+    }
 }
 
 /// A [`FaultKind`] pinned to a simulation time.

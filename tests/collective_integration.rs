@@ -9,20 +9,12 @@ use hs_collective::{hierarchical_ina_latency, ring_latency, Scheme};
 use hs_des::SimTime;
 use hs_simnet::SimNet;
 use hs_topology::builders::{testbed, xtracks, XTracksConfig};
-use hs_topology::{AllPairs, LinkWeight, NodeId};
-
-fn ap_of(topo: &hs_topology::builders::BuiltTopology) -> AllPairs {
-    let mut nodes = topo.all_gpus();
-    nodes.extend(topo.graph.ina_switches());
-    nodes.sort_unstable();
-    nodes.dedup();
-    AllPairs::compute(&topo.graph, &nodes, LinkWeight::Latency, None)
-}
+use hs_topology::NodeId;
 
 #[test]
 fn all_schemes_complete_on_testbed_cross_group() {
     let topo = testbed();
-    let ap = ap_of(&topo);
+    let ap = topo.gpu_ina_pairs();
     let group: Vec<NodeId> = topo.gpus_by_server.iter().map(|s| s[0]).collect();
     let sw = topo.access_switches[0];
     let bytes = 16 << 20;
@@ -50,7 +42,7 @@ fn all_schemes_complete_on_testbed_cross_group() {
 #[test]
 fn hierarchical_wins_grow_with_group_width_on_big_fabric() {
     let topo = xtracks(&XTracksConfig::two_tracks(2));
-    let ap = ap_of(&topo);
+    let ap = topo.gpu_ina_pairs();
     // 16-GPU group: 2 whole servers.
     let mut group = topo.gpus_by_server[0].clone();
     group.extend(topo.gpus_by_server[1].iter());
@@ -76,7 +68,7 @@ fn closed_forms_rank_like_executions() {
     // The planner chooses by closed form; verify the ranking agrees with
     // flow-level execution for a cross-server group.
     let topo = testbed();
-    let ap = ap_of(&topo);
+    let ap = topo.gpu_ina_pairs();
     let group: Vec<NodeId> = topo.gpus_by_server.iter().map(|s| s[0]).collect();
     let sw = topo.access_switches[0];
     let bytes = 32 << 20;
@@ -101,7 +93,7 @@ fn closed_forms_rank_like_executions() {
 #[test]
 fn congestion_slows_collectives_and_drains_afterwards() {
     let topo = testbed();
-    let ap = ap_of(&topo);
+    let ap = topo.gpu_ina_pairs();
     let group: Vec<NodeId> = topo.gpus_by_server.iter().map(|s| s[0]).collect();
     let sw = topo.access_switches[0];
     let bytes = 16 << 20;
