@@ -245,12 +245,10 @@ impl Pools {
         self.ctl.as_mut().map(|c| c.on_tick(&snap))
     }
 
-    /// Publish the Active counts to the gauges and the trace.
+    /// Publish the Active counts to the trace.
     pub(crate) fn publish(&self, sh: &Shared, instances: &[Instance]) {
         let (pa, ..) = self.counts(instances, InstanceKind::Prefill);
         let (da, ..) = self.counts(instances, InstanceKind::Decode);
-        sh.metrics.set_gauge(sh.obs.prefill_active, pa as f64);
-        sh.metrics.set_gauge(sh.obs.decode_active, da as f64);
         sh.tracer.autoscale_pools(sh.now, pa, da);
     }
 
@@ -287,7 +285,6 @@ impl Pools {
                             }
                             need -= 1;
                             self.scale_ups += 1;
-                            sh.metrics.inc(sh.obs.scale_ups, 1);
                         }
                     }
                 }
@@ -301,7 +298,6 @@ impl Pools {
                         instances[i].state = PoolState::Draining;
                         excess -= 1;
                         self.scale_downs += 1;
-                        sh.metrics.inc(sh.obs.scale_downs, 1);
                         self.park_if_drained(sh, instances, kv, i);
                     }
                 }

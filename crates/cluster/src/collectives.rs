@@ -232,7 +232,6 @@ impl Collectives {
                     .ina_session_begin(sh.now, sw.0 as u64, coll, active as u32);
             }
         }
-        sh.metrics.inc(sh.obs.colls, 1);
         let mut exec = CollectiveExec::new(plan, TAG_COLL | coll);
         let timer = match exec.start(&mut sh.net, sh.now) {
             Progress::Done => {
@@ -293,7 +292,6 @@ impl Collectives {
         sh.tracer.collective_abort(sh.now, coll, gone.len());
         sh.tracer
             .collective_end(sh.now, coll, coll_kind(&state.job.origin));
-        sh.metrics.inc(sh.obs.coll_aborts, 1);
         state.exec.abort(&mut sh.net, sh.now, gone);
         self.release_ina(sh, state.ina_switch, coll);
         self.schedule_retry(sh, state.job);

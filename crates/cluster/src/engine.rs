@@ -19,7 +19,7 @@ use crate::faults::{FabricHealth, FaultRecovery};
 use crate::instance::{InstPhase, Instance, InstanceKind, InstanceSpec};
 use crate::kvcache::KvManager;
 use crate::kvship::KvShipper;
-use crate::metrics::SimReport;
+use crate::metrics::{meets_sla, SimReport};
 use crate::request::{ReqPhase, ReqState};
 use crate::strategy::CommStrategy;
 use hs_des::{EventQueue, SimSpan, SimTime};
@@ -98,53 +98,8 @@ pub(crate) enum Ev {
     RetryKv(u64),
 }
 
-/// Metric ids registered against the attached registry. The ids handed
-/// out by a disabled registry are inert, so the default is free.
-pub(crate) struct ObsIds {
-    arrived: hs_obs::CounterId,
-    completed: hs_obs::CounterId,
-    pub(crate) colls: hs_obs::CounterId,
-    pub(crate) coll_aborts: hs_obs::CounterId,
-    pub(crate) faults: hs_obs::CounterId,
-    pub(crate) kv_transfers: hs_obs::CounterId,
-    pub(crate) kv_retries: hs_obs::CounterId,
-    pub(crate) kv_deferrals: hs_obs::CounterId,
-    pub(crate) scale_ups: hs_obs::CounterId,
-    pub(crate) scale_downs: hs_obs::CounterId,
-    pub(crate) prefill_active: hs_obs::GaugeId,
-    pub(crate) decode_active: hs_obs::GaugeId,
-    ttft: hs_obs::HistogramId,
-    tpot: hs_obs::HistogramId,
-    pub(crate) kv_transfer_s: hs_obs::HistogramId,
-}
-
-impl ObsIds {
-    fn register(m: &hs_obs::MetricsRegistry) -> Self {
-        ObsIds {
-            arrived: m.counter("requests_arrived"),
-            completed: m.counter("requests_completed"),
-            colls: m.counter("collectives_launched"),
-            coll_aborts: m.counter("collectives_aborted"),
-            faults: m.counter("fault_events"),
-            kv_transfers: m.counter("kv_transfers_launched"),
-            kv_retries: m.counter("kv_transfer_retries"),
-            kv_deferrals: m.counter("kv_admission_deferrals"),
-            scale_ups: m.counter("autoscale_ups"),
-            scale_downs: m.counter("autoscale_downs"),
-            prefill_active: m.gauge("prefill_active_instances"),
-            decode_active: m.gauge("decode_active_instances"),
-            ttft: m.histogram("ttft_s", &[0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0]),
-            tpot: m.histogram("tpot_s", &[0.01, 0.025, 0.05, 0.1, 0.15, 0.3, 1.0]),
-            kv_transfer_s: m.histogram(
-                "kv_transfer_s",
-                &[0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0],
-            ),
-        }
-    }
-}
-
 /// What every subsystem reaches: the fabric and its routes, the clock,
-/// the event queue, the strategy and the observability handles.
+/// the event queue, the strategy and the tracer.
 pub(crate) struct Shared {
     pub(crate) g: Graph,
     pub(crate) ap: AllPairs,
@@ -157,8 +112,6 @@ pub(crate) struct Shared {
     /// Latest monitored per-link utilization, indexed by `LinkId`.
     pub(crate) util: Vec<f64>,
     pub(crate) tracer: hs_obs::Tracer,
-    pub(crate) metrics: hs_obs::MetricsRegistry,
-    pub(crate) obs: ObsIds,
 }
 
 impl Shared {
@@ -260,7 +213,6 @@ impl ClusterSim {
                 gpus: graph.gpus(),
             }
         });
-        let metrics = hs_obs::MetricsRegistry::disabled();
         ClusterSim {
             sh: Shared {
                 g: graph.clone(),
@@ -272,8 +224,6 @@ impl ClusterSim {
                 now: SimTime::ZERO,
                 util: vec![0.0; graph.link_count()],
                 tracer: hs_obs::Tracer::noop(),
-                obs: ObsIds::register(&metrics),
-                metrics,
             },
             monitor: LinkMonitor::new(graph.link_count(), 0.5),
             reqs,
@@ -291,14 +241,12 @@ impl ClusterSim {
         }
     }
 
-    /// Attach observability handles (the defaults are a no-op tracer and
-    /// a disabled registry). The same tracer is wired into the network
-    /// simulator and the strategy so every layer records into one
-    /// stream; tracing never changes simulation outcomes.
-    pub fn set_obs(&mut self, tracer: &hs_obs::Tracer, metrics: &hs_obs::MetricsRegistry) {
+    /// Attach a tracer (the default is a no-op). The same tracer is wired
+    /// into the network simulator and the strategy so every layer records
+    /// into one stream; tracing never changes simulation outcomes. The
+    /// registry argument is an inert stub and is ignored.
+    pub fn set_obs(&mut self, tracer: &hs_obs::Tracer, _: &hs_obs::MetricsRegistry) {
         self.sh.tracer = tracer.clone();
-        self.sh.metrics = metrics.clone();
-        self.sh.obs = ObsIds::register(metrics);
         self.sh.net.set_tracer(tracer);
         self.sh.strategy.attach_tracer(tracer);
     }
@@ -374,7 +322,6 @@ impl ClusterSim {
         let tracer = &self.sh.tracer;
         tracer.request_arrived(now, req.id.0, req.input_tokens, req.output_tokens);
         tracer.request_phase_begin(now, req.id.0, "queued");
-        self.sh.metrics.inc(self.sh.obs.arrived, 1);
         self.pools.arrived += 1;
         self.prefill_queue.push_back(req.id);
         self.kick_prefill();
@@ -405,8 +352,6 @@ impl ClusterSim {
         sh.strategy.on_monitor(&sh.util, sh.now);
         self.kv
             .sample_memory(sh.now, &self.mem, self.cfg.gpu_memory_bytes);
-        sh.metrics.record_link_util(sh.now, &sh.util);
-        sh.metrics.snapshot(sh.now);
         if sh.tracer.is_enabled() {
             // Counter tracks only for links carrying traffic — idle links
             // would bloat the trace with flat zeros.
@@ -435,7 +380,6 @@ impl ClusterSim {
             sh.tracer
                 .fault(sh.now, format!("{kind:?}"), kind.is_recovery());
         }
-        sh.metrics.inc(sh.obs.faults, 1);
         for (link, factor) in sh.health.apply(&sh.g, kind) {
             self.set_link(link, factor);
         }
@@ -620,7 +564,7 @@ impl ClusterSim {
                     r.phase = ReqPhase::AwaitingAdmission;
                     self.sh.tracer.request_phase_end(now, id.0, "prefill");
                     if !self.admit(id) {
-                        self.kv.defer(&self.sh, id);
+                        self.kv.defer(id);
                     }
                 }
                 self.kick_prefill();
@@ -629,7 +573,7 @@ impl ClusterSim {
             }
             InstanceKind::Decode => {
                 let (ttft_sla, tpot_sla) = (self.cfg.ttft_sla_s, self.cfg.tpot_sla_s);
-                let (tracer, metrics, obs) = (&self.sh.tracer, &self.sh.metrics, &self.sh.obs);
+                let tracer = &self.sh.tracer;
                 let active = &self.instances[inst].active;
                 for id in active {
                     let r = &mut self.reqs[id.0 as usize];
@@ -637,20 +581,14 @@ impl ClusterSim {
                     if r.tokens_generated >= r.req.output_tokens {
                         r.phase = ReqPhase::Done;
                         r.set_finished(now);
-                        let ttft = r.ttft_secs().unwrap_or(0.0);
+                        let ttft = r.ttft_secs();
                         let latency = now.saturating_since(r.req.arrival).as_secs_f64();
-                        let tpot = r.tpot_secs();
                         self.pools.done += 1;
-                        if ttft <= ttft_sla && tpot.map(|t| t <= tpot_sla).unwrap_or(false) {
+                        if meets_sla(ttft, r.tpot_secs(), ttft_sla, tpot_sla) {
                             self.pools.done_ok += 1;
                         }
                         tracer.request_phase_end(now, id.0, "decode");
-                        tracer.request_done(now, id.0, ttft, latency);
-                        metrics.inc(obs.completed, 1);
-                        metrics.observe(obs.ttft, ttft);
-                        if let Some(tp) = tpot {
-                            metrics.observe(obs.tpot, tp);
-                        }
+                        tracer.request_done(now, id.0, ttft.unwrap_or(0.0), latency);
                     }
                 }
                 let kv = &mut self.kv.managers[inst - self.cfg.prefill.len()];
@@ -1116,9 +1054,9 @@ pub(crate) mod tests {
         );
     }
 
-    /// The tracer and registry are observation-only: attaching them must
-    /// not change any report number, and the recorded stream must carry
-    /// the full request lifecycle plus fault activity.
+    /// The tracer is observation-only: attaching it must not change the
+    /// report, and the recorded stream must carry the full request
+    /// lifecycle plus fault activity, in agreement with the report.
     #[test]
     fn tracing_does_not_perturb_the_simulation() {
         let t = testbed();
@@ -1131,19 +1069,9 @@ pub(crate) mod tests {
 
         let (mut traced, _) = build_sim(2.0, 20, Scheme::Ina { switch: sw }, faults());
         let tracer = hs_obs::Tracer::recording();
-        let metrics = hs_obs::MetricsRegistry::recording();
-        traced.set_obs(&tracer, &metrics);
+        traced.set_obs(&tracer, &hs_obs::MetricsRegistry::disabled());
         let rep_traced = traced.run(horizon);
-
-        assert_eq!(rep_plain.completed, rep_traced.completed);
-        assert_eq!(rep_plain.arrived, rep_traced.arrived);
-        assert_eq!(rep_plain.mean_ttft_s, rep_traced.mean_ttft_s);
-        assert_eq!(rep_plain.mean_tpot_s, rep_traced.mean_tpot_s);
-        assert_eq!(rep_plain.eth_bytes, rep_traced.eth_bytes);
-        assert_eq!(rep_plain.nvlink_bytes, rep_traced.nvlink_bytes);
-        assert_eq!(rep_plain.aborted_flows, rep_traced.aborted_flows);
-        assert_eq!(rep_plain.flow_retries, rep_traced.flow_retries);
-        assert_eq!(rep_plain.ina_failovers, rep_traced.ina_failovers);
+        assert_eq!(rep_plain, rep_traced);
 
         let recs = tracer.records();
         let has = |n: &str| recs.iter().any(|r| r.name == n);
@@ -1160,21 +1088,13 @@ pub(crate) mod tests {
             "inject",
             "recover",
             "link_scale",
+            "link_util",
         ] {
             assert!(has(name), "trace is missing {name:?} events");
         }
-        assert_eq!(
-            metrics.counter_value("requests_arrived"),
-            Some(rep_traced.arrived as u64)
-        );
-        assert_eq!(
-            metrics.counter_value("requests_completed"),
-            Some(rep_traced.completed as u64)
-        );
-        assert!(metrics.counter_value("fault_events").unwrap() > 0);
-        assert!(!metrics.link_util_series().is_empty());
-        let ttft = metrics.histogram_view("ttft_s").unwrap();
-        assert_eq!(ttft.total, rep_traced.completed as u64);
+        let count = |n: &str| recs.iter().filter(|r| r.name == n).count();
+        assert_eq!(count("arrival"), rep_traced.arrived);
+        assert_eq!(count("done"), rep_traced.completed);
     }
 
     /// A run with zero arrivals must report zeros, not NaNs — the bench
@@ -1321,8 +1241,7 @@ pub(crate) mod tests {
         // reserved tokens) so request 1's admission must defer.
         sim.kv.managers[0] = KvManager::new(300);
         let tracer = hs_obs::Tracer::recording();
-        let metrics = hs_obs::MetricsRegistry::disabled();
-        sim.set_obs(&tracer, &metrics);
+        sim.set_obs(&tracer, &hs_obs::MetricsRegistry::disabled());
         let rep = sim.run(SimTime::from_secs(60));
         assert_eq!(rep.completed, 2, "both requests must finish");
         assert!(rep.kv_deferrals >= 1, "request 1 was never deferred");
@@ -1671,8 +1590,7 @@ mod admission_proptests {
             let (mut sim, _) =
                 build_sim(rate_x10 as f64 / 10.0, horizon_s, Scheme::Ring, faults);
             let tracer = hs_obs::Tracer::recording();
-            let metrics = hs_obs::MetricsRegistry::disabled();
-            sim.set_obs(&tracer, &metrics);
+            sim.set_obs(&tracer, &hs_obs::MetricsRegistry::disabled());
             let rep = sim.run(SimTime::from_secs(horizon_s + 60));
             prop_assert_eq!(rep.completed, rep.arrived, "run failed to drain");
             for (i, m) in sim.kv_managers().iter().enumerate() {

@@ -93,14 +93,6 @@ impl KvManager {
         self.live_tokens = self.live_tokens.saturating_sub(live);
     }
 
-    /// Live-token utilization in `[0, 1]`.
-    pub fn live_utilization(&self) -> f64 {
-        if self.capacity_tokens == 0 {
-            return 1.0;
-        }
-        self.live_tokens as f64 / self.capacity_tokens as f64
-    }
-
     /// Reservation utilization in `[0, 1]` (admission pressure).
     pub fn reserved_utilization(&self) -> f64 {
         if self.capacity_tokens == 0 {
@@ -138,7 +130,6 @@ mod tests {
         m.materialize(30);
         m.materialize(5);
         assert_eq!(m.live(), 35);
-        assert!((m.live_utilization() - 0.35).abs() < 1e-12);
         assert!((m.reserved_utilization() - 0.5).abs() < 1e-12);
         m.release(50, 35);
         assert_eq!(m.reserved(), 0);
@@ -149,7 +140,7 @@ mod tests {
     fn zero_capacity_is_always_full() {
         let mut m = KvManager::new(0);
         assert!(!m.admit(1));
-        assert_eq!(m.live_utilization(), 1.0);
+        assert_eq!(m.reserved_utilization(), 1.0);
     }
 
     #[test]

@@ -173,7 +173,6 @@ impl KvShipper {
         let (live, _) = self.launch(sh, &stripes, id.0);
         self.transfers += 1;
         self.bytes += bytes;
-        sh.metrics.inc(sh.obs.kv_transfers, 1);
         let dst = (self.decode_offset + d) as u64;
         let n = live.len();
         sh.tracer
@@ -210,9 +209,8 @@ impl KvShipper {
 
     /// Queue a request refused at its first admission attempt and count
     /// the deferral; later refusals keep their queue slot uncounted.
-    pub(crate) fn defer(&mut self, sh: &Shared, id: RequestId) {
+    pub(crate) fn defer(&mut self, id: RequestId) {
         self.deferrals += 1;
-        sh.metrics.inc(sh.obs.kv_deferrals, 1);
         self.pending.push_back(id);
     }
 
@@ -239,7 +237,6 @@ impl KvShipper {
         let actual = sh.now.saturating_since(f.started).as_secs_f64();
         self.transfer_secs.push(actual);
         self.est_err_secs.push((f.est_s - actual).abs());
-        sh.metrics.observe(sh.obs.kv_transfer_s, actual);
         sh.tracer
             .kv_transfer_end(sh.now, id.0, actual, f.est_s, f.attempt);
     }
@@ -291,7 +288,6 @@ impl KvShipper {
         let (stripes, aborted_at) = (f.stripes.clone(), f.aborted_at);
         faults.flow_retries += 1;
         self.retries += 1;
-        sh.metrics.inc(sh.obs.kv_retries, 1);
         let (live, all_alive) = self.launch(sh, &stripes, req);
         if live.is_empty() {
             return true;

@@ -129,6 +129,17 @@ pub struct SimReport {
     pub final_decode_active: usize,
 }
 
+/// Whether a finished request with this TTFT and TPOT meets both SLAs.
+/// A missing TTFT or TPOT fails.
+pub(crate) fn meets_sla(
+    ttft: Option<f64>,
+    tpot: Option<f64>,
+    ttft_sla: f64,
+    tpot_sla: f64,
+) -> bool {
+    ttft.is_some_and(|t| t <= ttft_sla) && tpot.is_some_and(|t| t <= tpot_sla)
+}
+
 /// SLA verdict for one request at `horizon`: `Some(true)` pass,
 /// `Some(false)` fail, `None` still pending with all deadlines ahead
 /// (excluded from attainment — standard open-loop accounting).
@@ -136,10 +147,7 @@ fn sla_verdict(r: &ReqState, ttft_sla: f64, tpot_sla: f64, horizon: SimTime) -> 
     let ttft = r.ttft_secs();
     let tpot = r.tpot_secs();
     if r.phase == ReqPhase::Done {
-        return Some(
-            ttft.map(|t| t <= ttft_sla).unwrap_or(false)
-                && tpot.map(|t| t <= tpot_sla).unwrap_or(false),
-        );
+        return Some(meets_sla(ttft, tpot, ttft_sla, tpot_sla));
     }
     // Unfinished: fail if the TTFT deadline has already passed without a
     // first token, or if decoding has been running long enough that TPOT

@@ -173,16 +173,6 @@ impl ReqState {
         }
     }
 
-    /// Live KV tokens this request currently pins in decode memory.
-    pub fn live_kv_tokens(&self) -> u64 {
-        match self.phase {
-            ReqPhase::TransferringKv | ReqPhase::Decoding => {
-                self.req.input_tokens as u64 + self.tokens_generated as u64
-            }
-            _ => 0,
-        }
-    }
-
     /// Tokens the request reserves at admission (worst case footprint).
     pub fn reserved_kv_tokens(&self) -> u64 {
         self.req.input_tokens as u64 + self.req.output_tokens as u64
@@ -220,18 +210,8 @@ mod tests {
         // TPOT counts from prefill completion (12 s): 3 s / 20 tokens,
         // folding the 1 s of KV transfer into the per-token figure.
         assert!((s.tpot_secs().unwrap() - 0.15).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kv_accounting_follows_phase() {
-        let mut s = ReqState::new(req());
-        assert_eq!(s.live_kv_tokens(), 0);
-        s.phase = ReqPhase::Decoding;
-        s.tokens_generated = 5;
-        assert_eq!(s.live_kv_tokens(), 105);
+        // The admission reservation is the worst case: input plus output.
         assert_eq!(s.reserved_kv_tokens(), 120);
-        s.phase = ReqPhase::Done;
-        assert_eq!(s.live_kv_tokens(), 0);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! This is the M/D/1 specialization of P-K (deterministic service — LLM
 //! inference latency is highly predictable, the paper's stated
-//! justification). The planner uses it both to estimate `T_req` and to
-//! find the largest sustainable arrival rate under an SLA.
+//! justification). The planner computes `H` from replica capacities and
+//! then uses this formula once, for the queueing delay at the offered
+//! rate with service time `1/H` (`PlannerOutput::est_queue_s`).
 
 /// The paper's queueing estimate: expected waiting time in seconds for
 /// arrival rate `lambda` (req/s) and deterministic service time
@@ -24,29 +25,6 @@ pub fn pk_queue_delay(lambda: f64, t_serve: f64) -> f64 {
     lambda * t_serve * t_serve / (2.0 * (1.0 - rho))
 }
 
-/// Total request latency `T_req = T_queue + T_serve`.
-pub fn request_latency(lambda: f64, t_serve: f64) -> f64 {
-    pk_queue_delay(lambda, t_serve) + t_serve
-}
-
-/// The largest arrival rate (req/s) at which `T_queue + t_serve ≤ bound`
-/// — the planner's per-replica capacity under a latency SLA. Closed form
-/// from P-K:
-///
-/// `T_q = λs²/(2(1−λs)) ≤ bound − s  ⇒  λ ≤ 2(bound−s) / (s² + 2s(bound−s))`.
-///
-/// Returns 0 when the service time alone violates the bound.
-pub fn max_rate_for_latency(t_serve: f64, bound: f64) -> f64 {
-    if t_serve <= 0.0 {
-        return f64::INFINITY;
-    }
-    if t_serve >= bound {
-        return 0.0;
-    }
-    let slack = bound - t_serve;
-    2.0 * slack / (t_serve * t_serve + 2.0 * t_serve * slack)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,7 +32,6 @@ mod tests {
     #[test]
     fn zero_load_no_queue() {
         assert_eq!(pk_queue_delay(0.0, 1.0), 0.0);
-        assert_eq!(request_latency(0.0, 1.0), 1.0);
     }
 
     #[test]
@@ -72,24 +49,5 @@ mod tests {
     fn unstable_queue_is_infinite() {
         assert!(pk_queue_delay(10.0, 0.1).is_infinite());
         assert!(pk_queue_delay(11.0, 0.1).is_infinite());
-    }
-
-    #[test]
-    fn max_rate_inverts_latency_bound() {
-        let s = 0.1;
-        let bound = 0.3;
-        let lam = max_rate_for_latency(s, bound);
-        assert!(lam > 0.0 && lam < 1.0 / s);
-        // At that rate the latency equals the bound (within float noise).
-        let achieved = request_latency(lam, s);
-        assert!((achieved - bound).abs() < 1e-9, "achieved {achieved}");
-        // Slightly above, it exceeds.
-        assert!(request_latency(lam * 1.01, s) > bound);
-    }
-
-    #[test]
-    fn infeasible_service_time() {
-        assert_eq!(max_rate_for_latency(2.0, 1.0), 0.0);
-        assert_eq!(max_rate_for_latency(1.0, 1.0), 0.0);
     }
 }

@@ -1,4 +1,4 @@
-//! Structured tracing and metrics for the DES clock domain.
+//! Structured tracing for the DES clock domain.
 //!
 //! Every simulator layer (network flows, cluster engine, online scheduler,
 //! INA switches) emits typed events through a shared [`Tracer`] handle. The
@@ -12,9 +12,9 @@
 //! - [`export::jsonl`]: one compact JSON object per line for ad-hoc grep /
 //!   pandas analysis.
 //!
-//! [`MetricsRegistry`] complements the event stream with counters, gauges,
-//! fixed-bucket histograms, periodic snapshots, and a per-link utilization
-//! time series sampled from `hs-simnet`'s monitor.
+//! The stream and the cluster's `SimReport` are the only observability
+//! channels; [`MetricsRegistry`] is an inert stub kept for `set_obs`'s
+//! signature.
 
 pub mod event;
 pub mod export;
@@ -24,9 +24,9 @@ pub mod tracer;
 /// Acquire `m`, recovering the data if a previous holder panicked.
 ///
 /// Observability must never turn a simulation panic into a second,
-/// unrelated poisoned-lock panic (e.g. a drop-time metrics flush while
-/// the first panic unwinds). Every store operation completes atomically
-/// under the lock — appends and in-place scalar updates — so the data is
+/// unrelated poisoned-lock panic from every later trace call, which would
+/// mask the first failure. Every buffer operation (an append, a clone or
+/// a drain) completes atomically under the lock, so the records are
 /// structurally intact even when a holder unwound mid-turn.
 pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -34,7 +34,5 @@ pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 pub use event::{track, Ph, Record, Val};
 pub use export::{chrome_trace, jsonl};
-pub use metrics::{
-    CounterId, GaugeId, HistogramId, HistogramView, LinkUtilSample, MetricsRegistry, Snapshot,
-};
+pub use metrics::MetricsRegistry;
 pub use tracer::Tracer;

@@ -630,6 +630,29 @@ mod tests {
     }
 
     #[test]
+    fn tracer_survives_a_poisoned_lock() {
+        // A panic while holding the buffer lock (e.g. a simulation panic
+        // unwinding through an instrumented call) must not cascade into
+        // poisoned-lock panics from every later trace call — that would
+        // mask the original failure.
+        let tr = Tracer::recording();
+        tr.request_arrived(SimTime::ZERO, 1, 10, 10);
+        let sink = tr.sink.clone().expect("recording tracer has a buffer");
+        std::thread::spawn(move || {
+            let _guard = sink.lock().expect("first holder acquires cleanly");
+            panic!("poison the buffer lock");
+        })
+        .join()
+        .expect_err("the poisoning thread panics");
+        // Reads and writes keep working on the intact records.
+        assert_eq!(tr.len(), 1);
+        tr.request_done(SimTime::from_secs(2), 1, 0.5, 2.0);
+        let names: Vec<_> = tr.take().iter().map(|r| r.name).collect();
+        assert_eq!(names, ["arrival", "done"]);
+        assert!(tr.is_empty());
+    }
+
+    #[test]
     fn clones_share_one_buffer() {
         let tr = Tracer::recording();
         let other = tr.clone();

@@ -49,9 +49,8 @@ fn serve(
         trace,
         Box::new(strategy),
     );
-    let metrics = MetricsRegistry::disabled();
     if let Some(t) = tracer {
-        sim.set_obs(t, &metrics);
+        sim.set_obs(t, &MetricsRegistry::disabled());
     }
     if let Some(ctl) = controller {
         sim.set_autoscaler(ctl);

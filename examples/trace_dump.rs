@@ -12,18 +12,19 @@
 //! * `results/trace_dump.json` — Chrome trace-event JSON; open it in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>,
 //! * `results/trace_dump.jsonl` — one compact JSON object per event,
-//! * `results/trace_dump.metrics.json` — the metrics-registry dump,
 //!
 //! then re-parses the Chrome trace and asserts the events the paper's
 //! observability story needs are actually there: request-lifecycle
 //! spans, the scheduler's Eq. 16 policy-selection audit, and a fault
-//! reroute. CI runs this example as a trace-format regression test.
+//! reroute. It also checks that the trace agrees with the report on
+//! arrivals, completions and KV transfers. CI runs this example as a
+//! trace-format regression test.
 
 use hs_baselines::BaselineKind;
 use hs_bench::scenario::planner_input;
 use hs_des::{SeedSplitter, SimTime};
 use hs_model::ModelConfig;
-use hs_obs::{chrome_trace, jsonl, MetricsRegistry, Tracer};
+use hs_obs::{chrome_trace, jsonl, Tracer};
 use hs_topology::builders::testbed;
 use hs_workload::{FaultKind, FaultPlan, Poisson, Trace};
 
@@ -63,16 +64,13 @@ fn main() {
         .with_faults(faults);
 
     let tracer = Tracer::recording();
-    let metrics = MetricsRegistry::recording();
-    let report = d.serve_observed(&trace, horizon, &tracer, &metrics);
+    let report = d.serve_observed(&trace, horizon, &tracer);
 
     let records = tracer.records();
     let chrome = chrome_trace(&records);
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/trace_dump.json", &chrome).expect("write chrome trace");
     std::fs::write("results/trace_dump.jsonl", jsonl(&records)).expect("write jsonl");
-    std::fs::write("results/trace_dump.metrics.json", metrics.to_json())
-        .expect("write metrics dump");
 
     println!(
         "served {} requests ({} completed, attainment {:.1}%), {} trace events",
@@ -110,8 +108,17 @@ fn main() {
         assert!(count(phase, "B") > 0, "no {phase} span begins");
         assert!(count(phase, "E") > 0, "no {phase} span ends");
     }
-    assert!(count("arrival", "i") > 0, "no arrival instants");
     assert!(count("done", "i") > 0, "no completion instants");
+
+    // The trace agrees with the report: one arrival instant per arrival,
+    // one completion instant per completion, one KV span per shipment.
+    assert_eq!(count("arrival", "i"), report.arrived, "arrival instants");
+    assert_eq!(count("done", "i"), report.completed, "completion instants");
+    assert_eq!(
+        count("kv_transfer", "B") as u64,
+        report.kv_transfers,
+        "kv_transfer span begins"
+    );
 
     // Policy-selection audit: at least one select with a finite Eq. 16
     // objective J.
