@@ -133,6 +133,8 @@ pub struct ClusterSim {
     reqs: Vec<ReqState>,
     /// Index into `reqs` of the next request to arrive.
     next_arrival: usize,
+    /// The report has taken over `reqs`: the run is over.
+    reported: bool,
     prefill_queue: VecDeque<RequestId>,
     instances: Vec<Instance>,
     /// Per-GPU memory view of the first decode spec (instances are
@@ -228,6 +230,7 @@ impl ClusterSim {
             monitor: LinkMonitor::new(graph.link_count(), 0.5),
             reqs,
             next_arrival: 0,
+            reported: false,
             prefill_queue: VecDeque::new(),
             instances,
             mem: MemoryModel::new(&cfg.model, mem_spec.p_tens(), mem_spec.p_pipe()),
@@ -269,6 +272,23 @@ impl ClusterSim {
 
     /// Run until `horizon` and produce the report.
     ///
+    /// A simulation runs once: the report's `per_request` rows take over
+    /// the request states' memory, so the simulation cannot continue
+    /// after it.
+    ///
+    /// # Panics
+    /// Panics when called a second time.
+    pub fn run(&mut self, horizon: SimTime) -> SimReport {
+        assert!(
+            !self.reported,
+            "ClusterSim::run called twice: the first run's report took over the request states"
+        );
+        self.run_until(horizon);
+        self.build_report(horizon)
+    }
+
+    /// Dispatch every event due by `horizon` and leave the clock there.
+    ///
     /// The interleave contract with `SimNet`'s incremental engine
     /// (DESIGN.md §9): `next_event_time` is `>= now` (clamped), may be
     /// `SimTime::MAX` while every flow is starved by a dead link, and
@@ -280,7 +300,7 @@ impl ClusterSim {
     /// Arrivals come from the sorted trace through a cursor, merged ahead
     /// of the queue: at an instant, network completions go first, then
     /// the arrivals due, in trace order, then the queued events, FIFO.
-    pub fn run(&mut self, horizon: SimTime) -> SimReport {
+    pub(crate) fn run_until(&mut self, horizon: SimTime) {
         loop {
             let ta = self.reqs.get(self.next_arrival).map(|r| r.req.arrival);
             let tq = self.sh.events.peek_time();
@@ -312,7 +332,6 @@ impl ClusterSim {
         }
         self.sh.now = horizon;
         self.sh.net.advance_to(horizon);
-        self.build_report(horizon)
     }
 
     /// Request `idx` of the trace arrives and queues for prefill.
@@ -730,16 +749,12 @@ impl ClusterSim {
             }
         }
         let (ttft_sla, tpot_sla) = (self.cfg.ttft_sla_s, self.cfg.tpot_sla_s);
-        report.summarize(&self.reqs, ttft_sla, tpot_sla, horizon);
         report.fault_window_attainment = self.cfg.faults.window().and_then(|w| {
             SimReport::attainment_in_window(&self.reqs, ttft_sla, tpot_sla, horizon, w)
         });
+        self.reported = true;
+        report.summarize(std::mem::take(&mut self.reqs), ttft_sla, tpot_sla, horizon);
         report
-    }
-
-    /// Read-only view of the request states (tests).
-    pub fn requests(&self) -> &[ReqState] {
-        &self.reqs
     }
 
     /// The current KV managers (tests / Fig. 10 probes).
@@ -990,7 +1005,7 @@ pub(crate) mod tests {
         let (mut sim, _) = build_sim(1.0, 6, Scheme::Ring, faults);
         let mut scales = Vec::new();
         for ms in [1500, 2500, 4000, 6000] {
-            sim.run(SimTime::from_millis(ms));
+            sim.run_until(SimTime::from_millis(ms));
             scales.push(sim.sh.net.link_scale(port));
         }
         let want = [0.0, 0.0, 0.15, 1.0];
@@ -1146,6 +1161,14 @@ pub(crate) mod tests {
         assert_eq!(a.eth_bytes, b.eth_bytes);
     }
 
+    #[test]
+    #[should_panic(expected = "ClusterSim::run called twice")]
+    fn second_run_panics_with_its_reason() {
+        let (mut sim, _) = build_sim(2.0, 5, Scheme::Ring, FaultPlan::none());
+        sim.run(SimTime::from_secs(5));
+        sim.run(SimTime::from_secs(10));
+    }
+
     /// Arrivals stream from the trace but keep the order they had as the
     /// first events queued: at an instant they precede every queued event
     /// (monitor ticks, faults), and same-instant arrivals go in id order.
@@ -1242,11 +1265,13 @@ pub(crate) mod tests {
         sim.kv.managers[0] = KvManager::new(300);
         let tracer = hs_obs::Tracer::recording();
         sim.set_obs(&tracer, &hs_obs::MetricsRegistry::disabled());
-        let rep = sim.run(SimTime::from_secs(60));
+        let horizon = SimTime::from_secs(60);
+        sim.run_until(horizon);
+        assert_eq!(sim.reqs[0].prefill_instance(), Some(0));
+        assert_eq!(sim.reqs[1].prefill_instance(), Some(1));
+        let rep = sim.build_report(horizon);
         assert_eq!(rep.completed, 2, "both requests must finish");
         assert!(rep.kv_deferrals >= 1, "request 1 was never deferred");
-        assert_eq!(sim.requests()[0].prefill_instance(), Some(0));
-        assert_eq!(sim.requests()[1].prefill_instance(), Some(1));
         // The trace records the shipment source per request.
         let recs = tracer.records();
         let src_of = |req: u64| -> u64 {
@@ -1598,19 +1623,19 @@ mod admission_proptests {
                 prop_assert_eq!(m.live(), 0, "instance {} leaked live tokens", i);
             }
             let recs = tracer.records();
-            for r in sim.requests() {
+            for id in rep.per_request.iter().map(|m| m.id) {
                 let count = |name: &str, ph: Ph| {
                     recs.iter()
-                        .filter(|rec| rec.name == name && rec.ph == ph && rec.tid == r.req.id.0)
+                        .filter(|rec| rec.name == name && rec.ph == ph && rec.tid == id)
                         .count()
                 };
                 let pb = count("kv_transfer", Ph::Begin);
                 let pe = count("kv_transfer", Ph::End);
-                prop_assert_eq!(pb, pe, "kv_transfer span unbalanced for {}", r.req.id.0);
-                prop_assert!(pb <= 1, "kv_transfer began twice for {}", r.req.id.0);
+                prop_assert_eq!(pb, pe, "kv_transfer span unbalanced for {}", id);
+                prop_assert!(pb <= 1, "kv_transfer began twice for {}", id);
                 let fb = count("kv_flow", Ph::Begin);
                 let fe = count("kv_flow", Ph::End);
-                prop_assert_eq!(fb, fe, "kv_flow record unbalanced for {}", r.req.id.0);
+                prop_assert_eq!(fb, fe, "kv_flow record unbalanced for {}", id);
             }
         }
     }

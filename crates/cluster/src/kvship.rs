@@ -60,13 +60,14 @@ pub(crate) struct KvShipper {
     bytes: u64,
     /// Realized transfer time per completed shipment, seconds.
     transfer_secs: Vec<f64>,
-    /// |estimate − realized| per completed shipment, seconds.
-    est_err_secs: Vec<f64>,
+    /// Σ |estimate − realized| over completed shipments, seconds, in
+    /// landing order.
+    est_err_sum: f64,
 }
 
 impl KvShipper {
     /// KV state for a run over a trace of `requests` requests: the
-    /// per-shipment samples are reserved at that length, since each
+    /// realized transfer times are reserved at that length, since each
     /// request ships at most once and untouched capacity is never
     /// resident.
     pub(crate) fn new(cfg: &ClusterConfig, requests: usize) -> Self {
@@ -85,7 +86,6 @@ impl KvShipper {
             decode_offset: cfg.prefill.len(),
             bytes_per_token: cfg.model.kv_bytes_per_token(),
             transfer_secs: Vec::with_capacity(requests),
-            est_err_secs: Vec::with_capacity(requests),
             ..KvShipper::default()
         }
     }
@@ -236,7 +236,7 @@ impl KvShipper {
         };
         let actual = sh.now.saturating_since(f.started).as_secs_f64();
         self.transfer_secs.push(actual);
-        self.est_err_secs.push((f.est_s - actual).abs());
+        self.est_err_sum += (f.est_s - actual).abs();
         sh.tracer
             .kv_transfer_end(sh.now, id.0, actual, f.est_s, f.attempt);
     }
@@ -330,7 +330,13 @@ impl KvShipper {
         let mut transfer_secs = std::mem::take(&mut self.transfer_secs);
         r.mean_kv_transfer_s = hs_workload::mean(&transfer_secs);
         r.p90_kv_transfer_s = hs_workload::stats::percentile_in_place(&mut transfer_secs, 90.0);
-        r.mean_kv_est_err_s = hs_workload::mean(&self.est_err_secs);
+        // Every term is ≥ 0, so this equals `mean` over the same terms
+        // bit for bit, whatever zero the sum starts from.
+        r.mean_kv_est_err_s = if transfer_secs.is_empty() {
+            0.0
+        } else {
+            self.est_err_sum / transfer_secs.len() as f64
+        };
         r.mem_series = std::mem::take(&mut self.mem_series);
     }
 }

@@ -40,11 +40,11 @@ pub struct SimReport {
     pub strategy: String,
     /// Offered request rate (from the trace), req/s.
     pub offered_rate: f64,
-    /// Requests arrived within the horizon.
+    /// Requests in the trace, including any due after the horizon.
     pub arrived: usize,
     /// Requests fully completed.
     pub completed: usize,
-    /// Per-request metrics (arrival order).
+    /// Per-request metrics: one row per trace request, in trace order.
     pub per_request: Vec<ReqMetrics>,
     /// SLA attainment over *evaluable* requests (completed, or overdue).
     pub sla_attainment: f64,
@@ -177,30 +177,40 @@ impl SimReport {
     /// within deadline are excluded from attainment (standard open-loop
     /// accounting).
     ///
-    /// Memory: `per_request` is reserved at its final length, and the
-    /// TTFT, end-to-end TTFT and TPOT samples of completed requests are
-    /// gathered from it one metric at a time into one buffer, which the
-    /// p90 then sorts in place.
-    pub fn summarize(&mut self, reqs: &[ReqState], ttft_sla: f64, tpot_sla: f64, horizon: SimTime) {
-        self.per_request.clear();
-        self.per_request.reserve_exact(reqs.len());
+    /// Memory: `per_request` is built in place over `reqs`' allocation
+    /// (`ReqState` and `ReqMetrics` have the same size and alignment), so
+    /// each request keeps one 64-byte slot from its arrival to the
+    /// report. The TTFT, end-to-end TTFT and TPOT samples of completed
+    /// requests are then gathered one metric at a time into one buffer,
+    /// which the p90 sorts in place.
+    pub fn summarize(
+        &mut self,
+        reqs: Vec<ReqState>,
+        ttft_sla: f64,
+        tpot_sla: f64,
+        horizon: SimTime,
+    ) {
         self.arrived = reqs.len();
-        self.completed = 0;
+        let mut completed = 0;
         let mut verdicts = Verdicts::default();
-        for r in reqs {
-            let completed = r.phase == ReqPhase::Done;
-            let verdict = sla_verdict(r, ttft_sla, tpot_sla, horizon);
-            verdicts.count(verdict);
-            self.completed += usize::from(completed);
-            self.per_request.push(ReqMetrics {
-                id: r.req.id.0,
-                ttft_s: r.ttft_secs(),
-                ttft_e2e_s: r.ttft_e2e_secs(),
-                tpot_s: r.tpot_secs(),
-                completed,
-                sla_ok: verdict.unwrap_or(false),
-            });
-        }
+        self.per_request = reqs
+            .into_iter()
+            .map(|r| {
+                let done = r.phase == ReqPhase::Done;
+                let verdict = sla_verdict(&r, ttft_sla, tpot_sla, horizon);
+                verdicts.count(verdict);
+                completed += usize::from(done);
+                ReqMetrics {
+                    id: r.req.id.0,
+                    ttft_s: r.ttft_secs(),
+                    ttft_e2e_s: r.ttft_e2e_secs(),
+                    tpot_s: r.tpot_secs(),
+                    completed: done,
+                    sla_ok: verdict.unwrap_or(false),
+                }
+            })
+            .collect();
+        self.completed = completed;
         self.sla_attainment = verdicts.attainment().unwrap_or(0.0);
         let mut samples = Vec::with_capacity(self.completed);
         let mut mean_p90 = |metric: fn(&ReqMetrics) -> Option<f64>| {
@@ -295,7 +305,7 @@ mod tests {
             finished(3, 0, 2, 140, 10), // ok
         ];
         let mut rep = SimReport::default();
-        rep.summarize(&reqs, 2.5, 0.15, SimTime::from_secs(100));
+        rep.summarize(reqs, 2.5, 0.15, SimTime::from_secs(100));
         assert_eq!(rep.completed, 4);
         assert!((rep.sla_attainment - 0.5).abs() < 1e-9);
         assert!(rep.mean_ttft_s > 0.0);
@@ -324,7 +334,12 @@ mod tests {
         pending.phase = ReqPhase::Queued;
         let ok = finished(2, 0, 1, 100, 10);
         let mut rep = SimReport::default();
-        rep.summarize(&[overdue, pending, ok], 2.5, 0.15, SimTime::from_secs(100));
+        rep.summarize(
+            vec![overdue, pending, ok],
+            2.5,
+            0.15,
+            SimTime::from_secs(100),
+        );
         // Evaluable: overdue (fail) + ok (pass); pending excluded.
         assert!((rep.sla_attainment - 0.5).abs() < 1e-9);
         assert_eq!(rep.completed, 1);
@@ -354,7 +369,7 @@ mod tests {
         stuck.tokens_generated = 1;
         let ok = finished(1, 0, 1, 100, 10);
         let mut rep = SimReport::default();
-        rep.summarize(&[stuck.clone(), ok], 2.5, 0.15, SimTime::from_secs(100));
+        rep.summarize(vec![stuck.clone(), ok], 2.5, 0.15, SimTime::from_secs(100));
         assert!(
             !rep.per_request[0].sla_ok,
             "TPOT-overdue decode must fail SLA"
@@ -367,7 +382,7 @@ mod tests {
         // Same request early in its decode window is still pending, not
         // failed: at t=2 it could yet meet TPOT.
         let mut rep2 = SimReport::default();
-        rep2.summarize(&[stuck], 2.5, 0.15, SimTime::from_secs(2));
+        rep2.summarize(vec![stuck], 2.5, 0.15, SimTime::from_secs(2));
         assert!((rep2.sla_attainment - 0.0).abs() < 1e-9);
         assert!(rep2.per_request.len() == 1 && !rep2.per_request[0].completed);
     }
@@ -393,9 +408,22 @@ mod tests {
     #[test]
     fn empty_report() {
         let mut rep = SimReport::default();
-        rep.summarize(&[], 1.0, 1.0, SimTime::from_secs(10));
+        rep.summarize(Vec::new(), 1.0, 1.0, SimTime::from_secs(10));
         assert_eq!(rep.sla_attainment, 0.0);
         assert_eq!(rep.completed, 0);
+    }
+
+    /// The rows take over the request states' allocation: no second
+    /// 64-byte slot per request at the report.
+    #[test]
+    fn per_request_reuses_the_state_allocation() {
+        let reqs: Vec<ReqState> = (0..100).map(|i| finished(i, 0, 1, 100, 10)).collect();
+        let (ptr, cap) = (reqs.as_ptr() as usize, reqs.capacity());
+        let mut rep = SimReport::default();
+        rep.summarize(reqs, 2.5, 0.15, SimTime::from_secs(100));
+        assert_eq!(rep.per_request.len(), 100);
+        assert_eq!(rep.per_request.as_ptr() as usize, ptr);
+        assert_eq!(rep.per_request.capacity(), cap);
     }
 }
 
@@ -573,7 +601,7 @@ mod proptests {
             let horizon = SimTime::from_millis(horizon_ms);
             let want = oracle(&reqs, ttft_sla, tpot_sla, horizon);
             let mut got = SimReport::default();
-            got.summarize(&reqs, ttft_sla, tpot_sla, horizon);
+            got.summarize(reqs.clone(), ttft_sla, tpot_sla, horizon);
             prop_assert_eq!(got.arrived, want.arrived);
             prop_assert_eq!(got.completed, want.completed);
             prop_assert_eq!(&got.per_request, &want.per_request);

@@ -1,5 +1,6 @@
 //! Request lifecycle state.
 
+use crate::metrics::ReqMetrics;
 use hs_des::SimTime;
 use hs_workload::Request;
 
@@ -79,6 +80,12 @@ pub struct ReqState {
 }
 
 const _: () = assert!(std::mem::size_of::<ReqState>() <= 64);
+// `SimReport::summarize` builds its `ReqMetrics` rows in place over the
+// states' allocation, which needs equal size and alignment.
+const _: () = assert!(
+    std::mem::size_of::<ReqState>() == std::mem::size_of::<ReqMetrics>()
+        && std::mem::align_of::<ReqState>() == std::mem::align_of::<ReqMetrics>()
+);
 
 impl ReqState {
     /// Fresh state for an arriving request.
