@@ -21,7 +21,7 @@
 use heroserve::planner::{plan, PlannerError, PlannerOutput, SchemeSpace};
 use heroserve::scheduler::{HeroScheduler, SchedulerParams};
 use heroserve::spec::PlannerInput;
-use heroserve::system::{default_coefficients, expected_batch};
+use heroserve::system::{default_coefficients, expected_batch, PLANNER_BATCH_Q};
 use hs_cluster::batching::BatchPolicy;
 use hs_cluster::{BusyPolicy, ClusterConfig, ClusterSim, CommStrategy, SimReport, StaticStrategy};
 use hs_collective::Scheme;
@@ -132,7 +132,7 @@ impl BaselineKind {
             &topo.graph,
             model.clone(),
             coef,
-            expected_batch(workload, 8),
+            expected_batch(workload, PLANNER_BATCH_Q),
             rate,
             workload.ttft_sla_s,
             workload.tpot_sla_s,
@@ -349,7 +349,7 @@ mod tests {
                 &topo.graph,
                 model.clone(),
                 heroserve::system::default_coefficients(&model),
-                heroserve::system::expected_batch(&workload, 8),
+                heroserve::system::expected_batch(&workload, PLANNER_BATCH_Q),
                 0.3,
                 workload.ttft_sla_s,
                 workload.tpot_sla_s,

@@ -13,7 +13,8 @@
 //!
 //! Protocol, per (scenario, intensity):
 //!
-//! 1. run elastic twice; the runs must be bit-identical (fingerprint);
+//! 1. run elastic twice; the runs must be bit-identical (equal
+//!    [`SimReport::fingerprint`]s, which fold every field);
 //! 2. convert elastic GPU-seconds into a mean-active-slot count;
 //! 3. run every static (p, d) split whose total is the floor *or ceil*
 //!    of that count (ceil gives static ≥ elastic GPU-hours — generous
@@ -27,7 +28,7 @@
 
 use hs_bench::scenario::{elastic_slots, seeded_autoscaler};
 use hs_bench::ExpTable;
-use hs_cluster::{ClusterSim, ScaleController, StaticController};
+use hs_cluster::{ClusterSim, ScaleController, SimReport, StaticController};
 use hs_des::{SeedSplitter, SimTime};
 use hs_topology::builders::{testbed, BuiltTopology};
 use hs_topology::AllPairs;
@@ -66,24 +67,13 @@ fn make_trace(scenario: &str, intensity: f64) -> (Trace, WorkloadSpec) {
     }
 }
 
-struct RunOutcome {
-    attainment: f64,
-    gpu_seconds: f64,
-    completed: usize,
-    arrived: usize,
-    mean_ttft_s: f64,
-    scale_ups: u64,
-    scale_downs: u64,
-    fingerprint: String,
-}
-
 fn run_once(
     topo: &BuiltTopology,
     ap: &AllPairs,
     spec: &WorkloadSpec,
     trace: &Trace,
     controller: Option<Box<dyn ScaleController>>,
-) -> RunOutcome {
+) -> SimReport {
     let cfg = elastic_slots(topo, spec);
     let strategy = hs_cluster::StaticStrategy::uniform(
         "ring",
@@ -94,26 +84,7 @@ fn run_once(
     if let Some(ctl) = controller {
         sim.set_autoscaler(ctl);
     }
-    let r = sim.run(SimTime::from_secs(HORIZON_S + DRAIN_S));
-    RunOutcome {
-        attainment: r.sla_attainment,
-        gpu_seconds: r.gpu_seconds,
-        completed: r.completed,
-        arrived: r.arrived,
-        mean_ttft_s: r.mean_ttft_s,
-        scale_ups: r.scale_ups,
-        scale_downs: r.scale_downs,
-        fingerprint: format!(
-            "{}/{}/{:.17e}/{:.17e}/{:.17e}/{}/{}",
-            r.arrived,
-            r.completed,
-            r.sla_attainment,
-            r.mean_ttft_s,
-            r.gpu_seconds,
-            r.scale_ups,
-            r.scale_downs
-        ),
-    }
+    sim.run(SimTime::from_secs(HORIZON_S + DRAIN_S))
 }
 
 fn main() {
@@ -154,7 +125,8 @@ fn main() {
             let e1 = run_once(&topo, &ap, &spec, &trace, elastic(&spec, base_rate));
             let e2 = run_once(&topo, &ap, &spec, &trace, elastic(&spec, base_rate));
             assert_eq!(
-                e1.fingerprint, e2.fingerprint,
+                e1.fingerprint(),
+                e2.fingerprint(),
                 "elastic run not bit-identical ({scenario} x{intensity})"
             );
 
@@ -167,7 +139,7 @@ fn main() {
             if ceil != floor {
                 totals.push(ceil);
             }
-            let mut best_static: Option<(usize, usize, RunOutcome)> = None;
+            let mut best_static: Option<(usize, usize, SimReport)> = None;
             for &total in &totals {
                 for p in 1..=total.min(4) {
                     let d = total - p;
@@ -186,7 +158,7 @@ fn main() {
                     );
                     let better = match &best_static {
                         None => true,
-                        Some((_, _, b)) => r.attainment > b.attainment,
+                        Some((_, _, b)) => r.sla_attainment > b.sla_attainment,
                     };
                     if better {
                         best_static = Some((p, d, r));
@@ -197,13 +169,13 @@ fn main() {
             // All-on reference (the unconstrained upper envelope).
             let full = run_once(&topo, &ap, &spec, &trace, None);
 
-            let mut push = |config: &str, r: &RunOutcome| {
+            let mut push = |config: &str, r: &SimReport| {
                 table.push(
                     vec![
                         scenario.to_string(),
                         format!("{intensity:.1}"),
                         config.to_string(),
-                        format!("{:.3}", r.attainment),
+                        format!("{:.3}", r.sla_attainment),
                         format!("{:.3}", r.gpu_seconds / 3600.0),
                         format!("{:.2}", mean_slots(r.gpu_seconds)),
                         format!("{}/{}", r.scale_ups, r.scale_downs),
@@ -214,7 +186,7 @@ fn main() {
                         "intensity": intensity,
                         "config": config,
                         "base_rate_rps": base_rate,
-                        "sla_attainment": r.attainment,
+                        "sla_attainment": r.sla_attainment,
                         "gpu_seconds": r.gpu_seconds,
                         "gpu_hours": r.gpu_seconds / 3600.0,
                         "mean_active_slots": mean_slots(r.gpu_seconds),
@@ -232,9 +204,9 @@ fn main() {
 
             wins.push((
                 format!("{scenario} x{intensity:.1}"),
-                e1.attainment >= bs.attainment,
-                e1.attainment,
-                bs.attainment,
+                e1.sla_attainment >= bs.sla_attainment,
+                e1.sla_attainment,
+                bs.sla_attainment,
             ));
         }
     }

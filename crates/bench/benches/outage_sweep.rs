@@ -15,13 +15,13 @@
 //! report), the peak resident set over the row (`peak_rss_mib`: VmHWM is
 //! reset by writing `5` to `/proc/self/clear_refs` before the row; null
 //! where that fails), the network engine's exact work counters and the
-//! report fingerprint ([`hs_bench::fingerprint`]). The counters and the
-//! fingerprint are deterministic and CI compares them with the committed
-//! rows; wall time and RSS are trended only. Writes
+//! report fingerprint ([`hs_cluster::SimReport::fingerprint`]). The
+//! counters and the fingerprint are deterministic and CI compares them
+//! with the committed rows; wall time and RSS are trended only. Writes
 //! `results/outage_sweep.json`.
 
 use hs_bench::scenario::kv_fabric_faults;
-use hs_bench::{fingerprint, peak_rss_mib, ExpTable};
+use hs_bench::{peak_rss_mib, ExpTable};
 use hs_des::SimSpan;
 use serde_json::json;
 
@@ -55,7 +55,7 @@ fn main() {
         let (report, stats) = kv_fabric_faults(SEED, outage.map(SimSpan::from_secs)).run();
         let wall_s = wall.elapsed().as_secs_f64();
         let rss = peak_rss_mib().filter(|_| rss_reset);
-        let fp = format!("{:016x}", fingerprint(&report));
+        let fp = format!("{:016x}", report.fingerprint());
         table.push(
             vec![
                 outage.map_or_else(|| "none".to_string(), |s| s.to_string()),

@@ -5,27 +5,21 @@
 //! transfers, monitor sampling — in minutes, with bit-identical output.
 //! [`hs_bench::scenario::xtracks_steady`] is built twice from the same
 //! trace stream and served; both runs' report fingerprints
-//! ([`hs_bench::fingerprint`]: 27 of the report's 39 fields, every
+//! ([`hs_cluster::SimReport::fingerprint`]: every field, every
 //! per-request metric and memory sample among them, folded bit-for-bit)
 //! must be identical. Each row also carries the network engine's solver work
 //! counters over the run and the process's peak resident set so far
 //! (VmHWM from `/proc/self/status`; null where that file does not
 //! exist). Writes `results/scale_1m.json`.
-//!
-//! `SCALE_REQUESTS` overrides the request count (default 1 000 000) for
-//! quick local runs.
 
 use hs_bench::scenario::xtracks_steady;
-use hs_bench::{fingerprint, peak_rss_mib, ExpTable};
+use hs_bench::{peak_rss_mib, ExpTable};
 use hs_des::SeedSplitter;
 use serde_json::json;
 
-fn main() {
-    let n_requests: u64 = std::env::var("SCALE_REQUESTS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1_000_000);
+const REQUESTS: u64 = 1_000_000;
 
+fn main() {
     let mut table = ExpTable::new(
         "scale_1m",
         &[
@@ -44,11 +38,11 @@ fn main() {
     );
     let mut prints = Vec::new();
     for run in 1..=2 {
-        let scenario = xtracks_steady(&mut SeedSplitter::new(42).stream("trace"), n_requests);
+        let scenario = xtracks_steady(&mut SeedSplitter::new(42).stream("trace"), REQUESTS);
         let wall = std::time::Instant::now();
         let (rep, stats) = scenario.run();
         let wall_s = wall.elapsed().as_secs_f64();
-        let fp = fingerprint(&rep);
+        let fp = rep.fingerprint();
         prints.push(fp);
         let rss = peak_rss_mib();
         table.push(

@@ -14,12 +14,10 @@
 //! roughly what factor — are the reproduction target.
 
 pub mod aggbench;
-pub mod fingerprint;
 pub mod report;
 pub mod scenario;
 pub mod simbench;
 pub mod sweep;
 
-pub use fingerprint::{fingerprint, peak_rss_mib};
-pub use report::{emit, print_table, ExpTable};
+pub use report::{emit, peak_rss_mib, print_table, ExpTable};
 pub use sweep::{max_rate_under_sla, SweepOutcome};

@@ -1,4 +1,4 @@
-//! Table printing and JSON result emission.
+//! Table printing, JSON result emission and peak-RSS sampling.
 
 use serde_json::Value;
 use std::fs;
@@ -100,6 +100,15 @@ fn write_rows(dir: &Path, name: &str, rows: &[Value]) {
         panic!("cannot write {}: {e}", path.display());
     }
     println!("[results written to {}]", path.display());
+}
+
+/// Peak resident set of this process so far, MiB (`VmHWM`; `None` where
+/// `/proc/self/status` does not exist).
+pub fn peak_rss_mib() -> Option<f64> {
+    let status = fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 #[cfg(test)]

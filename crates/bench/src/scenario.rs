@@ -12,7 +12,7 @@
 //! step; the whole-run builders only chain them. The only randomness is
 //! the seed or RNG a builder takes.
 
-use heroserve::system::{default_coefficients, expected_batch};
+use heroserve::system::{default_coefficients, expected_batch, PLANNER_BATCH_Q};
 use heroserve::{
     plan, AutoscaleConfig, Autoscaler, HeroScheduler, KvSelection, PlannerInput, SchedulerParams,
     SchemeSpace, SolveStats,
@@ -32,9 +32,9 @@ pub use hs_baselines::horizon;
 
 /// Planner input for `model` serving `workload` at `rate` req/s over the
 /// paper's interleaved allocation (Fig. 4): the default coefficient fit,
-/// the expected batch of 8 and the workload's SLAs. `prefill_tp` and
-/// `decode_tp` pin each cluster's tensor-parallel degree at pipeline
-/// depth 1; `None` leaves the degree to the planner.
+/// the expected batch of [`PLANNER_BATCH_Q`] requests and the workload's
+/// SLAs. `prefill_tp` and `decode_tp` pin each cluster's tensor-parallel
+/// degree at pipeline depth 1; `None` leaves the degree to the planner.
 pub fn planner_input(
     graph: &Graph,
     model: &ModelConfig,
@@ -47,7 +47,7 @@ pub fn planner_input(
         graph,
         model.clone(),
         default_coefficients(model),
-        expected_batch(workload, 8),
+        expected_batch(workload, PLANNER_BATCH_Q),
         rate,
         workload.ttft_sla_s,
         workload.tpot_sla_s,
@@ -353,5 +353,26 @@ mod tests {
             ]
         );
         sim_accepts(&topo, cfg);
+    }
+
+    /// `SimReport::fingerprint` is the benchmark ledger's fold: the
+    /// ledger's `kv_fabric_faults` run (seed 1, 30 s outage) folds to the
+    /// same raw value, and folding that once more, as the ledger combines
+    /// a one-run pass, gives the ledger's gated fingerprint.
+    #[test]
+    fn kv_fabric_faults_folds_to_the_ledger_fingerprint() {
+        use rustc_hash::FxHasher;
+        use std::hash::Hasher;
+
+        let (report, _) = kv_fabric_faults(1, Some(SimSpan::from_secs(30))).run();
+        let raw = report.fingerprint();
+        assert_eq!(raw, 0x580d_ee32_3824_9be8, "raw fingerprint {raw:016x}");
+        let mut combined = FxHasher::default();
+        combined.write_u64(raw);
+        let combined = combined.finish();
+        assert_eq!(
+            combined, 0xbcb7_fce1_2835_ce08,
+            "combined fingerprint {combined:016x}"
+        );
     }
 }

@@ -33,13 +33,14 @@ pub fn max_rate_under_sla(
     refine: usize,
 ) -> SweepOutcome {
     assert!(!grid.is_empty());
+    let passes = |r: &SimReport| r.sla_attainment >= threshold && r.completed > 0;
     let mut samples = Vec::new();
     let mut best: Option<(f64, SimReport)> = None;
     let mut first_bad: Option<(f64, SimReport)> = None;
     for &rate in grid {
         let report = deployment.serve_trace(seed, rate, duration);
         samples.push((rate, report.sla_attainment));
-        if report.sla_attainment >= threshold && report.completed > 0 {
+        if passes(&report) {
             best = Some((rate, report));
         } else {
             first_bad = Some((rate, report));
@@ -55,7 +56,7 @@ pub fn max_rate_under_sla(
             rate *= 1.5;
             let report = deployment.serve_trace(seed, rate, duration);
             samples.push((rate, report.sla_attainment));
-            if report.sla_attainment >= threshold && report.completed > 0 {
+            if passes(&report) {
                 best = Some((rate, report));
             } else {
                 first_bad = Some((rate, report));
@@ -77,7 +78,7 @@ pub fn max_rate_under_sla(
             let mid = 0.5 * (lo + hi);
             let report = deployment.serve_trace(seed, mid, duration);
             samples.push((mid, report.sla_attainment));
-            if report.sla_attainment >= threshold && report.completed > 0 {
+            if passes(&report) {
                 lo = mid;
                 lo_report = report;
             } else {

@@ -35,7 +35,7 @@
 //!
 //! ```
 //! use heroserve::prelude::*;
-//! use heroserve::system::{default_coefficients, expected_batch};
+//! use heroserve::system::{default_coefficients, expected_batch, PLANNER_BATCH_Q};
 //!
 //! // The paper's testbed: 4 GPU servers, 2 Tofino switches.
 //! let topo = hs_topology::builders::testbed();
@@ -45,7 +45,7 @@
 //!     &topo.graph,
 //!     model.clone(),
 //!     default_coefficients(&model),
-//!     expected_batch(&workload, 8),
+//!     expected_batch(&workload, PLANNER_BATCH_Q),
 //!     4.0,
 //!     workload.ttft_sla_s,
 //!     workload.tpot_sla_s,

@@ -18,6 +18,12 @@ pub fn default_coefficients(model: &ModelConfig) -> CostCoefficients {
     fit(&GpuModel::a100(), model, &ProfileGrid::default()).coefficients
 }
 
+/// The batch size `q` the planner sizes every deployment against
+/// ([`expected_batch`]). The engine's `BatchPolicy` admits up to 64
+/// requests per iteration; ROADMAP item 5 asks whether 8 explains the
+/// gap between the planner's rate estimate and the simulated knee.
+pub const PLANNER_BATCH_Q: u32 = 8;
+
 /// Estimated batch statistics from a workload's analytic means (the
 /// moving-average state the online side would maintain, §III-B).
 pub fn expected_batch(workload: &WorkloadSpec, q: u32) -> BatchStats {
@@ -73,7 +79,7 @@ mod tests {
 
     #[test]
     fn expected_batch_uses_workload_means() {
-        let b = expected_batch(&hs_workload::sharegpt_like(), 8);
+        let b = expected_batch(&hs_workload::sharegpt_like(), PLANNER_BATCH_Q);
         assert_eq!(b.q, 8);
         assert_eq!(b.k_in, 8 * 160);
     }

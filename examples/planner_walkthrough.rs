@@ -11,7 +11,7 @@
 use heroserve::netest::{constrained_kmeans, get_latency, select_switch, SchemeSpace};
 use heroserve::planner::{plan, SchemeSpace as Space};
 use heroserve::spec::PlannerInput;
-use heroserve::system::{default_coefficients, expected_batch};
+use heroserve::system::{default_coefficients, expected_batch, PLANNER_BATCH_Q};
 use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
 
@@ -80,7 +80,7 @@ fn main() {
         &topo.graph,
         model.clone(),
         default_coefficients(&model),
-        expected_batch(&workload, 8),
+        expected_batch(&workload, PLANNER_BATCH_Q),
         1.0,
         workload.ttft_sla_s,
         workload.tpot_sla_s,

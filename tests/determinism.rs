@@ -25,7 +25,7 @@ use std::sync::OnceLock;
 use heroserve::netest::{estimate_network_latency, NetestInput};
 use heroserve::planner::{plan, PlannerOutput, SchemeSpace};
 use heroserve::spec::PlannerInput;
-use heroserve::system::{default_coefficients, expected_batch};
+use heroserve::system::{default_coefficients, expected_batch, PLANNER_BATCH_Q};
 use hs_baselines::{BaselineKind, Deployment};
 use hs_bench::scenario;
 use hs_des::{EventQueue, SeedSplitter, SimTime};
@@ -44,7 +44,7 @@ fn planner_input() -> PlannerInput {
         &topo.graph,
         model.clone(),
         default_coefficients(&model),
-        expected_batch(&workload, 8),
+        expected_batch(&workload, PLANNER_BATCH_Q),
         2.0,
         workload.ttft_sla_s,
         workload.tpot_sla_s,

@@ -2,7 +2,7 @@
 
 use heroserve::planner::{plan, SchemeSpace};
 use heroserve::spec::PlannerInput;
-use heroserve::system::{default_coefficients, expected_batch};
+use heroserve::system::{default_coefficients, expected_batch, PLANNER_BATCH_Q};
 use hs_bench::scenario::planner_input;
 use hs_collective::Scheme;
 use hs_model::ModelConfig;
@@ -18,7 +18,7 @@ fn plans_opt_175b_on_two_tracks_fabric() {
         &topo.graph,
         model.clone(),
         default_coefficients(&model),
-        expected_batch(&w, 8),
+        expected_batch(&w, PLANNER_BATCH_Q),
         1.0,
         w.ttft_sla_s,
         w.tpot_sla_s,
@@ -87,7 +87,7 @@ fn planner_scales_to_hundreds_of_gpus_quickly() {
         &topo.graph,
         model.clone(),
         default_coefficients(&model),
-        expected_batch(&w, 8),
+        expected_batch(&w, PLANNER_BATCH_Q),
         1.0,
         w.ttft_sla_s,
         w.tpot_sla_s,
