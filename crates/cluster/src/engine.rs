@@ -18,6 +18,7 @@ use crate::collectives::{CollOrigin, Collectives, Job};
 use crate::faults::{FabricHealth, FaultRecovery};
 use crate::instance::{InstPhase, Instance, InstanceKind, InstanceSpec};
 use crate::kvcache::KvManager;
+use crate::kvflow::KvRoutes;
 use crate::kvship::KvShipper;
 use crate::metrics::{meets_sla, SimReport};
 use crate::request::{ReqPhase, ReqState};
@@ -215,6 +216,7 @@ impl ClusterSim {
                 gpus: graph.gpus(),
             }
         });
+        let kv = KvShipper::new(&cfg, trace.len(), KvRoutes::new(graph, &ap));
         ClusterSim {
             sh: Shared {
                 g: graph.clone(),
@@ -234,7 +236,7 @@ impl ClusterSim {
             prefill_queue: VecDeque::new(),
             instances,
             mem: MemoryModel::new(&cfg.model, mem_spec.p_tens(), mem_spec.p_pipe()),
-            kv: KvShipper::new(&cfg, trace.len()),
+            kv,
             colls: Collectives::new(cfg.ina_capacity_per_switch),
             pools: Pools::new(cfg.prefill.len()),
             faults: FaultRecovery::default(),
@@ -592,40 +594,41 @@ impl ClusterSim {
             }
             InstanceKind::Decode => {
                 let (ttft_sla, tpot_sla) = (self.cfg.ttft_sla_s, self.cfg.tpot_sla_s);
-                let tracer = &self.sh.tracer;
-                let active = &self.instances[inst].active;
-                for id in active {
-                    let r = &mut self.reqs[id.0 as usize];
-                    r.tokens_generated += 1;
-                    if r.tokens_generated >= r.req.output_tokens {
-                        r.phase = ReqPhase::Done;
-                        r.set_finished(now);
-                        let ttft = r.ttft_secs();
-                        let latency = now.saturating_since(r.req.arrival).as_secs_f64();
-                        self.pools.done += 1;
-                        if meets_sla(ttft, r.tpot_secs(), ttft_sla, tpot_sla) {
-                            self.pools.done_ok += 1;
-                        }
-                        tracer.request_phase_end(now, id.0, "decode");
-                        tracer.request_done(now, id.0, ttft.unwrap_or(0.0), latency);
-                    }
-                }
+                let (tracer, reqs, pools) = (&self.sh.tracer, &mut self.reqs, &mut self.pools);
                 let kv = &mut self.kv.managers[inst - self.cfg.prefill.len()];
+                let Instance {
+                    active,
+                    decode_stats,
+                    ..
+                } = &mut self.instances[inst];
                 // Every live request grew by one token.
+                decode_stats.grow_one_token();
                 kv.materialize(active.len() as u64);
-                // The requests that just finished leave the batch and
-                // release their KV, in batch order.
-                let reqs = &self.reqs;
+                // One pass in batch order: each request takes its token,
+                // and those that just finished leave the batch and
+                // release their KV.
                 let mut finished = false;
-                self.instances[inst].active.retain(|id| {
-                    let r = &reqs[id.0 as usize];
-                    let done = r.phase == ReqPhase::Done;
-                    if done {
-                        let live = r.req.input_tokens as u64 + r.tokens_generated as u64;
-                        kv.release(r.reserved_kv_tokens(), live);
-                        finished = true;
+                active.retain(|id| {
+                    let r = &mut reqs[id.0 as usize];
+                    r.tokens_generated += 1;
+                    if r.tokens_generated < r.req.output_tokens {
+                        return true;
                     }
-                    !done
+                    r.phase = ReqPhase::Done;
+                    r.set_finished(now);
+                    let ttft = r.ttft_secs();
+                    let latency = now.saturating_since(r.req.arrival).as_secs_f64();
+                    pools.done += 1;
+                    if meets_sla(ttft, r.tpot_secs(), ttft_sla, tpot_sla) {
+                        pools.done_ok += 1;
+                    }
+                    tracer.request_phase_end(now, id.0, "decode");
+                    tracer.request_done(now, id.0, ttft.unwrap_or(0.0), latency);
+                    let live = r.req.input_tokens as u64 + r.tokens_generated as u64;
+                    kv.release(r.reserved_kv_tokens(), live);
+                    decode_stats.remove(live, r.req.output_tokens as u64);
+                    finished = true;
+                    false
                 });
                 if finished {
                     self.retry_admissions();
@@ -695,20 +698,37 @@ impl ClusterSim {
     }
 
     fn start_decode_iteration(&mut self, inst: usize) {
-        let joining = std::mem::take(&mut self.instances[inst].joining);
-        self.instances[inst].active.extend(joining);
-        if self.instances[inst].active.is_empty() {
-            self.instances[inst].phase = InstPhase::Idle;
+        let reqs = &self.reqs;
+        let Instance {
+            active,
+            joining,
+            decode_stats,
+            phase,
+            ..
+        } = &mut self.instances[inst];
+        for id in joining.iter() {
+            let r = &reqs[id.0 as usize];
+            let l_in = r.req.input_tokens as u64 + r.tokens_generated as u64;
+            decode_stats.push(l_in, r.req.output_tokens as u64);
+        }
+        active.append(joining);
+        if active.is_empty() {
+            *phase = InstPhase::Idle;
             return;
         }
-        let mut stats = BatchStats::default();
-        for id in &self.instances[inst].active {
-            let r = &self.reqs[id.0 as usize];
-            stats.push(
-                r.req.input_tokens as u64 + r.tokens_generated as u64,
-                r.req.output_tokens as u64,
-            );
-        }
+        debug_assert_eq!(
+            *decode_stats,
+            active.iter().fold(BatchStats::default(), |mut s, id| {
+                let r = &reqs[id.0 as usize];
+                s.push(
+                    r.req.input_tokens as u64 + r.tokens_generated as u64,
+                    r.req.output_tokens as u64,
+                );
+                s
+            }),
+            "running decode stats drifted from the batch"
+        );
+        let stats = *decode_stats;
         let spec = &self.instances[inst].spec;
         let t_c = decode_latency_secs(
             &self.cfg.coef,
@@ -1554,6 +1574,92 @@ pub(crate) mod tests {
         for (i, m) in sim.kv_managers().iter().enumerate() {
             assert_eq!(m.reserved(), 0, "instance {i} leaked reservations");
             assert_eq!(m.live(), 0, "instance {i} leaked live tokens");
+        }
+    }
+
+    /// A decode instance's running Eq. 13 stats equal a fresh fold of its
+    /// batch at every step, through requests joining mid-iteration,
+    /// completions of mixed lengths, and its pool slot parking and
+    /// unparking; they return to zero when the batch empties.
+    #[test]
+    fn decode_stats_follow_joins_completions_and_a_park_cycle() {
+        /// Both decode slots, one from 2 s, both again from 6 s.
+        struct ParkThenUnpark {
+            shrunk: bool,
+            grown: bool,
+        }
+        impl ScaleController for ParkThenUnpark {
+            fn initial_targets(&mut self, prefill: usize, decode: usize) -> PoolTargets {
+                PoolTargets { prefill, decode }
+            }
+            fn on_tick(&mut self, snap: &PoolSnapshot) -> Option<PoolTargets> {
+                let decode = if !self.shrunk && snap.now >= SimTime::from_secs(2) {
+                    self.shrunk = true;
+                    1
+                } else if !self.grown && snap.now >= SimTime::from_secs(6) {
+                    self.grown = true;
+                    2
+                } else {
+                    return None;
+                };
+                Some(PoolTargets { prefill: 2, decode })
+            }
+            fn name(&self) -> &str {
+                "park-then-unpark"
+            }
+        }
+        let t = testbed();
+        let split = |gpus: &[NodeId]| {
+            vec![
+                InstanceSpec::tensor_parallel(gpus[..2].to_vec()),
+                InstanceSpec::tensor_parallel(gpus[2..].to_vec()),
+            ]
+        };
+        let (prefill, decode) = (split(&t.gpus_by_server[0]), split(&t.gpus_by_server[1]));
+        // One request every 50 ms for 10 s, with mixed prompt and output
+        // lengths so completions land on different iterations.
+        let reqs: Vec<(u64, u32, u32)> = (0..200u32)
+            .map(|i| (50 * i as u64, 64 + i * 37 % 448, 1 + i * 13 % 40))
+            .collect();
+        let trace = trace_of(&reqs);
+        let strategy = fixed_scheme(Scheme::Ring);
+        let mut sim = testbed_sim(&t, prefill, decode, FaultPlan::none(), &trace, strategy);
+        sim.set_autoscaler(Box::new(ParkThenUnpark {
+            shrunk: false,
+            grown: false,
+        }));
+        let fold = |sim: &ClusterSim, inst: &Instance| {
+            let mut stats = BatchStats::default();
+            for id in &inst.active {
+                let r = &sim.reqs[id.0 as usize];
+                stats.push(
+                    r.req.input_tokens as u64 + r.tokens_generated as u64,
+                    r.req.output_tokens as u64,
+                );
+            }
+            stats
+        };
+        let last = sim.instances.len() - 1;
+        let (mut joined_mid_iteration, mut parked) = (false, false);
+        let (mut served_before_park, mut served_after_unpark) = (false, false);
+        for ms in (5..=20_000).step_by(5) {
+            sim.run_until(SimTime::from_millis(ms));
+            for inst in &sim.instances[2..] {
+                assert_eq!(inst.decode_stats, fold(&sim, inst), "at {ms} ms");
+                joined_mid_iteration |= !inst.joining.is_empty();
+            }
+            let inst = &sim.instances[last];
+            parked |= inst.state == PoolState::Parked;
+            served_before_park |= !parked && !inst.active.is_empty();
+            served_after_unpark |= parked && !inst.active.is_empty();
+        }
+        assert!(joined_mid_iteration, "no request joined a running batch");
+        assert!(served_before_park && parked && served_after_unpark);
+        let report = sim.run(SimTime::from_secs(30));
+        assert_eq!(report.completed, report.arrived);
+        assert_eq!((report.scale_downs, report.scale_ups), (1, 1));
+        for inst in &sim.instances[2..] {
+            assert_eq!(inst.decode_stats, BatchStats::default());
         }
     }
 

@@ -2,6 +2,7 @@
 
 use crate::autoscale::PoolState;
 use hs_des::SimTime;
+use hs_model::BatchStats;
 use hs_topology::NodeId;
 use hs_workload::RequestId;
 
@@ -102,6 +103,9 @@ pub struct Instance {
     /// Decode: requests admitted whose KV landed mid-iteration; joined at
     /// the next iteration boundary.
     pub joining: Vec<RequestId>,
+    /// Decode: the Eq. 13 statistics of `active`, kept current by exact
+    /// integer updates as requests join, grow a token and complete.
+    pub(crate) decode_stats: BatchStats,
     /// Elasticity state (autoscaling; see [`crate::autoscale`]).
     pub state: PoolState,
     /// When this instance last became occupied (GPU-hours clock).
@@ -125,6 +129,7 @@ impl Instance {
             batch: Vec::new(),
             active: Vec::new(),
             joining: Vec::new(),
+            decode_stats: BatchStats::default(),
             state: PoolState::Active,
             occupied_since: Some(SimTime::ZERO),
             gpu_seconds: 0.0,

@@ -7,9 +7,8 @@
 //! NIC's worth. This module computes the stripe plan — which GPU pair
 //! carries which share of the bytes — and the engine launches one simnet
 //! flow per stripe; the transfer completes when the *slowest* stripe
-//! drains. [`kv_transfer_estimate`] prices a shipment the same way.
+//! drains. [`KvRoutes::estimate`] prices a shipment the same way.
 
-use hs_collective::latency::path_transfer_secs;
 use hs_topology::{AllPairs, Graph, NodeId};
 
 /// One rank-pair's share of a KV-cache shipment.
@@ -45,7 +44,8 @@ pub fn stripe_plan(src_gpus: &[NodeId], dst_gpus: &[NodeId], bytes: u64) -> Vec<
 
 /// The Eq. 15 stripe rule behind [`stripe_plan`], without collecting:
 /// one pass counts the fabric-crossing pairs, a second yields their
-/// stripes.
+/// stripes. Rank `i`'s pair comes from cycling both rank lists, which is
+/// `i % len` on each side without a division per rank.
 fn stripes<'a>(
     src_gpus: &'a [NodeId],
     dst_gpus: &'a [NodeId],
@@ -57,40 +57,113 @@ fn stripes<'a>(
         src_gpus.len().max(dst_gpus.len())
     };
     let pairs = move || {
-        (0..n)
-            .map(move |i| (src_gpus[i % src_gpus.len()], dst_gpus[i % dst_gpus.len()]))
-            .filter(|(src, dst)| src != dst)
+        let ranks = src_gpus.iter().cycle().zip(dst_gpus.iter().cycle());
+        ranks.take(n).filter(|(src, dst)| src != dst)
     };
-    // With no pair left, the second pass yields nothing and never divides.
     let k = pairs().count() as u64;
+    // With no pair left, the second pass yields nothing and the split is
+    // never read; a lone stripe carries everything without a division.
+    let (base, rem) = match k {
+        0 | 1 => (bytes, 0),
+        k => (bytes / k, bytes % k),
+    };
     pairs()
         .enumerate()
-        .map(move |(i, (src, dst))| KvStripe {
+        .map(move |(i, (&src, &dst))| KvStripe {
             src,
             dst,
-            bytes: bytes / k + if i as u64 == k - 1 { bytes % k } else { 0 },
+            bytes: base + if i as u64 == k - 1 { rem } else { 0 },
         })
         .filter(|s| s.bytes > 0)
 }
 
-/// Estimated completion time, seconds, of a striped KV-cache shipment
-/// from `src_gpus` to `dst_gpus`: the [`stripe_plan`] stripes run in
-/// parallel, so the shipment finishes with its slowest stripe. `avail` is
-/// the per-link residual bandwidth (bits/s) to price each path with;
-/// `None` prices the idle fabric at link capacity. Stripes whose
-/// endpoints `ap` does not cover are skipped. Nothing is allocated.
-pub fn kv_transfer_estimate(
-    g: &Graph,
-    ap: &AllPairs,
-    src_gpus: &[NodeId],
-    dst_gpus: &[NodeId],
-    bytes: u64,
-    avail: Option<&[f64]>,
-) -> f64 {
-    stripes(src_gpus, dst_gpus, bytes)
-        .filter(|s| ap.covers(s.src) && ap.covers(s.dst))
-        .map(|s| path_transfer_secs(g, ap.path(s.src, s.dst), s.bytes, avail))
-        .fold(0.0f64, f64::max)
+/// Every covered node pair's shortest route, flattened once from an
+/// [`AllPairs`] for pricing KV shipments: pair `(i, j)`'s links are
+/// `links[start[i·n + j]..start[i·n + j + 1]]`, and each link's latency
+/// (seconds) and capacity sit in per-link arrays, so an estimate walks
+/// plain slices instead of `Path`s and `Link`s.
+///
+/// The default table covers no node.
+#[derive(Clone, Debug, Default)]
+pub struct KvRoutes {
+    /// Graph node → row and column of the pair matrix; `u32::MAX` when
+    /// the `AllPairs` does not cover it.
+    index_of: Vec<u32>,
+    /// Number of covered nodes.
+    n: usize,
+    start: Vec<u32>,
+    links: Vec<u32>,
+    latency_s: Vec<f64>,
+    capacity_bps: Vec<f64>,
+}
+
+impl KvRoutes {
+    /// Flatten `ap`'s routes over `g`'s links.
+    pub fn new(g: &Graph, ap: &AllPairs) -> Self {
+        let nodes = ap.nodes();
+        let mut index_of = vec![u32::MAX; g.node_count()];
+        for (i, &v) in nodes.iter().enumerate() {
+            index_of[v.idx()] = i as u32;
+        }
+        let mut start = Vec::with_capacity(nodes.len() * nodes.len() + 1);
+        let mut links = Vec::new();
+        start.push(0);
+        for &a in nodes {
+            for &b in nodes {
+                links.extend(ap.path(a, b).links.iter().map(|l| l.0));
+                start.push(u32::try_from(links.len()).expect("route table fits u32 offsets"));
+            }
+        }
+        KvRoutes {
+            index_of,
+            n: nodes.len(),
+            start,
+            links,
+            latency_s: g.links().map(|(_, l)| l.latency_ns as f64 * 1e-9).collect(),
+            capacity_bps: g.links().map(|(_, l)| l.capacity_bps).collect(),
+        }
+    }
+
+    /// The links of the route from `a` to `b`, if both are covered.
+    fn route(&self, a: NodeId, b: NodeId) -> Option<&[u32]> {
+        let (i, j) = (*self.index_of.get(a.idx())?, *self.index_of.get(b.idx())?);
+        if i == u32::MAX || j == u32::MAX {
+            return None;
+        }
+        let p = i as usize * self.n + j as usize;
+        Some(&self.links[self.start[p] as usize..self.start[p + 1] as usize])
+    }
+
+    /// Estimated completion time, seconds, of a striped KV-cache shipment
+    /// from `src_gpus` to `dst_gpus`: the [`stripe_plan`] stripes run in
+    /// parallel, so the shipment finishes with its slowest stripe. Each
+    /// stripe costs `Σ bits / B(e) + latency(e)` over its route's links,
+    /// summed in route order as `path_transfer_secs` does, with `B(e)`
+    /// read from `avail`, the per-link residual bandwidth (bits/s), or
+    /// the link's capacity when `avail` is `None`, floored at 1 bit/s.
+    /// Stripes whose endpoints the table does not cover are skipped.
+    /// Nothing is allocated.
+    // Inlined into `HeroScheduler::choose_decode`'s candidate loop across
+    // the crate boundary, so `avail` stays in registers per candidate.
+    #[inline]
+    pub fn estimate(
+        &self,
+        src_gpus: &[NodeId],
+        dst_gpus: &[NodeId],
+        bytes: u64,
+        avail: Option<&[f64]>,
+    ) -> f64 {
+        stripes(src_gpus, dst_gpus, bytes)
+            .filter_map(|s| Some((self.route(s.src, s.dst)?, s.bytes as f64 * 8.0)))
+            .map(|(route, bits)| {
+                route.iter().fold(0.0, |t, &l| {
+                    let l = l as usize;
+                    let bw = avail.map_or(self.capacity_bps[l], |b| b[l]).max(1.0);
+                    t + (bits / bw + self.latency_s[l])
+                })
+            })
+            .fold(0.0f64, f64::max)
+    }
 }
 
 #[cfg(test)]
@@ -182,9 +255,8 @@ mod tests {
         let local: Vec<NodeId> = t.gpus_by_server[0][2..].to_vec();
         let remote: Vec<NodeId> = t.gpus_by_server[1][..2].to_vec();
         let bytes = 64 << 20;
-        let est = |dst: &[NodeId], avail: Option<&[f64]>| {
-            kv_transfer_estimate(&t.graph, &ap, &src, dst, bytes, avail)
-        };
+        let routes = KvRoutes::new(&t.graph, &ap);
+        let est = |dst: &[NodeId], avail: Option<&[f64]>| routes.estimate(&src, dst, bytes, avail);
         let est_local = est(&local, None);
         let est_remote = est(&remote, None);
         assert!(est_local > 0.0);
@@ -239,32 +311,45 @@ mod proptests {
             }
         }
 
-        /// The estimate folds the stripe rule without collecting it; it
-        /// must equal, bit for bit, the max over the collected plan of
-        /// each stripe's path time, for any residual bandwidths and any
-        /// rank sets, overlapping and self-paired ones included.
+        /// The route table's estimate equals, bit for bit, the definition
+        /// it replaced: the max over the collected stripe plan of each
+        /// stripe's `path_transfer_secs` on the `AllPairs` route. TP widths
+        /// 1–8 on either side, shared and self-paired GPUs, payloads below
+        /// the stripe count, and idle or priced links (dead, saturated at
+        /// the 1 % floor, partly used or idle) all agree.
         #[test]
         fn estimate_is_the_max_over_the_stripe_plan(
             src in proptest::collection::vec(0usize..16, 1..9),
             dst in proptest::collection::vec(0usize..16, 1..9),
             bytes in 0u64..1 << 33,
-            scale in proptest::collection::vec(0.0f64..1.5, 64),
+            tiny in 0u32..4,
             priced in 0u32..2,
+            link_q in proptest::collection::vec((0u32..4, 0.0f64..1.0), 64),
         ) {
+            use hs_collective::latency::path_transfer_secs;
             let t = hs_topology::builders::testbed();
             let ap = t.gpu_switch_pairs();
             let gpus = t.all_gpus();
             let src: Vec<NodeId> = src.into_iter().map(|i| gpus[i]).collect();
             let dst: Vec<NodeId> = dst.into_iter().map(|i| gpus[i]).collect();
+            // A quarter of the payloads are smaller than the stripe count.
+            let bytes = if tiny == 0 { bytes % 8 } else { bytes };
             let caps = t.graph.capacities();
-            let avail: Vec<f64> = (0..caps.len()).map(|l| caps[l] * scale[l % 64]).collect();
+            let avail: Vec<f64> = (0..caps.len())
+                .map(|l| match link_q[l % 64] {
+                    (0, _) => 0.0,
+                    (1, _) => caps[l] * 0.01,
+                    (2, u) => caps[l] * (1.0 - u),
+                    _ => caps[l],
+                })
+                .collect();
             let avail = (priced == 1).then_some(avail.as_slice());
             let want = stripe_plan(&src, &dst, bytes)
                 .iter()
                 .filter(|s| ap.covers(s.src) && ap.covers(s.dst))
                 .map(|s| path_transfer_secs(&t.graph, ap.path(s.src, s.dst), s.bytes, avail))
                 .fold(0.0f64, f64::max);
-            let got = kv_transfer_estimate(&t.graph, &ap, &src, &dst, bytes, avail);
+            let got = KvRoutes::new(&t.graph, &ap).estimate(&src, &dst, bytes, avail);
             prop_assert_eq!(got.to_bits(), want.to_bits());
         }
     }

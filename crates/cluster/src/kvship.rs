@@ -8,7 +8,7 @@ use crate::engine::{ClusterConfig, Ev, Shared, TAG_KV};
 use crate::faults::FaultRecovery;
 use crate::instance::Instance;
 use crate::kvcache::KvManager;
-use crate::kvflow::{kv_transfer_estimate, stripe_plan, KvStripe};
+use crate::kvflow::{stripe_plan, KvRoutes, KvStripe};
 use crate::metrics::{MemSample, SimReport};
 use crate::request::{ReqPhase, ReqState};
 use crate::strategy::{KvCandidate, KvCtx};
@@ -49,6 +49,9 @@ pub(crate) struct KvShipper {
     /// Requests refused admission, oldest first.
     pub(crate) pending: VecDeque<RequestId>,
     flights: FxHashMap<u64, KvFlight>,
+    /// Prices every candidate's shipment: the network-aware strategy's
+    /// through [`KvCtx::routes`], and the least-loaded fallback's.
+    routes: KvRoutes,
     /// Decode-pool index `d` is engine instance `decode_offset + d`.
     decode_offset: usize,
     bytes_per_token: u64,
@@ -66,11 +69,11 @@ pub(crate) struct KvShipper {
 }
 
 impl KvShipper {
-    /// KV state for a run over a trace of `requests` requests: the
-    /// realized transfer times are reserved at that length, since each
-    /// request ships at most once and untouched capacity is never
-    /// resident.
-    pub(crate) fn new(cfg: &ClusterConfig, requests: usize) -> Self {
+    /// KV state for a run over a trace of `requests` requests, pricing
+    /// shipments over `routes`: the realized transfer times are reserved
+    /// at that length, since each request ships at most once and
+    /// untouched capacity is never resident.
+    pub(crate) fn new(cfg: &ClusterConfig, requests: usize, routes: KvRoutes) -> Self {
         // Decode KV capacity: per-instance, derived from its sharding and
         // per-GPU memory.
         let managers = cfg
@@ -86,6 +89,7 @@ impl KvShipper {
             decode_offset: cfg.prefill.len(),
             bytes_per_token: cfg.model.kv_bytes_per_token(),
             transfer_secs: Vec::with_capacity(requests),
+            routes,
             ..KvShipper::default()
         }
     }
@@ -139,6 +143,7 @@ impl KvShipper {
                 req: id.0,
                 bytes,
                 src_gpus,
+                routes: &self.routes,
                 now: sh.now,
             };
             choice = sh
@@ -151,7 +156,7 @@ impl KvShipper {
             // Priced over the idle fabric: only network-aware strategies
             // see link utilization.
             let dst_gpus = decode[least_loaded].gpus();
-            let est = kv_transfer_estimate(&sh.g, &sh.ap, src_gpus, dst_gpus, bytes, None);
+            let est = self.routes.estimate(src_gpus, dst_gpus, bytes, None);
             (least_loaded, est)
         });
         // Selection and reservation are decoupled, so re-validate instead

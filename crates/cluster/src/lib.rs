@@ -41,7 +41,7 @@ pub use engine::{ClusterConfig, ClusterSim};
 pub use faults::FabricHealth;
 pub use instance::{InstanceKind, InstanceSpec};
 pub use kvcache::KvManager;
-pub use kvflow::{kv_transfer_estimate, stripe_plan, KvStripe};
+pub use kvflow::{stripe_plan, KvRoutes, KvStripe};
 pub use metrics::{ReqMetrics, SimReport};
 pub use request::{ReqPhase, ReqState};
 pub use strategy::{

@@ -9,6 +9,7 @@
 //! free aggregation capacity: SwitchML-style jobs *wait*; ATP-style jobs
 //! *fall back* to ring (§IV / §V baseline semantics).
 
+use crate::kvflow::KvRoutes;
 use hs_collective::Scheme;
 use hs_des::SimTime;
 use hs_simnet::DirLink;
@@ -85,6 +86,9 @@ pub struct KvCtx<'a> {
     pub bytes: u64,
     /// The originating prefill instance's GPUs — the stripe sources.
     pub src_gpus: &'a [NodeId],
+    /// The engine's shortest routes, flattened once from its
+    /// `AllPairs`: what prices a candidate's shipment.
+    pub routes: &'a KvRoutes,
     /// Simulation time.
     pub now: SimTime,
 }

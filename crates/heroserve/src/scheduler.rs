@@ -19,10 +19,7 @@
 
 use crate::netest::available_bandwidth;
 use crate::policy::{build_policies, netkv_score, Policy};
-use hs_cluster::{
-    kv_transfer_estimate, BusyPolicy, CommCtx, CommStrategy, FabricHealth, KvCandidate, KvChoice,
-    KvCtx,
-};
+use hs_cluster::{BusyPolicy, CommCtx, CommStrategy, FabricHealth, KvCandidate, KvChoice, KvCtx};
 use hs_collective::Scheme;
 use hs_des::SimTime;
 use hs_topology::routing::k_shortest_paths_avoiding;
@@ -464,14 +461,9 @@ impl CommStrategy for HeroScheduler {
         }
         let mut best: Option<(f64, KvChoice)> = None;
         for c in candidates {
-            let est = kv_transfer_estimate(
-                &self.graph,
-                &self.ap,
-                ctx.src_gpus,
-                c.dst_gpus,
-                ctx.bytes,
-                Some(&self.avail),
-            );
+            let est = ctx
+                .routes
+                .estimate(ctx.src_gpus, c.dst_gpus, ctx.bytes, Some(&self.avail));
             let reserved_frac = if c.capacity_tokens == 0 {
                 1.0
             } else {
@@ -541,6 +533,7 @@ impl CommStrategy for HeroScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hs_cluster::KvRoutes;
     use hs_topology::builders::testbed;
 
     pub(super) fn scheduler() -> (
@@ -866,11 +859,12 @@ mod tests {
         }
     }
 
-    fn kv_ctx(src_gpus: &[NodeId], bytes: u64) -> KvCtx<'_> {
+    fn kv_ctx<'a>(routes: &'a KvRoutes, src_gpus: &'a [NodeId], bytes: u64) -> KvCtx<'a> {
         KvCtx {
             req: 0,
             bytes,
             src_gpus,
+            routes,
             now: SimTime::ZERO,
         }
     }
@@ -878,13 +872,14 @@ mod tests {
     #[test]
     fn netkv_prefers_nvlink_local_decode() {
         let (mut s, _, t) = scheduler();
+        let routes = KvRoutes::new(&t.graph, &t.gpu_switch_pairs());
         assert!(s.network_aware_admission());
         let src = &t.gpus_by_server[0][..2];
         // Equal load and headroom: the NVLink-local candidate's transfer
         // estimate dominates and it wins despite the higher index.
         let c = s
             .choose_decode(
-                &kv_ctx(src, 64 << 20),
+                &kv_ctx(&routes, src, 64 << 20),
                 &[
                     kv_candidate(0, &t.gpus_by_server[1][..2], 1, 5_000),
                     kv_candidate(1, &t.gpus_by_server[0][2..], 1, 5_000),
@@ -901,26 +896,31 @@ mod tests {
     #[test]
     fn choose_decode_before_any_monitor_prices_the_idle_fabric() {
         let (mut s, _, t) = scheduler();
+        let routes = KvRoutes::new(&t.graph, &t.gpu_switch_pairs());
         let src = &t.gpus_by_server[0];
         let dst = &t.gpus_by_server[1];
         let bytes = 256 << 20;
         let c = s
-            .choose_decode(&kv_ctx(src, bytes), &[kv_candidate(0, dst, 1, 5_000)])
+            .choose_decode(
+                &kv_ctx(&routes, src, bytes),
+                &[kv_candidate(0, dst, 1, 5_000)],
+            )
             .expect("choice");
-        let idle = kv_transfer_estimate(&t.graph, &s.ap, src, dst, bytes, None);
+        let idle = routes.estimate(src, dst, bytes, None);
         assert_eq!(c.est_transfer_s.to_bits(), idle.to_bits());
     }
 
     #[test]
     fn netkv_routes_around_congested_uplinks() {
         let (mut s, _, t) = scheduler();
+        let routes = KvRoutes::new(&t.graph, &t.gpu_switch_pairs());
         let src = &t.gpus_by_server[0];
         let candidates = [
             kv_candidate(0, &t.gpus_by_server[1], 1, 5_000),
             kv_candidate(1, &t.gpus_by_server[3], 1, 5_000),
         ];
         // Idle fabric: symmetric estimates, lowest index wins the tie.
-        let ctx = kv_ctx(src, 256 << 20);
+        let ctx = kv_ctx(&routes, src, 256 << 20);
         let c = s.choose_decode(&ctx, &candidates).expect("choice");
         assert_eq!(c.instance, 0);
         // Saturate server 1's uplinks: the estimate through them inflates
@@ -940,11 +940,12 @@ mod tests {
     #[test]
     fn netkv_penalizes_kv_pressure() {
         let (mut s, _, t) = scheduler();
+        let routes = KvRoutes::new(&t.graph, &t.gpu_switch_pairs());
         let src = &t.gpus_by_server[0];
         // Symmetric network estimates; the nearly-full instance loses.
         let c = s
             .choose_decode(
-                &kv_ctx(src, 64 << 20),
+                &kv_ctx(&routes, src, 64 << 20),
                 &[
                     kv_candidate(0, &t.gpus_by_server[1], 1, 100),
                     kv_candidate(1, &t.gpus_by_server[3], 1, 9_000),
@@ -962,9 +963,10 @@ mod tests {
             kv_select: KvSelection::LeastLoaded,
             ..SchedulerParams::default()
         };
+        let routes = KvRoutes::new(&t.graph, &ap);
         let mut s = HeroScheduler::new(&t.graph, ap, params);
         assert!(!s.network_aware_admission());
-        let ctx = kv_ctx(&t.gpus_by_server[0], 64 << 20);
+        let ctx = kv_ctx(&routes, &t.gpus_by_server[0], 64 << 20);
         assert!(
             s.choose_decode(&ctx, &[kv_candidate(0, &t.gpus_by_server[1], 0, 9_000)])
                 .is_none(),

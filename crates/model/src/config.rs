@@ -187,6 +187,24 @@ impl BatchStats {
         self.k_out += l_out;
         self.k_in2 += l_in * l_in;
     }
+
+    /// Take out a request folded in by [`BatchStats::push`] with the same
+    /// lengths.
+    pub fn remove(&mut self, l_in: u64, l_out: u64) {
+        self.q -= 1;
+        self.k_in -= l_in;
+        self.k_out -= l_out;
+        self.k_in2 -= l_in * l_in;
+    }
+
+    /// Every request's input grew by one token (one decode iteration):
+    /// `Σ(l+1)² = Σl² + 2·Σl + Q`, then `Σ(l+1) = Σl + Q`. Exact, so the
+    /// stats equal a fresh fold over the grown lengths.
+    pub fn grow_one_token(&mut self) {
+        let q = self.q as u64;
+        self.k_in2 += 2 * self.k_in + q;
+        self.k_in += q;
+    }
 }
 
 #[cfg(test)]
@@ -239,6 +257,15 @@ mod tests {
         let mut u = BatchStats::uniform(1, 10, 5);
         u.push(20, 7);
         assert_eq!(u, s);
+        // A decode iteration grows every input by one token; removing a
+        // request leaves the fold of the others.
+        s.grow_one_token();
+        let mut grown = BatchStats::default();
+        grown.push(11, 5);
+        grown.push(21, 7);
+        assert_eq!(s, grown);
+        s.remove(11, 5);
+        assert_eq!(s, BatchStats::uniform(1, 21, 7));
     }
 
     #[test]

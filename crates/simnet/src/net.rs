@@ -739,6 +739,17 @@ impl SimNet {
         total
     }
 
+    /// Both directions' cumulative byte counters of a link that no
+    /// unparked flow crosses, or `None` while one does. Such a link has
+    /// no pending in-flight window, so the counters are exactly what
+    /// [`SimNet::cumulative_bytes_dir`] returns, and they stay put until
+    /// a flow starts on the link or is unparked onto it.
+    pub(crate) fn idle_link_bytes(&self, l: LinkId) -> Option<[f64; 2]> {
+        let s = l.idx() * 2;
+        (self.incidence[s].is_empty() && self.incidence[s + 1].is_empty())
+            .then(|| [self.cum_bytes[s], self.cum_bytes[s + 1]])
+    }
+
     /// Link capacities (bits/s), after any fault scaling.
     pub fn capacities(&self) -> &[f64] {
         &self.capacities

@@ -11,7 +11,7 @@
 //! refresh).
 
 use heroserve::scheduler::{HeroScheduler, SchedulerParams};
-use hs_cluster::{CommCtx, CommStrategy, KvCandidate, KvCtx};
+use hs_cluster::{CommCtx, CommStrategy, KvCandidate, KvCtx, KvRoutes};
 use hs_des::SimTime;
 use hs_topology::builders::testbed;
 use hs_topology::NodeId;
@@ -19,6 +19,7 @@ use hs_topology::NodeId;
 fn main() {
     let topo = testbed();
     let ap = topo.gpu_switch_pairs();
+    let routes = KvRoutes::new(&topo.graph, &ap);
     let mut sched = HeroScheduler::new(&topo.graph, ap, SchedulerParams::default());
 
     // One GPU from each server: a 4-wide cross-server tensor group.
@@ -105,6 +106,7 @@ fn main() {
                 req: 0,
                 bytes: 512 << 20,
                 src_gpus: src,
+                routes: &routes,
                 now: SimTime::ZERO,
             },
             &candidates,
