@@ -47,7 +47,6 @@ fn bench_fairshare(c: &mut Criterion) {
         spans.push(FlowSpan {
             start: flat.len() as u32,
             len: p.len() as u32,
-            weight: 1.0,
         });
         flat.extend(p.iter().copied());
     }

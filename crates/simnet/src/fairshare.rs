@@ -1,11 +1,12 @@
-//! Weighted max-min fair rate allocation (progressive filling).
+//! Max-min fair rate allocation (progressive filling).
 //!
 //! Given a set of flows, each crossing a set of links with fixed
 //! capacities, the unique max-min fair allocation is computed by the
 //! classic water-filling algorithm: repeatedly find the most-contended
-//! link, give every unfrozen flow through it an equal (weight-proportional)
-//! share of the link's remaining capacity, freeze those flows, and deduct
-//! their rates from every link they cross.
+//! link, give every unfrozen flow through it an equal share of the link's
+//! remaining capacity, freeze those flows, and deduct their rates from
+//! every link they cross. Every flow has the same share, so a link's state
+//! is its remaining capacity and an integer count of its unfrozen flows.
 //!
 //! The allocation is *unique*, so the result is independent of iteration
 //! order; ties in bottleneck selection are broken by link index purely for
@@ -27,26 +28,26 @@
 //! its links needs no loop: [`solo_rate`] is its single round in closed
 //! form.
 
-/// Rate of a flow with weight `weight` over the distinct `links` when no
-/// other flow crosses any of them: [`SolverWorkspace::solve`]'s single
-/// round in closed form, with its arithmetic. Each link's weight sum is
-/// `0.0 + weight == weight`, the bottleneck is the first strict minimum
-/// of `rem_cap.max(0.0) / weight` from +∞, and the rate is `weight ×
-/// share`, so the result equals a one-flow solve bit for bit (finite
+/// Rate of a flow over the distinct `links` when no other flow crosses
+/// any of them: [`SolverWorkspace::solve`]'s single round in closed form,
+/// with its arithmetic. Each link counts one flow, so its share is
+/// `rem_cap.max(0.0) / 1.0`, which is `rem_cap.max(0.0)`; the bottleneck
+/// is the first strict minimum of that from +∞, and the flow's rate is
+/// that share, so the result equals a one-flow solve bit for bit (finite
 /// capacities; an empty path gets +∞, as it does there).
-pub fn solo_rate(capacities: &[f64], links: impl IntoIterator<Item = usize>, weight: f64) -> f64 {
+pub fn solo_rate(capacities: &[f64], links: impl IntoIterator<Item = usize>) -> f64 {
     let mut share = f64::INFINITY;
     for l in links {
-        let s = capacities[l].max(0.0) / weight;
+        let s = capacities[l].max(0.0);
         if s < share {
             share = s;
         }
     }
-    weight * share
+    share
 }
 
 /// One flow's slice of the flat slot arena passed to
-/// [`SolverWorkspace::solve`], plus its fair-share weight.
+/// [`SolverWorkspace::solve`].
 ///
 /// The arena layout decouples the solver from how the caller stores paths:
 /// the caller appends each flow's (deduplicated) link indices to one flat
@@ -58,8 +59,6 @@ pub struct FlowSpan {
     pub start: u32,
     /// Number of link indices (0 for an empty, unconstrained path).
     pub len: u32,
-    /// Relative weight; must be > 0.
-    pub weight: f64,
 }
 
 /// Persistent working state for the water-filling solver.
@@ -77,8 +76,8 @@ pub struct FlowSpan {
 pub struct SolverWorkspace {
     /// Remaining capacity per link (valid where `stamp == generation`).
     rem_cap: Vec<f64>,
-    /// Total unfrozen weight per link (valid where `stamp == generation`).
-    link_weight: Vec<f64>,
+    /// Unfrozen flows per link (valid where `stamp == generation`).
+    link_count: Vec<u32>,
     /// Flow indices (into the span list) crossing each link.
     link_flows: Vec<Vec<u32>>,
     /// Lazy-init generation stamp per link.
@@ -99,11 +98,11 @@ pub struct SolverWorkspace {
     /// `order[round_start[r]..round_start[r + 1]]`.
     order: Vec<u32>,
     round_start: Vec<u32>,
-    /// `rem_cap` and `link_weight` of every active link at the start of
+    /// `rem_cap` and `link_count` of every active link at the start of
     /// each round: round `r`, link `active[j]` is entry
     /// `r * active.len() + j`.
     snap_rem: Vec<f64>,
-    snap_weight: Vec<f64>,
+    snap_count: Vec<u32>,
     /// Earliest round a departure since the last solve froze in
     /// (`u32::MAX`: none).
     resume_from: u32,
@@ -117,7 +116,7 @@ impl SolverWorkspace {
         SolverWorkspace::default()
     }
 
-    /// Weighted max-min fair rates for the flows described by `spans` over
+    /// Max-min fair rates for the flows described by `spans` over
     /// `flat` (see [`FlowSpan`]), with link `capacities` in bits/s.
     ///
     /// Returns one rate per span, in span order; empty spans get
@@ -131,7 +130,7 @@ impl SolverWorkspace {
         let n_flows = spans.len();
         if self.stamp.len() < n_links {
             self.rem_cap.resize(n_links, 0.0);
-            self.link_weight.resize(n_links, 0.0);
+            self.link_count.resize(n_links, 0);
             self.link_flows.resize_with(n_links, Vec::new);
             self.stamp.resize(n_links, 0);
             self.pos.resize(n_links, 0);
@@ -150,7 +149,6 @@ impl SolverWorkspace {
 
         let mut n_unfrozen = 0usize;
         for (fi, s) in spans.iter().enumerate() {
-            debug_assert!(s.weight > 0.0, "flow weight must be positive");
             let links = &flat[s.start as usize..(s.start + s.len) as usize];
             if links.is_empty() {
                 self.rates[fi] = f64::INFINITY;
@@ -162,11 +160,11 @@ impl SolverWorkspace {
                 if self.stamp[l] != generation {
                     self.stamp[l] = generation;
                     self.rem_cap[l] = capacities[l];
-                    self.link_weight[l] = 0.0;
+                    self.link_count[l] = 0;
                     self.link_flows[l].clear();
                     self.active.push(l);
                 }
-                self.link_weight[l] += s.weight;
+                self.link_count[l] += 1;
                 self.link_flows[l].push(fi as u32);
             }
         }
@@ -179,7 +177,7 @@ impl SolverWorkspace {
         self.round_start.clear();
         self.round_start.push(0);
         self.snap_rem.clear();
-        self.snap_weight.clear();
+        self.snap_count.clear();
         self.resume_from = u32::MAX;
         self.fill(0, n_unfrozen, flat, spans);
         self.rerated.clear();
@@ -190,10 +188,10 @@ impl SolverWorkspace {
     /// Record that flow `fi` of the last solve has left.
     ///
     /// The flow froze in round `r_f`, so no earlier round's bottleneck lies
-    /// on its path, and dropping its weight only raises the shares of its
-    /// own links. Rounds before `r_f` therefore freeze the same flows at
-    /// the same rates, and their snapshots need only its weight taken off
-    /// its links. Weights must be integers, so that subtraction is exact.
+    /// on its path, and dropping it only raises the shares of its own
+    /// links. Rounds before `r_f` therefore freeze the same flows at the
+    /// same rates, and their snapshots need only one taken off the flow
+    /// count of each of its links.
     pub fn depart(&mut self, flat: &[usize], spans: &[FlowSpan], fi: usize) {
         debug_assert!(!self.gone[fi], "flow {fi} already left");
         self.gone[fi] = true;
@@ -202,16 +200,11 @@ impl SolverWorkspace {
             return;
         }
         let s = &spans[fi];
-        debug_assert_eq!(
-            s.weight.fract(),
-            0.0,
-            "resumable solves need integer weights"
-        );
         let n_active = self.active.len();
         for &l in &flat[s.start as usize..(s.start + s.len) as usize] {
             let j = self.pos[l] as usize;
             for rr in 0..=r as usize {
-                self.snap_weight[rr * n_active + j] -= s.weight;
+                self.snap_count[rr * n_active + j] -= 1;
             }
         }
         self.resume_from = self.resume_from.min(r);
@@ -236,10 +229,10 @@ impl SolverWorkspace {
         let n_active = self.active.len();
         for (j, &l) in self.active.iter().enumerate() {
             self.rem_cap[l] = self.snap_rem[r0 * n_active + j];
-            self.link_weight[l] = self.snap_weight[r0 * n_active + j];
+            self.link_count[l] = self.snap_count[r0 * n_active + j];
         }
         self.snap_rem.truncate(r0 * n_active);
-        self.snap_weight.truncate(r0 * n_active);
+        self.snap_count.truncate(r0 * n_active);
         let from = self.round_start[r0] as usize;
         self.round_start.truncate(r0 + 1);
         self.rerated.clear();
@@ -265,8 +258,8 @@ impl SolverWorkspace {
             let mut best_link = usize::MAX;
             let mut best_share = f64::INFINITY;
             for &l in &self.active {
-                if self.link_weight[l] > 0.0 {
-                    let share = (self.rem_cap[l].max(0.0)) / self.link_weight[l];
+                if self.link_count[l] > 0 {
+                    let share = self.rem_cap[l].max(0.0) / f64::from(self.link_count[l]);
                     if share < best_share {
                         best_share = share;
                         best_link = l;
@@ -275,11 +268,11 @@ impl SolverWorkspace {
             }
             for &l in &self.active {
                 self.snap_rem.push(self.rem_cap[l]);
-                self.snap_weight.push(self.link_weight[l]);
+                self.snap_count.push(self.link_count[l]);
             }
             if best_link == usize::MAX {
-                // Shouldn't happen: unfrozen flows always have links with
-                // positive weight. Guard against float pathology anyway:
+                // Every unfrozen flow counts on its links, so this only
+                // happens when every share is +∞ (infinite capacities):
                 // the rest keep rate 0, as one last round.
                 for fi in 0..spans.len() {
                     if !self.frozen[fi] {
@@ -300,21 +293,16 @@ impl SolverWorkspace {
                     continue;
                 }
                 let s = &spans[fi];
-                let rate = s.weight * best_share;
-                self.rates[fi] = rate;
+                self.rates[fi] = best_share;
                 self.frozen[fi] = true;
                 self.round[fi] = r as u32;
                 self.order.push(fi as u32);
                 n_unfrozen -= 1;
                 for &l in &flat[s.start as usize..(s.start + s.len) as usize] {
-                    self.rem_cap[l] -= rate;
-                    self.link_weight[l] -= s.weight;
-                    if self.link_weight[l] < 1e-12 {
-                        self.link_weight[l] = 0.0;
-                    }
+                    self.rem_cap[l] -= best_share;
+                    self.link_count[l] -= 1;
                 }
             }
-            self.link_weight[best_link] = 0.0;
             self.round_start.push(self.order.len() as u32);
             r += 1;
         }
@@ -344,42 +332,37 @@ impl SolverWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{compute_rates, FlowDemand};
+    use crate::reference::compute_rates;
 
     /// Pack paths into the flat-arena shape the solver consumes.
-    pub(super) fn pack(paths: &[Vec<usize>], weights: &[f64]) -> (Vec<usize>, Vec<FlowSpan>) {
+    pub(super) fn pack(paths: &[Vec<usize>]) -> (Vec<usize>, Vec<FlowSpan>) {
         let mut flat = Vec::new();
         let mut spans = Vec::new();
-        for (p, &w) in paths.iter().zip(weights) {
+        for p in paths {
             spans.push(FlowSpan {
                 start: flat.len() as u32,
                 len: p.len() as u32,
-                weight: w,
             });
             flat.extend_from_slice(p);
         }
         (flat, spans)
     }
 
-    /// Exact weighted max-min rates through a fresh workspace.
-    pub(super) fn solve(caps: &[f64], paths: &[Vec<usize>], weights: &[f64]) -> Vec<f64> {
-        let (flat, spans) = pack(paths, weights);
+    /// Exact max-min rates through a fresh workspace.
+    pub(super) fn solve(caps: &[f64], paths: &[Vec<usize>]) -> Vec<f64> {
+        let (flat, spans) = pack(paths);
         SolverWorkspace::new().solve(caps, &flat, &spans).to_vec()
-    }
-
-    fn solve_unit(caps: &[f64], paths: &[Vec<usize>]) -> Vec<f64> {
-        solve(caps, paths, &vec![1.0; paths.len()])
     }
 
     #[test]
     fn single_flow_gets_full_link() {
-        assert_eq!(solve_unit(&[100.0], &[vec![0]]), vec![100.0]);
+        assert_eq!(solve(&[100.0], &[vec![0]]), vec![100.0]);
     }
 
     #[test]
     fn equal_flows_split_evenly() {
         let paths = vec![vec![0], vec![0], vec![0], vec![0]];
-        for &x in &solve_unit(&[100.0], &paths) {
+        for &x in &solve(&[100.0], &paths) {
             assert!((x - 25.0).abs() < 1e-9);
         }
     }
@@ -389,7 +372,7 @@ mod tests {
         // Links: 0 and 1, both capacity 1. Flow A crosses both, B crosses
         // 0 only, C crosses 1 only. Max-min fair: A=0.5, B=0.5, C=0.5.
         let paths = vec![vec![0, 1], vec![0], vec![1]];
-        let r = solve_unit(&[1.0, 1.0], &paths);
+        let r = solve(&[1.0, 1.0], &paths);
         assert!((r[0] - 0.5).abs() < 1e-9);
         assert!((r[1] - 0.5).abs() < 1e-9);
         assert!((r[2] - 0.5).abs() < 1e-9);
@@ -400,46 +383,30 @@ mod tests {
         // Link 0 cap 1 shared by A,B; link 1 cap 10 carries B,C. B is
         // bottlenecked at 0.5 on link 0, so C gets 9.5 on link 1.
         let paths = vec![vec![0], vec![0, 1], vec![1]];
-        let r = solve_unit(&[1.0, 10.0], &paths);
+        let r = solve(&[1.0, 10.0], &paths);
         assert!((r[0] - 0.5).abs() < 1e-9);
         assert!((r[1] - 0.5).abs() < 1e-9);
         assert!((r[2] - 9.5).abs() < 1e-9);
     }
 
     #[test]
-    fn weights_bias_shares() {
-        let r = solve(&[100.0], &[vec![0], vec![0]], &[3.0, 1.0]);
-        assert!((r[0] - 75.0).abs() < 1e-9);
-        assert!((r[1] - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_path_is_unconstrained() {
-        let r = solve_unit(&[100.0], &[vec![], vec![0]]);
+        let r = solve(&[100.0], &[vec![], vec![0]]);
         assert!(r[0].is_infinite());
         assert_eq!(r[1], 100.0);
     }
 
     #[test]
     fn no_flows() {
-        assert!(solve_unit(&[100.0], &[]).is_empty());
+        assert!(solve(&[100.0], &[]).is_empty());
     }
 
     #[test]
     fn workspace_matches_reference_bitwise() {
         let caps = vec![1.0, 10.0, 3.0];
         let paths = vec![vec![0], vec![0, 1], vec![1], vec![], vec![1, 2]];
-        let weights = vec![1.0, 2.0, 1.0, 1.0, 0.5];
-        let flows: Vec<FlowDemand<'_>> = paths
-            .iter()
-            .zip(&weights)
-            .map(|(p, &w)| FlowDemand {
-                links: p,
-                weight: w,
-            })
-            .collect();
-        let expect = compute_rates(&caps, &flows);
-        let (flat, spans) = pack(&paths, &weights);
+        let expect = compute_rates(&caps, &paths);
+        let (flat, spans) = pack(&paths);
         let mut ws = SolverWorkspace::new();
         // Twice through the same workspace: reuse must not leak state.
         for _ in 0..2 {
@@ -456,8 +423,8 @@ mod tests {
         // Solving only the second component must reproduce its global rate.
         let caps = vec![1.0, 1.0, 4.0];
         let paths = [vec![0, 1], vec![0], vec![2]];
-        let global = solve_unit(&caps, &paths);
-        let got = solve_unit(&caps, &paths[2..]);
+        let global = solve(&caps, &paths);
+        let got = solve(&caps, &paths[2..]);
         assert_eq!(got[0].to_bits(), global[2].to_bits());
     }
 }
@@ -466,7 +433,7 @@ mod tests {
 mod proptests {
     use super::tests::{pack, solve};
     use super::*;
-    use crate::reference::{compute_rates, FlowDemand};
+    use crate::reference::compute_rates;
     use proptest::prelude::*;
 
     fn arb_instance() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<usize>>)> {
@@ -490,7 +457,7 @@ mod proptests {
         /// rate can't be raised without lowering an equal-or-smaller one).
         #[test]
         fn feasible_and_maxmin((caps, paths) in arb_instance()) {
-            let rates = solve(&caps, &paths, &vec![1.0; paths.len()]);
+            let rates = solve(&caps, &paths);
             // Feasibility.
             for (l, &cap) in caps.iter().enumerate() {
                 let used: f64 = paths
@@ -532,12 +499,8 @@ mod proptests {
         /// engine's component-scoped solves lean on).
         #[test]
         fn workspace_bitwise_equals_reference((caps, paths) in arb_instance()) {
-            let flows: Vec<FlowDemand<'_>> = paths
-                .iter()
-                .map(|p| FlowDemand { links: p, weight: 1.0 })
-                .collect();
-            let expect = compute_rates(&caps, &flows);
-            let (flat, spans) = pack(&paths, &vec![1.0; paths.len()]);
+            let expect = compute_rates(&caps, &paths);
+            let (flat, spans) = pack(&paths);
             let mut ws = SolverWorkspace::new();
             let got = ws.solve(&caps, &flat, &spans);
             for (fi, (a, b)) in expect.iter().zip(got).enumerate() {
@@ -546,16 +509,14 @@ mod proptests {
         }
 
         /// Resuming after departures, in two batches, gives the remaining
-        /// flows the rates of a fresh solve over them, bit for bit
-        /// (integer weights, as `SimNet` uses).
+        /// flows the rates of a fresh solve over them, bit for bit.
         #[test]
         fn resume_equals_fresh_solve(
             (caps, paths) in arb_instance(),
             first in 0u32..4096,
             second in 0u32..4096,
         ) {
-            let weights: Vec<f64> = (0..paths.len()).map(|i| (1 + i % 4) as f64).collect();
-            let (flat, spans) = pack(&paths, &weights);
+            let (flat, spans) = pack(&paths);
             let mut ws = SolverWorkspace::new();
             ws.solve(&caps, &flat, &spans);
             let mut left = vec![false; paths.len()];
@@ -572,8 +533,7 @@ mod proptests {
                 ws.resume(&flat, &spans);
                 let keep: Vec<usize> = (0..paths.len()).filter(|&fi| !left[fi]).collect();
                 let kept_paths: Vec<Vec<usize>> = keep.iter().map(|&fi| paths[fi].clone()).collect();
-                let kept_weights: Vec<f64> = keep.iter().map(|&fi| weights[fi]).collect();
-                let fresh = solve(&caps, &kept_paths, &kept_weights);
+                let fresh = solve(&caps, &kept_paths);
                 for (k, &fi) in keep.iter().enumerate() {
                     prop_assert_eq!(ws.rates()[fi].to_bits(), fresh[k].to_bits(), "flow {} diverged", fi);
                 }
@@ -582,15 +542,14 @@ mod proptests {
         }
 
         /// The closed form for a flow alone on its links equals a one-flow
-        /// solve bit for bit: weights 1–4, healthy and browned-out links,
-        /// dead ones (capacity 0, which a zero-byte flow may cross) and
-        /// negative entries, which the solver's clamp reads as 0.
+        /// solve bit for bit: healthy and browned-out links, dead ones
+        /// (capacity 0, which a zero-byte flow may cross) and negative
+        /// entries, which the solver's clamp reads as 0.
         #[test]
         fn solo_rate_equals_one_flow_solve(
             (caps, paths) in arb_instance(),
             kind in proptest::collection::vec(0u8..8, 8),
             scale in 0.01f64..1.0,
-            w in 1u32..5,
         ) {
             let caps: Vec<f64> = caps
                 .iter()
@@ -602,20 +561,19 @@ mod proptests {
                     _ => c,
                 })
                 .collect();
-            let weight = f64::from(w);
             let path = &paths[0];
-            let want = solve(&caps, std::slice::from_ref(path), &[weight])[0];
-            let got = solo_rate(&caps, path.iter().copied(), weight);
+            let want = solve(&caps, std::slice::from_ref(path))[0];
+            let got = solo_rate(&caps, path.iter().copied());
             prop_assert_eq!(got.to_bits(), want.to_bits(), "path {:?} over {:?}", path, caps);
         }
 
         /// The allocation is invariant under flow permutation (uniqueness).
         #[test]
         fn order_independent((caps, paths) in arb_instance()) {
-            let base = solve(&caps, &paths, &vec![1.0; paths.len()]);
+            let base = solve(&caps, &paths);
             let mut rev = paths.clone();
             rev.reverse();
-            let mut rates_rev = solve(&caps, &rev, &vec![1.0; rev.len()]);
+            let mut rates_rev = solve(&caps, &rev);
             rates_rev.reverse();
             for (a, b) in base.iter().zip(&rates_rev) {
                 prop_assert!((a - b).abs() < 1e-6, "order-dependent rates: {a} vs {b}");

@@ -65,7 +65,6 @@ use hs_des::{SimSpan, SimTime};
 use hs_topology::{Graph, LinkId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::num::NonZeroU32;
 
 /// The flow window drops its empty prefix once the prefix is at least
 /// this many slots and at least half the window, so each drained slot is
@@ -106,8 +105,6 @@ pub struct Flow {
     pub size_bytes: u64,
     /// Current allocated rate, bits/s (∞ for empty paths).
     pub rate_bps: f64,
-    /// Relative fair-share weight.
-    pub weight: NonZeroU32,
     /// Start time.
     pub started: SimTime,
     /// Total propagation delay along the path.
@@ -530,31 +527,14 @@ impl SimNet {
         self.flows.n_live
     }
 
-    /// Start a unit-weight flow of `bytes` over the directed `path` at
-    /// time `now`.
-    pub fn start_flow(&mut self, now: SimTime, path: &[DirLink], bytes: u64, tag: u64) -> FlowId {
-        self.start_weighted_flow(now, path, bytes, NonZeroU32::MIN, tag)
-    }
-
-    /// Start a flow with an explicit fair-share weight (used to model a
-    /// collective step that opens several parallel streams).
-    ///
-    /// Weights are integers so that per-link weight sums are exact: a
-    /// parked flow's weight, added and then removed by a solve that
-    /// included it, would leave those sums bit-for-bit where they were,
-    /// which is why leaving it out of the solve changes no rate.
+    /// Start a flow of `bytes` over the directed `path` at time `now`.
+    /// Every flow has the same fair share.
     ///
     /// A flow with bytes to send whose path crosses a dead link is parked
-    /// (see [`SimNet::set_link_scale`]). One whose links carry no other
-    /// flow is rated here, in closed form, instead of by a solve.
-    pub fn start_weighted_flow(
-        &mut self,
-        now: SimTime,
-        path: &[DirLink],
-        bytes: u64,
-        weight: NonZeroU32,
-        tag: u64,
-    ) -> FlowId {
+    /// (see [`SimNet::set_link_scale`]); leaving it out of the solve
+    /// changes no rate (DESIGN.md §9). One whose links carry no other flow
+    /// is rated here, in closed form, instead of by a solve.
+    pub fn start_flow(&mut self, now: SimTime, path: &[DirLink], bytes: u64, tag: u64) -> FlowId {
         self.progress_to(now);
         let id = FlowId(self.next_id);
         self.next_id += 1;
@@ -568,7 +548,6 @@ impl SimNet {
             remaining_bytes: bytes as f64,
             size_bytes: bytes,
             rate_bps: 0.0,
-            weight,
             started: now,
             prop,
             earliest_finish: now + prop,
@@ -603,8 +582,7 @@ impl SimNet {
             }
             if solo {
                 // Its own max-min component: rate it now, no solve.
-                let w = f64::from(weight.get());
-                let rate = solo_rate(&self.dir_caps, path.iter().map(|&d| slot(d)), w);
+                let rate = solo_rate(&self.dir_caps, path.iter().map(|&d| slot(d)));
                 assign_rate(&mut f, id, rate, self.clock, &mut self.heap);
                 self.stats.solo_rated += 1;
                 self.invalidate_cache(path);
@@ -964,7 +942,7 @@ impl SimNet {
     /// (DESIGN.md §9). Then BFS the flow/link incidence graph from each
     /// remaining dirty seed and solve each reached component on its own.
     /// Flows on disjoint links keep their rates — sound because the
-    /// weighted max-min allocation is unique and decomposes across
+    /// max-min allocation is unique and decomposes across
     /// connected components (DESIGN.md §9), which also makes
     /// per-component solves bitwise identical to solving their union. It
     /// keeps the solver's cost proportional to the largest touched
@@ -1040,9 +1018,9 @@ impl SimNet {
                 }
             }
         }
-        // Ascending-id order so per-link weight sums accumulate in
-        // exactly the order a full solve would use (float addition order
-        // matters for bit-identity).
+        // Ascending-id order, the order a full solve visits and installs
+        // flows in (installs materialize progress into the float byte
+        // counters, whose addition order matters for bit-identity).
         ids.sort_unstable();
     }
 
@@ -1058,7 +1036,6 @@ impl SimNet {
             c.spans.push(FlowSpan {
                 start: c.flat.len() as u32,
                 len: f.path.len() as u32,
-                weight: f64::from(f.weight.get()),
             });
             c.flat.extend(f.path.iter().map(|&d| slot(d)));
         }
@@ -1274,19 +1251,6 @@ mod tests {
         let mut net = SimNet::new(&g);
         net.start_flow(SimTime::from_secs(2), &fwd(&links), 10, 0);
         net.advance_to(SimTime::from_secs(1));
-    }
-
-    #[test]
-    fn weighted_flow_gets_larger_share() {
-        let (g, _, links) = line();
-        let mut net = SimNet::new(&g);
-        let three = NonZeroU32::new(3).unwrap();
-        let heavy = net.start_weighted_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, three, 0);
-        let light = net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 1);
-        net.next_event_time();
-        let rh = net.flow(heavy).unwrap().rate_bps;
-        let rl = net.flow(light).unwrap().rate_bps;
-        assert!((rh / rl - 3.0).abs() < 1e-6);
     }
 
     #[test]
@@ -1682,9 +1646,8 @@ mod tests {
         net.set_link_scale(SimTime::ZERO, links[1], 0.25);
         net.next_event_time();
         let s0 = net.solve_stats();
-        let three = NonZeroU32::new(3).unwrap();
         let path = fwd(&links);
-        let a = net.start_weighted_flow(SimTime::ZERO, &path, 1_000_000, three, 0);
+        let a = net.start_flow(SimTime::ZERO, &path, 1_000_000, 0);
         assert!(!net.dirty && net.seed_slots.is_empty(), "no seeds");
         let s1 = net.solve_stats();
         assert_eq!(s1.solo_rated - s0.solo_rated, 1);
@@ -1693,11 +1656,7 @@ mod tests {
             (s0.scoped_solves, s0.flows_rated)
         );
         let flat: Vec<usize> = path.iter().map(|&d| slot(d)).collect();
-        let spans = [FlowSpan {
-            start: 0,
-            len: 2,
-            weight: 3.0,
-        }];
+        let spans = [FlowSpan { start: 0, len: 2 }];
         let want = SolverWorkspace::new().solve(&net.dir_caps, &flat, &spans)[0];
         assert_eq!(net.flow(a).unwrap().rate_bps.to_bits(), want.to_bits());
         assert_eq!(want, 25e9);

@@ -46,9 +46,8 @@ use hs_simnet::{DirLink, FlowId, SimNet};
 use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
 use hs_topology::{Graph, LinkId};
 use proptest::prelude::*;
-use reference::{compute_rates, FlowDemand};
+use reference::compute_rates;
 use std::collections::BTreeMap;
-use std::num::NonZeroU32;
 
 const N_LINKS: usize = 8;
 
@@ -83,7 +82,6 @@ struct RFlow {
     /// production engine — see module docs).
     remaining: f64,
     rate: f64,
-    weight: f64,
     prop: SimSpan,
     earliest_finish: SimTime,
     finish_at: SimTime,
@@ -196,15 +194,7 @@ impl RefNet {
             .values()
             .map(|f| f.path.iter().map(|&d| rslot(d)).collect())
             .collect();
-        let demands: Vec<FlowDemand> = paths
-            .iter()
-            .zip(self.flows.values())
-            .map(|(p, f)| FlowDemand {
-                links: p,
-                weight: f.weight,
-            })
-            .collect();
-        let rates = compute_rates(&dir_caps, &demands);
+        let rates = compute_rates(&dir_caps, &paths);
         let clock = self.clock;
         for (f, &rate) in self.flows.values_mut().zip(rates.iter()) {
             if rate.to_bits() == f.rate.to_bits() {
@@ -228,14 +218,7 @@ impl RefNet {
         self.clock = t;
     }
 
-    fn start_weighted_flow(
-        &mut self,
-        now: SimTime,
-        path: &[DirLink],
-        bytes: u64,
-        weight: f64,
-        tag: u64,
-    ) -> u64 {
+    fn start_flow(&mut self, now: SimTime, path: &[DirLink], bytes: u64, tag: u64) -> u64 {
         self.progress_to(now);
         let id = self.next_id;
         self.next_id += 1;
@@ -245,7 +228,6 @@ impl RefNet {
             path: path.to_vec(),
             remaining: bytes as f64,
             rate: 0.0,
-            weight,
             prop,
             earliest_finish: now + prop,
             finish_at: SimTime::MAX,
@@ -379,7 +361,6 @@ enum Op {
         link_mask: u8,
         dir_mask: u8,
         bytes: u64,
-        weight_q: u8,
     },
     /// Advance all nets by `dt_us`.
     Advance { dt_us: u64 },
@@ -398,7 +379,6 @@ fn decode(raw: (u8, u64, u64, u64)) -> Op {
             link_mask: (a & 0xff) as u8,
             dir_mask: (b & 0xff) as u8,
             bytes: c % 5_000_000,
-            weight_q: (b >> 8) as u8,
         },
         1 => Op::Advance { dt_us: b % 300 },
         2 => Op::Cancel { k: a as usize },
@@ -456,16 +436,10 @@ impl Harness {
                 link_mask,
                 dir_mask,
                 bytes,
-                weight_q,
             } => {
                 let path = self.path(link_mask, dir_mask);
-                let w = NonZeroU32::new(1 + u32::from(weight_q % 4)).expect("1..=4");
-                let rid =
-                    self.refnet
-                        .start_weighted_flow(self.now, &path, bytes, w.get().into(), bytes);
-                let id = self
-                    .net
-                    .start_weighted_flow(self.now, &path, bytes, w, bytes);
+                let rid = self.refnet.start_flow(self.now, &path, bytes, bytes);
+                let id = self.net.start_flow(self.now, &path, bytes, bytes);
                 assert_eq!(rid, id.0);
                 self.issued.push(rid);
             }
@@ -619,7 +593,6 @@ fn congestion_onset_fixed_scenario() {
             link_mask: 0b0000_0001,
             dir_mask: 0xff,
             bytes,
-            weight_q: 0,
         });
     }
     h.apply(Op::Advance { dt_us: 50 });
@@ -630,13 +603,11 @@ fn congestion_onset_fixed_scenario() {
         link_mask: 0b0000_0011,
         dir_mask: 0xff,
         bytes: 4_000_000,
-        weight_q: 1,
     });
     h.apply(Op::Start {
         link_mask: 0b0000_0010,
         dir_mask: 0xff,
         bytes: 4_000_000,
-        weight_q: 0,
     });
     h.apply(Op::Advance { dt_us: 80 });
     // Phase 3: recovery and drain — equivalence holds at every step (the
@@ -663,7 +634,6 @@ fn outage_fixed_scenario() {
             link_mask: 0b0000_0001 | (2 << i),
             dir_mask: 0xff,
             bytes: 3_000_000,
-            weight_q: i,
         });
     }
     h.apply(Op::Advance { dt_us: 20 });
@@ -680,7 +650,6 @@ fn outage_fixed_scenario() {
             link_mask: 0b0000_0001 | (1 << other) | if i % 4 == 0 { 1 << (8 - other) } else { 0 },
             dir_mask: (i * 37) as u8,
             bytes: if i % 25 == 0 { 0 } else { 20_000 + 7_919 * i },
-            weight_q: (i % 4) as u8,
         });
         if i % 3 == 0 {
             // Live churn on the parked flows' other links.
@@ -688,7 +657,6 @@ fn outage_fixed_scenario() {
                 link_mask: 1 << other,
                 dir_mask: 0xff,
                 bytes: 50_000 + 1_000 * i,
-                weight_q: (i % 3) as u8,
             });
         }
         match i % 5 {
@@ -719,9 +687,10 @@ fn outage_fixed_scenario() {
 }
 
 /// Long-outage scenario: 1,200 flows park behind dead link 0, each over
-/// link 0 and one to three of the other seven links with weight 1–4, so
-/// the component that returns at recovery freezes in several rounds.
-/// It drains one completion at a time — the resumed re-solves after each
+/// link 0 and one to three of the other seven links, so the component
+/// that returns at recovery freezes in several rounds: 927 of the drain's
+/// 1,201 resumed re-solves start after round 0, the deepest at round 4.
+/// It drains one completion at a time — a resumed re-solve after each
 /// departure. Mid-drain come a start, a cancel, a cancel and a start
 /// between two queries, and a brownout; all but the lone cancel force a
 /// full solve. Equal to the reference throughout.
@@ -746,7 +715,6 @@ fn long_outage_drain_scenario() {
             link_mask: mask,
             dir_mask: (r >> 20) as u8,
             bytes: 20_000 + (r >> 32) % 400_000,
-            weight_q: (i % 4) as u8,
         });
         if i % 200 == 0 {
             h.apply(Op::Advance { dt_us: 7 });
@@ -766,7 +734,6 @@ fn long_outage_drain_scenario() {
             link_mask: 0b0001_0101,
             dir_mask: 0b0000_0100,
             bytes: 300_000,
-            weight_q: 2,
         };
         match step {
             100 => h.apply(start),
@@ -846,13 +813,11 @@ fn lone_mix_op(r: u64, issued: usize) -> Op {
             link_mask: 0b1 | ((r >> 8) & 0b110) as u8,
             dir_mask: (r >> 24) as u8,
             bytes,
-            weight_q: (r >> 32) as u8,
         },
         3..=5 => Op::Start {
             link_mask: 1 << (3 + (r >> 8) % 5),
             dir_mask: (r >> 24) as u8,
             bytes,
-            weight_q: (r >> 32) as u8,
         },
         6 => Op::Cancel {
             k: issued.saturating_sub(1 + ((r >> 8) % 8) as usize),
@@ -905,7 +870,6 @@ fn lone_flows_beside_a_cached_component() {
                 link_mask: 0b1 | (2 << (k % 2)) | if k == 3 { 0b1000 } else { 0 },
                 dir_mask: 0xff,
                 bytes: 20_000_000 + 500_000 * u64::from(k),
-                weight_q: k,
             });
         }
     };
@@ -915,7 +879,6 @@ fn lone_flows_beside_a_cached_component() {
             link_mask: 1 << (4 + i % 4),
             dir_mask: (i * 13) as u8,
             bytes: if i % 9 == 0 { 0 } else { 100_000 + 37_000 * i },
-            weight_q: (i % 4) as u8,
         });
         match i % 5 {
             0 | 3 => h.apply(Op::AdvanceToNext),
@@ -949,7 +912,6 @@ fn lone_flows_beside_a_cached_component() {
             link_mask: 0b1000,
             dir_mask: 0xff,
             bytes: 400_000,
-            weight_q: 1,
         };
         if batched {
             h.step(lone);
@@ -1043,14 +1005,12 @@ proptest! {
                 link_mask: 0b0000_0001,
                 dir_mask: 0xff,
                 bytes: bytes + 10_000 * k as u64,
-                weight_q: (k % 3) as u8,
             });
         }
         h.apply(Op::Start {
             link_mask: 0b0000_0011,
             dir_mask: 0xff,
             bytes,
-            weight_q: 0,
         });
         h.apply(Op::Advance { dt_us: onset_us });
         // Congestion onset: link 1 drops to 0/25/50 % — for any factor

@@ -321,10 +321,6 @@ impl AllPairs {
     }
 }
 
-/// Precomputed path store `P(k,a)` — a thin named wrapper kept for symmetry
-/// with the paper's output table (Table II).
-pub type PathStore = AllPairs;
-
 /// Yen's algorithm: up to `k` loopless shortest paths from `src` to `dst`,
 /// sorted by cost. Used to enumerate the candidate routes behind online
 /// policies.

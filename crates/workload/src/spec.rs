@@ -262,37 +262,6 @@ pub fn heavy_tail_like() -> WorkloadSpec {
     }
 }
 
-/// Bernoulli mixture of two workloads (models a shared cluster serving
-/// both applications).
-pub fn mixture(a: WorkloadSpec, b: WorkloadSpec, frac_a: f64) -> MixedWorkload {
-    assert!((0.0..=1.0).contains(&frac_a));
-    MixedWorkload { a, b, frac_a }
-}
-
-/// See [`mixture`].
-#[derive(Clone, Debug)]
-pub struct MixedWorkload {
-    /// First component.
-    pub a: WorkloadSpec,
-    /// Second component.
-    pub b: WorkloadSpec,
-    /// Probability of drawing from `a`.
-    pub frac_a: f64,
-}
-
-impl MixedWorkload {
-    /// Draw one `(input, output, from_a)` triple.
-    pub fn sample(&self, rng: &mut SmallRng) -> (u32, u32, bool) {
-        if rng.gen_bool(self.frac_a) {
-            let (i, o) = self.a.sample(rng);
-            (i, o, true)
-        } else {
-            let (i, o) = self.b.sample(rng);
-            (i, o, false)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,19 +386,5 @@ mod tests {
         let mut r2 = rng();
         assert_eq!(ml.sample(&mut r1), ls.sample(&mut r2));
         assert_eq!(mp.sample(&mut r1), ps.sample(&mut r2));
-    }
-
-    #[test]
-    fn mixture_draws_both() {
-        let m = mixture(sharegpt_like(), longbench_like(), 0.5);
-        let mut r = rng();
-        let mut a_count = 0;
-        for _ in 0..1000 {
-            let (_, _, from_a) = m.sample(&mut r);
-            if from_a {
-                a_count += 1;
-            }
-        }
-        assert!(a_count > 350 && a_count < 650, "a_count = {a_count}");
     }
 }
