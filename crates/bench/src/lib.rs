@@ -13,7 +13,6 @@
 //! a simulator, DESIGN.md "Fidelity notes"); the *shapes* — who wins, by
 //! roughly what factor — are the reproduction target.
 
-pub mod aggbench;
 pub mod report;
 pub mod scenario;
 pub mod simbench;

@@ -1,15 +1,17 @@
 //! Collectives: the live tensor-group all-reduces and pipeline-stage
 //! hops, the per-switch INA slot ledger with its wait queues, and the
-//! backed-off relaunch of collectives a fault aborted.
+//! backed-off relaunch of collectives a fault aborted; and
+//! [`run_allreduces`], the back-to-back all-reduce load of Fig. 9 on the
+//! same ledger.
 
-use crate::engine::{Ev, Shared, TAG_COLL};
+use crate::engine::{Background, Ev, Shared, TAG_COLL, TAG_ID_MASK};
 use crate::faults::FaultRecovery;
 use crate::metrics::SimReport;
-use crate::strategy::{BusyPolicy, CommCtx};
+use crate::strategy::{BusyPolicy, CommCtx, CommStrategy};
 use hs_collective::{CollectiveExec, CollectivePlan, Phase, Progress};
-use hs_des::{SimSpan, SimTime};
-use hs_simnet::FlowId;
-use hs_topology::NodeId;
+use hs_des::{EventQueue, SimSpan, SimTime};
+use hs_simnet::{FlowId, LinkMonitor};
+use hs_topology::{AllPairs, Graph, NodeId};
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 
@@ -371,14 +373,181 @@ impl Collectives {
     }
 }
 
+/// Tensor groups running all-reduces back to back: the offered load of
+/// the aggregation-throughput measurement (Fig. 9).
+pub struct AllReduceLoad {
+    /// The groups; group `i` launches as group id `i`.
+    pub groups: Vec<Vec<NodeId>>,
+    /// Payload bytes per all-reduce.
+    pub bytes: u64,
+    /// Max concurrent INA jobs per switch.
+    pub ina_capacity_per_switch: usize,
+    /// Bursty background traffic, `(mean flows/s, bytes per flow)`, as
+    /// [`ClusterConfig::background`](crate::ClusterConfig::background).
+    pub background: (f64, u64),
+}
+
+/// What [`run_allreduces`] completed and how its launches ran.
+#[derive(Debug)]
+pub struct AllReduceCounts {
+    /// Completed all-reduces per group, in group order.
+    pub ops_per_group: Vec<u64>,
+    /// Launches admitted to (or queued for) a switch's INA slot.
+    pub ina_ops: u64,
+    /// Launches that ran host-side, fallbacks included.
+    pub ring_ops: u64,
+    /// Launches a busy switch turned to the busy policy's fallback.
+    pub ina_fallbacks: u64,
+}
+
+/// Period of [`run_allreduces`]' link monitor.
+const ALLREDUCE_MONITOR_PERIOD: SimSpan = SimSpan::from_millis(10);
+
+/// Run every group of `load` through the serving engine's collective
+/// path until `horizon`: each group relaunches its all-reduce as soon as
+/// the last one completes, `strategy` picks the scheme, and the INA slot
+/// ledger applies its busy policy. A link monitor feeds the strategy.
+///
+/// # Panics
+/// Panics if a group's all-reduce has no transfers (fewer than two
+/// distinct members).
+pub fn run_allreduces(
+    graph: &Graph,
+    ap: AllPairs,
+    strategy: Box<dyn CommStrategy>,
+    load: &AllReduceLoad,
+    horizon: SimTime,
+) -> AllReduceCounts {
+    let mut sh = Shared::new(graph, ap, strategy, EventQueue::new());
+    let mut colls = Collectives::new(load.ina_capacity_per_switch);
+    let mut faults = FaultRecovery::default();
+    let mut monitor = LinkMonitor::new(graph.link_count());
+    sh.events
+        .push(SimTime::ZERO + ALLREDUCE_MONITOR_PERIOD, Ev::MonitorTick);
+    let mut bg = Background::start(graph, load.background, &mut sh.events);
+    let mut launch = |sh: &mut Shared, colls: &mut Collectives, gi: usize| {
+        let job = Job {
+            inst: gi,
+            origin: CollOrigin::Group {
+                group_id: gi as u64,
+                group: load.groups[gi].clone(),
+                bytes: load.bytes,
+            },
+            attempt: 0,
+        };
+        let launched = colls.launch(sh, &mut faults, job, None);
+        assert!(launched, "group {gi}'s all-reduce has no transfers");
+    };
+    for gi in 0..load.groups.len() {
+        launch(&mut sh, &mut colls, gi);
+    }
+    let mut ops_per_group = vec![0u64; load.groups.len()];
+    loop {
+        let tq = sh.events.peek_time();
+        let tn = sh.net.next_event_time();
+        let Some(t) = [tq, tn].into_iter().flatten().min() else {
+            break;
+        };
+        if t > horizon {
+            break;
+        }
+        sh.now = t;
+        for (id, flow) in sh.net.advance_to(t) {
+            if flow.tag & !TAG_ID_MASK == TAG_COLL {
+                colls.step(&mut sh, flow.tag & TAG_ID_MASK, Some(id));
+            }
+        }
+        if sh.events.peek_time() == Some(t) {
+            match sh.events.pop().expect("peeked event").1 {
+                Ev::CollTimer(coll) => colls.step(&mut sh, coll, None),
+                Ev::MonitorTick => {
+                    sh.observe(&mut monitor);
+                    let next = sh.now + ALLREDUCE_MONITOR_PERIOD;
+                    sh.events.push(next, Ev::MonitorTick);
+                }
+                Ev::Background => {
+                    bg.fire(&mut sh);
+                }
+                _ => unreachable!("no faults, retries or instances in an all-reduce loop"),
+            }
+        }
+        while let Some(gi) = colls.finished.pop_front() {
+            ops_per_group[gi] += 1;
+            launch(&mut sh, &mut colls, gi);
+        }
+    }
+    AllReduceCounts {
+        ops_per_group,
+        ina_ops: colls.ina_ops,
+        ring_ops: colls.ring_ops,
+        ina_fallbacks: colls.ina_fallbacks,
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::{run_allreduces, AllReduceLoad};
     use crate::engine::tests::{build_sim, fixed_scheme, poisson_trace, testbed_sim, tp4};
     use crate::instance::InstanceSpec;
+    use crate::strategy::{BusyPolicy, StaticStrategy};
     use hs_collective::Scheme;
     use hs_des::SimTime;
     use hs_topology::builders::testbed;
     use hs_workload::{FaultKind, FaultPlan};
+
+    /// Two groups aggregate at one switch with a single slot, under
+    /// background traffic. Waiting
+    /// hands the freed slot to the queued group, so neither starves;
+    /// falling back runs the loser as a ring. Either way every launch is
+    /// counted once: the launches not yet completed are at most one per
+    /// group.
+    #[test]
+    fn allreduce_loop_shares_a_busy_switch() {
+        let t = testbed();
+        let sw = t.access_switches[0];
+        let s = &t.gpus_by_server;
+        let groups = vec![vec![s[0][0], s[1][0]], vec![s[2][0], s[3][0]]];
+        let load = AllReduceLoad {
+            groups,
+            bytes: 4 << 20,
+            ina_capacity_per_switch: 1,
+            background: (20.0, 64 << 20),
+        };
+        let run = |policy| {
+            let strategy = StaticStrategy::uniform("test", Scheme::Ina { switch: sw }, policy);
+            let ap = t.gpu_switch_pairs();
+            let r = run_allreduces(
+                &t.graph,
+                ap,
+                Box::new(strategy),
+                &load,
+                SimTime::from_secs(1),
+            );
+            let ops: u64 = r.ops_per_group.iter().sum();
+            let launches = r.ina_ops + r.ring_ops;
+            let in_flight = launches
+                .checked_sub(ops)
+                .expect("more completions than launches");
+            assert!(
+                in_flight <= 2,
+                "{in_flight} launches uncounted or counted twice"
+            );
+            r
+        };
+        let wait = run(BusyPolicy::Wait);
+        let [a, b] = wait.ops_per_group[..] else {
+            unreachable!("two groups")
+        };
+        assert!(a > 0 && b > 0, "a group starved: {a} vs {b}");
+        assert!(a.abs_diff(b) <= 1, "uneven slot sharing: {a} vs {b}");
+        assert_eq!(wait.ina_fallbacks, 0);
+        assert_eq!(wait.ring_ops, 0);
+        let fallback = run(BusyPolicy::FallbackRing);
+        assert!(
+            fallback.ina_fallbacks > 0,
+            "the busy switch never fell back"
+        );
+    }
 
     /// Ending a collective's INA session twice must not conjure switch
     /// capacity: the unpaired release is dropped, counted, and surfaced

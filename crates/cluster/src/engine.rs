@@ -116,6 +116,35 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Shared state over `graph` at `t = 0`: a fresh network, a healthy
+    /// fabric, idle utilization and a no-op tracer.
+    pub(crate) fn new(
+        graph: &Graph,
+        ap: AllPairs,
+        strategy: Box<dyn CommStrategy>,
+        events: EventQueue<Ev>,
+    ) -> Self {
+        Shared {
+            g: graph.clone(),
+            ap,
+            net: SimNet::new(graph),
+            health: FabricHealth::new(graph),
+            strategy,
+            events,
+            now: SimTime::ZERO,
+            util: vec![0.0; graph.link_count()],
+            tracer: hs_obs::Tracer::noop(),
+        }
+    }
+
+    /// Poll `monitor`, publish its utilization estimates and hand them to
+    /// the strategy.
+    pub(crate) fn observe(&mut self, monitor: &mut LinkMonitor) {
+        monitor.poll(&self.net, self.now);
+        self.util.copy_from_slice(monitor.snapshot());
+        self.strategy.on_monitor(&self.util, self.now);
+    }
+
     /// Route a point-to-point transfer (KV stripe, pipeline hop): the
     /// strategy may steer around faults and hotspots; the fallback is the
     /// precomputed shortest path.
@@ -150,11 +179,60 @@ pub struct ClusterSim {
 }
 
 /// Bursty cross traffic between random GPU pairs.
-struct Background {
+pub(crate) struct Background {
     mmpp: Mmpp,
     rng: SmallRng,
     /// The fabric's GPUs, in id order: the endpoints drawn from.
     gpus: Vec<NodeId>,
+    /// Bytes per flow.
+    bytes: u64,
+}
+
+impl Background {
+    /// Traffic of `(mean flows/s, bytes per flow)` over `graph`'s GPUs;
+    /// schedules its first flow on `events`.
+    pub(crate) fn start(
+        graph: &Graph,
+        (rate, bytes): (f64, u64),
+        events: &mut EventQueue<Ev>,
+    ) -> Self {
+        let mut rng = hs_des::SeedSplitter::new(0xB66).stream("background");
+        let mut mmpp = Mmpp::bursty(rate, 5.0);
+        let first = SimTime::ZERO + mmpp.next_gap(&mut rng);
+        events.push(first, Ev::Background);
+        Background {
+            mmpp,
+            rng,
+            gpus: graph.gpus(),
+            bytes,
+        }
+    }
+
+    /// Start a flow between two random GPUs and schedule the next one.
+    pub(crate) fn fire(&mut self, sh: &mut Shared) -> Option<()> {
+        let Background {
+            mmpp,
+            rng,
+            gpus,
+            bytes,
+        } = self;
+        sh.events.push(sh.now + mmpp.next_gap(rng), Ev::Background);
+        let a = *gpus.choose(rng)?;
+        let mut b = *gpus.choose(rng)?;
+        let mut guard = 0;
+        while b == a && guard < 8 {
+            b = *gpus.choose(rng)?;
+            guard += 1;
+        }
+        if a == b || !sh.ap.covers(a) || !sh.ap.covers(b) {
+            return None;
+        }
+        let links = sh.ap.path(a, b).directed_links(&sh.g);
+        if !links.is_empty() {
+            sh.net.start_flow(sh.now, &links, *bytes, 0);
+        }
+        Some(())
+    }
 }
 
 impl ClusterSim {
@@ -188,7 +266,8 @@ impl ClusterSim {
         // instance, plus the monitor tick, the next background flow,
         // collective timers and retries. It grows if more are pending.
         let in_flight = instances.len() + 16;
-        let mut events = EventQueue::with_capacity(cfg.faults.events().len() + in_flight);
+        let events = EventQueue::with_capacity(cfg.faults.events().len() + in_flight);
+        let mut sh = Shared::new(graph, ap, strategy, events);
         let mut reqs = Vec::with_capacity(trace.len());
         for (i, r) in trace.requests.iter().enumerate() {
             // Request state is indexed by RequestId throughout the engine,
@@ -201,35 +280,18 @@ impl ClusterSim {
             trace.requests.is_sorted_by_key(|r| r.arrival),
             "trace requests must be sorted by arrival"
         );
-        events.push(SimTime::ZERO + cfg.monitor_period, Ev::MonitorTick);
+        sh.events
+            .push(SimTime::ZERO + cfg.monitor_period, Ev::MonitorTick);
         for (i, f) in cfg.faults.events().iter().enumerate() {
-            events.push(f.at, Ev::Fault(i as u32));
+            sh.events.push(f.at, Ev::Fault(i as u32));
         }
-        let bg = cfg.background.map(|(rate, _)| {
-            let mut rng = hs_des::SeedSplitter::new(0xB66).stream("background");
-            let mut mmpp = Mmpp::bursty(rate, 5.0);
-            let first = SimTime::ZERO + mmpp.next_gap(&mut rng);
-            events.push(first, Ev::Background);
-            Background {
-                mmpp,
-                rng,
-                gpus: graph.gpus(),
-            }
-        });
-        let kv = KvShipper::new(&cfg, trace.len(), KvRoutes::new(graph, &ap));
+        let bg = cfg
+            .background
+            .map(|traffic| Background::start(graph, traffic, &mut sh.events));
+        let kv = KvShipper::new(&cfg, trace.len(), KvRoutes::new(graph, &sh.ap));
         ClusterSim {
-            sh: Shared {
-                g: graph.clone(),
-                ap,
-                net: SimNet::new(graph),
-                health: FabricHealth::new(graph),
-                strategy,
-                events,
-                now: SimTime::ZERO,
-                util: vec![0.0; graph.link_count()],
-                tracer: hs_obs::Tracer::noop(),
-            },
-            monitor: LinkMonitor::new(graph.link_count(), 0.5),
+            sh,
+            monitor: LinkMonitor::new(graph.link_count()),
             reqs,
             next_arrival: 0,
             reported: false,
@@ -353,7 +415,9 @@ impl ClusterSim {
             Ev::ComputeDone(inst) => self.start_comm(inst),
             Ev::CollTimer(coll) => self.colls.step(&mut self.sh, coll, None),
             Ev::Background => {
-                self.background_flow();
+                if let Some(bg) = &mut self.bg {
+                    bg.fire(&mut self.sh);
+                }
             }
             Ev::MonitorTick => self.monitor_tick(),
             Ev::Fault(idx) => self.apply_fault(self.cfg.faults.events()[idx as usize].kind),
@@ -368,9 +432,7 @@ impl ClusterSim {
 
     fn monitor_tick(&mut self) {
         let sh = &mut self.sh;
-        self.monitor.poll(&sh.net, sh.now);
-        sh.util.copy_from_slice(self.monitor.snapshot());
-        sh.strategy.on_monitor(&sh.util, sh.now);
+        sh.observe(&mut self.monitor);
         self.kv
             .sample_memory(sh.now, &self.mem, self.cfg.gpu_memory_bytes);
         if sh.tracer.is_enabled() {
@@ -426,30 +488,6 @@ impl ClusterSim {
         for (coll, gone) in colls {
             self.colls.abort(&mut self.sh, coll, &gone);
         }
-    }
-
-    /// Start a background flow between two random GPUs and schedule the
-    /// next one.
-    fn background_flow(&mut self) -> Option<()> {
-        let (_, bytes) = self.cfg.background?;
-        let Background { mmpp, rng, gpus } = self.bg.as_mut()?;
-        let sh = &mut self.sh;
-        sh.events.push(sh.now + mmpp.next_gap(rng), Ev::Background);
-        let a = *gpus.choose(rng)?;
-        let mut b = *gpus.choose(rng)?;
-        let mut guard = 0;
-        while b == a && guard < 8 {
-            b = *gpus.choose(rng)?;
-            guard += 1;
-        }
-        if a == b || !sh.ap.covers(a) || !sh.ap.covers(b) {
-            return None;
-        }
-        let links = sh.ap.path(a, b).directed_links(&sh.g);
-        if !links.is_empty() {
-            sh.net.start_flow(sh.now, &links, bytes, 0);
-        }
-        Some(())
     }
 
     /// Move both pools toward `targets`; newly activated capacity picks

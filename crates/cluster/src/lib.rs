@@ -20,6 +20,10 @@
 //!   produces TTFT/TPOT distributions, SLA attainment and the Fig. 10
 //!   memory-utilization time series.
 //!
+//! [`run_allreduces`] drives tensor-group all-reduces back to back through
+//! the same collective path and INA slot ledger, with no requests: the
+//! aggregation-throughput load of Fig. 9.
+//!
 //! Everything the paper's evaluation measures comes out of
 //! [`engine::ClusterSim::run`]'s [`metrics::SimReport`].
 
@@ -37,6 +41,7 @@ pub mod request;
 pub mod strategy;
 
 pub use autoscale::{PoolSnapshot, PoolState, PoolTargets, ScaleController, StaticController};
+pub use collectives::{run_allreduces, AllReduceCounts, AllReduceLoad};
 pub use engine::{ClusterConfig, ClusterSim};
 pub use faults::FabricHealth;
 pub use instance::{InstanceKind, InstanceSpec};

@@ -15,6 +15,9 @@ use crate::net::SimNet;
 use hs_des::SimTime;
 use hs_topology::LinkId;
 
+/// EWMA smoothing factor: the weight of each new window's sample.
+const ALPHA: f64 = 0.5;
+
 /// Windowed, smoothed per-link utilization estimation.
 #[derive(Clone, Debug)]
 pub struct LinkMonitor {
@@ -23,19 +26,15 @@ pub struct LinkMonitor {
     last_bytes: Vec<f64>,
     /// EWMA of utilization in `[0, 1]` per link (busier direction).
     ewma: Vec<f64>,
-    /// Smoothing factor for new samples, `(0, 1]`; 1.0 = no smoothing.
-    alpha: f64,
 }
 
 impl LinkMonitor {
-    /// Create a monitor for `n_links` links with EWMA factor `alpha`.
-    pub fn new(n_links: usize, alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
+    /// Create a monitor for `n_links` links.
+    pub fn new(n_links: usize) -> Self {
         LinkMonitor {
             last_poll: SimTime::ZERO,
             last_bytes: vec![0.0; 2 * n_links],
             ewma: vec![0.0; n_links],
-            alpha,
         }
     }
 
@@ -75,7 +74,7 @@ impl LinkMonitor {
                 util = util.max(((delta * 8.0 / dt) / caps[i]).clamp(0.0, 1.0));
                 last[dir as usize] = bytes;
             }
-            *ewma = (1.0 - self.alpha) * *ewma + self.alpha * util;
+            *ewma = (1.0 - ALPHA) * *ewma + ALPHA * util;
         }
         self.last_poll = now;
     }
@@ -113,21 +112,21 @@ mod tests {
     fn measures_busy_link() {
         let (g, l) = one_link();
         let mut net = SimNet::new(&g);
-        let mut mon = LinkMonitor::new(g.link_count(), 1.0);
+        let mut mon = LinkMonitor::new(g.link_count());
         // Saturate the link for 1 ms: 100 Gbps = 12.5 MB per ms.
         net.start_flow(SimTime::ZERO, &[(l, true)], 12_500_000, 0);
         net.advance_to(SimTime::from_millis(1));
         mon.poll(&net, SimTime::from_millis(1));
-        // alpha = 1.0: the estimate is the window's raw sample.
+        // The first EWMA step from 0 toward the window's full sample.
         let u = mon.utilization(l);
-        assert!((u - 1.0).abs() < 0.01, "sample {u}");
+        assert!((u - ALPHA).abs() < 0.01, "estimate {u}");
     }
 
     #[test]
     fn idle_link_reads_zero() {
         let (g, l) = one_link();
         let net = SimNet::new(&g);
-        let mut mon = LinkMonitor::new(g.link_count(), 1.0);
+        let mut mon = LinkMonitor::new(g.link_count());
         mon.poll(&net, SimTime::from_millis(1));
         assert_eq!(mon.utilization(l), 0.0);
     }
@@ -136,7 +135,7 @@ mod tests {
     fn ewma_smooths() {
         let (g, l) = one_link();
         let mut net = SimNet::new(&g);
-        let mut mon = LinkMonitor::new(g.link_count(), 0.5);
+        let mut mon = LinkMonitor::new(g.link_count());
         // Busy first window.
         net.start_flow(SimTime::ZERO, &[(l, true)], 12_500_000, 0);
         net.advance_to(SimTime::from_millis(1));
@@ -152,7 +151,7 @@ mod tests {
     fn zero_window_is_noop() {
         let (g, l) = one_link();
         let net = SimNet::new(&g);
-        let mut mon = LinkMonitor::new(g.link_count(), 1.0);
+        let mut mon = LinkMonitor::new(g.link_count());
         mon.poll(&net, SimTime::ZERO);
         assert_eq!(mon.utilization(l), 0.0);
         assert_eq!(mon.last_poll(), SimTime::ZERO);
@@ -175,16 +174,14 @@ mod proptests {
         last_poll: SimTime,
         last_bytes: Vec<f64>,
         ewma: Vec<f64>,
-        alpha: f64,
     }
 
     impl DensePoll {
-        fn new(n_links: usize, alpha: f64) -> Self {
+        fn new(n_links: usize) -> Self {
             DensePoll {
                 last_poll: SimTime::ZERO,
                 last_bytes: vec![0.0; 2 * n_links],
                 ewma: vec![0.0; n_links],
-                alpha,
             }
         }
 
@@ -203,7 +200,7 @@ mod proptests {
                     util = util.max(((delta * 8.0 / dt) / caps[i]).clamp(0.0, 1.0));
                     self.last_bytes[idx] = bytes;
                 }
-                *ewma = (1.0 - self.alpha) * *ewma + self.alpha * util;
+                *ewma = (1.0 - ALPHA) * *ewma + ALPHA * util;
             }
             self.last_poll = now;
         }
@@ -237,13 +234,13 @@ mod proptests {
     }
 
     impl Harness {
-        fn new(alpha: f64) -> Self {
+        fn new() -> Self {
             let (g, links) = star();
             Harness {
                 links,
                 net: SimNet::new(&g),
-                mon: LinkMonitor::new(g.link_count(), alpha),
-                dense: DensePoll::new(g.link_count(), alpha),
+                mon: LinkMonitor::new(g.link_count()),
+                dense: DensePoll::new(g.link_count()),
                 live: Vec::new(),
                 now: SimTime::ZERO,
                 idle_polls: 0,
@@ -329,10 +326,9 @@ mod proptests {
         /// decays to zero.
         #[test]
         fn skipping_idle_links_matches_the_dense_poll(
-            alpha_q in 0usize..3,
             ops in proptest::collection::vec((0u8..12, 0u64..64, 0u64..64, 0u64..1 << 24), 1..48),
         ) {
-            let mut h = Harness::new([1.0, 0.75, 0.5][alpha_q]);
+            let mut h = Harness::new();
             for op in ops {
                 h.apply(op);
                 h.poll();
@@ -344,7 +340,7 @@ mod proptests {
     /// the skip path, and busy ones are not.
     #[test]
     fn idle_links_take_the_skip_path() {
-        let mut h = Harness::new(1.0);
+        let mut h = Harness::new();
         h.apply((0, 0b11, 0, 12_500_000));
         h.advance(SimSpan::from_micros(10));
         h.poll();

@@ -235,23 +235,6 @@ impl Trace {
         }
         Trace { requests }
     }
-
-    /// Scale every arrival time by `factor` (rate ×1/factor) — used for
-    /// rate sweeps over a fixed length sample, as the paper's per-GPU
-    /// rate sweeps do.
-    pub fn with_time_scale(&self, factor: f64) -> Trace {
-        assert!(factor > 0.0);
-        Trace {
-            requests: self
-                .requests
-                .iter()
-                .map(|r| Request {
-                    arrival: r.arrival.mul_f64(factor),
-                    ..*r
-                })
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -288,41 +271,6 @@ mod tests {
             assert_eq!(r.input_tokens, 128);
             assert_eq!(r.output_tokens, 32);
         }
-    }
-
-    #[test]
-    fn time_scale_changes_rate() {
-        let mut rng = SeedSplitter::new(9).stream("trace");
-        let mut arr = Poisson::new(10.0);
-        let t = Trace::generate(&fixed(8, 8), &mut arr, &mut rng, SimTime::from_secs(50));
-        let slow = t.with_time_scale(2.0);
-        assert!((slow.empirical_rate() - t.empirical_rate() / 2.0).abs() < 0.2);
-        assert_eq!(slow.len(), t.len());
-    }
-
-    #[test]
-    fn time_scale_is_exact_in_the_nanos_domain() {
-        // Scaling stays in integer nanoseconds: an odd arrival doubled
-        // is exactly doubled, and a representable ×1.5 rounds exactly
-        // once. The old f64-seconds round-trip drifted by 1 ns on
-        // arrivals like these, which breaks bit-identical replays of
-        // rate-swept traces.
-        let t = Trace {
-            requests: vec![Request {
-                id: RequestId(0),
-                arrival: SimTime::from_nanos(1_000_000_013),
-                input_tokens: 8,
-                output_tokens: 8,
-            }],
-        };
-        assert_eq!(
-            t.with_time_scale(2.0).requests[0].arrival.as_nanos(),
-            2_000_000_026
-        );
-        assert_eq!(
-            t.with_time_scale(1.5).requests[0].arrival.as_nanos(),
-            1_500_000_020
-        );
     }
 
     #[test]
