@@ -57,6 +57,22 @@ pub fn planner_input(
     input
 }
 
+/// Fig. 7's chatbot knee deployment, the one the benchmark ledger's
+/// `testbed_knee` serves: HeroServe planned for OPT-66B and ShareGPT-like
+/// traffic on the testbed with TP=4 prefill and TP=8 decode, one INA
+/// slot per switch and 20 bulk 256 MiB background flows/s.
+pub fn knee_deployment(topo: &BuiltTopology) -> Deployment {
+    let model = ModelConfig::opt_66b();
+    let workload = sharegpt_like();
+    let input = planner_input(&topo.graph, &model, &workload, 1.0, Some(4), Some(8));
+    let mut d = BaselineKind::HeroServe
+        .deploy_with_input(topo, &input, &workload)
+        .expect("the Fig. 7 testbed deployment plans");
+    d.ina_capacity_per_switch = 1;
+    d.background = Some((20.0, 256 << 20));
+    d
+}
+
 /// The KV-heavy workload of the NetKV placement: 1024-token prompts ship
 /// about 840 MB of OPT-13B KV each, and 24-token decodes keep the runs
 /// about the transfer rather than generation.
@@ -353,6 +369,70 @@ mod tests {
             ]
         );
         sim_accepts(&topo, cfg);
+    }
+
+    /// Collective launches reuse what earlier ones built: on the knee
+    /// deployment each tensor group compiles at most one plan per
+    /// candidate scheme, so a run four times as long, with four times the
+    /// all-reduces, stays under the same bound; and flows on one path
+    /// share one interned copy of it.
+    #[test]
+    fn knee_launches_reuse_plans_and_paths() {
+        use heroserve::policy::build_policies;
+        use heroserve::scheduler::K_SWITCHES;
+        use hs_simnet::SimNet;
+        use std::sync::Arc;
+
+        let topo = testbed();
+        let d = knee_deployment(&topo);
+        let cfg = d.cluster_config();
+        let ap = d.all_pairs();
+        let ina = topo.graph.ina_switches();
+        let specs = cfg.prefill.iter().chain(&cfg.decode);
+        let groups: Vec<&Vec<_>> = specs.flat_map(|s| &s.stages).collect();
+        let candidates: u64 = groups
+            .iter()
+            .map(|g| build_policies(&topo.graph, &ap, g, &ina, K_SWITCHES).len() as u64)
+            .sum();
+        assert!(
+            groups.iter().all(|g| g.len() >= 2),
+            "every group all-reduces"
+        );
+        let serve = |secs: u64| {
+            let window = SimTime::from_secs(secs);
+            let mut rng = SeedSplitter::new(5).stream("trace");
+            let trace = Trace::generate(&d.workload, &mut Poisson::new(4.0), &mut rng, window);
+            let mut sim = ClusterSim::new(
+                &topo.graph,
+                ap.clone(),
+                d.cluster_config(),
+                &trace,
+                d.strategy(),
+            );
+            let report = sim.run(horizon(window));
+            let allreduces = report.ina_ops + report.ring_ops;
+            (allreduces, sim.plans_compiled())
+        };
+        let (short, short_plans) = serve(2);
+        let (long, long_plans) = serve(8);
+        assert!(long > 3 * short, "{long} vs {short} all-reduces");
+        assert!(long > 20 * candidates, "{long} all-reduces");
+        for plans in [short_plans, long_plans] {
+            assert!(
+                plans <= candidates,
+                "{plans} plans for {candidates} candidates"
+            );
+        }
+
+        let mut net = SimNet::new(&topo.graph);
+        let path = ap
+            .path(groups[0][0], groups[0][1])
+            .directed_links(&topo.graph);
+        let a = net.start_flow(SimTime::ZERO, &path, 1 << 20, 0);
+        let b = net.start_flow(SimTime::ZERO, &path, 1 << 20, 0);
+        let (a, b) = (net.flow(a).expect("live"), net.flow(b).expect("live"));
+        assert!(Arc::ptr_eq(&a.path, &b.path), "two copies of one path");
+        assert_eq!(net.interned_paths(), 1);
     }
 
     /// `SimReport::fingerprint` is the benchmark ledger's fold: the

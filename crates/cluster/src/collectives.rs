@@ -2,32 +2,63 @@
 //! hops, the per-switch INA slot ledger with its wait queues, and the
 //! backed-off relaunch of collectives a fault aborted; and
 //! [`run_allreduces`], the back-to-back all-reduce load of Fig. 9 on the
-//! same ledger.
+//! same ledger. Each tensor group compiles the plan shape of a scheme
+//! once, the first time it launches with it; every later launch runs the
+//! cached shape at its own payload size.
 
 use crate::engine::{Background, Ev, Shared, TAG_COLL, TAG_ID_MASK};
 use crate::faults::FaultRecovery;
 use crate::metrics::SimReport;
 use crate::strategy::{BusyPolicy, CommCtx, CommStrategy};
-use hs_collective::{CollectiveExec, CollectivePlan, Phase, Progress};
+use hs_collective::{CollectiveExec, PhaseShape, PlanShape, Progress, Scheme};
 use hs_des::{EventQueue, SimSpan, SimTime};
 use hs_simnet::{FlowId, LinkMonitor};
 use hs_topology::{AllPairs, Graph, NodeId};
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// What a collective was compiled from — enough to recompile and relaunch
 /// it if a fault aborts its flows mid-run.
 #[derive(Clone)]
 pub(crate) enum CollOrigin {
-    /// A tensor-group all-reduce: the strategy re-chooses the scheme on
+    /// An all-reduce of a group registered with
+    /// [`Collectives::add_group`]: the strategy re-chooses the scheme on
     /// retry (so it can route around a failed switch).
-    Group {
-        group_id: u64,
-        group: Vec<NodeId>,
+    Group { group_id: u64, bytes: u64 },
+    /// Pipeline-stage boundary transfers of `bytes` each, `(from, to)`:
+    /// paths are re-chosen on retry.
+    PipeHops {
+        hops: Vec<(NodeId, NodeId)>,
         bytes: u64,
     },
-    /// Pipeline-stage boundary transfers: paths are re-chosen on retry.
-    PipeHops { hops: Vec<(NodeId, NodeId, u64)> },
+}
+
+/// A tensor group's members and the plan shape of each scheme it has
+/// launched with, compiled on first use.
+struct GroupPlans {
+    members: Box<[NodeId]>,
+    shapes: Vec<(Scheme, Arc<PlanShape>)>,
+}
+
+impl GroupPlans {
+    /// `scheme`'s shape for this group, compiled (and counted in
+    /// `compiled`) the first time it is asked for.
+    fn shape(
+        &mut self,
+        g: &Graph,
+        ap: &AllPairs,
+        scheme: Scheme,
+        compiled: &mut u64,
+    ) -> Arc<PlanShape> {
+        if let Some((_, shape)) = self.shapes.iter().find(|(s, _)| *s == scheme) {
+            return Arc::clone(shape);
+        }
+        *compiled += 1;
+        let shape = Arc::new(PlanShape::compile(g, ap, &self.members, scheme));
+        self.shapes.push((scheme, Arc::clone(&shape)));
+        shape
+    }
 }
 
 /// One collective of instance `inst`'s iteration.
@@ -45,10 +76,11 @@ struct CollState {
     ina_switch: Option<NodeId>,
 }
 
-/// A compiled INA collective queued for a slot on a busy switch.
+/// An INA collective queued for a slot on a busy switch, with the shape
+/// it will run.
 struct WaitingColl {
     job: Job,
-    plan: CollectivePlan,
+    shape: Arc<PlanShape>,
 }
 
 /// An aborted collective awaiting its backed-off relaunch.
@@ -75,6 +107,12 @@ fn coll_kind(origin: &CollOrigin) -> &'static str {
 /// `ina_fallbacks`, `ina_failovers` and `ina_release_underflows`.
 #[derive(Default)]
 pub(crate) struct Collectives {
+    /// Registered tensor groups by group id, each with its cached plan
+    /// shapes. Only looked up, never iterated.
+    group_plans: FxHashMap<u64, GroupPlans>,
+    /// Plan shapes compiled so far: at most one per group and scheme,
+    /// however many all-reduces run.
+    pub(crate) plans_compiled: u64,
     live: FxHashMap<u64, CollState>,
     /// Next collective id; retry keys share the id space.
     next_id: u64,
@@ -105,6 +143,16 @@ impl Collectives {
         }
     }
 
+    /// Register tensor group `group_id`'s members; its all-reduces launch
+    /// as [`CollOrigin::Group`] under that id.
+    pub(crate) fn add_group(&mut self, group_id: u64, members: &[NodeId]) {
+        let plans = GroupPlans {
+            members: members.into(),
+            shapes: Vec::new(),
+        };
+        self.group_plans.insert(group_id, plans);
+    }
+
     /// Compile and launch `job`. Returns whether it is outstanding (false
     /// when it completed instantly or compiled to nothing). `aborted_at`
     /// marks a post-fault relaunch: a plan that avoids every dead link
@@ -116,12 +164,13 @@ impl Collectives {
         job: Job,
         aborted_at: Option<SimTime>,
     ) -> bool {
-        let (plan, ina_switch, label) = match job.origin {
-            CollOrigin::Group {
-                group_id,
-                ref group,
-                bytes,
-            } => {
+        let (shape, total, ina_switch, label) = match job.origin {
+            CollOrigin::Group { group_id, bytes } => {
+                let plans = self
+                    .group_plans
+                    .get_mut(&group_id)
+                    .expect("registered group");
+                let group = &plans.members[..];
                 let ctx = CommCtx {
                     group_id,
                     group,
@@ -141,14 +190,13 @@ impl Collectives {
                         } else {
                             let policy = sh.strategy.busy_policy();
                             if !failed && policy == BusyPolicy::Wait {
-                                // Queue the compiled plan until the switch
-                                // frees a slot; it then starts as a first
-                                // attempt.
-                                let plan =
-                                    CollectivePlan::compile(&sh.g, &sh.ap, group, scheme, bytes);
+                                // Queue the shape until the switch frees a
+                                // slot; it then starts as a first attempt.
+                                let compiled = &mut self.plans_compiled;
+                                let shape = plans.shape(&sh.g, &sh.ap, scheme, compiled);
                                 self.ina_ops += 1;
                                 let job = Job { attempt: 0, ..job };
-                                let waiting = WaitingColl { job, plan };
+                                let waiting = WaitingColl { job, shape };
                                 self.ina_waiting
                                     .entry(switch)
                                     .or_default()
@@ -173,17 +221,18 @@ impl Collectives {
                         (scheme, None)
                     }
                 };
-                let plan = CollectivePlan::compile(&sh.g, &sh.ap, group, scheme, bytes);
-                (plan, ina_switch, Some(scheme.label()))
+                let shape = plans.shape(&sh.g, &sh.ap, scheme, &mut self.plans_compiled);
+                (shape, bytes, ina_switch, Some(scheme.label()))
             }
-            CollOrigin::PipeHops { ref hops } => {
+            CollOrigin::PipeHops { ref hops, bytes } => {
                 // Each hop's route is re-chosen at every launch.
                 let mut phases = Vec::new();
-                for &(from, to, hop_bytes) in hops {
-                    let links = sh.route(from, to, hop_bytes);
+                for &(from, to) in hops {
+                    let links = sh.route(from, to, bytes);
                     if !links.is_empty() {
-                        phases.push(Phase {
-                            transfers: vec![(links, hop_bytes)],
+                        phases.push(PhaseShape {
+                            paths: vec![links],
+                            ring: None,
                             post_delay: SimSpan::ZERO,
                         });
                     }
@@ -191,39 +240,38 @@ impl Collectives {
                 if phases.is_empty() {
                     return false;
                 }
-                (CollectivePlan { phases }, None, None)
+                (Arc::new(PlanShape { phases }), bytes, None, None)
             }
         };
         if let Some(aborted_at) = aborted_at {
-            let mut paths = plan.phases.iter().flat_map(|ph| &ph.transfers);
-            if paths.all(|(path, _)| path.iter().all(|&(l, _)| !sh.health.is_dead(l))) {
+            let mut paths = shape.phases_at(total).iter().flat_map(|ph| &ph.paths);
+            if paths.all(|path| path.iter().all(|&(l, _)| !sh.health.is_dead(l))) {
                 faults.record_reroute(sh, self.next_id, aborted_at);
             }
         }
-        self.start(sh, job, plan, ina_switch, label)
+        self.start(sh, job, shape, ina_switch, label)
     }
 
-    /// Start a compiled plan under a fresh collective id. Returns whether
-    /// it is outstanding. `scheme` is the chosen scheme's label, when
-    /// known, for the trace.
+    /// Start `shape` at `job`'s payload under a fresh collective id.
+    /// Returns whether it is outstanding. `scheme` is the chosen scheme's
+    /// label, when known, for the trace.
     fn start(
         &mut self,
         sh: &mut Shared,
         job: Job,
-        plan: CollectivePlan,
+        shape: Arc<PlanShape>,
         ina_switch: Option<NodeId>,
         scheme: Option<&'static str>,
     ) -> bool {
         let coll = self.next_id;
         self.next_id += 1;
+        let total = match job.origin {
+            CollOrigin::Group { bytes, .. } | CollOrigin::PipeHops { bytes, .. } => bytes,
+        };
         if sh.tracer.is_enabled() {
             let (group, bytes) = match &job.origin {
-                CollOrigin::Group {
-                    group_id, bytes, ..
-                } => (*group_id, *bytes),
-                CollOrigin::PipeHops { hops } => {
-                    (job.inst as u64, hops.iter().map(|&(_, _, b)| b).sum())
-                }
+                CollOrigin::Group { group_id, .. } => (*group_id, total),
+                CollOrigin::PipeHops { hops, .. } => (job.inst as u64, hops.len() as u64 * total),
             };
             let kind = coll_kind(&job.origin);
             sh.tracer
@@ -234,7 +282,7 @@ impl Collectives {
                     .ina_session_begin(sh.now, sw.0 as u64, coll, active as u32);
             }
         }
-        let mut exec = CollectiveExec::new(plan, TAG_COLL | coll);
+        let mut exec = CollectiveExec::new(shape, total, TAG_COLL | coll);
         let timer = match exec.start(&mut sh.net, sh.now) {
             Progress::Done => {
                 sh.tracer
@@ -358,7 +406,7 @@ impl Collectives {
         };
         *self.ina_active.entry(sw).or_insert(0) += 1;
         let inst = w.job.inst;
-        if !self.start(sh, w.job, w.plan, Some(sw), None) {
+        if !self.start(sh, w.job, w.shape, Some(sw), None) {
             // Instantly done (degenerate plan): close it out.
             self.finished.push_back(inst);
         }
@@ -425,12 +473,14 @@ pub fn run_allreduces(
     sh.events
         .push(SimTime::ZERO + ALLREDUCE_MONITOR_PERIOD, Ev::MonitorTick);
     let mut bg = Background::start(graph, load.background, &mut sh.events);
+    for (gi, group) in load.groups.iter().enumerate() {
+        colls.add_group(gi as u64, group);
+    }
     let mut launch = |sh: &mut Shared, colls: &mut Collectives, gi: usize| {
         let job = Job {
             inst: gi,
             origin: CollOrigin::Group {
                 group_id: gi as u64,
-                group: load.groups[gi].clone(),
                 bytes: load.bytes,
             },
             attempt: 0,

@@ -41,6 +41,12 @@ pub(crate) const TAG_COLL: u64 = 1 << TAG_KIND_SHIFT;
 pub(crate) const TAG_KV: u64 = 2 << TAG_KIND_SHIFT;
 pub(crate) const TAG_ID_MASK: u64 = (1 << TAG_KIND_SHIFT) - 1;
 
+/// The tensor group of instance `inst`'s pipeline stage `stage`: the id
+/// its all-reduces launch under and the strategy keys its state by.
+fn group_id(inst: usize, stage: usize) -> u64 {
+    (inst as u64) << 8 | stage as u64
+}
+
 /// Static configuration of one cluster simulation.
 pub struct ClusterConfig {
     /// The served model.
@@ -289,6 +295,12 @@ impl ClusterSim {
             .background
             .map(|traffic| Background::start(graph, traffic, &mut sh.events));
         let kv = KvShipper::new(&cfg, trace.len(), KvRoutes::new(graph, &sh.ap));
+        let mut colls = Collectives::new(cfg.ina_capacity_per_switch);
+        for (inst, instance) in instances.iter().enumerate() {
+            for (sidx, stage) in instance.spec.stages.iter().enumerate() {
+                colls.add_group(group_id(inst, sidx), stage);
+            }
+        }
         ClusterSim {
             sh,
             monitor: LinkMonitor::new(graph.link_count()),
@@ -299,7 +311,7 @@ impl ClusterSim {
             instances,
             mem: MemoryModel::new(&cfg.model, mem_spec.p_tens(), mem_spec.p_pipe()),
             kv,
-            colls: Collectives::new(cfg.ina_capacity_per_switch),
+            colls,
             pools: Pools::new(cfg.prefill.len()),
             faults: FaultRecovery::default(),
             offered_rate: trace.empirical_rate(),
@@ -332,6 +344,12 @@ impl ClusterSim {
     /// scoped solves, resumed solves and flows rated over a run.
     pub fn net_solve_stats(&self) -> SolveStats {
         self.sh.net.solve_stats()
+    }
+
+    /// Collective plan shapes compiled so far: one per tensor group and
+    /// scheme it launched with, however many all-reduces ran.
+    pub fn plans_compiled(&self) -> u64 {
+        self.colls.plans_compiled
     }
 
     /// Run until `horizon` and produce the report.
@@ -565,17 +583,13 @@ impl ClusterSim {
         // `tokens` tokens hop from each stage's leader to the next.
         let hop = tokens * self.cfg.model.hidden as u64 * self.cfg.model.precision.bytes();
         let hops = (spec.p_pipe() > 1 && tokens > 0).then(|| CollOrigin::PipeHops {
-            hops: spec
-                .stages
-                .windows(2)
-                .map(|w| (w[0][0], w[1][0], hop))
-                .collect(),
+            hops: spec.stages.windows(2).map(|w| (w[0][0], w[1][0])).collect(),
+            bytes: hop,
         });
         let groups = spec.stages.iter().enumerate();
         let groups = groups.filter(|(_, group)| group.len() >= 2 && bytes > 0);
-        let groups = groups.map(|(sidx, group)| CollOrigin::Group {
-            group_id: (inst as u64) << 8 | sidx as u64,
-            group: group.clone(),
+        let groups = groups.map(|(sidx, _)| CollOrigin::Group {
+            group_id: group_id(inst, sidx),
             bytes,
         });
         let mut outstanding = 0usize;

@@ -3,15 +3,19 @@
 //! The cluster simulator runs every all-reduce as real network flows so
 //! that concurrent collectives, KV-cache transfers and background traffic
 //! contend for bandwidth — the congestion that HeroServe's scheduler is
-//! designed to dodge. A collective is compiled to a [`CollectivePlan`]
-//! (a sequence of [`Phase`]s, each a set of concurrent transfers plus an
-//! optional post-phase fixed delay such as the switch aggregation time)
-//! and stepped by a [`CollectiveExec`] state machine.
+//! designed to dodge. A collective is compiled once to a [`PlanShape`]
+//! (a sequence of [`PhaseShape`]s, each the paths of concurrent
+//! transfers, the ring divisor that sizes them and an optional
+//! post-phase fixed delay such as the switch aggregation time) and
+//! stepped at each launch's payload size by a [`CollectiveExec`] state
+//! machine. [`CollectivePlan`] is the same shape with every transfer
+//! sized.
 
 use crate::latency::{by_server, AGG_DELAY};
 use hs_des::{SimSpan, SimTime};
 use hs_simnet::{DirLink, FlowId, SimNet};
 use hs_topology::{AllPairs, Graph, NodeId};
+use std::sync::Arc;
 
 /// Which all-reduce scheme to compile (the planner's `α`/`β` selection
 /// plus HeroServe's heterogeneous variants).
@@ -61,7 +65,7 @@ impl Scheme {
 
 /// One phase: transfers that run concurrently, then an optional fixed
 /// delay before the next phase (e.g. switch aggregation).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Phase {
     /// `(directed path, bytes)` transfers started together.
     pub transfers: Vec<(Vec<DirLink>, u64)>,
@@ -69,8 +73,9 @@ pub struct Phase {
     pub post_delay: SimSpan,
 }
 
-/// A compiled collective: ordered phases.
-#[derive(Clone, Debug, Default)]
+/// A collective at one payload size: ordered phases, every transfer
+/// sized. [`CollectiveExec`] runs the [`PlanShape`] it is sized from.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CollectivePlan {
     /// Phases in execution order.
     pub phases: Vec<Phase>,
@@ -78,10 +83,9 @@ pub struct CollectivePlan {
 
 impl CollectivePlan {
     /// Compile `scheme` for `group` moving `total_bytes` of
-    /// synchronization data (the full vector size `D`).
-    ///
-    /// Empty/singleton groups produce an empty plan (nothing to do);
-    /// transfers whose path is empty (co-located endpoints) are elided.
+    /// synchronization data (the full vector size `D`): the
+    /// [`PlanShape`] with every transfer sized at `total_bytes`. A
+    /// transfer that would carry nothing is elided.
     pub fn compile(
         g: &Graph,
         ap: &AllPairs,
@@ -89,50 +93,105 @@ impl CollectivePlan {
         scheme: Scheme,
         total_bytes: u64,
     ) -> Self {
-        if group.len() < 2 || total_bytes == 0 {
-            return CollectivePlan::default();
+        let shape = PlanShape::compile(g, ap, group, scheme);
+        let phases = shape.phases_at(total_bytes).iter().map(|ph| Phase {
+            transfers: ph
+                .transfers(total_bytes)
+                .filter(|&(_, bytes)| bytes > 0)
+                .map(|(path, bytes)| (path.to_vec(), bytes))
+                .collect(),
+            post_delay: ph.post_delay,
+        });
+        CollectivePlan {
+            phases: phases.collect(),
         }
-        match scheme {
-            Scheme::Ring => Self::ring(g, ap, group, total_bytes),
-            Scheme::Ina { switch } => Self::ina(g, ap, group, switch, total_bytes),
-            Scheme::HierRing => Self::hierarchical(g, ap, group, None, total_bytes),
-            Scheme::HierIna { switch } => {
-                Self::hierarchical(g, ap, group, Some(switch), total_bytes)
-            }
+    }
+}
+
+/// One phase of a [`PlanShape`]: the paths of the transfers started
+/// together, how they split the payload, and the delay after them.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PhaseShape {
+    /// Directed paths of the transfers, in start order.
+    pub paths: Vec<Vec<DirLink>>,
+    /// Ring length `p` when each transfer carries one `1/p` chunk of the
+    /// payload; `None` when each carries the whole payload.
+    pub ring: Option<u64>,
+    /// Delay after the last transfer completes.
+    pub post_delay: SimSpan,
+}
+
+impl PhaseShape {
+    /// `(path, bytes)` of each transfer in a `total`-byte collective, in
+    /// start order. A ring chunk is at least one byte.
+    pub fn transfers(&self, total: u64) -> impl Iterator<Item = (&[DirLink], u64)> {
+        let bytes = match self.ring {
+            Some(p) => (total / p).max(1),
+            None => total,
+        };
+        self.paths.iter().map(move |p| (p.as_slice(), bytes))
+    }
+}
+
+/// A collective compiled without its payload size: the phases, each
+/// transfer's path and each phase's ring divisor. The cluster engine
+/// compiles one per `(group, scheme)` and runs every launch of it, at
+/// that launch's size, with a [`CollectiveExec`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PlanShape {
+    /// Phases in execution order.
+    pub phases: Vec<PhaseShape>,
+}
+
+impl PlanShape {
+    /// Compile `scheme` for `group`.
+    ///
+    /// Empty/singleton groups produce an empty shape (nothing to do);
+    /// transfers whose path is empty (co-located endpoints) are elided.
+    pub fn compile(g: &Graph, ap: &AllPairs, group: &[NodeId], scheme: Scheme) -> Self {
+        if group.len() < 2 {
+            return PlanShape::default();
+        }
+        let phases = match scheme {
+            Scheme::Ring => Self::ring(g, ap, group),
+            Scheme::Ina { switch } => vec![Self::ina(g, ap, group, switch)],
+            Scheme::HierRing => Self::hierarchical(g, ap, group, None),
+            Scheme::HierIna { switch } => Self::hierarchical(g, ap, group, Some(switch)),
+        };
+        PlanShape { phases }
+    }
+
+    /// The phases a `total`-byte collective runs: none when there is
+    /// nothing to move.
+    pub fn phases_at(&self, total: u64) -> &[PhaseShape] {
+        if total == 0 {
+            &[]
+        } else {
+            &self.phases
         }
     }
 
-    fn push_transfer(
-        phase: &mut Phase,
-        g: &Graph,
-        ap: &AllPairs,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-    ) {
-        if from == to || bytes == 0 {
+    fn push_path(phase: &mut PhaseShape, g: &Graph, ap: &AllPairs, from: NodeId, to: NodeId) {
+        if from == to {
             return;
         }
         let path = ap.path(from, to);
         if path.links.is_empty() {
             return;
         }
-        phase.transfers.push((path.directed_links(g), bytes));
+        phase.paths.push(path.directed_links(g));
     }
 
-    fn ring(g: &Graph, ap: &AllPairs, group: &[NodeId], total_bytes: u64) -> Self {
+    fn ring(g: &Graph, ap: &AllPairs, group: &[NodeId]) -> Vec<PhaseShape> {
         let p = group.len();
-        let chunk = (total_bytes / p as u64).max(1);
-        let steps = 2 * (p - 1);
-        let mut phases = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            let mut phase = Phase::default();
-            for i in 0..p {
-                Self::push_transfer(&mut phase, g, ap, group[i], group[(i + 1) % p], chunk);
-            }
-            phases.push(phase);
+        let mut phase = PhaseShape {
+            ring: Some(p as u64),
+            ..PhaseShape::default()
+        };
+        for i in 0..p {
+            Self::push_path(&mut phase, g, ap, group[i], group[(i + 1) % p]);
         }
-        CollectivePlan { phases }
+        vec![phase; 2 * (p - 1)]
     }
 
     /// Streaming INA (SwitchML's pipelined aggregation): the switch
@@ -141,18 +200,16 @@ impl CollectivePlan {
     /// distribution (down) directions run *concurrently*. One phase with
     /// both directions' flows models this; the single aggregation delay
     /// covers the pipeline fill.
-    fn ina(g: &Graph, ap: &AllPairs, group: &[NodeId], switch: NodeId, bytes: u64) -> Self {
-        let mut phase = Phase {
-            transfers: vec![],
+    fn ina(g: &Graph, ap: &AllPairs, group: &[NodeId], switch: NodeId) -> PhaseShape {
+        let mut phase = PhaseShape {
             post_delay: AGG_DELAY,
+            ..PhaseShape::default()
         };
         for &k in group {
-            Self::push_transfer(&mut phase, g, ap, k, switch, bytes);
-            Self::push_transfer(&mut phase, g, ap, switch, k, bytes);
+            Self::push_path(&mut phase, g, ap, k, switch);
+            Self::push_path(&mut phase, g, ap, switch, k);
         }
-        CollectivePlan {
-            phases: vec![phase],
-        }
+        phase
     }
 
     /// NVLink-local reduce → inter-server step among leaders → local
@@ -162,44 +219,42 @@ impl CollectivePlan {
         ap: &AllPairs,
         group: &[NodeId],
         switch: Option<NodeId>,
-        bytes: u64,
-    ) -> Self {
+    ) -> Vec<PhaseShape> {
         let locals = by_server(g, group);
         let leaders: Vec<NodeId> = locals.iter().map(|(_, ms)| ms[0]).collect();
         let mut phases = Vec::new();
 
         // Phase 1: members stream to their leader (concurrent across
         // servers; NVLink paths).
-        let mut reduce = Phase::default();
+        let mut reduce = PhaseShape::default();
         for (_, members) in &locals {
             for &m in &members[1..] {
-                Self::push_transfer(&mut reduce, g, ap, m, members[0], bytes);
+                Self::push_path(&mut reduce, g, ap, m, members[0]);
             }
         }
-        if !reduce.transfers.is_empty() {
+        if !reduce.paths.is_empty() {
             phases.push(reduce);
         }
 
         // Phase 2: inter-server among leaders.
         if leaders.len() >= 2 {
-            let inter = match switch {
-                Some(sw) => Self::ina(g, ap, &leaders, sw, bytes).phases,
-                None => Self::ring(g, ap, &leaders, bytes).phases,
-            };
-            phases.extend(inter);
+            match switch {
+                Some(sw) => phases.push(Self::ina(g, ap, &leaders, sw)),
+                None => phases.extend(Self::ring(g, ap, &leaders)),
+            }
         }
 
         // Phase 3: leaders broadcast to members.
-        let mut bcast = Phase::default();
+        let mut bcast = PhaseShape::default();
         for (_, members) in &locals {
             for &m in &members[1..] {
-                Self::push_transfer(&mut bcast, g, ap, members[0], m, bytes);
+                Self::push_path(&mut bcast, g, ap, members[0], m);
             }
         }
-        if !bcast.transfers.is_empty() {
+        if !bcast.paths.is_empty() {
             phases.push(bcast);
         }
-        CollectivePlan { phases }
+        phases
     }
 }
 
@@ -215,9 +270,11 @@ pub enum Progress {
     Done,
 }
 
-/// State machine stepping a [`CollectivePlan`] on a [`SimNet`].
+/// State machine stepping a [`PlanShape`] at one payload size on a
+/// [`SimNet`].
 pub struct CollectiveExec {
-    plan: CollectivePlan,
+    shape: Arc<PlanShape>,
+    total: u64,
     phase: usize,
     /// In-flight flows of the current phase (at most two per group
     /// member), unordered.
@@ -226,11 +283,12 @@ pub struct CollectiveExec {
 }
 
 impl CollectiveExec {
-    /// Wrap a compiled plan; `tag` is attached to every flow so the
-    /// driving engine can route completions back here.
-    pub fn new(plan: CollectivePlan, tag: u64) -> Self {
+    /// Run `shape` moving `total` bytes; `tag` is attached to every flow
+    /// so the driving engine can route completions back here.
+    pub fn new(shape: Arc<PlanShape>, total: u64, tag: u64) -> Self {
         CollectiveExec {
-            plan,
+            shape,
+            total,
             phase: 0,
             outstanding: Vec::new(),
             tag,
@@ -243,7 +301,7 @@ impl CollectiveExec {
     }
 
     /// Begin execution at `now`. May return `Done` immediately for empty
-    /// plans.
+    /// shapes and empty payloads.
     pub fn start(&mut self, net: &mut SimNet, now: SimTime) -> Progress {
         self.enter_phase(net, now)
     }
@@ -262,7 +320,7 @@ impl CollectiveExec {
             return Progress::InFlight;
         }
         // Phase complete.
-        let delay = self.plan.phases[self.phase].post_delay;
+        let delay = self.shape.phases[self.phase].post_delay;
         if !delay.is_zero() {
             return Progress::StartTimer(delay);
         }
@@ -298,18 +356,18 @@ impl CollectiveExec {
 
     fn enter_phase(&mut self, net: &mut SimNet, now: SimTime) -> Progress {
         loop {
-            let Some(phase) = self.plan.phases.get(self.phase) else {
+            let Some(phase) = self.shape.phases_at(self.total).get(self.phase) else {
                 return Progress::Done;
             };
-            if phase.transfers.is_empty() {
+            if phase.paths.is_empty() {
                 if !phase.post_delay.is_zero() {
                     return Progress::StartTimer(phase.post_delay);
                 }
                 self.phase += 1;
                 continue;
             }
-            for (path, bytes) in &phase.transfers {
-                let id = net.start_flow(now, path, *bytes, self.tag);
+            for (path, bytes) in phase.transfers(self.total) {
+                let id = net.start_flow(now, path, bytes, self.tag);
                 self.outstanding.push(id);
             }
             return Progress::InFlight;
@@ -343,8 +401,8 @@ pub fn run_on(
     scheme: Scheme,
     total_bytes: u64,
 ) -> SimSpan {
-    let plan = CollectivePlan::compile(g, ap, group, scheme, total_bytes);
-    let mut exec = CollectiveExec::new(plan, u64::MAX);
+    let shape = Arc::new(PlanShape::compile(g, ap, group, scheme));
+    let mut exec = CollectiveExec::new(shape, total_bytes, u64::MAX);
     let mut now = start;
     let mut progress = exec.start(net, now);
     loop {
@@ -568,8 +626,8 @@ mod tests {
     fn foreign_completion_panics() {
         let (m, ap) = setup();
         let mut net = SimNet::new(&m.graph);
-        let plan = CollectivePlan::compile(&m.graph, &ap, &m.gpus, Scheme::Ring, 1 << 20);
-        let mut exec = CollectiveExec::new(plan, 9);
+        let shape = PlanShape::compile(&m.graph, &ap, &m.gpus, Scheme::Ring);
+        let mut exec = CollectiveExec::new(Arc::new(shape), 1 << 20, 9);
         assert_eq!(exec.start(&mut net, SimTime::ZERO), Progress::InFlight);
         let first = exec.outstanding[0];
         let last = *exec.outstanding.last().unwrap();
@@ -583,5 +641,95 @@ mod tests {
             "only the flow reported done is left"
         );
         exec.on_flow_complete(&mut net, SimTime::ZERO, first);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use hs_topology::builders::{fig2_micro, testbed, xtracks, XTracksConfig};
+    use hs_topology::LinkWeight;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+
+    /// A fabric with its routes, GPUs and aggregation switches.
+    struct Fabric {
+        g: Graph,
+        ap: AllPairs,
+        gpus: Vec<NodeId>,
+        switches: Vec<NodeId>,
+    }
+
+    /// `testbed`, `fig2_micro` and two-track `xtracks`, built once.
+    fn fabrics() -> &'static [Fabric] {
+        static FABRICS: OnceLock<Vec<Fabric>> = OnceLock::new();
+        FABRICS.get_or_init(|| {
+            let built = |t: hs_topology::builders::BuiltTopology| Fabric {
+                ap: t.gpu_switch_pairs(),
+                gpus: t.all_gpus(),
+                switches: t.access_switches.clone(),
+                g: t.graph,
+            };
+            let m = fig2_micro();
+            let mut nodes = m.gpus.to_vec();
+            nodes.extend([m.access, m.core]);
+            let micro = Fabric {
+                ap: AllPairs::compute(&m.graph, &nodes, LinkWeight::Latency, None),
+                gpus: m.gpus.to_vec(),
+                switches: vec![m.access, m.core],
+                g: m.graph,
+            };
+            vec![
+                built(testbed()),
+                micro,
+                built(xtracks(&XTracksConfig::two_tracks(2))),
+            ]
+        })
+    }
+
+    proptest! {
+        /// What a launch runs (the shape's transfers at `total`) is the
+        /// plan `compile` sizes at `total`, phase by phase and transfer by
+        /// transfer; at `total == 0` both are empty.
+        #[test]
+        fn shape_at_total_is_the_compiled_plan(
+            fabric in 0usize..3,
+            picks in proptest::collection::vec(0usize..1 << 16, 1..=9),
+            scheme in 0usize..4,
+            switch in 0usize..1 << 16,
+            (which, random) in (0usize..6, 0u64..1 << 40),
+        ) {
+            let f = &fabrics()[fabric];
+            let mut group = Vec::new();
+            for &i in &picks {
+                let gpu = f.gpus[i % f.gpus.len()];
+                if !group.contains(&gpu) {
+                    group.push(gpu);
+                }
+            }
+            let switch = f.switches[switch % f.switches.len()];
+            let scheme = [
+                Scheme::Ring,
+                Scheme::Ina { switch },
+                Scheme::HierRing,
+                Scheme::HierIna { switch },
+            ][scheme];
+            let p = group.len() as u64;
+            let total = [0, 1, p - 1, p, 1 << 20, random][which];
+            let shape = PlanShape::compile(&f.g, &f.ap, &group, scheme);
+            let plan = CollectivePlan::compile(&f.g, &f.ap, &group, scheme, total);
+            let launched: Vec<Phase> = shape
+                .phases_at(total)
+                .iter()
+                .map(|ph| Phase {
+                    transfers: ph.transfers(total).map(|(l, b)| (l.to_vec(), b)).collect(),
+                    post_delay: ph.post_delay,
+                })
+                .collect();
+            if total == 0 {
+                prop_assert!(launched.is_empty() && plan.phases.is_empty());
+            }
+            prop_assert_eq!(launched, plan.phases, "{scheme:?} on {group:?} at {total} B");
+        }
     }
 }

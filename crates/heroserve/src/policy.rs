@@ -9,7 +9,7 @@
 //! links precisely.
 
 use hs_collective::{
-    hierarchical_ina_latency, hierarchical_ring_latency, ina_latency, ring_latency, CollectivePlan,
+    hierarchical_ina_latency, hierarchical_ring_latency, ina_latency, ring_latency, PlanShape,
     Scheme,
 };
 use hs_topology::{AllPairs, Graph, LinkId, NodeId};
@@ -34,16 +34,12 @@ pub struct Policy {
     pub base_latency_s: f64,
 }
 
-/// Links a compiled plan touches.
-fn plan_links(plan: &CollectivePlan) -> Vec<LinkId> {
-    let mut links: Vec<LinkId> = plan
+/// Links a plan shape touches.
+fn plan_links(shape: &PlanShape) -> Vec<LinkId> {
+    let mut links: Vec<LinkId> = shape
         .phases
         .iter()
-        .flat_map(|p| {
-            p.transfers
-                .iter()
-                .flat_map(|(ls, _)| ls.iter().map(|&(l, _)| l))
-        })
+        .flat_map(|p| p.paths.iter().flat_map(|ls| ls.iter().map(|&(l, _)| l)))
         .collect();
     links.sort_unstable();
     links.dedup();
@@ -61,8 +57,8 @@ pub fn build_policies(
     ina_switches: &[NodeId],
     k_switches: usize,
 ) -> Vec<Policy> {
-    // Reference volume: per-byte structure is what matters; compile with
-    // a fixed probe size.
+    // Reference volume: per-byte structure is what matters; size the
+    // plan at a fixed probe.
     const PROBE: u64 = 1 << 20;
     let mut policies = Vec::new();
     let mut push = |scheme: Scheme| {
@@ -74,11 +70,11 @@ pub fn build_policies(
                 hierarchical_ina_latency(g, group, switch, ap, PROBE, None)
             }
         };
-        let plan = CollectivePlan::compile(g, ap, group, scheme, PROBE);
-        if plan.phases.is_empty() {
+        let shape = PlanShape::compile(g, ap, group, scheme);
+        if shape.phases.is_empty() {
             return;
         }
-        let links = plan_links(&plan);
+        let links = plan_links(&shape);
         if links.is_empty() {
             return;
         }
@@ -86,8 +82,8 @@ pub fn build_policies(
         // duplex: the two directions are independent pools).
         let mut per_dir: std::collections::BTreeMap<(LinkId, bool), u64> =
             std::collections::BTreeMap::new();
-        for phase in &plan.phases {
-            for (ls, bytes) in &phase.transfers {
+        for phase in &shape.phases {
+            for (ls, bytes) in phase.transfers(PROBE) {
                 for &d in ls {
                     *per_dir.entry(d).or_insert(0) += bytes;
                 }

@@ -76,6 +76,15 @@ struct PolicyTable {
     b: Vec<f64>,
     /// Load penalty `f_{(i,j)}`: impact of choosing `i` on `j`.
     f: Vec<Vec<f64>>,
+    /// Eq. 18's `c* ∩ c` for every pair, at `i * n + j`: the ascending
+    /// positions in `policies[j].links` of the links `policies[i]` also
+    /// uses. Fixed at construction.
+    overlap: Vec<Vec<usize>>,
+    /// Eq. 18's link weights `B(e)` of each policy's links, in `links`
+    /// order, as of the last [`Self::weigh`].
+    weights: Vec<Vec<f64>>,
+    /// Each policy's weight total, summed in `links` order.
+    totals: Vec<f64>,
     /// Selections per policy (diagnostics/ablation).
     picks: Vec<u64>,
     /// Per-link capacities (bits/s) from the fabric graph, indexed by
@@ -99,24 +108,66 @@ struct Selection {
 impl PolicyTable {
     fn new(policies: Vec<Policy>, link_caps: Vec<f64>) -> Self {
         let n = policies.len();
-        // Initialize f with the *structural* sharing ratio (capacity
-        // weighted); Eq. 18 refreshes it with live utilization later.
-        let mut f = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    f[i][j] = sharing_ratio(&policies[i], &policies[j], &link_caps, None);
-                }
+        let mut overlap = Vec::with_capacity(n * n);
+        for chosen in &policies {
+            for other in &policies {
+                let shared = other.links.iter().enumerate();
+                let shared = shared.filter(|(_, l)| chosen.links.binary_search(l).is_ok());
+                overlap.push(shared.map(|(k, _)| k).collect());
             }
         }
-        PolicyTable {
+        let mut table = PolicyTable {
             b: vec![0.0; n],
-            f,
+            f: vec![vec![0.0; n]; n],
+            overlap,
+            weights: policies.iter().map(|p| vec![0.0; p.links.len()]).collect(),
+            totals: vec![0.0; n],
             picks: vec![0; n],
             link_caps,
             last_decay: SimTime::ZERO,
             policies,
+        };
+        // Initialize f with the *structural* sharing ratio (capacity
+        // weighted); Eq. 18 refreshes it with live utilization later.
+        table.weigh(None);
+        for i in 0..n {
+            for j in 0..n {
+                if i != j {
+                    table.f[i][j] = table.sharing(i, j);
+                }
+            }
         }
+        table
+    }
+
+    /// Weigh every policy's links by Eq. 18's `B(e)` under `util` (see
+    /// [`link_weight`]) and total them.
+    fn weigh(&mut self, util: Option<&[f64]>) {
+        for ((p, w), total) in self
+            .policies
+            .iter()
+            .zip(&mut self.weights)
+            .zip(&mut self.totals)
+        {
+            *total = 0.0;
+            for (&l, w) in p.links.iter().zip(w.iter_mut()) {
+                *w = link_weight(l, &self.link_caps, util);
+                *total += *w;
+            }
+        }
+    }
+
+    /// `W_{(i,j)}` under the last [`Self::weigh`]: the shared weight
+    /// summed in `policies[j].links` order, over `j`'s total.
+    fn sharing(&self, i: usize, j: usize) -> f64 {
+        let total = self.totals[j];
+        if total <= 0.0 {
+            return 0.0;
+        }
+        let w = &self.weights[j];
+        let overlap = &self.overlap[i * self.policies.len() + j];
+        let shared = overlap.iter().fold(0.0, |acc, &k| acc + w[k]);
+        shared / total
     }
 
     /// Expire virtual charges older than the estimation window. A charge
@@ -197,15 +248,11 @@ impl PolicyTable {
     /// Eq. 18 + measurement sync.
     fn refresh(&mut self, link_util: &[f64], gamma: f64) {
         let n = self.policies.len();
+        self.weigh(Some(link_util));
         for i in 0..n {
             for j in 0..n {
                 if i != j {
-                    let w = sharing_ratio(
-                        &self.policies[i],
-                        &self.policies[j],
-                        &self.link_caps,
-                        Some(link_util),
-                    );
+                    let w = self.sharing(i, j);
                     self.f[i][j] = (1.0 - gamma) * self.f[i][j] + gamma * w;
                 }
             }
@@ -229,27 +276,32 @@ fn delta(p: &Policy, bytes: u64) -> f64 {
     bytes as f64 * p.max_link_secs_per_byte / T_U_S
 }
 
-/// `W_{(c*,c)}`: how much of `c`'s route the chosen policy `c*` loads.
-/// With `util`, links are weighted by `capacity × utilization` as the
-/// paper monitors; without, by capacity alone (structural prior). The
-/// capacity weights matter on heterogeneous routes: a shared 600 Gb/s
-/// NVLink hop carries far more of `c`'s traffic than a shared 100 Gb/s
-/// Ethernet hop, so it must dominate the ratio.
+/// Eq. 18's weight `B(e)` of link `l`. With `util`, links are weighted
+/// by `capacity × utilization` as the paper monitors; without, by
+/// capacity alone (structural prior). The capacity weights matter on
+/// heterogeneous routes: a shared 600 Gb/s NVLink hop carries far more
+/// of a route's traffic than a shared 100 Gb/s Ethernet hop, so it must
+/// dominate the ratio.
+fn link_weight(l: LinkId, caps: &[f64], util: Option<&[f64]>) -> f64 {
+    // Unknown links (stale table vs. grown graph) weigh as 1.0 so the
+    // ratio stays defined instead of silently vanishing.
+    let cap = caps.get(l.idx()).copied().unwrap_or(1.0);
+    match util {
+        Some(u) => cap * u.get(l.idx()).copied().unwrap_or(0.0).max(0.05),
+        None => cap,
+    }
+}
+
+/// `W_{(c*,c)}`: how much of `c`'s route the chosen policy `c*` loads,
+/// pair by pair — the reference [`PolicyTable::sharing`] must equal bit
+/// for bit.
+#[cfg(test)]
 fn sharing_ratio(chosen: &Policy, other: &Policy, caps: &[f64], util: Option<&[f64]>) -> f64 {
-    let weight = |l: hs_topology::LinkId| -> f64 {
-        // Unknown links (stale table vs. grown graph) weigh as 1.0 so the
-        // ratio stays defined instead of silently vanishing.
-        let cap = caps.get(l.idx()).copied().unwrap_or(1.0);
-        match util {
-            Some(u) => cap * u.get(l.idx()).copied().unwrap_or(0.0).max(0.05),
-            None => cap,
-        }
-    };
     // `other.links` is sorted; binary search for intersection.
     let mut shared = 0.0;
     let mut total = 0.0;
     for &l in &other.links {
-        let w = weight(l);
+        let w = link_weight(l, caps, util);
         total += w;
         if chosen.links.binary_search(&l).is_ok() {
             shared += w;
@@ -718,7 +770,7 @@ mod tests {
     }
 
     /// A policy over the given links with neutral cost constants.
-    fn policy_over(links: Vec<LinkId>) -> Policy {
+    pub(super) fn policy_over(links: Vec<LinkId>) -> Policy {
         Policy {
             scheme: Scheme::Ring,
             links,
@@ -990,16 +1042,81 @@ mod tests {
         for i in 0..table.f.len() {
             assert_eq!(table.f[i][i], 0.0);
         }
+        // The structural prior is the pairwise reference, which is a
+        // ratio too.
+        let pols = &table.policies;
+        for (i, chosen) in pols.iter().enumerate() {
+            for (j, other) in pols.iter().enumerate().filter(|&(j, _)| j != i) {
+                let w = sharing_ratio(chosen, other, &table.link_caps, None);
+                assert!((0.0..=1.0).contains(&w), "reference out of range: {w}");
+                assert_eq!(table.f[i][j].to_bits(), w.to_bits(), "f[{i}][{j}]");
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::{ctx, scheduler};
+    use super::tests::{ctx, policy_over, scheduler};
     use super::*;
     use proptest::prelude::*;
 
     proptest! {
+        /// Eq. 18 from the precomputed overlaps is the pairwise
+        /// `sharing_ratio` bit for bit: the structural prior and every
+        /// smoothed refresh after it, for random sorted link sets (some
+        /// past the end of the capacity and utilization vectors), random
+        /// capacities and utilizations.
+        #[test]
+        fn overlap_refresh_is_the_pairwise_reference(
+            sets in proptest::collection::vec(
+                proptest::collection::hash_set(0u32..14, 0..8),
+                1..7,
+            ),
+            caps in proptest::collection::vec(0.0f64..1e12, 12),
+            utils in proptest::collection::vec(
+                proptest::collection::vec(-0.5f64..1.5, 10..14),
+                1..5,
+            ),
+            gamma in 0.0f64..1.0,
+        ) {
+            let policies: Vec<Policy> = sets
+                .iter()
+                .map(|set| {
+                    let mut links: Vec<LinkId> = set.iter().map(|&l| LinkId(l)).collect();
+                    links.sort_unstable();
+                    policy_over(links)
+                })
+                .collect();
+            let n = policies.len();
+            let pairwise = |util: Option<&[f64]>| -> Vec<Vec<f64>> {
+                let ratio = |i: usize, j: usize| {
+                    if i == j {
+                        0.0
+                    } else {
+                        sharing_ratio(&policies[i], &policies[j], &caps, util)
+                    }
+                };
+                (0..n).map(|i| (0..n).map(|j| ratio(i, j)).collect()).collect()
+            };
+            let mut expect = pairwise(None);
+            let mut table = PolicyTable::new(policies.clone(), caps.clone());
+            let bits = |f: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                f.iter().map(|r| r.iter().map(|x| x.to_bits()).collect()).collect()
+            };
+            prop_assert_eq!(bits(&table.f), bits(&expect), "structural prior");
+            for util in &utils {
+                table.refresh(util, gamma);
+                let w = pairwise(Some(util));
+                for i in 0..n {
+                    for j in (0..n).filter(|&j| j != i) {
+                        expect[i][j] = (1.0 - gamma) * expect[i][j] + gamma * w[i][j];
+                    }
+                }
+                prop_assert_eq!(bits(&table.f), bits(&expect), "after a refresh");
+            }
+        }
+
         /// `select()` never returns a policy crossing a dead link, for any
         /// dead-link subset and any transfer size.
         #[test]

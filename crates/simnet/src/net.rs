@@ -58,13 +58,16 @@
 //! path back, and it lives in a side table until it ends; its empty
 //! window slot does not pin the window. The completion heap drops its
 //! stale entries once it holds more than twice as many entries as there
-//! are live flows.
+//! are live flows. Each distinct path is interned once: a flow holds a
+//! shared reference to it, so starting a flow copies no path.
 
 use crate::fairshare::{solo_rate, FlowSpan, SolverWorkspace};
 use hs_des::{SimSpan, SimTime};
 use hs_topology::{Graph, LinkId};
+use rustc_hash::FxHashSet;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::Arc;
 
 /// The flow window drops its empty prefix once the prefix is at least
 /// this many slots and at least half the window, so each drained slot is
@@ -94,8 +97,9 @@ pub struct FlowId(pub u64);
 /// An active transfer.
 #[derive(Clone, Debug)]
 pub struct Flow {
-    /// Directed hops the flow traverses (loopless).
-    pub path: Vec<DirLink>,
+    /// Directed hops the flow traverses (loopless), shared with every
+    /// other flow on the same path.
+    pub path: Arc<[DirLink]>,
     /// Bytes still to serialize *as of the last materialization point*
     /// (rate change, cancel, or completion). For the live value at the
     /// current clock use [`SimNet::flow_remaining`]; flows returned by
@@ -175,7 +179,7 @@ fn accrue(f: &mut Flow, clock: SimTime, cum: &mut [f64]) -> bool {
         if f.remaining_bytes < 1e-6 {
             f.remaining_bytes = 0.0;
         }
-        for &d in &f.path {
+        for &d in f.path.iter() {
             cum[slot(d)] += consumed;
         }
         if f.remaining_bytes <= 0.0 && f.finish_at != f.earliest_finish {
@@ -469,6 +473,9 @@ pub struct SimNet {
     /// Flow/link event sink; no-op unless attached via
     /// [`SimNet::set_tracer`]. Never affects simulation state.
     tracer: hs_obs::Tracer,
+    /// Every distinct path a flow has started on, once; a flow holds the
+    /// interned copy. Only looked up, never iterated.
+    paths: FxHashSet<Arc<[DirLink]>>,
 }
 
 impl SimNet {
@@ -504,6 +511,7 @@ impl SimNet {
             cache_valid: false,
             stats: SolveStats::default(),
             tracer: hs_obs::Tracer::noop(),
+            paths: FxHashSet::default(),
         }
     }
 
@@ -527,6 +535,22 @@ impl SimNet {
         self.flows.n_live
     }
 
+    /// Number of distinct paths flows have started on: each is stored
+    /// once and shared by every flow on it.
+    pub fn interned_paths(&self) -> usize {
+        self.paths.len()
+    }
+
+    /// The shared copy of `path`, interned on first use.
+    fn intern(&mut self, path: &[DirLink]) -> Arc<[DirLink]> {
+        if let Some(p) = self.paths.get(path) {
+            return Arc::clone(p);
+        }
+        let p: Arc<[DirLink]> = Arc::from(path);
+        self.paths.insert(Arc::clone(&p));
+        p
+    }
+
     /// Start a flow of `bytes` over the directed `path` at time `now`.
     /// Every flow has the same fair share.
     ///
@@ -544,7 +568,7 @@ impl SimNet {
             .sum();
         let prop = SimSpan::from_nanos(prop_ns);
         let mut f = Flow {
-            path: path.to_vec(),
+            path: self.intern(path),
             remaining_bytes: bytes as f64,
             size_bytes: bytes,
             rate_bps: 0.0,
@@ -872,7 +896,7 @@ impl SimNet {
                 continue;
             }
             f.parked = false;
-            for &d in &f.path {
+            for &d in f.path.iter() {
                 let v = &mut self.incidence[slot(d)];
                 let at = v.partition_point(|&x| x.0 < id);
                 v.insert(at, FlowId(id));
@@ -1009,7 +1033,7 @@ impl SimNet {
                 }
                 f.seen = gen;
                 ids.push(fid);
-                for &d in &f.path {
+                for &d in f.path.iter() {
                     let sl = slot(d);
                     if scratch.link_stamp[sl] != gen {
                         scratch.link_stamp[sl] = gen;

@@ -518,7 +518,7 @@ impl Harness {
             let s_rem = net.flow_remaining(FlowId(id)).expect("live");
             assert_eq!(r_rem.to_bits(), s_rem.to_bits(), "remaining of flow {id}");
             assert_eq!(r.finish_at, s.finish_at(), "finish of flow {id}");
-            for &d in &s.path {
+            for &d in s.path.iter() {
                 load[rslot(d)] += s.rate_bps;
                 if caps[d.0.idx()] <= 0.0 {
                     assert_eq!(s.rate_bps, 0.0, "flow {id} moves across dead link {d:?}");

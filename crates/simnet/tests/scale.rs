@@ -84,7 +84,7 @@ fn ten_thousand_flows_on_xtracks() {
         load.iter_mut().for_each(|x| *x = 0.0);
         for &id in &live {
             let f = net.flow(id).expect("live flow");
-            for &(l, fwd) in &f.path {
+            for &(l, fwd) in f.path.iter() {
                 load[l.idx() * 2 + fwd as usize] += f.rate_bps;
             }
         }
@@ -101,7 +101,7 @@ fn ten_thousand_flows_on_xtracks() {
         for (id, f) in done {
             completed += 1;
             assert_eq!(f.remaining_bytes, 0.0, "flow {id:?} returned undrained");
-            for &(l, fwd) in &f.path {
+            for &(l, fwd) in f.path.iter() {
                 delivered_per_slot[l.idx() * 2 + fwd as usize] += f.size_bytes as f64;
             }
         }
