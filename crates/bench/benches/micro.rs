@@ -92,11 +92,14 @@ fn bench_simnet(c: &mut Criterion) {
                     net
                 },
                 |mut net| {
-                    let mut done = 0usize;
+                    let mut done = Vec::new();
+                    let mut n = 0usize;
                     while let Some(t) = net.next_event_time() {
-                        done += net.advance_to(t).len();
+                        net.advance_to(t, &mut done);
+                        n += done.len();
+                        done.clear();
                     }
-                    done
+                    n
                 },
                 BatchSize::SmallInput,
             )

@@ -76,8 +76,11 @@ pub fn pull_loop_throughput(
     let mut net = SimNet::new(g);
     fill(&mut net, paths, per_cluster, bytes);
     let mut events = (paths.len() * per_cluster) as u64;
+    let mut done = Vec::new();
     while let Some(t) = net.next_event_time() {
-        events += net.advance_to(t).len() as u64;
+        net.advance_to(t, &mut done);
+        events += done.len() as u64;
+        done.clear();
     }
     ThroughputRun::finish(&net, events, start.elapsed().as_secs_f64())
 }
@@ -95,6 +98,8 @@ pub fn bulk_advance_throughput(
     let mut net = SimNet::new(g);
     fill(&mut net, paths, per_cluster, bytes);
     let mut events = (paths.len() * per_cluster) as u64;
-    events += net.advance_to(SimTime::from_secs(86_400)).len() as u64;
+    let mut done = Vec::new();
+    net.advance_to(SimTime::from_secs(86_400), &mut done);
+    events += done.len() as u64;
     ThroughputRun::finish(&net, events, start.elapsed().as_secs_f64())
 }

@@ -492,6 +492,7 @@ pub fn run_allreduces(
         launch(&mut sh, &mut colls, gi);
     }
     let mut ops_per_group = vec![0u64; load.groups.len()];
+    let mut done = Vec::new();
     loop {
         let tq = sh.events.peek_time();
         let tn = sh.net.next_event_time();
@@ -502,7 +503,8 @@ pub fn run_allreduces(
             break;
         }
         sh.now = t;
-        for (id, flow) in sh.net.advance_to(t) {
+        sh.net.advance_to(t, &mut done);
+        for (id, flow) in done.drain(..) {
             if flow.tag & !TAG_ID_MASK == TAG_COLL {
                 colls.step(&mut sh, flow.tag & TAG_ID_MASK, Some(id));
             }

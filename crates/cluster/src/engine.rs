@@ -374,7 +374,7 @@ impl ClusterSim {
     /// The interleave contract with `SimNet`'s incremental engine
     /// (DESIGN.md §9): `next_event_time` is `>= now` (clamped), may be
     /// `SimTime::MAX` while every flow is starved by a dead link, and
-    /// `advance_to(t)` delivers completions in `(finish, id)` order. A
+    /// `advance_to(t, ..)` delivers completions in `(finish, id)` order. A
     /// cancelled-but-drained flow is *not* returned by `cancel_flow`;
     /// its completion still arrives here and is demuxed to an already
     /// dissolved collective or shipment, which ignores it by design.
@@ -383,6 +383,7 @@ impl ClusterSim {
     /// of the queue: at an instant, network completions go first, then
     /// the arrivals due, in trace order, then the queued events, FIFO.
     pub(crate) fn run_until(&mut self, horizon: SimTime) {
+        let mut done = Vec::new();
         loop {
             let ta = self.reqs.get(self.next_arrival).map(|r| r.req.arrival);
             let tq = self.sh.events.peek_time();
@@ -395,8 +396,8 @@ impl ClusterSim {
             }
             self.sh.now = t;
             // Network completions first (deterministic: completion order).
-            let done = self.sh.net.advance_to(t);
-            for (id, flow) in done {
+            self.sh.net.advance_to(t, &mut done);
+            for (id, flow) in done.drain(..) {
                 self.on_flow_done(id, flow.tag);
                 self.close_collectives();
             }
@@ -413,7 +414,7 @@ impl ClusterSim {
             }
         }
         self.sh.now = horizon;
-        self.sh.net.advance_to(horizon);
+        self.sh.net.advance_to(horizon, &mut done);
     }
 
     /// Request `idx` of the trace arrives and queues for prefill.

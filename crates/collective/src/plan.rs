@@ -405,13 +405,15 @@ pub fn run_on(
     let mut exec = CollectiveExec::new(shape, total_bytes, u64::MAX);
     let mut now = start;
     let mut progress = exec.start(net, now);
+    let mut done = Vec::new();
     loop {
         match progress {
             Progress::Done => return now - start,
             Progress::StartTimer(d) => {
                 now += d;
                 // Other traffic keeps draining while the switch aggregates.
-                for _ in net.advance_to(now) {}
+                net.advance_to(now, &mut done);
+                done.clear();
                 progress = exec.on_timer(net, now);
             }
             Progress::InFlight => {
@@ -419,9 +421,9 @@ pub fn run_on(
                     .next_event_time()
                     .expect("in-flight collective implies pending flows");
                 now = t;
-                let done = net.advance_to(t);
+                net.advance_to(t, &mut done);
                 let mut next = Progress::InFlight;
-                for (id, f) in done {
+                for (id, f) in done.drain(..) {
                     if f.tag == exec.tag() {
                         next = exec.on_flow_complete(net, now, id);
                     }

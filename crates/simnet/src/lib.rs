@@ -24,9 +24,9 @@
 //! persistent water-filling [`SolverWorkspace`], rates a flow alone on its
 //! links in closed form without a solve, resumes the last component solve
 //! after a departure instead of redoing it, and finds completions
-//! through a lazily-invalidated min-heap — see `net.rs` and DESIGN.md
-//! §9/§12. A from-scratch reference solver, kept with the tests, is the
-//! oracle for the equivalence suite.
+//! through an indexed min-heap with one entry per queued flow — see
+//! `net.rs` and DESIGN.md §9/§12. A from-scratch reference solver, kept
+//! with the tests, is the oracle for the equivalence suite.
 
 pub mod fairshare;
 pub mod monitor;

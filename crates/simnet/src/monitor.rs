@@ -115,7 +115,7 @@ mod tests {
         let mut mon = LinkMonitor::new(g.link_count());
         // Saturate the link for 1 ms: 100 Gbps = 12.5 MB per ms.
         net.start_flow(SimTime::ZERO, &[(l, true)], 12_500_000, 0);
-        net.advance_to(SimTime::from_millis(1));
+        net.advance_to(SimTime::from_millis(1), &mut Vec::new());
         mon.poll(&net, SimTime::from_millis(1));
         // The first EWMA step from 0 toward the window's full sample.
         let u = mon.utilization(l);
@@ -138,11 +138,11 @@ mod tests {
         let mut mon = LinkMonitor::new(g.link_count());
         // Busy first window.
         net.start_flow(SimTime::ZERO, &[(l, true)], 12_500_000, 0);
-        net.advance_to(SimTime::from_millis(1));
+        net.advance_to(SimTime::from_millis(1), &mut Vec::new());
         mon.poll(&net, SimTime::from_millis(1));
         assert!((mon.utilization(l) - 0.5).abs() < 0.01);
         // Idle second window decays toward zero.
-        net.advance_to(SimTime::from_millis(2));
+        net.advance_to(SimTime::from_millis(2), &mut Vec::new());
         mon.poll(&net, SimTime::from_millis(2));
         assert!((mon.utilization(l) - 0.25).abs() < 0.01);
     }
@@ -249,7 +249,8 @@ mod proptests {
 
         fn advance(&mut self, dt: SimSpan) {
             self.now += dt;
-            let done = self.net.advance_to(self.now);
+            let mut done = Vec::new();
+            self.net.advance_to(self.now, &mut done);
             self.live.retain(|id| !done.iter().any(|(d, _)| d == id));
         }
 

@@ -29,13 +29,16 @@
 //! engine bit-identical to one. Byte-counter queries
 //! ([`SimNet::cumulative_bytes_dir`], [`SimNet::flow_remaining`]) are
 //! pure: they add the pending in-flight contribution without mutating
-//! state. Completion lookup uses a lazily-invalidated min-heap of
-//! `(finish, flow, epoch)` entries, making [`SimNet::next_event_time`]
-//! and [`SimNet::advance_to`] `O(log n)` per event with *no* per-event
-//! scan over unrelated flows. `tests/equivalence.rs` drives arbitrary
-//! event sequences through the engine and an independent from-scratch
-//! reference and asserts identical rates, completions, and cumulative
-//! link bytes.
+//! state. Completion lookup uses an indexed min-heap that holds exactly
+//! one `(finish, flow)` entry for each flow with a finite completion
+//! estimate. Each flow stores its entry's position, so an estimate
+//! change moves that entry in place and a removal deletes it:
+//! [`SimNet::next_event_time`] reads the top, and
+//! [`SimNet::advance_to`] costs `O(log n)` per completion, with *no*
+//! per-event scan over unrelated flows. `tests/equivalence.rs` drives
+//! arbitrary event sequences through the engine and an independent
+//! from-scratch reference and asserts identical rates, completions, and
+//! cumulative link bytes.
 //!
 //! After a departure (a completion or a cancel) the component's solve
 //! is **resumed**, not redone: for the last fully solved component the
@@ -47,7 +50,7 @@
 //! own component, so it is rated at its start in closed form
 //! ([`solo_rate`], the water-filling's single round, same bits) with no
 //! solve, and when it leaves alone (outside the cache) it seeds nothing,
-//! since no other rate can change. A removed flow pushes no heap entry.
+//! since no other rate can change.
 //! Per-link allocated rates are neither stored nor queried: the monitor
 //! reads the per-direction byte counters ([`SimNet::cumulative_bytes_dir`]).
 //!
@@ -56,17 +59,15 @@
 //! dead link is **parked**: it stays out of the incidence table (so no
 //! solve visits it) until [`SimNet::set_link_scale`] brings its whole
 //! path back, and it lives in a side table until it ends; its empty
-//! window slot does not pin the window. The completion heap drops its
-//! stale entries once it holds more than twice as many entries as there
-//! are live flows. Each distinct path is interned once: a flow holds a
+//! window slot does not pin the window, and the completion heap holds no
+//! entry for it. Each distinct path is interned once: a flow holds a
 //! shared reference to it, so starting a flow copies no path.
 
 use crate::fairshare::{solo_rate, FlowSpan, SolverWorkspace};
 use hs_des::{SimSpan, SimTime};
 use hs_topology::{Graph, LinkId};
 use rustc_hash::FxHashSet;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The flow window drops its empty prefix once the prefix is at least
@@ -74,11 +75,14 @@ use std::sync::Arc;
 /// moved at most once on average.
 const WINDOW_DRAIN_MIN: usize = 1024;
 
-/// The completion heap drops its stale entries once it holds more than
-/// twice the live flows plus this many. A compaction leaves at most one
-/// entry per live flow, so its cost is spread over the pushes before the
-/// next one; the slack keeps small nets from compacting often.
-const HEAP_COMPACT_SLACK: usize = 4096;
+/// [`Flow::heap_pos`] of a flow with no completion-heap entry.
+const UNQUEUED: usize = usize::MAX;
+
+/// Children per completion-heap node. Each entry move rewrites the moved
+/// flow's `heap_pos`, a random access into the flow table once the heap
+/// is large. Four children halve a binary heap's depth, and so those
+/// writes; a node's children are 64 contiguous bytes.
+const HEAP_ARITY: usize = 4;
 
 /// One directed hop: the link and whether it is traversed `a -> b`
 /// (links are full duplex; each direction is its own capacity pool).
@@ -125,9 +129,9 @@ pub struct Flow {
     /// Progress is accrued up to this instant; the window
     /// `(touched, clock]` is pending at `rate_bps` (lazy accrual).
     touched: SimTime,
-    /// Validity epoch of this flow's newest heap entry; entries carrying
-    /// an older epoch are stale and discarded when they surface.
-    epoch: u64,
+    /// Index of this flow's completion-heap entry, or [`UNQUEUED`] while
+    /// `finish_at` is `SimTime::MAX`.
+    heap_pos: usize,
     /// Visit stamp for the component BFS (scoped re-solves).
     seen: u64,
     /// Started across a dead link: out of the incidence table, rate 0,
@@ -144,20 +148,15 @@ impl Flow {
     }
 }
 
-/// Min-heap entry: `(finish estimate, flow, epoch)`. The epoch tiebreak
-/// keeps pop order fully deterministic even among stale duplicates.
-type HeapEntry = Reverse<(SimTime, FlowId, u64)>;
-
 /// Accrue `f`'s progress over `(f.touched, clock]` at its current rate.
-/// Returns whether the flow drained in that window, which fixes its
-/// completion estimate (a new epoch) that a kept flow must push.
+/// Returns whether the flow drained in that window, which fixes a new
+/// completion estimate that a kept flow's heap entry must take.
 ///
 /// This is THE materialization point of the lazy-accrual contract: it runs
 /// only when the flow's rate value is about to change, or the flow is
 /// cancelled/aborted/completed — events that occur at identical instants
 /// under a scoped and a global solve (their rates are bitwise equal), so
-/// both perform the identical float operations. A flow being removed
-/// needs only the accrual; a kept one goes through [`materialize`].
+/// both perform the identical float operations.
 fn accrue(f: &mut Flow, clock: SimTime, cum: &mut [f64]) -> bool {
     if clock <= f.touched {
         return false;
@@ -185,7 +184,6 @@ fn accrue(f: &mut Flow, clock: SimTime, cum: &mut [f64]) -> bool {
         if f.remaining_bytes <= 0.0 && f.finish_at != f.earliest_finish {
             // Drain transition: the estimate is final now.
             f.finish_at = f.earliest_finish;
-            f.epoch += 1;
             return true;
         }
     } else if f.rate_bps.is_infinite() {
@@ -195,27 +193,13 @@ fn accrue(f: &mut Flow, clock: SimTime, cum: &mut [f64]) -> bool {
     false
 }
 
-/// [`accrue`] a flow that stays live, pushing the heap entry of a drain
-/// transition.
-fn materialize(
-    f: &mut Flow,
-    id: FlowId,
-    clock: SimTime,
-    cum: &mut [f64],
-    heap: &mut BinaryHeap<HeapEntry>,
-) {
-    if accrue(f, clock, cum) {
-        heap.push(Reverse((f.finish_at, id, f.epoch)));
-    }
-}
-
 /// Whether every link of `path` has capacity.
 fn path_alive(capacities: &[f64], path: &[DirLink]) -> bool {
     path.iter().all(|&(l, _)| capacities[l.idx()] > 0.0)
 }
 
 /// Bytes `f` would consume if materialized at `clock` — the pure
-/// (non-mutating) mirror of [`materialize`]'s consumption arithmetic,
+/// (non-mutating) mirror of [`accrue`]'s consumption arithmetic,
 /// used by the query accessors.
 fn pending_consumed(f: &Flow, clock: SimTime) -> f64 {
     if clock > f.touched && f.rate_bps > 0.0 && f.rate_bps.is_finite() && f.remaining_bytes > 0.0 {
@@ -241,37 +225,28 @@ fn serial_estimate(clock: SimTime, f: &Flow) -> SimTime {
     (ser + f.prop).max(f.earliest_finish)
 }
 
-/// Install a freshly solved rate on `f`. The completion estimate (and
-/// its heap entry) is refreshed only when the rate *value* changed:
-/// under an unchanged rate the estimate is invariant (progress accrues
-/// at exactly that rate), so keeping the stored one avoids rounding
-/// drift — the property that makes incremental and from-scratch
-/// solving bit-identical. Callers must [`materialize`] first when the
-/// rate bits differ.
-fn assign_rate(
-    f: &mut Flow,
-    id: FlowId,
-    rate: f64,
-    clock: SimTime,
-    heap: &mut BinaryHeap<HeapEntry>,
-) {
+/// Install a freshly solved rate on `f`. The completion estimate is
+/// refreshed only when the rate *value* changed: under an unchanged
+/// rate the estimate is invariant (progress accrues at exactly that
+/// rate), so keeping the stored one avoids rounding drift — the property
+/// that makes incremental and from-scratch solving bit-identical.
+/// Callers must [`accrue`] first when the rate bits differ. Returns
+/// whether the estimate changed, which the flow's heap entry must
+/// follow.
+fn assign_rate(f: &mut Flow, rate: f64, clock: SimTime) -> bool {
     if rate.to_bits() == f.rate_bps.to_bits() {
-        return;
+        return false;
     }
     f.rate_bps = rate;
     if f.remaining_bytes <= 0.0 {
         // Drained: completion waits only on propagation; the rate no
         // longer matters for the estimate.
-        return;
+        return false;
     }
     let finish = serial_estimate(clock, f);
-    if finish != f.finish_at {
-        f.finish_at = finish;
-        f.epoch += 1;
-        if finish < SimTime::MAX {
-            heap.push(Reverse((finish, id, f.epoch)));
-        }
-    }
+    let changed = finish != f.finish_at;
+    f.finish_at = finish;
+    changed
 }
 
 /// Counters describing how much solving work the engine performed —
@@ -429,6 +404,109 @@ impl FlowTable {
     }
 }
 
+/// Indexed 4-ary min-heap of completion estimates.
+///
+/// It holds exactly one `(finish_at, id)` entry for each live flow whose
+/// `finish_at` is finite, and none for the others; the flow's
+/// [`Flow::heap_pos`] names its entry. Every move of an entry rewrites
+/// the moved flow's `heap_pos`, so an estimate change moves the entry in
+/// place and a removal deletes it: the heap never holds a stale entry.
+/// Ids are unique, so keys are distinct and the pop order, ascending
+/// `(finish_at, id)`, does not depend on the heap's shape.
+#[derive(Default)]
+struct CompletionHeap {
+    entries: Vec<(SimTime, FlowId)>,
+}
+
+impl CompletionHeap {
+    /// The earliest entry.
+    #[inline]
+    fn peek(&self) -> Option<(SimTime, FlowId)> {
+        self.entries.first().copied()
+    }
+
+    /// Bring live flow `id`'s entry in line with its `finish_at`: insert
+    /// it, move it, or delete it once the estimate is `SimTime::MAX`.
+    fn sync(&mut self, flows: &mut FlowTable, id: FlowId) {
+        let f = flows.get_mut(id).expect("synced flow is live");
+        let key = (f.finish_at, id);
+        let pos = f.heap_pos;
+        if key.0 == SimTime::MAX {
+            if pos != UNQUEUED {
+                f.heap_pos = UNQUEUED;
+                self.delete(flows, pos);
+            }
+        } else if pos == UNQUEUED {
+            self.entries.push(key);
+            self.sift_up(flows, self.entries.len() - 1, key);
+        } else if key < self.entries[pos] {
+            self.sift_up(flows, pos, key);
+        } else {
+            self.sift_down(flows, pos, key);
+        }
+    }
+
+    /// Delete the entry at `pos`, whose flow has already dropped it
+    /// (taken out of `flows`, or marked [`UNQUEUED`]).
+    fn delete(&mut self, flows: &mut FlowTable, pos: usize) {
+        let gone = self.entries[pos];
+        let last = self.entries.pop().expect("deleted entry exists");
+        if pos == self.entries.len() {
+            return;
+        }
+        if last < gone {
+            self.sift_up(flows, pos, last);
+        } else {
+            self.sift_down(flows, pos, last);
+        }
+    }
+
+    /// Write `key` at `pos` and record the position in its flow.
+    #[inline]
+    fn place(&mut self, flows: &mut FlowTable, pos: usize, key: (SimTime, FlowId)) {
+        self.entries[pos] = key;
+        flows.get_mut(key.1).expect("queued flow is live").heap_pos = pos;
+    }
+
+    /// Settle `key` at or above the hole `pos`.
+    fn sift_up(&mut self, flows: &mut FlowTable, mut pos: usize, key: (SimTime, FlowId)) {
+        while pos > 0 {
+            let parent = (pos - 1) / HEAP_ARITY;
+            let above = self.entries[parent];
+            if above < key {
+                break;
+            }
+            self.place(flows, pos, above);
+            pos = parent;
+        }
+        self.place(flows, pos, key);
+    }
+
+    /// Settle `key` at or below the hole `pos`.
+    fn sift_down(&mut self, flows: &mut FlowTable, mut pos: usize, key: (SimTime, FlowId)) {
+        let n = self.entries.len();
+        loop {
+            let first = HEAP_ARITY * pos + 1;
+            if first >= n {
+                break;
+            }
+            let mut child = first;
+            for c in first + 1..(first + HEAP_ARITY).min(n) {
+                if self.entries[c] < self.entries[child] {
+                    child = c;
+                }
+            }
+            let below = self.entries[child];
+            if key < below {
+                break;
+            }
+            self.place(flows, pos, below);
+            pos = child;
+        }
+        self.place(flows, pos, key);
+    }
+}
+
 /// Flow-level network state over a fixed topology.
 pub struct SimNet {
     /// Per-link capacity (each *direction* gets the full capacity:
@@ -457,8 +535,8 @@ pub struct SimNet {
     /// Directed slots touched by flow adds/removes (or a capacity change)
     /// since the last solve.
     seed_slots: Vec<usize>,
-    /// Lazy-invalidation completion heap.
-    heap: BinaryHeap<HeapEntry>,
+    /// One completion entry per flow with a finite estimate.
+    heap: CompletionHeap,
     /// Generation counter for BFS visit stamps.
     visit_gen: u64,
     scratch: BfsScratch,
@@ -501,7 +579,7 @@ impl SimNet {
             incidence: vec![Vec::new(); 2 * n],
             dirty: false,
             seed_slots: Vec::new(),
-            heap: BinaryHeap::new(),
+            heap: CompletionHeap::default(),
             visit_gen: 0,
             scratch: BfsScratch {
                 link_stamp: vec![0; 2 * n],
@@ -578,7 +656,7 @@ impl SimNet {
             tag,
             finish_at: SimTime::MAX,
             touched: self.clock,
-            epoch: 0,
+            heap_pos: UNQUEUED,
             seen: 0,
             parked: bytes > 0 && !path_alive(&self.capacities, path),
         };
@@ -590,8 +668,6 @@ impl SimNet {
             // Nothing to serialize (or nothing constraining it): the
             // completion estimate is final right now.
             f.finish_at = f.earliest_finish;
-            f.epoch += 1;
-            self.heap.push(Reverse((f.finish_at, id, f.epoch)));
         }
         if !f.parked {
             debug_assert!(
@@ -607,14 +683,18 @@ impl SimNet {
             if solo {
                 // Its own max-min component: rate it now, no solve.
                 let rate = solo_rate(&self.dir_caps, path.iter().map(|&d| slot(d)));
-                assign_rate(&mut f, id, rate, self.clock, &mut self.heap);
+                assign_rate(&mut f, rate, self.clock);
                 self.stats.solo_rated += 1;
                 self.invalidate_cache(path);
             } else {
                 self.mark_changed(path);
             }
         }
+        let queued = f.finish_at < SimTime::MAX;
         self.flows.insert(id, f);
+        if queued {
+            self.heap.sync(&mut self.flows, id);
+        }
         self.tracer.flow_start(now, id.0, tag, bytes, path.len());
         id
     }
@@ -631,15 +711,13 @@ impl SimNet {
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<Flow> {
         self.progress_to(now);
         let clock = self.clock;
-        let drained = match self.flows.get_mut(id) {
-            None => return None,
-            Some(f) => {
-                // A cancel is a touch point: accrue before deciding.
-                materialize(f, id, clock, &mut self.cum_bytes, &mut self.heap);
-                f.remaining_bytes <= 0.0 && !f.path.is_empty()
+        let f = self.flows.get_mut(id)?;
+        // A cancel is a touch point: accrue before deciding.
+        let newly_drained = accrue(f, clock, &mut self.cum_bytes);
+        if f.remaining_bytes <= 0.0 && !f.path.is_empty() {
+            if newly_drained {
+                self.heap.sync(&mut self.flows, id);
             }
-        };
-        if drained {
             return None;
         }
         let f = self.take_flow(id).expect("flow looked up just above");
@@ -670,18 +748,12 @@ impl SimNet {
 
     /// The time of the earliest flow completion, or `None` when idle.
     ///
-    /// `O(log n)` amortized: stale heap entries are popped as they
-    /// surface; the first valid entry is the answer (every non-starved
-    /// flow keeps exactly one valid entry).
+    /// After any pending solve, this is the completion heap's top: every
+    /// flow with a finite estimate has exactly one entry there.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         self.solve_if_dirty();
-        while let Some(&Reverse((t, id, ep))) = self.heap.peek() {
-            match self.flow(id) {
-                Some(f) if f.epoch == ep => return Some(t.max(self.clock)),
-                _ => {
-                    self.heap.pop();
-                }
-            }
+        if let Some((t, _)) = self.heap.peek() {
+            return Some(t.max(self.clock));
         }
         if self.flows.n_live == 0 {
             None
@@ -691,24 +763,23 @@ impl SimNet {
         }
     }
 
-    /// Advance the clock to `now` and return the flows that completed
-    /// (in completion-then-id order).
+    /// Advance the clock to `now` and append the flows that completed to
+    /// `done` (in completion-then-id order), so a caller can reuse one
+    /// buffer across events.
     ///
-    /// Pop the earliest valid heap entry, materialize and remove the
-    /// flow, re-solve its component (completions change rates, which
-    /// changes later completions within the same window), repeat.
-    pub fn advance_to(&mut self, now: SimTime) -> Vec<(FlowId, Flow)> {
+    /// Take the flow of the heap's top entry, accrue and remove it,
+    /// re-solve its component (completions change rates, which changes
+    /// later completions within the same window), repeat.
+    pub fn advance_to(&mut self, now: SimTime, done: &mut Vec<(FlowId, Flow)>) {
         assert!(now >= self.clock, "SimNet clock must be monotone");
-        let mut done = Vec::new();
         loop {
             self.solve_if_dirty();
-            let Some((t, id)) = self.peek_valid() else {
+            let Some((t, id)) = self.heap.peek() else {
                 break;
             };
             if t > now {
                 break;
             }
-            self.heap.pop();
             // A cascade re-solve can finalize a drained flow at an
             // arrival instant slightly before the previous completion's
             // clock; the engine clock never moves backwards.
@@ -720,7 +791,6 @@ impl SimNet {
             done.push((id, f));
         }
         self.progress_to(now);
-        done
     }
 
     /// Cumulative bytes delivered over a link since simulation start,
@@ -774,7 +844,7 @@ impl SimNet {
     /// move bottlenecks among flows transitively sharing a link with the
     /// scaled one (the max-min allocation decomposes across connected
     /// components, DESIGN.md §9), so untouched components keep their
-    /// rates, estimates, and epochs bit-for-bit.
+    /// rates and estimates bit-for-bit.
     ///
     /// When `factor` is zero the link is dead: every flow crossing it
     /// (either direction, parked or not) is aborted and returned in id
@@ -855,12 +925,15 @@ impl SimNet {
         self.flows.get(id).expect("id names a live flow")
     }
 
-    /// Remove and return a live flow and, unless it is parked, drop it
-    /// from the incidence table and seed its slots. A flow that shared no
-    /// link and is not in the cache seeds nothing: its leaving changes no
-    /// other rate.
+    /// Remove and return a live flow with its completion-heap entry and,
+    /// unless it is parked, drop it from the incidence table and seed its
+    /// slots. A flow that shared no link and is not in the cache seeds
+    /// nothing: its leaving changes no other rate.
     fn take_flow(&mut self, id: FlowId) -> Option<Flow> {
         let f = self.flows.take(id)?;
+        if f.heap_pos != UNQUEUED {
+            self.heap.delete(&mut self.flows, f.heap_pos);
+        }
         if !f.parked {
             self.unlink(id, &f.path);
             let mut cached = false;
@@ -946,19 +1019,6 @@ impl SimNet {
         }
     }
 
-    /// Earliest valid heap entry, discarding stale ones on the way.
-    fn peek_valid(&mut self) -> Option<(SimTime, FlowId)> {
-        while let Some(&Reverse((t, id, ep))) = self.heap.peek() {
-            match self.flows.get(id) {
-                Some(f) if f.epoch == ep => return Some((t, id)),
-                _ => {
-                    self.heap.pop();
-                }
-            }
-        }
-        None
-    }
-
     /// Re-solve whatever subset of the rate state is out of date.
     ///
     /// If the last solved component has only lost flows since its solve,
@@ -973,15 +1033,6 @@ impl SimNet {
     /// component: water-filling freezes one bottleneck link per round, so
     /// a union of k disjoint components costs ~k× the rounds of its parts.
     fn solve_if_dirty(&mut self) {
-        if self.heap.len() > 2 * self.flows.n_live + HEAP_COMPACT_SLACK {
-            // Stale entries are skipped when they surface anyway, and the
-            // valid ones keep their keys, so pop order is unchanged. Checked
-            // at every query, not only after a solve: a cancelled lone flow
-            // leaves a stale entry and seeds nothing.
-            let flows = &self.flows;
-            self.heap
-                .retain(|&Reverse((_, id, ep))| flows.get(id).is_some_and(|f| f.epoch == ep));
-        }
         if !self.dirty {
             return;
         }
@@ -1079,8 +1130,11 @@ impl SimNet {
             let f = self.flows.get_mut(id).expect("solved flow is live");
             let rate = rates[fi as usize];
             if rate.to_bits() != f.rate_bps.to_bits() {
-                materialize(f, id, self.clock, &mut self.cum_bytes, &mut self.heap);
-                assign_rate(f, id, rate, self.clock, &mut self.heap);
+                let drained = accrue(f, self.clock, &mut self.cum_bytes);
+                let rerated = assign_rate(f, rate, self.clock);
+                if drained || rerated {
+                    self.heap.sync(&mut self.flows, id);
+                }
             }
         }
         self.stats.flows_rated += c.ws.rerated().len() as u64;
@@ -1148,7 +1202,8 @@ mod tests {
         let t = net.next_event_time().unwrap();
         let us = t.as_micros_f64();
         assert!((us - 82.0).abs() < 0.5, "finish at {us} us");
-        let done = net.advance_to(t);
+        let mut done = Vec::new();
+        net.advance_to(t, &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, id);
         assert_eq!(done[0].1.tag, 7);
@@ -1165,7 +1220,8 @@ mod tests {
         // Shared at 50 Gbps each. Flow a: 8e6 bits / 50e9 = 160 us.
         let t1 = net.next_event_time().unwrap();
         assert!((t1.as_micros_f64() - 161.0).abs() < 1.0, "{t1}");
-        let done = net.advance_to(t1);
+        let mut done = Vec::new();
+        net.advance_to(t1, &mut done);
         assert_eq!(done[0].0, a);
         // Flow b then has 1 MB left at full 100 Gbps: 80 us more.
         let t2 = net.next_event_time().unwrap();
@@ -1182,7 +1238,8 @@ mod tests {
         net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 0);
         net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 2_000_000, 1);
         net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 3_000_000, 2);
-        let done = net.advance_to(SimTime::from_millis(10));
+        let mut done = Vec::new();
+        net.advance_to(SimTime::from_millis(10), &mut done);
         assert_eq!(done.len(), 3);
         // Completion order follows size here.
         assert_eq!(
@@ -1233,12 +1290,15 @@ mod tests {
         let finish = net.next_event_time().unwrap();
         // Move to a point strictly between drain and arrival.
         let between = SimTime::from_micros(81);
-        assert!(net.advance_to(between).is_empty());
+        let mut done = Vec::new();
+        net.advance_to(between, &mut done);
+        assert!(done.is_empty());
         assert_eq!(net.flow_remaining(id), Some(0.0));
         // The cancel is refused: all bytes were delivered.
         assert!(net.cancel_flow(between, id).is_none());
         // ... and the completion still arrives on time.
-        let done = net.advance_to(finish);
+        let mut done = Vec::new();
+        net.advance_to(finish, &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, id);
         assert_eq!(done[0].1.tag, 42);
@@ -1254,7 +1314,8 @@ mod tests {
         net.start_flow(SimTime::from_secs(1), &[], 1 << 30, 5);
         let t = net.next_event_time().unwrap();
         assert_eq!(t, SimTime::from_secs(1));
-        let done = net.advance_to(t);
+        let mut done = Vec::new();
+        net.advance_to(t, &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1.tag, 5);
     }
@@ -1274,7 +1335,7 @@ mod tests {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
         net.start_flow(SimTime::from_secs(2), &fwd(&links), 10, 0);
-        net.advance_to(SimTime::from_secs(1));
+        net.advance_to(SimTime::from_secs(1), &mut Vec::new());
     }
 
     #[test]
@@ -1319,12 +1380,14 @@ mod tests {
         net.start_flow(SimTime::from_micros(20), &fwd(&links[..1]), 1_000, 9);
         let next = net.next_event_time().unwrap();
         assert!(next < SimTime::MAX, "survivor still finishes");
-        let done = net.advance_to(SimTime::from_millis(1));
+        let mut done = Vec::new();
+        net.advance_to(SimTime::from_millis(1), &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1.tag, 8);
         // Recovery lets the stalled flow drain.
         net.set_link_scale(SimTime::from_millis(2), links[0], 1.0);
-        let done = net.advance_to(SimTime::from_millis(3));
+        let mut done = Vec::new();
+        net.advance_to(SimTime::from_millis(3), &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1.tag, 9);
     }
@@ -1336,7 +1399,7 @@ mod tests {
         net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 4_000_000, 0);
         // A second flow arrives mid-transfer and leaves via completion.
         net.start_flow(SimTime::from_micros(100), &fwd(&links[..1]), 1_000_000, 1);
-        net.advance_to(SimTime::from_millis(5));
+        net.advance_to(SimTime::from_millis(5), &mut Vec::new());
         assert_eq!(net.active_flow_count(), 0);
         assert!(
             (net.cumulative_bytes(links[0]) - 5_000_000.0).abs() < 10.0,
@@ -1346,9 +1409,9 @@ mod tests {
     }
 
     /// Satellite regression: `set_link_scale` must re-solve only the
-    /// scaled link's component. The survivor cluster keeps its rate and
-    /// epoch untouched, and the work counter proves no other flows were
-    /// rated.
+    /// scaled link's component. The survivor clusters keep their rates
+    /// and completion estimates untouched, and the work counter proves
+    /// no other flows were rated.
     #[test]
     fn link_scale_resolve_is_component_scoped() {
         let (g, links) = clusters(3);
@@ -1362,11 +1425,11 @@ mod tests {
         net.next_event_time();
         let before_b = {
             let f = net.flow(b).unwrap();
-            (f.rate_bps.to_bits(), f.epoch, f.finish_at)
+            (f.rate_bps.to_bits(), f.finish_at)
         };
         let before_c = {
             let f = net.flow(c).unwrap();
-            (f.rate_bps.to_bits(), f.epoch, f.finish_at)
+            (f.rate_bps.to_bits(), f.finish_at)
         };
         let rated_before = net.solve_stats().flows_rated;
         // Degrade cluster 0's shared link; clusters 1 and 2 must not even
@@ -1375,11 +1438,11 @@ mod tests {
         net.next_event_time();
         let after_b = {
             let f = net.flow(b).unwrap();
-            (f.rate_bps.to_bits(), f.epoch, f.finish_at)
+            (f.rate_bps.to_bits(), f.finish_at)
         };
         let after_c = {
             let f = net.flow(c).unwrap();
-            (f.rate_bps.to_bits(), f.epoch, f.finish_at)
+            (f.rate_bps.to_bits(), f.finish_at)
         };
         assert_eq!(before_b, after_b);
         assert_eq!(before_c, after_c);
@@ -1429,7 +1492,8 @@ mod tests {
             net.start_flow(SimTime::ZERO, &fwd(&links), 2_000_000, 1);
             net.start_flow(SimTime::from_micros(50), &fwd(&links[..1]), 500_000, 2);
             net.set_link_scale(SimTime::from_micros(80), links[0], 0.5);
-            let done = net.advance_to(SimTime::from_millis(5));
+            let mut done = Vec::new();
+            net.advance_to(SimTime::from_millis(5), &mut done);
             (
                 done.iter().map(|(id, f)| (id.0, f.tag)).collect::<Vec<_>>(),
                 net.cumulative_bytes(links[0]),
@@ -1442,7 +1506,8 @@ mod tests {
     fn run_one(net: &mut SimNet, path: &[DirLink], bytes: u64) -> FlowId {
         let id = net.start_flow(net.now(), path, bytes, 0);
         let t = net.next_event_time().unwrap();
-        let done = net.advance_to(t);
+        let mut done = Vec::new();
+        net.advance_to(t, &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, id);
         id
@@ -1541,16 +1606,26 @@ mod tests {
         assert_eq!(net.flows.side.len(), 3_000);
         assert_eq!(net.active_flow_count(), 3_000);
         net.set_link_scale(net.now(), links[0], 1.0);
-        let done = net.advance_to(net.now() + SimSpan::from_secs(1));
+        let mut done = Vec::new();
+        net.advance_to(net.now() + SimSpan::from_secs(1), &mut done);
         assert_eq!(done.len(), 3_000);
         assert!(net.flows.side.is_empty());
         assert_eq!(net.active_flow_count(), 0);
     }
 
-    /// Rate churn pushes a heap entry per change of a long flow's rate,
-    /// and a cancelled lone flow leaves its entry behind without a solve;
-    /// compaction keeps the heap within twice the live flows plus
-    /// [`HEAP_COMPACT_SLACK`] either way.
+    /// Live flows with a finite completion estimate: the ones that must
+    /// each have exactly one completion-heap entry.
+    pub(super) fn queued_flows(net: &SimNet) -> usize {
+        net.flows
+            .live()
+            .filter(|(_, f)| f.finish_at < SimTime::MAX)
+            .count()
+    }
+
+    /// Rate churn moves a long flow's entry at each change of its rate,
+    /// and a cancelled lone flow takes its entry with it without a
+    /// solve: the heap holds exactly one entry per queued flow either
+    /// way.
     #[test]
     fn completion_heap_stays_bounded_under_rate_churn() {
         let (g, _, links) = line();
@@ -1560,9 +1635,10 @@ mod tests {
         for _ in 0..10_000 {
             let id = net.start_flow(net.now(), &short, 1_000, 0);
             let t = net.next_event_time().unwrap();
-            let done = net.advance_to(t);
+            let mut done = Vec::new();
+            net.advance_to(t, &mut done);
             assert_eq!(done[0].0, id);
-            assert!(net.heap.len() <= 2 * net.active_flow_count() + HEAP_COMPACT_SLACK);
+            assert_eq!(net.heap.entries.len(), queued_flows(&net));
         }
         net.cancel_flow(net.now(), long);
         // A lone flow on links[1] finishes first; larger lone flows on
@@ -1571,7 +1647,7 @@ mod tests {
         for _ in 0..10_000 {
             let id = net.start_flow(net.now(), &fwd(&links[..1]), 1 << 40, 0);
             net.next_event_time();
-            assert!(net.heap.len() <= 2 * net.active_flow_count() + HEAP_COMPACT_SLACK);
+            assert_eq!(net.heap.entries.len(), queued_flows(&net));
             assert!(net.cancel_flow(net.now(), id).is_some());
         }
     }
@@ -1612,7 +1688,8 @@ mod tests {
         let start = SimTime::from_micros(5);
         let id = net.start_flow(start, &fwd(&links), 0, 3);
         assert_eq!(net.next_event_time(), Some(start + SimSpan::from_micros(2)));
-        let done = net.advance_to(SimTime::from_micros(10));
+        let mut done = Vec::new();
+        net.advance_to(SimTime::from_micros(10), &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, id);
     }
@@ -1704,7 +1781,11 @@ mod tests {
         let s0 = net.solve_stats();
         run_one(&mut net, &fwd(&links), 1_000_000);
         assert!(!net.dirty && net.seed_slots.is_empty());
-        assert!(net.heap.is_empty(), "{} stale entries", net.heap.len());
+        assert!(
+            net.heap.entries.is_empty(),
+            "{} entries left",
+            net.heap.entries.len()
+        );
         let id = net.start_flow(net.now(), &fwd(&links[..1]), 1_000_000, 0);
         assert!(net
             .cancel_flow(net.now() + SimSpan::from_micros(10), id)
@@ -1745,5 +1826,137 @@ mod tests {
             !net.cache_valid,
             "a solo start on a cached link drops the cache"
         );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
+    use proptest::prelude::*;
+
+    const N_LINKS: usize = 6;
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// A flow over the links in `mask` (none: an empty path), each
+        /// reversed where `rev` has its bit set.
+        Start { mask: u8, rev: u8, bytes: u64 },
+        /// Cancel the live flow at this index, modulo the live count.
+        Cancel(usize),
+        /// Advance to the next completion (`None`) or by this many
+        /// microseconds; by 0, it solves pending changes at the clock.
+        Advance(Option<u64>),
+        /// Scale a link to 0, 0.25 or 1 (`kind` 0, 1, 2).
+        Scale(usize, u8),
+    }
+
+    /// Starts 4 in 10 (a third each zero-byte, small and large; half on
+    /// one link, so that components stay apart), cancels 2, advances 3
+    /// (a third each to the next completion, by 0 and by up to 200 us),
+    /// scales 1.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..10, 0u64..1 << 20, 0u64..1 << 20).prop_map(|(kind, a, b)| match kind {
+            0..=3 => Op::Start {
+                mask: if a % 2 == 0 {
+                    1 << (a / 2 % N_LINKS as u64)
+                } else {
+                    (a / 2 % (1 << N_LINKS)) as u8
+                },
+                rev: (b % 64) as u8,
+                bytes: [0, 1_000 + b % 99_000, 1_000_000 + b * 8][(a / 16 % 3) as usize],
+            },
+            4 | 5 => Op::Cancel(a as usize),
+            6..=8 => Op::Advance([None, Some(0), Some(1 + b % 200)][(a % 3) as usize]),
+            _ => Op::Scale((a as usize) % N_LINKS, (b % 3) as u8),
+        })
+    }
+
+    /// `N_LINKS` GPU links of mixed capacity on one switch.
+    fn star() -> (Graph, Vec<LinkId>) {
+        let mut b = GraphBuilder::new();
+        let sw = b.add_access_switch(true, "s");
+        let links = (0..N_LINKS)
+            .map(|i| {
+                let g = b.add_gpu(ServerId(i as u32), 0, GpuSpec::a100_40g());
+                let cap = bandwidth::ETH_100G * if i % 2 == 0 { 1.0 } else { 0.4 };
+                b.add_link(g, sw, LinkKind::Ethernet, cap, 1_000 * i as u64)
+            })
+            .collect();
+        (b.build(), links)
+    }
+
+    /// The heap holds one entry per live flow with a finite estimate, at
+    /// the position the flow stores and keyed `(finish_at, id)`; every
+    /// other flow is unqueued; and the entries are in min-heap order.
+    fn assert_heap_indexes_queued_flows(net: &SimNet) {
+        let entries = &net.heap.entries;
+        for (id, f) in net.flows.live() {
+            if f.finish_at < SimTime::MAX {
+                assert_eq!(
+                    entries.get(f.heap_pos),
+                    Some(&(f.finish_at, id)),
+                    "{id:?}'s entry"
+                );
+            } else {
+                assert_eq!(f.heap_pos, UNQUEUED, "{id:?} is starved but queued");
+            }
+        }
+        assert_eq!(entries.len(), tests::queued_flows(net));
+        for i in 1..entries.len() {
+            assert!(
+                entries[(i - 1) / HEAP_ARITY] < entries[i],
+                "heap order at {i}"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn completion_heap_holds_one_entry_per_queued_flow(
+            ops in proptest::collection::vec(op(), 1..200),
+        ) {
+            let (g, links) = star();
+            let mut net = SimNet::new(&g);
+            let mut live: Vec<FlowId> = Vec::new();
+            let mut done = Vec::new();
+            for op in ops {
+                let now = net.now();
+                match op {
+                    Op::Start { mask, rev, bytes } => {
+                        let path: Vec<DirLink> = (0..N_LINKS)
+                            .filter(|&i| mask >> i & 1 == 1)
+                            .map(|i| (links[i], rev >> i & 1 == 1))
+                            .collect();
+                        live.push(net.start_flow(now, &path, bytes, 0));
+                    }
+                    Op::Cancel(i) => {
+                        if !live.is_empty() {
+                            let id = live[i % live.len()];
+                            if net.cancel_flow(now, id).is_some() {
+                                live.retain(|&x| x != id);
+                            }
+                        }
+                    }
+                    Op::Advance(by) => {
+                        let t = match (by, net.next_event_time()) {
+                            (Some(us), _) => now + SimSpan::from_micros(us),
+                            (None, Some(t)) if t < SimTime::MAX => t,
+                            (None, _) => now,
+                        };
+                        net.advance_to(t, &mut done);
+                        live.retain(|id| done.iter().all(|(d, _)| d != id));
+                        done.clear();
+                    }
+                    Op::Scale(l, kind) => {
+                        let factor = [0.0, 0.25, 1.0][kind as usize];
+                        let aborted = net.set_link_scale(now, links[l], factor);
+                        live.retain(|id| aborted.iter().all(|(d, _)| d != id));
+                    }
+                }
+                prop_assert_eq!(net.active_flow_count(), live.len());
+                assert_heap_indexes_queued_flows(&net);
+            }
+        }
     }
 }

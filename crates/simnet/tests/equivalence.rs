@@ -1,8 +1,8 @@
 //! Incremental-engine equivalence suite.
 //!
 //! `SimNet` maintains fair-share rates incrementally: component-scoped
-//! re-solves through a persistent workspace, parked flows and a
-//! lazily-invalidated completion heap (DESIGN.md §9/§12). The claim that
+//! re-solves through a persistent workspace, parked flows and an
+//! indexed completion heap (DESIGN.md §9/§12). The claim that
 //! buys is strong — **bit-identical** behaviour to a from-scratch global
 //! solve at every externally observable point. This suite enforces the
 //! claim three ways:
@@ -485,12 +485,10 @@ impl Harness {
 
     fn advance_all(&mut self, t: SimTime) {
         self.done_ref.extend(self.refnet.advance_to(t));
-        self.done_net.extend(
-            self.net
-                .advance_to(t)
-                .into_iter()
-                .map(|(id, f)| (id.0, f.tag)),
-        );
+        let mut done = Vec::new();
+        self.net.advance_to(t, &mut done);
+        self.done_net
+            .extend(done.into_iter().map(|(id, f)| (id.0, f.tag)));
     }
 
     /// Full bitwise state comparison against the reference, plus

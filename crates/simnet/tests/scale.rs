@@ -39,6 +39,7 @@ fn ten_thousand_flows_on_xtracks() {
     let caps = g.capacities();
     let mut load = vec![0.0f64; 2 * n_links];
     let mut live = Vec::new();
+    let mut done = Vec::new();
     let mut launched = 0u64;
     let mut completed = 0u64;
     let mut paths: Vec<Vec<(hs_topology::LinkId, bool)>> = Vec::new();
@@ -96,9 +97,9 @@ fn ten_thousand_flows_on_xtracks() {
             );
         }
         now = now.max(target);
-        let done = net.advance_to(now);
+        net.advance_to(now, &mut done);
         live.retain(|id| done.iter().all(|(d, _)| d != id));
-        for (id, f) in done {
+        for (id, f) in done.drain(..) {
             completed += 1;
             assert_eq!(f.remaining_bytes, 0.0, "flow {id:?} returned undrained");
             for &(l, fwd) in f.path.iter() {

@@ -117,7 +117,8 @@ fn congestion_slows_collectives_and_drains_afterwards() {
     );
     // The background flow still completes after the collective.
     let t = net.next_event_time().expect("hog still active");
-    let done = net.advance_to(t);
+    let mut done = Vec::new();
+    net.advance_to(t, &mut done);
     assert_eq!(done.len(), 1);
 }
 
