@@ -9,13 +9,13 @@
 //! (`results/bench_simnet.json`).
 
 use hs_des::SimTime;
-use hs_simnet::{DirLink, SimNet, SolveStats};
+use hs_simnet::{Route, SimNet, SolveStats};
 use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
 use hs_topology::Graph;
 
 /// Build `n_clusters` isolated GPU–switch–GPU clusters; returns the
 /// graph and one 2-hop directed path per cluster.
-pub fn clusters_topo(n_clusters: usize) -> (Graph, Vec<Vec<DirLink>>) {
+pub fn clusters_topo(n_clusters: usize) -> (Graph, Vec<Route>) {
     let mut b = GraphBuilder::new();
     let mut paths = Vec::with_capacity(n_clusters);
     for k in 0..n_clusters {
@@ -24,14 +24,14 @@ pub fn clusters_topo(n_clusters: usize) -> (Graph, Vec<Vec<DirLink>>) {
         let s = b.add_access_switch(false, "s");
         let l0 = b.add_link(g0, s, LinkKind::Ethernet, bandwidth::ETH_100G, 1_000);
         let l1 = b.add_link(s, g1, LinkKind::Ethernet, bandwidth::ETH_100G, 1_000);
-        paths.push(vec![(l0, true), (l1, true)]);
+        paths.push(Route::from([(l0, true), (l1, true)]));
     }
     (b.build(), paths)
 }
 
 /// Start `per_cluster` flows over every cluster path, sizes staggered so
 /// completions spread over time instead of piling on one timestamp.
-pub fn fill(net: &mut SimNet, paths: &[Vec<DirLink>], per_cluster: usize, bytes: u64) {
+pub fn fill(net: &mut SimNet, paths: &[Route], per_cluster: usize, bytes: u64) {
     for (k, p) in paths.iter().enumerate() {
         for j in 0..per_cluster {
             let sz = bytes + (j as u64) * (bytes / 7 + 1);
@@ -68,7 +68,7 @@ impl ThroughputRun {
 /// `paths.len() × per_cluster` flows, one completion instant at a time.
 pub fn pull_loop_throughput(
     g: &Graph,
-    paths: &[Vec<DirLink>],
+    paths: &[Route],
     per_cluster: usize,
     bytes: u64,
 ) -> ThroughputRun {
@@ -90,7 +90,7 @@ pub fn pull_loop_throughput(
 /// loop, without the per-event `next_event_time` round trips.
 pub fn bulk_advance_throughput(
     g: &Graph,
-    paths: &[Vec<DirLink>],
+    paths: &[Route],
     per_cluster: usize,
     bytes: u64,
 ) -> ThroughputRun {

@@ -28,7 +28,7 @@ use hs_model::{
     decode_latency_secs, prefill_latency_secs, BatchStats, CostCoefficients, MemoryModel,
     ModelConfig,
 };
-use hs_simnet::{DirLink, FlowId, LinkMonitor, SimNet, SolveStats};
+use hs_simnet::{FlowId, LinkMonitor, Route, SimNet, SolveStats};
 use hs_topology::{AllPairs, Graph, LinkId, LinkKind, NodeId};
 use hs_workload::{ArrivalProcess, FaultKind, FaultPlan, Mmpp, RequestId, Trace};
 use rand::rngs::SmallRng;
@@ -153,11 +153,12 @@ impl Shared {
 
     /// Route a point-to-point transfer (KV stripe, pipeline hop): the
     /// strategy may steer around faults and hotspots; the fallback is the
-    /// precomputed shortest path.
-    pub(crate) fn route(&mut self, src: NodeId, dst: NodeId, bytes: u64) -> Vec<DirLink> {
-        self.strategy
-            .choose_path(src, dst, bytes, &self.util)
-            .unwrap_or_else(|| self.ap.path(src, dst).directed_links(&self.g))
+    /// precomputed shortest path, shared with `ap`.
+    pub(crate) fn route(&mut self, src: NodeId, dst: NodeId, bytes: u64) -> Route {
+        match self.strategy.choose_path(src, dst, bytes, &self.util) {
+            Some(hops) => hops.into(),
+            None => Route::clone(&self.ap.path(src, dst).route),
+        }
     }
 }
 
@@ -233,9 +234,9 @@ impl Background {
         if a == b || !sh.ap.covers(a) || !sh.ap.covers(b) {
             return None;
         }
-        let links = sh.ap.path(a, b).directed_links(&sh.g);
-        if !links.is_empty() {
-            sh.net.start_flow(sh.now, &links, *bytes, 0);
+        let route = &sh.ap.path(a, b).route;
+        if !route.is_empty() {
+            sh.net.start_flow(sh.now, route, *bytes, 0);
         }
         Some(())
     }
@@ -953,6 +954,29 @@ pub(crate) mod tests {
         let trace = poisson_trace(rate, horizon_s);
         let sim = testbed_sim(&t, tp4(&t, &[0]), tp4(&t, &[1]), faults, &trace, strategy);
         (sim, trace.len())
+    }
+
+    /// A background flow runs on its pair's `AllPairs` route itself, not
+    /// on a copy of it.
+    #[test]
+    fn background_flows_share_their_route() {
+        let t = testbed();
+        let strategy = fixed_scheme(Scheme::Ring);
+        let events = EventQueue::with_capacity(4);
+        let mut sh = Shared::new(&t.graph, t.gpu_switch_pairs(), strategy, events);
+        let mut bg = Background::start(&t.graph, (100.0, 1 << 20), &mut sh.events);
+        for _ in 0..16 {
+            if bg.fire(&mut sh).is_some() {
+                break;
+            }
+        }
+        let f = sh.net.flow(FlowId(0)).expect("a background flow started");
+        let gpus = t.all_gpus();
+        let mut pairs = gpus.iter().flat_map(|&a| gpus.iter().map(move |&b| (a, b)));
+        assert!(
+            pairs.any(|(a, b)| std::sync::Arc::ptr_eq(&f.path, &sh.ap.path(a, b).route)),
+            "the flow holds a copy of its route"
+        );
     }
 
     #[test]

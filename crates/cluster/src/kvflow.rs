@@ -110,7 +110,7 @@ impl KvRoutes {
         start.push(0);
         for &a in nodes {
             for &b in nodes {
-                links.extend(ap.path(a, b).links.iter().map(|l| l.0));
+                links.extend(ap.path(a, b).links().map(|l| l.0));
                 start.push(u32::try_from(links.len()).expect("route table fits u32 offsets"));
             }
         }

@@ -17,7 +17,7 @@ pub const AGG_DELAY: SimSpan = SimSpan::from_micros(1);
 /// (the paper's `Σ_{e_n ∈ P(k,a)} D / B(e_n)` with per-hop latency).
 pub fn path_transfer_secs(g: &Graph, path: &Path, bytes: u64, avail: Option<&[f64]>) -> f64 {
     let mut t = 0.0;
-    for &l in &path.links {
+    for l in path.links() {
         let link = g.link(l);
         let bw = avail
             .map(|b| b[l.idx()])

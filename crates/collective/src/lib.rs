@@ -30,4 +30,4 @@ pub mod verify;
 pub use latency::{
     hierarchical_ina_latency, hierarchical_ring_latency, ina_latency, ring_latency, AGG_DELAY,
 };
-pub use plan::{CollectiveExec, CollectivePlan, Phase, PhaseShape, PlanShape, Progress, Scheme};
+pub use plan::{CollectiveExec, PhaseShape, PlanShape, Progress, Scheme};

@@ -8,13 +8,13 @@
 //! transfers, the ring divisor that sizes them and an optional
 //! post-phase fixed delay such as the switch aggregation time) and
 //! stepped at each launch's payload size by a [`CollectiveExec`] state
-//! machine. [`CollectivePlan`] is the same shape with every transfer
-//! sized.
+//! machine. A shape's paths are the [`AllPairs`] routes themselves,
+//! shared with every flow a launch starts on them.
 
 use crate::latency::{by_server, AGG_DELAY};
 use hs_des::{SimSpan, SimTime};
-use hs_simnet::{DirLink, FlowId, SimNet};
-use hs_topology::{AllPairs, Graph, NodeId};
+use hs_simnet::{FlowId, SimNet};
+use hs_topology::{AllPairs, Graph, NodeId, Route};
 use std::sync::Arc;
 
 /// Which all-reduce scheme to compile (the planner's `α`/`β` selection
@@ -63,57 +63,12 @@ impl Scheme {
     }
 }
 
-/// One phase: transfers that run concurrently, then an optional fixed
-/// delay before the next phase (e.g. switch aggregation).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Phase {
-    /// `(directed path, bytes)` transfers started together.
-    pub transfers: Vec<(Vec<DirLink>, u64)>,
-    /// Delay after the last transfer completes.
-    pub post_delay: SimSpan,
-}
-
-/// A collective at one payload size: ordered phases, every transfer
-/// sized. [`CollectiveExec`] runs the [`PlanShape`] it is sized from.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CollectivePlan {
-    /// Phases in execution order.
-    pub phases: Vec<Phase>,
-}
-
-impl CollectivePlan {
-    /// Compile `scheme` for `group` moving `total_bytes` of
-    /// synchronization data (the full vector size `D`): the
-    /// [`PlanShape`] with every transfer sized at `total_bytes`. A
-    /// transfer that would carry nothing is elided.
-    pub fn compile(
-        g: &Graph,
-        ap: &AllPairs,
-        group: &[NodeId],
-        scheme: Scheme,
-        total_bytes: u64,
-    ) -> Self {
-        let shape = PlanShape::compile(g, ap, group, scheme);
-        let phases = shape.phases_at(total_bytes).iter().map(|ph| Phase {
-            transfers: ph
-                .transfers(total_bytes)
-                .filter(|&(_, bytes)| bytes > 0)
-                .map(|(path, bytes)| (path.to_vec(), bytes))
-                .collect(),
-            post_delay: ph.post_delay,
-        });
-        CollectivePlan {
-            phases: phases.collect(),
-        }
-    }
-}
-
 /// One phase of a [`PlanShape`]: the paths of the transfers started
 /// together, how they split the payload, and the delay after them.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseShape {
-    /// Directed paths of the transfers, in start order.
-    pub paths: Vec<Vec<DirLink>>,
+    /// Routes of the transfers, in start order.
+    pub paths: Vec<Route>,
     /// Ring length `p` when each transfer carries one `1/p` chunk of the
     /// payload; `None` when each carries the whole payload.
     pub ring: Option<u64>,
@@ -122,14 +77,14 @@ pub struct PhaseShape {
 }
 
 impl PhaseShape {
-    /// `(path, bytes)` of each transfer in a `total`-byte collective, in
+    /// `(route, bytes)` of each transfer in a `total`-byte collective, in
     /// start order. A ring chunk is at least one byte.
-    pub fn transfers(&self, total: u64) -> impl Iterator<Item = (&[DirLink], u64)> {
+    pub fn transfers(&self, total: u64) -> impl Iterator<Item = (&Route, u64)> {
         let bytes = match self.ring {
             Some(p) => (total / p).max(1),
             None => total,
         };
-        self.paths.iter().map(move |p| (p.as_slice(), bytes))
+        self.paths.iter().map(move |p| (p, bytes))
     }
 }
 
@@ -153,8 +108,8 @@ impl PlanShape {
             return PlanShape::default();
         }
         let phases = match scheme {
-            Scheme::Ring => Self::ring(g, ap, group),
-            Scheme::Ina { switch } => vec![Self::ina(g, ap, group, switch)],
+            Scheme::Ring => Self::ring(ap, group),
+            Scheme::Ina { switch } => vec![Self::ina(ap, group, switch)],
             Scheme::HierRing => Self::hierarchical(g, ap, group, None),
             Scheme::HierIna { switch } => Self::hierarchical(g, ap, group, Some(switch)),
         };
@@ -171,25 +126,24 @@ impl PlanShape {
         }
     }
 
-    fn push_path(phase: &mut PhaseShape, g: &Graph, ap: &AllPairs, from: NodeId, to: NodeId) {
+    fn push_path(phase: &mut PhaseShape, ap: &AllPairs, from: NodeId, to: NodeId) {
         if from == to {
             return;
         }
-        let path = ap.path(from, to);
-        if path.links.is_empty() {
-            return;
+        let route = &ap.path(from, to).route;
+        if !route.is_empty() {
+            phase.paths.push(Arc::clone(route));
         }
-        phase.paths.push(path.directed_links(g));
     }
 
-    fn ring(g: &Graph, ap: &AllPairs, group: &[NodeId]) -> Vec<PhaseShape> {
+    fn ring(ap: &AllPairs, group: &[NodeId]) -> Vec<PhaseShape> {
         let p = group.len();
         let mut phase = PhaseShape {
             ring: Some(p as u64),
             ..PhaseShape::default()
         };
         for i in 0..p {
-            Self::push_path(&mut phase, g, ap, group[i], group[(i + 1) % p]);
+            Self::push_path(&mut phase, ap, group[i], group[(i + 1) % p]);
         }
         vec![phase; 2 * (p - 1)]
     }
@@ -200,14 +154,14 @@ impl PlanShape {
     /// distribution (down) directions run *concurrently*. One phase with
     /// both directions' flows models this; the single aggregation delay
     /// covers the pipeline fill.
-    fn ina(g: &Graph, ap: &AllPairs, group: &[NodeId], switch: NodeId) -> PhaseShape {
+    fn ina(ap: &AllPairs, group: &[NodeId], switch: NodeId) -> PhaseShape {
         let mut phase = PhaseShape {
             post_delay: AGG_DELAY,
             ..PhaseShape::default()
         };
         for &k in group {
-            Self::push_path(&mut phase, g, ap, k, switch);
-            Self::push_path(&mut phase, g, ap, switch, k);
+            Self::push_path(&mut phase, ap, k, switch);
+            Self::push_path(&mut phase, ap, switch, k);
         }
         phase
     }
@@ -229,7 +183,7 @@ impl PlanShape {
         let mut reduce = PhaseShape::default();
         for (_, members) in &locals {
             for &m in &members[1..] {
-                Self::push_path(&mut reduce, g, ap, m, members[0]);
+                Self::push_path(&mut reduce, ap, m, members[0]);
             }
         }
         if !reduce.paths.is_empty() {
@@ -239,8 +193,8 @@ impl PlanShape {
         // Phase 2: inter-server among leaders.
         if leaders.len() >= 2 {
             match switch {
-                Some(sw) => phases.push(Self::ina(g, ap, &leaders, sw)),
-                None => phases.extend(Self::ring(g, ap, &leaders)),
+                Some(sw) => phases.push(Self::ina(ap, &leaders, sw)),
+                None => phases.extend(Self::ring(ap, &leaders)),
             }
         }
 
@@ -248,7 +202,7 @@ impl PlanShape {
         let mut bcast = PhaseShape::default();
         for (_, members) in &locals {
             for &m in &members[1..] {
-                Self::push_path(&mut bcast, g, ap, members[0], m);
+                Self::push_path(&mut bcast, ap, members[0], m);
             }
         }
         if !bcast.paths.is_empty() {
@@ -453,10 +407,10 @@ mod tests {
     #[test]
     fn empty_and_singleton_plans_are_noops() {
         let (m, ap) = setup();
-        let p = CollectivePlan::compile(&m.graph, &ap, &m.gpus[..1], Scheme::Ring, 1 << 20);
-        assert!(p.phases.is_empty());
-        let p = CollectivePlan::compile(&m.graph, &ap, &m.gpus, Scheme::Ring, 0);
-        assert!(p.phases.is_empty());
+        let p = PlanShape::compile(&m.graph, &ap, &m.gpus[..1], Scheme::Ring);
+        assert!(p.phases_at(1 << 20).is_empty());
+        let p = PlanShape::compile(&m.graph, &ap, &m.gpus, Scheme::Ring);
+        assert!(p.phases_at(0).is_empty());
         let d = run_isolated(&m.graph, &ap, &m.gpus[..1], Scheme::Ring, 1 << 20);
         assert!(d.is_zero());
     }
@@ -464,13 +418,14 @@ mod tests {
     #[test]
     fn ring_plan_shape() {
         let (m, ap) = setup();
-        let p = CollectivePlan::compile(&m.graph, &ap, &m.gpus, Scheme::Ring, 3_000_000);
-        assert_eq!(p.phases.len(), 4); // 2(P-1)
-        for ph in &p.phases {
-            assert_eq!(ph.transfers.len(), 3);
+        let p = PlanShape::compile(&m.graph, &ap, &m.gpus, Scheme::Ring);
+        let phases = p.phases_at(3_000_000);
+        assert_eq!(phases.len(), 4); // 2(P-1)
+        for ph in phases {
+            assert_eq!(ph.transfers(3_000_000).count(), 3);
             assert!(ph.post_delay.is_zero());
-            for (_, b) in &ph.transfers {
-                assert_eq!(*b, 1_000_000);
+            for (_, b) in ph.transfers(3_000_000) {
+                assert_eq!(b, 1_000_000);
             }
         }
     }
@@ -478,43 +433,27 @@ mod tests {
     #[test]
     fn ina_plan_shape() {
         let (m, ap) = setup();
-        let p = CollectivePlan::compile(
-            &m.graph,
-            &ap,
-            &m.gpus,
-            Scheme::Ina { switch: m.core },
-            1 << 20,
-        );
+        let p = PlanShape::compile(&m.graph, &ap, &m.gpus, Scheme::Ina { switch: m.core });
         // Streaming INA: one overlapped phase with up + down flows.
-        assert_eq!(p.phases.len(), 1);
-        assert_eq!(p.phases[0].transfers.len(), 6);
-        assert_eq!(p.phases[0].post_delay, AGG_DELAY);
+        let phases = p.phases_at(1 << 20);
+        assert_eq!(phases.len(), 1);
+        assert_eq!(phases[0].transfers(1 << 20).count(), 6);
+        assert_eq!(phases[0].post_delay, AGG_DELAY);
     }
 
     #[test]
     fn hierarchical_moves_bytes_off_ethernet() {
         let (m, ap) = setup();
-        let flat = CollectivePlan::compile(
-            &m.graph,
-            &ap,
-            &m.gpus,
-            Scheme::Ina { switch: m.core },
-            1 << 20,
-        );
-        let hier = CollectivePlan::compile(
-            &m.graph,
-            &ap,
-            &m.gpus,
-            Scheme::HierIna { switch: m.access },
-            1 << 20,
-        );
+        let flat = PlanShape::compile(&m.graph, &ap, &m.gpus, Scheme::Ina { switch: m.core });
+        let hier = PlanShape::compile(&m.graph, &ap, &m.gpus, Scheme::HierIna { switch: m.access });
         // Count Ethernet-link bytes only.
-        let eth_bytes = |p: &CollectivePlan| -> u64 {
-            p.phases
+        let eth_bytes = |p: &PlanShape| -> u64 {
+            let total = 1 << 20;
+            p.phases_at(total)
                 .iter()
-                .flat_map(|ph| ph.transfers.iter())
-                .map(|(links, b)| {
-                    links
+                .flat_map(|ph| ph.transfers(total))
+                .map(|(route, b)| {
+                    route
                         .iter()
                         .filter(|&&(l, _)| m.graph.link(l).kind == hs_topology::LinkKind::Ethernet)
                         .count() as u64
@@ -604,8 +543,7 @@ mod tests {
         let mut net = SimNet::new(&m.graph);
         // Background: a bulk flow on the S2->S1 trunk, the bottleneck the
         // collection phase already shares between GN1 and GN2.
-        let bg_path = ap.path(m.access, m.core).directed_links(&m.graph);
-        net.start_flow(SimTime::ZERO, &bg_path, 1 << 30, 0);
+        net.start_flow(SimTime::ZERO, &ap.path(m.access, m.core).route, 1 << 30, 0);
         let contended = run_on(
             &mut net,
             SimTime::ZERO,
@@ -690,11 +628,11 @@ mod proptests {
     }
 
     proptest! {
-        /// What a launch runs (the shape's transfers at `total`) is the
-        /// plan `compile` sizes at `total`, phase by phase and transfer by
-        /// transfer; at `total == 0` both are empty.
+        /// What a launch runs at `total`: no phase at all for an empty
+        /// payload, and otherwise at least one byte on every transfer, a
+        /// ring phase's transfers each carrying `(total / p).max(1)`.
         #[test]
-        fn shape_at_total_is_the_compiled_plan(
+        fn shape_at_total_moves_bytes_on_every_transfer(
             fabric in 0usize..3,
             picks in proptest::collection::vec(0usize..1 << 16, 1..=9),
             scheme in 0usize..4,
@@ -719,19 +657,26 @@ mod proptests {
             let p = group.len() as u64;
             let total = [0, 1, p - 1, p, 1 << 20, random][which];
             let shape = PlanShape::compile(&f.g, &f.ap, &group, scheme);
-            let plan = CollectivePlan::compile(&f.g, &f.ap, &group, scheme, total);
-            let launched: Vec<Phase> = shape
-                .phases_at(total)
-                .iter()
-                .map(|ph| Phase {
-                    transfers: ph.transfers(total).map(|(l, b)| (l.to_vec(), b)).collect(),
-                    post_delay: ph.post_delay,
-                })
-                .collect();
+            let phases = shape.phases_at(total);
             if total == 0 {
-                prop_assert!(launched.is_empty() && plan.phases.is_empty());
+                prop_assert!(phases.is_empty(), "{scheme:?} on {group:?} runs at 0 B");
             }
-            prop_assert_eq!(launched, plan.phases, "{scheme:?} on {group:?} at {total} B");
+            for ph in phases {
+                for (route, bytes) in ph.transfers(total) {
+                    prop_assert!(!route.is_empty());
+                    prop_assert!(bytes >= 1, "{scheme:?} on {group:?} sends 0 B at {total} B");
+                    let want = match ph.ring {
+                        // A ring of `q` members: one transfer per member,
+                        // each a `1/q` chunk.
+                        Some(q) => {
+                            prop_assert_eq!(q, ph.paths.len() as u64);
+                            (total / q).max(1)
+                        }
+                        None => total,
+                    };
+                    prop_assert_eq!(bytes, want, "{scheme:?} on {group:?} at {total} B");
+                }
+            }
         }
     }
 }

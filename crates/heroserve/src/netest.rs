@@ -492,10 +492,10 @@ mod tests {
         let src = t.all_gpus()[0];
         let dst = t.access_switches[0];
         let path = ap.path(src, dst);
-        assert!(!path.links.is_empty());
+        assert!(!path.route.is_empty());
         let bytes: u64 = 3 << 20;
         let mut expect_s = 0.0;
-        for &l in &path.links {
+        for l in path.links() {
             let link = t.graph.link(l);
             let payload_bits = bytes as f64 * 8.0;
             expect_s += payload_bits / link.capacity_bps + link.latency_ns as f64 * 1e-9;
@@ -509,9 +509,8 @@ mod tests {
         // propagation for a MiB-scale payload, and a byte-as-bit slip
         // (×8 off) would leave this window.
         let prop_s: f64 = path
-            .links
-            .iter()
-            .map(|&l| t.graph.link(l).latency_ns as f64 * 1e-9)
+            .links()
+            .map(|l| t.graph.link(l).latency_ns as f64 * 1e-9)
             .sum();
         assert!(got_s > prop_s && got_s < 1.0, "got {got_s} s");
     }

@@ -84,7 +84,7 @@ pub fn build_policies(
             std::collections::BTreeMap::new();
         for phase in &shape.phases {
             for (ls, bytes) in phase.transfers(PROBE) {
-                for &d in ls {
+                for &d in ls.iter() {
                     *per_dir.entry(d).or_insert(0) += bytes;
                 }
             }

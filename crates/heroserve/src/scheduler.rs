@@ -23,7 +23,7 @@ use hs_cluster::{BusyPolicy, CommCtx, CommStrategy, FabricHealth, KvCandidate, K
 use hs_collective::Scheme;
 use hs_des::SimTime;
 use hs_topology::routing::k_shortest_paths_avoiding;
-use hs_topology::{AllPairs, Graph, LinkId, LinkWeight, NodeId};
+use hs_topology::{AllPairs, Graph, LinkId, LinkWeight, NodeId, Route};
 use hs_workload::FaultKind;
 use rustc_hash::FxHashSet;
 use std::collections::BTreeMap;
@@ -330,7 +330,7 @@ pub struct HeroScheduler {
     /// Cached alternative routes per endpoint pair (Yen's k-shortest),
     /// for the point-to-point path policies of Fig. 5. Ordered so fault
     /// invalidation sweeps are deterministic.
-    route_cache: BTreeMap<(NodeId, NodeId), Vec<Vec<hs_simnet::DirLink>>>,
+    route_cache: BTreeMap<(NodeId, NodeId), Vec<Route>>,
     /// The fabric's fault state, fed by `on_fault`. Policies and routes
     /// crossing a dead link are treated as infinite-cost.
     health: FabricHealth,
@@ -459,18 +459,21 @@ impl CommStrategy for HeroScheduler {
                 // Alternatives more than ~2 hops longer than the best are
                 // never worth the detour for bulk transfers.
                 .scan(None::<usize>, |best, p| {
-                    let hops = p.links.len();
+                    let hops = p.hop_count();
                     let b = *best.get_or_insert(hops);
-                    Some((hops <= b + 2).then_some(p.directed_links(graph)))
+                    Some((hops <= b + 2).then_some(p.route))
                 })
                 .flatten()
                 .collect()
         });
-        // Cached entries are invalidated on faults, but filter defensively
-        // in case a route slipped through between notifications.
-        if health.any_dead() {
-            routes.retain(|r| !r.iter().any(|&(l, _)| health.is_dead(l)));
-        }
+        // `on_fault`, the only place `health` changes, prunes or clears
+        // the cache, and a fresh entry avoids the dead links.
+        debug_assert!(
+            routes
+                .iter()
+                .all(|r| r.iter().all(|&(l, _)| !health.is_dead(l))),
+            "a cached route crosses a dead link"
+        );
         if routes.is_empty() {
             return None;
         }
@@ -490,7 +493,7 @@ impl CommStrategy for HeroScheduler {
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then_with(|| la.cmp(&lb))
             })
-            .cloned()
+            .map(|r| r.to_vec())
     }
 
     fn network_aware_admission(&self) -> bool {

@@ -37,4 +37,4 @@ mod reference;
 
 pub use fairshare::{FlowSpan, SolverWorkspace};
 pub use monitor::LinkMonitor;
-pub use net::{DirLink, Flow, FlowId, SimNet, SolveStats};
+pub use net::{DirLink, Flow, FlowId, Route, SimNet, SolveStats};

@@ -99,6 +99,7 @@ impl LinkMonitor {
 mod tests {
     use super::*;
     use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
+    use hs_topology::Route;
 
     fn one_link() -> (hs_topology::Graph, LinkId) {
         let mut b = GraphBuilder::new();
@@ -114,7 +115,7 @@ mod tests {
         let mut net = SimNet::new(&g);
         let mut mon = LinkMonitor::new(g.link_count());
         // Saturate the link for 1 ms: 100 Gbps = 12.5 MB per ms.
-        net.start_flow(SimTime::ZERO, &[(l, true)], 12_500_000, 0);
+        net.start_flow(SimTime::ZERO, &Route::from([(l, true)]), 12_500_000, 0);
         net.advance_to(SimTime::from_millis(1), &mut Vec::new());
         mon.poll(&net, SimTime::from_millis(1));
         // The first EWMA step from 0 toward the window's full sample.
@@ -137,7 +138,7 @@ mod tests {
         let mut net = SimNet::new(&g);
         let mut mon = LinkMonitor::new(g.link_count());
         // Busy first window.
-        net.start_flow(SimTime::ZERO, &[(l, true)], 12_500_000, 0);
+        net.start_flow(SimTime::ZERO, &Route::from([(l, true)]), 12_500_000, 0);
         net.advance_to(SimTime::from_millis(1), &mut Vec::new());
         mon.poll(&net, SimTime::from_millis(1));
         assert!((mon.utilization(l) - 0.5).abs() < 0.01);
@@ -161,7 +162,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::net::FlowId;
+    use crate::net::{FlowId, Route};
     use hs_des::SimSpan;
     use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
     use proptest::prelude::*;
@@ -276,7 +277,7 @@ mod proptests {
                 // Start a flow over a random directed subset of links;
                 // small payloads join and finish between two polls.
                 0..=3 => {
-                    let path: Vec<(LinkId, bool)> = (0..N_LINKS)
+                    let path: Route = (0..N_LINKS)
                         .filter(|i| a >> i & 1 == 1)
                         .map(|i| (self.links[i], b >> i & 1 == 1))
                         .collect();

@@ -60,13 +60,13 @@
 //! solve visits it) until [`SimNet::set_link_scale`] brings its whole
 //! path back, and it lives in a side table until it ends; its empty
 //! window slot does not pin the window, and the completion heap holds no
-//! entry for it. Each distinct path is interned once: a flow holds a
-//! shared reference to it, so starting a flow copies no path.
+//! entry for it. A flow keeps a clone of the shared [`Route`] it was
+//! started on, so starting a flow copies no path.
 
 use crate::fairshare::{solo_rate, FlowSpan, SolverWorkspace};
 use hs_des::{SimSpan, SimTime};
+pub use hs_topology::{DirLink, Route};
 use hs_topology::{Graph, LinkId};
-use rustc_hash::FxHashSet;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -84,10 +84,6 @@ const UNQUEUED: usize = usize::MAX;
 /// writes; a node's children are 64 contiguous bytes.
 const HEAP_ARITY: usize = 4;
 
-/// One directed hop: the link and whether it is traversed `a -> b`
-/// (links are full duplex; each direction is its own capacity pool).
-pub type DirLink = (LinkId, bool);
-
 /// Dense slot index of a directed link.
 #[inline]
 fn slot(d: DirLink) -> usize {
@@ -101,9 +97,9 @@ pub struct FlowId(pub u64);
 /// An active transfer.
 #[derive(Clone, Debug)]
 pub struct Flow {
-    /// Directed hops the flow traverses (loopless), shared with every
-    /// other flow on the same path.
-    pub path: Arc<[DirLink]>,
+    /// Directed hops the flow traverses (loopless): the route it was
+    /// started on, shared with every other holder.
+    pub path: Route,
     /// Bytes still to serialize *as of the last materialization point*
     /// (rate change, cancel, or completion). For the live value at the
     /// current clock use [`SimNet::flow_remaining`]; flows returned by
@@ -551,9 +547,6 @@ pub struct SimNet {
     /// Flow/link event sink; no-op unless attached via
     /// [`SimNet::set_tracer`]. Never affects simulation state.
     tracer: hs_obs::Tracer,
-    /// Every distinct path a flow has started on, once; a flow holds the
-    /// interned copy. Only looked up, never iterated.
-    paths: FxHashSet<Arc<[DirLink]>>,
 }
 
 impl SimNet {
@@ -589,7 +582,6 @@ impl SimNet {
             cache_valid: false,
             stats: SolveStats::default(),
             tracer: hs_obs::Tracer::noop(),
-            paths: FxHashSet::default(),
         }
     }
 
@@ -613,30 +605,15 @@ impl SimNet {
         self.flows.n_live
     }
 
-    /// Number of distinct paths flows have started on: each is stored
-    /// once and shared by every flow on it.
-    pub fn interned_paths(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// The shared copy of `path`, interned on first use.
-    fn intern(&mut self, path: &[DirLink]) -> Arc<[DirLink]> {
-        if let Some(p) = self.paths.get(path) {
-            return Arc::clone(p);
-        }
-        let p: Arc<[DirLink]> = Arc::from(path);
-        self.paths.insert(Arc::clone(&p));
-        p
-    }
-
-    /// Start a flow of `bytes` over the directed `path` at time `now`.
-    /// Every flow has the same fair share.
+    /// Start a flow of `bytes` over the directed `path` at time `now`;
+    /// the flow keeps a clone of `path`. Every flow has the same fair
+    /// share.
     ///
     /// A flow with bytes to send whose path crosses a dead link is parked
     /// (see [`SimNet::set_link_scale`]); leaving it out of the solve
     /// changes no rate (DESIGN.md §9). One whose links carry no other flow
     /// is rated here, in closed form, instead of by a solve.
-    pub fn start_flow(&mut self, now: SimTime, path: &[DirLink], bytes: u64, tag: u64) -> FlowId {
+    pub fn start_flow(&mut self, now: SimTime, path: &Route, bytes: u64, tag: u64) -> FlowId {
         self.progress_to(now);
         let id = FlowId(self.next_id);
         self.next_id += 1;
@@ -646,7 +623,7 @@ impl SimNet {
             .sum();
         let prop = SimSpan::from_nanos(prop_ns);
         let mut f = Flow {
-            path: self.intern(path),
+            path: Arc::clone(path),
             remaining_bytes: bytes as f64,
             size_bytes: bytes,
             rate_bps: 0.0,
@@ -677,7 +654,7 @@ impl SimNet {
                 "a path crosses each directed link once"
             );
             let solo = !path.is_empty() && path.iter().all(|&d| self.incidence[slot(d)].is_empty());
-            for &d in path {
+            for &d in path.iter() {
                 self.incidence[slot(d)].push(id);
             }
             if solo {
@@ -1162,7 +1139,7 @@ mod tests {
     };
 
     /// Direct all hops "forward" (capacity is symmetric in these tests).
-    fn fwd(links: &[LinkId]) -> Vec<DirLink> {
+    fn fwd(links: &[LinkId]) -> Route {
         links.iter().map(|&l| (l, true)).collect()
     }
 
@@ -1311,7 +1288,7 @@ mod tests {
     fn empty_path_completes_immediately() {
         let (g, _, _) = line();
         let mut net = SimNet::new(&g);
-        net.start_flow(SimTime::from_secs(1), &[], 1 << 30, 5);
+        net.start_flow(SimTime::from_secs(1), &fwd(&[]), 1 << 30, 5);
         let t = net.next_event_time().unwrap();
         assert_eq!(t, SimTime::from_secs(1));
         let mut done = Vec::new();
@@ -1503,7 +1480,7 @@ mod tests {
     }
 
     /// Start a flow and run the net until it completes; returns its id.
-    fn run_one(net: &mut SimNet, path: &[DirLink], bytes: u64) -> FlowId {
+    fn run_one(net: &mut SimNet, path: &Route, bytes: u64) -> FlowId {
         let id = net.start_flow(net.now(), path, bytes, 0);
         let t = net.next_event_time().unwrap();
         let mut done = Vec::new();
@@ -1924,7 +1901,7 @@ mod proptests {
                 let now = net.now();
                 match op {
                     Op::Start { mask, rev, bytes } => {
-                        let path: Vec<DirLink> = (0..N_LINKS)
+                        let path: Route = (0..N_LINKS)
                             .filter(|&i| mask >> i & 1 == 1)
                             .map(|i| (links[i], rev >> i & 1 == 1))
                             .collect();

@@ -42,7 +42,7 @@
 mod reference;
 
 use hs_des::{SimSpan, SimTime};
-use hs_simnet::{DirLink, FlowId, SimNet};
+use hs_simnet::{DirLink, FlowId, Route, SimNet};
 use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
 use hs_topology::{Graph, LinkId};
 use proptest::prelude::*;
@@ -415,7 +415,7 @@ impl Harness {
         }
     }
 
-    fn path(&self, link_mask: u8, dir_mask: u8) -> Vec<DirLink> {
+    fn path(&self, link_mask: u8, dir_mask: u8) -> Route {
         (0..N_LINKS)
             .filter(|i| link_mask & (1 << i) != 0)
             .map(|i| (self.links[i], dir_mask & (1 << i) != 0))

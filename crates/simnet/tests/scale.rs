@@ -17,7 +17,7 @@
 //! CI runs it via `cargo test --release -p hs-simnet`).
 
 use hs_des::{SimSpan, SimTime};
-use hs_simnet::SimNet;
+use hs_simnet::{Route, SimNet};
 use hs_topology::builders::{xtracks, XTracksConfig};
 use hs_topology::routing::shortest_path;
 use hs_topology::LinkWeight;
@@ -42,17 +42,17 @@ fn ten_thousand_flows_on_xtracks() {
     let mut done = Vec::new();
     let mut launched = 0u64;
     let mut completed = 0u64;
-    let mut paths: Vec<Vec<(hs_topology::LinkId, bool)>> = Vec::new();
+    let mut paths: Vec<Route> = Vec::new();
     for i in 0..N_FLOWS {
         let src = gpus[(i as usize * 7) % gpus.len()];
         let dst = gpus[(i as usize * 13 + 1) % gpus.len()];
         if src == dst {
-            paths.push(Vec::new());
+            paths.push(Route::from([]));
             continue;
         }
         let p = shortest_path(g, src, dst, LinkWeight::Latency, None)
             .expect("xtracks is connected")
-            .directed_links(g);
+            .route;
         paths.push(p);
     }
 

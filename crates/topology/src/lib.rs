@@ -27,4 +27,4 @@ pub mod routing;
 pub use graph::{
     GpuSpec, Graph, GraphBuilder, Link, LinkId, LinkKind, Node, NodeId, NodeKind, ServerId,
 };
-pub use routing::{AllPairs, LinkWeight, Path};
+pub use routing::{AllPairs, DirLink, LinkWeight, Path, Route};

@@ -13,11 +13,17 @@
 //! The online scheduler additionally needs *alternative* routes between the
 //! same endpoints (each route backs one candidate policy in the policy cost
 //! table, Fig. 5); [`k_shortest_paths`] provides them via Yen's algorithm.
+//!
+//! A [`Path`]'s hops are a [`Route`]: directed (full-duplex links carry
+//! each direction separately), built once here and shared, never copied,
+//! by every later holder — collective plans, the scheduler's candidate
+//! routes and the flows the simulator runs on them.
 
 use crate::graph::{Graph, LinkId, NodeId};
 use rustc_hash::FxHashSet;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Edge-cost model for shortest-path computations.
 #[derive(Clone, Copy, Debug)]
@@ -55,7 +61,16 @@ impl LinkWeight {
     }
 }
 
-/// A route through the fabric: the link sequence from source to
+/// One directed hop: the link and whether it is traversed `a -> b`
+/// (links are full duplex; each direction is its own capacity pool).
+pub type DirLink = (LinkId, bool);
+
+/// A route's directed hops in traversal order, built once and shared by
+/// every holder: the all-pairs store, the online scheduler's candidates,
+/// collective plans and the flows the simulator runs on it.
+pub type Route = Arc<[DirLink]>;
+
+/// A route through the fabric: the directed hops from source to
 /// destination, plus its total cost under the weight it was computed with.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Path {
@@ -63,8 +78,9 @@ pub struct Path {
     pub src: NodeId,
     /// Destination node.
     pub dst: NodeId,
-    /// Links in traversal order; empty iff `src == dst`.
-    pub links: Vec<LinkId>,
+    /// Directed hops in traversal order: each leaves the node the
+    /// previous one entered. Empty iff `src == dst` or disconnected.
+    pub route: Route,
     /// Total cost under the weight used to compute the path.
     pub cost: f64,
 }
@@ -72,38 +88,26 @@ pub struct Path {
 impl Path {
     /// Number of hops.
     pub fn hop_count(&self) -> usize {
-        self.links.len()
+        self.route.len()
     }
 
-    /// Node sequence `src, ..., dst` implied by the link sequence.
+    /// The links in traversal order.
+    pub fn links(&self) -> impl Iterator<Item = LinkId> + '_ {
+        self.route.iter().map(|&(l, _)| l)
+    }
+
+    /// Node sequence `src, ..., dst` implied by the hops.
     pub fn nodes(&self, g: &Graph) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.links.len() + 1);
-        let mut cur = self.src;
-        out.push(cur);
-        for &le in &self.links {
-            cur = g
-                .link(le)
-                .other(cur)
-                .expect("path link not incident to current node");
-            out.push(cur);
-        }
-        out
-    }
-
-    /// The traversal as `(link, forward)` pairs, where `forward` means
-    /// the hop goes from the link's `a` endpoint to `b`. Links are full
-    /// duplex, so the two directions are independent capacity pools in
-    /// the flow simulator.
-    pub fn directed_links(&self, g: &Graph) -> Vec<(LinkId, bool)> {
-        let mut out = Vec::with_capacity(self.links.len());
-        let mut cur = self.src;
-        for &le in &self.links {
-            let link = g.link(le);
-            let forward = link.a == cur;
-            debug_assert!(forward || link.b == cur, "path link not incident");
-            out.push((le, forward));
-            cur = link.other(cur).expect("incident");
-        }
+        let mut out = Vec::with_capacity(self.route.len() + 1);
+        out.push(self.src);
+        out.extend(self.route.iter().map(|&(l, forward)| {
+            let link = g.link(l);
+            if forward {
+                link.b
+            } else {
+                link.a
+            }
+        }));
         out
     }
 }
@@ -175,31 +179,40 @@ pub fn dijkstra(
     (dist, prev)
 }
 
-/// Reconstruct the path to `dst` from Dijkstra's `prev` vector.
+/// Append the directed hops of Dijkstra's path from `src` to `dst`, read
+/// from its `prev` vector, to `hops`. Returns `false`, appending nothing,
+/// if `dst` is unreachable.
 fn reconstruct(
     g: &Graph,
     src: NodeId,
     dst: NodeId,
     dist: &[f64],
     prev: &[Option<LinkId>],
-) -> Option<Path> {
+    hops: &mut Vec<DirLink>,
+) -> bool {
     if !dist[dst.idx()].is_finite() {
-        return None;
+        return false;
     }
-    let mut links = Vec::new();
+    let start = hops.len();
     let mut cur = dst;
     while cur != src {
-        let le = prev[cur.idx()]?;
-        links.push(le);
-        cur = g.link(le).other(cur).expect("prev link inconsistent");
+        let le = prev[cur.idx()].expect("a reached node has a predecessor");
+        let link = g.link(le);
+        // The hop enters `cur`: forward (`a -> b`) iff `cur` is its `b`.
+        hops.push((le, link.b == cur));
+        cur = link.other(cur).expect("prev link inconsistent");
     }
-    links.reverse();
-    Some(Path {
-        src,
-        dst,
-        links,
-        cost: dist[dst.idx()],
-    })
+    hops[start..].reverse();
+    true
+}
+
+/// `hops` as a shared route: one allocation, none when empty.
+fn shared(hops: &[DirLink]) -> Route {
+    if hops.is_empty() {
+        Route::default()
+    } else {
+        Route::from(hops)
+    }
 }
 
 /// Shortest path between two nodes, or `None` if disconnected.
@@ -225,7 +238,13 @@ pub fn shortest_path_avoiding(
 ) -> Option<Path> {
     let empty_n = FxHashSet::default();
     let (dist, prev) = dijkstra(g, src, weight, avail_bps, &empty_n, avoid);
-    reconstruct(g, src, dst, &dist, &prev)
+    let mut hops = Vec::new();
+    reconstruct(g, src, dst, &dist, &prev, &mut hops).then(|| Path {
+        src,
+        dst,
+        route: shared(&hops),
+        cost: dist[dst.idx()],
+    })
 }
 
 /// The all-pairs structures of Algorithm 2: `D(i,j)` + `P(k,a)` for the
@@ -263,17 +282,19 @@ impl AllPairs {
         let mut paths = Vec::with_capacity(m * m);
         let empty_n = FxHashSet::default();
         let empty_l = FxHashSet::default();
+        let mut hops = Vec::new();
         for (i, &src) in nodes.iter().enumerate() {
             let (d, prev) = dijkstra(g, src, weight, avail_bps, &empty_n, &empty_l);
             for (j, &dst) in nodes.iter().enumerate() {
                 dist[i * m + j] = d[dst.idx()];
-                let p = reconstruct(g, src, dst, &d, &prev).unwrap_or(Path {
+                hops.clear();
+                reconstruct(g, src, dst, &d, &prev, &mut hops);
+                paths.push(Path {
                     src,
                     dst,
-                    links: vec![],
-                    cost: f64::INFINITY,
+                    route: shared(&hops),
+                    cost: d[dst.idx()],
                 });
-                paths.push(p);
             }
         }
         AllPairs {
@@ -303,7 +324,7 @@ impl AllPairs {
         self.dist[i as usize * self.nodes.len() + j as usize]
     }
 
-    /// Shortest path between two covered nodes (empty links iff `a == b`
+    /// Shortest path between two covered nodes (empty route iff `a == b`
     /// or disconnected — check `cost.is_finite()` for the latter).
     pub fn path(&self, a: NodeId, b: NodeId) -> &Path {
         let i = self.index_of[a.idx()];
@@ -352,23 +373,24 @@ pub fn k_shortest_paths_avoiding(
         return result;
     };
     result.push(first);
-    // Candidate pool; (cost, links) with dedup on link sequence.
+    // Candidate pool, deduplicated on the hop sequence.
     let mut candidates: Vec<Path> = Vec::new();
-    let mut seen: FxHashSet<Vec<LinkId>> = FxHashSet::default();
-    seen.insert(result[0].links.clone());
+    let mut seen: FxHashSet<Route> = FxHashSet::default();
+    seen.insert(result[0].route.clone());
+    let mut hops = Vec::new();
 
     while result.len() < k {
         let last = result.last().expect("nonempty").clone();
         let last_nodes = last.nodes(g);
         // Spur from each node of the previous path.
-        for spur_idx in 0..last.links.len() {
+        for spur_idx in 0..last.route.len() {
             let spur_node = last_nodes[spur_idx];
-            let root_links: Vec<LinkId> = last.links[..spur_idx].to_vec();
+            let root = &last.route[..spur_idx];
 
             let mut banned_links: FxHashSet<LinkId> = avoid.clone();
             for p in result.iter().chain(candidates.iter()) {
-                if p.links.len() > spur_idx && p.links[..spur_idx] == root_links[..] {
-                    banned_links.insert(p.links[spur_idx]);
+                if p.route.len() > spur_idx && p.route[..spur_idx] == *root {
+                    banned_links.insert(p.route[spur_idx].0);
                 }
             }
             // Ban root-path nodes (except the spur node) to keep paths
@@ -386,27 +408,30 @@ pub fn k_shortest_paths_avoiding(
                 &banned_nodes,
                 &banned_links,
             );
-            if let Some(spur) = reconstruct(g, spur_node, dst, &d, &prev) {
-                let mut links = root_links.clone();
-                links.extend_from_slice(&spur.links);
-                if seen.insert(links.clone()) {
-                    let cost = links
-                        .iter()
-                        .map(|&l| weight.cost(g, l, avail_bps))
-                        .sum::<f64>();
-                    candidates.push(Path {
-                        src,
-                        dst,
-                        links,
-                        cost,
-                    });
-                }
+            // The spur leaves the node the root enters, so the joined hops
+            // stay directed.
+            hops.clear();
+            hops.extend_from_slice(root);
+            if reconstruct(g, spur_node, dst, &d, &prev, &mut hops) && !seen.contains(&hops[..]) {
+                let route = shared(&hops);
+                seen.insert(route.clone());
+                let cost = route
+                    .iter()
+                    .map(|&(l, _)| weight.cost(g, l, avail_bps))
+                    .sum::<f64>();
+                candidates.push(Path {
+                    src,
+                    dst,
+                    route,
+                    cost,
+                });
             }
         }
         if candidates.is_empty() {
             break;
         }
-        // Take the cheapest candidate (stable tie-break on link ids).
+        // Take the cheapest candidate (stable tie-break on the hops, which
+        // orders as the link ids do: see DESIGN.md §12).
         let best = candidates
             .iter()
             .enumerate()
@@ -414,7 +439,7 @@ pub fn k_shortest_paths_avoiding(
                 x.cost
                     .partial_cmp(&y.cost)
                     .unwrap_or(Ordering::Equal)
-                    .then_with(|| x.links.cmp(&y.links))
+                    .then_with(|| x.route.cmp(&y.route))
             })
             .map(|(i, _)| i)
             .expect("nonempty candidates");
@@ -473,7 +498,7 @@ mod tests {
         let p = shortest_path(&g, gpus[0], gpus[1], LinkWeight::Hops, None).unwrap();
         // NVLink direct beats 2-hop Ethernet detour.
         assert_eq!(p.hop_count(), 1);
-        assert_eq!(g.link(p.links[0]).kind, LinkKind::NvLink);
+        assert_eq!(g.link(p.route[0].0).kind, LinkKind::NvLink);
     }
 
     #[test]
@@ -494,7 +519,7 @@ mod tests {
         // alternative for the intra-server pair.
         let w = LinkWeight::TransferTime { bytes: 64 << 20 };
         let p = shortest_path(&g, gpus[0], gpus[1], w, None).unwrap();
-        assert_eq!(g.link(p.links[0]).kind, LinkKind::NvLink);
+        assert_eq!(g.link(p.route[0].0).kind, LinkKind::NvLink);
         // Cost is transfer ns: 64MiB*8 / 4.8e12 * 1e9 + 300 ≈ 112k ns.
         assert!(p.cost > 1e5 && p.cost < 2e5, "cost = {}", p.cost);
     }
@@ -509,10 +534,7 @@ mod tests {
         let w = LinkWeight::TransferTime { bytes: 1 << 20 };
         let p = shortest_path(&g, gpus[0], gpus[1], w, Some(&avail)).unwrap();
         assert_eq!(p.hop_count(), 2);
-        assert!(p
-            .links
-            .iter()
-            .all(|&l| g.link(l).kind == LinkKind::Ethernet));
+        assert!(p.links().all(|l| g.link(l).kind == LinkKind::Ethernet));
     }
 
     #[test]
@@ -535,7 +557,7 @@ mod tests {
         }
         // Self-distances are zero with empty paths.
         assert_eq!(ap.dist(gpus[0], gpus[0]), 0.0);
-        assert!(ap.path(gpus[0], gpus[0]).links.is_empty());
+        assert!(ap.path(gpus[0], gpus[0]).route.is_empty());
     }
 
     #[test]
@@ -562,12 +584,12 @@ mod tests {
         );
         for w in paths.windows(2) {
             assert!(w[0].cost <= w[1].cost, "not sorted by cost");
-            assert_ne!(w[0].links, w[1].links, "duplicate path");
+            assert_ne!(w[0].route, w[1].route, "duplicate path");
         }
         for p in &paths {
             let nodes = p.nodes(&g);
             let set: FxHashSet<_> = nodes.iter().collect();
-            assert_eq!(set.len(), nodes.len(), "loop in path {:?}", p.links);
+            assert_eq!(set.len(), nodes.len(), "loop in path {:?}", p.route);
         }
     }
 
@@ -591,17 +613,17 @@ mod tests {
         // through their shared access switch.
         let direct = shortest_path(&g, gpus[0], gpus[1], LinkWeight::Hops, None).unwrap();
         let mut avoid = FxHashSet::default();
-        avoid.insert(direct.links[0]);
+        avoid.insert(direct.route[0].0);
         let detour =
             shortest_path_avoiding(&g, gpus[0], gpus[1], LinkWeight::Hops, None, &avoid).unwrap();
         assert_eq!(detour.hop_count(), 2);
-        assert!(!detour.links.contains(&direct.links[0]));
+        assert!(!detour.links().any(|l| l == direct.route[0].0));
         // Every Yen path honors the ban too.
         let paths =
             k_shortest_paths_avoiding(&g, gpus[0], gpus[1], 3, LinkWeight::Hops, None, &avoid);
         assert!(!paths.is_empty());
         for p in &paths {
-            assert!(!p.links.contains(&direct.links[0]));
+            assert!(!p.links().any(|l| l == direct.route[0].0));
         }
         // Banning every incident link disconnects the pair.
         for &(_, le) in g.neighbors(gpus[0]) {
@@ -677,9 +699,8 @@ mod proptests {
                     let p = ap.path(a, b);
                     if p.cost.is_finite() {
                         let sum: f64 = p
-                            .links
-                            .iter()
-                            .map(|&l| LinkWeight::Latency.cost(&g, l, None))
+                            .links()
+                            .map(|l| LinkWeight::Latency.cost(&g, l, None))
                             .sum();
                         prop_assert!((sum - p.cost).abs() < 1e-9);
                     }
@@ -699,10 +720,189 @@ mod proptests {
             for p in &paths {
                 prop_assert!(p.cost >= last - 1e-9);
                 last = p.cost;
-                prop_assert!(seen.insert(p.links.clone()), "duplicate path");
+                prop_assert!(seen.insert(p.route.clone()), "duplicate path");
                 let ns = p.nodes(&g);
                 let uniq: std::collections::HashSet<_> = ns.iter().collect();
                 prop_assert_eq!(uniq.len(), ns.len(), "loop");
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod route_proptests {
+    use super::*;
+    use crate::builders::{fig2_micro, testbed, xtracks, XTracksConfig};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+
+    /// A fabric with its minimum-latency routes among all of its nodes.
+    struct Fabric {
+        g: Graph,
+        nodes: Vec<NodeId>,
+        ap: AllPairs,
+    }
+
+    /// `testbed`, `fig2_micro` and two-track `xtracks`, built once.
+    fn fabrics() -> &'static [Fabric] {
+        static FABRICS: OnceLock<Vec<Fabric>> = OnceLock::new();
+        FABRICS.get_or_init(|| {
+            let graphs = [
+                testbed().graph,
+                fig2_micro().graph,
+                xtracks(&XTracksConfig::two_tracks(2)).graph,
+            ];
+            graphs
+                .into_iter()
+                .map(|g| {
+                    let nodes: Vec<NodeId> = g.nodes().map(|(n, _)| n).collect();
+                    let ap = AllPairs::compute(&g, &nodes, LinkWeight::Latency, None);
+                    Fabric { g, nodes, ap }
+                })
+                .collect()
+        })
+    }
+
+    /// Whether `route` walks from `src` to `dst`, each hop leaving the
+    /// node the previous hop entered.
+    fn is_walk(g: &Graph, src: NodeId, dst: NodeId, route: &[DirLink]) -> bool {
+        let mut cur = src;
+        for &(l, forward) in route {
+            let link = g.link(l);
+            let (from, to) = if forward {
+                (link.a, link.b)
+            } else {
+                (link.b, link.a)
+            };
+            if from != cur {
+                return false;
+            }
+            cur = to;
+        }
+        cur == dst
+    }
+
+    /// The link ids of Dijkstra's path to `dst`, or `None`.
+    fn ref_links(
+        g: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        dist: &[f64],
+        prev: &[Option<LinkId>],
+    ) -> Option<Vec<LinkId>> {
+        if !dist[dst.idx()].is_finite() {
+            return None;
+        }
+        let mut links = Vec::new();
+        let mut cur = dst;
+        while cur != src {
+            let le = prev[cur.idx()]?;
+            links.push(le);
+            cur = g.link(le).other(cur)?;
+        }
+        links.reverse();
+        Some(links)
+    }
+
+    /// Yen's algorithm over undirected link-id sequences: the reference
+    /// the directed routes must match, path for path and in order.
+    fn ref_yen(
+        g: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        k: usize,
+        weight: LinkWeight,
+        avoid: &FxHashSet<LinkId>,
+    ) -> Vec<(Vec<LinkId>, f64)> {
+        let cost = |links: &[LinkId]| links.iter().map(|&l| weight.cost(g, l, None)).sum();
+        let nodes = |links: &[LinkId]| {
+            let mut out = vec![src];
+            for &l in links {
+                out.push(g.link(l).other(*out.last().unwrap()).unwrap());
+            }
+            out
+        };
+        let none = FxHashSet::default();
+        let (d, prev) = dijkstra(g, src, weight, None, &none, avoid);
+        let Some(first) = ref_links(g, src, dst, &d, &prev) else {
+            return Vec::new();
+        };
+        let mut result = vec![(first.clone(), d[dst.idx()])];
+        let mut candidates: Vec<(Vec<LinkId>, f64)> = Vec::new();
+        let mut seen = FxHashSet::default();
+        seen.insert(first);
+        while result.len() < k {
+            let last = result.last().unwrap().0.clone();
+            let last_nodes = nodes(&last);
+            for i in 0..last.len() {
+                let mut banned_links = avoid.clone();
+                for (p, _) in result.iter().chain(&candidates) {
+                    if p.len() > i && p[..i] == last[..i] {
+                        banned_links.insert(p[i]);
+                    }
+                }
+                let banned_nodes = last_nodes[..i].iter().copied().collect();
+                let spur = last_nodes[i];
+                let (d, prev) = dijkstra(g, spur, weight, None, &banned_nodes, &banned_links);
+                if let Some(tail) = ref_links(g, spur, dst, &d, &prev) {
+                    let links = [&last[..i], &tail[..]].concat();
+                    if seen.insert(links.clone()) {
+                        let c = cost(&links);
+                        candidates.push((links, c));
+                    }
+                }
+            }
+            let Some(best) = (0..candidates.len()).min_by(|&x, &y| {
+                let (x, y) = (&candidates[x], &candidates[y]);
+                x.1.partial_cmp(&y.1)
+                    .unwrap_or(Ordering::Equal)
+                    .then_with(|| x.0.cmp(&y.0))
+            }) else {
+                break;
+            };
+            result.push(candidates.swap_remove(best));
+        }
+        result
+    }
+
+    proptest! {
+        /// Every `AllPairs` route from `src` and every Yen's route from
+        /// `src` to `dst`, with random links avoided, is a directed walk
+        /// between its endpoints, and carries the links and cost Dijkstra
+        /// and link-id Yen's find, in their order.
+        #[test]
+        fn routes_are_directed_walks(
+            fabric in 0usize..3,
+            (a, b) in (0usize..1 << 16, 0usize..1 << 16),
+            avoid in proptest::collection::vec(0usize..1 << 16, 0..6),
+            k in 1usize..5,
+            hops in 0u8..2,
+        ) {
+            let f = &fabrics()[fabric];
+            let (src, dst) = (f.nodes[a % f.nodes.len()], f.nodes[b % f.nodes.len()]);
+            let (no_nodes, no_links) = (FxHashSet::default(), FxHashSet::default());
+
+            let (d, prev) = dijkstra(&f.g, src, LinkWeight::Latency, None, &no_nodes, &no_links);
+            for &to in &f.nodes {
+                let p = f.ap.path(src, to);
+                let want = ref_links(&f.g, src, to, &d, &prev);
+                prop_assert_eq!(p.cost.to_bits(), d[to.idx()].to_bits());
+                prop_assert_eq!(Some(p.links().collect::<Vec<_>>()), want);
+                prop_assert!(is_walk(&f.g, src, to, &p.route), "{:?}", p.route);
+            }
+
+            let weight = [LinkWeight::Latency, LinkWeight::Hops][hops as usize];
+            let avoid: FxHashSet<LinkId> = avoid
+                .iter()
+                .map(|&i| LinkId((i % f.g.link_count()) as u32))
+                .collect();
+            let got = k_shortest_paths_avoiding(&f.g, src, dst, k, weight, None, &avoid);
+            let want = ref_yen(&f.g, src, dst, k, weight, &avoid);
+            prop_assert_eq!(got.len(), want.len());
+            for (p, (links, cost)) in got.iter().zip(&want) {
+                prop_assert!(is_walk(&f.g, src, dst, &p.route), "{:?}", p.route);
+                prop_assert_eq!(&p.links().collect::<Vec<_>>(), links);
+                prop_assert_eq!(p.cost.to_bits(), cost.to_bits());
             }
         }
     }

@@ -100,8 +100,7 @@ fn congestion_slows_collectives_and_drains_afterwards() {
     let alone = run_isolated(&topo.graph, &ap, &group, Scheme::Ina { switch: sw }, bytes);
     let mut net = SimNet::new(&topo.graph);
     // Saturate the first GPU's uplink.
-    let hog = ap.path(group[0], sw).directed_links(&topo.graph);
-    net.start_flow(SimTime::ZERO, &hog, 1 << 30, 0);
+    net.start_flow(SimTime::ZERO, &ap.path(group[0], sw).route, 1 << 30, 0);
     let contended = run_on(
         &mut net,
         SimTime::ZERO,
