@@ -13,6 +13,7 @@
 //! a simulator, DESIGN.md "Fidelity notes"); the *shapes* — who wins, by
 //! roughly what factor — are the reproduction target.
 
+pub mod gates;
 pub mod report;
 pub mod scenario;
 pub mod simbench;

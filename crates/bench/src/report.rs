@@ -70,14 +70,18 @@ pub fn print_table(title: &str, columns: &[String], rows: &[Vec<String>]) {
     line('-');
 }
 
-/// Directory for machine-readable results: `<workspace>/results`.
-pub fn results_dir() -> PathBuf {
+/// The workspace root this crate was built in.
+pub fn workspace_root() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; workspace root is two up.
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     p.pop();
     p.pop();
-    p.push("results");
     p
+}
+
+/// Directory for machine-readable results: `<workspace>/results`.
+pub fn results_dir() -> PathBuf {
+    workspace_root().join("results")
 }
 
 /// Write `rows` to `results/<name>.json`.

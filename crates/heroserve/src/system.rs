@@ -20,8 +20,9 @@ pub fn default_coefficients(model: &ModelConfig) -> CostCoefficients {
 
 /// The batch size `q` the planner sizes every deployment against
 /// ([`expected_batch`]). The engine's `BatchPolicy` admits up to 64
-/// requests per iteration; ROADMAP item 5 asks whether 8 explains the
-/// gap between the planner's rate estimate and the simulated knee.
+/// requests per iteration; ROADMAP's "Check the planner's estimate
+/// against the simulator" asks whether 8 explains the gap between the
+/// planner's rate estimate and the simulated knee.
 pub const PLANNER_BATCH_Q: u32 = 8;
 
 /// Estimated batch statistics from a workload's analytic means (the
