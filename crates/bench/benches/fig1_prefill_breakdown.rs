@@ -11,7 +11,7 @@
 
 use hs_bench::ExpTable;
 use hs_collective::ring_latency;
-use hs_model::profile::{fit, ProfileGrid};
+use hs_model::profile::fit;
 use hs_model::{prefill_latency_secs, BatchStats, GpuModel, ModelConfig};
 use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
 use hs_topology::{AllPairs, LinkWeight, NodeId};
@@ -90,7 +90,7 @@ fn main() {
     ];
 
     for (name, gpu, nvlink, paper) in cases {
-        let fitted = fit(&gpu, &model, &ProfileGrid::default());
+        let fitted = fit(&gpu, &model);
         let t_c = prefill_latency_secs(&fitted.coefficients, &model, &batch, tp);
         let (g, gpus) = four_gpu_fabric(nvlink);
         let ap = AllPairs::compute(&g, &gpus, LinkWeight::Latency, None);

@@ -84,7 +84,7 @@ fn main() {
                 // MMPP bulk flows between random GPU pairs, ~40 Gbps mean
                 // with 5x bursts.
                 d.background = Some((20.0, 256 << 20));
-                let sweep = max_rate_under_sla(&d, &grid, 0.9, 7, duration, 5);
+                let sweep = max_rate_under_sla(&d, &grid, 7, duration, 5);
                 (kind, d, sweep)
             })
             .collect();

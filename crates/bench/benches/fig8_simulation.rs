@@ -67,7 +67,7 @@ fn main() {
         let grid: Vec<f64> = [0.4, 0.8, 1.2].iter().map(|f| f * h).collect();
         let swept: Vec<_> = results
             .iter()
-            .map(|(kind, d)| (*kind, max_rate_under_sla(d, &grid, 0.9, 13, duration, 2)))
+            .map(|(kind, d)| (*kind, max_rate_under_sla(d, &grid, 13, duration, 2)))
             .collect();
         let dist = swept
             .iter()

@@ -3,12 +3,12 @@
 //! "We focus on the maximum per-GPU rate that the system can handle while
 //! satisfying the latency requirements for over 90 % of requests" (§V-A).
 //! [`max_rate_under_sla`] scans an increasing rate grid and returns the
-//! largest offered rate whose SLA attainment stays ≥ the threshold,
-//! refined by one bisection pass between the last good and first bad
-//! grid points.
+//! largest offered rate whose SLA attainment stays ≥
+//! [`SLA_ATTAINMENT_TARGET`], refined by one bisection pass between the
+//! last good and first bad grid points.
 
 use hs_baselines::Deployment;
-use hs_cluster::SimReport;
+use hs_cluster::{SimReport, SLA_ATTAINMENT_TARGET};
 use hs_des::SimTime;
 
 /// Result of one sweep.
@@ -22,18 +22,17 @@ pub struct SweepOutcome {
     pub samples: Vec<(f64, f64)>,
 }
 
-/// Find the maximum rate with `attainment ≥ threshold` over `grid`
-/// (ascending rates), refining with `refine` bisection steps.
+/// Find the maximum rate with `attainment ≥ SLA_ATTAINMENT_TARGET` over
+/// `grid` (ascending rates), refining with `refine` bisection steps.
 pub fn max_rate_under_sla(
     deployment: &Deployment,
     grid: &[f64],
-    threshold: f64,
     seed: u64,
     duration: SimTime,
     refine: usize,
 ) -> SweepOutcome {
     assert!(!grid.is_empty());
-    let passes = |r: &SimReport| r.sla_attainment >= threshold && r.completed > 0;
+    let passes = |r: &SimReport| r.sla_attainment >= SLA_ATTAINMENT_TARGET && r.completed > 0;
     let mut samples = Vec::new();
     let mut best: Option<(f64, SimReport)> = None;
     let mut first_bad: Option<(f64, SimReport)> = None;

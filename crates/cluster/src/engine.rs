@@ -844,7 +844,7 @@ pub(crate) mod tests {
     use crate::strategy::{BusyPolicy, CommCtx, KvCandidate, KvChoice, KvCtx, StaticStrategy};
     use hs_collective::Scheme;
     use hs_des::SeedSplitter;
-    use hs_model::profile::{fit, ProfileGrid};
+    use hs_model::profile::fit;
     use hs_model::GpuModel;
     use hs_topology::builders::{testbed, BuiltTopology};
     use hs_workload::spec::fixed;
@@ -861,7 +861,7 @@ pub(crate) mod tests {
         strategy: Box<dyn CommStrategy>,
     ) -> ClusterSim {
         let model = ModelConfig::opt_13b();
-        let coef = fit(&GpuModel::a100(), &model, &ProfileGrid::default()).coefficients;
+        let coef = fit(&GpuModel::a100(), &model).coefficients;
         let ap = t.gpu_switch_pairs();
         let cfg = ClusterConfig {
             model,

@@ -47,7 +47,7 @@ pub use faults::FabricHealth;
 pub use instance::{InstanceKind, InstanceSpec};
 pub use kvcache::KvManager;
 pub use kvflow::{stripe_plan, KvRoutes, KvStripe};
-pub use metrics::{ReqMetrics, SimReport};
+pub use metrics::{ReqMetrics, SimReport, SLA_ATTAINMENT_TARGET};
 pub use request::{ReqPhase, ReqState};
 pub use strategy::{
     BusyPolicy, CommCtx, CommStrategy, KvCandidate, KvChoice, KvCtx, StaticStrategy,

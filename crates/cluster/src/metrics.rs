@@ -6,6 +6,12 @@ use hs_workload::stats::{mean, percentile_in_place};
 use rustc_hash::FxHasher;
 use std::hash::Hasher;
 
+/// The SLA-attainment target: a system "meets the SLA" at a rate while at
+/// least this fraction of requests meets both TTFT and TPOT SLAs (§V-A,
+/// "over 90 % of requests"). Max-rate sweeps and the autoscaler's
+/// backstop signal both read it.
+pub const SLA_ATTAINMENT_TARGET: f64 = 0.9;
+
 /// Final metrics for one request.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReqMetrics {

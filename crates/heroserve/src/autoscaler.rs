@@ -22,79 +22,60 @@
 //!    with the parallelism degrees pinned to the incumbent plan
 //!    (`force_*_parallelism`), so only the communication schemes and
 //!    unit rates are refreshed — the cheap slice of Algorithm 2, bounded
-//!    by the same `perturb_budget` as the offline solve.
+//!    by the same [`PERTURB_BUDGET`](crate::spec::PERTURB_BUDGET) as the
+//!    offline solve.
 //!
 //! Determinism: the controller is a pure function of the snapshot
-//! sequence and its config — no wall clock, no unseeded randomness —
-//! so elastic simulations replay bit-for-bit (see `tests/determinism.rs`).
+//! sequence — no wall clock, no unseeded randomness — so elastic
+//! simulations replay bit-for-bit (see `tests/determinism.rs`).
 //!
 //! See DESIGN.md §13 for the control-loop derivation and the drain
 //! semantics on the engine side.
 
 use std::collections::VecDeque;
 
-use hs_cluster::{PoolSnapshot, PoolTargets, ScaleController};
+use hs_cluster::{PoolSnapshot, PoolTargets, ScaleController, SLA_ATTAINMENT_TARGET};
 
 use crate::netest::SchemeSpace;
 use crate::planner::{plan, PlannerOutput};
 use crate::spec::PlannerInput;
 
-/// Tuning knobs for the [`Autoscaler`] control loop.
-///
-/// Thresholds come in high/low pairs (hysteresis bands): growth triggers
-/// above the high mark, shrink is *permitted* only below the low mark.
-/// Widening a band trades reaction speed for fewer oscillations.
-#[derive(Clone, Copy, Debug)]
-pub struct AutoscaleConfig {
-    /// Sliding-window length in monitor ticks; rates are measured over
-    /// the whole window.
-    pub window_ticks: usize,
-    /// Ticks a pool must wait after a *shrink* before shrinking again.
-    /// Growth ignores cooldown (see module docs).
-    pub cooldown_ticks: usize,
-    /// Queued prompts per Active prefill instance above which the
-    /// prefill pool is considered hot.
-    pub queue_high: f64,
-    /// Queue depth per Active prefill instance below which prefill may
-    /// shrink.
-    pub queue_low: f64,
-    /// Mean KV reservation utilization above which the decode pool is
-    /// considered hot.
-    pub kv_high: f64,
-    /// KV reservation utilization below which decode may shrink.
-    pub kv_low: f64,
-    /// Windowed SLA attainment below which *both* pools are considered
-    /// hot (attainment lags, so this is the backstop signal).
-    pub attainment_low: f64,
-    /// Capacity margin: pools are sized for `rate * headroom` rather
-    /// than the bare windowed rate.
-    pub headroom: f64,
-    /// Floor on Active prefill instances.
-    pub min_prefill: usize,
-    /// Floor on Active decode instances.
-    pub min_decode: usize,
-    /// Fractional windowed-rate drift (vs. the rate at the last solve)
-    /// that triggers a planner re-solve, when a planner is attached.
-    pub resolve_rate_delta: f64,
-}
+// The control loop's tuning. Thresholds come in high/low pairs
+// (hysteresis bands): growth triggers above the high mark, shrink is
+// *permitted* only below the low mark. Windowed SLA attainment below
+// `SLA_ATTAINMENT_TARGET` makes both pools hot (attainment lags, so it
+// is the backstop signal).
 
-impl Default for AutoscaleConfig {
-    fn default() -> Self {
-        AutoscaleConfig {
-            window_ticks: 20,
-            cooldown_ticks: 50,
-            queue_high: 4.0,
-            queue_low: 1.0,
-            kv_high: 0.85,
-            kv_low: 0.5,
-            attainment_low: 0.9,
-            headroom: 1.25,
-            min_prefill: 1,
-            min_decode: 1,
-            resolve_rate_delta: 0.25,
-        }
-    }
-}
+/// Sliding-window length in monitor ticks; rates are measured over the
+/// whole window.
+pub const WINDOW_TICKS: usize = 20;
+/// Ticks a pool must wait after a *shrink* before shrinking again.
+/// Growth ignores cooldown (see module docs).
+pub const COOLDOWN_TICKS: usize = 50;
+/// Queued prompts per Active prefill instance above which the prefill
+/// pool is hot.
+pub const QUEUE_HIGH: f64 = 4.0;
+/// Queue depth per Active prefill instance below which prefill may
+/// shrink.
+pub const QUEUE_LOW: f64 = 1.0;
+/// Mean KV reservation utilization above which the decode pool is hot.
+pub const KV_HIGH: f64 = 0.85;
+/// KV reservation utilization below which decode may shrink.
+pub const KV_LOW: f64 = 0.5;
+/// Capacity margin: pools are sized for `rate * HEADROOM` rather than
+/// the bare windowed rate.
+pub const HEADROOM: f64 = 1.25;
+/// Floor on Active instances in each pool.
+pub const MIN_ACTIVE: usize = 1;
+/// Fractional windowed-rate drift (vs. the rate at the last solve) that
+/// triggers a planner re-solve, when a planner is attached.
+pub const RESOLVE_RATE_DELTA: f64 = 0.25;
+
+/// An empty placeholder, kept only so that callers of
+/// [`Autoscaler::from_plan`] compile; the control loop's tuning is this
+/// module's constants.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AutoscaleConfig {}
 
 /// The windowed-signal, rate-sizing [`ScaleController`] (module docs).
 ///
@@ -104,12 +85,12 @@ impl Default for AutoscaleConfig {
 /// prefill pool to the rate-sized target in one decision:
 ///
 /// ```
-/// use heroserve::autoscaler::{AutoscaleConfig, Autoscaler};
+/// use heroserve::autoscaler::Autoscaler;
 /// use hs_cluster::{PoolSnapshot, ScaleController};
 /// use hs_des::SimTime;
 ///
 /// // One prefill replica sustains 2 req/s, one decode replica 4 req/s.
-/// let mut ctl = Autoscaler::new(AutoscaleConfig::default(), 2.0, 4.0);
+/// let mut ctl = Autoscaler::new(2.0, 4.0);
 /// let snap = |s: u64, arrived: u64| PoolSnapshot {
 ///     now: SimTime::from_secs(s),
 ///     arrived,
@@ -131,7 +112,6 @@ impl Default for AutoscaleConfig {
 /// assert_eq!((t.prefill, t.decode), (8, 4));
 /// ```
 pub struct Autoscaler {
-    cfg: AutoscaleConfig,
     window: VecDeque<PoolSnapshot>,
     prefill_cooldown: usize,
     decode_cooldown: usize,
@@ -149,13 +129,12 @@ impl Autoscaler {
     /// Active prefill / decode instance can sustain). Use
     /// [`Autoscaler::from_plan`] to derive the rates from a planner
     /// solve instead of supplying them by hand.
-    pub fn new(cfg: AutoscaleConfig, prefill_unit_rps: f64, decode_unit_rps: f64) -> Self {
+    pub fn new(prefill_unit_rps: f64, decode_unit_rps: f64) -> Self {
         assert!(
             prefill_unit_rps > 0.0 && decode_unit_rps > 0.0,
             "unit rates must be positive"
         );
         Autoscaler {
-            cfg,
             window: VecDeque::new(),
             prefill_cooldown: 0,
             decode_cooldown: 0,
@@ -172,10 +151,10 @@ impl Autoscaler {
     /// Controller seeded from an offline planner solve: unit rates come
     /// from the plan's per-iteration latency estimates, and `input` is
     /// retained (with the parallelism degrees pinned to the plan's
-    /// choice) for component-scoped online re-solves.
-    pub fn from_plan(cfg: AutoscaleConfig, input: &PlannerInput, output: &PlannerOutput) -> Self {
+    /// choice) for component-scoped online re-solves. The
+    /// [`AutoscaleConfig`] is ignored.
+    pub fn from_plan(_: AutoscaleConfig, input: &PlannerInput, output: &PlannerOutput) -> Self {
         let mut me = Self::new(
-            cfg,
             prefill_unit_rps(input, output),
             decode_unit_rps(input, output),
         );
@@ -207,9 +186,9 @@ impl Autoscaler {
     }
 
     /// Rate-based pool sizing: instances needed to sustain `rate` with
-    /// the configured headroom, before clamping to the budget.
+    /// [`HEADROOM`], before clamping to the budget.
     fn size_for(&self, rate: f64) -> (usize, usize) {
-        let need = |unit: f64| ((rate * self.cfg.headroom / unit).ceil()).max(0.0) as usize;
+        let need = |unit: f64| ((rate * HEADROOM / unit).ceil()).max(0.0) as usize;
         (need(self.prefill_unit_rps), need(self.decode_unit_rps))
     }
 
@@ -252,14 +231,14 @@ impl ScaleController for Autoscaler {
     fn initial_targets(&mut self, prefill_slots: usize, decode_slots: usize) -> PoolTargets {
         let (p, d) = self.size_for(self.expected_rate);
         PoolTargets {
-            prefill: p.clamp(self.cfg.min_prefill, prefill_slots),
-            decode: d.clamp(self.cfg.min_decode, decode_slots),
+            prefill: p.clamp(MIN_ACTIVE, prefill_slots),
+            decode: d.clamp(MIN_ACTIVE, decode_slots),
         }
     }
 
     fn on_tick(&mut self, snap: &PoolSnapshot) -> Option<PoolTargets> {
         self.window.push_back(snap.clone());
-        while self.window.len() > self.cfg.window_ticks.max(2) {
+        while self.window.len() > WINDOW_TICKS {
             self.window.pop_front();
         }
         self.prefill_cooldown = self.prefill_cooldown.saturating_sub(1);
@@ -285,7 +264,7 @@ impl ScaleController for Autoscaler {
         if self.planner.is_some() {
             let drifted = match self.last_solve_rate {
                 None => true,
-                Some(r0) => (rate - r0).abs() > self.cfg.resolve_rate_delta * r0.max(1e-9),
+                Some(r0) => (rate - r0).abs() > RESOLVE_RATE_DELTA * r0.max(1e-9),
             };
             if drifted {
                 self.resolve(rate);
@@ -295,40 +274,36 @@ impl ScaleController for Autoscaler {
         // Rate-based sizing, bumped one step when pressure says the
         // sizing is behind reality.
         let (mut want_p, mut want_d) = self.size_for(rate);
-        let prefill_hot =
-            queue_per_prefill > self.cfg.queue_high || attainment < self.cfg.attainment_low;
-        let decode_hot = snap.kv_pressure > self.cfg.kv_high
+        let prefill_hot = queue_per_prefill > QUEUE_HIGH || attainment < SLA_ATTAINMENT_TARGET;
+        let decode_hot = snap.kv_pressure > KV_HIGH
             || snap.pending_admission > 0
-            || attainment < self.cfg.attainment_low;
+            || attainment < SLA_ATTAINMENT_TARGET;
         if prefill_hot {
             want_p = want_p.max(snap.prefill_active + 1);
         }
         if decode_hot {
             want_d = want_d.max(snap.decode_active + 1);
         }
-        want_p = want_p.clamp(self.cfg.min_prefill, snap.prefill_total());
-        want_d = want_d.clamp(self.cfg.min_decode, snap.decode_total());
+        want_p = want_p.clamp(MIN_ACTIVE, snap.prefill_total());
+        want_d = want_d.clamp(MIN_ACTIVE, snap.decode_total());
 
         // Asymmetric hysteresis: grow to target immediately; shrink one
         // step, only when calm, only out of cooldown.
-        let prefill_calm =
-            queue_per_prefill < self.cfg.queue_low && attainment >= self.cfg.attainment_low;
-        let decode_calm = snap.kv_pressure < self.cfg.kv_low
+        let prefill_calm = queue_per_prefill < QUEUE_LOW && attainment >= SLA_ATTAINMENT_TARGET;
+        let decode_calm = snap.kv_pressure < KV_LOW
             && snap.pending_admission == 0
-            && attainment >= self.cfg.attainment_low;
+            && attainment >= SLA_ATTAINMENT_TARGET;
         let tgt_p = resolve_pool(
             snap.prefill_active,
             want_p,
             prefill_calm,
             &mut self.prefill_cooldown,
-            self.cfg.cooldown_ticks,
         );
         let tgt_d = resolve_pool(
             snap.decode_active,
             want_d,
             decode_calm,
             &mut self.decode_cooldown,
-            self.cfg.cooldown_ticks,
         );
         if tgt_p == snap.prefill_active && tgt_d == snap.decode_active {
             return None;
@@ -346,21 +321,15 @@ impl ScaleController for Autoscaler {
 
 /// One pool's hysteresis step (see [`Autoscaler`] docs). Mutates the
 /// pool's cooldown when a shrink is issued.
-fn resolve_pool(
-    active: usize,
-    want: usize,
-    calm: bool,
-    cooldown: &mut usize,
-    cooldown_ticks: usize,
-) -> usize {
+fn resolve_pool(active: usize, want: usize, calm: bool, cooldown: &mut usize) -> usize {
     if want > active {
         // Growth is urgent and cheap to undo; never throttle it.
         want
     } else if want < active && calm && *cooldown == 0 {
-        // +1 because the caller decrements at the top of every tick,
-        // including the one that issued this shrink: the next shrink is
-        // possible exactly `cooldown_ticks` ticks from now.
-        *cooldown = cooldown_ticks + 1;
+        // +1 because the caller decrements at the top of every tick:
+        // the next `COOLDOWN_TICKS` ticks hold, and the one after may
+        // shrink again.
+        *cooldown = COOLDOWN_TICKS + 1;
         active - 1
     } else {
         active
@@ -392,21 +361,21 @@ mod tests {
 
     #[test]
     fn initial_targets_respect_floors_and_budget() {
-        let mut c = Autoscaler::new(AutoscaleConfig::default(), 2.0, 4.0);
+        let mut c = Autoscaler::new(2.0, 4.0);
         let t = c.initial_targets(4, 4);
         assert_eq!(
             (t.prefill, t.decode),
             (1, 1),
             "idle start sits at the floor"
         );
-        let mut c = Autoscaler::new(AutoscaleConfig::default(), 2.0, 4.0).with_expected_rate(100.0);
+        let mut c = Autoscaler::new(2.0, 4.0).with_expected_rate(100.0);
         let t = c.initial_targets(4, 4);
         assert_eq!((t.prefill, t.decode), (4, 4), "huge rate clamps to budget");
     }
 
     #[test]
     fn grows_straight_to_rate_sized_target() {
-        let mut c = Autoscaler::new(AutoscaleConfig::default(), 2.0, 4.0);
+        let mut c = Autoscaler::new(2.0, 4.0);
         assert_eq!(c.on_tick(&snap(1, 0, (1, 1))), None);
         let t = c.on_tick(&snap(2, 12, (1, 1))).expect("grow");
         // 12 req/s * 1.25 => ceil(15/2)=8 clamp 4; ceil(15/4)=4.
@@ -415,26 +384,26 @@ mod tests {
 
     #[test]
     fn shrinks_one_step_only_when_calm_and_cooled() {
-        let cfg = AutoscaleConfig {
-            cooldown_ticks: 2,
-            ..AutoscaleConfig::default()
-        };
-        let mut c = Autoscaler::new(cfg, 2.0, 4.0);
+        let mut c = Autoscaler::new(2.0, 4.0);
         c.on_tick(&snap(1, 0, (4, 4)));
         // Idle traffic, calm signals: shrink both pools by exactly one.
         let t = c.on_tick(&snap(2, 0, (4, 4))).expect("shrink");
         assert_eq!((t.prefill, t.decode), (3, 3));
-        // Cooldown holds the next shrink…
-        assert_eq!(c.on_tick(&snap(3, 0, (3, 3))), None);
-        assert_eq!(c.on_tick(&snap(4, 0, (3, 3))), None);
+        // Cooldown holds the next shrink for COOLDOWN_TICKS ticks…
+        let hold_end = 2 + COOLDOWN_TICKS as u64;
+        for s in 3..=hold_end {
+            assert_eq!(c.on_tick(&snap(s, 0, (3, 3))), None, "tick {s}");
+        }
         // …then it proceeds.
-        let t = c.on_tick(&snap(5, 0, (3, 3))).expect("shrink again");
+        let t = c
+            .on_tick(&snap(hold_end + 1, 0, (3, 3)))
+            .expect("shrink again");
         assert_eq!((t.prefill, t.decode), (2, 2));
     }
 
     #[test]
     fn hot_signals_bump_beyond_rate_sizing() {
-        let mut c = Autoscaler::new(AutoscaleConfig::default(), 10.0, 10.0);
+        let mut c = Autoscaler::new(10.0, 10.0);
         c.on_tick(&snap(1, 0, (1, 1)));
         // Rate says 1 instance is plenty, but the queue is deep and KV
         // pressure is high: both pools get a one-step bump.
@@ -447,7 +416,7 @@ mod tests {
 
     #[test]
     fn pending_admissions_block_decode_shrink() {
-        let mut c = Autoscaler::new(AutoscaleConfig::default(), 2.0, 4.0);
+        let mut c = Autoscaler::new(2.0, 4.0);
         c.on_tick(&snap(1, 0, (1, 4)));
         let mut s = snap(2, 0, (1, 4));
         s.pending_admission = 1;
@@ -457,7 +426,7 @@ mod tests {
 
     #[test]
     fn attainment_collapse_is_a_grow_signal_for_both_pools() {
-        let mut c = Autoscaler::new(AutoscaleConfig::default(), 10.0, 10.0);
+        let mut c = Autoscaler::new(10.0, 10.0);
         c.on_tick(&snap(1, 0, (1, 1)));
         let mut s = snap(2, 4, (1, 1));
         s.done = 10;

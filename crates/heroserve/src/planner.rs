@@ -23,7 +23,7 @@
 pub use crate::netest::SchemeSpace;
 use crate::netest::{estimate_network_latency, NetEstimate, NetestInput};
 use crate::queueing::pk_queue_delay;
-use crate::spec::{ClusterPlan, PlannerInput};
+use crate::spec::{ClusterPlan, PlannerInput, PERTURB_BUDGET, PLANNER_SEED, R_FRAC};
 use hs_cluster::InstanceSpec;
 use hs_collective::latency::path_transfer_secs;
 use hs_des::SeedSplitter;
@@ -105,7 +105,8 @@ struct Candidate {
 }
 
 /// Enumerate `(P_tens, P_pipe)` candidates for one cluster, memory-first
-/// (Algorithm 1 step 1). Returns pairs with the eligible GPU lists.
+/// (Algorithm 1 step 1): a GPU is eligible when its spec memory `M_g`
+/// holds the shard. Returns pairs with the eligible GPU lists.
 fn gen_tp_pp_candidates(
     input: &PlannerInput,
     gpus: &[NodeId],
@@ -126,10 +127,10 @@ fn gen_tp_pp_candidates(
                     continue;
                 }
             }
-            let m_req = MemoryModel::required_bytes(&input.model, p_tens, p_pipe, input.r_frac);
+            let m_req = MemoryModel::required_bytes(&input.model, p_tens, p_pipe, R_FRAC);
             let eligible: Vec<NodeId> = gpus
                 .iter()
-                .filter(|g| input.gpu_free_memory.get(g).copied().unwrap_or(0) >= m_req)
+                .filter(|&&g| input.graph.gpu_spec(g).map_or(0, |s| s.memory_bytes) >= m_req)
                 .copied()
                 .collect();
             if (eligible.len() as u32) < p_tens * p_pipe {
@@ -147,11 +148,12 @@ fn gen_tp_pp_candidates(
 
 /// Evaluate every candidate for one cluster (prefill or decode), in
 /// candidate order — the work of one of Algorithm 1's two per-cluster
-/// threads.
+/// threads. `avail` is the edge bandwidth `B(e)`, bps, dense over links.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_cluster(
     input: &PlannerInput,
     ap: &AllPairs,
+    avail: &[f64],
     gpus: &[NodeId],
     ina_switches: &[NodeId],
     space: SchemeSpace,
@@ -185,7 +187,7 @@ fn evaluate_cluster(
                 &NetestInput {
                     graph: &input.graph,
                     ap,
-                    avail: &input.avail_bandwidth,
+                    avail,
                     gpus: &eligible,
                     n_groups,
                     group_size: p_tens as usize,
@@ -194,7 +196,7 @@ fn evaluate_cluster(
                     pipe_bytes,
                     scheme_space: space,
                     ina_switches,
-                    max_perturb_iters: input.perturb_budget,
+                    max_perturb_iters: PERTURB_BUDGET,
                 },
                 &mut rng,
             );
@@ -218,7 +220,7 @@ fn evaluate_cluster(
 
 /// Estimated KV-cache transfer latency `T_f` (Eqs. 14–15): prefill
 /// replica GPUs stream their shards to positionally paired decode GPUs;
-/// the slowest pair bounds the transfer.
+/// the slowest pair bounds the transfer, at full link capacity.
 fn estimate_t_f(input: &PlannerInput, ap: &AllPairs, pre: &Candidate, dec: &Candidate) -> f64 {
     let (Some(pg), Some(dg)) = (pre.net.groups.first(), dec.net.groups.first()) else {
         return 0.0;
@@ -235,12 +237,7 @@ fn estimate_t_f(input: &PlannerInput, ap: &AllPairs, pre: &Candidate, dec: &Cand
         .enumerate()
         .map(|(i, &k)| {
             let z = dg[i % dg.len()];
-            path_transfer_secs(
-                &input.graph,
-                ap.path(k, z),
-                shard,
-                Some(&input.avail_bandwidth),
-            )
+            path_transfer_secs(&input.graph, ap.path(k, z), shard, None)
         })
         .fold(0.0f64, f64::max)
 }
@@ -265,11 +262,13 @@ fn to_plan(c: &Candidate) -> ClusterPlan {
 /// Run the offline planner over `input`, restricted to `space` (HeroServe
 /// uses [`SchemeSpace::Hybrid`]; the baselines use the others — §V).
 pub fn plan(input: &PlannerInput, space: SchemeSpace) -> Result<PlannerOutput, PlannerError> {
-    // The search budget is `input.perturb_budget` (deterministic work
-    // units); wall-clock is sampled only to fill the reporting field.
+    // The search budget is `PERTURB_BUDGET` (deterministic work units);
+    // wall-clock is sampled only to fill the reporting field.
     // simlint::allow(wall-clock, reporting-only elapsed_s; never feeds budgets or plan output)
     let start = std::time::Instant::now();
-    let seeds = SeedSplitter::new(input.seed);
+    let seeds = SeedSplitter::new(PLANNER_SEED);
+    // Every link's full capacity is available to the plan.
+    let avail = input.graph.capacities();
 
     // Offline matrices (Algorithm 2 lines 1-3), computed once over GPUs +
     // INA switches; "scheduled asynchronously" in the paper — here simply
@@ -290,6 +289,7 @@ pub fn plan(input: &PlannerInput, space: SchemeSpace) -> Result<PlannerOutput, P
     let (pre_cands, pre_examined) = evaluate_cluster(
         input,
         &ap,
+        &avail,
         &input.prefill_gpus,
         &ina_switches,
         space,
@@ -299,6 +299,7 @@ pub fn plan(input: &PlannerInput, space: SchemeSpace) -> Result<PlannerOutput, P
     let (dec_cands, dec_examined) = evaluate_cluster(
         input,
         &ap,
+        &avail,
         &input.decode_gpus,
         &ina_switches,
         space,
@@ -397,13 +398,13 @@ pub fn plan(input: &PlannerInput, space: SchemeSpace) -> Result<PlannerOutput, P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hs_model::profile::{fit, ProfileGrid};
+    use hs_model::profile::fit;
     use hs_model::{BatchStats, GpuModel, ModelConfig};
     use hs_topology::builders::testbed;
 
     fn input(model: ModelConfig, rate: f64) -> PlannerInput {
         let t = testbed();
-        let fitted = fit(&GpuModel::a100(), &model, &ProfileGrid::default());
+        let fitted = fit(&GpuModel::a100(), &model);
         PlannerInput::basic(
             &t.graph,
             model,
@@ -451,7 +452,7 @@ mod tests {
 
     #[test]
     fn oversized_model_fails_cleanly() {
-        // OPT-175B cannot fit on 8x40GB with r_frac 0.9 at max 8x4 ways.
+        // OPT-175B cannot fit on 8x40GB with R_FRAC 0.9 at max 8x4 ways.
         let inp = input(ModelConfig::opt_175b(), 1.0);
         assert_eq!(
             plan(&inp, SchemeSpace::Hybrid).err(),
@@ -467,6 +468,36 @@ mod tests {
             plan(&inp, SchemeSpace::Hybrid).err(),
             Some(PlannerError::NoFeasibleConfig)
         );
+    }
+
+    #[test]
+    fn gpus_short_of_the_shard_are_filtered_by_spec_memory() {
+        // Interleaved testbed halves mix A100-40G and V100-32G GPUs; an
+        // OPT-66B shard over 4 GPUs fits the first but not the second.
+        let t = testbed();
+        let model = ModelConfig::opt_66b();
+        let m_req = MemoryModel::required_bytes(&model, 4, 1, R_FRAC);
+        let mem = |g: NodeId| t.graph.gpu_spec(g).unwrap().memory_bytes;
+        let (small, large) = (mem(t.gpus_by_server[2][0]), mem(t.gpus_by_server[0][0]));
+        assert!(small < m_req && m_req <= large, "{small} {m_req} {large}");
+        let mut inp = PlannerInput::interleaved(
+            &t.graph,
+            model.clone(),
+            fit(&GpuModel::a100(), &model).coefficients,
+            BatchStats::uniform(8, 256, 64),
+            0.1,
+            100.0,
+            10.0,
+        );
+        inp.force_prefill_parallelism = Some((4, 1));
+        inp.force_decode_parallelism = Some((4, 1));
+        let out = plan(&inp, SchemeSpace::Hybrid).expect("the A100 halves fit");
+        for c in [&out.prefill, &out.decode] {
+            assert_eq!(c.instances.len(), 1, "only 4 of 8 GPUs are eligible");
+            for stage in &c.instances[0].stages {
+                assert!(stage.iter().all(|&g| mem(g) >= m_req));
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,19 @@ use hs_cluster::InstanceSpec;
 use hs_collective::Scheme;
 use hs_model::{BatchStats, CostCoefficients, ModelConfig};
 use hs_topology::{Graph, NodeId};
-use rustc_hash::FxHashMap;
+
+/// Reserved-memory ratio `R_frac` in `(0, 1]` (Table I): a shard needs
+/// `R / (P_tens·P_pipe·R_frac)` bytes free on its GPU.
+pub const R_FRAC: f64 = 0.9;
+
+/// Seed for the planner's perturbation RNG.
+pub const PLANNER_SEED: u64 = 0xC0FFEE;
+
+/// Local-search budget: perturbation passes per candidate (Algorithm 2
+/// step 4). A deterministic work-unit budget — the paper's "time budget"
+/// expressed in evaluation passes so identical inputs always explore
+/// identical search frontiers regardless of machine speed.
+pub const PERTURB_BUDGET: usize = 10;
 
 /// Table I — everything the offline planner consumes.
 #[derive(Clone)]
@@ -22,27 +34,14 @@ pub struct PlannerInput {
     pub prefill_gpus: Vec<NodeId>,
     /// Candidate decode GPUs `V_g^d`.
     pub decode_gpus: Vec<NodeId>,
-    /// Remaining GPU memory `M_g`, bytes.
-    pub gpu_free_memory: FxHashMap<NodeId, u64>,
-    /// Remaining edge bandwidth `B(e)`, bps (dense over links).
-    pub avail_bandwidth: Vec<f64>,
     /// Request arrival rate `λ`, req/s.
     pub arrival_rate: f64,
     /// TTFT SLA `T_sla^pre`, seconds.
     pub ttft_sla_s: f64,
     /// TPOT SLA `T_sla^dec`, seconds.
     pub tpot_sla_s: f64,
-    /// Reserved-memory ratio `R_frac` in `(0, 1]`.
-    pub r_frac: f64,
     /// Candidate-configuration cap (`max_candi`; 20 in the paper).
     pub max_candi: usize,
-    /// Seed for the perturbation RNG.
-    pub seed: u64,
-    /// Local-search budget: perturbation passes per candidate (Algorithm
-    /// 2 step 4). A deterministic work-unit budget — the paper's "time
-    /// budget" expressed in evaluation passes so identical inputs always
-    /// explore identical search frontiers regardless of machine speed.
-    pub perturb_budget: usize,
     /// Pin the prefill cluster to one `(P_tens, P_pipe)` (controlled
     /// experiments where all systems must share the paper's deployment;
     /// `None` = free search).
@@ -97,7 +96,7 @@ impl PlannerInput {
     }
 
     /// A default-shaped input for `graph` splitting GPUs evenly between
-    /// prefill and decode, full memory free, full bandwidth available.
+    /// prefill and decode.
     pub fn basic(
         graph: &Graph,
         model: ModelConfig,
@@ -109,26 +108,17 @@ impl PlannerInput {
     ) -> Self {
         let gpus = graph.gpus();
         let half = gpus.len() / 2;
-        let gpu_free_memory = gpus
-            .iter()
-            .map(|&g| (g, graph.gpu_spec(g).map(|s| s.memory_bytes).unwrap_or(0)))
-            .collect();
         PlannerInput {
             model,
             coef,
             batch,
-            avail_bandwidth: graph.capacities(),
             prefill_gpus: gpus[..half].to_vec(),
             decode_gpus: gpus[half..].to_vec(),
             graph: graph.clone(),
-            gpu_free_memory,
             arrival_rate,
             ttft_sla_s,
             tpot_sla_s,
-            r_frac: 0.9,
             max_candi: 20,
-            seed: 0xC0FFEE,
-            perturb_budget: 10,
             force_prefill_parallelism: None,
             force_decode_parallelism: None,
         }
@@ -191,11 +181,6 @@ mod tests {
         );
         assert_eq!(input.prefill_gpus.len(), 8);
         assert_eq!(input.decode_gpus.len(), 8);
-        assert_eq!(input.avail_bandwidth.len(), t.graph.link_count());
-        assert_eq!(input.gpu_free_memory.len(), 16);
         assert_eq!(input.max_candi, 20);
-        // A100 servers report 40 GB free.
-        let g0 = input.prefill_gpus[0];
-        assert_eq!(input.gpu_free_memory[&g0], 40 * (1 << 30));
     }
 }

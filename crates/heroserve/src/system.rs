@@ -9,13 +9,13 @@
 //! [`plan`]: crate::planner::plan
 //! [`HeroScheduler`]: crate::scheduler::HeroScheduler
 
-use hs_model::profile::{fit, ProfileGrid};
+use hs_model::profile::fit;
 use hs_model::{BatchStats, CostCoefficients, GpuModel, ModelConfig};
 use hs_workload::WorkloadSpec;
 
 /// Default profiling-based coefficient fit for a topology's dominant GPU.
 pub fn default_coefficients(model: &ModelConfig) -> CostCoefficients {
-    fit(&GpuModel::a100(), model, &ProfileGrid::default()).coefficients
+    fit(&GpuModel::a100(), model).coefficients
 }
 
 /// The batch size `q` the planner sizes every deployment against
@@ -39,6 +39,23 @@ mod tests {
     use hs_baselines::BaselineKind;
     use hs_des::SimTime;
     use hs_topology::builders::testbed;
+
+    #[test]
+    fn opt_66b_coefficients_are_pinned() {
+        // The fitted C1…C6 feed every plan and simulation; a change to
+        // the profiling grid or the fit moves these bits.
+        let c = default_coefficients(&ModelConfig::opt_66b());
+        let bits = [c.c1, c.c2, c.c3, c.c4, c.c5, c.c6].map(f64::to_bits);
+        let pinned = [
+            0x3d0a_9a30_2bc1_97b8,
+            0x3d71_b779_e54d_4505,
+            0x3f74_bf26_05b7_fd6b,
+            0x3d7d_4d30_f00a_c389,
+            0x3d72_db02_5e01_7811,
+            0x3f57_8dcc_997e_7142,
+        ];
+        assert_eq!(bits, pinned, "{bits:#018x?}");
+    }
 
     #[test]
     fn plan_and_serve_chatbot() {

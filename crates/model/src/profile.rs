@@ -25,42 +25,26 @@ pub struct FittedModel {
     pub samples: usize,
 }
 
-/// The profiling grid: batch sizes, input lengths, TP degrees, PP degrees.
-#[derive(Clone, Debug)]
-pub struct ProfileGrid {
-    /// Batch sizes to profile.
-    pub batch_sizes: Vec<u32>,
-    /// Input lengths to profile.
-    pub input_lens: Vec<u64>,
-    /// Tensor-parallel degrees.
-    pub tp: Vec<u32>,
-    /// Pipeline-parallel degrees.
-    pub pp: Vec<u32>,
-}
-
-impl Default for ProfileGrid {
-    fn default() -> Self {
-        ProfileGrid {
-            batch_sizes: vec![1, 2, 4, 8, 16],
-            input_lens: vec![64, 128, 256, 512, 1024, 2048],
-            tp: vec![1, 2, 4, 8],
-            pp: vec![1, 2, 4],
-        }
-    }
-}
+/// Profiled batch sizes `Q`.
+pub const PROFILE_BATCH_SIZES: [u32; 5] = [1, 2, 4, 8, 16];
+/// Profiled input lengths `K_in`, tokens.
+pub const PROFILE_INPUT_LENS: [u64; 6] = [64, 128, 256, 512, 1024, 2048];
+/// Profiled tensor-parallel degrees.
+pub const PROFILE_TP: [u32; 4] = [1, 2, 4, 8];
+/// Profiled pipeline-parallel degrees (decode only).
+pub const PROFILE_PP: [u32; 3] = [1, 2, 4];
 
 /// Fit `C1, C2, C3` against roofline prefill profiles.
 pub fn fit_prefill_coefficients(
     gpu: &GpuModel,
     model: &ModelConfig,
-    grid: &ProfileGrid,
     block: f64,
 ) -> (f64, f64, f64, f64) {
     let mut rows = Vec::new();
     let mut ys = Vec::new();
-    for &q in &grid.batch_sizes {
-        for &l in &grid.input_lens {
-            for &tp in &grid.tp {
+    for q in PROFILE_BATCH_SIZES {
+        for l in PROFILE_INPUT_LENS {
+            for tp in PROFILE_TP {
                 let batch = BatchStats::uniform(q, l, 64);
                 let [gemm, attn] = prefill_features(model, &batch, tp, block);
                 rows.push(vec![gemm, attn, 1.0]);
@@ -77,17 +61,13 @@ pub fn fit_prefill_coefficients(
 }
 
 /// Fit `C4, C5, C6` against roofline decode profiles.
-pub fn fit_decode_coefficients(
-    gpu: &GpuModel,
-    model: &ModelConfig,
-    grid: &ProfileGrid,
-) -> (f64, f64, f64, f64) {
+pub fn fit_decode_coefficients(gpu: &GpuModel, model: &ModelConfig) -> (f64, f64, f64, f64) {
     let mut rows = Vec::new();
     let mut ys = Vec::new();
-    for &q in &grid.batch_sizes {
-        for &l in &grid.input_lens {
-            for &tp in &grid.tp {
-                for &pp in &grid.pp {
+    for q in PROFILE_BATCH_SIZES {
+        for l in PROFILE_INPUT_LENS {
+            for tp in PROFILE_TP {
+                for pp in PROFILE_PP {
                     let batch = BatchStats::uniform(q, l, 64);
                     let [gemm, kv] = decode_features(model, &batch, tp, pp);
                     rows.push(vec![gemm, kv, 1.0]);
@@ -104,12 +84,13 @@ pub fn fit_decode_coefficients(
     (beta[0], beta[1], beta[2].max(0.0), r_squared(&preds, &ys))
 }
 
-/// Run the full profiling pipeline for `(gpu, model)`.
-pub fn fit(gpu: &GpuModel, model: &ModelConfig, grid: &ProfileGrid) -> FittedModel {
+/// Run the full profiling pipeline for `(gpu, model)` over the
+/// `PROFILE_*` grid.
+pub fn fit(gpu: &GpuModel, model: &ModelConfig) -> FittedModel {
     let block = 128.0;
-    let (c1, c2, c3, pre_r2) = fit_prefill_coefficients(gpu, model, grid, block);
-    let (c4, c5, c6, dec_r2) = fit_decode_coefficients(gpu, model, grid);
-    let samples = grid.batch_sizes.len() * grid.input_lens.len() * grid.tp.len();
+    let (c1, c2, c3, pre_r2) = fit_prefill_coefficients(gpu, model, block);
+    let (c4, c5, c6, dec_r2) = fit_decode_coefficients(gpu, model);
+    let samples = PROFILE_BATCH_SIZES.len() * PROFILE_INPUT_LENS.len() * PROFILE_TP.len();
     FittedModel {
         coefficients: CostCoefficients {
             c1,
@@ -135,7 +116,7 @@ mod tests {
     fn prefill_fit_explains_roofline() {
         let gpu = GpuModel::a100();
         let model = ModelConfig::opt_66b();
-        let fitted = fit(&gpu, &model, &ProfileGrid::default());
+        let fitted = fit(&gpu, &model);
         assert!(
             fitted.prefill_r2 > 0.98,
             "prefill R² = {}",
@@ -151,7 +132,7 @@ mod tests {
     fn fitted_model_interpolates_unseen_points() {
         let gpu = GpuModel::a100();
         let model = ModelConfig::opt_66b();
-        let fitted = fit(&gpu, &model, &ProfileGrid::default());
+        let fitted = fit(&gpu, &model);
         // A point not on the grid: q=6, len=768, tp=4.
         let batch = BatchStats::uniform(6, 768, 64);
         let pred = prefill_latency_secs(&fitted.coefficients, &model, &batch, 4);
@@ -171,9 +152,8 @@ mod tests {
     #[test]
     fn fits_differ_across_gpus() {
         let model = ModelConfig::opt_66b();
-        let grid = ProfileGrid::default();
-        let a = fit(&GpuModel::a100(), &model, &grid);
-        let v = fit(&GpuModel::v100(), &model, &grid);
+        let a = fit(&GpuModel::a100(), &model);
+        let v = fit(&GpuModel::v100(), &model);
         // V100 is slower: larger linear coefficient.
         assert!(v.coefficients.c1 > a.coefficients.c1);
     }

@@ -56,29 +56,28 @@ impl BuiltTopology {
     }
 }
 
-/// Parameters for the parametric `xtracks` fabric.
+/// GPUs per `xtracks` server (paper: 8 for the large-scale simulation),
+/// each an A100-80G meshed over A100 NVLink, with a 100 G port to its
+/// access switch.
+pub const XTRACKS_GPUS_PER_SERVER: usize = 8;
+
+/// Uplinks from each `xtracks` access switch into the core layer, each
+/// 400 G.
+pub const XTRACKS_UPLINKS_PER_ACCESS: usize = 2;
+
+/// Parameters for the parametric `xtracks` fabric; the per-server and
+/// per-switch shape is fixed by [`XTRACKS_GPUS_PER_SERVER`] and
+/// [`XTRACKS_UPLINKS_PER_ACCESS`].
 #[derive(Clone, Debug)]
 pub struct XTracksConfig {
     /// Number of pods (groups of servers sharing access switches).
     pub pods: usize,
     /// Servers per pod (paper: 6 for 2tracks, 16 for 8tracks).
     pub servers_per_pod: usize,
-    /// GPUs per server (paper: 8 for the large-scale simulation).
-    pub gpus_per_server: usize,
     /// Access switches per pod — the `x` in `xtracks`.
     pub tracks: usize,
     /// Number of core switches shared by all pods.
     pub core_switches: usize,
-    /// Uplinks from each access switch into the core layer.
-    pub uplinks_per_access: usize,
-    /// GPU hardware for every server.
-    pub gpu_spec: GpuSpec,
-    /// Ethernet port speed (bps) for GPU→access links.
-    pub eth_bps: f64,
-    /// Core uplink speed (bps) for access→core links.
-    pub core_bps: f64,
-    /// Aggregate NVLink bandwidth between GPU pairs in a server (bps).
-    pub nvlink_bps: f64,
 }
 
 impl XTracksConfig {
@@ -88,14 +87,8 @@ impl XTracksConfig {
         XTracksConfig {
             pods,
             servers_per_pod: 6,
-            gpus_per_server: 8,
             tracks: 2,
             core_switches: (pods / 4).max(2),
-            uplinks_per_access: 2,
-            gpu_spec: GpuSpec::a100_80g(),
-            eth_bps: bandwidth::ETH_100G,
-            core_bps: bandwidth::ETH_400G,
-            nvlink_bps: bandwidth::NVLINK_A100,
         }
     }
 
@@ -105,20 +98,14 @@ impl XTracksConfig {
         XTracksConfig {
             pods,
             servers_per_pod: 16,
-            gpus_per_server: 8,
             tracks: 8,
             core_switches: pods.max(2) * 2,
-            uplinks_per_access: 2,
-            gpu_spec: GpuSpec::a100_80g(),
-            eth_bps: bandwidth::ETH_100G,
-            core_bps: bandwidth::ETH_400G,
-            nvlink_bps: bandwidth::NVLINK_A100,
         }
     }
 
     /// Total GPU count implied by the config.
     pub fn total_gpus(&self) -> usize {
-        self.pods * self.servers_per_pod * self.gpus_per_server
+        self.pods * self.servers_per_pod * XTRACKS_GPUS_PER_SERVER
     }
 }
 
@@ -204,14 +191,16 @@ pub fn testbed() -> BuiltTopology {
 ///
 /// Wiring: within a pod, each server's GPU ports are spread round-robin
 /// over the pod's `tracks` access switches (the cross-connection of
-/// Fig. 6 generalized); each access switch takes `uplinks_per_access`
-/// links into the core layer, chosen round-robin so load spreads evenly.
+/// Fig. 6 generalized); each access switch takes
+/// [`XTRACKS_UPLINKS_PER_ACCESS`] links into the core layer, chosen
+/// round-robin so load spreads evenly.
 pub fn xtracks(cfg: &XTracksConfig) -> BuiltTopology {
-    assert!(cfg.pods > 0 && cfg.servers_per_pod > 0 && cfg.gpus_per_server > 0);
+    assert!(cfg.pods > 0 && cfg.servers_per_pod > 0);
     assert!(cfg.tracks > 0, "need at least one access switch per pod");
     let mut b = GraphBuilder::new();
     let mut gpus_by_server = Vec::new();
     let mut access_switches = Vec::new();
+    let gpu_spec = GpuSpec::a100_80g();
 
     // Core layer first so access uplinks can reference it.
     let cores: Vec<NodeId> = (0..cfg.core_switches.max(1))
@@ -228,26 +217,32 @@ pub fn xtracks(cfg: &XTracksConfig) -> BuiltTopology {
             let gpus = add_server(
                 &mut b,
                 ServerId(server_id),
-                cfg.gpus_per_server,
-                &cfg.gpu_spec,
-                cfg.nvlink_bps,
+                XTRACKS_GPUS_PER_SERVER,
+                &gpu_spec,
+                bandwidth::NVLINK_A100,
             );
             for (i, &g) in gpus.iter().enumerate() {
                 let sw = pod_access[i % cfg.tracks];
-                b.add_link(g, sw, LinkKind::Ethernet, cfg.eth_bps, latency::ETH_HOP_NS);
+                b.add_link(
+                    g,
+                    sw,
+                    LinkKind::Ethernet,
+                    bandwidth::ETH_100G,
+                    latency::ETH_HOP_NS,
+                );
             }
             gpus_by_server.push(gpus);
             server_id += 1;
         }
         for &acc in &pod_access {
-            for _ in 0..cfg.uplinks_per_access.max(1) {
+            for _ in 0..XTRACKS_UPLINKS_PER_ACCESS {
                 let core = cores[uplink_rr % cores.len()];
                 uplink_rr += 1;
                 b.add_link(
                     acc,
                     core,
                     LinkKind::Ethernet,
-                    cfg.core_bps,
+                    bandwidth::ETH_400G,
                     latency::ETH_HOP_NS,
                 );
             }

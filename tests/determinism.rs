@@ -218,7 +218,7 @@ fn netkv_run_with_kv_retries_is_bit_identical() {
     use hs_cluster::batching::BatchPolicy;
     use hs_cluster::{ClusterConfig, ClusterSim, InstanceSpec};
     use hs_des::SimSpan;
-    use hs_model::profile::{fit, ProfileGrid};
+    use hs_model::profile::fit;
     use hs_model::GpuModel;
     use hs_workload::{FaultKind, Request, RequestId, Trace};
 
@@ -239,7 +239,7 @@ fn netkv_run_with_kv_retries_is_bit_identical() {
             }
         }
         let model = ModelConfig::opt_13b();
-        let fitted = fit(&GpuModel::a100(), &model, &ProfileGrid::default());
+        let fitted = fit(&GpuModel::a100(), &model);
         let ap = t.gpu_switch_pairs();
         let cfg = ClusterConfig {
             model,
