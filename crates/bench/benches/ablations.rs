@@ -9,7 +9,7 @@
 use heroserve::netest::{constrained_kmeans, estimate_network_latency, NetestInput, SchemeSpace};
 use heroserve::scheduler::SchedulerParams;
 use hs_baselines::BaselineKind;
-use hs_bench::scenario::planner_input;
+use hs_bench::scenario::{planner_input, testbed_deployment};
 use hs_bench::ExpTable;
 use hs_des::{SeedSplitter, SimTime};
 use hs_model::ModelConfig;
@@ -46,13 +46,12 @@ fn main() {
     // ---- 2. Online scheduler vs static assignment under burst. ----
     {
         let mk = |online: bool| {
-            let input = planner_input(&topo.graph, &model, &workload, 1.0, Some(4), Some(8));
             let kind = if online {
                 BaselineKind::HeroServe
             } else {
                 BaselineKind::DsSwitchml // static INA assignment
             };
-            let mut d = kind.deploy_with_input(&topo, &input, &workload).unwrap();
+            let mut d = testbed_deployment(kind, &topo, &workload, 1.0);
             d.ina_capacity_per_switch = 1;
             d.background = Some((40.0, 256 << 20)); // heavier bursts
             d.serve_trace(17, 1.5, SimTime::from_secs(30))
@@ -76,10 +75,7 @@ fn main() {
 
     // ---- 3. Gamma sweep (Eq. 18 smoothing). ----
     for gamma in [0.0f64, 0.3, 0.9] {
-        let input = planner_input(&topo.graph, &model, &workload, 1.0, Some(4), Some(8));
-        let mut hero = BaselineKind::HeroServe
-            .deploy_with_input(&topo, &input, &workload)
-            .unwrap()
+        let mut hero = testbed_deployment(BaselineKind::HeroServe, &topo, &workload, 1.0)
             .with_scheduler_params(SchedulerParams {
                 gamma,
                 ..SchedulerParams::default()

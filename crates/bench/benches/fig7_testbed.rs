@@ -15,16 +15,14 @@
 //! Scalability = max per-GPU request rate with ≥ 90 % SLA attainment.
 
 use hs_baselines::BaselineKind;
-use hs_bench::scenario::planner_input;
+use hs_bench::scenario::testbed_deployment;
 use hs_bench::{max_rate_under_sla, ExpTable};
 use hs_des::SimTime;
-use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
 use serde_json::json;
 
 fn main() {
     let topo = testbed();
-    let model = ModelConfig::opt_66b();
     let total_gpus = topo.all_gpus().len() as f64;
     let scenarios = [
         ("chatbot", hs_workload::sharegpt_like(), 40u64),
@@ -49,17 +47,10 @@ fn main() {
         // Plan each system once; sweep rates against the deployment.
         let mut results = Vec::new();
         for kind in BaselineKind::all() {
-            // The paper's testbed deployment, fixed for every system
-            // (DS-ATP/DS-SwitchML are DistServe + INA on the *same*
-            // deployment, §V): interleaved ports (Fig. 4) and TP=4, so
-            // tensor groups span servers and all systems pay for
-            // cross-server synchronization; only the communication
-            // scheduling differs — the variable under test.
-            let input = planner_input(&topo.graph, &model, &workload, 1.0, Some(4), Some(8));
-            let d = kind
-                .deploy_with_input(&topo, &input, &workload)
-                .unwrap_or_else(|e| panic!("{} failed to plan: {e}", kind.name()));
-            results.push((kind, d));
+            // One deployment for every system (DS-ATP/DS-SwitchML are
+            // DistServe + INA on the *same* deployment, §V): only the
+            // communication scheduling differs — the variable under test.
+            results.push((kind, testbed_deployment(kind, &topo, &workload, 1.0)));
         }
         // One *common* rate grid for every system (anchored on the
         // largest planner estimate) so max-rate resolution is identical.

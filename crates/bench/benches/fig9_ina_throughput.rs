@@ -19,7 +19,7 @@ use heroserve::scheduler::{HeroScheduler, SchedulerParams};
 use hs_baselines::BaselineKind;
 use hs_bench::ExpTable;
 use hs_cluster::{run_allreduces, AllReduceLoad, CommStrategy, StaticStrategy};
-use hs_collective::Scheme;
+use hs_collective::{nearest_switches, Scheme};
 use hs_des::{SeedSplitter, SimTime};
 use hs_topology::builders::{xtracks, XTracksConfig};
 use hs_topology::{AllPairs, Graph, NodeId};
@@ -140,16 +140,8 @@ fn system_strategy(
             let nearest: Vec<Scheme> = groups
                 .iter()
                 .map(|g| {
-                    ina_switches
-                        .iter()
-                        .filter(|&&s| ap.covers(s))
-                        .min_by(|&&a, &&b| {
-                            let da = g.iter().map(|&k| ap.dist(k, a)).fold(0.0f64, f64::max);
-                            let db = g.iter().map(|&k| ap.dist(k, b)).fold(0.0f64, f64::max);
-                            da.partial_cmp(&db)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then_with(|| a.cmp(&b))
-                        })
+                    nearest_switches(ap, g, &ina_switches)
+                        .first()
                         .map_or(Scheme::Ring, |&switch| Scheme::Ina { switch })
                 })
                 .collect();

@@ -17,17 +17,15 @@
 //! burn failovers; DistServe stalls flows on dead links until recovery.
 
 use hs_baselines::BaselineKind;
-use hs_bench::scenario::planner_input;
+use hs_bench::scenario::testbed_deployment;
 use hs_bench::ExpTable;
 use hs_des::{SeedSplitter, SimTime};
-use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
 use hs_workload::{FaultPlan, Poisson, Trace};
 use serde_json::json;
 
 fn main() {
     let topo = testbed();
-    let model = ModelConfig::opt_66b();
     let workload = hs_workload::sharegpt_like();
     let rate = 2.0;
     let horizon = SimTime::from_secs(30);
@@ -73,13 +71,7 @@ fn main() {
 
     for (scenario, faults) in &scenarios {
         for kind in BaselineKind::all() {
-            // The paper's testbed deployment: interleaved ports, TP
-            // groups spanning servers, so collectives cross the switches.
-            let input = planner_input(&topo.graph, &model, &workload, rate, Some(4), Some(8));
-            let d = kind
-                .deploy_with_input(&topo, &input, &workload)
-                .unwrap_or_else(|e| panic!("{} failed to plan: {e}", kind.name()))
-                .with_faults(faults.clone());
+            let d = testbed_deployment(kind, &topo, &workload, rate).with_faults(faults.clone());
             let r = d.serve(&trace, horizon);
             let window = r.fault_window_attainment.unwrap_or(f64::NAN);
             table.push(

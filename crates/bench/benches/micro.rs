@@ -20,7 +20,6 @@ fn bench_routing(c: &mut Criterion) {
                 gpus[0],
                 gpus[gpus.len() - 1],
                 LinkWeight::Latency,
-                None,
             )
         })
     });
@@ -30,7 +29,7 @@ fn bench_routing(c: &mut Criterion) {
         b.iter(|| AllPairs::compute(&t.graph, &nodes, LinkWeight::Latency, None))
     });
     c.bench_function("yen_k3_96gpu", |b| {
-        b.iter(|| k_shortest_paths(&topo.graph, gpus[0], gpus[40], 3, LinkWeight::Latency, None))
+        b.iter(|| k_shortest_paths(&topo.graph, gpus[0], gpus[40], 3, LinkWeight::Latency))
     });
 }
 

@@ -57,17 +57,32 @@ pub fn planner_input(
     input
 }
 
-/// Fig. 7's chatbot knee deployment, the one the benchmark ledger's
-/// `testbed_knee` serves: HeroServe planned for OPT-66B and ShareGPT-like
-/// traffic on the testbed with TP=4 prefill and TP=8 decode, one INA
-/// slot per switch and 20 bulk 256 MiB background flows/s.
-pub fn knee_deployment(topo: &BuiltTopology) -> Deployment {
+/// The paper's testbed deployment (§V), the same for every system:
+/// `kind` planned for OPT-66B serving `workload` at `rate` req/s over
+/// `topo`'s interleaved ports with TP=4 prefill and TP=8 decode pinned,
+/// so tensor groups span servers and every system pays for
+/// cross-server synchronization.
+///
+/// # Panics
+/// Panics if the planner finds no feasible configuration on `topo`.
+pub fn testbed_deployment(
+    kind: BaselineKind,
+    topo: &BuiltTopology,
+    workload: &WorkloadSpec,
+    rate: f64,
+) -> Deployment {
     let model = ModelConfig::opt_66b();
-    let workload = sharegpt_like();
-    let input = planner_input(&topo.graph, &model, &workload, 1.0, Some(4), Some(8));
-    let mut d = BaselineKind::HeroServe
-        .deploy_with_input(topo, &input, &workload)
-        .expect("the Fig. 7 testbed deployment plans");
+    let input = planner_input(&topo.graph, &model, workload, rate, Some(4), Some(8));
+    kind.deploy_with_input(topo, &input, workload)
+        .unwrap_or_else(|e| panic!("{} failed to plan: {e}", kind.name()))
+}
+
+/// Fig. 7's chatbot knee deployment, the one the benchmark ledger's
+/// `testbed_knee` serves: HeroServe's [`testbed_deployment`] for
+/// ShareGPT-like traffic, one INA slot per switch and 20 bulk 256 MiB
+/// background flows/s.
+pub fn knee_deployment(topo: &BuiltTopology) -> Deployment {
+    let mut d = testbed_deployment(BaselineKind::HeroServe, topo, &sharegpt_like(), 1.0);
     d.ina_capacity_per_switch = 1;
     d.background = Some((20.0, 256 << 20));
     d

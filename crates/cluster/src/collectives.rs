@@ -6,7 +6,7 @@
 //! once, the first time it launches with it; every later launch runs the
 //! cached shape at its own payload size.
 
-use crate::engine::{Background, Ev, Shared, TAG_COLL, TAG_ID_MASK};
+use crate::engine::{Background, Ev, FlowOwner, Shared};
 use crate::faults::FaultRecovery;
 use crate::metrics::SimReport;
 use crate::strategy::{BusyPolicy, CommCtx, CommStrategy};
@@ -282,7 +282,7 @@ impl Collectives {
                     .ina_session_begin(sh.now, sw.0 as u64, coll, active as u32);
             }
         }
-        let mut exec = CollectiveExec::new(shape, total, TAG_COLL | coll);
+        let mut exec = CollectiveExec::new(shape, total, FlowOwner::Coll(coll).tag());
         let timer = match exec.start(&mut sh.net, sh.now) {
             Progress::Done => {
                 sh.tracer
@@ -505,8 +505,8 @@ pub fn run_allreduces(
         sh.now = t;
         sh.net.advance_to(t, &mut done);
         for (id, flow) in done.drain(..) {
-            if flow.tag & !TAG_ID_MASK == TAG_COLL {
-                colls.step(&mut sh, flow.tag & TAG_ID_MASK, Some(id));
+            if let Some(FlowOwner::Coll(coll)) = FlowOwner::of(flow.tag) {
+                colls.step(&mut sh, coll, Some(id));
             }
         }
         if sh.events.peek_time() == Some(t) {

@@ -35,11 +35,43 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use std::collections::VecDeque;
 
-/// Tag-space partition for flow demultiplexing.
-pub(crate) const TAG_KIND_SHIFT: u64 = 60;
-pub(crate) const TAG_COLL: u64 = 1 << TAG_KIND_SHIFT;
-pub(crate) const TAG_KV: u64 = 2 << TAG_KIND_SHIFT;
-pub(crate) const TAG_ID_MASK: u64 = (1 << TAG_KIND_SHIFT) - 1;
+/// The engine component a network flow belongs to, carried in the flow's
+/// tag: the top four bits say which, the other 60 the owner's id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum FlowOwner {
+    /// A flow of collective launch `id`.
+    Coll(u64),
+    /// A stripe of request `id`'s KV shipment.
+    Kv(u64),
+}
+
+impl FlowOwner {
+    const KIND_SHIFT: u32 = 60;
+    /// The largest id a tag can carry.
+    pub(crate) const MAX_ID: u64 = (1 << Self::KIND_SHIFT) - 1;
+    /// The tag of a flow no component owns (background traffic).
+    pub(crate) const NONE: u64 = 0;
+
+    /// The tag of this owner's flows.
+    pub(crate) fn tag(self) -> u64 {
+        let (kind, id) = match self {
+            FlowOwner::Coll(id) => (1, id),
+            FlowOwner::Kv(id) => (2, id),
+        };
+        debug_assert!(id <= Self::MAX_ID, "flow owner id {id} overflows its tag");
+        kind << Self::KIND_SHIFT | id
+    }
+
+    /// The owner a flow's tag names, or `None` for [`FlowOwner::NONE`].
+    pub(crate) fn of(tag: u64) -> Option<Self> {
+        let id = tag & Self::MAX_ID;
+        match tag >> Self::KIND_SHIFT {
+            1 => Some(FlowOwner::Coll(id)),
+            2 => Some(FlowOwner::Kv(id)),
+            _ => None,
+        }
+    }
+}
 
 /// The tensor group of instance `inst`'s pipeline stage `stage`: the id
 /// its all-reduces launch under and the strategy keys its state by.
@@ -236,7 +268,7 @@ impl Background {
         }
         let route = &sh.ap.path(a, b).route;
         if !route.is_empty() {
-            sh.net.start_flow(sh.now, route, *bytes, 0);
+            sh.net.start_flow(sh.now, route, *bytes, FlowOwner::NONE);
         }
         Some(())
     }
@@ -578,12 +610,10 @@ impl ClusterSim {
     fn start_comm(&mut self, inst: usize) {
         let tokens = self.iteration_tokens(inst);
         let spec = &self.instances[inst].spec;
-        // Per-stage tensor-parallel sync volume: both all-reduce points of
-        // each of the stage's L/pp layers.
-        let bytes = self.cfg.model.sync_bytes_total(tokens) / spec.p_pipe().max(1) as u64;
+        let bytes = self.cfg.model.stage_sync_bytes(tokens, spec.p_pipe());
         // Pipeline-stage boundary transfers (Eq. 6): activations of
         // `tokens` tokens hop from each stage's leader to the next.
-        let hop = tokens * self.cfg.model.hidden as u64 * self.cfg.model.precision.bytes();
+        let hop = self.cfg.model.activation_bytes(tokens);
         let hops = (spec.p_pipe() > 1 && tokens > 0).then(|| CollOrigin::PipeHops {
             hops: spec.stages.windows(2).map(|w| (w[0][0], w[1][0])).collect(),
             bytes: hop,
@@ -797,11 +827,12 @@ impl ClusterSim {
     }
 
     fn on_flow_done(&mut self, id: FlowId, tag: u64) {
-        let owner = tag & TAG_ID_MASK;
-        match tag >> TAG_KIND_SHIFT {
-            1 => self.colls.step(&mut self.sh, owner, Some(id)),
-            2 if self.kv.stripe_done(owner, id) => self.kv_done(RequestId(owner)),
-            _ => {} // background / foreign flows, stripes of unfinished shipments
+        match FlowOwner::of(tag) {
+            Some(FlowOwner::Coll(coll)) => self.colls.step(&mut self.sh, coll, Some(id)),
+            Some(FlowOwner::Kv(req)) if self.kv.stripe_done(req, id) => {
+                self.kv_done(RequestId(req))
+            }
+            _ => {} // background flows, stripes of unfinished shipments
         }
     }
 
@@ -915,6 +946,17 @@ pub(crate) mod tests {
                 })
                 .collect(),
         }
+    }
+
+    #[test]
+    fn flow_owner_tags_round_trip() {
+        for id in [0, FlowOwner::MAX_ID] {
+            for owner in [FlowOwner::Coll(id), FlowOwner::Kv(id)] {
+                assert_eq!(FlowOwner::of(owner.tag()), Some(owner));
+            }
+        }
+        assert_ne!(FlowOwner::Coll(0).tag(), FlowOwner::Kv(0).tag());
+        assert_eq!(FlowOwner::of(FlowOwner::NONE), None);
     }
 
     fn small_setup(rate: f64, horizon_s: u64, scheme: Scheme) -> (SimReport, usize) {

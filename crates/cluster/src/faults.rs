@@ -2,7 +2,7 @@
 //! fault recovery: the demux of flows a dead link tore out, and
 //! time-to-reroute samples.
 
-use crate::engine::{Shared, TAG_ID_MASK, TAG_KIND_SHIFT};
+use crate::engine::{FlowOwner, Shared};
 use crate::instance::InstanceSpec;
 use crate::metrics::SimReport;
 use hs_des::SimTime;
@@ -134,11 +134,10 @@ impl FaultRecovery {
         let (mut colls, mut kv) = (ByOwner::new(), ByOwner::new());
         for (id, flow) in aborted {
             self.aborted_flows += 1;
-            let owner = flow.tag & TAG_ID_MASK;
-            match flow.tag >> TAG_KIND_SHIFT {
-                1 => colls.entry(owner).or_default().push(id),
-                2 => kv.entry(owner).or_default().push(id),
-                _ => {}
+            match FlowOwner::of(flow.tag) {
+                Some(FlowOwner::Coll(coll)) => colls.entry(coll).or_default().push(id),
+                Some(FlowOwner::Kv(req)) => kv.entry(req).or_default().push(id),
+                None => {}
             }
         }
         (colls, kv)

@@ -4,7 +4,7 @@
 
 use crate::autoscale::PoolState;
 use crate::collectives::retry_delay;
-use crate::engine::{ClusterConfig, Ev, Shared, TAG_KV};
+use crate::engine::{ClusterConfig, Ev, FlowOwner, Shared};
 use crate::faults::FaultRecovery;
 use crate::instance::Instance;
 use crate::kvcache::KvManager;
@@ -200,13 +200,14 @@ impl KvShipper {
     fn launch(&mut self, sh: &mut Shared, stripes: &[KvStripe], req: u64) -> (Vec<FlowId>, bool) {
         let mut live = Vec::with_capacity(stripes.len());
         let mut all_alive = true;
+        let tag = FlowOwner::Kv(req).tag();
         for st in stripes {
             let links = sh.route(st.src, st.dst, st.bytes);
             if links.is_empty() {
                 continue;
             }
             all_alive &= links.iter().all(|&(l, _)| !sh.health.is_dead(l));
-            live.push(sh.net.start_flow(sh.now, &links, st.bytes, TAG_KV | req));
+            live.push(sh.net.start_flow(sh.now, &links, st.bytes, tag));
         }
         self.stripes += live.len() as u64;
         (live, all_alive)

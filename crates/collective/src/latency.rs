@@ -6,6 +6,7 @@
 //! `P(k,a)` and an optional residual-bandwidth vector `B(e)` — exactly the
 //! planner's Table I inputs.
 
+use crate::plan::Scheme;
 use hs_des::SimSpan;
 use hs_topology::{AllPairs, Graph, NodeId, Path, ServerId};
 
@@ -84,6 +85,47 @@ pub fn ring_latency(
         })
         .fold(0.0f64, f64::max);
     2.0 * (p as f64 - 1.0) * step
+}
+
+impl Scheme {
+    /// This scheme's closed-form all-reduce latency for `group` over
+    /// `bytes`: Eq. 8–10 for the INA schemes, Eq. 11 for the rings, each
+    /// flat or hierarchical as the variant says.
+    pub fn latency(
+        &self,
+        g: &Graph,
+        group: &[NodeId],
+        ap: &AllPairs,
+        bytes: u64,
+        avail: Option<&[f64]>,
+    ) -> f64 {
+        match *self {
+            Scheme::Ring => ring_latency(g, group, ap, bytes, avail),
+            Scheme::HierRing => hierarchical_ring_latency(g, group, ap, bytes, avail),
+            Scheme::Ina { switch } => ina_latency(g, group, switch, ap, bytes, avail),
+            Scheme::HierIna { switch } => {
+                hierarchical_ina_latency(g, group, switch, ap, bytes, avail)
+            }
+        }
+    }
+}
+
+/// The `switches` that `ap` covers, nearest to `group` first: by the
+/// distance from the group's farthest member, ties broken by node id.
+pub fn nearest_switches(ap: &AllPairs, group: &[NodeId], switches: &[NodeId]) -> Vec<NodeId> {
+    let reach = |s: NodeId| group.iter().map(|&k| ap.dist(k, s)).fold(0.0f64, f64::max);
+    let mut ranked: Vec<NodeId> = switches
+        .iter()
+        .filter(|&&s| ap.covers(s))
+        .copied()
+        .collect();
+    ranked.sort_by(|&a, &b| {
+        reach(a)
+            .partial_cmp(&reach(b))
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.cmp(&b))
+    });
+    ranked
 }
 
 /// Partition `group` by server, preserving order; GPUs without a server
@@ -248,6 +290,58 @@ mod tests {
         // A same-server pair over hierarchical INA never touches Ethernet.
         let t = hierarchical_ina_latency(&m.graph, &m.gpus[..2], m.access, &ap, 1 << 20, None);
         assert!(t * 1e6 < 10.0, "NVLink-only pair = {} us", t * 1e6);
+    }
+
+    #[test]
+    fn scheme_latency_is_its_closed_form() {
+        let m = fig2_micro();
+        let ap = ap_for(&m);
+        let (g, group, bytes) = (&m.graph, &m.gpus[..], 1 << 20);
+        let avail: Vec<f64> = g.capacities().iter().map(|c| c / 3.0).collect();
+        for avail in [None, Some(&avail[..])] {
+            for sw in [m.access, m.core] {
+                let cases = [
+                    (Scheme::Ring, ring_latency(g, group, &ap, bytes, avail)),
+                    (
+                        Scheme::HierRing,
+                        hierarchical_ring_latency(g, group, &ap, bytes, avail),
+                    ),
+                    (
+                        Scheme::Ina { switch: sw },
+                        ina_latency(g, group, sw, &ap, bytes, avail),
+                    ),
+                    (
+                        Scheme::HierIna { switch: sw },
+                        hierarchical_ina_latency(g, group, sw, &ap, bytes, avail),
+                    ),
+                ];
+                for (scheme, want) in cases {
+                    let got = scheme.latency(g, group, &ap, bytes, avail);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{scheme:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_switches_rank_by_farthest_member_then_id() {
+        let t = hs_topology::builders::testbed();
+        let ap = t.gpu_switch_pairs();
+        let [sw0, sw1] = [t.access_switches[0], t.access_switches[1]];
+        let gpu = |server: usize, i: usize| t.gpus_by_server[server][i];
+        // GPUs 0-1 of each server hang off switch 0, GPUs 2-3 off switch 1.
+        let on_sw1 = [gpu(0, 2), gpu(1, 3)];
+        assert_eq!(nearest_switches(&ap, &on_sw1, &[sw0, sw1]), [sw1, sw0]);
+        let on_sw0 = [gpu(2, 0), gpu(3, 1)];
+        assert_eq!(nearest_switches(&ap, &on_sw0, &[sw1, sw0]), [sw0, sw1]);
+        // One member on each: equally far, so the lower node id leads.
+        assert!(sw0 < sw1);
+        for split in [[gpu(0, 0), gpu(1, 2)], [gpu(1, 2), gpu(0, 0)]] {
+            assert_eq!(nearest_switches(&ap, &split, &[sw1, sw0]), [sw0, sw1]);
+        }
+        // Switches the routes do not cover are never offered.
+        let gpus_only = AllPairs::compute(&t.graph, &t.all_gpus(), LinkWeight::Latency, None);
+        assert!(nearest_switches(&gpus_only, &on_sw0, &[sw0, sw1]).is_empty());
     }
 
     #[test]

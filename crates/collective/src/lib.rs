@@ -28,6 +28,7 @@ pub mod plan;
 pub mod verify;
 
 pub use latency::{
-    hierarchical_ina_latency, hierarchical_ring_latency, ina_latency, ring_latency, AGG_DELAY,
+    hierarchical_ina_latency, hierarchical_ring_latency, ina_latency, nearest_switches,
+    ring_latency, AGG_DELAY,
 };
 pub use plan::{CollectiveExec, PhaseShape, PlanShape, Progress, Scheme};

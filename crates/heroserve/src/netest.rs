@@ -16,9 +16,7 @@
 
 use crate::spec::GroupScheme;
 use hs_collective::latency::path_transfer_secs;
-use hs_collective::{
-    hierarchical_ina_latency, hierarchical_ring_latency, ina_latency, ring_latency, Scheme,
-};
+use hs_collective::Scheme;
 use hs_topology::{AllPairs, Graph, NodeId};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -210,53 +208,30 @@ pub fn get_latency(
     space: SchemeSpace,
 ) -> (Scheme, f64) {
     let switch = select_switch(graph, ap, avail, group, ina_switches, bytes);
-    let mut candidates: Vec<(Scheme, f64)> = Vec::new();
-    match space {
-        SchemeSpace::RingOnly => {
-            candidates.push((
-                Scheme::Ring,
-                ring_latency(graph, group, ap, bytes, Some(avail)),
-            ));
-        }
-        SchemeSpace::InaOnly => {
-            // SwitchML/ATP replace the *Ethernet* collective; a group
-            // confined to one server still all-reduces over NVLink
-            // (NCCL), exactly as their DistServe integrations would.
-            let single_server = group.windows(2).all(|w| graph.same_server(w[0], w[1]));
-            match switch {
-                Some(sw) if !single_server => candidates.push((
-                    Scheme::Ina { switch: sw },
-                    ina_latency(graph, group, sw, ap, bytes, Some(avail)),
-                )),
-                _ => candidates.push((
-                    Scheme::Ring,
-                    ring_latency(graph, group, ap, bytes, Some(avail)),
-                )),
+    // Candidates in this order: `min_by` keeps the first of tied latencies.
+    let candidates = match (space, switch) {
+        (SchemeSpace::RingOnly, _) | (SchemeSpace::InaOnly, None) => vec![Scheme::Ring],
+        // SwitchML/ATP replace the *Ethernet* collective; a group
+        // confined to one server still all-reduces over NVLink (NCCL),
+        // exactly as their DistServe integrations would.
+        (SchemeSpace::InaOnly, Some(sw)) => {
+            if group.windows(2).all(|w| graph.same_server(w[0], w[1])) {
+                vec![Scheme::Ring]
+            } else {
+                vec![Scheme::Ina { switch: sw }]
             }
         }
-        SchemeSpace::Hybrid => {
-            candidates.push((
-                Scheme::HierRing,
-                hierarchical_ring_latency(graph, group, ap, bytes, Some(avail)),
-            ));
-            candidates.push((
-                Scheme::Ring,
-                ring_latency(graph, group, ap, bytes, Some(avail)),
-            ));
-            if let Some(sw) = switch {
-                candidates.push((
-                    Scheme::HierIna { switch: sw },
-                    hierarchical_ina_latency(graph, group, sw, ap, bytes, Some(avail)),
-                ));
-                candidates.push((
-                    Scheme::Ina { switch: sw },
-                    ina_latency(graph, group, sw, ap, bytes, Some(avail)),
-                ));
-            }
-        }
-    }
+        (SchemeSpace::Hybrid, None) => vec![Scheme::HierRing, Scheme::Ring],
+        (SchemeSpace::Hybrid, Some(sw)) => vec![
+            Scheme::HierRing,
+            Scheme::Ring,
+            Scheme::HierIna { switch: sw },
+            Scheme::Ina { switch: sw },
+        ],
+    };
     candidates
         .into_iter()
+        .map(|s| (s, s.latency(graph, group, ap, bytes, Some(avail))))
         .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
         .expect("at least one candidate scheme")
 }

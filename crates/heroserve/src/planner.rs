@@ -179,8 +179,8 @@ fn evaluate_cluster(
             } else {
                 input.batch.q as u64
             };
-            let sync_bytes = input.model.sync_bytes_total(tokens) / p_pipe.max(1) as u64;
-            let pipe_bytes = tokens * input.model.hidden as u64 * input.model.precision.bytes();
+            let sync_bytes = input.model.stage_sync_bytes(tokens, p_pipe);
+            let pipe_bytes = input.model.activation_bytes(tokens);
             let mut rng =
                 seeds.indexed_stream(if is_prefill { "prefill" } else { "decode" }, ci as u64);
             let net = estimate_network_latency(

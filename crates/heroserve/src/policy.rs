@@ -8,10 +8,7 @@
 //! record the exact link set each would use, so costs can track shared
 //! links precisely.
 
-use hs_collective::{
-    hierarchical_ina_latency, hierarchical_ring_latency, ina_latency, ring_latency, PlanShape,
-    Scheme,
-};
+use hs_collective::{nearest_switches, PlanShape, Scheme};
 use hs_topology::{AllPairs, Graph, LinkId, NodeId};
 
 /// One candidate (scheme, route set) for a group.
@@ -62,14 +59,7 @@ pub fn build_policies(
     const PROBE: u64 = 1 << 20;
     let mut policies = Vec::new();
     let mut push = |scheme: Scheme| {
-        let base_latency_s = match scheme {
-            Scheme::Ring => ring_latency(g, group, ap, PROBE, None),
-            Scheme::HierRing => hierarchical_ring_latency(g, group, ap, PROBE, None),
-            Scheme::Ina { switch } => ina_latency(g, group, switch, ap, PROBE, None),
-            Scheme::HierIna { switch } => {
-                hierarchical_ina_latency(g, group, switch, ap, PROBE, None)
-            }
-        };
+        let base_latency_s = scheme.latency(g, group, ap, PROBE, None);
         let shape = PlanShape::compile(g, ap, group, scheme);
         if shape.phases.is_empty() {
             return;
@@ -101,19 +91,7 @@ pub fn build_policies(
         });
     };
 
-    // Nearest switches by worst-member hop distance (covered nodes only).
-    let mut switches: Vec<NodeId> = ina_switches
-        .iter()
-        .filter(|&&s| ap.covers(s))
-        .copied()
-        .collect();
-    switches.sort_by(|&a, &b| {
-        let da = group.iter().map(|&k| ap.dist(k, a)).fold(0.0f64, f64::max);
-        let db = group.iter().map(|&k| ap.dist(k, b)).fold(0.0f64, f64::max);
-        da.partial_cmp(&db)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.cmp(&b))
-    });
+    let switches = nearest_switches(ap, group, ina_switches);
     for &sw in switches.iter().take(k_switches.max(1)) {
         push(Scheme::HierIna { switch: sw });
     }

@@ -358,8 +358,8 @@ impl HeroScheduler {
         }
     }
 
-    /// How many times each policy of `group_id` has been selected
-    /// (diagnostics for the ablation benches).
+    /// How many times each policy of `group_id` has been selected, in
+    /// policy order (a diagnostic for tests).
     pub fn pick_counts(&self, group_id: u64) -> Option<Vec<(Scheme, u64)>> {
         self.tables.get(&group_id).map(|t| {
             t.policies
@@ -454,7 +454,7 @@ impl CommStrategy for HeroScheduler {
                 .map(|(l, _)| l)
                 .filter(|&l| health.is_dead(l))
                 .collect();
-            k_shortest_paths_avoiding(graph, src, dst, 3, LinkWeight::Latency, None, &dead)
+            k_shortest_paths_avoiding(graph, src, dst, 3, LinkWeight::Latency, &dead)
                 .into_iter()
                 // Alternatives more than ~2 hops longer than the best are
                 // never worth the detour for bulk transfers.

@@ -139,17 +139,31 @@ impl ModelConfig {
         2.0 * self.param_count() as f64 + 4.0 * self.hidden as f64 * self.layers as f64 * ctx as f64
     }
 
+    /// Bytes of the hidden-state activations of `tokens` tokens,
+    /// `tokens · h` elements: what one pipeline-stage boundary carries
+    /// per iteration (Eq. 6).
+    pub fn activation_bytes(&self, tokens: u64) -> u64 {
+        tokens * self.hidden as u64 * self.precision.bytes()
+    }
+
     /// Bytes of tensor-parallel synchronization per layer per token for
     /// the two all-reduce points (attention output and FFN output):
     /// `D_col(a) = D_col(f) = K_in · h` elements each (§III-C2).
     pub fn sync_bytes_per_layer(&self, tokens: u64) -> u64 {
-        2 * tokens * self.hidden as u64 * self.precision.bytes()
+        2 * self.activation_bytes(tokens)
     }
 
     /// Total tensor-parallel all-reduce bytes for a full forward pass over
     /// `tokens` tokens (both sync points, all layers).
     pub fn sync_bytes_total(&self, tokens: u64) -> u64 {
         self.sync_bytes_per_layer(tokens) * self.layers as u64
+    }
+
+    /// Tensor-parallel all-reduce bytes of one pipeline stage's iteration
+    /// over `tokens` tokens: both sync points of each of its
+    /// `L / p_pipe` layers.
+    pub fn stage_sync_bytes(&self, tokens: u64, p_pipe: u32) -> u64 {
+        self.sync_bytes_total(tokens) / p_pipe.max(1) as u64
     }
 }
 

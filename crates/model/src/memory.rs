@@ -31,8 +31,7 @@ impl MemoryModel {
         let kv_bytes_per_token = (model.kv_bytes_per_token() / ways).max(1);
         // Activation scratch: a few token-buffers of h elements; modelled
         // as 512 tokens x h x precision, tensor-sharded.
-        let activation_reserve_bytes =
-            512 * model.hidden as u64 * model.precision.bytes() / p_tens.max(1) as u64;
+        let activation_reserve_bytes = model.activation_bytes(512) / p_tens.max(1) as u64;
         MemoryModel {
             weight_shard_bytes,
             kv_bytes_per_token,

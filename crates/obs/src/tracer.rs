@@ -2,10 +2,10 @@
 //!
 //! A tracer is either a no-op sink (the default: every emit is a single
 //! branch on a `None` discriminant) or a shared in-memory buffer behind an
-//! `Arc<Mutex<..>>` so that strategies boxed as `dyn CommStrategy + Send`
-//! and the engine can record into the same stream. Simulations are
-//! single-threaded per run, so the mutex is uncontended; it exists to make
-//! the handle `Send + Sync` without unsafe code.
+//! `Arc<Mutex<..>>` so that the engine, the network simulator and the
+//! communication strategy, each holding a clone, record into the same
+//! stream. Simulations are single-threaded per run, so the mutex is
+//! uncontended; it makes the handle `Send + Sync` without unsafe code.
 
 use std::sync::{Arc, Mutex};
 

@@ -50,7 +50,7 @@ fn ten_thousand_flows_on_xtracks() {
             paths.push(Route::from([]));
             continue;
         }
-        let p = shortest_path(g, src, dst, LinkWeight::Latency, None)
+        let p = shortest_path(g, src, dst, LinkWeight::Latency)
             .expect("xtracks is connected")
             .route;
         paths.push(p);

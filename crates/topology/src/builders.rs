@@ -410,13 +410,7 @@ mod tests {
         let t = xtracks(&XTracksConfig::two_tracks(3));
         let gpus = t.all_gpus();
         // First GPU reaches the last GPU (cross-pod, via core).
-        let p = shortest_path(
-            &t.graph,
-            gpus[0],
-            *gpus.last().unwrap(),
-            LinkWeight::Hops,
-            None,
-        );
+        let p = shortest_path(&t.graph, gpus[0], *gpus.last().unwrap(), LinkWeight::Hops);
         assert!(p.is_some(), "cross-pod GPUs disconnected");
         assert!(p.unwrap().hop_count() >= 4);
     }
@@ -425,11 +419,11 @@ mod tests {
     fn fig2_paths_match_paper_narrative() {
         let m = fig2_micro();
         // Homogeneous detour: GN3 -> S1 via S3 is 2 Ethernet hops.
-        let via_core = shortest_path(&m.graph, m.gpus[2], m.core, LinkWeight::Hops, None).unwrap();
+        let via_core = shortest_path(&m.graph, m.gpus[2], m.core, LinkWeight::Hops).unwrap();
         assert_eq!(via_core.hop_count(), 2);
         // Heterogeneous: every GPU reaches S2 in 1 hop.
         for g in m.gpus {
-            let p = shortest_path(&m.graph, g, m.access, LinkWeight::Hops, None).unwrap();
+            let p = shortest_path(&m.graph, g, m.access, LinkWeight::Hops).unwrap();
             assert_eq!(p.hop_count(), 1);
         }
         // GN1-GN2 are NVLink peers.

@@ -52,47 +52,39 @@ impl LinkId {
 }
 
 /// Hardware description of a GPU node (the parts the planner cares about).
+/// Its roofline peaks are `hs_model::GpuModel`'s, which the compute model
+/// reads.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GpuSpec {
     /// Human-readable model, e.g. "A100-40G".
     pub model: String,
     /// Total device memory in bytes.
     pub memory_bytes: u64,
-    /// Peak dense FP16 throughput in FLOP/s (roofline compute ceiling).
-    pub flops: f64,
-    /// Peak HBM bandwidth in bytes/s (roofline memory ceiling).
-    pub hbm_bytes_per_sec: f64,
 }
 
 impl GpuSpec {
-    /// NVIDIA A100 40 GB (SXM): 312 TFLOPS FP16, 1555 GB/s HBM2e.
+    /// NVIDIA A100 40 GB (SXM).
     pub fn a100_40g() -> Self {
         GpuSpec {
             model: "A100-40G".into(),
             memory_bytes: 40 * (1 << 30),
-            flops: 312e12,
-            hbm_bytes_per_sec: 1555e9,
         }
     }
 
-    /// NVIDIA V100 32 GB: 125 TFLOPS FP16 (tensor cores), 900 GB/s HBM2.
+    /// NVIDIA V100 32 GB.
     pub fn v100_32g() -> Self {
         GpuSpec {
             model: "V100-32G".into(),
             memory_bytes: 32 * (1 << 30),
-            flops: 125e12,
-            hbm_bytes_per_sec: 900e9,
         }
     }
 
-    /// NVIDIA A100 80 GB (SXM): as A100-40G with doubled memory and
-    /// 2039 GB/s HBM2e — used for the large-scale OPT-175B simulations.
+    /// NVIDIA A100 80 GB (SXM), used for the large-scale OPT-175B
+    /// simulations.
     pub fn a100_80g() -> Self {
         GpuSpec {
             model: "A100-80G".into(),
             memory_bytes: 80 * (1 << 30),
-            flops: 312e12,
-            hbm_bytes_per_sec: 2039e9,
         }
     }
 }

@@ -6,9 +6,9 @@
 //! * `P(k,a)` — the shortest connection path between nodes `k` and `a`,
 //!
 //! both via Dijkstra. The cost of an edge is pluggable ([`LinkWeight`]):
-//! hop count, propagation latency, or the *transfer time* of a message of a
-//! given size over the edge's (residual) bandwidth — the quantity the
-//! paper's latency equations (Eqs. 9–11, 15) divide by `B(e_n)`.
+//! hop count or propagation latency. The paper's `D / B(e_n)` transfer
+//! terms (Eqs. 9–11, 15) are priced along these routes by
+//! `hs_collective::latency`, not folded into the route choice.
 //!
 //! The online scheduler additionally needs *alternative* routes between the
 //! same endpoints (each route backs one candidate policy in the policy cost
@@ -32,31 +32,16 @@ pub enum LinkWeight {
     Hops,
     /// Cost = propagation latency (ns).
     Latency,
-    /// Cost = serialization time of `bytes` over the link's capacity plus
-    /// propagation latency. This is the paper's `D / B(e)` term.
-    TransferTime {
-        /// Message size in bytes.
-        bytes: u64,
-    },
 }
 
 impl LinkWeight {
-    /// Cost of traversing `link` in the given graph, optionally using a
-    /// residual-bandwidth override `avail_bps` (the planner's `B(e)`),
-    /// in abstract cost units (nanoseconds for the time-based weights).
+    /// Cost of traversing `link` in the given graph, in abstract cost
+    /// units (nanoseconds for [`LinkWeight::Latency`]).
     #[inline]
-    pub fn cost(&self, g: &Graph, link: LinkId, avail_bps: Option<&[f64]>) -> f64 {
-        let l = g.link(link);
+    pub fn cost(&self, g: &Graph, link: LinkId) -> f64 {
         match *self {
             LinkWeight::Hops => 1.0,
-            LinkWeight::Latency => l.latency_ns as f64,
-            LinkWeight::TransferTime { bytes } => {
-                let bw = avail_bps
-                    .map(|b| b[link.idx()])
-                    .unwrap_or(l.capacity_bps)
-                    .max(1.0);
-                (bytes as f64 * 8.0 / bw) * 1e9 + l.latency_ns as f64
-            }
+            LinkWeight::Latency => g.link(link).latency_ns as f64,
         }
     }
 }
@@ -138,13 +123,11 @@ impl Ord for HeapEntry {
 /// unreachable nodes have `dist = f64::INFINITY` and `prev_link = None`.
 ///
 /// `banned_nodes` / `banned_links` support Yen's spur computations; pass
-/// empty sets for plain shortest paths. `avail_bps` optionally overrides
-/// capacities with residual bandwidth.
+/// empty sets for plain shortest paths.
 pub fn dijkstra(
     g: &Graph,
     src: NodeId,
     weight: LinkWeight,
-    avail_bps: Option<&[f64]>,
     banned_nodes: &FxHashSet<NodeId>,
     banned_links: &FxHashSet<LinkId>,
 ) -> (Vec<f64>, Vec<Option<LinkId>>) {
@@ -168,7 +151,7 @@ pub fn dijkstra(
             if banned_nodes.contains(&nb) || banned_links.contains(&le) {
                 continue;
             }
-            let c = cost + weight.cost(g, le, avail_bps);
+            let c = cost + weight.cost(g, le);
             if c < dist[nb.idx()] {
                 dist[nb.idx()] = c;
                 prev[nb.idx()] = Some(le);
@@ -216,14 +199,8 @@ fn shared(hops: &[DirLink]) -> Route {
 }
 
 /// Shortest path between two nodes, or `None` if disconnected.
-pub fn shortest_path(
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    weight: LinkWeight,
-    avail_bps: Option<&[f64]>,
-) -> Option<Path> {
-    shortest_path_avoiding(g, src, dst, weight, avail_bps, &FxHashSet::default())
+pub fn shortest_path(g: &Graph, src: NodeId, dst: NodeId, weight: LinkWeight) -> Option<Path> {
+    shortest_path_avoiding(g, src, dst, weight, &FxHashSet::default())
 }
 
 /// Shortest path that never traverses a link in `avoid` (e.g. links taken
@@ -233,11 +210,10 @@ pub fn shortest_path_avoiding(
     src: NodeId,
     dst: NodeId,
     weight: LinkWeight,
-    avail_bps: Option<&[f64]>,
     avoid: &FxHashSet<LinkId>,
 ) -> Option<Path> {
     let empty_n = FxHashSet::default();
-    let (dist, prev) = dijkstra(g, src, weight, avail_bps, &empty_n, avoid);
+    let (dist, prev) = dijkstra(g, src, weight, &empty_n, avoid);
     let mut hops = Vec::new();
     reconstruct(g, src, dst, &dist, &prev, &mut hops).then(|| Path {
         src,
@@ -267,11 +243,12 @@ impl AllPairs {
     ///
     /// Runs one Dijkstra per member node over the full graph, so switches
     /// may appear as intermediate hops even if not in `nodes`.
+    /// `_avail_bps` is ignored: no [`LinkWeight`] reads residual bandwidth.
     pub fn compute(
         g: &Graph,
         nodes: &[NodeId],
         weight: LinkWeight,
-        avail_bps: Option<&[f64]>,
+        _avail_bps: Option<&[f64]>,
     ) -> Self {
         let m = nodes.len();
         let mut index_of = vec![u32::MAX; g.node_count()];
@@ -284,7 +261,7 @@ impl AllPairs {
         let empty_l = FxHashSet::default();
         let mut hops = Vec::new();
         for (i, &src) in nodes.iter().enumerate() {
-            let (d, prev) = dijkstra(g, src, weight, avail_bps, &empty_n, &empty_l);
+            let (d, prev) = dijkstra(g, src, weight, &empty_n, &empty_l);
             for (j, &dst) in nodes.iter().enumerate() {
                 dist[i * m + j] = d[dst.idx()];
                 hops.clear();
@@ -351,9 +328,8 @@ pub fn k_shortest_paths(
     dst: NodeId,
     k: usize,
     weight: LinkWeight,
-    avail_bps: Option<&[f64]>,
 ) -> Vec<Path> {
-    k_shortest_paths_avoiding(g, src, dst, k, weight, avail_bps, &FxHashSet::default())
+    k_shortest_paths_avoiding(g, src, dst, k, weight, &FxHashSet::default())
 }
 
 /// Yen's algorithm restricted to paths that never traverse a link in
@@ -365,11 +341,10 @@ pub fn k_shortest_paths_avoiding(
     dst: NodeId,
     k: usize,
     weight: LinkWeight,
-    avail_bps: Option<&[f64]>,
     avoid: &FxHashSet<LinkId>,
 ) -> Vec<Path> {
     let mut result: Vec<Path> = Vec::new();
-    let Some(first) = shortest_path_avoiding(g, src, dst, weight, avail_bps, avoid) else {
+    let Some(first) = shortest_path_avoiding(g, src, dst, weight, avoid) else {
         return result;
     };
     result.push(first);
@@ -400,14 +375,7 @@ pub fn k_shortest_paths_avoiding(
                 banned_nodes.insert(n);
             }
 
-            let (d, prev) = dijkstra(
-                g,
-                spur_node,
-                weight,
-                avail_bps,
-                &banned_nodes,
-                &banned_links,
-            );
+            let (d, prev) = dijkstra(g, spur_node, weight, &banned_nodes, &banned_links);
             // The spur leaves the node the root enters, so the joined hops
             // stay directed.
             hops.clear();
@@ -415,10 +383,7 @@ pub fn k_shortest_paths_avoiding(
             if reconstruct(g, spur_node, dst, &d, &prev, &mut hops) && !seen.contains(&hops[..]) {
                 let route = shared(&hops);
                 seen.insert(route.clone());
-                let cost = route
-                    .iter()
-                    .map(|&(l, _)| weight.cost(g, l, avail_bps))
-                    .sum::<f64>();
+                let cost = route.iter().map(|&(l, _)| weight.cost(g, l)).sum::<f64>();
                 candidates.push(Path {
                     src,
                     dst,
@@ -495,7 +460,7 @@ mod tests {
     #[test]
     fn hop_weights_find_short_route() {
         let (g, gpus, _) = sample();
-        let p = shortest_path(&g, gpus[0], gpus[1], LinkWeight::Hops, None).unwrap();
+        let p = shortest_path(&g, gpus[0], gpus[1], LinkWeight::Hops).unwrap();
         // NVLink direct beats 2-hop Ethernet detour.
         assert_eq!(p.hop_count(), 1);
         assert_eq!(g.link(p.route[0].0).kind, LinkKind::NvLink);
@@ -504,37 +469,12 @@ mod tests {
     #[test]
     fn cross_server_goes_via_switches() {
         let (g, gpus, sw) = sample();
-        let p = shortest_path(&g, gpus[0], gpus[2], LinkWeight::Hops, None).unwrap();
+        let p = shortest_path(&g, gpus[0], gpus[2], LinkWeight::Hops).unwrap();
         assert_eq!(p.hop_count(), 4); // gpu0-acc0-core-acc1-gpu2
         let nodes = p.nodes(&g);
         assert_eq!(nodes.first(), Some(&gpus[0]));
         assert_eq!(nodes.last(), Some(&gpus[2]));
         assert!(nodes.contains(&sw[2]));
-    }
-
-    #[test]
-    fn transfer_time_prefers_fat_links() {
-        let (g, gpus, _) = sample();
-        // With a large message, NVLink (4.8 Tbps) dominates any Ethernet
-        // alternative for the intra-server pair.
-        let w = LinkWeight::TransferTime { bytes: 64 << 20 };
-        let p = shortest_path(&g, gpus[0], gpus[1], w, None).unwrap();
-        assert_eq!(g.link(p.route[0].0).kind, LinkKind::NvLink);
-        // Cost is transfer ns: 64MiB*8 / 4.8e12 * 1e9 + 300 ≈ 112k ns.
-        assert!(p.cost > 1e5 && p.cost < 2e5, "cost = {}", p.cost);
-    }
-
-    #[test]
-    fn residual_bandwidth_reroutes() {
-        let (g, gpus, _) = sample();
-        // Choke the NVLink to near zero; large transfers should now detour
-        // over Ethernet via the access switch (2 hops).
-        let mut avail = g.capacities();
-        avail[0] = 1e3; // NVLink gpu0-gpu1 nearly dead
-        let w = LinkWeight::TransferTime { bytes: 1 << 20 };
-        let p = shortest_path(&g, gpus[0], gpus[1], w, Some(&avail)).unwrap();
-        assert_eq!(p.hop_count(), 2);
-        assert!(p.links().all(|l| g.link(l).kind == LinkKind::Ethernet));
     }
 
     #[test]
@@ -545,7 +485,7 @@ mod tests {
         let ap = AllPairs::compute(&g, &nodes, LinkWeight::Latency, None);
         for &a in &nodes {
             for &b in &nodes {
-                let expect = shortest_path(&g, a, b, LinkWeight::Latency, None)
+                let expect = shortest_path(&g, a, b, LinkWeight::Latency)
                     .map(|p| p.cost)
                     .unwrap_or(f64::INFINITY);
                 let got = ap.dist(a, b);
@@ -576,7 +516,7 @@ mod tests {
     #[test]
     fn yen_k_shortest_are_distinct_sorted_loopless() {
         let (g, gpus, _) = sample();
-        let paths = k_shortest_paths(&g, gpus[0], gpus[2], 4, LinkWeight::Hops, None);
+        let paths = k_shortest_paths(&g, gpus[0], gpus[2], 4, LinkWeight::Hops);
         assert!(
             paths.len() >= 2,
             "expected multiple routes, got {}",
@@ -596,14 +536,14 @@ mod tests {
     #[test]
     fn yen_handles_disconnection_and_k1() {
         let (g, gpus, _) = sample();
-        let paths = k_shortest_paths(&g, gpus[0], gpus[1], 1, LinkWeight::Hops, None);
+        let paths = k_shortest_paths(&g, gpus[0], gpus[1], 1, LinkWeight::Hops);
         assert_eq!(paths.len(), 1);
         // Isolated node: build a graph with a disconnected GPU.
         let mut b = GraphBuilder::new();
         let x = b.add_gpu(ServerId(0), 0, GpuSpec::a100_40g());
         let y = b.add_gpu(ServerId(1), 0, GpuSpec::a100_40g());
         let g2 = b.build();
-        assert!(k_shortest_paths(&g2, x, y, 3, LinkWeight::Hops, None).is_empty());
+        assert!(k_shortest_paths(&g2, x, y, 3, LinkWeight::Hops).is_empty());
     }
 
     #[test]
@@ -611,16 +551,15 @@ mod tests {
         let (g, gpus, _) = sample();
         // Ban the direct NVLink between gpu0 and gpu1; the detour goes
         // through their shared access switch.
-        let direct = shortest_path(&g, gpus[0], gpus[1], LinkWeight::Hops, None).unwrap();
+        let direct = shortest_path(&g, gpus[0], gpus[1], LinkWeight::Hops).unwrap();
         let mut avoid = FxHashSet::default();
         avoid.insert(direct.route[0].0);
         let detour =
-            shortest_path_avoiding(&g, gpus[0], gpus[1], LinkWeight::Hops, None, &avoid).unwrap();
+            shortest_path_avoiding(&g, gpus[0], gpus[1], LinkWeight::Hops, &avoid).unwrap();
         assert_eq!(detour.hop_count(), 2);
         assert!(!detour.links().any(|l| l == direct.route[0].0));
         // Every Yen path honors the ban too.
-        let paths =
-            k_shortest_paths_avoiding(&g, gpus[0], gpus[1], 3, LinkWeight::Hops, None, &avoid);
+        let paths = k_shortest_paths_avoiding(&g, gpus[0], gpus[1], 3, LinkWeight::Hops, &avoid);
         assert!(!paths.is_empty());
         for p in &paths {
             assert!(!p.links().any(|l| l == direct.route[0].0));
@@ -629,9 +568,7 @@ mod tests {
         for &(_, le) in g.neighbors(gpus[0]) {
             avoid.insert(le);
         }
-        assert!(
-            shortest_path_avoiding(&g, gpus[0], gpus[1], LinkWeight::Hops, None, &avoid).is_none()
-        );
+        assert!(shortest_path_avoiding(&g, gpus[0], gpus[1], LinkWeight::Hops, &avoid).is_none());
     }
 }
 
@@ -700,7 +637,7 @@ mod proptests {
                     if p.cost.is_finite() {
                         let sum: f64 = p
                             .links()
-                            .map(|l| LinkWeight::Latency.cost(&g, l, None))
+                            .map(|l| LinkWeight::Latency.cost(&g, l))
                             .sum();
                         prop_assert!((sum - p.cost).abs() < 1e-9);
                     }
@@ -713,7 +650,7 @@ mod proptests {
         fn yen_invariants(g in arb_graph(), k in 1usize..5) {
             let nodes = g.gpus();
             let (a, b) = (nodes[0], nodes[nodes.len() / 2]);
-            let paths = k_shortest_paths(&g, a, b, k, LinkWeight::Hops, None);
+            let paths = k_shortest_paths(&g, a, b, k, LinkWeight::Hops);
             prop_assert!(paths.len() <= k);
             let mut seen = std::collections::HashSet::new();
             let mut last = 0.0f64;
@@ -814,7 +751,7 @@ mod route_proptests {
         weight: LinkWeight,
         avoid: &FxHashSet<LinkId>,
     ) -> Vec<(Vec<LinkId>, f64)> {
-        let cost = |links: &[LinkId]| links.iter().map(|&l| weight.cost(g, l, None)).sum();
+        let cost = |links: &[LinkId]| links.iter().map(|&l| weight.cost(g, l)).sum();
         let nodes = |links: &[LinkId]| {
             let mut out = vec![src];
             for &l in links {
@@ -823,7 +760,7 @@ mod route_proptests {
             out
         };
         let none = FxHashSet::default();
-        let (d, prev) = dijkstra(g, src, weight, None, &none, avoid);
+        let (d, prev) = dijkstra(g, src, weight, &none, avoid);
         let Some(first) = ref_links(g, src, dst, &d, &prev) else {
             return Vec::new();
         };
@@ -843,7 +780,7 @@ mod route_proptests {
                 }
                 let banned_nodes = last_nodes[..i].iter().copied().collect();
                 let spur = last_nodes[i];
-                let (d, prev) = dijkstra(g, spur, weight, None, &banned_nodes, &banned_links);
+                let (d, prev) = dijkstra(g, spur, weight, &banned_nodes, &banned_links);
                 if let Some(tail) = ref_links(g, spur, dst, &d, &prev) {
                     let links = [&last[..i], &tail[..]].concat();
                     if seen.insert(links.clone()) {
@@ -882,7 +819,7 @@ mod route_proptests {
             let (src, dst) = (f.nodes[a % f.nodes.len()], f.nodes[b % f.nodes.len()]);
             let (no_nodes, no_links) = (FxHashSet::default(), FxHashSet::default());
 
-            let (d, prev) = dijkstra(&f.g, src, LinkWeight::Latency, None, &no_nodes, &no_links);
+            let (d, prev) = dijkstra(&f.g, src, LinkWeight::Latency, &no_nodes, &no_links);
             for &to in &f.nodes {
                 let p = f.ap.path(src, to);
                 let want = ref_links(&f.g, src, to, &d, &prev);
@@ -896,7 +833,7 @@ mod route_proptests {
                 .iter()
                 .map(|&i| LinkId((i % f.g.link_count()) as u32))
                 .collect();
-            let got = k_shortest_paths_avoiding(&f.g, src, dst, k, weight, None, &avoid);
+            let got = k_shortest_paths_avoiding(&f.g, src, dst, k, weight, &avoid);
             let want = ref_yen(&f.g, src, dst, k, weight, &avoid);
             prop_assert_eq!(got.len(), want.len());
             for (p, (links, cost)) in got.iter().zip(&want) {

@@ -10,14 +10,12 @@
 //! DS-ATP, DS-SwitchML and HeroServe.
 
 use hs_baselines::BaselineKind;
-use hs_bench::scenario::planner_input;
+use hs_bench::scenario::testbed_deployment;
 use hs_des::SimTime;
-use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
 
 fn main() {
     let topo = testbed();
-    let model = ModelConfig::opt_66b();
     let workload = hs_workload::sharegpt_like();
     let rate = 2.0; // req/s offered
     println!(
@@ -26,10 +24,7 @@ fn main() {
     );
 
     for kind in BaselineKind::all() {
-        let input = planner_input(&topo.graph, &model, &workload, rate, Some(4), Some(8));
-        let mut d = kind
-            .deploy_with_input(&topo, &input, &workload)
-            .expect("feasible plan");
+        let mut d = testbed_deployment(kind, &topo, &workload, rate);
         d.ina_capacity_per_switch = 1;
         d.background = Some((20.0, 256 << 20));
         let r = d.serve_trace(7, rate, SimTime::from_secs(30));

@@ -13,15 +13,13 @@
 //! the hole — then returns to in-network aggregation after recovery.
 
 use hs_baselines::BaselineKind;
-use hs_bench::scenario::planner_input;
+use hs_bench::scenario::testbed_deployment;
 use hs_des::{SeedSplitter, SimTime};
-use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
 use hs_workload::{FaultPlan, Poisson, Trace};
 
 fn main() {
     let topo = testbed();
-    let model = ModelConfig::opt_66b();
     let workload = hs_workload::sharegpt_like();
     let rate = 2.0; // req/s offered
     let horizon = SimTime::from_secs(30);
@@ -47,13 +45,8 @@ fn main() {
     );
 
     for kind in BaselineKind::all() {
-        // The paper's testbed deployment: interleaved ports, TP groups
-        // spanning servers, so collectives genuinely cross the switches.
-        let input = planner_input(&topo.graph, &model, &workload, rate, Some(4), Some(8));
-        let d = kind
-            .deploy_with_input(&topo, &input, &workload)
-            .unwrap_or_else(|e| panic!("{} failed to plan: {e}", kind.name()))
-            .with_faults(faults.clone());
+        // TP groups span servers, so collectives cross the switches.
+        let d = testbed_deployment(kind, &topo, &workload, rate).with_faults(faults.clone());
         let r = d.serve(&trace, horizon);
         println!(
             "{:<12} {:>9.1}% {:>11.1}% {:>9} {:>8} {:>8} {:>10.4}",

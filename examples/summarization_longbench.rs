@@ -10,7 +10,7 @@
 //! communication scheduling decides TTFT.
 
 use hs_baselines::BaselineKind;
-use hs_bench::scenario::planner_input;
+use hs_bench::scenario::testbed_deployment;
 use hs_des::SimTime;
 use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
@@ -36,10 +36,7 @@ fn main() {
     for rate in [0.5f64, 1.5] {
         println!("\n--- offered rate {rate} req/s ---");
         for kind in BaselineKind::all() {
-            let input = planner_input(&topo.graph, &model, &workload, rate, Some(4), Some(8));
-            let mut d = kind
-                .deploy_with_input(&topo, &input, &workload)
-                .expect("feasible plan");
+            let mut d = testbed_deployment(kind, &topo, &workload, rate);
             d.ina_capacity_per_switch = 1;
             let r = d.serve_trace(13, rate, SimTime::from_secs(40));
             println!(

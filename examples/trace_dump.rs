@@ -21,16 +21,14 @@
 //! trace-format regression test.
 
 use hs_baselines::BaselineKind;
-use hs_bench::scenario::planner_input;
+use hs_bench::scenario::testbed_deployment;
 use hs_des::{SeedSplitter, SimTime};
-use hs_model::ModelConfig;
 use hs_obs::{chrome_trace, jsonl, Tracer};
 use hs_topology::builders::testbed;
 use hs_workload::{FaultKind, FaultPlan, Poisson, Trace};
 
 fn main() {
     let topo = testbed();
-    let model = ModelConfig::opt_66b();
     let workload = hs_workload::sharegpt_like();
     let rate = 4.0;
     let horizon = SimTime::from_secs(30);
@@ -55,13 +53,8 @@ fn main() {
     let mut arr = Poisson::new(rate);
     let trace = Trace::generate(&workload, &mut arr, &mut rng, horizon);
 
-    // The paper's testbed deployment: TP groups spanning servers so
-    // collectives genuinely cross the (failing) switches.
-    let input = planner_input(&topo.graph, &model, &workload, rate, Some(4), Some(8));
-    let d = BaselineKind::HeroServe
-        .deploy_with_input(&topo, &input, &workload)
-        .expect("HeroServe deployment plans")
-        .with_faults(faults);
+    // TP groups span servers, so collectives cross the failing switches.
+    let d = testbed_deployment(BaselineKind::HeroServe, &topo, &workload, rate).with_faults(faults);
 
     let tracer = Tracer::recording();
     let report = d.serve_observed(&trace, horizon, &tracer);

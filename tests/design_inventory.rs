@@ -1,12 +1,17 @@
-//! DESIGN.md §3's crate table matches the tree.
+//! DESIGN.md §3's crate table matches the tree, and §4 cites only it.
 //!
-//! Each row's third column names the crate's `src/` modules in backticks;
-//! backticked text inside parentheses is description, not a module. The
-//! test fails when a named module has no `src/<name>.rs`, when a crate's
-//! `src/*.rs` module (other than `lib.rs` and `main.rs`) is not named in
-//! its row, or when a crate under `crates/` has no row.
+//! Each §3 row's third column names the crate's `src/` modules in
+//! backticks; backticked text inside parentheses is description, not a
+//! module. The test fails when a named module has no `src/<name>.rs`,
+//! when a crate's `src/*.rs` module (other than `lib.rs` and `main.rs`)
+//! is not named in its row, or when a crate under `crates/` has no row.
+//!
+//! §4's "Modules exercised" column names crates by package name, alone
+//! or as `crate::module` (`crate::a/b` for two modules; anything after a
+//! second `::` is an item inside the module). Every crate and module it
+//! names must be one that §3 lists.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -40,18 +45,33 @@ fn top_level_names(cell: &str) -> Vec<&str> {
     names
 }
 
-/// `(crate dir, named modules)` for every row of §3's table.
-fn crate_table(design: &str) -> Vec<(String, Vec<String>)> {
-    let section = design
-        .split("\n## ")
-        .find(|s| s.starts_with("3. "))
-        .expect("DESIGN.md has a §3");
+/// The cells of `section`'s table rows that start with `prefix`, each
+/// row checked to have `width` cells.
+fn table_rows<'a>(section: &'a str, prefix: &str, width: usize) -> Vec<Vec<&'a str>> {
     section
         .lines()
-        .filter(|l| l.starts_with("| `crates/"))
+        .filter(|l| l.starts_with(prefix))
         .map(|row| {
             let cells: Vec<&str> = row.trim_matches('|').split('|').collect();
-            assert_eq!(cells.len(), 3, "three cells in {row:?}");
+            assert_eq!(cells.len(), width, "{width} cells in {row:?}");
+            cells
+        })
+        .collect()
+}
+
+/// DESIGN.md's section `n`.
+fn section(design: &str, n: u32) -> &str {
+    design
+        .split("\n## ")
+        .find(|s| s.starts_with(&format!("{n}. ")))
+        .unwrap_or_else(|| panic!("DESIGN.md has a §{n}"))
+}
+
+/// `(crate dir, named modules)` for every row of §3's table.
+fn crate_table(design: &str) -> Vec<(String, Vec<String>)> {
+    table_rows(section(design, 3), "| `crates/", 3)
+        .into_iter()
+        .map(|cells| {
             let dir = top_level_names(cells[0])[0].to_string();
             let modules = top_level_names(cells[2])
                 .into_iter()
@@ -60,6 +80,17 @@ fn crate_table(design: &str) -> Vec<(String, Vec<String>)> {
             (dir, modules)
         })
         .collect()
+}
+
+/// The package name in `dir/Cargo.toml`.
+fn package_name(dir: &Path) -> String {
+    let manifest = fs::read_to_string(dir.join("Cargo.toml"))
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    manifest
+        .lines()
+        .find_map(|l| l.strip_prefix("name = "))
+        .map(|name| name.trim_matches('"').to_string())
+        .unwrap_or_else(|| panic!("{}: no package name", dir.display()))
 }
 
 /// Module names of `dir/src/*.rs`, less `lib` and `main`.
@@ -112,6 +143,40 @@ fn crate_table_names_every_module_and_only_those() {
     assert!(
         problems.is_empty(),
         "DESIGN.md §3 drifted:\n{}",
+        problems.join("\n")
+    );
+}
+
+#[test]
+fn experiment_index_names_only_listed_modules() {
+    let root = workspace_root();
+    let design = fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
+    let listed: BTreeMap<String, Vec<String>> = crate_table(&design)
+        .into_iter()
+        .map(|(dir, modules)| (package_name(&root.join(dir)), modules))
+        .collect();
+    let rows = table_rows(section(&design, 4), "| **", 5);
+    assert!(!rows.is_empty(), "no experiment rows found in DESIGN.md §4");
+    let mut problems = Vec::new();
+    for cells in rows {
+        let exp = cells[0].trim();
+        for name in top_level_names(cells[3]) {
+            let (krate, path) = name.split_once("::").unwrap_or((name, ""));
+            let Some(modules) = listed.get(krate) else {
+                problems.push(format!("{exp}: `{name}` names no §3 crate"));
+                continue;
+            };
+            let first = path.split("::").next().unwrap_or_default();
+            for m in first.split('/').filter(|m| !m.is_empty()) {
+                if !modules.iter().any(|listed| listed == m) {
+                    problems.push(format!("{exp}: `{name}`: {krate} lists no `{m}`"));
+                }
+            }
+        }
+    }
+    assert!(
+        problems.is_empty(),
+        "DESIGN.md §4 cites modules §3 does not list:\n{}",
         problems.join("\n")
     );
 }

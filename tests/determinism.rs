@@ -59,13 +59,7 @@ fn plan_fingerprint(mut out: PlannerOutput) -> String {
 }
 
 fn hero_deploy(rate: f64) -> Deployment {
-    let topo = testbed();
-    let model = ModelConfig::opt_66b();
-    let workload = sharegpt_like();
-    let input = scenario::planner_input(&topo.graph, &model, &workload, rate, Some(4), Some(8));
-    BaselineKind::HeroServe
-        .deploy_with_input(&topo, &input, &workload)
-        .expect("feasible plan")
+    scenario::testbed_deployment(BaselineKind::HeroServe, &testbed(), &sharegpt_like(), rate)
 }
 
 #[test]

@@ -1,19 +1,13 @@
 //! End-to-end integration: plan → serve → report, across systems.
 
 use hs_baselines::BaselineKind;
-use hs_bench::scenario::planner_input;
+use hs_bench::scenario::testbed_deployment;
 use hs_des::SimTime;
-use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
 use hs_workload::sharegpt_like;
 
 fn testbed_deploy(kind: BaselineKind, rate: f64) -> hs_baselines::Deployment {
-    let topo = testbed();
-    let model = ModelConfig::opt_66b();
-    let workload = sharegpt_like();
-    let input = planner_input(&topo.graph, &model, &workload, rate, Some(4), Some(8));
-    kind.deploy_with_input(&topo, &input, &workload)
-        .expect("feasible plan")
+    testbed_deployment(kind, &testbed(), &sharegpt_like(), rate)
 }
 
 #[test]

@@ -8,10 +8,9 @@
 //! after recovery its policy table returns to in-network aggregation.
 
 use hs_baselines::{BaselineKind, Deployment};
-use hs_bench::scenario::planner_input;
+use hs_bench::scenario::testbed_deployment;
 use hs_collective::Scheme;
 use hs_des::{SeedSplitter, SimTime};
-use hs_model::ModelConfig;
 use hs_topology::builders::testbed;
 use hs_topology::NodeId;
 use hs_workload::{FaultPlan, Poisson, Trace};
@@ -25,15 +24,10 @@ fn outage_plan(switch: NodeId) -> FaultPlan {
     FaultPlan::switch_outage(switch, SimTime::from_secs(4), SimTime::from_secs(9))
 }
 
-/// Interleaved-port deployment with TP groups spanning servers (the
-/// paper's testbed layout), so tensor collectives actually cross the
-/// Tofino switches under test.
+/// The paper's testbed deployment: TP groups span servers, so tensor
+/// collectives cross the Tofino switches under test.
 fn deploy(kind: BaselineKind, topo: &hs_topology::builders::BuiltTopology) -> Deployment {
-    let workload = hs_workload::sharegpt_like();
-    let model = ModelConfig::opt_66b();
-    let input = planner_input(&topo.graph, &model, &workload, 2.0, Some(4), Some(8));
-    kind.deploy_with_input(topo, &input, &workload)
-        .expect("feasible plan")
+    testbed_deployment(kind, topo, &hs_workload::sharegpt_like(), 2.0)
 }
 
 /// The INA switch the static plan actually aggregates on.
