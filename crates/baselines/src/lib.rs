@@ -383,4 +383,13 @@ mod tests {
         );
         assert_eq!(BaselineKind::HeroServe.scheme_space(), SchemeSpace::Hybrid);
     }
+
+    /// A deployment crosses threads: each run builds its own simulation
+    /// and tracer from a shared `Deployment`, so run-level sweeps under
+    /// `std::thread::scope` stay possible. Checked at compile time.
+    #[test]
+    fn deployment_is_send_and_sync() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<Deployment>();
+    }
 }

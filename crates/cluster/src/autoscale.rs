@@ -161,9 +161,8 @@ pub(crate) struct Pools {
     /// Prefill instances are `0..decode_offset`, decode instances the rest.
     decode_offset: usize,
     ctl: Option<Box<dyn ScaleController>>,
-    /// Cumulative arrivals, completions and completions meeting both SLAs
+    /// Cumulative completions and completions meeting both SLAs
     /// (snapshot counters).
-    pub(crate) arrived: u64,
     pub(crate) done: u64,
     pub(crate) done_ok: u64,
     scale_ups: u64,
@@ -205,11 +204,12 @@ impl Pools {
         targets
     }
 
-    /// Show the controller this tick's snapshot. `None` without a
-    /// controller, else its decision.
+    /// Show the controller this tick's snapshot, with `arrived` requests
+    /// arrived so far. `None` without a controller, else its decision.
     pub(crate) fn tick(
         &mut self,
         now: SimTime,
+        arrived: u64,
         instances: &[Instance],
         kv: &KvShipper,
         prefill_queue: usize,
@@ -229,7 +229,7 @@ impl Pools {
         }
         let snap = PoolSnapshot {
             now,
-            arrived: self.arrived,
+            arrived,
             done: self.done,
             done_sla_ok: self.done_ok,
             prefill_queue,

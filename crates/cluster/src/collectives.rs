@@ -12,7 +12,7 @@ use crate::metrics::SimReport;
 use crate::strategy::{BusyPolicy, CommCtx, CommStrategy};
 use hs_collective::{CollectiveExec, PhaseShape, PlanShape, Progress, Scheme};
 use hs_des::{EventQueue, SimSpan, SimTime};
-use hs_simnet::{FlowId, LinkMonitor};
+use hs_simnet::FlowId;
 use hs_topology::{AllPairs, Graph, NodeId};
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
@@ -176,7 +176,6 @@ impl Collectives {
                     group,
                     bytes,
                     now: sh.now,
-                    link_util: &sh.util,
                 };
                 let scheme = sh.strategy.choose(&ctx);
                 let (scheme, ina_switch) = match scheme.aggregating_switch(&sh.g, group) {
@@ -469,7 +468,6 @@ pub fn run_allreduces(
     let mut sh = Shared::new(graph, ap, strategy, EventQueue::new());
     let mut colls = Collectives::new(load.ina_capacity_per_switch);
     let mut faults = FaultRecovery::default();
-    let mut monitor = LinkMonitor::new(graph.link_count());
     sh.events
         .push(SimTime::ZERO + ALLREDUCE_MONITOR_PERIOD, Ev::MonitorTick);
     let mut bg = Background::start(graph, load.background, &mut sh.events);
@@ -513,7 +511,7 @@ pub fn run_allreduces(
             match sh.events.pop().expect("peeked event").1 {
                 Ev::CollTimer(coll) => colls.step(&mut sh, coll, None),
                 Ev::MonitorTick => {
-                    sh.observe(&mut monitor);
+                    sh.observe();
                     let next = sh.now + ALLREDUCE_MONITOR_PERIOD;
                     sh.events.push(next, Ev::MonitorTick);
                 }

@@ -137,19 +137,20 @@ pub(crate) enum Ev {
     RetryKv(u64),
 }
 
-/// What every subsystem reaches: the fabric and its routes, the clock,
-/// the event queue, the strategy and the tracer.
+/// What every subsystem reaches: the fabric and its routes, the link
+/// monitor, the clock, the event queue, the strategy and the tracer.
 pub(crate) struct Shared {
     pub(crate) g: Graph,
     pub(crate) ap: AllPairs,
     pub(crate) net: SimNet,
     /// Link, switch and GPU fault state; `net`'s link scales follow it.
     pub(crate) health: FabricHealth,
+    /// The one view of link utilization: what the strategy is shown at
+    /// each monitor tick and every route choice until the next.
+    pub(crate) monitor: LinkMonitor,
     pub(crate) strategy: Box<dyn CommStrategy>,
     pub(crate) events: EventQueue<Ev>,
     pub(crate) now: SimTime,
-    /// Latest monitored per-link utilization, indexed by `LinkId`.
-    pub(crate) util: Vec<f64>,
     pub(crate) tracer: hs_obs::Tracer,
 }
 
@@ -167,27 +168,29 @@ impl Shared {
             ap,
             net: SimNet::new(graph),
             health: FabricHealth::new(graph),
+            monitor: LinkMonitor::new(graph.link_count()),
             strategy,
             events,
             now: SimTime::ZERO,
-            util: vec![0.0; graph.link_count()],
             tracer: hs_obs::Tracer::noop(),
         }
     }
 
-    /// Poll `monitor`, publish its utilization estimates and hand them to
-    /// the strategy.
-    pub(crate) fn observe(&mut self, monitor: &mut LinkMonitor) {
-        monitor.poll(&self.net, self.now);
-        self.util.copy_from_slice(monitor.snapshot());
-        self.strategy.on_monitor(&self.util, self.now);
+    /// Poll the monitor and hand its utilization estimates to the
+    /// strategy.
+    pub(crate) fn observe(&mut self) {
+        self.monitor.poll(&self.net, self.now);
+        self.strategy.on_monitor(self.monitor.snapshot(), self.now);
     }
 
     /// Route a point-to-point transfer (KV stripe, pipeline hop): the
     /// strategy may steer around faults and hotspots; the fallback is the
     /// precomputed shortest path, shared with `ap`.
     pub(crate) fn route(&mut self, src: NodeId, dst: NodeId, bytes: u64) -> Route {
-        match self.strategy.choose_path(src, dst, bytes, &self.util) {
+        match self
+            .strategy
+            .choose_path(src, dst, bytes, self.monitor.snapshot())
+        {
             Some(hops) => hops.into(),
             None => Route::clone(&self.ap.path(src, dst).route),
         }
@@ -197,7 +200,6 @@ impl Shared {
 /// The simulator.
 pub struct ClusterSim {
     pub(crate) sh: Shared,
-    monitor: LinkMonitor,
     cfg: ClusterConfig,
     reqs: Vec<ReqState>,
     /// Index into `reqs` of the next request to arrive.
@@ -336,7 +338,6 @@ impl ClusterSim {
         }
         ClusterSim {
             sh,
-            monitor: LinkMonitor::new(graph.link_count()),
             reqs,
             next_arrival: 0,
             reported: false,
@@ -457,7 +458,6 @@ impl ClusterSim {
         let tracer = &self.sh.tracer;
         tracer.request_arrived(now, req.id.0, req.input_tokens, req.output_tokens);
         tracer.request_phase_begin(now, req.id.0, "queued");
-        self.pools.arrived += 1;
         self.prefill_queue.push_back(req.id);
         self.kick_prefill();
     }
@@ -484,13 +484,13 @@ impl ClusterSim {
 
     fn monitor_tick(&mut self) {
         let sh = &mut self.sh;
-        sh.observe(&mut self.monitor);
+        sh.observe();
         self.kv
             .sample_memory(sh.now, &self.mem, self.cfg.gpu_memory_bytes);
         if sh.tracer.is_enabled() {
             // Counter tracks only for links carrying traffic — idle links
             // would bloat the trace with flat zeros.
-            for (l, &u) in sh.util.iter().enumerate() {
+            for (l, &u) in sh.monitor.snapshot().iter().enumerate() {
                 if u > 0.0 {
                     sh.tracer.link_util(sh.now, l as u64, u);
                 }
@@ -499,7 +499,11 @@ impl ClusterSim {
         // Elastic control loop: the controller sees this tick's snapshot
         // and may move the pool targets.
         let queued = self.prefill_queue.len();
-        if let Some(decision) = self.pools.tick(sh.now, &self.instances, &self.kv, queued) {
+        let arrived = self.next_arrival as u64;
+        let tick = self
+            .pools
+            .tick(sh.now, arrived, &self.instances, &self.kv, queued);
+        if let Some(decision) = tick {
             if let Some(targets) = decision {
                 self.apply_targets(targets);
             }
@@ -880,6 +884,8 @@ pub(crate) mod tests {
     use hs_topology::builders::{testbed, BuiltTopology};
     use hs_workload::spec::fixed;
     use hs_workload::{Poisson, Request};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// A simulation on the paper's testbed: OPT-13B with fitted
     /// coefficients, routes over every GPU and access switch.
@@ -891,10 +897,20 @@ pub(crate) mod tests {
         trace: &Trace,
         strategy: Box<dyn CommStrategy>,
     ) -> ClusterSim {
+        let cfg = testbed_cfg(prefill, decode, faults);
+        ClusterSim::new(&t.graph, t.gpu_switch_pairs(), cfg, trace, strategy)
+    }
+
+    /// [`testbed_sim`]'s configuration: OPT-13B with fitted coefficients,
+    /// a 100 ms monitor and no background traffic.
+    fn testbed_cfg(
+        prefill: Vec<InstanceSpec>,
+        decode: Vec<InstanceSpec>,
+        faults: FaultPlan,
+    ) -> ClusterConfig {
         let model = ModelConfig::opt_13b();
         let coef = fit(&GpuModel::a100(), &model).coefficients;
-        let ap = t.gpu_switch_pairs();
-        let cfg = ClusterConfig {
+        ClusterConfig {
             model,
             coef,
             ttft_sla_s: 2.5,
@@ -907,8 +923,7 @@ pub(crate) mod tests {
             ina_capacity_per_switch: 4,
             background: None,
             faults,
-        };
-        ClusterSim::new(&t.graph, ap, cfg, trace, strategy)
+        }
     }
 
     /// One TP=4 instance on each of `servers`.
@@ -1378,6 +1393,77 @@ pub(crate) mod tests {
         testbed_sim(&t, prefill, decode, FaultPlan::none(), &trace, strategy);
     }
 
+    /// Route choices see the monitor's estimates themselves: every
+    /// `choose_path` call is passed, bit for bit, what the last
+    /// `on_monitor` received, and all zeros before the first tick. KV
+    /// stripes cross the Ethernet fabric beside background traffic, so
+    /// the estimates move between ticks.
+    #[test]
+    fn route_choices_see_what_the_last_monitor_tick_saw() {
+        /// The utilization a strategy was last shown at a tick, as bits,
+        /// and what its route choices were shown.
+        struct Views {
+            ticked: Vec<u64>,
+            before_first_tick: usize,
+            ticks: usize,
+            calls: usize,
+            busy_calls: usize,
+        }
+        struct UtilRecorder(Rc<RefCell<Views>>);
+        impl CommStrategy for UtilRecorder {
+            fn choose(&mut self, _ctx: &CommCtx<'_>) -> Scheme {
+                Scheme::Ring
+            }
+            fn choose_path(
+                &mut self,
+                _src: NodeId,
+                _dst: NodeId,
+                _bytes: u64,
+                link_util: &[f64],
+            ) -> Option<Vec<hs_simnet::DirLink>> {
+                let mut v = self.0.borrow_mut();
+                let bits: Vec<u64> = link_util.iter().map(|u| u.to_bits()).collect();
+                assert_eq!(bits, v.ticked, "route choice {} saw another view", v.calls);
+                v.calls += 1;
+                v.before_first_tick += usize::from(v.ticks == 0);
+                v.busy_calls += usize::from(link_util.iter().any(|&u| u > 0.0));
+                None
+            }
+            fn on_monitor(&mut self, link_util: &[f64], _now: SimTime) {
+                let mut v = self.0.borrow_mut();
+                v.ticked = link_util.iter().map(|u| u.to_bits()).collect();
+                v.ticks += 1;
+            }
+            fn name(&self) -> &str {
+                "util-recorder"
+            }
+        }
+        let t = testbed();
+        let views = Rc::new(RefCell::new(Views {
+            ticked: vec![0; t.graph.link_count()],
+            before_first_tick: 0,
+            ticks: 0,
+            calls: 0,
+            busy_calls: 0,
+        }));
+        let mut cfg = testbed_cfg(tp4(&t, &[0]), tp4(&t, &[1]), FaultPlan::none());
+        cfg.background = Some((20.0, 64 << 20));
+        // A request every 150 ms from t = 0, so the first ships its KV
+        // cache before the first tick.
+        let arrivals: Vec<_> = (0..60).map(|i| (150 * i, 256, 16)).collect();
+        let trace = trace_of(&arrivals);
+        let strategy = Box::new(UtilRecorder(Rc::clone(&views)));
+        let mut sim = ClusterSim::new(&t.graph, t.gpu_switch_pairs(), cfg, &trace, strategy);
+        let rep = sim.run(SimTime::from_secs(20));
+        assert_eq!(rep.completed, trace.len());
+        let v = views.borrow();
+        assert!(
+            v.before_first_tick > 0,
+            "no route choice before the first tick"
+        );
+        assert!(v.busy_calls > 0, "no route choice saw a busy link");
+    }
+
     /// Regression for the wrong-source retransfer bug: a request whose
     /// admission was deferred (decode memory full) must, once retried,
     /// ship its KV cache from the prefill instance that actually ran it —
@@ -1780,6 +1866,37 @@ pub(crate) mod tests {
         for inst in &sim.instances[2..] {
             assert_eq!(inst.decode_stats, BatchStats::default());
         }
+    }
+
+    /// A snapshot's arrival count is the trace's: at every tick, the
+    /// requests whose arrival is at or before the tick.
+    #[test]
+    fn snapshots_count_the_arrivals_due_by_each_tick() {
+        struct ArrivalRecorder(Rc<RefCell<Vec<(SimTime, u64)>>>);
+        impl ScaleController for ArrivalRecorder {
+            fn initial_targets(&mut self, prefill: usize, decode: usize) -> PoolTargets {
+                PoolTargets { prefill, decode }
+            }
+            fn on_tick(&mut self, snap: &PoolSnapshot) -> Option<PoolTargets> {
+                self.0.borrow_mut().push((snap.now, snap.arrived));
+                None
+            }
+            fn name(&self) -> &str {
+                "arrival-recorder"
+            }
+        }
+        let (mut sim, n) = build_elastic_sim(4.0, 10);
+        let trace = poisson_trace(4.0, 10);
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        sim.set_autoscaler(Box::new(ArrivalRecorder(Rc::clone(&seen))));
+        sim.run(SimTime::from_secs(20));
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 200, "one snapshot per 100 ms tick");
+        for &(now, arrived) in seen.iter() {
+            let due = trace.requests.iter().filter(|r| r.arrival <= now).count();
+            assert_eq!(arrived, due as u64, "arrivals at {now:?}");
+        }
+        assert_eq!(seen.last().map(|&(_, a)| a), Some(n as u64));
     }
 
     /// Elastic runs are bit-identical across repeats, including the new

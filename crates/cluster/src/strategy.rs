@@ -3,11 +3,16 @@
 //!
 //! Every iteration, each tensor-parallel group runs one aggregated
 //! all-reduce. The engine asks the strategy which [`Scheme`] to use, given
-//! the group, the synchronization volume, and the latest monitored link
-//! utilizations (the online scheduler's observation channel). The
-//! strategy also declares what happens when its chosen INA switch has no
-//! free aggregation capacity: SwitchML-style jobs *wait*; ATP-style jobs
-//! *fall back* to ring (§IV / §V baseline semantics).
+//! the group and the synchronization volume. The strategy also declares
+//! what happens when its chosen INA switch has no free aggregation
+//! capacity: SwitchML-style jobs *wait*; ATP-style jobs *fall back* to
+//! ring (§IV / §V baseline semantics).
+//!
+//! Link utilization, the online scheduler's observation channel, reaches
+//! a strategy in two places only: [`CommStrategy::on_monitor`] at each
+//! monitor tick, and [`CommStrategy::choose_path`], which is passed the
+//! same estimates until the next tick. Both read the engine's one link
+//! monitor.
 
 use crate::kvflow::KvRoutes;
 use hs_collective::Scheme;
@@ -40,7 +45,9 @@ impl BusyPolicy {
     }
 }
 
-/// Per-collective decision context handed to the strategy.
+/// Per-collective decision context handed to the strategy. It carries no
+/// link utilization: a strategy that prices the fabric keeps what it
+/// needs from [`CommStrategy::on_monitor`].
 #[derive(Clone, Copy, Debug)]
 pub struct CommCtx<'a> {
     /// Stable identifier of the tensor-parallel group.
@@ -51,9 +58,6 @@ pub struct CommCtx<'a> {
     pub bytes: u64,
     /// Simulation time.
     pub now: SimTime,
-    /// Latest monitored per-link utilization (EWMA, `[0,1]`), indexed by
-    /// dense `LinkId`.
-    pub link_util: &'a [f64],
 }
 
 /// One candidate decode instance offered to [`CommStrategy::choose_decode`].
@@ -118,7 +122,9 @@ pub trait CommStrategy {
     /// path — what DistServe/DS-ATP/DS-SwitchML do. HeroServe's policy
     /// table also covers "the next hop, the transmission path" (§III-D,
     /// Fig. 5), so its implementation load-balances across the
-    /// cross-connected fabric's alternative routes.
+    /// cross-connected fabric's alternative routes. The utilization
+    /// passed in is what the last [`on_monitor`](Self::on_monitor)
+    /// received, bit for bit: all zeros before the first tick.
     fn choose_path(
         &mut self,
         _src: NodeId,
@@ -177,7 +183,7 @@ pub trait CommStrategy {
 }
 
 /// Resolver from `(group_id, group)` to a scheme.
-type SchemeFn = Box<dyn Fn(u64, &[NodeId]) -> Scheme + Send>;
+type SchemeFn = Box<dyn Fn(u64, &[NodeId]) -> Scheme>;
 
 /// A fixed strategy: always the same scheme (optionally resolved per
 /// group). Used for the DistServe baseline (always `Ring`) and for
@@ -202,7 +208,7 @@ impl StaticStrategy {
     /// assignment").
     pub fn per_group(
         name: impl Into<String>,
-        f: impl Fn(u64, &[NodeId]) -> Scheme + Send + 'static,
+        f: impl Fn(u64, &[NodeId]) -> Scheme + 'static,
         busy: BusyPolicy,
     ) -> Self {
         StaticStrategy {
@@ -239,7 +245,6 @@ mod tests {
             group: &[NodeId(0), NodeId(1)],
             bytes: 1024,
             now: SimTime::ZERO,
-            link_util: &[],
         };
         assert_eq!(s.choose(&ctx), Scheme::Ring);
         assert_eq!(s.busy_policy(), BusyPolicy::FallbackRing);
@@ -264,7 +269,6 @@ mod tests {
             group: &[],
             bytes: 0,
             now: SimTime::ZERO,
-            link_util: &[],
         };
         assert_eq!(s.choose(&mk(0)), Scheme::Ring);
         assert_eq!(s.choose(&mk(1)), Scheme::Ina { switch: NodeId(9) });

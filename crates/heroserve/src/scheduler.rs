@@ -87,9 +87,6 @@ struct PolicyTable {
     totals: Vec<f64>,
     /// Selections per policy (diagnostics/ablation).
     picks: Vec<u64>,
-    /// Per-link capacities (bits/s) from the fabric graph, indexed by
-    /// dense `LinkId` — Eq. 18's `B(e)` weights.
-    link_caps: Vec<f64>,
     /// When virtual costs were last decayed (see [`Self::decay_to`]).
     last_decay: SimTime,
 }
@@ -106,7 +103,9 @@ struct Selection {
 }
 
 impl PolicyTable {
-    fn new(policies: Vec<Policy>, link_caps: Vec<f64>) -> Self {
+    /// A table over `policies` whose load penalties start at the
+    /// structural sharing ratio under the capacities `caps`.
+    fn new(policies: Vec<Policy>, caps: &[f64]) -> Self {
         let n = policies.len();
         let mut overlap = Vec::with_capacity(n * n);
         for chosen in &policies {
@@ -123,13 +122,12 @@ impl PolicyTable {
             weights: policies.iter().map(|p| vec![0.0; p.links.len()]).collect(),
             totals: vec![0.0; n],
             picks: vec![0; n],
-            link_caps,
             last_decay: SimTime::ZERO,
             policies,
         };
         // Initialize f with the *structural* sharing ratio (capacity
         // weighted); Eq. 18 refreshes it with live utilization later.
-        table.weigh(None);
+        table.weigh(caps, None);
         for i in 0..n {
             for j in 0..n {
                 if i != j {
@@ -140,9 +138,9 @@ impl PolicyTable {
         table
     }
 
-    /// Weigh every policy's links by Eq. 18's `B(e)` under `util` (see
-    /// [`link_weight`]) and total them.
-    fn weigh(&mut self, util: Option<&[f64]>) {
+    /// Weigh every policy's links by Eq. 18's `B(e)` under the
+    /// capacities `caps` and `util` (see [`link_weight`]) and total them.
+    fn weigh(&mut self, caps: &[f64], util: Option<&[f64]>) {
         for ((p, w), total) in self
             .policies
             .iter()
@@ -151,7 +149,7 @@ impl PolicyTable {
         {
             *total = 0.0;
             for (&l, w) in p.links.iter().zip(w.iter_mut()) {
-                *w = link_weight(l, &self.link_caps, util);
+                *w = link_weight(l, caps, util);
                 *total += *w;
             }
         }
@@ -245,10 +243,11 @@ impl PolicyTable {
         self.b.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Eq. 18 + measurement sync.
-    fn refresh(&mut self, link_util: &[f64], gamma: f64) {
+    /// Eq. 18 + measurement sync, with link weights under the
+    /// capacities `caps`.
+    fn refresh(&mut self, caps: &[f64], link_util: &[f64], gamma: f64) {
         let n = self.policies.len();
-        self.weigh(Some(link_util));
+        self.weigh(caps, Some(link_util));
         for i in 0..n {
             for j in 0..n {
                 if i != j {
@@ -320,6 +319,9 @@ pub struct HeroScheduler {
     ap: AllPairs,
     ina_switches: Vec<NodeId>,
     params: SchedulerParams,
+    /// Per-link capacities (bits/s) from the fabric graph, indexed by
+    /// dense `LinkId`: Eq. 18's `B(e)` weights for every policy table.
+    link_caps: Vec<f64>,
     /// Keyed in group-id order: `on_monitor` walks every table and its
     /// visit order reaches the trace stream.
     tables: BTreeMap<u64, PolicyTable>,
@@ -350,6 +352,7 @@ impl HeroScheduler {
             ap,
             ina_switches,
             params,
+            link_caps: graph.capacities(),
             tables: BTreeMap::new(),
             avail,
             route_cache: BTreeMap::new(),
@@ -377,7 +380,7 @@ impl HeroScheduler {
                 return None;
             }
             self.tables
-                .insert(group_id, PolicyTable::new(pols, self.graph.capacities()));
+                .insert(group_id, PolicyTable::new(pols, &self.link_caps));
         }
         self.tables.get_mut(&group_id)
     }
@@ -550,7 +553,7 @@ impl CommStrategy for HeroScheduler {
             // Refresh syncs b to measured utilization, superseding any
             // pending select-time decay.
             table.last_decay = now;
-            table.refresh(link_util, self.params.gamma);
+            table.refresh(&self.link_caps, link_util, self.params.gamma);
             self.tracer.table_refreshed(now, gid, table.max_b());
         }
     }
@@ -606,21 +609,19 @@ mod tests {
         )
     }
 
-    pub(super) fn ctx<'a>(group: &'a [NodeId], util: &'a [f64], bytes: u64) -> CommCtx<'a> {
+    pub(super) fn ctx(group: &[NodeId], bytes: u64) -> CommCtx<'_> {
         CommCtx {
             group_id: 1,
             group,
             bytes,
             now: SimTime::ZERO,
-            link_util: util,
         }
     }
 
     #[test]
     fn prefers_heterogeneous_ina_when_idle() {
-        let (mut s, group, t) = scheduler();
-        let util = vec![0.0; t.graph.link_count()];
-        let scheme = s.choose(&ctx(&group, &util, 1 << 20));
+        let (mut s, group, _) = scheduler();
+        let scheme = s.choose(&ctx(&group, 1 << 20));
         assert!(
             matches!(scheme, Scheme::HierIna { .. }),
             "idle network should pick hierarchical INA, got {scheme:?}"
@@ -630,13 +631,12 @@ mod tests {
     #[test]
     fn repeated_load_spreads_across_policies() {
         let (mut s, group, _) = scheduler();
-        let util = vec![];
         // Hammer the same group with large transfers without any
         // measurement relaxation: virtual costs build up and the argmin
         // rotates across policies.
         let mut seen = std::collections::HashSet::new();
         for _ in 0..50 {
-            let scheme = s.choose(&ctx(&group, &util, 64 << 20));
+            let scheme = s.choose(&ctx(&group, 64 << 20));
             seen.insert(format!("{scheme:?}"));
         }
         assert!(
@@ -653,8 +653,7 @@ mod tests {
         let (mut s, group, t) = scheduler();
         // First pick establishes the favorite (a hierarchical INA at some
         // switch). Then report its links as saturated.
-        let idle = vec![0.0; t.graph.link_count()];
-        let first = s.choose(&ctx(&group, &idle, 1 << 20));
+        let first = s.choose(&ctx(&group, 1 << 20));
         let Scheme::HierIna { switch } = first else {
             panic!("expected HierIna first, got {first:?}")
         };
@@ -668,7 +667,7 @@ mod tests {
         for _ in 0..3 {
             s.on_monitor(&util, SimTime::ZERO);
         }
-        let next = s.choose(&ctx(&group, &util, 1 << 20));
+        let next = s.choose(&ctx(&group, 1 << 20));
         assert_ne!(
             next, first,
             "scheduler kept using a saturated switch: {next:?}"
@@ -686,15 +685,14 @@ mod tests {
     fn degenerate_group_falls_back_to_ring() {
         let (mut s, _, t) = scheduler();
         let lone = vec![t.gpus_by_server[0][0]];
-        let util = vec![];
-        assert_eq!(s.choose(&ctx(&lone, &util, 1024)), Scheme::Ring);
+        assert_eq!(s.choose(&ctx(&lone, 1024)), Scheme::Ring);
     }
 
     #[test]
     fn switch_failure_steers_policies_and_routes() {
         let (mut s, group, t) = scheduler();
         let idle = vec![0.0; t.graph.link_count()];
-        let first = s.choose(&ctx(&group, &idle, 1 << 20));
+        let first = s.choose(&ctx(&group, 1 << 20));
         let Scheme::HierIna { switch } = first else {
             panic!("expected HierIna first, got {first:?}")
         };
@@ -709,7 +707,7 @@ mod tests {
         assert!(s.health.any_dead());
 
         for _ in 0..20 {
-            let scheme = s.choose(&ctx(&group, &idle, 1 << 20));
+            let scheme = s.choose(&ctx(&group, 1 << 20));
             match scheme {
                 Scheme::Ina { switch: sw } | Scheme::HierIna { switch: sw } => {
                     assert_ne!(sw, switch, "picked the failed switch: {scheme:?}");
@@ -730,7 +728,7 @@ mod tests {
         // Recovery clears the dead set and the INA policies come back.
         s.on_fault(&FaultKind::SwitchRecover { switch }, SimTime::ZERO);
         assert!(!s.health.any_dead());
-        let back = s.choose(&ctx(&group, &idle, 1 << 20));
+        let back = s.choose(&ctx(&group, 1 << 20));
         assert!(
             matches!(
                 back,
@@ -743,8 +741,7 @@ mod tests {
     #[test]
     fn link_up_on_a_failed_switch_port_keeps_it_dead() {
         let (mut s, group, t) = scheduler();
-        let idle = vec![0.0; t.graph.link_count()];
-        let Scheme::HierIna { switch } = s.choose(&ctx(&group, &idle, 1 << 20)) else {
+        let Scheme::HierIna { switch } = s.choose(&ctx(&group, 1 << 20)) else {
             panic!("expected HierIna first")
         };
         // A port flap that ends inside the switch's outage: the ports'
@@ -765,7 +762,7 @@ mod tests {
             "selected a policy through a port of the failed switch"
         );
         for _ in 0..20 {
-            let scheme = s.choose(&ctx(&group, &idle, 1 << 20));
+            let scheme = s.choose(&ctx(&group, 1 << 20));
             if let Scheme::Ina { switch: sw } | Scheme::HierIna { switch: sw } = scheme {
                 assert_ne!(sw, switch, "picked the failed switch: {scheme:?}");
             }
@@ -815,14 +812,10 @@ mod tests {
 
     #[test]
     fn tables_use_real_graph_capacities() {
-        let (mut s, group, t) = scheduler();
-        let util = vec![0.0; t.graph.link_count()];
-        s.choose(&ctx(&group, &util, 1024));
-        let table = s.tables.get(&1).unwrap();
-        assert_eq!(table.link_caps, t.graph.capacities());
+        let (s, _, t) = scheduler();
+        assert_eq!(s.link_caps, t.graph.capacities());
         assert!(
-            table.link_caps.iter().any(|&c| c > 200e9)
-                && table.link_caps.iter().any(|&c| c < 200e9),
+            s.link_caps.iter().any(|&c| c > 200e9) && s.link_caps.iter().any(|&c| c < 200e9),
             "testbed should mix NVLink and Ethernet capacities"
         );
     }
@@ -830,7 +823,6 @@ mod tests {
     #[test]
     fn virtual_costs_stay_bounded_over_refresh_free_run() {
         let (mut s, group, _) = scheduler();
-        let util = vec![];
         // Long run with *no* on_monitor refresh: selections every 10 ms,
         // estimation window 50 ms. Before the select-time decay, every
         // charge accumulated forever and b diverged linearly.
@@ -842,7 +834,6 @@ mod tests {
                 group: &group,
                 bytes: 64 << 20,
                 now,
-                link_util: &util,
             };
             s.choose(&c);
             let table = s.tables.get(&1).unwrap();
@@ -864,8 +855,7 @@ mod tests {
     #[test]
     fn decay_is_noop_at_same_timestamp() {
         let (mut s, group, _) = scheduler();
-        let util = vec![];
-        s.choose(&ctx(&group, &util, 64 << 20));
+        s.choose(&ctx(&group, 64 << 20));
         let before = s.tables.get(&1).unwrap().b.clone();
         // Same now: decay_to must not touch b before select.
         let table = s.tables.get_mut(&1).unwrap();
@@ -879,7 +869,7 @@ mod tests {
         let tracer = hs_obs::Tracer::recording();
         s.attach_tracer(&tracer);
         let util = vec![0.0; t.graph.link_count()];
-        let scheme = s.choose(&ctx(&group, &util, 1 << 20));
+        let scheme = s.choose(&ctx(&group, 1 << 20));
         s.on_monitor(&util, SimTime::from_millis(100));
         let recs = tracer.records();
         let select = recs
@@ -1031,9 +1021,8 @@ mod tests {
 
     #[test]
     fn sharing_ratio_bounds() {
-        let (mut s, group, t) = scheduler();
-        let util = vec![0.0; t.graph.link_count()];
-        s.choose(&ctx(&group, &util, 1024));
+        let (mut s, group, _) = scheduler();
+        s.choose(&ctx(&group, 1024));
         let table = s.tables.get(&1).unwrap();
         for row in &table.f {
             for &v in row {
@@ -1050,7 +1039,7 @@ mod tests {
         let pols = &table.policies;
         for (i, chosen) in pols.iter().enumerate() {
             for (j, other) in pols.iter().enumerate().filter(|&(j, _)| j != i) {
-                let w = sharing_ratio(chosen, other, &table.link_caps, None);
+                let w = sharing_ratio(chosen, other, &s.link_caps, None);
                 assert!((0.0..=1.0).contains(&w), "reference out of range: {w}");
                 assert_eq!(table.f[i][j].to_bits(), w.to_bits(), "f[{i}][{j}]");
             }
@@ -1103,13 +1092,13 @@ mod proptests {
                 (0..n).map(|i| (0..n).map(|j| ratio(i, j)).collect()).collect()
             };
             let mut expect = pairwise(None);
-            let mut table = PolicyTable::new(policies.clone(), caps.clone());
+            let mut table = PolicyTable::new(policies.clone(), &caps);
             let bits = |f: &[Vec<f64>]| -> Vec<Vec<u64>> {
                 f.iter().map(|r| r.iter().map(|x| x.to_bits()).collect()).collect()
             };
             prop_assert_eq!(bits(&table.f), bits(&expect), "structural prior");
             for util in &utils {
-                table.refresh(util, gamma);
+                table.refresh(&caps, util, gamma);
                 let w = pairwise(Some(util));
                 for i in 0..n {
                     for j in (0..n).filter(|&j| j != i) {
@@ -1128,7 +1117,7 @@ mod proptests {
             bytes in 0u64..(1 << 40),
         ) {
             let (mut s, group, t) = scheduler();
-            s.choose(&ctx(&group, &[], 1024)); // force table build
+            s.choose(&ctx(&group, 1024)); // force table build
             let table = s.tables.get(&1).unwrap();
             let mut links: Vec<LinkId> = table
                 .policies
@@ -1160,7 +1149,7 @@ mod proptests {
             byte_sizes in proptest::collection::vec(0u64..u64::MAX, 1..64),
         ) {
             let (mut s, group, t) = scheduler();
-            s.choose(&ctx(&group, &[], 1024));
+            s.choose(&ctx(&group, 1024));
             let table = s.tables.get_mut(&1).unwrap();
             let health = FabricHealth::new(&t.graph);
             for &bytes in &byte_sizes {

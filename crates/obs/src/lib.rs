@@ -21,17 +21,6 @@ pub mod export;
 pub mod metrics;
 pub mod tracer;
 
-/// Acquire `m`, recovering the data if a previous holder panicked.
-///
-/// Observability must never turn a simulation panic into a second,
-/// unrelated poisoned-lock panic from every later trace call, which would
-/// mask the first failure. Every buffer operation (an append, a clone or
-/// a drain) completes atomically under the lock, so the records are
-/// structurally intact even when a holder unwound mid-turn.
-pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 pub use event::{track, Ph, Record, Val};
 pub use export::{chrome_trace, jsonl};
 pub use metrics::MetricsRegistry;

@@ -2,12 +2,14 @@
 //!
 //! A tracer is either a no-op sink (the default: every emit is a single
 //! branch on a `None` discriminant) or a shared in-memory buffer behind an
-//! `Arc<Mutex<..>>` so that the engine, the network simulator and the
+//! `Rc<RefCell<..>>` so that the engine, the network simulator and the
 //! communication strategy, each holding a clone, record into the same
-//! stream. Simulations are single-threaded per run, so the mutex is
-//! uncontended; it makes the handle `Send + Sync` without unsafe code.
+//! stream. A simulation runs on one thread, so the handle takes no lock
+//! and is neither `Send` nor `Sync`: a run and its tracer stay on the
+//! thread that built them.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use hs_des::SimTime;
 
@@ -16,7 +18,7 @@ use crate::event::{track, Ph, Record, Val};
 /// Cloneable tracing handle. Clones share one buffer.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    sink: Option<Arc<Mutex<Vec<Record>>>>,
+    sink: Option<Rc<RefCell<Vec<Record>>>>,
 }
 
 impl Tracer {
@@ -29,7 +31,7 @@ impl Tracer {
     /// A tracer that records events into a shared in-memory buffer.
     pub fn recording() -> Self {
         Tracer {
-            sink: Some(Arc::new(Mutex::new(Vec::new()))),
+            sink: Some(Rc::new(RefCell::new(Vec::new()))),
         }
     }
 
@@ -44,13 +46,13 @@ impl Tracer {
     #[inline]
     pub fn emit(&self, rec: Record) {
         if let Some(sink) = &self.sink {
-            crate::lock(sink).push(rec);
+            sink.borrow_mut().push(rec);
         }
     }
 
     /// Number of records collected so far.
     pub fn len(&self) -> usize {
-        self.sink.as_ref().map_or(0, |s| crate::lock(s).len())
+        self.sink.as_ref().map_or(0, |s| s.borrow().len())
     }
 
     pub fn is_empty(&self) -> bool {
@@ -61,14 +63,12 @@ impl Tracer {
     pub fn records(&self) -> Vec<Record> {
         self.sink
             .as_ref()
-            .map_or_else(Vec::new, |s| crate::lock(s).clone())
+            .map_or_else(Vec::new, |s| s.borrow().clone())
     }
 
     /// Drain collected records, leaving the buffer empty.
     pub fn take(&self) -> Vec<Record> {
-        self.sink
-            .as_ref()
-            .map_or_else(Vec::new, |s| std::mem::take(&mut *crate::lock(s)))
+        self.sink.as_ref().map_or_else(Vec::new, |s| s.take())
     }
 
     // ------------------------------------------------------------------
@@ -627,29 +627,6 @@ mod tests {
         assert!(!tr.is_enabled());
         assert!(tr.records().is_empty());
         assert_eq!(tr.len(), 0);
-    }
-
-    #[test]
-    fn tracer_survives_a_poisoned_lock() {
-        // A panic while holding the buffer lock (e.g. a simulation panic
-        // unwinding through an instrumented call) must not cascade into
-        // poisoned-lock panics from every later trace call — that would
-        // mask the original failure.
-        let tr = Tracer::recording();
-        tr.request_arrived(SimTime::ZERO, 1, 10, 10);
-        let sink = tr.sink.clone().expect("recording tracer has a buffer");
-        std::thread::spawn(move || {
-            let _guard = sink.lock().expect("first holder acquires cleanly");
-            panic!("poison the buffer lock");
-        })
-        .join()
-        .expect_err("the poisoning thread panics");
-        // Reads and writes keep working on the intact records.
-        assert_eq!(tr.len(), 1);
-        tr.request_done(SimTime::from_secs(2), 1, 0.5, 2.0);
-        let names: Vec<_> = tr.take().iter().map(|r| r.name).collect();
-        assert_eq!(names, ["arrival", "done"]);
-        assert!(tr.is_empty());
     }
 
     #[test]

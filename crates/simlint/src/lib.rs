@@ -175,9 +175,9 @@ pub struct CrateProfile {
 /// * `workload` draws from seeded RNG streams and deals in arrival
 ///   seconds; it gets `os-rng`/`wall-clock` but not `unordered-iter`
 ///   (its containers are slices and BTreeMaps by construction).
-/// * `obs` aggregates across real threads by design, so `lock-in-sim`
-///   does not apply; it still must not read clocks or unseeded RNG, and
-///   its unwraps must be reasoned.
+/// * `obs` records on the simulation's own thread and takes no lock, so
+///   `lock-in-sim` applies to it as to the sim-domain crates; it must not
+///   read clocks or unseeded RNG, and its unwraps must be reasoned.
 /// * `bench` keeps its wall-clock exemption (measurement is its job).
 pub const PROFILES: &[CrateProfile] = &[
     CrateProfile {
@@ -231,6 +231,7 @@ pub const PROFILES: &[CrateProfile] = &[
             Rule::OsRng,
             Rule::Unwrap,
             Rule::UnitsMixing,
+            Rule::LockInSim,
         ],
     },
     CrateProfile {
@@ -1879,15 +1880,15 @@ mod tests {
 
     #[test]
     fn profile_gating_respected() {
-        // Same source, different rule sets: obs-style profile ignores
-        // Mutex but still catches unwrap.
+        // Same source, different rule sets: a profile without
+        // `lock-in-sim` ignores Mutex but still catches unwrap.
         let src =
             "struct S { m: std::sync::Mutex<u32> }\nfn f(v: Option<u32>) -> u32 { v.unwrap() }\n";
         let all = lint_file("t.rs", src, Rule::ALL).findings;
         assert_eq!(all.len(), 2);
-        let obs = lint_file("t.rs", src, &[Rule::Unwrap]).findings;
-        assert_eq!(obs.len(), 1);
-        assert_eq!(obs[0].rule, Rule::Unwrap);
+        let unlocked = lint_file("t.rs", src, &[Rule::Unwrap]).findings;
+        assert_eq!(unlocked.len(), 1);
+        assert_eq!(unlocked[0].rule, Rule::Unwrap);
     }
 
     #[test]

@@ -51,7 +51,6 @@ impl LinkMonitor {
     /// Polling with a zero-length window leaves the estimate unchanged.
     pub fn poll(&mut self, net: &SimNet, now: SimTime) {
         let dt = now.saturating_since(self.last_poll).as_secs_f64();
-        let caps = net.capacities();
         if dt <= 0.0 {
             return;
         }
@@ -71,7 +70,7 @@ impl LinkMonitor {
             for dir in [false, true] {
                 let bytes = net.cumulative_bytes_dir(l, dir);
                 let delta = (bytes - last[dir as usize]).max(0.0);
-                util = util.max(((delta * 8.0 / dt) / caps[i]).clamp(0.0, 1.0));
+                util = util.max(((delta * 8.0 / dt) / net.capacity(l)).clamp(0.0, 1.0));
                 last[dir as usize] = bytes;
             }
             *ewma = (1.0 - ALPHA) * *ewma + ALPHA * util;
@@ -188,17 +187,17 @@ mod proptests {
 
         fn poll(&mut self, net: &SimNet, now: SimTime) {
             let dt = now.saturating_since(self.last_poll).as_secs_f64();
-            let caps = net.capacities();
             if dt <= 0.0 {
                 return;
             }
             for (i, ewma) in self.ewma.iter_mut().enumerate() {
+                let l = LinkId(i as u32);
                 let mut util = 0.0f64;
                 for dir in [false, true] {
-                    let bytes = net.cumulative_bytes_dir(LinkId(i as u32), dir);
+                    let bytes = net.cumulative_bytes_dir(l, dir);
                     let idx = i * 2 + dir as usize;
                     let delta = (bytes - self.last_bytes[idx]).max(0.0);
-                    util = util.max(((delta * 8.0 / dt) / caps[i]).clamp(0.0, 1.0));
+                    util = util.max(((delta * 8.0 / dt) / net.capacity(l)).clamp(0.0, 1.0));
                     self.last_bytes[idx] = bytes;
                 }
                 *ewma = (1.0 - ALPHA) * *ewma + ALPHA * util;

@@ -189,9 +189,10 @@ fn accrue(f: &mut Flow, clock: SimTime, cum: &mut [f64]) -> bool {
     false
 }
 
-/// Whether every link of `path` has capacity.
-fn path_alive(capacities: &[f64], path: &[DirLink]) -> bool {
-    path.iter().all(|&(l, _)| capacities[l.idx()] > 0.0)
+/// Whether every link of `path` has capacity, given the directed-slot
+/// capacities `dir_caps`.
+fn path_alive(dir_caps: &[f64], path: &[DirLink]) -> bool {
+    path.iter().all(|&d| dir_caps[slot(d)] > 0.0)
 }
 
 /// Bytes `f` would consume if materialized at `clock` — the pure
@@ -505,14 +506,12 @@ impl CompletionHeap {
 
 /// Flow-level network state over a fixed topology.
 pub struct SimNet {
-    /// Per-link capacity (each *direction* gets the full capacity:
-    /// full-duplex links). Current, i.e. after fault scaling.
-    capacities: Vec<f64>,
-    /// Nominal per-link capacity; `capacities[i] = base_capacities[i] *
-    /// scale` where scale is set by [`SimNet::set_link_scale`].
+    /// Nominal per-link capacity (bits/s), before fault scaling.
     base_capacities: Vec<f64>,
-    /// Directed-slot capacity vector fed to the solver (2 slots per link),
-    /// kept in sync with `capacities`.
+    /// Current capacity of each directed slot (index = link*2 +
+    /// direction), fed to the solver: `base_capacities[i] * scale` in both
+    /// of link `i`'s slots (full-duplex links), where scale is set by
+    /// [`SimNet::set_link_scale`]. The one copy of current capacity.
     dir_caps: Vec<f64>,
     link_latency_ns: Vec<u64>,
     flows: FlowTable,
@@ -561,8 +560,7 @@ impl SimNet {
             dir_caps.push(c);
         }
         SimNet {
-            base_capacities: capacities.clone(),
-            capacities,
+            base_capacities: capacities,
             dir_caps,
             link_latency_ns,
             flows: FlowTable::default(),
@@ -635,7 +633,7 @@ impl SimNet {
             touched: self.clock,
             heap_pos: UNQUEUED,
             seen: 0,
-            parked: bytes > 0 && !path_alive(&self.capacities, path),
+            parked: bytes > 0 && !path_alive(&self.dir_caps, path),
         };
         if path.is_empty() {
             // Local copy: unconstrained, delivered after propagation only.
@@ -799,9 +797,10 @@ impl SimNet {
             .then(|| [self.cum_bytes[s], self.cum_bytes[s + 1]])
     }
 
-    /// Link capacities (bits/s), after any fault scaling.
-    pub fn capacities(&self) -> &[f64] {
-        &self.capacities
+    /// Capacity of link `l` (bits/s, each direction), after any fault
+    /// scaling.
+    pub fn capacity(&self, l: LinkId) -> f64 {
+        self.dir_caps[2 * l.idx()]
     }
 
     /// Current capacity scale of a link: `1.0` healthy, `0.0` dead.
@@ -810,7 +809,7 @@ impl SimNet {
         if base <= 0.0 {
             return 1.0;
         }
-        self.capacities[l.idx()] / base
+        self.capacity(l) / base
     }
 
     /// Set a link's capacity to `factor` of nominal at time `now` (a
@@ -844,9 +843,8 @@ impl SimNet {
             "link scale must be in [0, 1], got {factor}"
         );
         self.progress_to(now);
-        let was_dead = self.capacities[l.idx()] <= 0.0;
+        let was_dead = self.capacity(l) <= 0.0;
         let cap = self.base_capacities[l.idx()] * factor;
-        self.capacities[l.idx()] = cap;
         self.dir_caps[l.idx() * 2] = cap;
         self.dir_caps[l.idx() * 2 + 1] = cap;
         // Seed both directions: the scoped BFS pulls in exactly the
@@ -942,7 +940,7 @@ impl SimNet {
     fn unpark(&mut self) {
         let mut woken = Vec::new();
         for (&id, f) in self.flows.side.iter_mut() {
-            if !f.parked || !path_alive(&self.capacities, &f.path) {
+            if !f.parked || !path_alive(&self.dir_caps, &f.path) {
                 continue;
             }
             f.parked = false;

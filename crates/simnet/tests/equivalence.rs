@@ -503,9 +503,8 @@ impl Harness {
             net.active_flow_count(),
             "flow count"
         );
-        let caps = net.capacities();
         // Allocated rate per directed slot, summed over live flows.
-        let mut load = vec![0.0f64; 2 * caps.len()];
+        let mut load = vec![0.0f64; 2 * self.refnet.caps.len()];
         for &id in &self.issued {
             let r = self.refnet.flows.get(&id);
             let s = net.flow(FlowId(id));
@@ -518,13 +517,13 @@ impl Harness {
             assert_eq!(r.finish_at, s.finish_at(), "finish of flow {id}");
             for &d in s.path.iter() {
                 load[rslot(d)] += s.rate_bps;
-                if caps[d.0.idx()] <= 0.0 {
+                if net.capacity(d.0) <= 0.0 {
                     assert_eq!(s.rate_bps, 0.0, "flow {id} moves across dead link {d:?}");
                 }
             }
         }
         for (s, &used) in load.iter().enumerate() {
-            let cap = caps[s / 2];
+            let cap = net.capacity(LinkId((s / 2) as u32));
             assert!(
                 used <= cap * (1.0 + 1e-9),
                 "slot {s} oversubscribed: {used} > {cap}"

@@ -54,7 +54,6 @@ fn main() {
                 group: &group,
                 bytes: 16 << 20,
                 now: SimTime::from_millis(i),
-                link_util: &util,
             });
             *counts.entry(format!("{scheme:?}")).or_insert(0u32) += 1;
         }

@@ -29,7 +29,6 @@ fn selection_migrates_between_switches_under_load() {
         group: &group,
         bytes: 16 << 20,
         now: SimTime::ZERO,
-        link_util: &util,
     });
     let hs_collective::Scheme::HierIna { switch } = first else {
         panic!("expected HierIna on idle fabric, got {first:?}");
@@ -50,7 +49,6 @@ fn selection_migrates_between_switches_under_load() {
             group: &group,
             bytes: 16 << 20,
             now: SimTime::from_millis(i),
-            link_util: &util,
         });
         let uses_hot = matches!(c,
             hs_collective::Scheme::HierIna { switch: sw } | hs_collective::Scheme::Ina { switch: sw }
@@ -93,18 +91,16 @@ fn kv_path_balancing_uses_alternate_routes() {
 
 #[test]
 fn gamma_zero_freezes_penalties_but_scheduling_still_works() {
-    let (mut s, group, topo) = scheduler_with(SchedulerParams {
+    let (mut s, group, _) = scheduler_with(SchedulerParams {
         gamma: 0.0,
         ..SchedulerParams::default()
     });
-    let util = vec![0.0f64; topo.graph.link_count()];
     for i in 0..50 {
         let _ = s.choose(&CommCtx {
             group_id: 1,
             group: &group,
             bytes: 32 << 20,
             now: SimTime::from_millis(i),
-            link_util: &util,
         });
     }
     let picks = s.pick_counts(1).expect("table built");
