@@ -116,6 +116,9 @@ pub struct Deployment {
     /// Online-scheduler tunables (HeroServe only; the static baselines
     /// have no online scheduler).
     sched_params: SchedulerParams,
+    /// The planner input's routes, shared by the strategy and the
+    /// simulation of every run.
+    ap: AllPairs,
 }
 
 impl BaselineKind {
@@ -140,7 +143,7 @@ impl BaselineKind {
         self.deploy_with_input(topo, &input, workload)
     }
 
-    /// Plan with an explicit planner input.
+    /// Plan with an explicit planner input, built over `topo.graph`.
     pub fn deploy_with_input(
         self,
         topo: &BuiltTopology,
@@ -158,6 +161,7 @@ impl BaselineKind {
             background: None,
             faults: FaultPlan::none(),
             sched_params: SchedulerParams::default(),
+            ap: input.all_pairs().clone(),
         })
     }
 }
@@ -178,19 +182,16 @@ impl Deployment {
         self
     }
 
-    /// All-pairs structures over GPUs + INA switches.
+    /// All-pairs structures over GPUs + INA switches: the planner
+    /// input's table, shared.
     pub fn all_pairs(&self) -> AllPairs {
-        self.topology.gpu_ina_pairs()
+        self.ap.clone()
     }
 
     /// The communication strategy this system runs online.
     pub fn strategy(&self) -> Box<dyn CommStrategy> {
         match self.kind {
-            BaselineKind::HeroServe => Box::new(HeroScheduler::new(
-                &self.topology.graph,
-                self.all_pairs(),
-                self.sched_params,
-            )),
+            BaselineKind::HeroServe => Box::new(self.hero_scheduler()),
             BaselineKind::DistServe => Box::new(StaticStrategy::uniform(
                 self.kind.name(),
                 Scheme::Ring,
@@ -223,6 +224,11 @@ impl Deployment {
                 ))
             }
         }
+    }
+
+    /// HeroServe's online scheduler over the deployment's routes.
+    fn hero_scheduler(&self) -> HeroScheduler {
+        HeroScheduler::new(&self.topology.graph, self.all_pairs(), self.sched_params)
     }
 
     /// Cluster configuration induced by the plan.
@@ -272,15 +278,21 @@ impl Deployment {
         window: SimTime,
         tracer: &hs_obs::Tracer,
     ) -> SimReport {
-        let mut sim = ClusterSim::new(
+        let mut sim = self.simulation(trace);
+        sim.set_obs(tracer, &hs_obs::MetricsRegistry::disabled());
+        sim.run(horizon(window))
+    }
+
+    /// A simulation of `trace` on this deployment, as every `serve*`
+    /// call builds it.
+    fn simulation(&self, trace: &Trace) -> ClusterSim {
+        ClusterSim::new(
             &self.topology.graph,
             self.all_pairs(),
             self.cluster_config(),
             trace,
             self.strategy(),
-        );
-        sim.set_obs(tracer, &hs_obs::MetricsRegistry::disabled());
-        sim.run(horizon(window))
+        )
     }
 }
 
@@ -382,6 +394,49 @@ mod tests {
             SchemeSpace::InaOnly
         );
         assert_eq!(BaselineKind::HeroServe.scheme_space(), SchemeSpace::Hybrid);
+    }
+
+    /// Every holder of a HeroServe deployment's routes reads one table:
+    /// `all_pairs()` twice, the online scheduler and a served run's
+    /// simulation hold the same route allocations, and the table equals
+    /// a fresh `gpu_ina_pairs()` sweep bit for bit.
+    #[test]
+    fn deployment_routes_are_one_shared_table() {
+        let topo = testbed();
+        let workload = hs_workload::sharegpt_like();
+        let d = BaselineKind::HeroServe
+            .deploy(&topo, &ModelConfig::opt_66b(), &workload, 0.3)
+            .unwrap();
+        // GPU 0 on server 0, and the last GPU on server 3.
+        let (a, b) = (topo.gpus_by_server[0][0], *topo.all_gpus().last().unwrap());
+        let first = d.all_pairs();
+        let route = &first.path(a, b).route;
+        assert!(!route.is_empty());
+        let trace = Trace::generate(
+            &workload,
+            &mut Poisson::new(0.3),
+            &mut SeedSplitter::new(1).stream("trace"),
+            SimTime::from_secs(2),
+        );
+        let holders = [
+            ("all_pairs", d.all_pairs()),
+            ("scheduler", d.hero_scheduler().all_pairs().clone()),
+            ("simulation", d.simulation(&trace).all_pairs().clone()),
+        ];
+        for (who, ap) in &holders {
+            assert!(
+                std::sync::Arc::ptr_eq(route, &ap.path(a, b).route),
+                "{who} holds another copy of the routes"
+            );
+        }
+        let fresh = topo.gpu_ina_pairs();
+        assert_eq!(first.nodes(), fresh.nodes());
+        for &x in fresh.nodes() {
+            for &y in fresh.nodes() {
+                assert_eq!(first.dist(x, y).to_bits(), fresh.dist(x, y).to_bits());
+                assert_eq!(first.path(x, y), fresh.path(x, y));
+            }
+        }
     }
 
     /// A deployment crosses threads: each run builds its own simulation

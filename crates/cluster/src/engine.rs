@@ -386,6 +386,12 @@ impl ClusterSim {
         self.colls.plans_compiled
     }
 
+    /// The routes this run was built with: collectives, background flows
+    /// and KV pricing read this one table.
+    pub fn all_pairs(&self) -> &AllPairs {
+        &self.sh.ap
+    }
+
     /// Run until `horizon` and produce the report.
     ///
     /// A simulation runs once: the report's `per_request` rows take over

@@ -77,61 +77,27 @@ fn stripes<'a>(
         .filter(|s| s.bytes > 0)
 }
 
-/// Every covered node pair's shortest route, flattened once from an
-/// [`AllPairs`] for pricing KV shipments: pair `(i, j)`'s links are
-/// `links[start[i·n + j]..start[i·n + j + 1]]`, and each link's latency
-/// (seconds) and capacity sit in per-link arrays, so an estimate walks
-/// plain slices instead of `Path`s and `Link`s.
-///
-/// The default table covers no node.
-#[derive(Clone, Debug, Default)]
+/// An [`AllPairs`]' shortest routes priced for KV shipments: pair
+/// `(i, j)`'s links come from the table's flat route layout
+/// ([`AllPairs::path_links`]), and each link's latency (seconds) and
+/// capacity sit in per-link arrays, so an estimate walks plain slices
+/// instead of `Path`s and `Link`s. Building one copies the per-link
+/// arrays and shares the routes.
+#[derive(Clone, Debug)]
 pub struct KvRoutes {
-    /// Graph node → row and column of the pair matrix; `u32::MAX` when
-    /// the `AllPairs` does not cover it.
-    index_of: Vec<u32>,
-    /// Number of covered nodes.
-    n: usize,
-    start: Vec<u32>,
-    links: Vec<u32>,
+    ap: AllPairs,
     latency_s: Vec<f64>,
     capacity_bps: Vec<f64>,
 }
 
 impl KvRoutes {
-    /// Flatten `ap`'s routes over `g`'s links.
+    /// Price `ap`'s routes over `g`'s links.
     pub fn new(g: &Graph, ap: &AllPairs) -> Self {
-        let nodes = ap.nodes();
-        let mut index_of = vec![u32::MAX; g.node_count()];
-        for (i, &v) in nodes.iter().enumerate() {
-            index_of[v.idx()] = i as u32;
-        }
-        let mut start = Vec::with_capacity(nodes.len() * nodes.len() + 1);
-        let mut links = Vec::new();
-        start.push(0);
-        for &a in nodes {
-            for &b in nodes {
-                links.extend(ap.path(a, b).links().map(|l| l.0));
-                start.push(u32::try_from(links.len()).expect("route table fits u32 offsets"));
-            }
-        }
         KvRoutes {
-            index_of,
-            n: nodes.len(),
-            start,
-            links,
+            ap: ap.clone(),
             latency_s: g.links().map(|(_, l)| l.latency_ns as f64 * 1e-9).collect(),
             capacity_bps: g.links().map(|(_, l)| l.capacity_bps).collect(),
         }
-    }
-
-    /// The links of the route from `a` to `b`, if both are covered.
-    fn route(&self, a: NodeId, b: NodeId) -> Option<&[u32]> {
-        let (i, j) = (*self.index_of.get(a.idx())?, *self.index_of.get(b.idx())?);
-        if i == u32::MAX || j == u32::MAX {
-            return None;
-        }
-        let p = i as usize * self.n + j as usize;
-        Some(&self.links[self.start[p] as usize..self.start[p + 1] as usize])
     }
 
     /// Estimated completion time, seconds, of a striped KV-cache shipment
@@ -154,10 +120,10 @@ impl KvRoutes {
         avail: Option<&[f64]>,
     ) -> f64 {
         stripes(src_gpus, dst_gpus, bytes)
-            .filter_map(|s| Some((self.route(s.src, s.dst)?, s.bytes as f64 * 8.0)))
+            .filter_map(|s| Some((self.ap.path_links(s.src, s.dst)?, s.bytes as f64 * 8.0)))
             .map(|(route, bits)| {
                 route.iter().fold(0.0, |t, &l| {
-                    let l = l as usize;
+                    let l = l.idx();
                     let bw = avail.map_or(self.capacity_bps[l], |b| b[l]).max(1.0);
                     t + (bits / bw + self.latency_s[l])
                 })

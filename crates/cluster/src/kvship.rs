@@ -42,7 +42,6 @@ struct KvFlight {
 /// KV state and its `SimReport` fields: `kv_transfers`, `kv_stripes`,
 /// `kv_retries`, `kv_deferrals`, `kv_bytes`, `mean_kv_transfer_s`,
 /// `p90_kv_transfer_s`, `mean_kv_est_err_s` and `mem_series`.
-#[derive(Default)]
 pub(crate) struct KvShipper {
     /// One manager per decode instance, in decode-pool order.
     pub(crate) managers: Vec<KvManager>,
@@ -86,11 +85,19 @@ impl KvShipper {
             .collect();
         KvShipper {
             managers,
+            pending: VecDeque::new(),
+            flights: FxHashMap::default(),
+            routes,
             decode_offset: cfg.prefill.len(),
             bytes_per_token: cfg.model.kv_bytes_per_token(),
+            mem_series: Vec::new(),
+            transfers: 0,
+            stripes: 0,
+            retries: 0,
+            deferrals: 0,
+            bytes: 0,
             transfer_secs: Vec::with_capacity(requests),
-            routes,
-            ..KvShipper::default()
+            est_err_sum: 0.0,
         }
     }
 

@@ -118,8 +118,10 @@ pub struct Autoscaler {
     prefill_unit_rps: f64,
     decode_unit_rps: f64,
     expected_rate: f64,
+    /// The input of the last solve, parallelism pinned: its
+    /// `arrival_rate` is the rate that solve was for, and its routes are
+    /// computed once and reused by every re-solve.
     planner: Option<PlannerInput>,
-    last_solve_rate: Option<f64>,
     resolves: usize,
     lat_evals: usize,
 }
@@ -142,7 +144,6 @@ impl Autoscaler {
             decode_unit_rps,
             expected_rate: 0.0,
             planner: None,
-            last_solve_rate: None,
             resolves: 0,
             lat_evals: 0,
         }
@@ -162,7 +163,6 @@ impl Autoscaler {
         pinned.force_prefill_parallelism = Some((output.prefill.p_tens, output.prefill.p_pipe));
         pinned.force_decode_parallelism = Some((output.decode.p_tens, output.decode.p_pipe));
         me.expected_rate = input.arrival_rate;
-        me.last_solve_rate = Some(input.arrival_rate);
         me.planner = Some(pinned);
         me
     }
@@ -192,22 +192,20 @@ impl Autoscaler {
         (need(self.prefill_unit_rps), need(self.decode_unit_rps))
     }
 
-    /// Re-run the planner at the new rate with parallelism pinned,
-    /// refreshing the unit rates. Infeasible re-solves (rate beyond the
-    /// pinned deployment's ceiling) keep the incumbent rates: the
-    /// rate-sizing will already be asking for the whole budget.
+    /// Re-run the planner in place at the new rate with parallelism
+    /// pinned, refreshing the unit rates. Infeasible re-solves (rate
+    /// beyond the pinned deployment's ceiling) keep the incumbent rates:
+    /// the rate-sizing will already be asking for the whole budget.
     fn resolve(&mut self, rate: f64) {
-        let Some(input) = self.planner.as_ref() else {
+        let Some(input) = self.planner.as_mut() else {
             return;
         };
-        let mut input = input.clone();
         input.arrival_rate = rate;
-        self.last_solve_rate = Some(rate);
         self.resolves += 1;
-        if let Ok(out) = plan(&input, SchemeSpace::Hybrid) {
+        if let Ok(out) = plan(input, SchemeSpace::Hybrid) {
             self.lat_evals += out.stats.lat_evals;
-            self.prefill_unit_rps = prefill_unit_rps(&input, &out);
-            self.decode_unit_rps = decode_unit_rps(&input, &out);
+            self.prefill_unit_rps = prefill_unit_rps(input, &out);
+            self.decode_unit_rps = decode_unit_rps(input, &out);
         }
     }
 }
@@ -261,12 +259,8 @@ impl ScaleController for Autoscaler {
         let queue_per_prefill = snap.prefill_queue as f64 / snap.prefill_active.max(1) as f64;
 
         // Refresh unit rates when the traffic level has genuinely moved.
-        if self.planner.is_some() {
-            let drifted = match self.last_solve_rate {
-                None => true,
-                Some(r0) => (rate - r0).abs() > RESOLVE_RATE_DELTA * r0.max(1e-9),
-            };
-            if drifted {
+        if let Some(r0) = self.planner.as_ref().map(|p| p.arrival_rate) {
+            if (rate - r0).abs() > RESOLVE_RATE_DELTA * r0.max(1e-9) {
                 self.resolve(rate);
             }
         }
@@ -422,6 +416,80 @@ mod tests {
         s.pending_admission = 1;
         // decode_hot bumps want_d to active+1 = 5, clamped to 4: no move.
         assert_eq!(c.on_tick(&s), None);
+    }
+
+    /// An input like the elastic benches': OPT-13B interleaved on the
+    /// testbed, parallelism pinned to TP 2 on both sides, at `rate`.
+    fn pinned_input(rate: f64) -> PlannerInput {
+        use crate::system::{default_coefficients, expected_batch};
+        let t = hs_topology::builders::testbed();
+        let model = hs_model::ModelConfig::opt_13b();
+        let spec = hs_workload::spec::fixed(256, 16);
+        let mut input = PlannerInput::interleaved(
+            &t.graph,
+            model.clone(),
+            default_coefficients(&model),
+            expected_batch(&spec, 8),
+            rate,
+            spec.ttft_sla_s,
+            spec.tpot_sla_s,
+        );
+        input.force_prefill_parallelism = Some((2, 1));
+        input.force_decode_parallelism = Some((2, 1));
+        input
+    }
+
+    /// Re-solves plan the stored input in place: each one's unit rates
+    /// are, bit for bit, those of a solve over a freshly built input at
+    /// the same rate, and the stored routes stay one table throughout.
+    #[test]
+    fn resolves_match_fresh_solves_and_keep_one_route_table() {
+        let seed = pinned_input(2.0);
+        let out = plan(&seed, SchemeSpace::Hybrid).expect("the seed input plans");
+        let mut c = Autoscaler::from_plan(AutoscaleConfig::default(), &seed, &out);
+        let routes = |c: &Autoscaler| {
+            let ap = c.planner.as_ref().expect("planner attached").all_pairs();
+            let (a, b) = (ap.nodes()[0], *ap.nodes().last().unwrap());
+            std::sync::Arc::clone(&ap.path(a, b).route)
+        };
+        let first = routes(&c);
+        assert!(!first.is_empty(), "a cross-fabric pair has hops");
+        // Arrivals at 2 req/s, then 4, then 1.5, then 3, a phase of 30 s
+        // each, so the windowed rate drifts past the re-solve threshold
+        // in every phase.
+        let (mut arrived, mut checked) = (0u64, 0usize);
+        for (phase, per_s) in [2u64, 4, 1, 3].into_iter().enumerate() {
+            for s in 0..30u64 {
+                let now = phase as u64 * 30 + s + 1;
+                arrived += if phase == 2 { per_s + s % 2 } else { per_s };
+                let before = c.resolves();
+                c.on_tick(&snap(now, arrived, (2, 2)));
+                if c.resolves() == before {
+                    continue;
+                }
+                let rate = c.planner.as_ref().unwrap().arrival_rate;
+                let fresh_input = pinned_input(rate);
+                let fresh = plan(&fresh_input, SchemeSpace::Hybrid)
+                    .unwrap_or_else(|e| panic!("a fresh solve at {rate} req/s fails: {e}"));
+                assert_eq!(
+                    c.prefill_unit_rps.to_bits(),
+                    prefill_unit_rps(&fresh_input, &fresh).to_bits(),
+                    "prefill unit rate after the re-solve at {rate} req/s"
+                );
+                assert_eq!(
+                    c.decode_unit_rps.to_bits(),
+                    decode_unit_rps(&fresh_input, &fresh).to_bits(),
+                    "decode unit rate after the re-solve at {rate} req/s"
+                );
+                assert!(
+                    std::sync::Arc::ptr_eq(&first, &routes(&c)),
+                    "the re-solve at {rate} req/s rebuilt the routes"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= 3, "only {checked} re-solves");
+        assert_eq!(checked, c.resolves());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use hs_cluster::InstanceSpec;
 use hs_collective::latency::path_transfer_secs;
 use hs_des::SeedSplitter;
 use hs_model::{decode_latency_secs, prefill_latency_secs, MemoryModel};
-use hs_topology::{AllPairs, LinkWeight, NodeId};
+use hs_topology::{AllPairs, NodeId};
 
 /// Planner failure modes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -270,25 +270,17 @@ pub fn plan(input: &PlannerInput, space: SchemeSpace) -> Result<PlannerOutput, P
     // Every link's full capacity is available to the plan.
     let avail = input.graph.capacities();
 
-    // Offline matrices (Algorithm 2 lines 1-3), computed once over GPUs +
-    // INA switches; "scheduled asynchronously" in the paper — here simply
-    // first, then shared by every candidate evaluation.
+    // Offline matrices (Algorithm 2 lines 1-3), computed once with the
+    // input over GPUs + INA switches; "scheduled asynchronously" in the
+    // paper — here when the input is built, then shared by every
+    // candidate evaluation and every solve over the input.
     let ina_switches = input.graph.ina_switches();
-    let mut nodes: Vec<NodeId> = input
-        .prefill_gpus
-        .iter()
-        .chain(input.decode_gpus.iter())
-        .copied()
-        .collect();
-    nodes.extend(&ina_switches);
-    nodes.sort_unstable();
-    nodes.dedup();
-    let ap = AllPairs::compute(&input.graph, &nodes, LinkWeight::Latency, None);
+    let ap = input.all_pairs();
 
     // The paper's two cluster threads, run one after the other.
     let (pre_cands, pre_examined) = evaluate_cluster(
         input,
-        &ap,
+        ap,
         &avail,
         &input.prefill_gpus,
         &ina_switches,
@@ -298,7 +290,7 @@ pub fn plan(input: &PlannerInput, space: SchemeSpace) -> Result<PlannerOutput, P
     );
     let (dec_cands, dec_examined) = evaluate_cluster(
         input,
-        &ap,
+        ap,
         &avail,
         &input.decode_gpus,
         &ina_switches,
@@ -325,7 +317,7 @@ pub fn plan(input: &PlannerInput, space: SchemeSpace) -> Result<PlannerOutput, P
             continue;
         }
         for dec in &dec_cands {
-            let t_f = estimate_t_f(input, &ap, pre, dec);
+            let t_f = estimate_t_f(input, ap, pre, dec);
             // Eq. 4 with T_f amortized over the request's output tokens:
             // the KV cache transfers once per request, not once per token,
             // so its per-token contribution is T_f / K_out — the form

@@ -361,6 +361,11 @@ impl HeroScheduler {
         }
     }
 
+    /// The routes this scheduler was built with.
+    pub fn all_pairs(&self) -> &AllPairs {
+        &self.ap
+    }
+
     /// How many times each policy of `group_id` has been selected, in
     /// policy order (a diagnostic for tests).
     pub fn pick_counts(&self, group_id: u64) -> Option<Vec<(Scheme, u64)>> {

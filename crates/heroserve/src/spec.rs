@@ -3,7 +3,7 @@
 use hs_cluster::InstanceSpec;
 use hs_collective::Scheme;
 use hs_model::{BatchStats, CostCoefficients, ModelConfig};
-use hs_topology::{Graph, NodeId};
+use hs_topology::{AllPairs, Graph, LinkWeight, NodeId};
 
 /// Reserved-memory ratio `R_frac` in `(0, 1]` (Table I): a shard needs
 /// `R / (P_tens·P_pipe·R_frac)` bytes free on its GPU.
@@ -28,7 +28,9 @@ pub struct PlannerInput {
     /// Expected batch statistics (`Q, K_in, K_out, K_in2`), maintained by
     /// the online side with moving averages.
     pub batch: BatchStats,
-    /// The fabric `G = <V, E>`.
+    /// The fabric `G = <V, E>`. The input's routes
+    /// ([`PlannerInput::all_pairs`]) are computed over it when the input
+    /// is built; an input for another fabric is built anew.
     pub graph: Graph,
     /// Candidate prefill GPUs `V_g^p`.
     pub prefill_gpus: Vec<NodeId>,
@@ -48,6 +50,10 @@ pub struct PlannerInput {
     pub force_prefill_parallelism: Option<(u32, u32)>,
     /// Pin the decode cluster's `(P_tens, P_pipe)`.
     pub force_decode_parallelism: Option<(u32, u32)>,
+    /// Algorithm 2's offline matrices `D(i,j)` and `P(k,a)` over the
+    /// graph's GPUs and INA switches, computed once here and shared by
+    /// every plan, deployment and run over this input.
+    ap: AllPairs,
 }
 
 impl PlannerInput {
@@ -108,6 +114,7 @@ impl PlannerInput {
     ) -> Self {
         let gpus = graph.gpus();
         let half = gpus.len() / 2;
+        let nodes = graph.gpus_and_ina_switches();
         PlannerInput {
             model,
             coef,
@@ -121,7 +128,15 @@ impl PlannerInput {
             max_candi: 20,
             force_prefill_parallelism: None,
             force_decode_parallelism: None,
+            ap: AllPairs::compute(graph, &nodes, LinkWeight::Latency, None),
         }
+    }
+
+    /// The minimum-latency routes among the graph's GPUs and INA
+    /// switches (the node set of `BuiltTopology::gpu_ina_pairs`); a clone
+    /// shares them.
+    pub fn all_pairs(&self) -> &AllPairs {
+        &self.ap
     }
 }
 

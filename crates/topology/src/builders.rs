@@ -44,14 +44,11 @@ impl BuiltTopology {
         AllPairs::compute(&self.graph, &nodes, LinkWeight::Latency, None)
     }
 
-    /// Minimum-latency all-pairs over every GPU and every INA-capable
-    /// switch, sorted by id and deduplicated: the node set a planned
-    /// deployment and its online scheduler route over.
+    /// Minimum-latency all-pairs over
+    /// [`Graph::gpus_and_ina_switches`]: the table a planned deployment
+    /// and its online scheduler route over.
     pub fn gpu_ina_pairs(&self) -> AllPairs {
-        let mut nodes = self.all_gpus();
-        nodes.extend(self.graph.ina_switches());
-        nodes.sort_unstable();
-        nodes.dedup();
+        let nodes = self.graph.gpus_and_ina_switches();
         AllPairs::compute(&self.graph, &nodes, LinkWeight::Latency, None)
     }
 }

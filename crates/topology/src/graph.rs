@@ -272,6 +272,15 @@ impl Graph {
             .collect()
     }
 
+    /// Every GPU and INA-capable switch, in id order: the node set a
+    /// planned deployment and its online scheduler route over.
+    pub fn gpus_and_ina_switches(&self) -> Vec<NodeId> {
+        self.nodes()
+            .filter(|(_, n)| n.kind.is_gpu() || n.kind.is_ina_capable())
+            .map(|(id, _)| id)
+            .collect()
+    }
+
     /// The server a GPU belongs to; `None` for switches.
     pub fn server_of(&self, n: NodeId) -> Option<ServerId> {
         match &self.node(n).kind {

@@ -225,8 +225,14 @@ pub fn shortest_path_avoiding(
 
 /// The all-pairs structures of Algorithm 2: `D(i,j)` + `P(k,a)` for the
 /// node set of interest (typically all GPUs + INA switches).
+///
+/// One table per fabric, shared: a clone is a pointer copy, so the
+/// planner, a deployment and every run it serves read the same routes.
 #[derive(Clone, Debug)]
-pub struct AllPairs {
+pub struct AllPairs(Arc<Table>);
+
+#[derive(Debug)]
+struct Table {
     /// Row-major distance matrix over `nodes`.
     dist: Vec<f64>,
     /// Node set the matrix covers (maps matrix index → graph node).
@@ -236,14 +242,20 @@ pub struct AllPairs {
     index_of: Vec<u32>,
     /// Shortest paths, same layout as `dist` (self-paths are empty).
     paths: Vec<Path>,
+    /// Every path's links, flattened in the same layout: pair `p`'s are
+    /// `links[start[p]..start[p + 1]]`.
+    start: Vec<u32>,
+    links: Vec<LinkId>,
 }
 
 impl AllPairs {
     /// Compute all-pairs shortest paths among `nodes` under `weight`.
     ///
     /// Runs one Dijkstra per member node over the full graph, so switches
-    /// may appear as intermediate hops even if not in `nodes`.
-    /// `_avail_bps` is ignored: no [`LinkWeight`] reads residual bandwidth.
+    /// may appear as intermediate hops even if not in `nodes`, and a
+    /// pair's distance and route do not depend on which other nodes are
+    /// covered. `_avail_bps` is ignored: no [`LinkWeight`] reads residual
+    /// bandwidth.
     pub fn compute(
         g: &Graph,
         nodes: &[NodeId],
@@ -257,6 +269,9 @@ impl AllPairs {
         }
         let mut dist = vec![f64::INFINITY; m * m];
         let mut paths = Vec::with_capacity(m * m);
+        let mut start = Vec::with_capacity(m * m + 1);
+        let mut links = Vec::new();
+        start.push(0);
         let empty_n = FxHashSet::default();
         let empty_l = FxHashSet::default();
         let mut hops = Vec::new();
@@ -266,6 +281,8 @@ impl AllPairs {
                 dist[i * m + j] = d[dst.idx()];
                 hops.clear();
                 reconstruct(g, src, dst, &d, &prev, &mut hops);
+                links.extend(hops.iter().map(|&(l, _)| l));
+                start.push(u32::try_from(links.len()).expect("route table fits u32 offsets"));
                 paths.push(Path {
                     src,
                     dst,
@@ -274,17 +291,28 @@ impl AllPairs {
                 });
             }
         }
-        AllPairs {
+        AllPairs(Arc::new(Table {
             dist,
             nodes: nodes.to_vec(),
             index_of,
             paths,
-        }
+            start,
+            links,
+        }))
     }
 
     /// The covered node set.
     pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
+        &self.0.nodes
+    }
+
+    /// Matrix position of the pair `(a, b)`, or `None` if either node is
+    /// not covered.
+    #[inline]
+    fn pair(&self, a: NodeId, b: NodeId) -> Option<usize> {
+        let t = &*self.0;
+        let (i, j) = (*t.index_of.get(a.idx())?, *t.index_of.get(b.idx())?);
+        (i != u32::MAX && j != u32::MAX).then(|| i as usize * t.nodes.len() + j as usize)
     }
 
     /// Distance between two covered nodes.
@@ -292,30 +320,30 @@ impl AllPairs {
     /// # Panics
     /// Panics if either node is not in the covered set.
     pub fn dist(&self, a: NodeId, b: NodeId) -> f64 {
-        let i = self.index_of[a.idx()];
-        let j = self.index_of[b.idx()];
-        assert!(
-            i != u32::MAX && j != u32::MAX,
-            "node not covered by AllPairs"
-        );
-        self.dist[i as usize * self.nodes.len() + j as usize]
+        self.0.dist[self.pair(a, b).expect("node not covered by AllPairs")]
     }
 
     /// Shortest path between two covered nodes (empty route iff `a == b`
     /// or disconnected — check `cost.is_finite()` for the latter).
+    ///
+    /// # Panics
+    /// Panics if either node is not in the covered set.
     pub fn path(&self, a: NodeId, b: NodeId) -> &Path {
-        let i = self.index_of[a.idx()];
-        let j = self.index_of[b.idx()];
-        assert!(
-            i != u32::MAX && j != u32::MAX,
-            "node not covered by AllPairs"
-        );
-        &self.paths[i as usize * self.nodes.len() + j as usize]
+        &self.0.paths[self.pair(a, b).expect("node not covered by AllPairs")]
+    }
+
+    /// The links of the shortest path from `a` to `b`, in traversal
+    /// order, from one flat table; `None` if either node is not covered.
+    #[inline]
+    pub fn path_links(&self, a: NodeId, b: NodeId) -> Option<&[LinkId]> {
+        let p = self.pair(a, b)?;
+        let t = &*self.0;
+        Some(&t.links[t.start[p] as usize..t.start[p + 1] as usize])
     }
 
     /// Whether `n` is covered.
     pub fn covers(&self, n: NodeId) -> bool {
-        self.index_of[n.idx()] != u32::MAX
+        self.0.index_of[n.idx()] != u32::MAX
     }
 }
 
@@ -802,7 +830,53 @@ mod route_proptests {
         result
     }
 
+    /// Node subsets `S ⊆ T` of `nodes` drawn from `seed`: each node is in
+    /// `T` with probability 3/4, and a member of `T` is in `S` with
+    /// probability 1/2.
+    fn nested_subsets(nodes: &[NodeId], seed: u64) -> (Vec<NodeId>, Vec<NodeId>) {
+        let (mut s, mut t) = (Vec::new(), Vec::new());
+        let mut x = seed;
+        for &n in nodes {
+            // splitmix64
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            match z & 3 {
+                0 => {}
+                1 => t.push(n),
+                _ => {
+                    t.push(n);
+                    s.push(n);
+                }
+            }
+        }
+        (s, t)
+    }
+
     proptest! {
+        /// A table over nodes `S` and one over a superset `T` agree on
+        /// every pair of `S`, bit for bit: one table over a fabric's GPUs
+        /// and INA switches can stand in for any table over fewer nodes.
+        #[test]
+        fn tables_over_nested_node_sets_agree(
+            fabric in 0usize..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            let f = &fabrics()[fabric];
+            let (s, t) = nested_subsets(&f.nodes, seed);
+            let small = AllPairs::compute(&f.g, &s, LinkWeight::Latency, None);
+            let big = AllPairs::compute(&f.g, &t, LinkWeight::Latency, None);
+            for &a in &s {
+                for &b in &s {
+                    prop_assert_eq!(small.dist(a, b).to_bits(), big.dist(a, b).to_bits());
+                    prop_assert_eq!(&small.path(a, b).route[..], &big.path(a, b).route[..]);
+                    prop_assert_eq!(small.path_links(a, b), big.path_links(a, b));
+                }
+            }
+        }
+
         /// Every `AllPairs` route from `src` and every Yen's route from
         /// `src` to `dst`, with random links avoided, is a directed walk
         /// between its endpoints, and carries the links and cost Dijkstra
@@ -825,6 +899,7 @@ mod route_proptests {
                 let want = ref_links(&f.g, src, to, &d, &prev);
                 prop_assert_eq!(p.cost.to_bits(), d[to.idx()].to_bits());
                 prop_assert_eq!(Some(p.links().collect::<Vec<_>>()), want);
+                prop_assert_eq!(f.ap.path_links(src, to), Some(&p.links().collect::<Vec<_>>()[..]));
                 prop_assert!(is_walk(&f.g, src, to, &p.route), "{:?}", p.route);
             }
 

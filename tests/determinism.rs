@@ -13,6 +13,8 @@
 //! * a full `ClusterSim` run — with background traffic and injected
 //!   faults — yields a bit-identical report when repeated, and attaching
 //!   observability does not perturb the simulation;
+//! * one deployment, whose routes every run shares, serves the same
+//!   report on two threads at once as it does alone;
 //! * a proptest property: equal `SimReport`s across two runs for
 //!   arbitrary seeds, rates, and horizons.
 //!
@@ -425,6 +427,31 @@ fn elastic_autoscaler_run_is_bit_identical() {
         "autoscaler never acted — the test exercises nothing"
     );
     assert_eq!(a, run(), "elastic run differs across repeats");
+}
+
+/// One deployment's shared routes serve two runs at once: the same trace
+/// served on two scoped threads from one HeroServe `Deployment` gives
+/// each thread the report a sequential serve gives.
+#[test]
+fn one_deployment_serves_on_two_threads_bit_identically() {
+    let d = hero_deploy(1.0);
+    let window = SimTime::from_secs(6);
+    let mut rng = SeedSplitter::new(9).stream("trace");
+    let trace = Trace::generate(&d.workload, &mut Poisson::new(1.0), &mut rng, window);
+    assert!(!trace.is_empty(), "trace too thin to be meaningful");
+    let sequential = d.serve(&trace, window).fingerprint();
+    // Both runs start together, so they read the shared routes at once.
+    let start = std::sync::Barrier::new(2);
+    let serve = || {
+        start.wait();
+        d.serve(&trace, window).fingerprint()
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let (a, b) = (s.spawn(serve), s.spawn(serve));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(a, sequential, "first thread's report differs");
+    assert_eq!(b, sequential, "second thread's report differs");
 }
 
 static SHARED_DEPLOY: OnceLock<Deployment> = OnceLock::new();
