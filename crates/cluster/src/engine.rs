@@ -217,6 +217,49 @@ pub struct ClusterSim {
     faults: FaultRecovery,
     offered_rate: f64,
     bg: Option<Background>,
+    /// Queued events and flow completions dispatched so far; arrivals
+    /// are `next_arrival`.
+    dispatched: EventCounts,
+}
+
+/// What a run has dispatched, by kind: deterministic work counters read
+/// beside the report (`ClusterSim::event_counts`), never folded into it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Requests arrived from the trace.
+    pub arrivals: u64,
+    /// Network flow completions handed to their owners.
+    pub flow_completions: u64,
+    /// Iterations that finished computing.
+    pub compute_done: u64,
+    /// Collective phase timers that expired.
+    pub coll_timer: u64,
+    /// Link monitor ticks.
+    pub monitor_tick: u64,
+    /// Background flows fired.
+    pub background: u64,
+    /// Scheduled faults applied.
+    pub fault: u64,
+    /// Backed-off relaunches of aborted collectives.
+    pub retry_coll: u64,
+    /// Backed-off relaunches of aborted KV transfers.
+    pub retry_kv: u64,
+}
+
+impl EventCounts {
+    /// Count one dispatched queue event.
+    fn count(&mut self, ev: &Ev) {
+        let n = match ev {
+            Ev::ComputeDone(_) => &mut self.compute_done,
+            Ev::CollTimer(_) => &mut self.coll_timer,
+            Ev::MonitorTick => &mut self.monitor_tick,
+            Ev::Background => &mut self.background,
+            Ev::Fault(_) => &mut self.fault,
+            Ev::RetryColl(_) => &mut self.retry_coll,
+            Ev::RetryKv(_) => &mut self.retry_kv,
+        };
+        *n += 1;
+    }
 }
 
 /// Bursty cross traffic between random GPU pairs.
@@ -350,6 +393,7 @@ impl ClusterSim {
             faults: FaultRecovery::default(),
             offered_rate: trace.empirical_rate(),
             bg,
+            dispatched: EventCounts::default(),
             cfg,
         }
     }
@@ -378,6 +422,14 @@ impl ClusterSim {
     /// scoped solves, resumed solves and flows rated over a run.
     pub fn net_solve_stats(&self) -> SolveStats {
         self.sh.net.solve_stats()
+    }
+
+    /// Events dispatched so far, by kind.
+    pub fn event_counts(&self) -> EventCounts {
+        EventCounts {
+            arrivals: self.next_arrival as u64,
+            ..self.dispatched
+        }
     }
 
     /// Collective plan shapes compiled so far: one per tensor group and
@@ -437,6 +489,7 @@ impl ClusterSim {
             self.sh.now = t;
             // Network completions first (deterministic: completion order).
             self.sh.net.advance_to(t, &mut done);
+            self.dispatched.flow_completions += done.len() as u64;
             for (id, flow) in done.drain(..) {
                 self.on_flow_done(id, flow.tag);
                 self.close_collectives();
@@ -469,6 +522,7 @@ impl ClusterSim {
     }
 
     fn handle(&mut self, ev: Ev) {
+        self.dispatched.count(&ev);
         match ev {
             Ev::ComputeDone(inst) => self.start_comm(inst),
             Ev::CollTimer(coll) => self.colls.step(&mut self.sh, coll, None),
@@ -1319,6 +1373,41 @@ pub(crate) mod tests {
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.mean_ttft_s, b.mean_ttft_s);
         assert_eq!(a.eth_bytes, b.eth_bytes);
+    }
+
+    /// Event counts match what the scenario schedules: one monitor tick
+    /// per period, the faults and arrivals due by the horizon, and the
+    /// same counts on a second run.
+    #[test]
+    fn event_counts_match_the_schedule() {
+        let t = testbed();
+        let sw = t.access_switches[0];
+        let mut faults = FaultPlan::switch_outage(sw, SimTime::from_secs(5), SimTime::from_secs(9));
+        // Due after the horizon: never dispatched.
+        faults.push(SimTime::from_secs(25), FaultKind::SwitchFail { switch: sw });
+        let trace = poisson_trace(2.0, 30);
+        let horizon = SimTime::from_millis(20_050);
+        let run = || {
+            let mut cfg = testbed_cfg(tp4(&t, &[0]), tp4(&t, &[1]), faults.clone());
+            cfg.background = Some((20.0, 1 << 20));
+            let strategy = fixed_scheme(Scheme::Ring);
+            let mut sim = ClusterSim::new(&t.graph, t.gpu_switch_pairs(), cfg, &trace, strategy);
+            sim.run(horizon);
+            sim.event_counts()
+        };
+        let counts = run();
+        let period = SimSpan::from_millis(100);
+        let ticks = (horizon - SimTime::ZERO).as_nanos() / period.as_nanos();
+        assert_eq!(counts.monitor_tick, ticks);
+        let due = faults.events().iter().filter(|f| f.at <= horizon).count();
+        assert_eq!((counts.fault, due), (2, 2), "{counts:?}");
+        let arrived = trace.requests.partition_point(|r| r.arrival <= horizon);
+        assert!(arrived < trace.len(), "no arrival after the horizon");
+        assert_eq!(counts.arrivals, arrived as u64);
+        assert!(counts.background > 0, "{counts:?}");
+        assert!(counts.compute_done > 0, "{counts:?}");
+        assert!(counts.flow_completions > 0, "{counts:?}");
+        assert_eq!(run(), counts);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod strategy;
 
 pub use autoscale::{PoolSnapshot, PoolState, PoolTargets, ScaleController, StaticController};
 pub use collectives::{run_allreduces, AllReduceCounts, AllReduceLoad};
-pub use engine::{ClusterConfig, ClusterSim};
+pub use engine::{ClusterConfig, ClusterSim, EventCounts};
 pub use faults::FabricHealth;
 pub use instance::{InstanceKind, InstanceSpec};
 pub use kvcache::KvManager;

@@ -39,8 +39,17 @@ impl LengthSpec {
     }
 
     /// Draw one length.
+    ///
+    /// A one-value spec (`min == max`) costs only its draws: the clamp
+    /// fixes its value, so it spends the two uniforms the vendored
+    /// Box–Muller would take, leaving every later sample on the same
+    /// stream, and skips the transform.
     pub fn sample(&self, rng: &mut SmallRng) -> u32 {
         let d = LogNormal::new(self.mu, self.sigma).expect("valid lognormal");
+        if self.min == self.max {
+            let _: (f64, f64) = (rng.gen(), rng.gen());
+            return self.min;
+        }
         let x = d.sample(rng);
         (x.round() as i64).clamp(self.min as i64, self.max as i64) as u32
     }
@@ -225,7 +234,8 @@ pub fn longbench_like() -> WorkloadSpec {
 }
 
 /// A deterministic "uniform" workload for tests: every request is
-/// exactly `(input, output)` tokens.
+/// exactly `(input, output)` tokens. Each length is a one-value spec,
+/// so a request costs only its draws (see [`LengthSpec::sample`]).
 pub fn fixed(input: u32, output: u32) -> WorkloadSpec {
     WorkloadSpec {
         name: format!("fixed-{input}x{output}"),
@@ -302,6 +312,35 @@ mod tests {
         let mut r = rng();
         for _ in 0..50 {
             assert_eq!(spec.sample(&mut r), (100, 10));
+        }
+    }
+
+    /// A one-value spec returns its value and leaves the stream where a
+    /// full log-normal draw would, whatever its `sigma`.
+    #[test]
+    fn one_value_lengths_spend_a_samples_draws() {
+        use rand::RngCore;
+        let wide = LengthSpec {
+            mu: 5.0,
+            sigma: 0.8,
+            min: 300,
+            max: 300,
+        };
+        let mut specs = vec![wide];
+        for w in [fixed(256, 16), fixed(1024, 24)] {
+            for m in [w.input, w.output] {
+                let LengthModel::LogNormal(s) = m else {
+                    panic!("fixed() lengths are log-normal specs")
+                };
+                specs.push(s);
+            }
+        }
+        for s in specs {
+            let mut r = rng();
+            let mut shadow = r.clone();
+            assert_eq!(s.sample(&mut r), s.min, "{s:?}");
+            LogNormal::new(s.mu, s.sigma).unwrap().sample(&mut shadow);
+            assert_eq!(r.next_u64(), shadow.next_u64(), "{s:?} drew a wrong count");
         }
     }
 

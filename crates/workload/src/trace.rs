@@ -273,6 +273,39 @@ mod tests {
         }
     }
 
+    /// `fixed(256, 16)` yields the requests of a spec that takes the
+    /// general log-normal path to the same lengths, and leaves the
+    /// stream at the same position.
+    #[test]
+    fn fixed_lengths_keep_the_general_paths_stream() {
+        use crate::spec::{LengthSpec, WorkloadSpec};
+        use rand::RngCore;
+        let around = |len: u32| LengthSpec {
+            mu: (len as f64).ln(),
+            sigma: 0.0,
+            min: len - 1,
+            max: len + 1,
+        };
+        let general = WorkloadSpec {
+            input: around(256).into(),
+            output: around(16).into(),
+            ..fixed(256, 16)
+        };
+        let run = |spec: &WorkloadSpec| {
+            let mut rng = SeedSplitter::new(9).stream("trace");
+            let mut arr = Poisson::new(50.0);
+            let t = Trace::generate(spec, &mut arr, &mut rng, SimTime::from_secs(10));
+            (t.requests, rng.next_u64())
+        };
+        let (fast, general) = (run(&fixed(256, 16)), run(&general));
+        let (requests, _) = &fast;
+        assert!(requests.len() > 400, "{} requests", requests.len());
+        for r in requests {
+            assert_eq!((r.input_tokens, r.output_tokens), (256, 16));
+        }
+        assert_eq!(fast, general);
+    }
+
     #[test]
     fn same_seed_same_trace() {
         let make = || {
