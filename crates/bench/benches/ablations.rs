@@ -96,7 +96,7 @@ fn main() {
 
     // ---- 4 & 5. Grouping + perturbation (Alg. 2 internals). ----
     {
-        let ap = topo.gpu_switch_pairs();
+        let ap = topo.gpu_ina_pairs();
         let gpus = topo.all_gpus();
         let avail = topo.graph.capacities();
         let run = |groups_from_kmeans: bool, perturb: usize| -> f64 {

@@ -89,7 +89,7 @@ fn run_once(
 
 fn main() {
     let topo = testbed();
-    let ap = topo.gpu_switch_pairs();
+    let ap = topo.gpu_ina_pairs();
     // The elastic controller: planner-seeded unit rates, online re-solves.
     let elastic = |spec: &WorkloadSpec, base_rate: f64| -> Option<Box<dyn ScaleController>> {
         Some(Box::new(seeded_autoscaler(&topo, spec, base_rate).0))

@@ -34,7 +34,7 @@ fn main() {
     let topo = testbed();
     let horizon = SimTime::from_secs(30);
     let rate = 6.0;
-    let ap = topo.gpu_switch_pairs();
+    let ap = topo.gpu_ina_pairs();
 
     let mut rng = SeedSplitter::new(23).stream("trace");
     let mut arr = Poisson::new(rate);

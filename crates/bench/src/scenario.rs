@@ -256,7 +256,7 @@ pub fn kv_fabric_faults(seed: u64, outage: Option<SimSpan>) -> Scenario {
     let window = SimTime::from_secs(KV_WINDOW_S);
     let mut rng = SeedSplitter::new(seed).stream("kv_fabric_faults");
     let trace = Trace::generate(&kv_workload(), &mut Poisson::new(KV_RATE), &mut rng, window);
-    let ap = topo.gpu_switch_pairs();
+    let ap = topo.gpu_ina_pairs();
     let cfg = kv_placement(&topo, Some((150.0, 8 << 20)), kv_faults(&topo, outage));
     let params = SchedulerParams {
         kv_select: KvSelection::NetKv,
@@ -354,7 +354,7 @@ mod tests {
         let strategy = StaticStrategy::uniform("ring", Scheme::Ring, BusyPolicy::FallbackRing);
         ClusterSim::new(
             &topo.graph,
-            topo.gpu_switch_pairs(),
+            topo.gpu_ina_pairs(),
             cfg,
             &trace,
             Box::new(strategy),

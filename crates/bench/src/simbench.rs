@@ -5,8 +5,7 @@
 //! where component-scoped re-solves (DESIGN.md §9) differ most from
 //! global ones, so the field measures the per-event cost of the
 //! incremental engine at a given number of concurrent flows. Used by the
-//! `micro` criterion bench and the `bench_simnet` snapshot harness
-//! (`results/bench_simnet.json`).
+//! `bench_simnet` snapshot harness (`results/bench_simnet.json`).
 
 use hs_des::SimTime;
 use hs_simnet::{Route, SimNet, SolveStats};
@@ -31,7 +30,7 @@ pub fn clusters_topo(n_clusters: usize) -> (Graph, Vec<Route>) {
 
 /// Start `per_cluster` flows over every cluster path, sizes staggered so
 /// completions spread over time instead of piling on one timestamp.
-pub fn fill(net: &mut SimNet, paths: &[Route], per_cluster: usize, bytes: u64) {
+fn fill(net: &mut SimNet, paths: &[Route], per_cluster: usize, bytes: u64) {
     for (k, p) in paths.iter().enumerate() {
         for j in 0..per_cluster {
             let sz = bytes + (j as u64) * (bytes / 7 + 1);

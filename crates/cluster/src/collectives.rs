@@ -565,7 +565,7 @@ mod tests {
         };
         let run = |policy| {
             let strategy = StaticStrategy::uniform("test", Scheme::Ina { switch: sw }, policy);
-            let ap = t.gpu_switch_pairs();
+            let ap = t.gpu_ina_pairs();
             let r = run_allreduces(
                 &t.graph,
                 ap,

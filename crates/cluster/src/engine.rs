@@ -958,7 +958,7 @@ pub(crate) mod tests {
         strategy: Box<dyn CommStrategy>,
     ) -> ClusterSim {
         let cfg = testbed_cfg(prefill, decode, faults);
-        ClusterSim::new(&t.graph, t.gpu_switch_pairs(), cfg, trace, strategy)
+        ClusterSim::new(&t.graph, t.gpu_ina_pairs(), cfg, trace, strategy)
     }
 
     /// [`testbed_sim`]'s configuration: OPT-13B with fitted coefficients,
@@ -1080,7 +1080,7 @@ pub(crate) mod tests {
         let t = testbed();
         let strategy = fixed_scheme(Scheme::Ring);
         let events = EventQueue::with_capacity(4);
-        let mut sh = Shared::new(&t.graph, t.gpu_switch_pairs(), strategy, events);
+        let mut sh = Shared::new(&t.graph, t.gpu_ina_pairs(), strategy, events);
         let mut bg = Background::start(&t.graph, (100.0, 1 << 20), &mut sh.events);
         for _ in 0..16 {
             if bg.fire(&mut sh).is_some() {
@@ -1391,7 +1391,7 @@ pub(crate) mod tests {
             let mut cfg = testbed_cfg(tp4(&t, &[0]), tp4(&t, &[1]), faults.clone());
             cfg.background = Some((20.0, 1 << 20));
             let strategy = fixed_scheme(Scheme::Ring);
-            let mut sim = ClusterSim::new(&t.graph, t.gpu_switch_pairs(), cfg, &trace, strategy);
+            let mut sim = ClusterSim::new(&t.graph, t.gpu_ina_pairs(), cfg, &trace, strategy);
             sim.run(horizon);
             sim.event_counts()
         };
@@ -1548,7 +1548,7 @@ pub(crate) mod tests {
         let arrivals: Vec<_> = (0..60).map(|i| (150 * i, 256, 16)).collect();
         let trace = trace_of(&arrivals);
         let strategy = Box::new(UtilRecorder(Rc::clone(&views)));
-        let mut sim = ClusterSim::new(&t.graph, t.gpu_switch_pairs(), cfg, &trace, strategy);
+        let mut sim = ClusterSim::new(&t.graph, t.gpu_ina_pairs(), cfg, &trace, strategy);
         let rep = sim.run(SimTime::from_secs(20));
         assert_eq!(rep.completed, trace.len());
         let v = views.borrow();

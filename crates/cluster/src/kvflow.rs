@@ -216,7 +216,7 @@ mod tests {
         use hs_topology::builders::testbed;
 
         let t = testbed();
-        let ap = t.gpu_switch_pairs();
+        let ap = t.gpu_ina_pairs();
         let src: Vec<NodeId> = t.gpus_by_server[0][..2].to_vec();
         let local: Vec<NodeId> = t.gpus_by_server[0][2..].to_vec();
         let remote: Vec<NodeId> = t.gpus_by_server[1][..2].to_vec();
@@ -294,7 +294,7 @@ mod proptests {
         ) {
             use hs_collective::latency::path_transfer_secs;
             let t = hs_topology::builders::testbed();
-            let ap = t.gpu_switch_pairs();
+            let ap = t.gpu_ina_pairs();
             let gpus = t.all_gpus();
             let src: Vec<NodeId> = src.into_iter().map(|i| gpus[i]).collect();
             let dst: Vec<NodeId> = dst.into_iter().map(|i| gpus[i]).collect();

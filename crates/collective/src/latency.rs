@@ -326,7 +326,7 @@ mod tests {
     #[test]
     fn nearest_switches_rank_by_farthest_member_then_id() {
         let t = hs_topology::builders::testbed();
-        let ap = t.gpu_switch_pairs();
+        let ap = t.gpu_ina_pairs();
         let [sw0, sw1] = [t.access_switches[0], t.access_switches[1]];
         let gpu = |server: usize, i: usize| t.gpus_by_server[server][i];
         // GPUs 0-1 of each server hang off switch 0, GPUs 2-3 off switch 1.

@@ -331,7 +331,7 @@ impl CollectiveExec {
 
 /// Convenience driver: run a single collective to completion on an
 /// otherwise idle network and return its duration. Used by tests and by
-/// the aggregation-throughput experiment (Fig. 9's measurement loop).
+/// Fig. 2's executed homogeneous-vs-heterogeneous aggregation delays.
 pub fn run_isolated(
     g: &Graph,
     ap: &AllPairs,
@@ -605,7 +605,7 @@ mod proptests {
         static FABRICS: OnceLock<Vec<Fabric>> = OnceLock::new();
         FABRICS.get_or_init(|| {
             let built = |t: hs_topology::builders::BuiltTopology| Fabric {
-                ap: t.gpu_switch_pairs(),
+                ap: t.gpu_ina_pairs(),
                 gpus: t.all_gpus(),
                 switches: t.access_switches.clone(),
                 g: t.graph,

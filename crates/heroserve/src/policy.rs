@@ -130,7 +130,7 @@ mod tests {
 
     fn setup() -> (hs_topology::builders::BuiltTopology, AllPairs) {
         let t = testbed();
-        let ap = t.gpu_switch_pairs();
+        let ap = t.gpu_ina_pairs();
         (t, ap)
     }
 

@@ -605,7 +605,7 @@ mod tests {
         hs_topology::builders::BuiltTopology,
     ) {
         let t = testbed();
-        let ap = t.gpu_switch_pairs();
+        let ap = t.gpu_ina_pairs();
         let group: Vec<NodeId> = t.gpus_by_server.iter().map(|s| s[0]).collect();
         (
             HeroScheduler::new(&t.graph, ap, SchedulerParams::default()),
@@ -922,7 +922,7 @@ mod tests {
     #[test]
     fn netkv_prefers_nvlink_local_decode() {
         let (mut s, _, t) = scheduler();
-        let routes = KvRoutes::new(&t.graph, &t.gpu_switch_pairs());
+        let routes = KvRoutes::new(&t.graph, &t.gpu_ina_pairs());
         assert!(s.network_aware_admission());
         let src = &t.gpus_by_server[0][..2];
         // Equal load and headroom: the NVLink-local candidate's transfer
@@ -946,7 +946,7 @@ mod tests {
     #[test]
     fn choose_decode_before_any_monitor_prices_the_idle_fabric() {
         let (mut s, _, t) = scheduler();
-        let routes = KvRoutes::new(&t.graph, &t.gpu_switch_pairs());
+        let routes = KvRoutes::new(&t.graph, &t.gpu_ina_pairs());
         let src = &t.gpus_by_server[0];
         let dst = &t.gpus_by_server[1];
         let bytes = 256 << 20;
@@ -963,7 +963,7 @@ mod tests {
     #[test]
     fn netkv_routes_around_congested_uplinks() {
         let (mut s, _, t) = scheduler();
-        let routes = KvRoutes::new(&t.graph, &t.gpu_switch_pairs());
+        let routes = KvRoutes::new(&t.graph, &t.gpu_ina_pairs());
         let src = &t.gpus_by_server[0];
         let candidates = [
             kv_candidate(0, &t.gpus_by_server[1], 1, 5_000),
@@ -990,7 +990,7 @@ mod tests {
     #[test]
     fn netkv_penalizes_kv_pressure() {
         let (mut s, _, t) = scheduler();
-        let routes = KvRoutes::new(&t.graph, &t.gpu_switch_pairs());
+        let routes = KvRoutes::new(&t.graph, &t.gpu_ina_pairs());
         let src = &t.gpus_by_server[0];
         // Symmetric network estimates; the nearly-full instance loses.
         let c = s
@@ -1008,7 +1008,7 @@ mod tests {
     #[test]
     fn least_loaded_mode_disables_network_awareness() {
         let t = testbed();
-        let ap = t.gpu_switch_pairs();
+        let ap = t.gpu_ina_pairs();
         let params = SchedulerParams {
             kv_select: KvSelection::LeastLoaded,
             ..SchedulerParams::default()

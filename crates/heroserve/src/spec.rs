@@ -1,6 +1,7 @@
 //! The planner's input and output records (Tables I and II).
 
 use hs_cluster::InstanceSpec;
+use hs_collective::latency::by_server;
 use hs_collective::Scheme;
 use hs_model::{BatchStats, CostCoefficients, ModelConfig};
 use hs_topology::{AllPairs, Graph, LinkWeight, NodeId};
@@ -82,16 +83,7 @@ impl PlannerInput {
         );
         let mut prefill = Vec::new();
         let mut decode = Vec::new();
-        // Group GPUs by server, preserving order.
-        let mut by_server: Vec<(u32, Vec<NodeId>)> = Vec::new();
-        for g in graph.gpus() {
-            let s = graph.server_of(g).expect("gpu has server").0;
-            match by_server.iter_mut().find(|(sid, _)| *sid == s) {
-                Some((_, v)) => v.push(g),
-                None => by_server.push((s, vec![g])),
-            }
-        }
-        for (_, gpus) in by_server {
+        for (_, gpus) in by_server(graph, &graph.gpus()) {
             let half = gpus.len() / 2;
             prefill.extend(&gpus[..half]);
             decode.extend(&gpus[half..]);

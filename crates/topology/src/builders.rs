@@ -35,15 +35,6 @@ impl BuiltTopology {
         self.gpus_by_server.iter().flatten().copied().collect()
     }
 
-    /// Minimum-latency all-pairs over every GPU, then every access
-    /// switch, in that order: the node set hand-placed deployments and
-    /// the online scheduler route over.
-    pub fn gpu_switch_pairs(&self) -> AllPairs {
-        let mut nodes = self.all_gpus();
-        nodes.extend(&self.access_switches);
-        AllPairs::compute(&self.graph, &nodes, LinkWeight::Latency, None)
-    }
-
     /// Minimum-latency all-pairs over
     /// [`Graph::gpus_and_ina_switches`]: the table a planned deployment
     /// and its online scheduler route over.

@@ -19,8 +19,7 @@
 //!   conditions under which homogeneous INA collapses (§I, §II-C), a
 //!   [`Mmpp::flash_crowd`] viral-spike profile, and a [`Diurnal`]
 //!   day/night cycle (non-homogeneous Poisson via thinning);
-//! * [`trace`] — materialized request records, replay iteration, and
-//!   CSV/JSONL export/import for recorded production traces;
+//! * [`trace`] — materialized, arrival-ordered request records;
 //! * [`stats`] — means/percentiles used by every experiment report;
 //! * [`fault`] — timed fabric-fault schedules ([`FaultPlan`]) replayed
 //!   alongside a trace to exercise graceful degradation.

@@ -60,7 +60,7 @@ fn serve(
 
 fn main() {
     let topo = testbed();
-    let ap = topo.gpu_switch_pairs();
+    let ap = topo.gpu_ina_pairs();
     let spec = fixed(256, 16);
 
     // Flash-crowd arrivals: calm 42 req/s, 6x spikes.

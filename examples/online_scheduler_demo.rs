@@ -18,7 +18,7 @@ use hs_topology::NodeId;
 
 fn main() {
     let topo = testbed();
-    let ap = topo.gpu_switch_pairs();
+    let ap = topo.gpu_ina_pairs();
     let routes = KvRoutes::new(&topo.graph, &ap);
     let mut sched = HeroScheduler::new(&topo.graph, ap, SchedulerParams::default());
 

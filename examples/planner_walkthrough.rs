@@ -21,7 +21,7 @@ fn main() {
     let workload = hs_workload::sharegpt_like();
 
     // --- Algorithm 2, step 0: the offline matrices D(i,j), P(k,a). ---
-    let ap = topo.gpu_switch_pairs();
+    let ap = topo.gpu_ina_pairs();
     let gpus = topo.all_gpus();
     println!("offline matrices: {} nodes covered", ap.nodes().len());
     println!(

@@ -10,6 +10,10 @@
 //! or as `crate::module` (`crate::a/b` for two modules; anything after a
 //! second `::` is an item inside the module). Every crate and module it
 //! names must be one that §3 lists.
+//!
+//! Every `--bench <name>` DESIGN.md runs is a `[[bench]]` of `hs-bench`,
+//! and every `[[bench]]` is named in DESIGN.md. DESIGN.md cites no
+//! commit id: per-PR history lives in CHANGES.md.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -178,6 +182,101 @@ fn experiment_index_names_only_listed_modules() {
         problems.is_empty(),
         "DESIGN.md §4 cites modules §3 does not list:\n{}",
         problems.join("\n")
+    );
+}
+
+/// The `[[bench]]` target names in `crates/bench/Cargo.toml`.
+fn bench_targets(root: &Path) -> BTreeSet<String> {
+    let manifest =
+        fs::read_to_string(root.join("crates/bench/Cargo.toml")).expect("read hs-bench manifest");
+    let mut lines = manifest.lines();
+    let mut names = BTreeSet::new();
+    while let Some(line) = lines.next() {
+        if line.trim() == "[[bench]]" {
+            let name = lines
+                .next()
+                .and_then(|l| l.strip_prefix("name = "))
+                .unwrap_or_else(|| panic!("a [[bench]] whose next line is not its name"));
+            names.insert(name.trim_matches('"').to_string());
+        }
+    }
+    names
+}
+
+/// Identifier-like words of `text`: maximal runs of ASCII letters,
+/// digits and underscores.
+fn words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+}
+
+#[test]
+fn design_names_exactly_the_bench_targets() {
+    let root = workspace_root();
+    let design = fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
+    let targets = bench_targets(&root);
+    assert!(
+        !targets.is_empty(),
+        "no [[bench]] in crates/bench/Cargo.toml"
+    );
+    let run: BTreeSet<&str> = design
+        .split("--bench ")
+        .skip(1)
+        .filter_map(|rest| words(rest).next())
+        .collect();
+    let named: BTreeSet<&str> = words(&design).collect();
+    let mut problems = Vec::new();
+    for name in &run {
+        if !targets.contains(*name) {
+            problems.push(format!(
+                "DESIGN.md runs `--bench {name}`, which is no [[bench]]"
+            ));
+        }
+    }
+    for name in &targets {
+        if !named.contains(name.as_str()) {
+            problems.push(format!("[[bench]] `{name}` is not named in DESIGN.md"));
+        }
+    }
+    assert!(
+        problems.is_empty(),
+        "DESIGN.md and crates/bench/Cargo.toml disagree:\n{}",
+        problems.join("\n")
+    );
+}
+
+/// A word of 7 to 12 lowercase hex digits with at least one digit and
+/// one letter: the shape of an abbreviated commit id.
+fn looks_like_commit_id(word: &str) -> bool {
+    (7..=12).contains(&word.len())
+        && word.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+        && word.bytes().any(|b| b.is_ascii_digit())
+        && word.bytes().any(|b| b.is_ascii_alphabetic())
+}
+
+#[test]
+fn design_cites_no_commit_ids() {
+    let root = workspace_root();
+    let design = fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
+    let ids: Vec<&str> = words(&design).filter(|w| looks_like_commit_id(w)).collect();
+    assert!(
+        ids.is_empty(),
+        "DESIGN.md cites commit ids {ids:?}; per-PR history belongs in CHANGES.md"
+    );
+}
+
+#[test]
+fn commit_id_shape() {
+    assert!(looks_like_commit_id("c2e5f8a"));
+    assert!(looks_like_commit_id("9ba5771"));
+    // Fingerprints are 16 digits; words need a digit and a letter.
+    assert!(!looks_like_commit_id("f062cba5105dce1c"));
+    assert!(!looks_like_commit_id("1234567"));
+    assert!(!looks_like_commit_id("deadbeef"));
+    assert!(!looks_like_commit_id("C2E5F8A"));
+    assert_eq!(
+        words("(`a_b`, c2e5f8a)").collect::<Vec<_>>(),
+        ["a_b", "c2e5f8a"]
     );
 }
 

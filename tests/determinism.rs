@@ -78,7 +78,7 @@ fn planner_output_bit_identical_across_runs() {
 #[test]
 fn candidate_rng_streams_are_order_independent() {
     let topo = testbed();
-    let ap = topo.gpu_switch_pairs();
+    let ap = topo.gpu_ina_pairs();
     let avail = topo.graph.capacities();
     let gpus = topo.all_gpus();
     let eval = |ci: u64| -> String {
@@ -236,7 +236,7 @@ fn netkv_run_with_kv_retries_is_bit_identical() {
         }
         let model = ModelConfig::opt_13b();
         let fitted = fit(&GpuModel::a100(), &model);
-        let ap = t.gpu_switch_pairs();
+        let ap = t.gpu_ina_pairs();
         let cfg = ClusterConfig {
             model,
             coef: fitted.coefficients,
@@ -378,23 +378,6 @@ fn traffic_generator_statistics_match_analytic_targets() {
     );
 }
 
-/// Trace persistence is bit-exact: CSV and JSONL round trips reproduce
-/// every arrival nanosecond and token count.
-#[test]
-fn trace_round_trips_through_csv_and_jsonl_bit_exactly() {
-    let mut rng = SeedSplitter::new(17).stream("roundtrip");
-    let trace = Trace::generate(
-        &heavy_tail_like(),
-        &mut Mmpp::flash_crowd(6.0, 5.0),
-        &mut rng,
-        SimTime::from_secs(30),
-    );
-    let via_csv = Trace::from_csv(&trace.to_csv()).expect("csv parses");
-    assert_eq!(trace_fingerprint(&trace), trace_fingerprint(&via_csv));
-    let via_jsonl = Trace::from_jsonl(&trace.to_jsonl()).expect("jsonl parses");
-    assert_eq!(trace_fingerprint(&trace), trace_fingerprint(&via_jsonl));
-}
-
 /// An elastic run — planner-seeded [`heroserve::Autoscaler`], parking /
 /// unparking instances mid-run, online re-solves included — replays
 /// bit-identically across repeats.
@@ -406,7 +389,7 @@ fn elastic_autoscaler_run_is_bit_identical() {
     let run = || {
         let t = testbed();
         let spec = fixed(256, 16);
-        let ap = t.gpu_switch_pairs();
+        let ap = t.gpu_ina_pairs();
         let cfg = scenario::elastic_slots(&t, &spec);
         let mut rng = SeedSplitter::new(31).stream("elastic");
         let mut arr = Mmpp::flash_crowd(30.0, 6.0);

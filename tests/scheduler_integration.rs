@@ -14,7 +14,7 @@ fn scheduler_with(
     hs_topology::builders::BuiltTopology,
 ) {
     let topo = testbed();
-    let ap = topo.gpu_switch_pairs();
+    let ap = topo.gpu_ina_pairs();
     let group: Vec<NodeId> = topo.gpus_by_server.iter().map(|s| s[0]).collect();
     (HeroScheduler::new(&topo.graph, ap, params), group, topo)
 }
