@@ -78,11 +78,10 @@ fn stripes<'a>(
 }
 
 /// An [`AllPairs`]' shortest routes priced for KV shipments: pair
-/// `(i, j)`'s links come from the table's flat route layout
-/// ([`AllPairs::path_links`]), and each link's latency (seconds) and
-/// capacity sit in per-link arrays, so an estimate walks plain slices
-/// instead of `Path`s and `Link`s. Building one copies the per-link
-/// arrays and shares the routes.
+/// `(i, j)`'s hops are the table's shared route ([`AllPairs::route`]),
+/// and each link's latency (seconds) and capacity sit in per-link
+/// arrays, so an estimate walks plain slices instead of `Link`s.
+/// Building one copies the per-link arrays and shares the routes.
 #[derive(Clone, Debug)]
 pub struct KvRoutes {
     ap: AllPairs,
@@ -120,9 +119,9 @@ impl KvRoutes {
         avail: Option<&[f64]>,
     ) -> f64 {
         stripes(src_gpus, dst_gpus, bytes)
-            .filter_map(|s| Some((self.ap.path_links(s.src, s.dst)?, s.bytes as f64 * 8.0)))
+            .filter_map(|s| Some((self.ap.route(s.src, s.dst)?, s.bytes as f64 * 8.0)))
             .map(|(route, bits)| {
-                route.iter().fold(0.0, |t, &l| {
+                route.iter().fold(0.0, |t, &(l, _)| {
                     let l = l.idx();
                     let bw = avail.map_or(self.capacity_bps[l], |b| b[l]).max(1.0);
                     t + (bits / bw + self.latency_s[l])

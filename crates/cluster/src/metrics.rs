@@ -673,7 +673,6 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use hs_workload::stats::percentile;
     use hs_workload::{Request, RequestId};
     use proptest::prelude::*;
 
@@ -721,11 +720,11 @@ mod proptests {
         }
         rep.sla_attainment = fraction_where(&evaluable, |x| x > 0.5);
         rep.mean_ttft_s = mean(&ttfts);
-        rep.p90_ttft_s = percentile(&ttfts, 90.0);
+        rep.p90_ttft_s = percentile_in_place(&mut ttfts.clone(), 90.0);
         rep.mean_ttft_e2e_s = mean(&ttfts_e2e);
-        rep.p90_ttft_e2e_s = percentile(&ttfts_e2e, 90.0);
+        rep.p90_ttft_e2e_s = percentile_in_place(&mut ttfts_e2e.clone(), 90.0);
         rep.mean_tpot_s = mean(&tpots);
-        rep.p90_tpot_s = percentile(&tpots, 90.0);
+        rep.p90_tpot_s = percentile_in_place(&mut tpots.clone(), 90.0);
         let secs = horizon.as_secs_f64();
         rep.goodput_rps = if secs > 0.0 {
             rep.completed as f64 / secs

@@ -26,5 +26,5 @@ pub mod rng;
 pub mod time;
 
 pub use queue::EventQueue;
-pub use rng::{stream_rng, SeedSplitter};
+pub use rng::SeedSplitter;
 pub use time::{SimSpan, SimTime};

@@ -22,11 +22,6 @@ impl SeedSplitter {
         SeedSplitter { master }
     }
 
-    /// The master seed this splitter was built from.
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
     /// An RNG for the stream named `label` (e.g. `"arrivals"`).
     pub fn stream(&self, label: &str) -> SmallRng {
         SmallRng::seed_from_u64(mix(self.master, hash_label(label)))
@@ -45,11 +40,6 @@ impl SeedSplitter {
             master: mix(self.master, hash_label(label)),
         }
     }
-}
-
-/// Convenience: a standalone stream RNG from `(seed, label)`.
-pub fn stream_rng(seed: u64, label: &str) -> SmallRng {
-    SeedSplitter::new(seed).stream(label)
 }
 
 /// FNV-1a over the label bytes — stable across platforms and Rust versions
@@ -78,8 +68,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_stream() {
-        let mut a = stream_rng(42, "arrivals");
-        let mut b = stream_rng(42, "arrivals");
+        let mut a = SeedSplitter::new(42).stream("arrivals");
+        let mut b = SeedSplitter::new(42).stream("arrivals");
         for _ in 0..32 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
@@ -87,8 +77,8 @@ mod tests {
 
     #[test]
     fn different_labels_differ() {
-        let mut a = stream_rng(42, "arrivals");
-        let mut b = stream_rng(42, "lengths");
+        let mut a = SeedSplitter::new(42).stream("arrivals");
+        let mut b = SeedSplitter::new(42).stream("lengths");
         let va: Vec<u64> = (0..8).map(|_| a.gen()).collect();
         let vb: Vec<u64> = (0..8).map(|_| b.gen()).collect();
         assert_ne!(va, vb);
@@ -96,8 +86,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = stream_rng(1, "arrivals");
-        let mut b = stream_rng(2, "arrivals");
+        let mut a = SeedSplitter::new(1).stream("arrivals");
+        let mut b = SeedSplitter::new(2).stream("arrivals");
         assert_ne!(a.gen::<u64>(), b.gen::<u64>());
     }
 

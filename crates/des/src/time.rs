@@ -180,12 +180,6 @@ impl SimSpan {
         SimSpan(self.0.saturating_add(rhs.0))
     }
 
-    /// Multiply the span by an integer factor (saturating).
-    #[inline]
-    pub fn saturating_mul(self, factor: u64) -> SimSpan {
-        SimSpan(self.0.saturating_mul(factor))
-    }
-
     /// Scale the span by a non-negative float factor, staying in the
     /// integer-nanosecond domain and rounding exactly once (see
     /// [`SimTime::mul_f64`]). Negative and non-finite factors clamp to

@@ -168,8 +168,10 @@ impl ModelConfig {
 }
 
 /// Aggregate statistics of a batch of requests (Table I: `Q`, `K_in`,
-/// `K_out`, `K_in2`), maintained by the online scheduler via moving
-/// averages (§III-B).
+/// `K_out`, `K_in2`). The planner sizes a batch from the workload's
+/// mean lengths (`heroserve::system::expected_batch`); the serving
+/// engine keeps each decode batch's exact sums with [`BatchStats::push`],
+/// [`BatchStats::remove`] and [`BatchStats::grow_one_token`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BatchStats {
     /// Batch size `Q`.

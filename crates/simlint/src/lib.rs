@@ -47,11 +47,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub mod json;
 pub mod lexer;
 
-use json::Json;
 use lexer::{lex, skip_balanced, skip_balanced_back, Lexed, TokKind, Token};
+use serde_json::{json, Value};
 
 /// The rule families simlint enforces.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -1366,22 +1365,20 @@ pub struct Ledger {
 impl Ledger {
     /// Parse the ledger from its JSON text.
     pub fn parse(text: &str) -> Result<Ledger, String> {
-        let v = json::parse(text)?;
-        let budget = v
-            .get("budget")
-            .and_then(Json::as_int)
-            .ok_or("ledger: missing integer `budget`")? as usize;
+        let v = serde_json::from_str(text).map_err(|_| "ledger: not valid JSON")?;
+        let count = |obj: &Value, k: &str| obj.get(k).and_then(Value::as_u64).map(|n| n as usize);
+        let budget = count(&v, "budget").ok_or("ledger: missing integer `budget`")?;
         let mut entries = Vec::new();
         for (i, e) in v
             .get("waivers")
-            .and_then(Json::as_arr)
+            .and_then(Value::as_array)
             .ok_or("ledger: missing array `waivers`")?
             .iter()
             .enumerate()
         {
             let field = |k: &str| {
                 e.get(k)
-                    .and_then(Json::as_str)
+                    .and_then(Value::as_str)
                     .map(str::to_string)
                     .ok_or(format!("ledger: waiver #{i} missing string `{k}`"))
             };
@@ -1394,11 +1391,8 @@ impl Ledger {
             if reason.trim().is_empty() {
                 return Err(format!("ledger: waiver #{i} has an empty reason"));
             }
-            let max_count = e
-                .get("max_count")
-                .and_then(Json::as_int)
-                .ok_or(format!("ledger: waiver #{i} missing integer `max_count`"))?
-                as usize;
+            let max_count = count(e, "max_count")
+                .ok_or(format!("ledger: waiver #{i} missing integer `max_count`"))?;
             entries.push(LedgerEntry {
                 file,
                 rule,
@@ -1511,69 +1505,54 @@ impl WorkspaceReport {
         self.findings.is_empty() && self.ledger_violations.is_empty()
     }
 
-    /// Serialize to the machine-readable report schema (`--json`).
-    pub fn to_json(&self) -> Json {
-        let findings = self
+    /// Serialize to the machine-readable report schema (`--json`), keys
+    /// in sorted order at every level.
+    pub fn to_json(&self) -> Value {
+        let findings: Vec<Value> = self
             .findings
             .iter()
             .map(|f| {
-                Json::obj(vec![
-                    ("file", Json::Str(f.file.clone())),
-                    ("line", Json::Int(f.line as i64)),
-                    ("rule", Json::Str(f.rule.name().into())),
-                    ("message", Json::Str(f.message.clone())),
-                ])
+                json!({
+                    "file": &f.file,
+                    "line": f.line,
+                    "message": &f.message,
+                    "rule": f.rule.name(),
+                })
             })
             .collect();
-        let waivers = self
+        let waivers: Vec<Value> = self
             .waivers
             .iter()
             .map(|w| {
-                Json::obj(vec![
-                    ("file", Json::Str(w.file.clone())),
-                    ("line", Json::Int(w.line as i64)),
-                    ("rule", Json::Str(w.rule.name().into())),
-                    ("reason", Json::Str(w.reason.clone())),
-                    ("used", Json::Bool(w.used)),
-                ])
+                json!({
+                    "file": &w.file,
+                    "line": w.line,
+                    "reason": &w.reason,
+                    "rule": w.rule.name(),
+                    "used": w.used,
+                })
             })
             .collect();
-        let profiles = PROFILES
+        let profiles: Vec<Value> = PROFILES
             .iter()
             .map(|p| {
-                Json::obj(vec![
-                    ("crate", Json::Str(p.krate.into())),
-                    (
-                        "rules",
-                        Json::Arr(p.rules.iter().map(|r| Json::Str(r.name().into())).collect()),
-                    ),
-                ])
+                let rules: Vec<&str> = p.rules.iter().map(|r| r.name()).collect();
+                json!({"crate": p.krate, "rules": rules})
             })
             .collect();
-        Json::obj(vec![
-            ("version", Json::Int(2)),
-            ("files_scanned", Json::Int(self.files_scanned as i64)),
-            ("profiles", Json::Arr(profiles)),
-            ("findings", Json::Arr(findings)),
-            ("waivers", Json::Arr(waivers)),
-            (
-                "ledger_violations",
-                Json::Arr(
-                    self.ledger_violations
-                        .iter()
-                        .map(|v| Json::Str(v.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "summary",
-                Json::obj(vec![
-                    ("findings", Json::Int(self.findings.len() as i64)),
-                    ("waivers", Json::Int(self.waivers.len() as i64)),
-                    ("clean", Json::Bool(self.is_clean())),
-                ]),
-            ),
-        ])
+        json!({
+            "files_scanned": self.files_scanned,
+            "findings": findings,
+            "ledger_violations": self.ledger_violations.clone(),
+            "profiles": profiles,
+            "summary": json!({
+                "clean": self.is_clean(),
+                "findings": self.findings.len(),
+                "waivers": self.waivers.len(),
+            }),
+            "version": 2,
+            "waivers": waivers,
+        })
     }
 }
 
@@ -1922,6 +1901,31 @@ mod tests {
     }
 
     #[test]
+    fn ledger_rejects_invalid_json_and_non_count_numbers() {
+        let entry = |max_count: &str| {
+            format!(
+                r#"{{"budget": 1, "waivers": [{{"file": "t.rs", "rule": "wall-clock",
+                   "max_count": {max_count}, "reason": "x"}}]}}"#
+            )
+        };
+        assert!(Ledger::parse(&entry("1")).is_ok());
+        for (text, why) in [
+            (
+                r#"{"budget": 1, "waivers": [}"#.to_string(),
+                "not valid JSON",
+            ),
+            (
+                r#"{"budget": -1, "waivers": []}"#.to_string(),
+                "missing integer `budget`",
+            ),
+            (entry("1.5"), "missing integer `max_count`"),
+        ] {
+            let err = Ledger::parse(&text).expect_err(&text);
+            assert!(err.starts_with("ledger: ") && err.contains(why), "{err}");
+        }
+    }
+
+    #[test]
     fn ledger_flags_unlisted_and_stale_and_budget() {
         let ledger = Ledger {
             budget: 3,
@@ -1990,25 +1994,28 @@ mod tests {
             ledger_violations: vec![],
             files_scanned: 7,
         };
-        let text = json::to_string_pretty(&report.to_json(), 0);
-        let back = json::parse(&text).expect("report JSON parses");
-        assert_eq!(back.get("version").and_then(Json::as_int), Some(2));
-        assert_eq!(back.get("files_scanned").and_then(Json::as_int), Some(7));
+        let text = serde_json::to_string_pretty(&report.to_json()).expect("report serializes");
+        let back = serde_json::from_str(&text).expect("report JSON parses");
+        assert_eq!(back.get("version").and_then(Value::as_u64), Some(2));
+        assert_eq!(back.get("files_scanned").and_then(Value::as_u64), Some(7));
         let fs = back
             .get("findings")
-            .and_then(Json::as_arr)
+            .and_then(Value::as_array)
             .expect("findings");
         assert_eq!(fs.len(), 1);
         assert_eq!(
-            fs[0].get("rule").and_then(Json::as_str),
+            fs[0].get("rule").and_then(Value::as_str),
             Some("units-mixing")
         );
-        assert_eq!(fs[0].get("line").and_then(Json::as_int), Some(3));
-        let ws = back.get("waivers").and_then(Json::as_arr).expect("waivers");
-        assert_eq!(ws[0].get("used"), Some(&Json::Bool(true)));
+        assert_eq!(fs[0].get("line").and_then(Value::as_u64), Some(3));
+        let ws = back
+            .get("waivers")
+            .and_then(Value::as_array)
+            .expect("waivers");
+        assert_eq!(ws[0].get("used"), Some(&Value::Bool(true)));
         assert_eq!(
             back.get("summary").and_then(|s| s.get("clean")),
-            Some(&Json::Bool(false))
+            Some(&Value::Bool(false))
         );
     }
 

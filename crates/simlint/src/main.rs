@@ -27,7 +27,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use simlint::{json, lint_file, lint_workspace, Rule, WorkspaceReport, PROFILES};
+use simlint::{lint_file, lint_workspace, Rule, WorkspaceReport, PROFILES};
 
 fn find_workspace_root() -> Option<PathBuf> {
     let mut dir = std::env::current_dir().ok()?;
@@ -165,7 +165,9 @@ fn run_workspace(json_out: Option<&str>) -> ExitCode {
         }
     };
     if let Some(path) = json_out {
-        let text = json::to_string_pretty(&report.to_json(), 0) + "\n";
+        let text = serde_json::to_string_pretty(&report.to_json())
+            .expect("a JSON value always serializes")
+            + "\n";
         if path == "-" {
             print!("{text}");
         } else if let Err(e) = fs::write(path, &text) {

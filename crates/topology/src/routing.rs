@@ -12,7 +12,8 @@
 //!
 //! The online scheduler additionally needs *alternative* routes between the
 //! same endpoints (each route backs one candidate policy in the policy cost
-//! table, Fig. 5); [`k_shortest_paths`] provides them via Yen's algorithm.
+//! table, Fig. 5); [`k_shortest_paths_avoiding`] provides them via Yen's
+//! algorithm.
 //!
 //! A [`Path`]'s hops are a [`Route`]: directed (full-duplex links carry
 //! each direction separately), built once here and shared, never copied,
@@ -242,10 +243,6 @@ struct Table {
     index_of: Vec<u32>,
     /// Shortest paths, same layout as `dist` (self-paths are empty).
     paths: Vec<Path>,
-    /// Every path's links, flattened in the same layout: pair `p`'s are
-    /// `links[start[p]..start[p + 1]]`.
-    start: Vec<u32>,
-    links: Vec<LinkId>,
 }
 
 impl AllPairs {
@@ -269,9 +266,6 @@ impl AllPairs {
         }
         let mut dist = vec![f64::INFINITY; m * m];
         let mut paths = Vec::with_capacity(m * m);
-        let mut start = Vec::with_capacity(m * m + 1);
-        let mut links = Vec::new();
-        start.push(0);
         let empty_n = FxHashSet::default();
         let empty_l = FxHashSet::default();
         let mut hops = Vec::new();
@@ -281,8 +275,6 @@ impl AllPairs {
                 dist[i * m + j] = d[dst.idx()];
                 hops.clear();
                 reconstruct(g, src, dst, &d, &prev, &mut hops);
-                links.extend(hops.iter().map(|&(l, _)| l));
-                start.push(u32::try_from(links.len()).expect("route table fits u32 offsets"));
                 paths.push(Path {
                     src,
                     dst,
@@ -296,8 +288,6 @@ impl AllPairs {
             nodes: nodes.to_vec(),
             index_of,
             paths,
-            start,
-            links,
         }))
     }
 
@@ -332,13 +322,11 @@ impl AllPairs {
         &self.0.paths[self.pair(a, b).expect("node not covered by AllPairs")]
     }
 
-    /// The links of the shortest path from `a` to `b`, in traversal
-    /// order, from one flat table; `None` if either node is not covered.
+    /// The shared route of the shortest path from `a` to `b`; `None` if
+    /// either node is not covered.
     #[inline]
-    pub fn path_links(&self, a: NodeId, b: NodeId) -> Option<&[LinkId]> {
-        let p = self.pair(a, b)?;
-        let t = &*self.0;
-        Some(&t.links[t.start[p] as usize..t.start[p + 1] as usize])
+    pub fn route(&self, a: NodeId, b: NodeId) -> Option<&Route> {
+        self.pair(a, b).map(|p| &self.0.paths[p].route)
     }
 
     /// Whether `n` is covered.
@@ -347,22 +335,11 @@ impl AllPairs {
     }
 }
 
-/// Yen's algorithm: up to `k` loopless shortest paths from `src` to `dst`,
-/// sorted by cost. Used to enumerate the candidate routes behind online
-/// policies.
-pub fn k_shortest_paths(
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    weight: LinkWeight,
-) -> Vec<Path> {
-    k_shortest_paths_avoiding(g, src, dst, k, weight, &FxHashSet::default())
-}
-
-/// Yen's algorithm restricted to paths that never traverse a link in
-/// `avoid`. The online scheduler uses this to rebuild its route cache
-/// after a fault takes links out of service.
+/// Yen's algorithm: up to `k` loopless shortest paths from `src` to `dst`
+/// that never traverse a link in `avoid`, sorted by cost. They are the
+/// candidate routes behind online policies; the scheduler rebuilds its
+/// route cache with a non-empty `avoid` after a fault takes links out of
+/// service.
 pub fn k_shortest_paths_avoiding(
     g: &Graph,
     src: NodeId,
@@ -544,7 +521,14 @@ mod tests {
     #[test]
     fn yen_k_shortest_are_distinct_sorted_loopless() {
         let (g, gpus, _) = sample();
-        let paths = k_shortest_paths(&g, gpus[0], gpus[2], 4, LinkWeight::Hops);
+        let paths = k_shortest_paths_avoiding(
+            &g,
+            gpus[0],
+            gpus[2],
+            4,
+            LinkWeight::Hops,
+            &FxHashSet::default(),
+        );
         assert!(
             paths.len() >= 2,
             "expected multiple routes, got {}",
@@ -564,14 +548,24 @@ mod tests {
     #[test]
     fn yen_handles_disconnection_and_k1() {
         let (g, gpus, _) = sample();
-        let paths = k_shortest_paths(&g, gpus[0], gpus[1], 1, LinkWeight::Hops);
+        let paths = k_shortest_paths_avoiding(
+            &g,
+            gpus[0],
+            gpus[1],
+            1,
+            LinkWeight::Hops,
+            &FxHashSet::default(),
+        );
         assert_eq!(paths.len(), 1);
         // Isolated node: build a graph with a disconnected GPU.
         let mut b = GraphBuilder::new();
         let x = b.add_gpu(ServerId(0), 0, GpuSpec::a100_40g());
         let y = b.add_gpu(ServerId(1), 0, GpuSpec::a100_40g());
         let g2 = b.build();
-        assert!(k_shortest_paths(&g2, x, y, 3, LinkWeight::Hops).is_empty());
+        assert!(
+            k_shortest_paths_avoiding(&g2, x, y, 3, LinkWeight::Hops, &FxHashSet::default())
+                .is_empty()
+        );
     }
 
     #[test]
@@ -678,7 +672,7 @@ mod proptests {
         fn yen_invariants(g in arb_graph(), k in 1usize..5) {
             let nodes = g.gpus();
             let (a, b) = (nodes[0], nodes[nodes.len() / 2]);
-            let paths = k_shortest_paths(&g, a, b, k, LinkWeight::Hops);
+            let paths = k_shortest_paths_avoiding(&g, a, b, k, LinkWeight::Hops, &FxHashSet::default());
             prop_assert!(paths.len() <= k);
             let mut seen = std::collections::HashSet::new();
             let mut last = 0.0f64;
@@ -872,7 +866,7 @@ mod route_proptests {
                 for &b in &s {
                     prop_assert_eq!(small.dist(a, b).to_bits(), big.dist(a, b).to_bits());
                     prop_assert_eq!(&small.path(a, b).route[..], &big.path(a, b).route[..]);
-                    prop_assert_eq!(small.path_links(a, b), big.path_links(a, b));
+                    prop_assert_eq!(small.route(a, b), big.route(a, b));
                 }
             }
         }
@@ -899,7 +893,7 @@ mod route_proptests {
                 let want = ref_links(&f.g, src, to, &d, &prev);
                 prop_assert_eq!(p.cost.to_bits(), d[to.idx()].to_bits());
                 prop_assert_eq!(Some(p.links().collect::<Vec<_>>()), want);
-                prop_assert_eq!(f.ap.path_links(src, to), Some(&p.links().collect::<Vec<_>>()[..]));
+                prop_assert_eq!(f.ap.route(src, to), Some(&p.route));
                 prop_assert!(is_walk(&f.g, src, to, &p.route), "{:?}", p.route);
             }
 

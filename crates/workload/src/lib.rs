@@ -41,5 +41,5 @@ pub use spec::{
     heavy_tail_like, longbench_like, sharegpt_like, LengthModel, LengthSpec, ParetoSpec,
     WorkloadSpec,
 };
-pub use stats::{mean, percentile};
+pub use stats::mean;
 pub use trace::{Request, RequestId, Trace};
