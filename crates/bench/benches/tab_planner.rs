@@ -15,6 +15,7 @@ use hs_bench::ExpTable;
 use hs_model::ModelConfig;
 use hs_topology::builders::{testbed, xtracks, XTracksConfig};
 use serde_json::json;
+use std::time::Instant;
 
 fn main() {
     let workload = hs_workload::sharegpt_like();
@@ -51,16 +52,19 @@ fn main() {
             for max_candi in [1usize, 5, 20] {
                 let mut input = planner_input(&topo.graph, model, &workload, 1.0, None, None);
                 input.max_candi = max_candi;
-                let row = match plan(&input, space) {
+                let start = Instant::now();
+                let solved = plan(&input, space);
+                let solve_ms = start.elapsed().as_secs_f64() * 1e3;
+                let row = match solved {
                     Ok(o) => (
                         format!("{:.3}", o.est_h_rps),
-                        format!("{:.1}", o.stats.elapsed_s.unwrap_or(0.0) * 1e3),
+                        format!("{solve_ms:.1}"),
                         format!("{}", o.stats.max_perturb_iters),
                         json!({
                             "topology": name, "space": format!("{space:?}"),
                             "max_candi": max_candi,
                             "h_rps": o.est_h_rps,
-                            "solve_ms": o.stats.elapsed_s.unwrap_or(0.0) * 1e3,
+                            "solve_ms": solve_ms,
                             "perturb_iters": o.stats.max_perturb_iters,
                             "lat_evals": o.stats.lat_evals,
                             "candidates": o.stats.candidates_examined,

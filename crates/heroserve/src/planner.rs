@@ -52,8 +52,10 @@ impl std::fmt::Display for PlannerError {
 
 impl std::error::Error for PlannerError {}
 
-/// Solve diagnostics (planner-cost experiments).
-#[derive(Clone, Copy, Debug, Default)]
+/// Solve diagnostics (planner-cost experiments): deterministic work
+/// counts, equal for equal inputs. A caller that wants wall time
+/// measures the `plan` call itself.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Candidate `(P_tens, P_pipe)` pairs examined per cluster.
     pub candidates_examined: usize,
@@ -66,10 +68,6 @@ pub struct SolveStats {
     /// Group-latency evaluations across all candidates — the
     /// deterministic work measure the search budget is expressed in.
     pub lat_evals: usize,
-    /// Wall-clock seconds spent planning. Reporting only: nothing reads
-    /// it back, and plan output is identical whatever it says. `None`
-    /// when the embedding disables wall-clock sampling.
-    pub elapsed_s: Option<f64>,
 }
 
 /// The planner's decision (Table II).
@@ -262,10 +260,7 @@ fn to_plan(c: &Candidate) -> ClusterPlan {
 /// Run the offline planner over `input`, restricted to `space` (HeroServe
 /// uses [`SchemeSpace::Hybrid`]; the baselines use the others — §V).
 pub fn plan(input: &PlannerInput, space: SchemeSpace) -> Result<PlannerOutput, PlannerError> {
-    // The search budget is `PERTURB_BUDGET` (deterministic work units);
-    // wall-clock is sampled only to fill the reporting field.
-    // simlint::allow(wall-clock, reporting-only elapsed_s; never feeds budgets or plan output)
-    let start = std::time::Instant::now();
+    // The search budget is `PERTURB_BUDGET` (deterministic work units).
     let seeds = SeedSplitter::new(PLANNER_SEED);
     // Every link's full capacity is available to the plan.
     let avail = input.graph.capacities();
@@ -366,7 +361,6 @@ pub fn plan(input: &PlannerInput, space: SchemeSpace) -> Result<PlannerOutput, P
         sla_feasible,
         max_perturb_iters: max_perturb,
         lat_evals,
-        elapsed_s: Some(start.elapsed().as_secs_f64()),
     };
 
     let Some((h, pre, dec, t_f, t_pre, t_dec, _)) = best else {
@@ -500,6 +494,7 @@ mod tests {
         assert_eq!(a.est_h_rps, b.est_h_rps);
         assert_eq!(a.prefill.instances, b.prefill.instances);
         assert_eq!(a.decode.instances, b.decode.instances);
+        assert_eq!(a.stats, b.stats);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! suffixes. v2 lexes every file into a real token stream with per-token
 //! line numbers, so rules can match token *sequences* (e.g.
 //! `SimTime :: from_secs_f64 (` … `as_secs_f64`) across line breaks and
-//! never inside literals.
+//! never inside literals. Comments, doc comments included, are skipped
+//! and yield no tokens.
 //!
 //! The lexer handles the constructs that matter for correctness of the
 //! analysis — raw strings (`r#"…"#`, any hash depth), byte and raw-byte
@@ -68,34 +69,6 @@ impl fmt::Display for Token {
     }
 }
 
-/// A comment with the 1-based line it starts on. Block comments spanning
-/// several lines produce one entry per physical line so `simlint::allow`
-/// annotations resolve to the line they are written on.
-#[derive(Clone, Debug)]
-pub struct Comment {
-    /// 1-based line this comment text sits on.
-    pub line: usize,
-    /// The comment text of that line (without delimiters).
-    pub text: String,
-}
-
-/// The result of lexing one file.
-#[derive(Default)]
-pub struct Lexed {
-    /// Code tokens in source order.
-    pub tokens: Vec<Token>,
-    /// Comment text per line, in source order.
-    pub comments: Vec<Comment>,
-}
-
-impl Lexed {
-    /// True when `line` holds at least one code token.
-    pub fn line_has_code(&self, line: usize) -> bool {
-        // Tokens are in line order; binary search keeps this O(log n).
-        self.tokens.binary_search_by(|t| t.line.cmp(&line)).is_ok()
-    }
-}
-
 /// Multi-character operators, longest first so greedy matching is correct.
 const OPS: &[&str] = &[
     "<<=", ">>=", "..=", "...", "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
@@ -110,12 +83,12 @@ fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
-/// Lex `source` into tokens and comments. Never fails: unterminated
-/// constructs simply run to end of file (the linter must degrade
-/// gracefully on code that does not compile yet).
-pub fn lex(source: &str) -> Lexed {
+/// Lex `source` into code tokens in source order; comments yield none.
+/// Never fails: unterminated constructs simply run to end of file (the
+/// linter must degrade gracefully on code that does not compile yet).
+pub fn lex(source: &str) -> Vec<Token> {
     let chars: Vec<char> = source.chars().collect();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut line = 1usize;
     let mut i = 0usize;
 
@@ -139,14 +112,9 @@ pub fn lex(source: &str) -> Lexed {
 
         // Line comment (also doc comments).
         if c == '/' && chars.get(i + 1) == Some(&'/') {
-            let start = i;
             while i < chars.len() && chars[i] != '\n' {
                 i += 1;
             }
-            out.comments.push(Comment {
-                line,
-                text: chars[start..i].iter().collect(),
-            });
             continue;
         }
 
@@ -154,37 +122,18 @@ pub fn lex(source: &str) -> Lexed {
         if c == '/' && chars.get(i + 1) == Some(&'*') {
             let mut depth = 1u32;
             i += 2;
-            let mut text = String::new();
-            let mut at_line = line;
             while i < chars.len() && depth > 0 {
                 if chars[i] == '/' && chars.get(i + 1) == Some(&'*') {
                     depth += 1;
-                    text.push_str("/*");
                     i += 2;
                 } else if chars[i] == '*' && chars.get(i + 1) == Some(&'/') {
                     depth -= 1;
-                    if depth > 0 {
-                        text.push_str("*/");
-                    }
                     i += 2;
                 } else {
-                    if chars[i] == '\n' {
-                        out.comments.push(Comment {
-                            line: at_line,
-                            text: std::mem::take(&mut text),
-                        });
-                        line += 1;
-                        at_line = line;
-                    } else {
-                        text.push(chars[i]);
-                    }
+                    bump_lines!(chars[i]);
                     i += 1;
                 }
             }
-            out.comments.push(Comment {
-                line: at_line,
-                text,
-            });
             continue;
         }
 
@@ -230,7 +179,7 @@ pub fn lex(source: &str) -> Lexed {
                                 }
                             }
                         }
-                        out.tokens.push(Token {
+                        out.push(Token {
                             kind: TokKind::Str,
                             text: String::new(),
                             line: start_line,
@@ -245,7 +194,7 @@ pub fn lex(source: &str) -> Lexed {
                         while j < chars.len() && is_ident_char(chars[j]) {
                             j += 1;
                         }
-                        out.tokens.push(Token {
+                        out.push(Token {
                             kind: TokKind::Ident,
                             text: chars[start..j].iter().collect(),
                             line,
@@ -271,7 +220,7 @@ pub fn lex(source: &str) -> Lexed {
                             }
                         }
                     }
-                    out.tokens.push(Token {
+                    out.push(Token {
                         kind: TokKind::Str,
                         text: String::new(),
                         line: start_line,
@@ -288,7 +237,7 @@ pub fn lex(source: &str) -> Lexed {
                         }
                         j += 1;
                     }
-                    out.tokens.push(Token {
+                    out.push(Token {
                         kind: TokKind::Char,
                         text: String::new(),
                         line,
@@ -325,7 +274,7 @@ pub fn lex(source: &str) -> Lexed {
                     }
                 }
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokKind::Str,
                 text,
                 line: start_line,
@@ -342,7 +291,7 @@ pub fn lex(source: &str) -> Lexed {
                 while j < chars.len() && chars[j] != '\'' {
                     j += 1;
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokKind::Char,
                     text: String::new(),
                     line,
@@ -353,7 +302,7 @@ pub fn lex(source: &str) -> Lexed {
             let one = chars.get(i + 1).copied();
             let closes = chars.get(i + 2) == Some(&'\'');
             if closes && one.is_some() {
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokKind::Char,
                     text: String::new(),
                     line,
@@ -368,7 +317,7 @@ pub fn lex(source: &str) -> Lexed {
                 while j < chars.len() && is_ident_char(chars[j]) {
                     j += 1;
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokKind::Lifetime,
                     text: chars[start..j].iter().collect(),
                     line,
@@ -377,7 +326,7 @@ pub fn lex(source: &str) -> Lexed {
                 continue;
             }
             // Lone quote (should not happen in valid code): treat as op.
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokKind::Op,
                 text: "'".into(),
                 line,
@@ -441,7 +390,7 @@ pub fn lex(source: &str) -> Lexed {
                     }
                 }
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: if is_float {
                     TokKind::Float
                 } else {
@@ -461,7 +410,7 @@ pub fn lex(source: &str) -> Lexed {
             while j < chars.len() && is_ident_char(chars[j]) {
                 j += 1;
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokKind::Ident,
                 text: chars[start..j].iter().collect(),
                 line,
@@ -475,7 +424,7 @@ pub fn lex(source: &str) -> Lexed {
         for op in OPS {
             let oc: Vec<char> = op.chars().collect();
             if chars[i..].starts_with(&oc) {
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokKind::Op,
                     text: (*op).into(),
                     line,
@@ -488,7 +437,7 @@ pub fn lex(source: &str) -> Lexed {
         if matched {
             continue;
         }
-        out.tokens.push(Token {
+        out.push(Token {
             kind: TokKind::Op,
             text: c.to_string(),
             line,
@@ -555,65 +504,51 @@ mod tests {
     use super::*;
 
     fn texts(src: &str) -> Vec<String> {
-        lex(src).tokens.iter().map(|t| t.text.clone()).collect()
+        lex(src).iter().map(|t| t.text.clone()).collect()
     }
 
     #[test]
     fn basic_tokens_and_lines() {
         let l = lex("let x = 1;\nlet y = x + 2;\n");
-        assert_eq!(l.tokens[0].text, "let");
-        assert_eq!(l.tokens[0].line, 1);
-        let y = l.tokens.iter().find(|t| t.text == "y").expect("y token");
+        assert_eq!(l[0].text, "let");
+        assert_eq!(l[0].line, 1);
+        let y = l.iter().find(|t| t.text == "y").expect("y token");
         assert_eq!(y.line, 2);
     }
 
     #[test]
     fn raw_strings_hide_code_like_text() {
         let l = lex("let s = r#\"Instant::now() .unwrap()\"#; done();");
-        assert!(!l.tokens.iter().any(|t| t.text == "Instant"));
-        assert!(l.tokens.iter().any(|t| t.text == "done"));
+        assert!(!l.iter().any(|t| t.text == "Instant"));
+        assert!(l.iter().any(|t| t.text == "done"));
     }
 
     #[test]
     fn nested_block_comments() {
         let l = lex("/* outer /* inner */ still comment */ code();");
-        assert!(l.tokens.iter().any(|t| t.text == "code"));
-        assert!(!l.tokens.iter().any(|t| t.text == "outer"));
+        assert!(l.iter().any(|t| t.text == "code"));
+        assert!(!l.iter().any(|t| t.text == "outer"));
     }
 
     #[test]
     fn multiline_block_comment_lines_tracked() {
         let l = lex("/* a\n b */\nfn f() {}\n");
-        let f = l.tokens.iter().find(|t| t.text == "fn").expect("fn token");
+        let f = l.iter().find(|t| t.text == "fn").expect("fn token");
         assert_eq!(f.line, 3);
-        assert_eq!(l.comments.len(), 2);
-        assert_eq!(l.comments[1].line, 2);
     }
 
     #[test]
     fn lifetimes_vs_char_literals() {
         let l = lex("fn f<'a>(x: &'a str) -> char { 'x' }");
-        assert_eq!(
-            l.tokens
-                .iter()
-                .filter(|t| t.kind == TokKind::Lifetime)
-                .count(),
-            2
-        );
-        assert_eq!(
-            l.tokens.iter().filter(|t| t.kind == TokKind::Char).count(),
-            1
-        );
+        assert_eq!(l.iter().filter(|t| t.kind == TokKind::Lifetime).count(), 2);
+        assert_eq!(l.iter().filter(|t| t.kind == TokKind::Char).count(), 1);
     }
 
     #[test]
     fn escaped_char_literals() {
         let l = lex(r"let c = '\n'; let q = '\''; f();");
-        assert_eq!(
-            l.tokens.iter().filter(|t| t.kind == TokKind::Char).count(),
-            2
-        );
-        assert!(l.tokens.iter().any(|t| t.text == "f"));
+        assert_eq!(l.iter().filter(|t| t.kind == TokKind::Char).count(), 2);
+        assert!(l.iter().any(|t| t.text == "f"));
     }
 
     #[test]
@@ -646,7 +581,6 @@ mod tests {
     fn string_interiors_preserved_for_expect_check() {
         let l = lex("v.expect(\"queue invariant\")");
         let s = l
-            .tokens
             .iter()
             .find(|t| t.kind == TokKind::Str)
             .expect("string token");
@@ -654,13 +588,10 @@ mod tests {
     }
 
     #[test]
-    fn comments_captured_with_lines() {
-        let l = lex("// simlint::allow(unwrap, fine)\nx.unwrap();\n");
-        assert_eq!(l.comments.len(), 1);
-        assert_eq!(l.comments[0].line, 1);
-        assert!(l.comments[0].text.contains("simlint::allow"));
-        assert!(!l.line_has_code(1));
-        assert!(l.line_has_code(2));
+    fn comments_yield_no_tokens() {
+        let src = "// Instant::now()\n/// doc\n/* a /* nested */\n b */ x.unwrap();\n";
+        assert_eq!(texts(src), ["x", ".", "unwrap", "(", ")", ";"]);
+        assert!(lex(src).iter().all(|t| t.line == 4));
     }
 
     #[test]
@@ -673,17 +604,17 @@ mod tests {
     fn balanced_skipping() {
         let l = lex("f(a, (b, c))[0] + g()");
         // token 0 = f, 1 = ( … find its close.
-        let end = skip_balanced(&l.tokens, 1);
-        assert!(l.tokens[end].is_op("["));
+        let end = skip_balanced(&l, 1);
+        assert!(l[end].is_op("["));
         let close = end + 2; // [ 0 ]
-        assert!(l.tokens[close].is_op("]"));
-        assert_eq!(skip_balanced_back(&l.tokens, close), end);
+        assert!(l[close].is_op("]"));
+        assert_eq!(skip_balanced_back(&l, close), end);
     }
 
     #[test]
     fn multiline_cooked_string() {
         let l = lex("let s = \"line1\nline2\";\nnext();");
-        let next = l.tokens.iter().find(|t| t.text == "next").expect("next");
+        let next = l.iter().find(|t| t.text == "next").expect("next");
         assert_eq!(next.line, 3);
     }
 }

@@ -28,20 +28,10 @@
 //! slip. An explicit conversion call is the sanctioned escape hatch — its
 //! name carries the result dimension, so converted operands compare clean.
 //!
-//! A site that is genuinely safe can carry an explicit waiver:
-//!
-//! ```text
-//! // simlint::allow(unordered-iter, keys copied out and sorted before use)
-//! ```
-//!
-//! on the offending line or the comment line directly above it. The reason
-//! is mandatory, and v2 adds a second gate: every waiver must also appear
-//! in the committed ledger `simlint.waivers.json`, whose pinned `budget`
-//! may only shrink over time (the ratchet). Stale annotations and stale
-//! ledger entries are themselves violations, so the waiver set cannot
-//! silently grow or rot. See DESIGN.md §14.
+//! There are no per-line waivers: a finding is fixed at the source, or
+//! the crate's entry in [`PROFILES`] leaves the rule out and says why.
+//! See DESIGN.md §8.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -49,7 +39,7 @@ use std::path::{Path, PathBuf};
 
 pub mod lexer;
 
-use lexer::{lex, skip_balanced, skip_balanced_back, Lexed, TokKind, Token};
+use lexer::{lex, skip_balanced, skip_balanced_back, TokKind, Token};
 use serde_json::{json, Value};
 
 /// The rule families simlint enforces.
@@ -93,7 +83,7 @@ impl Rule {
         Rule::LockInSim,
     ];
 
-    /// The kebab-case name used in reports and `simlint::allow(...)`.
+    /// The kebab-case name used in reports and fixture file names.
     pub fn name(self) -> &'static str {
         match self {
             Rule::WallClock => "wall-clock",
@@ -108,7 +98,7 @@ impl Rule {
         }
     }
 
-    /// Parse a rule name as written in an allow annotation.
+    /// Parse a kebab-case rule name.
     pub fn from_name(name: &str) -> Option<Rule> {
         Rule::ALL.iter().copied().find(|r| r.name() == name)
     }
@@ -166,18 +156,17 @@ pub struct CrateProfile {
     pub rules: &'static [Rule],
 }
 
-/// Per-crate rule profiles — the whole workspace is covered, with
-/// exemptions that are themselves documented policy:
+/// Per-crate rule profiles. The whole workspace is covered, and every
+/// crate gets every rule except where the rule cannot apply:
 ///
 /// * `des` owns the integer-nanosecond clock, so `sim-time-arith` (which
 ///   polices f64 round-trips *outside* the clock's home) does not apply.
-/// * `workload` draws from seeded RNG streams and deals in arrival
-///   seconds; it gets `os-rng`/`wall-clock` but not `unordered-iter`
-///   (its containers are slices and BTreeMaps by construction).
-/// * `obs` records on the simulation's own thread and takes no lock, so
-///   `lock-in-sim` applies to it as to the sim-domain crates; it must not
-///   read clocks or unseeded RNG, and its unwraps must be reasoned.
-/// * `bench` keeps its wall-clock exemption (measurement is its job).
+/// * `bench` measures host time, so `wall-clock` does not apply.
+/// * `simlint`'s own source names `OsRng` as an identifier (the
+///   `Rule::OsRng` variant), so `os-rng` cannot apply to it.
+///
+/// These are the only exemptions: a finding anywhere else is fixed at
+/// the source.
 pub const PROFILES: &[CrateProfile] = &[
     CrateProfile {
         krate: "des",
@@ -214,69 +203,49 @@ pub const PROFILES: &[CrateProfile] = &[
     },
     CrateProfile {
         krate: "workload",
-        rules: &[
-            Rule::WallClock,
-            Rule::OsRng,
-            Rule::FloatEq,
-            Rule::Unwrap,
-            Rule::UnitsMixing,
-            Rule::SimTimeArith,
-        ],
+        rules: Rule::ALL,
     },
     CrateProfile {
         krate: "obs",
+        rules: Rule::ALL,
+    },
+    CrateProfile {
+        krate: "model",
+        rules: Rule::ALL,
+    },
+    CrateProfile {
+        krate: "topology",
+        rules: Rule::ALL,
+    },
+    CrateProfile {
+        krate: "baselines",
+        rules: Rule::ALL,
+    },
+    CrateProfile {
+        krate: "bench",
         rules: &[
-            Rule::WallClock,
             Rule::OsRng,
+            Rule::UnorderedIter,
+            Rule::FloatEq,
+            Rule::NanosNarrowing,
             Rule::Unwrap,
             Rule::UnitsMixing,
+            Rule::SimTimeArith,
             Rule::LockInSim,
         ],
     },
     CrateProfile {
-        krate: "model",
+        krate: "simlint",
         rules: &[
             Rule::WallClock,
-            Rule::OsRng,
-            Rule::FloatEq,
-            Rule::NanosNarrowing,
-            Rule::Unwrap,
-            Rule::UnitsMixing,
-        ],
-    },
-    CrateProfile {
-        krate: "topology",
-        rules: &[
-            Rule::WallClock,
-            Rule::OsRng,
             Rule::UnorderedIter,
             Rule::FloatEq,
             Rule::NanosNarrowing,
-            Rule::Unwrap,
-            Rule::UnitsMixing,
-        ],
-    },
-    CrateProfile {
-        krate: "baselines",
-        rules: &[
-            Rule::WallClock,
-            Rule::OsRng,
-            Rule::UnorderedIter,
             Rule::Unwrap,
             Rule::UnitsMixing,
             Rule::SimTimeArith,
+            Rule::LockInSim,
         ],
-    },
-    CrateProfile {
-        krate: "bench",
-        rules: &[Rule::OsRng, Rule::UnitsMixing],
-    },
-    // simlint's own source necessarily names `OsRng` as an identifier
-    // (the `Rule::OsRng` variant), so the os-rng rule cannot apply to it;
-    // the other determinism rules do.
-    CrateProfile {
-        krate: "simlint",
-        rules: &[Rule::WallClock, Rule::Unwrap, Rule::LockInSim],
     },
 ];
 
@@ -301,30 +270,6 @@ impl fmt::Display for Finding {
             self.file, self.line, self.rule, self.message
         )
     }
-}
-
-/// One `simlint::allow(rule, reason)` annotation found in source.
-#[derive(Clone, Debug)]
-pub struct WaiverSite {
-    /// Path as reported.
-    pub file: String,
-    /// 1-based line the waiver *applies to* (the code line).
-    pub line: usize,
-    /// The waived rule.
-    pub rule: Rule,
-    /// The stated reason (empty = invalid annotation; does not suppress).
-    pub reason: String,
-    /// Whether the waiver actually suppressed a finding.
-    pub used: bool,
-}
-
-/// Result of linting one file.
-#[derive(Default)]
-pub struct FileAnalysis {
-    /// Surviving findings (waived ones removed).
-    pub findings: Vec<Finding>,
-    /// Every waiver annotation encountered, with usage marked.
-    pub waivers: Vec<WaiverSite>,
 }
 
 // ---------------------------------------------------------------------------
@@ -599,8 +544,7 @@ fn collect_decls(tokens: &[Token], in_test: &[bool], types: &[&str], out: &mut V
 }
 
 impl<'a> FileCtx<'a> {
-    fn new(lexed: &'a Lexed) -> Self {
-        let tokens = lexed.tokens.as_slice();
+    fn new(tokens: &'a [Token]) -> Self {
         let in_test = mark_tests(tokens);
         let in_use = mark_uses(tokens);
         let mut containers = Vec::new();
@@ -1220,266 +1164,31 @@ fn forward_last_name(tokens: &[Token], start: usize) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Waiver annotations
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Debug)]
-struct Allow {
-    rule: Rule,
-    reason: String,
-    line: usize,
-}
-
-/// Parse every `simlint::allow(rule, reason)` in a comment line.
-fn parse_allows(line: usize, text: &str) -> Vec<Allow> {
-    let mut allows = Vec::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find("simlint::allow(") {
-        rest = &rest[pos + "simlint::allow(".len()..];
-        let Some(close) = rest.find(')') else { break };
-        let inner = &rest[..close];
-        rest = &rest[close + 1..];
-        let (rule_name, reason) = match inner.find(',') {
-            Some(comma) => (inner[..comma].trim(), inner[comma + 1..].trim()),
-            None => (inner.trim(), ""),
-        };
-        if let Some(rule) = Rule::from_name(rule_name) {
-            allows.push(Allow {
-                rule,
-                reason: reason.to_string(),
-                line,
-            });
-        }
-    }
-    allows
-}
-
-// ---------------------------------------------------------------------------
 // Per-file entry point
 // ---------------------------------------------------------------------------
 
 /// Lint one source file under the given rule set. `file` is the label
-/// used in findings and waiver sites.
-pub fn lint_file(file: &str, source: &str, rules: &[Rule]) -> FileAnalysis {
-    let lexed = lex(source);
-    let ctx = FileCtx::new(&lexed);
+/// used in findings.
+pub fn lint_file(file: &str, source: &str, rules: &[Rule]) -> Vec<Finding> {
+    let tokens = lex(source);
+    let ctx = FileCtx::new(&tokens);
 
     let mut raw: Vec<RawFinding> = Vec::new();
     scan_rules(&ctx, rules, &mut raw);
 
     // One finding per (rule, line): several matches of the same rule on a
-    // line are one defect (and keep waiver counting stable).
-    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
-    raw.retain(|(rule, line, _)| {
-        let key = (Rule::ALL.iter().position(|r| r == rule).unwrap_or(0), *line);
-        seen.insert(key)
-    });
-    raw.sort_by_key(|(rule, line, _)| {
-        (*line, Rule::ALL.iter().position(|r| r == rule).unwrap_or(0))
-    });
-
-    // Resolve allow annotations to the code line they govern: their own
-    // line when it has code, else the next line (directly below).
-    let mut allows: Vec<Allow> = Vec::new();
-    for c in &lexed.comments {
-        // Doc comments (`///`, `//!`) are rendered documentation — an
-        // allow written there is an example, not a waiver site.
-        let body = c.text.trim_start();
-        if body.starts_with("///") || body.starts_with("//!") {
-            continue;
-        }
-        for mut a in parse_allows(c.line, &c.text) {
-            if !lexed.line_has_code(a.line) {
-                a.line += 1;
-            }
-            allows.push(a);
-        }
-    }
-
-    let mut used = vec![false; allows.len()];
-    let mut findings = Vec::new();
-    for (rule, line, message) in raw {
-        let mut waived = false;
-        for (ai, a) in allows.iter().enumerate() {
-            if a.line == line && a.rule == rule && !a.reason.is_empty() {
-                used[ai] = true;
-                waived = true;
-            }
-        }
-        if !waived {
-            findings.push(Finding {
-                file: file.to_string(),
-                line,
-                rule,
-                message,
-            });
-        }
-    }
-
-    let waivers = allows
-        .into_iter()
-        .zip(used)
-        .map(|(a, u)| WaiverSite {
+    // line are one defect. The sort is stable, so the first match stays.
+    let rank = |rule: &Rule| Rule::ALL.iter().position(|r| r == rule).unwrap_or(0);
+    raw.sort_by_key(|(rule, line, _)| (*line, rank(rule)));
+    raw.dedup_by_key(|(rule, line, _)| (*line, rank(rule)));
+    raw.into_iter()
+        .map(|(rule, line, message)| Finding {
             file: file.to_string(),
-            line: a.line,
-            rule: a.rule,
-            reason: a.reason,
-            used: u,
+            line,
+            rule,
+            message,
         })
-        .collect();
-
-    FileAnalysis { findings, waivers }
-}
-
-// ---------------------------------------------------------------------------
-// Waiver ledger
-// ---------------------------------------------------------------------------
-
-/// One entry of `simlint.waivers.json`: up to `max_count` waivers of
-/// `rule` in `file`, with a shared reason.
-#[derive(Clone, Debug)]
-pub struct LedgerEntry {
-    /// Workspace-relative file path.
-    pub file: String,
-    /// The waived rule.
-    pub rule: Rule,
-    /// Maximum number of waiver annotations allowed in this file.
-    pub max_count: usize,
-    /// Why these waivers are justified.
-    pub reason: String,
-}
-
-/// The committed waiver ledger. `budget` pins the workspace-wide waiver
-/// total; CI fails when annotations exceed it, when an annotation has no
-/// ledger entry, or when a ledger entry has no live annotation — so the
-/// committed number can only be ratcheted down, never silently up.
-#[derive(Clone, Debug, Default)]
-pub struct Ledger {
-    /// Total waiver annotations permitted across the workspace. Must
-    /// equal the sum of entry `max_count`s; may only shrink over time.
-    pub budget: usize,
-    /// Per-(file, rule) allowances.
-    pub entries: Vec<LedgerEntry>,
-}
-
-impl Ledger {
-    /// Parse the ledger from its JSON text.
-    pub fn parse(text: &str) -> Result<Ledger, String> {
-        let v = serde_json::from_str(text).map_err(|_| "ledger: not valid JSON")?;
-        let count = |obj: &Value, k: &str| obj.get(k).and_then(Value::as_u64).map(|n| n as usize);
-        let budget = count(&v, "budget").ok_or("ledger: missing integer `budget`")?;
-        let mut entries = Vec::new();
-        for (i, e) in v
-            .get("waivers")
-            .and_then(Value::as_array)
-            .ok_or("ledger: missing array `waivers`")?
-            .iter()
-            .enumerate()
-        {
-            let field = |k: &str| {
-                e.get(k)
-                    .and_then(Value::as_str)
-                    .map(str::to_string)
-                    .ok_or(format!("ledger: waiver #{i} missing string `{k}`"))
-            };
-            let file = field("file")?;
-            let rule_name = field("rule")?;
-            let rule = Rule::from_name(&rule_name).ok_or(format!(
-                "ledger: waiver #{i} has unknown rule `{rule_name}`"
-            ))?;
-            let reason = field("reason")?;
-            if reason.trim().is_empty() {
-                return Err(format!("ledger: waiver #{i} has an empty reason"));
-            }
-            let max_count = count(e, "max_count")
-                .ok_or(format!("ledger: waiver #{i} missing integer `max_count`"))?;
-            entries.push(LedgerEntry {
-                file,
-                rule,
-                max_count,
-                reason,
-            });
-        }
-        Ok(Ledger { budget, entries })
-    }
-
-    /// Cross-check source waiver annotations against this ledger.
-    /// Returns human-readable violations; empty means the gate passes.
-    pub fn check(&self, sites: &[WaiverSite]) -> Vec<String> {
-        let mut violations = Vec::new();
-        for s in sites {
-            if s.reason.is_empty() {
-                violations.push(format!(
-                    "{}:{}: simlint::allow({}) without a reason — the reason is mandatory",
-                    s.file, s.line, s.rule
-                ));
-            } else if !s.used {
-                violations.push(format!(
-                    "{}:{}: simlint::allow({}, …) never fires — delete the stale \
-                     annotation and shrink the ledger",
-                    s.file, s.line, s.rule
-                ));
-            }
-        }
-        // Count used, reasoned annotations per (file, rule).
-        let mut counts: Vec<(&str, Rule, usize)> = Vec::new();
-        for s in sites.iter().filter(|s| s.used && !s.reason.is_empty()) {
-            if let Some(c) = counts
-                .iter_mut()
-                .find(|(f, r, _)| *f == s.file && *r == s.rule)
-            {
-                c.2 += 1;
-            } else {
-                counts.push((&s.file, s.rule, 1));
-            }
-        }
-        for (file, rule, n) in &counts {
-            match self
-                .entries
-                .iter()
-                .find(|e| e.file == *file && e.rule == *rule)
-            {
-                None => violations.push(format!(
-                    "{file}: {n} simlint::allow({rule}) annotation(s) with no \
-                     simlint.waivers.json entry — add one with a reason (grows the \
-                     ledger, which review must approve)"
-                )),
-                Some(e) if *n > e.max_count => violations.push(format!(
-                    "{file}: {n} simlint::allow({rule}) annotation(s) exceed the \
-                     ledger max_count {}",
-                    e.max_count
-                )),
-                Some(_) => {}
-            }
-        }
-        for e in &self.entries {
-            if !counts.iter().any(|(f, r, _)| *f == e.file && *r == e.rule) {
-                violations.push(format!(
-                    "simlint.waivers.json: stale entry for {}:{} — the annotation is \
-                     gone; remove the entry and shrink the budget",
-                    e.file, e.rule
-                ));
-            }
-        }
-        let total: usize = self.entries.iter().map(|e| e.max_count).sum();
-        if total != self.budget {
-            violations.push(format!(
-                "simlint.waivers.json: budget {} != sum of entry max_counts {total} — \
-                 the budget is the ratchet and must track the entries exactly",
-                self.budget
-            ));
-        }
-        let live: usize = counts.iter().map(|(_, _, n)| n).sum();
-        if live > self.budget {
-            violations.push(format!(
-                "{live} live waiver annotation(s) exceed the ledger budget {} — the \
-                 budget may only shrink",
-                self.budget
-            ));
-        }
-        violations.sort();
-        violations
-    }
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1489,12 +1198,8 @@ impl Ledger {
 /// The complete result of a workspace lint run.
 #[derive(Default)]
 pub struct WorkspaceReport {
-    /// Surviving findings across all crates.
+    /// Findings across all crates.
     pub findings: Vec<Finding>,
-    /// Every waiver annotation across all crates.
-    pub waivers: Vec<WaiverSite>,
-    /// Ledger violations (empty when the ratchet gate passes).
-    pub ledger_violations: Vec<String>,
     /// Number of `.rs` files analyzed.
     pub files_scanned: usize,
 }
@@ -1502,7 +1207,7 @@ pub struct WorkspaceReport {
 impl WorkspaceReport {
     /// True when CI should pass.
     pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.ledger_violations.is_empty()
+        self.findings.is_empty()
     }
 
     /// Serialize to the machine-readable report schema (`--json`), keys
@@ -1520,19 +1225,6 @@ impl WorkspaceReport {
                 })
             })
             .collect();
-        let waivers: Vec<Value> = self
-            .waivers
-            .iter()
-            .map(|w| {
-                json!({
-                    "file": &w.file,
-                    "line": w.line,
-                    "reason": &w.reason,
-                    "rule": w.rule.name(),
-                    "used": w.used,
-                })
-            })
-            .collect();
         let profiles: Vec<Value> = PROFILES
             .iter()
             .map(|p| {
@@ -1543,15 +1235,12 @@ impl WorkspaceReport {
         json!({
             "files_scanned": self.files_scanned,
             "findings": findings,
-            "ledger_violations": self.ledger_violations.clone(),
             "profiles": profiles,
             "summary": json!({
                 "clean": self.is_clean(),
                 "findings": self.findings.len(),
-                "waivers": self.waivers.len(),
             }),
-            "version": 2,
-            "waivers": waivers,
+            "version": 3,
         })
     }
 }
@@ -1572,8 +1261,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Lint the `src/` tree of every profiled crate under `root`, then check
-/// the waiver ledger (`simlint.waivers.json` at the root).
+/// Lint the `src/` tree of every profiled crate under `root`.
 ///
 /// `tests/`, `benches/`, `examples/`, `vendor/`, and fixture files are out
 /// of scope by construction: only `crates/<name>/src` is walked.
@@ -1596,25 +1284,11 @@ pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
                 .unwrap_or(&path)
                 .display()
                 .to_string();
-            let fa = lint_file(&label, &source, profile.rules);
-            report.findings.extend(fa.findings);
-            report.waivers.extend(fa.waivers);
+            report
+                .findings
+                .extend(lint_file(&label, &source, profile.rules));
             report.files_scanned += 1;
         }
-    }
-    let ledger_path = root.join("simlint.waivers.json");
-    let ledger_text = fs::read_to_string(&ledger_path).map_err(|e| {
-        io::Error::new(
-            e.kind(),
-            format!(
-                "cannot read {} (the committed waiver ledger is required): {e}",
-                ledger_path.display()
-            ),
-        )
-    })?;
-    match Ledger::parse(&ledger_text) {
-        Ok(ledger) => report.ledger_violations = ledger.check(&report.waivers),
-        Err(msg) => report.ledger_violations = vec![msg],
     }
     Ok(report)
 }
@@ -1624,7 +1298,7 @@ mod tests {
     use super::*;
 
     fn findings(src: &str) -> Vec<Finding> {
-        lint_file("t.rs", src, Rule::ALL).findings
+        lint_file("t.rs", src, Rule::ALL)
     }
 
     fn fixture(name: &str) -> String {
@@ -1666,32 +1340,17 @@ mod tests {
         assert!(fs.is_empty(), "clean fixture has findings: {fs:?}");
     }
 
+    /// There are no per-line waivers: an allow comment, above the code or
+    /// on its line, leaves the finding standing.
     #[test]
-    fn allow_with_reason_suppresses_and_is_used() {
-        let src = "fn f() {\n    // simlint::allow(wall-clock, reporting only)\n    let t = std::time::Instant::now();\n}\n";
-        let fa = lint_file("t.rs", src, Rule::ALL);
-        assert!(fa.findings.is_empty());
-        assert_eq!(fa.waivers.len(), 1);
-        assert!(fa.waivers[0].used);
-        let same_line =
-            "fn f() { let t = std::time::Instant::now(); } // simlint::allow(wall-clock, reporting only)\n";
-        assert!(lint_file("t.rs", same_line, Rule::ALL).findings.is_empty());
-    }
-
-    #[test]
-    fn allow_without_reason_does_not_suppress() {
-        let src = "fn f() {\n    // simlint::allow(wall-clock)\n    let t = std::time::Instant::now();\n}\n";
-        let fa = lint_file("t.rs", src, Rule::ALL);
-        assert_eq!(fa.findings.len(), 1);
-        assert_eq!(fa.findings[0].rule, Rule::WallClock);
-        assert!(!fa.waivers[0].used);
-        assert!(fa.waivers[0].reason.is_empty());
-    }
-
-    #[test]
-    fn allow_for_other_rule_does_not_suppress() {
-        let src = "fn f() {\n    // simlint::allow(os-rng, not the right rule)\n    let t = std::time::Instant::now();\n}\n";
-        assert_eq!(lint_file("t.rs", src, Rule::ALL).findings.len(), 1);
+    fn allow_comments_do_not_suppress() {
+        let above = "fn f() {\n    // simlint::allow(wall-clock, reporting only)\n    let t = std::time::Instant::now();\n}\n";
+        let same_line = "fn f() { let t = std::time::Instant::now(); } // simlint::allow(wall-clock, reporting only)\n";
+        for src in [above, same_line] {
+            let fs = findings(src);
+            assert_eq!(fs.len(), 1, "{fs:?}");
+            assert_eq!(fs[0].rule, Rule::WallClock);
+        }
     }
 
     #[test]
@@ -1863,116 +1522,11 @@ mod tests {
         // `lock-in-sim` ignores Mutex but still catches unwrap.
         let src =
             "struct S { m: std::sync::Mutex<u32> }\nfn f(v: Option<u32>) -> u32 { v.unwrap() }\n";
-        let all = lint_file("t.rs", src, Rule::ALL).findings;
+        let all = lint_file("t.rs", src, Rule::ALL);
         assert_eq!(all.len(), 2);
-        let unlocked = lint_file("t.rs", src, &[Rule::Unwrap]).findings;
+        let unlocked = lint_file("t.rs", src, &[Rule::Unwrap]);
         assert_eq!(unlocked.len(), 1);
         assert_eq!(unlocked[0].rule, Rule::Unwrap);
-    }
-
-    #[test]
-    fn ledger_round_trip_and_check() {
-        let text = r#"{
-  "budget": 2,
-  "waivers": [
-    {"file": "crates/a/src/lib.rs", "rule": "wall-clock", "max_count": 1, "reason": "reporting only"},
-    {"file": "crates/b/src/net.rs", "rule": "float-eq", "max_count": 1, "reason": "sentinel"}
-  ]
-}"#;
-        let ledger = Ledger::parse(text).expect("ledger parses");
-        assert_eq!(ledger.budget, 2);
-        let sites = vec![
-            WaiverSite {
-                file: "crates/a/src/lib.rs".into(),
-                line: 10,
-                rule: Rule::WallClock,
-                reason: "reporting only".into(),
-                used: true,
-            },
-            WaiverSite {
-                file: "crates/b/src/net.rs".into(),
-                line: 20,
-                rule: Rule::FloatEq,
-                reason: "sentinel".into(),
-                used: true,
-            },
-        ];
-        assert!(ledger.check(&sites).is_empty());
-    }
-
-    #[test]
-    fn ledger_rejects_invalid_json_and_non_count_numbers() {
-        let entry = |max_count: &str| {
-            format!(
-                r#"{{"budget": 1, "waivers": [{{"file": "t.rs", "rule": "wall-clock",
-                   "max_count": {max_count}, "reason": "x"}}]}}"#
-            )
-        };
-        assert!(Ledger::parse(&entry("1")).is_ok());
-        for (text, why) in [
-            (
-                r#"{"budget": 1, "waivers": [}"#.to_string(),
-                "not valid JSON",
-            ),
-            (
-                r#"{"budget": -1, "waivers": []}"#.to_string(),
-                "missing integer `budget`",
-            ),
-            (entry("1.5"), "missing integer `max_count`"),
-        ] {
-            let err = Ledger::parse(&text).expect_err(&text);
-            assert!(err.starts_with("ledger: ") && err.contains(why), "{err}");
-        }
-    }
-
-    #[test]
-    fn ledger_flags_unlisted_and_stale_and_budget() {
-        let ledger = Ledger {
-            budget: 3,
-            entries: vec![LedgerEntry {
-                file: "crates/a/src/lib.rs".into(),
-                rule: Rule::WallClock,
-                max_count: 1,
-                reason: "reporting".into(),
-            }],
-        };
-        // Unlisted annotation + stale entry + budget mismatch, all at once.
-        let sites = vec![WaiverSite {
-            file: "crates/b/src/net.rs".into(),
-            line: 5,
-            rule: Rule::FloatEq,
-            reason: "sentinel".into(),
-            used: true,
-        }];
-        let v = ledger.check(&sites);
-        assert_eq!(v.len(), 3, "{v:?}");
-        assert!(v
-            .iter()
-            .any(|m| m.contains("no simlint.waivers.json entry")));
-        assert!(v.iter().any(|m| m.contains("stale entry")));
-        assert!(v.iter().any(|m| m.contains("budget 3 != sum")));
-    }
-
-    #[test]
-    fn ledger_flags_stale_annotation() {
-        let ledger = Ledger {
-            budget: 1,
-            entries: vec![LedgerEntry {
-                file: "t.rs".into(),
-                rule: Rule::WallClock,
-                max_count: 1,
-                reason: "x".into(),
-            }],
-        };
-        let sites = vec![WaiverSite {
-            file: "t.rs".into(),
-            line: 3,
-            rule: Rule::WallClock,
-            reason: "x".into(),
-            used: false,
-        }];
-        let v = ledger.check(&sites);
-        assert!(v.iter().any(|m| m.contains("never fires")), "{v:?}");
     }
 
     #[test]
@@ -1984,19 +1538,11 @@ mod tests {
                 rule: Rule::UnitsMixing,
                 message: "`+` mixes bytes with seconds".into(),
             }],
-            waivers: vec![WaiverSite {
-                file: "crates/y/src/lib.rs".into(),
-                line: 9,
-                rule: Rule::Unwrap,
-                reason: "lock poisoning recovered".into(),
-                used: true,
-            }],
-            ledger_violations: vec![],
             files_scanned: 7,
         };
         let text = serde_json::to_string_pretty(&report.to_json()).expect("report serializes");
         let back = serde_json::from_str(&text).expect("report JSON parses");
-        assert_eq!(back.get("version").and_then(Value::as_u64), Some(2));
+        assert_eq!(back.get("version").and_then(Value::as_u64), Some(3));
         assert_eq!(back.get("files_scanned").and_then(Value::as_u64), Some(7));
         let fs = back
             .get("findings")
@@ -2008,11 +1554,6 @@ mod tests {
             Some("units-mixing")
         );
         assert_eq!(fs[0].get("line").and_then(Value::as_u64), Some(3));
-        let ws = back
-            .get("waivers")
-            .and_then(Value::as_array)
-            .expect("waivers");
-        assert_eq!(ws[0].get("used"), Some(&Value::Bool(true)));
         assert_eq!(
             back.get("summary").and_then(|s| s.get("clean")),
             Some(&Value::Bool(false))
@@ -2030,14 +1571,13 @@ mod tests {
         let report = lint_workspace(root).expect("workspace walk succeeds");
         assert!(
             report.is_clean(),
-            "workspace has simlint findings/violations:\n{}\n{}",
+            "workspace has simlint findings:\n{}",
             report
                 .findings
                 .iter()
                 .map(|f| f.to_string())
                 .collect::<Vec<_>>()
-                .join("\n"),
-            report.ledger_violations.join("\n")
+                .join("\n")
         );
     }
 }

@@ -4,12 +4,11 @@
 //!
 //! * `simlint` — lint every profiled crate of the enclosing workspace
 //!   (found by walking up from the current directory to the first
-//!   `Cargo.toml` containing `[workspace]`) and cross-check the committed
-//!   waiver ledger `simlint.waivers.json`.
+//!   `Cargo.toml` containing `[workspace]`).
 //! * `simlint --json <path>` — same, additionally writing the
 //!   machine-readable report (`-` writes to stdout).
 //! * `simlint --file <path>…` — lint specific files under the full rule
-//!   set (triage aid; no ledger check).
+//!   set (triage aid).
 //! * `simlint --check-fixtures` — lint every file in this crate's
 //!   `fixtures/` directory: each `<rule>.rs` must fire its named rule
 //!   exactly once under ALL rules, and each `clean_*.rs` negative
@@ -18,10 +17,10 @@
 //!
 //! Exit codes (stable; CI scripts against them):
 //!
-//! * `0` — clean: no findings, no ledger violations.
-//! * `1` — findings and/or ledger violations were reported.
+//! * `0` — clean: no findings.
+//! * `1` — findings were reported.
 //! * `2` — usage or I/O error (bad flag, unreadable file, missing
-//!   workspace root or waiver ledger).
+//!   workspace root).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -51,7 +50,7 @@ fn lint_paths(paths: &[String]) -> ExitCode {
     for p in paths {
         match fs::read_to_string(p) {
             Ok(source) => {
-                for f in lint_file(p, &source, Rule::ALL).findings {
+                for f in lint_file(p, &source, Rule::ALL) {
                     println!("{f}");
                     total += 1;
                 }
@@ -96,7 +95,7 @@ fn check_fixtures() -> ExitCode {
                 continue;
             }
         };
-        let findings = lint_file(&path.display().to_string(), &source, Rule::ALL).findings;
+        let findings = lint_file(&path.display().to_string(), &source, Rule::ALL);
         if stem.starts_with("clean_") {
             if findings.is_empty() {
                 println!("fixture {stem}.rs: clean under all rules, as expected");
@@ -146,10 +145,6 @@ fn list_rules() {
         let names: Vec<&str> = p.rules.iter().map(|r| r.name()).collect();
         println!("  {:<12} {}", p.krate, names.join(", "));
     }
-    println!(
-        "\nwaiver syntax: // simlint::allow(<rule>, <reason>)   (reason mandatory;\n\
-         every waiver must also appear in simlint.waivers.json — see DESIGN.md §14)"
-    );
 }
 
 fn run_workspace(json_out: Option<&str>) -> ExitCode {
@@ -187,23 +182,14 @@ fn print_report(report: &WorkspaceReport) {
     for f in &report.findings {
         println!("{f}");
     }
-    for v in &report.ledger_violations {
-        println!("ledger: {v}");
-    }
-    let used = report.waivers.iter().filter(|w| w.used).count();
     if report.is_clean() {
         println!(
-            "simlint: clean — {} files across {} crates, {} waiver(s) within the ledger budget",
+            "simlint: clean — {} files across {} crates",
             report.files_scanned,
-            PROFILES.len(),
-            used
+            PROFILES.len()
         );
     } else {
-        println!(
-            "simlint: {} finding(s), {} ledger violation(s)",
-            report.findings.len(),
-            report.ledger_violations.len()
-        );
+        println!("simlint: {} finding(s)", report.findings.len());
     }
 }
 

@@ -213,8 +213,8 @@ fn serial_estimate(clock: SimTime, f: &Flow) -> SimTime {
     if f.rate_bps.is_infinite() {
         return f.earliest_finish;
     }
-    // simlint::allow(float-eq, 0.0 is an exact assigned sentinel for starved flows, never computed)
-    if f.rate_bps == 0.0 {
+    // Rates are never negative, so this is the starved flow's zero rate.
+    if f.rate_bps <= 0.0 {
         return SimTime::MAX;
     }
     let secs = f.remaining_bytes * 8.0 / f.rate_bps;

@@ -53,10 +53,9 @@ fn planner_input() -> PlannerInput {
     )
 }
 
-/// Debug-format a planner output with the wall-clock reporting field
-/// nulled: `elapsed_s` is the one field allowed to differ between runs.
-fn plan_fingerprint(mut out: PlannerOutput) -> String {
-    out.stats.elapsed_s = None;
+/// Debug-format a whole planner output: every field, solve statistics
+/// included, must repeat between runs.
+fn plan_fingerprint(out: PlannerOutput) -> String {
     format!("{out:?}")
 }
 
